@@ -13,18 +13,11 @@ Compares the smoke-run ``BENCH_rollout.json`` / ``BENCH_train.json`` /
   regardless of timing;
 - worker-sweep floors (``workers`` section, keyed by worker count) apply
   the ``speedup_vs_sequential`` number and are skipped when the bench
-  machine has fewer than ``min_cpus`` cores: multi-process stepping
+  machine has fewer than ``min_cpus`` cores: multi-process collection
   cannot beat a single core, and the JSON records ``cpu_count`` exactly
-  so this gate can tell a slow runner from a slow commit;
-- mode-sweep floors (``mode_sweep`` section, keyed by mode name) gate
-  the head-to-head numbers of the collection-mode sweep — e.g.
-  ``shard_parallel``'s ``min_speedup_vs_sharded`` enforces that full
-  rollouts in the workers beat step-only sharding whenever the runner
-  actually has cores (same ``min_cpus`` skip). A floor's optional
-  ``num_workers`` restricts it to the sweep records at that worker
-  count (a workers=1 or oversubscribed run is not expected to clear a
-  multi-worker floor). Equivalence flags on mode records are enforced
-  unconditionally: bit-identity does not depend on core count;
+  so this gate can tell a slow runner from a slow commit. Equivalence
+  flags on worker records are enforced unconditionally: bit-identity
+  does not depend on core count;
 - scenario-sweep floors (``scenario_sweep`` section, keyed by case name)
   gate the registry-driven scenario cases (``repro.scenarios`` families
   driven through the vectorized engine, including the ≥200-env SlateRec
@@ -90,6 +83,13 @@ def check_payload(payload: dict, baseline: dict, tolerance: float, label: str) -
         sweeps: dict = {}
         for scenario in scenarios.values():
             for record in scenario.get("workers", []):
+                # Bit-equivalence holds on any machine: enforce the flag
+                # on every swept record regardless of core count.
+                if record.get("equivalent") is not True:
+                    failures.append(
+                        f"{label}/{scenario['name']}/workers={record['num_workers']}: "
+                        "equivalence flag is not true"
+                    )
                 sweeps.setdefault(str(record["num_workers"]), []).append(
                     (scenario["name"], record)
                 )
@@ -109,11 +109,6 @@ def check_payload(payload: dict, baseline: dict, tolerance: float, label: str) -
                 continue
             floor = floors["min_speedup_vs_sequential"]
             for scenario_name, record in records:
-                if record.get("equivalent") is not True:
-                    failures.append(
-                        f"{label}/{scenario_name}/workers={count}: "
-                        "equivalence flag is not true"
-                    )
                 measured = record.get("speedup_vs_sequential")
                 if measured is None or measured < floor * tolerance:
                     failures.append(
@@ -121,54 +116,6 @@ def check_payload(payload: dict, baseline: dict, tolerance: float, label: str) -
                         f"speedup_vs_sequential {measured} < floor {floor} x "
                         f"tolerance {tolerance} = {floor * tolerance:.3f}"
                     )
-
-    mode_floors = baseline.get("mode_sweep", {})
-    if mode_floors:
-        sweeps = {}
-        for scenario in scenarios.values():
-            for record in scenario.get("mode_sweep", []):
-                # Bit-equivalence holds on any machine: enforce the flag
-                # on every swept record regardless of core count.
-                if record.get("equivalent") is not True:
-                    failures.append(
-                        f"{label}/{scenario['name']}/mode={record.get('mode')}: "
-                        "equivalence flag is not true"
-                    )
-                sweeps.setdefault(record.get("mode"), []).append(
-                    (scenario["name"], record)
-                )
-        for mode, floors in mode_floors.items():
-            min_cpus = floors.get("min_cpus", 2)
-            if cpu_count < min_cpus:
-                print(
-                    f"skip {label}/mode={mode}: bench ran on {cpu_count} "
-                    f"CPU(s), floor needs >= {min_cpus}"
-                )
-                continue
-            records = sweeps.get(mode)
-            workers = floors.get("num_workers")
-            if workers is not None and records:
-                records = [
-                    (name, record)
-                    for name, record in records
-                    if record.get("num_workers") == workers
-                ]
-            at = f"mode={mode}" + (f"/workers={workers}" if workers else "")
-            if not records:
-                failures.append(f"{label}/{at}: missing from the mode sweep")
-                continue
-            for metric, floor in floors.items():
-                if not metric.startswith("min_") or metric == "min_cpus":
-                    continue
-                key = metric[len("min_"):]
-                for scenario_name, record in records:
-                    measured = record.get(key)
-                    if measured is None or measured < floor * tolerance:
-                        failures.append(
-                            f"{label}/{scenario_name}/{at}: "
-                            f"{key} {measured} < floor {floor} x "
-                            f"tolerance {tolerance} = {floor * tolerance:.3f}"
-                        )
 
     sweep_floors = baseline.get("scenario_sweep", {})
     sweep_records = payload.get("scenario_sweep", [])

@@ -5,12 +5,10 @@ Times every rollout mode against the sequential per-city baseline:
 - ``vectorized`` — one ``policy.act`` per timestep for all cities over an
   in-process :class:`VecEnvPool` (block-diagonal env stepping, no-grad
   fast path);
-- ``sharded`` — step-only worker sharding (:class:`ShardedVecEnvPool` as
-  a step server with overlapped collection; policy forward in the
-  parent), swept over worker counts;
-- ``shard_parallel`` — full rollouts in the workers: policy replicas per
-  shard (``sync_policy`` + ``collect_rollouts``), so the whole
-  act → step → record loop parallelises, swept over the same counts;
+- ``shard_parallel`` — full rollouts in worker processes: policy
+  replicas per shard (``sync_policy`` + ``collect_rollouts``, the unit a
+  training iteration pays), so the whole act → step → record loop
+  parallelises, swept over worker counts (the ``workers`` records);
 - ``scenario_sweep`` — registry-driven scenario cases: every
   ``repro.scenarios`` family built from a pure config dict and driven
   through the vectorized engine, including a hundreds-of-envs SlateRec
@@ -22,12 +20,13 @@ baseline through the same parity harness the test suite runs
 to ``BENCH_rollout.json`` so speedups are tracked across PRs (and gated
 in CI by ``.github/check_bench_regression.py``).
 
-Worker speedups scale with physical cores: on a 1-CPU container both
-sharded modes record ~1x or below (the JSON carries ``cpu_count`` so the
-CI gate only enforces worker and mode floors on multi-core runners).
-``shard_parallel`` is the one expected to beat ``sharded`` whenever
-cores exist, because it parallelises the policy forward (the 80–95 % of
-collection time the step server leaves on the parent).
+Worker speedups scale with physical cores: on a 1-CPU container
+``shard_parallel`` records ~1x or below (the JSON carries ``cpu_count``
+so the CI gate only enforces worker floors on multi-core runners). They
+also depend on BLAS threading: default BLAS pools in the parent and
+every worker oversubscribe the cores, so run with
+``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=MKL_NUM_THREADS=1`` — the JSON
+records all three variables (``blas_threads``).
 
 ``--chaos`` opts into a fault-injection sweep on top: scheduled worker
 kills mid-collection (:mod:`repro.rl.chaos`) with supervision enabled,
@@ -72,6 +71,10 @@ from repro.rl import (
 )
 from repro.rl.parity import assert_segments_identical
 from repro.scenarios import make_scenario
+
+
+#: BLAS thread-pool variables recorded in the payload (``None`` = unset).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def make_policy(state_dim: int, action_dim: int) -> RecurrentActorCritic:
@@ -137,17 +140,6 @@ def bench_scenario(name: str, config: DPRConfig, repeats: int) -> dict:
     return result
 
 
-def _time_sharded(pool, policy, rngs, repeats: int) -> float:
-    """Steady-state step-server collection (pool warm, workers resident)."""
-    collect_segments_vec(pool, policy, rngs)  # warmup
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        collect_segments_vec(pool, policy, rngs)
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def _time_shard_parallel(pool, policy, rngs, repeats: int) -> float:
     """Steady-state full-rollout iteration: param broadcast + collection.
 
@@ -175,24 +167,21 @@ def _time_shard_parallel(pool, policy, rngs, repeats: int) -> float:
     return min(times)
 
 
-def bench_mode_sweep(
+def bench_workers(
     name: str,
     config: DPRConfig,
     worker_counts: tuple,
     repeats: int,
     sequential_s: float,
     vectorized_s: float,
-) -> dict:
-    """Time both sharded modes per worker count; verify bitwise first.
+) -> list:
+    """Time shard-parallel collection per worker count; verify bitwise first.
 
-    Returns ``{"workers": [...], "mode_sweep": [...]}``: the ``workers``
-    list keeps the step-server records the existing CI floors gate, and
-    ``mode_sweep`` adds one record per (mode, worker count) including the
-    head-to-head ``speedup_vs_sharded`` of shard-parallel collection.
-    Speedups are against the sequential per-city loop (the end-to-end
-    win a training run sees) and the single-process vectorized pool;
-    expect < 1x on single-core machines where IPC serialises.
-    Throughput is stacked user-steps per second.
+    Returns one ``workers`` record per worker count, the records the CI
+    worker floors gate. Speedups are against the sequential per-city
+    loop (the end-to-end win a training run sees) and the single-process
+    vectorized pool; expect < 1x on single-core machines where IPC
+    serialises. Throughput is stacked user-steps per second.
     """
     world = DPRWorld(config)
     policy = make_policy(13, 2)
@@ -200,106 +189,55 @@ def bench_mode_sweep(
     seq_ref = collect_segments_sequential(
         world.make_all_city_envs(), policy, make_rngs(world, 7)
     )
-    worker_records = []
-    mode_records = [
-        {
-            "mode": "sequential",
-            "num_workers": 0,
-            "time_s": round(sequential_s, 6),
-            "speedup_vs_sequential": 1.0,
-            "throughput_user_steps_per_s": round(total_steps / sequential_s, 1),
-            "equivalent": True,
-        },
-        {
-            "mode": "vectorized",
-            "num_workers": 0,
-            "time_s": round(vectorized_s, 6),
-            "speedup_vs_sequential": round(sequential_s / vectorized_s, 3),
-            "throughput_user_steps_per_s": round(total_steps / vectorized_s, 1),
-            "equivalent": True,
-        },
-    ]
+    records = []
     for workers in worker_counts:
         if not sharding_available():
             print(f"[{name}] workers={workers}: sharding unavailable, skipped")
             continue
-        sharded_s = None
-        for mode in ("sharded", "shard_parallel"):
-            pool = ShardedVecEnvPool(world.make_all_city_envs(), num_workers=workers)
-            try:
-                # The acceptance contract, re-proven inside the bench for
-                # this exact layout before the clock starts.
-                if mode == "sharded":
-                    collected = collect_segments_vec(
-                        pool, policy, make_rngs(world, 7)
-                    )
-                else:
-                    pool.sync_policy(policy)
-                    collected = pool.collect_rollouts(make_rngs(world, 7))
-                assert_segments_identical(
-                    seq_ref, collected, label=f"{name}/{mode}/workers={workers}"
-                )
-                rngs = make_rngs(world, 1000)
-                if mode == "sharded":
-                    best = _time_sharded(pool, policy, rngs, repeats)
-                else:
-                    best = _time_shard_parallel(pool, policy, rngs, repeats)
-            finally:
-                pool.close()
-            record = {
-                "mode": mode,
-                "num_workers": pool.num_workers,
-                "time_s": round(best, 6),
-                "speedup_vs_sequential": round(sequential_s / best, 3),
-                "speedup_vs_vectorized": round(vectorized_s / best, 3),
-                "throughput_user_steps_per_s": round(total_steps / best, 1),
-                "equivalent": True,
-            }
-            if mode == "sharded":
-                sharded_s = best
-                worker_records.append(
-                    {
-                        "num_workers": pool.num_workers,
-                        "sharded_s": round(best, 6),
-                        "speedup_vs_sequential": record["speedup_vs_sequential"],
-                        "speedup_vs_vectorized": record["speedup_vs_vectorized"],
-                        "throughput_user_steps_per_s": record[
-                            "throughput_user_steps_per_s"
-                        ],
-                        "equivalent": True,
-                    }
-                )
-            else:
-                record["speedup_vs_sharded"] = round(sharded_s / best, 3)
-            mode_records.append(record)
-            extra = (
-                f", {record['speedup_vs_sharded']:.2f}x vs sharded"
-                if mode == "shard_parallel"
-                else ""
+        pool = ShardedVecEnvPool(world.make_all_city_envs(), num_workers=workers)
+        try:
+            # The acceptance contract, re-proven inside the bench for this
+            # exact layout before the clock starts.
+            pool.sync_policy(policy)
+            collected = pool.collect_rollouts(make_rngs(world, 7))
+            assert_segments_identical(
+                seq_ref, collected, label=f"{name}/shard_parallel/workers={workers}"
             )
-            print(
-                f"[{name}] {mode} workers={pool.num_workers}: {best:.3f}s "
-                f"-> {record['speedup_vs_sequential']:.2f}x vs sequential{extra} "
-                f"({record['throughput_user_steps_per_s']:.0f} user-steps/s)"
-            )
-    return {"workers": worker_records, "mode_sweep": mode_records}
+            best = _time_shard_parallel(pool, policy, make_rngs(world, 1000), repeats)
+        finally:
+            pool.close()
+        record = {
+            "num_workers": pool.num_workers,
+            "shard_parallel_s": round(best, 6),
+            "speedup_vs_sequential": round(sequential_s / best, 3),
+            "speedup_vs_vectorized": round(vectorized_s / best, 3),
+            "throughput_user_steps_per_s": round(total_steps / best, 1),
+            "equivalent": True,
+        }
+        records.append(record)
+        print(
+            f"[{name}] shard_parallel workers={pool.num_workers}: {best:.3f}s "
+            f"-> {record['speedup_vs_sequential']:.2f}x vs sequential, "
+            f"{record['speedup_vs_vectorized']:.2f}x vs vectorized "
+            f"({record['throughput_user_steps_per_s']:.0f} user-steps/s)"
+        )
+    return records
 
 
 #: Supervision knobs for the chaos bench: short deadlines so a hang is
 #: detected quickly, tiny backoff so the measured overhead is the
-#: recovery machinery (snapshot respawn + journal replay), not sleeps.
+#: recovery machinery (snapshot respawn + re-run), not sleeps.
 CHAOS_POLICY = FaultPolicy(
     max_restarts=2,
     backoff=0.01,
-    step_deadline=30.0,
     broadcast_deadline=30.0,
     collect_deadline=120.0,
 )
 
 #: Fault cases injected by ``--chaos``: a worker dying the instant it is
-#: asked to collect (cheap recovery — nothing to replay) and one dying
-#: just before replying (the envs already advanced a full episode, so
-#: the parent must respawn from snapshot and replay the journal).
+#: asked to collect and one dying just before replying (the envs already
+#: advanced a full episode, so the parent must respawn from the snapshot
+#: and re-run the whole collect).
 CHAOS_CASES = (
     ("kill_on_rollout", FaultSpec(kind="kill", worker=0, op="rollout", at=0)),
     (
@@ -319,8 +257,8 @@ def bench_chaos(config: DPRConfig, worker_counts: tuple, repeats: int) -> list:
     modes — recovery that alters results would be worse than a crash).
     The clean run rebuilds the identical pool without a schedule, so the
     reported ``recovery_overhead_s`` isolates detection + respawn +
-    journal replay. Single-rollout times on fresh pools, not steady
-    state: recovery cost is a per-incident number.
+    re-run. Single-rollout times on fresh pools, not steady state:
+    recovery cost is a per-incident number.
     """
     world = DPRWorld(config)
     policy = make_policy(13, 2)
@@ -499,7 +437,7 @@ def main() -> None:
         "--workers",
         type=str,
         default=None,
-        help="comma-separated worker counts for the sharded sweeps (default 1,2,4)",
+        help="comma-separated worker counts for the shard-parallel sweep (default 1,2,4)",
     )
     parser.add_argument(
         "--output",
@@ -534,15 +472,13 @@ def main() -> None:
     for name, config in scenarios:
         result = bench_scenario(name, config, repeats)
         if name in sweep_scenarios:
-            result.update(
-                bench_mode_sweep(
-                    name,
-                    config,
-                    worker_counts,
-                    repeats,
-                    result["sequential_s"],
-                    result["vectorized_s"],
-                )
+            result["workers"] = bench_workers(
+                name,
+                config,
+                worker_counts,
+                repeats,
+                result["sequential_s"],
+                result["vectorized_s"],
             )
         results.append(result)
     scenario_sweep = bench_scenario_sweep(
@@ -569,6 +505,7 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "scenarios": results,
         "scenario_sweep": scenario_sweep,
         "headline_speedup": max(r["speedup"] for r in results),

@@ -70,6 +70,9 @@ from repro.serve import (
     ServeConfig,
 )
 
+#: BLAS thread-pool variables recorded in the payload (``None`` = unset).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 STATE_DIM = 8
 ACTION_DIM = 2
 
@@ -425,6 +428,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "scenarios": records,
         "gateway": gateway_record,
         "headline_speedup": max(r["speedup"] for r in records),

@@ -49,6 +49,10 @@ from repro.rl import (
 )
 
 
+#: BLAS thread-pool variables recorded in the payload (``None`` = unset).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def snapshot_parameters(module):
     return [param.data.copy() for param in module.parameters()]
 
@@ -199,7 +203,6 @@ def bench_pipelined(name: str, repeats: int, iterations: int, spec: dict) -> dic
     def build(determinism: str):
         config = scenario_small_config(seed=3)
         config.scenario = dict(spec)
-        config.rollout_mode = "shard_parallel"
         config.rollout_workers = 2
         config.determinism = determinism
         trainer = trainer_from_config(config, dict(spec))
@@ -298,6 +301,7 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "scenarios": results,
         "pipelined": pipelined,
         "headline_speedup": results[0]["speedup"],

@@ -124,7 +124,7 @@ class SupervisedRecommender(nn.Module):
         return self._action_grid[np.argmax(scores, axis=1)]
 
     def as_act_fn(self):
-        """Adapt to the ``evaluate_policy`` callable protocol."""
+        """Adapt to the ``act_fn(states, t)`` protocol of :func:`repro.rl.evaluate`."""
         model = self
 
         class _ActFn:

@@ -7,7 +7,6 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import (
-    ROLLOUT_MODES,
     Sim2RecConfig,
     dpr_paper_config,
     dpr_small_config,
@@ -36,7 +35,6 @@ from .trainer import (
 __all__ = [
     "CHECKPOINT_VERSION",
     "PolicyTrainer",
-    "ROLLOUT_MODES",
     "SADAE",
     "SADAEConfig",
     "Sim2RecConfig",

@@ -11,19 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
-from ..rl.parity import ROLLOUT_MODES
 from ..rl.ppo import PPOConfig
 from ..rl.workers import FaultPolicy
 from .sadae import SADAEConfig
 
-# Re-exported here for config consumers: the rollout collection modes
-# accepted by Sim2RecConfig.rollout_mode. All four are contractually
-# bit-identical for matched per-env noise streams (repro.rl.parity owns
-# the canonical tuple and the harness that proves it); they differ only
-# in throughput.
 __all__ = [
     "DETERMINISM_MODES",
-    "ROLLOUT_MODES",
     "Sim2RecConfig",
     "dpr_paper_config",
     "dpr_small_config",
@@ -63,31 +56,16 @@ class Sim2RecConfig:
     # --- PPO (Eq. 4) -----------------------------------------------------
     ppo: PPOConfig = field(default_factory=PPOConfig)
     segments_per_iteration: int = 2
-    # How each iteration's segments are collected; one of ROLLOUT_MODES
-    # ("sequential" / "vectorized" / "sharded" / "shard_parallel") or
-    # None to derive the mode from the two legacy knobs below:
-    #   vectorized_rollouts=False            -> "sequential"
-    #   rollout_workers <= 1                 -> "vectorized"
-    #   rollout_workers  > 1                 -> "shard_parallel"
-    # "sharded" (workers step envs, the parent runs the policy) remains
-    # available explicitly; "shard_parallel" additionally runs a policy
-    # replica inside every worker so the whole act->step->record loop
-    # parallelises. All modes are bit-identical for a fixed config seed
-    # up to the sequential mode's noise-stream layout (the pooled modes
-    # spawn one child stream per env; "sequential" threads one stream
-    # through every env in sampling order).
-    rollout_mode: Optional[str] = None
-    # Legacy knob: False forces the sequential path when rollout_mode is
-    # None. Prefer rollout_mode="sequential".
-    vectorized_rollouts: bool = True
-    # Worker-process count for the sharded modes
-    # (repro.rl.workers.ShardedVecEnvPool); bit-identical to the
-    # in-process pool for any value. <= 1 = in-process; auto-degrades to
-    # in-process when a rollout batch has a single env or the platform
-    # offers no multiprocessing start method. Worker processes are
-    # reused across iterations.
+    # Rollout worker processes. <= 1 collects each iteration's simulators
+    # together in one in-process repro.rl.vec.VecEnvPool; > 1 shards them
+    # across a repro.rl.workers.ShardedVecEnvPool whose workers roll out
+    # with policy replicas. Bit-identical to the in-process pool for any
+    # value. Falls back to in-process when a rollout batch has a single
+    # env, the platform offers no multiprocessing start method, or the
+    # policy cannot be pickled. Worker processes are reused across
+    # iterations.
     rollout_workers: int = 1
-    # Worker supervision for the sharded modes: a
+    # Worker supervision for rollout_workers > 1: a
     # repro.rl.workers.FaultPolicy turns on per-op deadlines, automatic
     # respawn with bit-identical crash recovery, and graceful
     # degradation to in-process collection when the restart budget runs
@@ -152,19 +130,6 @@ class Sim2RecConfig:
                 f"determinism {self.determinism!r} not in {DETERMINISM_MODES}"
             )
         return self.determinism
-
-    def resolved_rollout_mode(self) -> str:
-        """The effective collection mode (see :attr:`rollout_mode`)."""
-        mode = self.rollout_mode
-        if mode is None:
-            if not self.vectorized_rollouts:
-                return "sequential"
-            return "shard_parallel" if self.rollout_workers > 1 else "vectorized"
-        if mode not in ROLLOUT_MODES:
-            raise ValueError(
-                f"rollout_mode {mode!r} not in {ROLLOUT_MODES} (or None for auto)"
-            )
-        return mode
 
     def ablate_prediction_error_handling(self) -> "Sim2RecConfig":
         """Sim2Rec-PE: drop the uncertainty penalty and the T_c truncation."""

@@ -138,10 +138,10 @@ class PolicyTrainer:
         # worker-side state is synced back after each collection. Fresh-
         # env samplers (DPR) opt out to skip the transfer.
         self._sync_worker_envs = True
-        # shard_parallel needs the policy itself to cross the process
-        # boundary once; a policy that cannot be pickled (externally
-        # attached loggers, lambdas, ...) degrades to step-server
-        # sharding instead of failing the run (set on first failure).
+        # Worker replicas need the policy itself to cross the process
+        # boundary; a policy that cannot be pickled (externally attached
+        # loggers, lambdas, ...) falls back to in-process collection
+        # instead of failing the run (set on first failure).
         self._replica_unpicklable = False
         # Pipelined determinism: iteration N+1's collection, launched
         # before iteration N's update. Either finished segments (the
@@ -222,14 +222,6 @@ class PolicyTrainer:
         return metrics
 
     # Worker-pool plumbing ----------------------------------------------
-    def _effective_workers(self, batch_size: int) -> int:
-        if self.config.resolved_rollout_mode() not in ("sharded", "shard_parallel"):
-            return 1
-        workers = min(self.config.rollout_workers, batch_size)
-        if workers <= 1 or not sharding_available():
-            return 1  # in-process VecEnvPool path
-        return workers
-
     def _sharded_pool(self, envs: Sequence[MultiUserEnv], workers: int) -> ShardedVecEnvPool:
         key = (
             workers,
@@ -257,64 +249,71 @@ class PolicyTrainer:
         self._worker_pool_key = key
         return self._worker_pool
 
-    def _collect_pooled(
-        self, envs: List[MultiUserEnv], streams: List[np.random.Generator]
-    ) -> List[RolloutSegment]:
-        """One pooled rollout round, dispatched on the resolved mode."""
-        workers = self._effective_workers(len(envs))
-        if workers <= 1:
+    def _replica_pool(self, envs: Sequence[MultiUserEnv]) -> Optional[ShardedVecEnvPool]:
+        """The worker pool for one pooled round, policy synced; None = in-process.
+
+        Worker replicas collect when ``config.rollout_workers > 1`` and
+        the round has more than one env. A policy that cannot be pickled
+        warns once, closes the worker pool and leaves the rest of the run
+        in-process — bit-identical, just not parallel. The broadcast
+        ships the policy as it stands now, so a pipelined launch hands
+        the workers the pre-update weights: the stale-by-one contract.
+        """
+        workers = min(self.config.rollout_workers, len(envs))
+        if workers <= 1 or self._replica_unpicklable or not sharding_available():
             if self._worker_pool is not None:
-                # rollout_workers (or the mode) changed to an in-process
-                # setting between collect() calls: the cached sharded
-                # pool would otherwise leak its worker processes.
+                # rollout_workers changed to an in-process setting
+                # between collects: the cached pool would otherwise leak
+                # its worker processes.
                 self.close()
-            return collect_segments_vec(
-                envs, self.policy, streams, max_steps=self.config.truncate_horizon
-            )
+            return None
         pool = self._sharded_pool(envs, workers)
-        replicas = (
-            self.config.resolved_rollout_mode() == "shard_parallel"
-            and not self._replica_unpicklable
-        )
-        if replicas:
-            # Full rollouts in the workers: broadcast this iteration's
-            # policy parameters once, then every shard runs its own
-            # act->step->record loop against its replica.
-            try:
-                pool.sync_policy(self.policy)
-            except (TypeError, AttributeError, pickle.PicklingError) as error:
-                if pool.replica_version != 0 or self.config.rollout_mode is not None:
-                    # A previously-syncable policy failing is a real bug,
-                    # and an *explicitly requested* shard_parallel mode
-                    # must be honoured or fail loudly — only the derived
-                    # default degrades.
-                    raise
-                warnings.warn(
-                    f"policy cannot be shipped to rollout workers ({error!r}); "
-                    "degrading to step-server sharding (rollout_mode='sharded') "
-                    "for the rest of this run",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                # Pickling fails before anything reaches a pipe, so the
-                # already-built pool is untouched and usable as-is.
-                self._replica_unpicklable = True
-                replicas = False
-        if replicas:
-            segments = pool.collect_rollouts(
-                streams, max_steps=self.config.truncate_horizon
+        try:
+            pool.sync_policy(self.policy)
+        except (TypeError, AttributeError, pickle.PicklingError) as error:
+            if pool.replica_version != 0:
+                raise  # a previously-syncable policy failing is a real bug
+            warnings.warn(
+                f"policy cannot be shipped to rollout workers ({error!r}); "
+                "collecting in-process for the rest of this run",
+                RuntimeWarning,
+                stacklevel=3,
             )
-        else:
-            segments = collect_segments_vec(
-                pool, self.policy, streams, max_steps=self.config.truncate_horizon
-            )
+            self._replica_unpicklable = True
+            self.close()
+            return None
+        return pool
+
+    def _pull_worker_envs(
+        self, envs: Sequence[MultiUserEnv], pool: ShardedVecEnvPool
+    ) -> None:
+        """Copy the workers' advanced env state into the parent's objects.
+
+        Samplers that reuse envs across iterations (RNG streams, episode
+        state) stay bit-identical to in-process runs; fresh-env samplers
+        opt out via ``_sync_worker_envs`` to skip the transfer.
+        """
         if self._sync_worker_envs:
-            # Pull the advanced env state (RNG streams, episode state)
-            # back into the parent's objects: samplers that reuse envs
-            # across iterations stay bit-identical to in-process runs.
             for mine, theirs in zip(envs, pool.fetch_member_envs()):
                 vars(mine).update(vars(theirs))
-        return segments
+
+    def _dispatch_round(
+        self, envs: List[MultiUserEnv], streams: List[np.random.Generator]
+    ) -> Dict[str, Any]:
+        """Start one pooled rollout round and return its pending collect.
+
+        The single place that picks the pool: worker replicas get the
+        rollout dispatched asynchronously (``_wait_collect`` gathers it),
+        the in-process pool collects right here.
+        """
+        pool = self._replica_pool(envs)
+        if pool is None:
+            segments = collect_segments_vec(
+                envs, self.policy, streams, max_steps=self.config.truncate_horizon
+            )
+            return {"envs": envs, "segments": segments, "pool": None}
+        pool.collect_rollouts_async(streams, max_steps=self.config.truncate_horizon)
+        return {"envs": envs, "segments": None, "pool": pool}
 
     # Hooks specialised by Sim2Rec trainers ------------------------------
     def post_process_segment(self, segment: RolloutSegment, env: MultiUserEnv) -> None:
@@ -323,55 +322,31 @@ class PolicyTrainer:
     def after_update(self) -> None:
         """Extra learning steps after PPO (the Eq. 8 SADAE update)."""
 
-    # --------------------------------------------------------------------
+    # The collect schedule: sample -> dispatch -> wait -> post-process --
     def collect(self) -> Tuple[RolloutBuffer, List[float]]:
         """Sample simulators and roll the policy out in each (Alg. 1 l. 4–6).
 
-        The collection path follows ``config.resolved_rollout_mode()``:
-        ``"sequential"`` rolls simulators one at a time; the pooled modes
-        sample the iteration's simulators up front and drive them
-        together through a :class:`~repro.rl.vec.VecEnvPool`
-        (``"vectorized"``), a step-server
-        :class:`~repro.rl.workers.ShardedVecEnvPool` with overlapped
-        stepping (``"sharded"``), or worker-side policy replicas running
-        the entire collection loop per shard (``"shard_parallel"``) —
-        bit-identical segments in every pooled mode. Environments that
-        cannot share a pool (duplicate objects from samplers that reuse
-        env instances, or mismatched state/action dims) fall back to
-        additional pool rounds or the sequential path.
+        ``config.rollout_workers`` <= 1 drives the iteration's simulators
+        together through one in-process
+        :class:`~repro.rl.vec.VecEnvPool`; > 1 shards them across a
+        :class:`~repro.rl.workers.ShardedVecEnvPool` whose workers roll
+        out with policy replicas — bit-identical segments either way.
+        Environments that cannot share a pool (duplicate objects from
+        samplers that reuse env instances, or mismatched state/action
+        dims) fall back to additional pool rounds or single-env
+        rollouts, and samplers with side effects roll simulators one at
+        a time. This is the pipelined schedule with no lag:
+        ``_finish_collect(_begin_collect())``.
         """
-        config = self.config
-        buffer = RolloutBuffer()
-        raw_rewards: List[float] = []
-        if config.resolved_rollout_mode() == "sequential" or self._sequential_collect:
-            for _ in range(config.segments_per_iteration):
-                env = self.env_sampler(self.rng)
-                segment = collect_segment(
-                    env, self.policy, self.rng, max_steps=config.truncate_horizon
-                )
-                raw_rewards.append(float(segment.rewards.sum(axis=0).mean()))
-                self.post_process_segment(segment, env)
-                buffer.add(segment)
-            return buffer, raw_rewards
-
-        envs = [self.env_sampler(self.rng) for _ in range(config.segments_per_iteration)]
-        streams = split_rng(self.rng, len(envs))
-        segments = self._collect_batches(envs, streams)
-        for env, segment in zip(envs, segments):
-            raw_rewards.append(float(segment.rewards.sum(axis=0).mean()))
-            self.post_process_segment(segment, env)
-            buffer.add(segment)
-        return buffer, raw_rewards
+        return self._finish_collect(self._begin_collect())
 
     def _collect_batches(
         self,
         envs: Sequence[MultiUserEnv],
         streams: List[np.random.Generator],
-        batches: Optional[List[List[Tuple[int, MultiUserEnv]]]] = None,
+        batches: List[List[Tuple[int, MultiUserEnv]]],
     ) -> List[RolloutSegment]:
         """Collect one segment per sampled env, pool round by pool round."""
-        if batches is None:
-            batches = _poolable_batches(envs)
         segments: List[Optional[RolloutSegment]] = [None] * len(envs)
         for batch in batches:
             if len(batch) == 1:
@@ -384,32 +359,31 @@ class PolicyTrainer:
                 )
             else:
                 indices = [index for index, _ in batch]
-                collected = self._collect_pooled(
+                pending = self._dispatch_round(
                     [env for _, env in batch],
                     [streams[index] for index in indices],
                 )
-                for index, segment in zip(indices, collected):
+                self._wait_collect(pending)
+                for index, segment in zip(indices, pending["segments"]):
                     segments[index] = segment
         return segments
 
-    # Pipelined determinism (config.determinism == "pipelined") ----------
     def _begin_collect(self) -> Dict[str, Any]:
         """Sample this collection's simulators and start collecting.
 
-        The launch half of the pipelined schedule: every RNG draw that
+        The launch half of the collect schedule: every RNG draw that
         shapes the collection (env sampling, stream splitting) happens
         here, so the trajectory is fixed at launch time no matter when —
         or where — the rollouts actually run. When the iteration is one
-        shard_parallel round over a multi-env batch, the rollout is
-        dispatched asynchronously and the returned pending holds the
-        live pool; every other setup (sequential/interleaved samplers,
-        in-process pools, multi-round batches) collects synchronously
-        right here, which executes the *same* schedule without overlap —
-        pipelined trajectories are therefore identical across worker
-        counts.
+        pooled round over several envs and worker replicas are in use,
+        the rollout is dispatched asynchronously and the returned pending
+        holds the live pool; every other setup (sequential/interleaved
+        samplers, in-process pools, multi-round batches) collects right
+        here, which executes the *same* schedule without overlap —
+        trajectories are therefore identical across worker counts.
         """
         config = self.config
-        if config.resolved_rollout_mode() == "sequential" or self._sequential_collect:
+        if self._sequential_collect:
             envs: List[MultiUserEnv] = []
             segments: List[RolloutSegment] = []
             for _ in range(config.segments_per_iteration):
@@ -424,54 +398,13 @@ class PolicyTrainer:
         envs = [self.env_sampler(self.rng) for _ in range(config.segments_per_iteration)]
         streams = split_rng(self.rng, len(envs))
         batches = _poolable_batches(envs)
-        pool = self._async_prefetch_pool(envs, batches)
-        if pool is not None:
-            pool.collect_rollouts_async(streams, max_steps=config.truncate_horizon)
-            return {"envs": envs, "segments": None, "pool": pool}
+        if len(batches) == 1 and len(envs) > 1:
+            return self._dispatch_round(envs, streams)
         return {
             "envs": envs,
             "segments": self._collect_batches(envs, streams, batches),
             "pool": None,
         }
-
-    def _async_prefetch_pool(
-        self,
-        envs: Sequence[MultiUserEnv],
-        batches: List[List[Tuple[int, MultiUserEnv]]],
-    ) -> Optional[ShardedVecEnvPool]:
-        """The synced sharded pool to dispatch an async collect on, or None.
-
-        Overlap needs the whole iteration to be a single shard_parallel
-        round: singleton or multi-round batches would serialise against
-        the in-flight collect anyway, and the step-server / in-process
-        modes act in the parent. The policy replica is broadcast here —
-        the *pre-update* weights, which is exactly the stale-by-one
-        contract.
-        """
-        config = self.config
-        if len(batches) != 1 or len(batches[0]) != len(envs) or len(envs) <= 1:
-            return None
-        if config.resolved_rollout_mode() != "shard_parallel" or self._replica_unpicklable:
-            return None
-        workers = self._effective_workers(len(envs))
-        if workers <= 1:
-            return None
-        pool = self._sharded_pool(envs, workers)
-        try:
-            pool.sync_policy(self.policy)
-        except (TypeError, AttributeError, pickle.PicklingError) as error:
-            if pool.replica_version != 0 or config.rollout_mode is not None:
-                raise
-            warnings.warn(
-                f"policy cannot be shipped to rollout workers ({error!r}); "
-                "degrading to step-server sharding (rollout_mode='sharded') "
-                "for the rest of this run",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self._replica_unpicklable = True
-            return None
-        return pool
 
     def _wait_collect(self, pending: Dict[str, Any]) -> None:
         """Resolve an in-flight pending collect to finished segments, in place.
@@ -479,16 +412,14 @@ class PolicyTrainer:
         Commits exactly the side effects the synchronous path would
         have: the workers' advanced env state is synced back into the
         parent's objects (when the sampler shares them) and the pool's
-        owner-RNG/journal bookkeeping is applied by
+        owner-RNG/snapshot bookkeeping is applied by
         ``collect_rollouts_wait`` itself.
         """
         pool = pending["pool"]
         if pool is None:
             return
         segments = pool.collect_rollouts_wait()
-        if self._sync_worker_envs:
-            for mine, theirs in zip(pending["envs"], pool.fetch_member_envs()):
-                vars(mine).update(vars(theirs))
+        self._pull_worker_envs(pending["envs"], pool)
         pending["segments"] = segments
         pending["pool"] = None
 
@@ -505,6 +436,7 @@ class PolicyTrainer:
             buffer.add(segment)
         return buffer, raw_rewards
 
+    # Pipelined determinism (config.determinism == "pipelined") ----------
     def drain_prefetch(self) -> Optional[Dict[str, Any]]:
         """Resolve an in-flight prefetch to finished segments, in place.
 

@@ -5,7 +5,7 @@ Families are also registered declaratively in :mod:`repro.scenarios`;
 dicts.
 """
 
-from .base import MultiUserEnv, evaluate_policy
+from .base import MultiUserEnv
 from .dpr import (
     COST_RATE,
     CityProfile,
@@ -57,7 +57,6 @@ __all__ = [
     "admissible_omega_g",
     "collect_city_log",
     "collect_dpr_dataset",
-    "evaluate_policy",
     "make_lts_task",
     "oracle_constant_policy_return",
 ]

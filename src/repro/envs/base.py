@@ -57,31 +57,3 @@ class MultiUserEnv:
         if actions.shape != expected:
             raise ValueError(f"actions shape {actions.shape} != expected {expected}")
         return actions
-
-
-def evaluate_policy(
-    env: MultiUserEnv,
-    act_fn,
-    episodes: int = 1,
-    gamma: float = 1.0,
-) -> float:
-    """Deprecated alias for :func:`repro.rl.evaluate` (callable-protocol path).
-
-    Average (optionally discounted) per-user return of ``act_fn`` on
-    ``env``, as a scalar over the whole user axis — even when ``env`` is
-    a :class:`~repro.rl.vec.VecEnvPool`. Use
-    ``repro.rl.evaluate(act_fn, env, episodes=..., gamma=...)`` instead;
-    results are bit-identical (the alias delegates to the same kernel).
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.envs.evaluate_policy is deprecated; use "
-        "repro.rl.evaluate(act_fn, env, ...) — the unified evaluation "
-        "front door (bit-identical results)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..rl.evaluate import _solo_eval
-
-    return _solo_eval(env, act_fn, episodes=episodes, gamma=gamma)

@@ -18,7 +18,7 @@ grad). On that path the op returns immediately through
 ``np.asarray`` validation and, crucially, never allocates the backward
 closure or the parent tuple. This roughly halves the per-op cost of
 policy inference and is what ``policy.act`` / ``collect_segment`` /
-``evaluate_policy`` ride on.
+``repro.rl.evaluate`` ride on.
 
 Only the operations needed by the Sim2Rec stack are implemented, which keeps
 the engine small enough to verify exhaustively with finite differences (see

@@ -8,12 +8,9 @@ from .runner import collect_segment, collect_segments_sequential
 from .evaluate import evaluate
 from .vec import (
     BlockRNG,
-    ShardableVecPool,
     VecEnvPool,
     assemble_segments,
     collect_segments_vec,
-    evaluate_policy_replica,
-    evaluate_policy_vec,
     split_rng,
 )
 from .chaos import ChaosSchedule, FaultSpec
@@ -24,8 +21,6 @@ from .workers import (
     WorkerCrashed,
     WorkerStepError,
     WorkerTimeout,
-    collect_segments_shard_parallel,
-    evaluate_policy_replicas,
     sharding_available,
 )
 from .parity import (
@@ -49,7 +44,6 @@ __all__ = [
     "RecurrentActorCritic",
     "RolloutBuffer",
     "RolloutSegment",
-    "ShardableVecPool",
     "ShardedVecEnvPool",
     "StaleReplicaError",
     "VecEnvPool",
@@ -61,13 +55,9 @@ __all__ = [
     "collect_rollout_mode",
     "collect_segment",
     "collect_segments_sequential",
-    "collect_segments_shard_parallel",
     "collect_segments_vec",
     "compute_gae",
     "evaluate",
-    "evaluate_policy_replica",
-    "evaluate_policy_replicas",
-    "evaluate_policy_vec",
     "sharding_available",
     "split_rng",
     "valid_step_mask",

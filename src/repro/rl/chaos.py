@@ -7,12 +7,12 @@ produced on demand, at exact protocol points, reproducibly. This module
 is that harness:
 
 - :class:`FaultSpec` — one scheduled fault: *which worker*, *which
-  protocol operation* (``step`` / ``reset`` / ``replica`` / ``rollout``
-  / ``load`` / ``fetch`` / ``snapshot``, or ``"*"`` for any), the
-  *n-th occurrence* of that operation inside the worker process, the
-  fault *kind* and the *phase* (on command receipt or just before the
-  reply — the latter crashes a worker that already advanced its envs,
-  the harder recovery case).
+  protocol operation* (``replica`` / ``rollout`` / ``evaluate`` /
+  ``load`` / ``fetch`` / ``close``, or ``"*"`` for any), the *n-th
+  occurrence* of that operation inside the worker process, the fault
+  *kind* and the *phase* (on command receipt or just before the reply —
+  the latter crashes a worker that already advanced its envs, the
+  harder recovery case).
 - :class:`ChaosSchedule` — a picklable bundle of specs shipped to the
   workers at spawn time. Each worker keeps its own per-operation
   counters, so schedules are deterministic regardless of parent timing.
@@ -36,7 +36,8 @@ Fault kinds:
     parent-side signature as a hang.
 ``"corrupt_stamp"``
     Execute a ``replica`` broadcast normally but corrupt the worker's
-    local version stamp, so the next ``rollout`` answers stale.
+    local version stamp, so the next ``rollout`` or ``evaluate`` answers
+    stale.
 
 :func:`truncate_file` and :func:`flip_byte` corrupt on-disk checkpoints
 for the checkpoint-robustness tests (CRC32 validation in
@@ -52,13 +53,11 @@ from typing import Dict, List, Optional, Tuple
 
 #: Protocol operations a fault can target (``"*"`` matches any).
 FAULT_OPS: Tuple[str, ...] = (
-    "step",
-    "reset",
     "replica",
     "rollout",
+    "evaluate",
     "load",
     "fetch",
-    "snapshot",
     "close",
     "*",
 )
@@ -75,7 +74,8 @@ class FaultSpec:
     (0 = the first matching command it sees). ``phase`` is ``"receive"``
     (fault before the command executes) or ``"reply"`` (execute first,
     fault before answering — the worker's envs have already advanced,
-    so recovery must discard that progress and replay).
+    so recovery must discard that progress and re-run from the
+    snapshot).
     """
 
     kind: str

@@ -1,17 +1,10 @@
 """One evaluation front door: :func:`evaluate`.
 
-Evaluation grew four entry points as the rollout engine grew modes —
-``evaluate_policy`` (one env, an ``act_fn`` callable),
-``evaluate_policy_vec`` (a pool, still an ``act_fn``),
-``evaluate_policy_replica`` (the replica kernel: the policy acts itself
-with per-env noise streams) and ``evaluate_policy_replicas`` (the
-sharded-routing wrapper). They are one operation — *average discounted
-per-user return of a policy over environments* — with three orthogonal
-axes: who acts (a bare callable vs. the policy itself), how the envs are
-driven (one at a time vs. pooled vs. sharded worker-side), and what
-comes back (a scalar vs. per-env returns).
-
-:func:`evaluate` collapses the four into a single call that dispatches
+Evaluation is one operation — *average discounted per-user return of a
+policy over environments* — with three orthogonal axes: who acts (a
+bare callable vs. the policy itself), how the envs are driven (one at a
+time vs. pooled vs. sharded worker-side), and what comes back (a scalar
+vs. per-env returns). :func:`evaluate` is a single call that dispatches
 on its inputs::
 
     from repro.rl import evaluate
@@ -28,19 +21,16 @@ Dispatch rules (``mode="auto"``):
   **replica** path: the policy acts itself under ``no_grad`` with one
   noise stream per member env (sharding-invariant; a
   :class:`~repro.rl.workers.ShardedVecEnvPool` is synced and evaluated
-  worker-side);
+  worker-side — the only path such a pool takes);
 - ``policy`` any other callable → the **act_fn** path: a single env runs
   the classic per-env loop (``solo``), pools/sequences run the stacked
   loop (``vec``).
 
 The return shape follows the input: a single bare env yields a scalar
 ``float``; a pool or sequence yields one mean (discounted) per-user
-return per member env. The old names survive as thin deprecated aliases
-(``DeprecationWarning``) delegating to the exact kernels below, so alias
-results are bit-identical to front-door results — enforced by
-``tests/rl/test_eval_parity.py``; the pytest config escalates the
-warning to an error for ``repro.*`` callers so the aliases cannot creep
-back into internal code.
+return per member env. Per-env results are bit-identical across solo,
+pooled and sharded execution — enforced by
+``tests/rl/test_eval_parity.py``.
 """
 
 from __future__ import annotations
@@ -52,7 +42,7 @@ import numpy as np
 from ..envs.base import MultiUserEnv
 from ..nn import no_grad
 from .policies import ActorCriticBase
-from .vec import BlockRNG, RNGLike, ShardableVecPool, VecEnvPool, split_rng
+from .vec import BlockRNG, RNGLike, VecEnvPool, split_rng
 
 __all__ = ["evaluate"]
 
@@ -60,8 +50,7 @@ _MODES = ("auto", "solo", "vec", "replica")
 
 
 # ----------------------------------------------------------------------
-# kernels (internal: the public surface is ``evaluate`` + the deprecated
-# aliases that delegate here)
+# kernels (internal: the public surface is ``evaluate``)
 # ----------------------------------------------------------------------
 def _solo_eval(env: MultiUserEnv, act_fn, episodes: int = 1, gamma: float = 1.0) -> float:
     """Average (discounted) per-user return of ``act_fn`` on one env.
@@ -99,7 +88,7 @@ def _solo_eval(env: MultiUserEnv, act_fn, episodes: int = 1, gamma: float = 1.0)
 
 
 def _vec_eval(
-    envs: Union[ShardableVecPool, Sequence[MultiUserEnv]],
+    envs: Union[VecEnvPool, Sequence[MultiUserEnv]],
     act_fn,
     episodes: int = 1,
     gamma: float = 1.0,
@@ -111,7 +100,7 @@ def _vec_eval(
     stacked state matrix. Returns an array with one mean per-user return
     per member env.
     """
-    pool = envs if isinstance(envs, ShardableVecPool) else VecEnvPool(envs)
+    pool = envs if isinstance(envs, VecEnvPool) else VecEnvPool(envs)
     totals = np.zeros(pool.num_envs)
     for _ in range(episodes):
         if hasattr(act_fn, "reset"):
@@ -136,7 +125,7 @@ def _vec_eval(
 
 
 def _replica_eval(
-    pool: Union[ShardableVecPool, Sequence[MultiUserEnv]],
+    pool: Union[VecEnvPool, Sequence[MultiUserEnv]],
     policy: ActorCriticBase,
     rngs: Sequence[np.random.Generator],
     episodes: int = 1,
@@ -162,7 +151,7 @@ def _replica_eval(
     multi-episode sweeps). Returns one mean (discounted) per-user return per
     member env.
     """
-    if not isinstance(pool, ShardableVecPool):
+    if not isinstance(pool, VecEnvPool):
         pool = VecEnvPool(pool, max_steps=max_steps)
     elif max_steps is not None:
         pool.max_steps = max_steps
@@ -232,10 +221,11 @@ def evaluate(
       (classic callable protocol; ``rng``/``deterministic`` are ignored —
       the callable owns its noise).
     - ``envs`` — one :class:`~repro.envs.base.MultiUserEnv`, a sequence
-      of them, a :class:`~repro.rl.vec.VecEnvPool` /
-      :class:`~repro.rl.vec.ShardableVecPool`, or a
+      of them, a :class:`~repro.rl.vec.VecEnvPool`, or a
       :class:`~repro.rl.workers.ShardedVecEnvPool` (evaluated inside its
-      workers via the version-stamped replica protocol).
+      workers via the version-stamped replica protocol; it needs an
+      :class:`~repro.rl.policies.ActorCriticBase` policy and the
+      ``"auto"``/``"replica"`` mode, anything else raises ``TypeError``).
     - ``mode`` — ``"auto"`` (dispatch on input types), ``"solo"`` (the
       per-env callable loop), ``"vec"`` (pooled callable loop) or
       ``"replica"`` (policy acts itself with per-env streams).
@@ -254,8 +244,24 @@ def evaluate(
     from .workers import ShardedVecEnvPool  # local: workers imports this module
 
     is_policy = isinstance(policy, ActorCriticBase)
-    is_sharded = isinstance(envs, ShardedVecEnvPool)
-    is_pool = isinstance(envs, ShardableVecPool)
+    if isinstance(envs, ShardedVecEnvPool):
+        if not is_policy or mode not in ("auto", "replica"):
+            raise TypeError(
+                "a ShardedVecEnvPool evaluates inside its workers with a "
+                "policy replica: call evaluate(policy, pool) with an "
+                f"ActorCriticBase policy (got {type(policy).__name__}, "
+                f"mode={mode!r}); use a VecEnvPool or env list for act_fn "
+                "callables"
+            )
+        envs.sync_policy(policy)
+        return envs.evaluate_policy(
+            rng if rng is not None else np.random.default_rng(0),
+            episodes=episodes,
+            gamma=gamma,
+            deterministic=deterministic,
+            max_steps=max_steps,
+        )
+    is_pool = isinstance(envs, VecEnvPool)
     is_single = isinstance(envs, MultiUserEnv) and not is_pool
     if not (is_pool or is_single):
         envs = list(envs)
@@ -274,18 +280,8 @@ def evaluate(
                 "mode='replica' evaluates the policy itself and needs an "
                 f"ActorCriticBase, got {type(policy).__name__}"
             )
-        if is_sharded:
-            envs.sync_policy(policy)
-            totals = envs.evaluate_policy(
-                rng if rng is not None else np.random.default_rng(0),
-                episodes=episodes,
-                gamma=gamma,
-                deterministic=deterministic,
-                max_steps=max_steps,
-            )
-            return totals
         pool = [envs] if is_single else envs
-        if not isinstance(pool, ShardableVecPool):
+        if not isinstance(pool, VecEnvPool):
             pool = VecEnvPool(pool)
         totals = _replica_eval(
             pool,
@@ -298,9 +294,6 @@ def evaluate(
         )
         return float(totals[0]) if is_single else totals
 
-    # A ShardedVecEnvPool is still a ShardableVecPool: the act_fn modes
-    # drive it parent-side through the plain env protocol (the policy
-    # only ever routes worker-side on the replica path).
     act_fn = (
         policy.as_act_fn(
             rng if isinstance(rng, np.random.Generator) else np.random.default_rng(0),

@@ -1,18 +1,16 @@
 """Cross-mode rollout parity harness.
 
-The repo's rollout engine has four collection modes that are contractually
-**bit-identical** for matched per-env policy-noise streams:
+The repo's rollout engine has three collection modes that are
+contractually **bit-identical** for matched per-env policy-noise streams:
 
 - ``sequential`` — :func:`repro.rl.runner.collect_segments_sequential`,
   one env at a time. The reference semantics.
 - ``vectorized`` — :func:`repro.rl.vec.collect_segments_vec` over an
   in-process :class:`~repro.rl.vec.VecEnvPool` (one ``policy.act`` per
   timestep for all envs).
-- ``sharded`` — the same collector over a
-  :class:`~repro.rl.workers.ShardedVecEnvPool` step server (env
-  transitions in worker processes, policy forward in the parent).
-- ``shard_parallel`` — full rollouts in the workers: policy replicas act
-  per shard (:meth:`~repro.rl.workers.ShardedVecEnvPool.sync_policy` +
+- ``shard_parallel`` — full rollouts in worker processes: policy
+  replicas act per shard
+  (:meth:`~repro.rl.workers.ShardedVecEnvPool.sync_policy` +
   :meth:`~repro.rl.workers.ShardedVecEnvPool.collect_rollouts`).
 
 This module is the *single* place that equivalence is spelled out:
@@ -32,7 +30,7 @@ RNGs travel inside the pickled envs. See :mod:`repro.rl.workers`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,19 +38,11 @@ from ..envs.base import MultiUserEnv
 from .buffer import RolloutSegment
 from .policies import ActorCriticBase
 from .runner import collect_segments_sequential
-from .vec import TRAJECTORY_FIELDS, ShardableVecPool, collect_segments_vec
+from .vec import TRAJECTORY_FIELDS, VecEnvPool, collect_segments_vec
 from .workers import ShardedVecEnvPool
 
 #: Every rollout collection mode, reference first.
-ROLLOUT_MODES: Tuple[str, ...] = (
-    "sequential",
-    "vectorized",
-    "sharded",
-    "shard_parallel",
-)
-
-#: Modes that run worker processes (need a multiprocessing start method).
-SHARDED_MODES: Tuple[str, ...] = ("sharded", "shard_parallel")
+ROLLOUT_MODES: Tuple[str, ...] = ("sequential", "vectorized", "shard_parallel")
 
 #: Array fields of a RolloutSegment compared for bitwise equality: the
 #: per-step trajectory arrays plus the bootstrap values.
@@ -103,21 +93,22 @@ def collect_rollout_mode(
     num_workers: int = 2,
     max_steps: Optional[int] = None,
     extras_from_info: Tuple[str, ...] = (),
-    pool: Optional[ShardableVecPool] = None,
+    pool: Optional[Union[VecEnvPool, ShardedVecEnvPool]] = None,
     pool_kwargs: Optional[dict] = None,
 ) -> List[RolloutSegment]:
     """Collect one round of segments through the named rollout mode.
 
     ``envs`` advance in place for the in-process modes and inside the
-    worker processes for the sharded ones — pass fresh envs per call
+    worker processes for ``shard_parallel`` — pass fresh envs per call
     when comparing modes. A prebuilt ``pool`` overrides ``envs`` for the
     pooled modes (a :class:`~repro.rl.vec.VecEnvPool` for ``vectorized``,
-    a :class:`~repro.rl.workers.ShardedVecEnvPool` for the sharded
-    ones); reuse one across calls to test multi-episode stream
-    continuity. Sharded modes otherwise build a throwaway pool, with
-    ``pool_kwargs`` forwarded to its constructor — the chaos tests route
-    ``fault_policy`` / ``chaos`` through here so recovery runs under the
-    exact parity harness that certifies the fault-free paths.
+    a :class:`~repro.rl.workers.ShardedVecEnvPool` for
+    ``shard_parallel``); reuse one across calls to test multi-episode
+    stream continuity. ``shard_parallel`` otherwise builds a throwaway
+    pool, with ``pool_kwargs`` forwarded to its constructor — the chaos
+    tests route ``fault_policy`` / ``chaos`` through here so recovery
+    runs under the exact parity harness that certifies the fault-free
+    paths.
     """
     if mode == "sequential":
         return collect_segments_sequential(
@@ -131,7 +122,7 @@ def collect_rollout_mode(
             max_steps=max_steps,
             extras_from_info=extras_from_info,
         )
-    if mode not in SHARDED_MODES:
+    if mode != "shard_parallel":
         raise ValueError(f"unknown rollout mode {mode!r}; expected one of {ROLLOUT_MODES}")
     owned = pool is None
     if pool is None:
@@ -139,10 +130,6 @@ def collect_rollout_mode(
     elif not isinstance(pool, ShardedVecEnvPool):
         raise ValueError(f"mode {mode!r} needs a ShardedVecEnvPool, got {type(pool).__name__}")
     try:
-        if mode == "sharded":
-            return collect_segments_vec(
-                pool, policy, rngs, max_steps=max_steps, extras_from_info=extras_from_info
-            )
         pool.sync_policy(policy)
         return pool.collect_rollouts(
             rngs, max_steps=max_steps, extras_from_info=extras_from_info
@@ -169,7 +156,7 @@ def verify_rollout_parity(
     same initial state) because collection advances env state; every
     mode gets its own envs and its own per-env generators derived from
     ``seed``, so any mismatch is the collection path's fault alone.
-    ``pool_kwargs`` reach the sharded pools' constructors (fault-policy
+    ``pool_kwargs`` reach the sharded pool's constructor (fault-policy
     and chaos injection for the robustness tests). Returns the
     sequential reference segments (benches reuse them).
     """

@@ -171,7 +171,7 @@ class ActorCriticBase(nn.Module):
         )
 
     def as_act_fn(self, rng: np.random.Generator, deterministic: bool = True):
-        """Adapt to the ``evaluate_policy`` callable protocol."""
+        """Adapt to the ``act_fn(states, t)`` protocol of :func:`repro.rl.evaluate`."""
         policy = self
 
         class _ActFn:

@@ -126,56 +126,8 @@ class BlockRNG:
         return out
 
 
-class ShardableVecPool(MultiUserEnv):
-    """Protocol base for env pools drivable by :func:`collect_segments_vec`.
-
-    A pool is a :class:`MultiUserEnv` over a stacked user axis that also
-    exposes the block structure and per-member progress the collector
-    needs:
-
-    - ``slices`` / ``group_slices`` — one user-axis slice per member env,
-      in member order (``group_slices`` is the duck-typed alias consumed
-      by ``evaluate_policy`` and context-aware policies);
-    - ``group_id`` — list of member group ids, in slice order;
-    - ``num_envs``, ``active_mask``, ``env_steps``, ``all_done``;
-    - ``max_steps`` — settable per-episode step budget, applied at the
-      next ``reset``;
-    - optionally ``step_async(actions)`` / ``step_wait()`` for overlapped
-      stepping. ``step_wait`` may return *views* into double-buffered
-      storage; they stay valid until the second following ``step_async``
-      (slots alternate per step), which is exactly the window the
-      overlapped collector uses to copy them out while the next env step
-      is already in flight.
-
-    :class:`VecEnvPool` is the in-process implementation;
-    :class:`repro.rl.workers.ShardedVecEnvPool` shards members across
-    worker processes behind the same protocol — because every member env
-    steps with its own internal RNG and every policy draw comes from that
-    env's :class:`BlockRNG` stream, results are placement-independent and
-    any implementation of this protocol yields bit-identical segments.
-    """
-
-    max_steps: Optional[int] = None
-
-    @property
-    def num_envs(self) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @property
-    def active_mask(self) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @property
-    def env_steps(self) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @property
-    def all_done(self) -> bool:
-        return not self.active_mask.any()
-
-
 def validate_pool_members(envs: Sequence[MultiUserEnv]) -> List[slice]:
-    """Shared member checks for every pool implementation.
+    """Member checks shared by :class:`VecEnvPool` and the sharded pool.
 
     Enforces the pool invariants (at least one env, distinct objects,
     homogeneous obs/action dims) and returns the user-axis slice of each
@@ -198,15 +150,22 @@ def validate_pool_members(envs: Sequence[MultiUserEnv]) -> List[slice]:
     return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
 
 
-class VecEnvPool(ShardableVecPool):
+class VecEnvPool(MultiUserEnv):
     """N homogeneous multi-user environments stacked on the user axis.
 
     The pool is itself a :class:`MultiUserEnv` whose ``num_users`` is the
     sum over members, so everything written against the single-env
-    interface (``evaluate_policy``, behaviour policies, metrics) works on
-    a whole city set unchanged. ``step`` applies the block-diagonal
-    transition: each member env receives its own slice of the stacked
-    action matrix and advances with its own internal RNG.
+    interface (:func:`repro.rl.evaluate`, behaviour policies, metrics)
+    works on a whole city set unchanged. ``step`` applies the
+    block-diagonal transition: each member env receives its own slice of
+    the stacked action matrix and advances with its own internal RNG.
+    On top of the env interface it exposes the block structure and
+    per-member progress :func:`collect_segments_vec` needs: ``slices``
+    (one user-axis slice per member, in member order; ``group_slices``
+    is the duck-typed alias context-aware policies read), ``group_id``,
+    ``num_envs``, ``active_mask``, ``env_steps``, ``all_done`` and
+    ``max_steps`` (a settable per-episode step budget, applied at the
+    next ``reset``).
 
     Finished members (all users done, or the member's step budget spent)
     are masked out: their state block freezes, their rewards read zero
@@ -219,7 +178,7 @@ class VecEnvPool(ShardableVecPool):
         first = envs[0]
         self.envs = list(envs)
         self.max_steps = max_steps
-        # Duck-typed hook consumed by evaluate_policy / context-aware
+        # Duck-typed hook consumed by repro.rl.evaluate / context-aware
         # policies without importing this module.
         self.group_slices = self.slices
         self.num_users = int(self.slices[-1].stop)
@@ -318,7 +277,7 @@ class VecEnvPool(ShardableVecPool):
         return self._states.copy(), rewards, dones, info
 
 
-def _as_block_rng(rng: RNGLike, pool: ShardableVecPool) -> BlockRNG:
+def _as_block_rng(rng: RNGLike, pool: VecEnvPool) -> BlockRNG:
     if isinstance(rng, BlockRNG):
         return rng
     if isinstance(rng, np.random.Generator):
@@ -330,12 +289,11 @@ def _as_block_rng(rng: RNGLike, pool: ShardableVecPool) -> BlockRNG:
 
 
 def collect_segments_vec(
-    pool: Union[ShardableVecPool, Sequence[MultiUserEnv]],
+    pool: Union[VecEnvPool, Sequence[MultiUserEnv]],
     policy: ActorCriticBase,
     rng: RNGLike,
     max_steps: Optional[int] = None,
     extras_from_info: tuple[str, ...] = (),
-    overlap: Optional[bool] = None,
 ) -> List[RolloutSegment]:
     """Roll ``policy`` in every pool member at once; one act per timestep.
 
@@ -351,42 +309,34 @@ def collect_segments_vec(
     pool's configured ``max_steps``; when omitted the pool's own setting
     stands.
 
-    ``overlap`` selects the pipelined stepping mode: after each ``act``
-    the actions are dispatched via ``step_async`` and the collector does
-    its per-step recording (trajectory appends, buffer copies, bootstrap
-    bookkeeping) *while the pool steps* — hiding env latency behind
-    parent-side work. Requires a pool implementing ``step_async`` /
-    ``step_wait`` (:class:`repro.rl.workers.ShardedVecEnvPool`); the
-    default ``None`` enables it exactly when the pool supports it. The
-    overlapped path records the same numbers in the same order as the
-    synchronous one — only the copy timing differs.
+    A :class:`repro.rl.workers.ShardedVecEnvPool` does not step from the
+    parent: passing one raises ``TypeError`` — its workers collect with
+    policy replicas through ``sync_policy`` + ``collect_rollouts``.
     """
-    if not isinstance(pool, ShardableVecPool):
+    from .workers import ShardedVecEnvPool  # local: workers imports this module
+
+    if isinstance(pool, ShardedVecEnvPool):
+        raise TypeError(
+            "collect_segments_vec steps envs in this process; a "
+            "ShardedVecEnvPool collects inside its workers — call "
+            "pool.sync_policy(policy) then pool.collect_rollouts(rng, ...)"
+        )
+    if not isinstance(pool, VecEnvPool):
         pool = VecEnvPool(pool, max_steps=max_steps)
     elif max_steps is not None:
         pool.max_steps = max_steps
-    async_capable = hasattr(pool, "step_async") and hasattr(pool, "step_wait")
-    if overlap is None:
-        overlap = async_capable
-    elif overlap and not async_capable:
-        raise ValueError(
-            "overlap=True needs a pool with step_async/step_wait "
-            f"(got {type(pool).__name__})"
-        )
     block_rng = _as_block_rng(rng, pool)
     with no_grad():
-        return _collect_impl(pool, policy, block_rng, extras_from_info, overlap)
+        return _collect_impl(pool, policy, block_rng, extras_from_info)
 
 
 def _collect_impl(
-    pool: ShardableVecPool,
+    pool: VecEnvPool,
     policy: ActorCriticBase,
     block_rng: BlockRNG,
     extras_from_info: tuple[str, ...],
-    overlap: bool = False,
 ) -> List[RolloutSegment]:
     states = pool.reset()
-    owns_states = True  # False while `states` aliases a pool buffer slot
     total = pool.num_users
     policy.start_rollout(total)
     if hasattr(policy, "set_rollout_groups"):
@@ -416,19 +366,7 @@ def _collect_impl(
         pending.clear()
 
         active_before = pool.active_mask
-        if overlap:
-            pool.step_async(actions)
-            # Overlap window: while the workers apply `actions`, record
-            # everything already in hand — including the copy of the
-            # previous obs slot, which the double buffering keeps valid
-            # (the in-flight step writes the *other* slot).
-            if not owns_states:
-                states = states.copy()
-            next_states, rewards, dones, info = pool.step_wait()
-            owns_states = False
-        else:
-            next_states, rewards, dones, info = pool.step(actions)
-            owns_states = True
+        next_states, rewards, dones, info = pool.step(actions)
 
         seq_states.append(states)
         seq_prev.append(prev_actions)
@@ -535,69 +473,3 @@ def assemble_segments(
             )
         )
     return segments
-
-
-def evaluate_policy_vec(
-    envs: Union[ShardableVecPool, Sequence[MultiUserEnv]],
-    act_fn,
-    episodes: int = 1,
-    gamma: float = 1.0,
-) -> np.ndarray:
-    """Deprecated alias for :func:`repro.rl.evaluate` with ``mode="vec"``.
-
-    Per-env average (discounted) per-user return with one ``act_fn`` call
-    per step over the stacked pool. Use
-    ``repro.rl.evaluate(act_fn, envs, mode="vec", ...)`` instead; results
-    are bit-identical (the alias delegates to the same kernel).
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.rl.evaluate_policy_vec is deprecated; use "
-        "repro.rl.evaluate(act_fn, envs, mode='vec', ...) — the unified "
-        "evaluation front door (bit-identical results)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .evaluate import _vec_eval
-
-    return _vec_eval(envs, act_fn, episodes=episodes, gamma=gamma)
-
-
-def evaluate_policy_replica(
-    pool: Union[ShardableVecPool, Sequence[MultiUserEnv]],
-    policy: "ActorCriticBase",
-    rngs: Sequence[np.random.Generator],
-    episodes: int = 1,
-    gamma: float = 1.0,
-    deterministic: bool = True,
-    max_steps: Optional[int] = None,
-) -> np.ndarray:
-    """Deprecated alias for the replica evaluation kernel.
-
-    Use ``repro.rl.evaluate(policy, pool, rng=rngs, ...)`` instead: the
-    front door wraps the identical kernel (the policy acts itself with
-    one caller-owned generator per member env), so results are
-    bit-identical. See :mod:`repro.rl.evaluate` for the kernel's
-    sharding-invariance contract.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.rl.evaluate_policy_replica is deprecated; use "
-        "repro.rl.evaluate(policy, envs, rng=..., ...) — the unified "
-        "evaluation front door (bit-identical results)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .evaluate import _replica_eval
-
-    return _replica_eval(
-        pool,
-        policy,
-        rngs,
-        episodes=episodes,
-        gamma=gamma,
-        deterministic=deterministic,
-        max_steps=max_steps,
-    )

@@ -1,22 +1,20 @@
-"""Multi-process sharding for :class:`~repro.rl.vec.VecEnvPool`.
+"""Multi-process rollout and evaluation actors over a sharded env set.
 
-PR 1's block-diagonal pool drives every city with one ``policy.act`` per
-timestep, but all env stepping still runs on one core. This module shards
-the member envs of a pool across N worker processes, in two modes:
+:class:`ShardedVecEnvPool` shards the member envs of a pool across N
+worker processes and runs whole jobs inside them. The parent broadcasts
+a policy replica to every worker (:meth:`ShardedVecEnvPool.sync_policy`,
+version-stamped, delta-free ``state_dict`` sync through
+:mod:`repro.nn.serialization`); each worker then serves two jobs over
+its own shard with its own replica:
 
-- **step-server mode** (PR 3): workers run env transitions only; the
-  policy forward stays in the parent, optionally overlapped with the
-  parent's per-step recording work via ``step_async`` / ``step_wait``.
-  Speedup is bounded by the env-step fraction of collection time.
-- **shard-parallel full rollouts** (PR 4): the parent broadcasts a
-  policy replica to every worker (:meth:`ShardedVecEnvPool.sync_policy`,
-  version-stamped, delta-free ``state_dict`` sync through
-  :mod:`repro.nn.serialization`), and
-  :meth:`ShardedVecEnvPool.collect_rollouts` moves the entire
-  act → step → record inner loop into the workers — each shard rolls its
-  own envs with its own policy replica and writes finished trajectory
-  arrays into a shared-memory block, so the *whole* collection
-  parallelises, not just env stepping.
+- :meth:`ShardedVecEnvPool.collect_rollouts` runs the entire
+  act → step → record loop and writes finished trajectory arrays into a
+  shared-memory block, so the *whole* collection parallelises;
+- :meth:`ShardedVecEnvPool.evaluate_policy` runs the replica evaluation
+  kernel of :mod:`repro.rl.evaluate` and replies with per-env returns.
+
+The parent never steps envs through this pool: per-step stepping is the
+in-process :class:`~repro.rl.vec.VecEnvPool`'s job.
 
 Process model
 -------------
@@ -30,15 +28,12 @@ Process model
   generators) are shipped to the workers as pickled construction specs —
   via fork inheritance or the spawn pickling path. The parent keeps only
   metadata (user counts, horizons, group ids).
-- **Shared memory**: observations, actions, rewards and dones live in
-  one ``multiprocessing.shared_memory`` block, double-buffered (two
-  slots, alternating per step). Workers write their shard's rows in
-  place; per-step pipe traffic is only the lightweight control message
-  and the info dicts. Full rollouts use a second, time-major trajectory
+- **Shared memory**: full rollouts write one time-major trajectory
   segment (states/prev_actions/actions/rewards/dones/values/log_probs
   ``[T, total_users, ...]`` plus bootstrap values ``[total_users]``),
-  sized to the longest member budget and grown on demand; per-rollout
-  pipe traffic is one command and one reply per worker.
+  allocated on the first collect, sized to the longest member budget and
+  grown on demand. Per-job pipe traffic is one command and one reply per
+  worker.
 - **Param mailbox**: ``sync_policy`` ships the policy object once
   (structure + weights) and thereafter only the serialized
   ``replica_state`` archive (full parameters every time — delta-free, so
@@ -46,50 +41,46 @@ Process model
   byte-identical to the last successful broadcast is skipped outright —
   no pipe traffic, same version stamp — so per-iteration ``sync_policy``
   calls only pay when parameters actually changed. Every real broadcast
-  bumps a version stamp; every ``collect_rollouts`` command carries the
+  bumps a version stamp; every rollout/evaluate command carries the
   stamp it expects, and a worker whose replica is stale answers with a
   distinct reply that raises :class:`StaleReplicaError` in the parent
-  instead of silently rolling out old weights.
+  instead of silently acting with old weights.
 
 Determinism contract
 --------------------
 Sharding is semantics-preserving **by construction**, for any shard
-layout and worker count, in both modes:
+layout and worker count:
 
 - each member env steps with its own internal RNG, and that RNG's state
   travels with the env into the worker — the same draws happen in the
   same order as in-process;
 - policy sampling noise is drawn through
   :class:`~repro.rl.vec.BlockRNG`, whose per-env streams are pinned to
-  env identity (slice order), not to shard placement. In step-server
-  mode the parent draws; in shard-parallel mode each worker draws from
-  exactly the generators of its own envs (shipped with the command,
-  advanced states returned), so every env consumes the same stream
-  either way;
-- group context is computed per block via ``set_rollout_groups`` —
-  on the parent's stacked batch in step-server mode, on the shard-local
-  stacked batch in the workers — and a block's rows never mix with
-  another env's;
+  env identity (slice order), not to shard placement: each worker draws
+  from exactly the generators of its own envs (shipped with the command,
+  advanced states returned), so every env consumes the same stream;
+- group context is computed per block via ``set_rollout_groups`` on the
+  shard-local stacked batch, and a block's rows never mix with another
+  env's;
 - replica forwards equal parent forwards row for row: the nn engine's
   row-stable matmul contract makes a forward over a shard's rows
   bit-identical to the same rows of the full stacked forward, and the
   replica's weights are byte-equal to the parent's (npz round-trip).
 
-Hence ``collect_segments_vec(ShardedVecEnvPool(envs, W), ...)`` *and*
-``ShardedVecEnvPool(envs, W).collect_rollouts(...)`` are bit-identical
-to ``collect_segments_vec(VecEnvPool(envs), ...)`` — and therefore to
-the sequential per-env ``collect_segment`` loop — for every W. Enforced
-by ``tests/rl/test_rollout_parity.py`` (one harness over all modes) and
-re-verified inside ``benchmarks/perf_rollout.py`` before any timing is
-reported.
+Hence ``ShardedVecEnvPool(envs, W).collect_rollouts(...)`` is
+bit-identical to ``collect_segments_vec(VecEnvPool(envs), ...)`` — and
+therefore to the sequential per-env ``collect_segment`` loop — for every
+W. Enforced by ``tests/rl/test_rollout_parity.py`` (one harness over all
+modes) and re-verified inside ``benchmarks/perf_rollout.py`` before any
+timing is reported.
 
-Failure handling and supervision (this PR)
-------------------------------------------
+Failure handling and supervision
+--------------------------------
 Workers ignore SIGINT (the parent coordinates shutdown; the parent also
 masks SIGINT around each ``Process.start()`` so a Ctrl-C cannot land in
 the bootstrap window before the worker installs its own handler).
 Crashes are detected by liveness-checked pipe polls; hangs by per-op
-deadlines. Without a :class:`FaultPolicy` (the default) the legacy
+deadlines. Without a :class:`FaultPolicy` (the default) the fail-fast
 contract holds: a dead worker raises :class:`WorkerCrashed`, a stale
 replica :class:`StaleReplicaError`, an env exception
 :class:`WorkerStepError` — each closes the pool before propagating — an
@@ -105,22 +96,23 @@ exactly-once, bit-identical recovery guarantee:
 - Every IPC wait carries a per-op deadline; a worker that exceeds it is
   SIGKILLed and treated as crashed (:class:`WorkerTimeout`).
 - A crashed / hung / stale worker is **respawned** (bounded retries with
-  exponential backoff) from the parent's authoritative copy of its shard
-  state: the last synced env snapshot, an operation journal of every
-  reset/step since that snapshot, and the current policy-replica archive
-  — replaying the journal re-derives the worker's exact pre-failure env
-  and RNG state (every transition is deterministic given env state), and
-  the interrupted command is re-issued. Side effects are applied in the
-  parent only after *all* workers answered (RNG owner states, journal
-  appends, snapshot refreshes), so a failed operation leaves no partial
-  state and its re-execution produces bit-identical results — enforced
-  by ``tests/rl/test_chaos.py`` through :mod:`repro.rl.parity` under
+  exponential backoff) from the parent's snapshot of its shard's envs
+  plus the current policy-replica archive, and the interrupted command
+  is re-issued. Every command that changes worker env state refreshes
+  the snapshot when it succeeds — rollout and evaluate replies carry the
+  shard's advanced envs back, and ``load`` replaces them with the envs
+  the parent just sent — so the snapshot is always the worker's exact
+  state before the interrupted command. Side effects are applied in the
+  parent only after *all* workers answered (RNG owner states, snapshot
+  refreshes), so a failed operation leaves no partial state and its
+  re-execution produces bit-identical results — enforced by
+  ``tests/rl/test_chaos.py`` through :mod:`repro.rl.parity` under
   injected faults (:mod:`repro.rl.chaos`).
 - When a worker's restart budget is exhausted the pool **degrades
   gracefully** to an in-process :class:`~repro.rl.vec.VecEnvPool`
-  rebuilt from the same snapshots + journal (a ``RuntimeWarning`` is
-  emitted, ``pool.degraded`` flips True): the interrupted operation and
-  all subsequent ones run in-process with the archived policy replica —
+  rebuilt from the same snapshots (a ``RuntimeWarning`` is emitted,
+  ``pool.degraded`` flips True): the interrupted operation and all
+  subsequent ones run in-process with the archived policy replica —
   still bit-identical, just no longer parallel. Training survives.
 """
 
@@ -135,21 +127,20 @@ import traceback
 import warnings
 import weakref
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from multiprocessing import resource_tracker, shared_memory
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..envs.base import MultiUserEnv
 from ..nn.serialization import state_from_bytes, state_to_bytes
-from ..obs import PHASE_SECONDS_BUCKETS, MetricsRegistry
+from ..obs import PHASE_SECONDS_BUCKETS, Histogram, MetricsRegistry
 from .buffer import RolloutSegment
 from .chaos import ChaosSchedule, apply_fault
 from .policies import ActorCriticBase
 from .vec import (
     RNGLike,
     BlockRNG,
-    ShardableVecPool,
     VecEnvPool,
     assemble_segments,
     collect_segments_vec,
@@ -169,7 +160,7 @@ class WorkerTimeout(WorkerCrashed):
     Only raised under a :class:`FaultPolicy` with a finite deadline for
     the operation; subclasses :class:`WorkerCrashed` because from the
     parent's point of view a hung-and-killed worker *is* a crashed one
-    (same recovery path, same legacy close-and-raise path).
+    (same recovery path, same fail-fast close-and-raise path).
     """
 
 
@@ -177,29 +168,25 @@ class WorkerStepError(RuntimeError):
     """A rollout worker raised while executing a command (env bug etc.).
 
     Carries the worker-side traceback. The pool is closed before this
-    propagates: after an env exception the worker's sub-pool state (and
-    the step protocol) is unreliable, so the pool refuses further use.
-    Never recovered even under a :class:`FaultPolicy` — the replayed
-    deterministic transition would raise identically, so respawning
-    would loop for nothing.
+    propagates: after an env exception the worker's sub-pool state is
+    unreliable, so the pool refuses further use. Never recovered even
+    under a :class:`FaultPolicy` — the re-executed deterministic job
+    would raise identically, so respawning would loop for nothing.
     """
 
 
 class StaleReplicaError(RuntimeError):
     """A worker's policy replica version differs from the one requested.
 
-    Raised by :meth:`ShardedVecEnvPool.collect_rollouts` when a worker
-    reports a replica version stamp other than the one the parent's last
-    :meth:`~ShardedVecEnvPool.sync_policy` established — rolling out
-    with silently-stale weights would corrupt training. Without a
+    Raised by :meth:`ShardedVecEnvPool.collect_rollouts` and
+    :meth:`ShardedVecEnvPool.evaluate_policy` when a worker reports a
+    replica version stamp other than the one the parent's last
+    :meth:`~ShardedVecEnvPool.sync_policy` established — acting with
+    silently-stale weights would corrupt training. Without a
     :class:`FaultPolicy` the pool is closed before this propagates; with
     one, the worker is respawned and re-shipped the current replica.
     """
 
-
-#: Worker-side errors that invalidate the pool (protocol desync or
-#: unreliable worker state) — callers close before propagating them.
-_POOL_ERRORS = (WorkerCrashed, WorkerStepError, StaleReplicaError)
 
 #: Errors the fault policy can recover by respawning the worker.
 _RECOVERABLE_ERRORS = (WorkerCrashed, StaleReplicaError)
@@ -212,18 +199,19 @@ class FaultPolicy:
     ``max_restarts`` bounds respawns *per worker* over the pool's
     lifetime; each retry sleeps ``backoff * 2**(attempt-1)`` seconds
     (capped at ``max_backoff``). The per-op deadlines bound every IPC
-    wait — ``step_deadline`` covers reset/step exchanges,
-    ``broadcast_deadline`` the replica/load/fetch/snapshot broadcasts,
-    ``collect_deadline`` the full worker-side rollout — and ``None``
-    disables hang detection for that class (liveness polling still
-    catches outright deaths). ``graceful_join`` is the SIGTERM grace a
-    reaped worker gets before SIGKILL escalation.
+    wait — ``broadcast_deadline`` the replica/load/fetch exchanges,
+    ``collect_deadline`` the worker-side rollout and evaluation jobs —
+    and ``None`` disables hang detection for that class (liveness
+    polling still catches outright deaths). A deadline must be > 0:
+    a worker answering later than the deadline is SIGKILLed, so a zero
+    or negative one would kill every worker on its first reply.
+    ``graceful_join`` is the SIGTERM grace a reaped worker gets before
+    SIGKILL escalation.
     """
 
     max_restarts: int = 2
     backoff: float = 0.05
     max_backoff: float = 2.0
-    step_deadline: Optional[float] = 60.0
     broadcast_deadline: Optional[float] = 60.0
     collect_deadline: Optional[float] = 300.0
     graceful_join: float = 1.0
@@ -233,11 +221,15 @@ class FaultPolicy:
             raise ValueError("max_restarts must be >= 0")
         if self.backoff < 0 or self.max_backoff < 0:
             raise ValueError("backoff delays must be >= 0")
+        for name in ("broadcast_deadline", "collect_deadline"):
+            deadline = getattr(self, name)
+            if deadline is not None and not deadline > 0:
+                raise ValueError(f"{name} must be None or > 0, got {deadline!r}")
+        if not self.graceful_join >= 0:
+            raise ValueError(f"graceful_join must be >= 0, got {self.graceful_join!r}")
 
     def deadline_for(self, op: str) -> Optional[float]:
         """The IPC deadline (seconds) governing one protocol operation."""
-        if op in ("step", "reset"):
-            return self.step_deadline
         if op in ("rollout", "evaluate"):
             return self.collect_deadline
         return self.broadcast_deadline
@@ -294,35 +286,6 @@ def partition_contiguous(user_counts: Sequence[int], num_workers: int) -> List[s
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-# ----------------------------------------------------------------------
-# Shared-memory layout: one segment, double-buffered arrays.
-# ----------------------------------------------------------------------
-class _Layout:
-    """Offsets of the double-buffered arrays inside one shm segment."""
-
-    def __init__(self, num_users: int, obs_dim: int, act_dim: int):
-        self.num_users = num_users
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
-        f8 = np.dtype(np.float64).itemsize
-        self.obs_off = 0
-        self.act_off = self.obs_off + 2 * num_users * obs_dim * f8
-        self.rew_off = self.act_off + 2 * num_users * act_dim * f8
-        self.done_off = self.rew_off + 2 * num_users * f8
-        self.size = self.done_off + 2 * num_users * 1  # bool, 1 byte
-
-    def views(self, buf) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        u, od, ad = self.num_users, self.obs_dim, self.act_dim
-        obs = np.ndarray((2, u, od), dtype=np.float64, buffer=buf, offset=self.obs_off)
-        act = np.ndarray((2, u, ad), dtype=np.float64, buffer=buf, offset=self.act_off)
-        rew = np.ndarray((2, u), dtype=np.float64, buffer=buf, offset=self.rew_off)
-        done = np.ndarray((2, u), dtype=np.bool_, buffer=buf, offset=self.done_off)
-        return obs, act, rew, done
-
-    def spec(self) -> Tuple[int, int, int]:
-        return (self.num_users, self.obs_dim, self.act_dim)
-
-
 class _TrajLayout:
     """Offsets of the time-major trajectory arrays inside one shm segment.
 
@@ -373,8 +336,6 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: no track parameter
-        from multiprocessing import resource_tracker
-
         original = resource_tracker.register
         resource_tracker.register = lambda *args, **kwargs: None
         try:
@@ -385,41 +346,36 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 
 def _worker_main(
     conn,
-    shm_name: str,
     layout_spec: Tuple[int, int, int],
-    rows: Tuple[int, int],
+    row_offset: int,
     envs: List[MultiUserEnv],
     chaos: Optional[ChaosSchedule] = None,
 ) -> None:
-    """Worker loop: serve reset/step/replica/rollout/evaluate/load/fetch/snapshot/close.
+    """Worker loop: serve replica/rollout/evaluate/load/fetch/close.
 
     The shard is wrapped in an in-process :class:`VecEnvPool`, so done
     masking, step budgets and native batch steppers behave exactly as in
     the single-process pool. The ``replica`` command is the param
     mailbox (policy structure once, then version-stamped state archives;
-    a respawned worker gets structure *and* state in one command) and
+    a respawned worker gets structure *and* state in one command);
     ``rollout`` runs the full act → step → record loop for the shard
     through :func:`~repro.rl.vec.collect_segments_vec` — the same
-    collector the parent would run, just over the shard's rows.
-    ``snapshot`` returns the shard's envs as pickle bytes (the parent's
-    recovery baseline). SIGINT is ignored — on Ctrl-C the parent
-    coordinates shutdown and reaps the workers. ``chaos`` is the
-    deterministic fault-injection schedule (tests and the chaos bench
-    only; see :mod:`repro.rl.chaos`).
+    collector the parent would run, just over the shard's rows, which
+    start at ``row_offset`` of the stacked user axis — and ``evaluate``
+    runs the replica evaluation kernel. SIGINT is ignored — on Ctrl-C
+    the parent coordinates shutdown and reaps the workers. ``chaos`` is
+    the deterministic fault-injection schedule (tests and the chaos
+    bench only; see :mod:`repro.rl.chaos`).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if chaos is not None and chaos.ignore_sigterm:
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    shm = _attach_untracked(shm_name)
     traj_shm: Optional[shared_memory.SharedMemory] = None
     traj_views: Optional[Tuple[Dict[str, np.ndarray], np.ndarray]] = None
     traj_name: Optional[str] = None
     replica: Optional[ActorCriticBase] = None
     replica_version = 0
     try:
-        layout = _Layout(*layout_spec)
-        obs, act, rew, done = layout.views(shm.buf)
-        lo, hi = rows
         pool = VecEnvPool(envs)
         while True:
             try:
@@ -440,23 +396,7 @@ def _worker_main(
             try:
                 reply: Optional[tuple] = None
                 stop = False
-                if kind == "reset":
-                    pool.max_steps = command[1]
-                    obs[0, lo:hi] = pool.reset()
-                    reply = ("ok",)
-                elif kind == "step":
-                    slot = command[1]
-                    states, rewards, dones, info = pool.step(act[slot, lo:hi].copy())
-                    obs[slot, lo:hi] = states
-                    rew[slot, lo:hi] = rewards
-                    done[slot, lo:hi] = dones
-                    reply = (
-                        "ok",
-                        info["per_env"],
-                        pool.active_mask.tolist(),
-                        pool.env_steps.tolist(),
-                    )
-                elif kind == "replica":
+                if kind == "replica":
                     payload = command[1]
                     if payload["policy"] is not None:
                         replica = payload["policy"]
@@ -495,10 +435,9 @@ def _worker_main(
                             replica,
                             rngs,
                             extras_from_info=payload["extras"],
-                            overlap=False,
                         )
                         for segment, local in zip(segments, pool.slices):
-                            block = slice(lo + local.start, lo + local.stop)
+                            block = slice(row_offset + local.start, row_offset + local.stop)
                             steps = segment.horizon
                             for field in stacked:
                                 stacked[field][:steps, block] = getattr(segment, field)
@@ -546,8 +485,6 @@ def _worker_main(
                     reply = ("ok",)
                 elif kind == "fetch":
                     reply = ("ok", pool.envs)
-                elif kind == "snapshot":
-                    reply = ("ok", pickle.dumps(pool.envs))
                 elif kind == "close":
                     reply = ("ok",)
                     stop = True
@@ -565,7 +502,7 @@ def _worker_main(
                     conn.send(reply)
                 if corrupt_stamp:
                     # The acknowledged broadcast was applied, but the local
-                    # stamp is now wrong: the next rollout answers stale.
+                    # stamp is now wrong: the next job answers stale.
                     replica_version += 7919
                 if stop:
                     break
@@ -575,12 +512,10 @@ def _worker_main(
                 except (OSError, BrokenPipeError):  # parent already gone
                     break
     finally:
-        obs = act = rew = done = traj_views = None
-        for segment in (shm, traj_shm):
-            if segment is None:
-                continue
+        traj_views = None
+        if traj_shm is not None:
             try:
-                segment.close()
+                traj_shm.close()
             except BufferError:  # pragma: no cover - lingering views
                 pass
         conn.close()
@@ -605,17 +540,31 @@ def _load_replica_bytes(replica: ActorCriticBase, payload: bytes) -> None:
         )
 
 
+def _release(segment: shared_memory.SharedMemory) -> None:
+    """Close and unlink one parent-owned segment (idempotent)."""
+    try:
+        segment.close()
+    except BufferError:
+        # Someone still holds a view into the segment; the memory is
+        # reclaimed when the last view dies. Unlinking below still
+        # removes the named segment (no leak in /dev/shm).
+        pass
+    try:
+        segment.unlink()
+    except FileNotFoundError:
+        pass
+
+
 def _cleanup(procs, conns, shms) -> None:
     """Idempotent teardown shared by close(), GC and interpreter exit.
 
     ``shms`` is the pool's *mutable* segment list — the trajectory
-    segment of full-rollout mode is allocated (and possibly regrown)
-    after the finalizer is registered, so the finalizer holds the list,
-    not a snapshot of it. Shutdown escalates: a polite ``close`` command
-    and a join grace first, then ``terminate()`` (SIGTERM), then
-    ``kill()`` (SIGKILL) — a worker that ignores SIGTERM (wedged signal
-    handler, buggy env C extension) still dies and its shared memory is
-    still unlinked.
+    segment is allocated (and possibly regrown) after the finalizer is
+    registered, so the finalizer holds the list, not a snapshot of it.
+    Shutdown escalates: a polite ``close`` command and a join grace
+    first, then ``terminate()`` (SIGTERM), then ``kill()`` (SIGKILL) — a
+    worker that ignores SIGTERM (wedged signal handler, buggy env C
+    extension) still dies and its shared memory is still unlinked.
     """
     for conn in conns:
         try:
@@ -639,47 +588,36 @@ def _cleanup(procs, conns, shms) -> None:
         except OSError:
             pass
     for shm in shms:
-        try:
-            shm.close()
-        except BufferError:
-            # Someone still holds a view into the segment; the memory is
-            # reclaimed when the last view dies. Unlinking below still
-            # removes the named segment (no leak in /dev/shm).
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
+        _release(shm)
 
 
-class ShardedVecEnvPool(ShardableVecPool):
-    """Member envs sharded across worker processes, one shm batch.
+class ShardedVecEnvPool:
+    """Member envs sharded across worker processes that act with replicas.
 
-    Drop-in for :class:`~repro.rl.vec.VecEnvPool` everywhere the
-    shardable-pool protocol is consumed (``collect_segments_vec``,
-    ``evaluate_policy_vec``, ``evaluate_policy``); additionally exposes
-    ``step_async`` / ``step_wait`` so the collector can overlap env
-    stepping with its own per-step work, the shard-parallel full-rollout
-    pair :meth:`sync_policy` / :meth:`collect_rollouts` (policy replicas
-    act in the workers; see the module docstring), ``load_envs`` to
-    reuse the worker processes for a fresh env set of identical layout
+    The pool runs jobs, not steps: :meth:`sync_policy` broadcasts the
+    policy replica, then :meth:`collect_rollouts` (or the
+    :meth:`collect_rollouts_async` / :meth:`collect_rollouts_wait` pair)
+    and :meth:`evaluate_policy` run whole rollouts or evaluation sweeps
+    inside the workers (see the module docstring). ``load_envs`` reuses
+    the worker processes for a fresh env set of identical layout
     (amortising process startup across training iterations), and
-    ``fetch_member_envs`` to pull the advanced env states back into the
+    ``fetch_member_envs`` pulls the advanced env states back into the
     parent (training loops that reuse env objects across iterations stay
     bit-identical to in-process collection).
 
     ``num_workers`` is clamped to the number of envs; 0/1 workers still
-    run a (single) subprocess — use :class:`VecEnvPool` for the
-    in-process path. ``max_param_bytes`` bounds the serialized policy
-    state a single :meth:`sync_policy` broadcast may ship (a guard
-    against accidentally pushing a giant model through the pipes every
-    iteration). ``fault_policy`` turns on worker supervision: deadline
-    enforcement, automatic respawn with bit-identical state recovery,
-    and graceful degradation to an in-process pool when the restart
-    budget runs out (module docstring, *Failure handling*). ``chaos``
-    injects deterministic faults into the workers — testing and the
-    chaos bench only. The pool is a context manager; ``close()`` is
-    idempotent and also runs on GC and interpreter exit.
+    run a (single) subprocess — use :class:`~repro.rl.vec.VecEnvPool`
+    for the in-process path. ``max_steps`` is the default per-episode
+    step budget of every job. ``max_param_bytes`` bounds the serialized
+    policy state a single :meth:`sync_policy` broadcast may ship (a
+    guard against accidentally pushing a giant model through the pipes
+    every iteration). ``fault_policy`` turns on worker supervision:
+    deadline enforcement, automatic respawn with bit-identical state
+    recovery, and graceful degradation to an in-process pool when the
+    restart budget runs out (module docstring, *Failure handling*).
+    ``chaos`` injects deterministic faults into the workers — testing
+    and the chaos bench only. The pool is a context manager; ``close()``
+    is idempotent and also runs on GC and interpreter exit.
     """
 
     def __init__(
@@ -699,26 +637,17 @@ class ShardedVecEnvPool(ShardableVecPool):
             raise RuntimeError(f"start method {method!r} unavailable on this platform")
 
         self._user_counts = [env.num_users for env in envs]
-        self.group_slices = self.slices
         self.num_users = int(self.slices[-1].stop)
-        self.observation_space = first.observation_space
-        self.action_space = first.action_space
-        self.horizon = max(env.horizon for env in envs)
         self.group_id = [env.group_id for env in envs]
         self._horizons = [env.horizon for env in envs]
         self.max_steps = max_steps
+        self._layout_spec = (self.num_users, first.observation_dim, first.action_dim)
 
         self._shards = partition_contiguous(self._user_counts, num_workers)
-        self._shard_rows = [
-            (self.slices[shard.start].start, self.slices[shard.stop - 1].stop)
-            for shard in self._shards
-        ]
-        self._layout = _Layout(self.num_users, first.observation_dim, first.action_dim)
-        self._shm = shared_memory.SharedMemory(create=True, size=self._layout.size)
-        self._obs, self._act, self._rew, self._done = self._layout.views(self._shm.buf)
+        self._row_offsets = [self.slices[shard.start].start for shard in self._shards]
         # Mutable segment list shared with the finalizer: the trajectory
         # segment joins it lazily on the first collect_rollouts().
-        self._shm_segments: List[shared_memory.SharedMemory] = [self._shm]
+        self._shm_segments: List[shared_memory.SharedMemory] = []
         self._traj_shm: Optional[shared_memory.SharedMemory] = None
         self._traj_capacity = 0
         self._traj_stacked: Optional[Dict[str, np.ndarray]] = None
@@ -730,22 +659,17 @@ class ShardedVecEnvPool(ShardableVecPool):
         self._replica_broadcasts = 0
 
         # Supervision / recovery state. Snapshots hold the authoritative
-        # pickled env state per shard; the journal records every
-        # reset/step applied since (appended only after the op succeeded
-        # on *all* workers), so snapshot + journal replay re-derives any
-        # worker's exact current state. Replica struct/payload re-ship
-        # the policy to respawned workers; pending step bookkeeping lets
-        # an interrupted step be replayed to the byte.
+        # pickled env state per shard, refreshed by every command that
+        # changes it, so respawning from them re-derives a worker's state
+        # before its interrupted command. Replica struct/payload re-ship
+        # the policy to respawned workers.
         self._fault = fault_policy
         self._chaos = chaos
         self._restarts = [0] * len(self._shards)
         self._metrics: Optional[MetricsRegistry] = None
-        self._journal: List[Tuple[str, Any]] = []
         self._snapshots: Optional[List[bytes]] = None
         self._replica_struct: Optional[bytes] = None
         self._replica_payload: Optional[bytes] = None
-        self._pending_actions: Optional[np.ndarray] = None
-        self._step_send_failed: Dict[int, BaseException] = {}
         self._inner: Optional[VecEnvPool] = None
         self._degraded_replica: Optional[ActorCriticBase] = None
         if fault_policy is not None:
@@ -753,6 +677,12 @@ class ShardedVecEnvPool(ShardableVecPool):
                 pickle.dumps(list(envs[shard])) for shard in self._shards
             ]
 
+        # Start the shared-memory resource tracker before any worker
+        # starts, as the spawn and forkserver methods already do, so every
+        # start method launches the pool's helper processes during
+        # construction (not inside the first collect) and fork workers
+        # inherit the parent's tracker.
+        resource_tracker.ensure_running()
         self._ctx = mp.get_context(method)
         self._procs: List[Any] = []
         self._conns: List[Any] = []
@@ -761,15 +691,10 @@ class ShardedVecEnvPool(ShardableVecPool):
                 self._spawn_worker(index, list(envs[shard]), fresh=True)
         except Exception:
             # A failed spawn (e.g. unpicklable envs under the spawn start
-            # method) must not leak the segment or the workers already up.
-            self._obs = self._act = self._rew = self._done = None
+            # method) must not leak the workers already up.
             _cleanup(self._procs, self._conns, self._shm_segments)
             raise
 
-        self._active = np.zeros(len(envs), dtype=bool)
-        self._steps = np.zeros(len(envs), dtype=np.int64)
-        self._step_count = 0
-        self._pending_slot: Optional[int] = None
         self._collect_pending: Optional[Dict[str, Any]] = None
         self._closed = False
         self._finalizer = weakref.finalize(
@@ -789,28 +714,6 @@ class ShardedVecEnvPool(ShardableVecPool):
     def shards(self) -> List[slice]:
         """Env-index shard of each worker (copy)."""
         return list(self._shards)
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        if self._inner is not None:
-            return self._inner.active_mask
-        return self._active.copy()
-
-    @property
-    def env_steps(self) -> np.ndarray:
-        if self._inner is not None:
-            return self._inner.env_steps
-        return self._steps.copy()
-
-    @property
-    def all_done(self) -> bool:
-        if self._inner is not None:
-            return self._inner.all_done
-        return not self._active.any()
-
-    @property
-    def shared_memory_name(self) -> str:
-        return self._shm.name
 
     @property
     def degraded(self) -> bool:
@@ -837,11 +740,6 @@ class ShardedVecEnvPool(ShardableVecPool):
         bit-parity contracts.
         """
         self._metrics = registry
-        self._m_step_wait = registry.histogram(
-            "rollout_step_wait_seconds",
-            "parent-side wait for one worker's step reply",
-            ("shard",),
-        )
         self._m_collect_wait = registry.histogram(
             "rollout_collect_seconds",
             "parent-side wait for one worker's full-rollout reply",
@@ -869,7 +767,7 @@ class ShardedVecEnvPool(ShardableVecPool):
         ``Process.start()`` so a Ctrl-C cannot land in the forked child
         before ``_worker_main`` installs its own SIG_IGN — without this
         a Ctrl-C during pool construction races N KeyboardInterrupts
-        against the shm cleanup. Respawns get the chaos schedule again
+        against the teardown. Respawns get the chaos schedule again
         only when it is marked ``persistent``.
         """
         worker_chaos: Optional[ChaosSchedule] = None
@@ -885,9 +783,8 @@ class ShardedVecEnvPool(ShardableVecPool):
                 target=_worker_main,
                 args=(
                     child_conn,
-                    self._shm.name,
-                    self._layout.spec(),
-                    self._shard_rows[index],
+                    self._layout_spec,
+                    self._row_offsets[index],
                     envs,
                     worker_chaos,
                 ),
@@ -984,7 +881,7 @@ class ShardedVecEnvPool(ShardableVecPool):
             raise StaleReplicaError(
                 f"rollout worker {worker} holds policy replica version "
                 f"{message[1]} but the parent requested {message[2]}; "
-                "sync_policy() and the collect must not be interleaved with "
+                "sync_policy() and the job must not be interleaved with "
                 "another broadcast — the pool has been closed"
             )
         return message
@@ -993,9 +890,9 @@ class ShardedVecEnvPool(ShardableVecPool):
         """Send one command per worker.
 
         Without a fault policy a broken pipe closes the pool and raises
-        (legacy contract); with one, the failure is recorded and handed
-        to the receive phase, which recovers the worker and re-issues
-        the command.
+        (fail-fast contract); with one, the failure is recorded and
+        handed to the receive phase, which recovers the worker and
+        re-issues the command.
         """
         failed: Dict[int, BaseException] = {}
         for worker, (conn, command) in enumerate(zip(self._conns, commands)):
@@ -1019,31 +916,37 @@ class ShardedVecEnvPool(ShardableVecPool):
         commands: Sequence[Any],
         op: str,
         failed: Optional[Dict[int, BaseException]] = None,
+        wait_seconds: Optional[Histogram] = None,
     ) -> List[Any]:
         """Collect one reply per worker, recovering failures when allowed.
 
         Raises the usual pool errors (closing first) without a fault
         policy; with one, recoverable failures respawn the worker and
         re-issue its command, and budget exhaustion raises
-        :class:`_Degraded` after the in-process fallback is built.
+        :class:`_Degraded` after the in-process fallback is built. Each
+        worker's wait, recovery included, is observed into
+        ``wait_seconds`` under its shard label when given.
         """
         failed = dict(failed or {})
         replies: List[Any] = [None] * len(commands)
         deadline = self._deadline_for(op)
         for worker in range(len(commands)):
+            wait_start = time.perf_counter()
             if worker in failed:
                 replies[worker] = self._recover(worker, commands[worker], op, failed.pop(worker))
-                continue
-            try:
-                replies[worker] = self._recv(worker, deadline=deadline, op=op)
-            except _RECOVERABLE_ERRORS as error:
-                if self._fault is None:
+            else:
+                try:
+                    replies[worker] = self._recv(worker, deadline=deadline, op=op)
+                except _RECOVERABLE_ERRORS as error:
+                    if self._fault is None:
+                        self.close()
+                        raise
+                    replies[worker] = self._recover(worker, commands[worker], op, error)
+                except WorkerStepError:
                     self.close()
                     raise
-                replies[worker] = self._recover(worker, commands[worker], op, error)
-            except WorkerStepError:
-                self.close()
-                raise
+            if wait_seconds is not None:
+                wait_seconds.labels(str(worker)).observe(time.perf_counter() - wait_start)
         return replies
 
     def _exchange(self, commands: Sequence[Any], op: str) -> List[Any]:
@@ -1053,7 +956,7 @@ class ShardedVecEnvPool(ShardableVecPool):
         return self._gather(commands, op, failed)
 
     def _recover(self, worker: int, command: Any, op: str, error: BaseException):
-        """Respawn a failed worker, replay its state, re-issue its command.
+        """Respawn a failed worker from its snapshot, re-issue its command.
 
         Bounded by ``FaultPolicy.max_restarts`` (per worker) with
         exponential backoff between attempts; exhaustion degrades the
@@ -1087,41 +990,18 @@ class ShardedVecEnvPool(ShardableVecPool):
     def _respawn(self, worker: int) -> None:
         """Rebuild worker ``worker`` bit-identically from parent state.
 
-        Reaps the old process, spawns a fresh one from the last synced
-        env snapshot, replays the journal (every reset/step since that
-        snapshot — deterministic transitions re-derive the exact env and
-        RNG state, including the double-buffer slot parity), restores
-        the pending step's action rows, and re-ships the current policy
-        replica (structure + state in one command).
+        Reaps the old process, spawns a fresh one over its shard's env
+        snapshot — the state before the interrupted command — and
+        re-ships the current policy replica (structure + state in one
+        command).
         """
         assert self._snapshots is not None
         if self._metrics is not None:
             self._m_respawns.labels(str(worker)).inc()
         self._reap_worker(worker)
-        envs = pickle.loads(self._snapshots[worker])
-        self._spawn_worker(worker, envs, fresh=False)
-        lo, hi = self._shard_rows[worker]
-        conn = self._conns[worker]
-        step_deadline = self._deadline_for("step")
-        broadcast_deadline = self._deadline_for("replica")
-        slot_counter = 0
-        for kind, payload in self._journal:
-            if kind == "reset":
-                conn.send(("reset", payload))
-                self._recv(worker, deadline=step_deadline, op="reset")
-                slot_counter = 0
-            else:  # "step": payload is the full validated action matrix
-                slot = slot_counter % 2
-                self._act[slot, lo:hi] = payload[lo:hi]
-                conn.send(("step", slot))
-                self._recv(worker, deadline=step_deadline, op="step")
-                slot_counter += 1
-        if self._pending_slot is not None and self._pending_actions is not None:
-            # Journal replay may have clobbered the in-flight step's
-            # action rows for this shard; restore them before re-issue.
-            self._act[self._pending_slot, lo:hi] = self._pending_actions[lo:hi]
+        self._spawn_worker(worker, pickle.loads(self._snapshots[worker]), fresh=False)
         if self._replica_version > 0 and self._replica_struct is not None:
-            conn.send(
+            self._conns[worker].send(
                 (
                     "replica",
                     {
@@ -1131,55 +1011,32 @@ class ShardedVecEnvPool(ShardableVecPool):
                     },
                 )
             )
-            self._recv(worker, deadline=broadcast_deadline, op="replica")
+            self._recv(worker, deadline=self._deadline_for("replica"), op="replica")
 
     def _degrade(self, error: BaseException) -> None:
         """Swap every worker for one in-process pool; raise :class:`_Degraded`.
 
-        All shards are rebuilt from their snapshots + journal in the
-        parent (no cooperation from possibly-dead workers needed), the
-        worker processes and shared memory are torn down, and subsequent
+        All shards are rebuilt from their snapshots in the parent (no
+        cooperation from possibly-dead workers needed), the worker
+        processes and shared memory are torn down, and subsequent
         operations run through the inner :class:`VecEnvPool` — same
         bits, no parallelism.
         """
-        member_envs: List[MultiUserEnv] = []
         assert self._snapshots is not None
-        for blob in self._snapshots:
-            member_envs.extend(pickle.loads(blob))
+        member_envs = [env for blob in self._snapshots for env in pickle.loads(blob)]
         for worker in range(len(self._procs)):
             self._reap_worker(worker)
-        inner = VecEnvPool(member_envs, max_steps=self.max_steps)
-        for kind, payload in self._journal:
-            if kind == "reset":
-                inner.max_steps = payload
-                inner.reset()
-            else:
-                inner.step(payload)
         # Release the worker-mode machinery: drop views first so the shm
         # mmaps can close, then unlink; empty the lists in place so the
         # GC finalizer (which holds them) becomes a no-op.
-        self._obs = self._act = self._rew = self._done = None
         self._traj_stacked = self._traj_last = None
         self._traj_shm = None
-        for shm in list(self._shm_segments):
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - lingering views
-                pass
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+        for shm in self._shm_segments:
+            _release(shm)
         self._shm_segments.clear()
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
         self._procs.clear()
         self._conns.clear()
-        self._journal.clear()
-        self._inner = inner
+        self._inner = VecEnvPool(member_envs, max_steps=self.max_steps)
         self._degraded_replica = None
         if self._metrics is not None:
             self._m_degraded.set(1.0)
@@ -1194,7 +1051,7 @@ class ShardedVecEnvPool(ShardableVecPool):
         raise _Degraded(error)
 
     def _materialize_replica(self) -> ActorCriticBase:
-        """The archived policy replica, rebuilt for in-process rollouts."""
+        """The archived policy replica, rebuilt for in-process jobs."""
         if self._degraded_replica is None:
             if self._replica_struct is None:
                 raise RuntimeError(
@@ -1207,131 +1064,7 @@ class ShardedVecEnvPool(ShardableVecPool):
         return self._degraded_replica
 
     # ------------------------------------------------------------------
-    def reset(self) -> np.ndarray:
-        self._check_open()
-        self._check_no_collect("reset()")
-        if self._inner is not None:
-            self._inner.max_steps = self.max_steps
-            self._pending_slot = None
-            self._pending_actions = None
-            self._step_count = 0
-            return self._inner.reset()
-        if self._fault is not None and self._journal:
-            # Refresh the recovery baseline at the episode boundary: the
-            # journal would otherwise grow for the pool's whole life.
-            try:
-                replies = self._exchange(
-                    [("snapshot",)] * self.num_workers, op="snapshot"
-                )
-            except _Degraded:
-                return self.reset()
-            self._snapshots = [reply[1] for reply in replies]
-            self._journal.clear()
-        try:
-            self._exchange([("reset", self.max_steps)] * self.num_workers, op="reset")
-        except _Degraded:
-            return self.reset()
-        self._active[:] = True
-        self._steps[:] = 0
-        self._step_count = 0
-        self._pending_slot = None
-        self._pending_actions = None
-        if self._fault is not None:
-            self._journal.append(("reset", self.max_steps))
-        return self._obs[0].copy()
-
-    def step_async(self, actions: np.ndarray) -> None:
-        self._check_open()
-        self._check_no_collect("step_async()")
-        if self._pending_slot is not None:
-            raise RuntimeError("step_wait() must drain the previous step_async()")
-        actions = self._validate_actions(actions)
-        if self._inner is not None:
-            self._pending_actions = np.array(actions, copy=True)
-            self._pending_slot = -1  # degraded-mode marker
-            return
-        slot = self._step_count % 2
-        self._act[slot] = actions
-        if self._fault is not None:
-            self._pending_actions = np.array(actions, copy=True)
-        self._step_send_failed = self._send_commands(
-            [("step", slot)] * len(self._conns), op="step"
-        )
-        self._pending_slot = slot
-        self._step_count += 1
-
-    def step_wait(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[str, Any]]:
-        """Collect the in-flight step. Returns *views* into the current
-        slot buffers — valid until the second following ``step_async``
-        (slots alternate per step); copy before keeping longer. (After
-        graceful degradation the arrays are owned copies instead.)"""
-        if self._pending_slot is None:
-            raise RuntimeError("step_wait() without a pending step_async()")
-        if self._inner is not None:
-            return self._step_degraded()
-        slot = self._pending_slot
-        infos: List[Optional[Dict[str, Any]]] = [None] * self.num_envs
-        command = ("step", slot)
-        failed, self._step_send_failed = self._step_send_failed, {}
-        deadline = self._deadline_for("step")
-        try:
-            for worker, shard in enumerate(self._shards):
-                wait_start = time.perf_counter() if self._metrics is not None else 0.0
-                if worker in failed:
-                    reply = self._recover(worker, command, "step", failed.pop(worker))
-                else:
-                    try:
-                        reply = self._recv(worker, deadline=deadline, op="step")
-                    except _RECOVERABLE_ERRORS as error:
-                        if self._fault is None:
-                            # Either way the step protocol is desynchronised
-                            # (later workers' replies are still queued, the
-                            # failing worker's sub-pool state is unreliable)
-                            # — tear the pool down rather than leave it
-                            # half-stepped.
-                            self.close()
-                            raise
-                        reply = self._recover(worker, command, "step", error)
-                    except WorkerStepError:
-                        self.close()
-                        raise
-                if self._metrics is not None:
-                    self._m_step_wait.labels(str(worker)).observe(
-                        time.perf_counter() - wait_start
-                    )
-                _, per_env, active, steps = reply
-                infos[shard] = per_env
-                self._active[shard] = active
-                self._steps[shard] = steps
-        except _Degraded:
-            return self._step_degraded()
-        self._pending_slot = None
-        if self._fault is not None:
-            self._journal.append(("step", self._pending_actions))
-            self._pending_actions = None
-        info = {"per_env": infos, "active": self._active.copy()}
-        return self._obs[slot], self._rew[slot], self._done[slot], info
-
-    def _step_degraded(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[str, Any]]:
-        """Finish (or run) the pending step through the in-process pool."""
-        assert self._inner is not None and self._pending_actions is not None
-        actions, self._pending_actions = self._pending_actions, None
-        self._pending_slot = None
-        return self._inner.step(actions)
-
-    def step(
-        self, actions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[str, Any]]:
-        self.step_async(actions)
-        states, rewards, dones, info = self.step_wait()
-        return states.copy(), rewards.copy(), dones.copy(), info
-
-    # ------------------------------------------------------------------
-    # shard-parallel full rollouts: replica sync + worker-side collection
+    # policy replicas
     # ------------------------------------------------------------------
     @property
     def replica_version(self) -> int:
@@ -1368,7 +1101,9 @@ class ShardedVecEnvPool(ShardableVecPool):
         :class:`WorkerStepError`) when a worker dies or rejects the
         broadcast mid-way (without a fault policy the pool is closed
         first — no hang, shared memory unlinked; with one the worker is
-        recovered or the pool degrades in-process).
+        recovered or the pool degrades in-process). A policy that cannot
+        be pickled raises from the first send, before any worker
+        received anything, and leaves the pool usable.
         """
         self._check_open()
         self._check_no_collect("sync_policy()")
@@ -1418,27 +1153,11 @@ class ShardedVecEnvPool(ShardableVecPool):
         self._replica_broadcasts += 1
         return version
 
-    def _ensure_traj(self, capacity: int) -> str:
-        """Allocate (or grow) the shared trajectory segment; returns its name."""
-        if self._traj_shm is None or capacity > self._traj_capacity:
-            if self._traj_shm is not None:
-                self._traj_stacked = self._traj_last = None
-                stale = self._traj_shm
-                self._shm_segments.remove(stale)
-                try:
-                    stale.close()
-                except BufferError:  # pragma: no cover - lingering views
-                    pass
-                try:
-                    stale.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
-            layout = _TrajLayout(capacity, *self._layout.spec())
-            self._traj_shm = shared_memory.SharedMemory(create=True, size=layout.size)
-            self._shm_segments.append(self._traj_shm)
-            self._traj_capacity = capacity
-            self._traj_stacked, self._traj_last = layout.views(self._traj_shm.buf)
-        return self._traj_shm.name
+    def _check_replica(self, op: str) -> None:
+        if self._replica_version == 0:
+            raise RuntimeError(
+                f"{op} needs a policy replica: call sync_policy() first"
+            )
 
     def _as_env_rngs(
         self, rng: RNGLike
@@ -1450,8 +1169,7 @@ class ShardedVecEnvPool(ShardableVecPool):
         nothing is synced back — exactly the vectorized-path semantics);
         an explicit sequence or a :class:`~repro.rl.vec.BlockRNG` hands
         over caller-owned generators whose advanced states are copied
-        back after collection, preserving multi-episode stream
-        continuity.
+        back after the job, preserving multi-episode stream continuity.
         """
         if isinstance(rng, BlockRNG):
             rngs = list(rng.rngs)
@@ -1465,6 +1183,41 @@ class ShardedVecEnvPool(ShardableVecPool):
         if len(rngs) != self.num_envs:
             raise ValueError(f"expected {self.num_envs} generators, got {len(rngs)}")
         return rngs, owners
+
+    def _commit(
+        self,
+        owners: Optional[List[np.random.Generator]],
+        rng_states: List[Any],
+        env_blobs: List[Optional[bytes]],
+    ) -> None:
+        """Apply a job's side effects once every worker has answered.
+
+        Caller-owned generators take their advanced states and, under a
+        fault policy, the shards' returned envs become the new recovery
+        snapshots — a failed job must leave no partial state behind.
+        """
+        if owners is not None:
+            for owner, state in zip(owners, rng_states):
+                owner.bit_generator.state = state
+        if self._fault is not None:
+            self._snapshots = list(env_blobs)
+
+    # ------------------------------------------------------------------
+    # shard-parallel full rollouts
+    # ------------------------------------------------------------------
+    def _ensure_traj(self, capacity: int) -> str:
+        """Allocate (or grow) the shared trajectory segment; returns its name."""
+        if self._traj_shm is None or capacity > self._traj_capacity:
+            if self._traj_shm is not None:
+                self._traj_stacked = self._traj_last = None
+                self._shm_segments.remove(self._traj_shm)
+                _release(self._traj_shm)
+            layout = _TrajLayout(capacity, *self._layout_spec)
+            self._traj_shm = shared_memory.SharedMemory(create=True, size=layout.size)
+            self._shm_segments.append(self._traj_shm)
+            self._traj_capacity = capacity
+            self._traj_stacked, self._traj_last = layout.views(self._traj_shm.buf)
+        return self._traj_shm.name
 
     def collect_rollouts(
         self,
@@ -1481,11 +1234,11 @@ class ShardedVecEnvPool(ShardableVecPool):
         advanced RNG states; the parent then cuts per-env
         :class:`~repro.rl.buffer.RolloutSegment` objects out of the
         shared arrays via :func:`~repro.rl.vec.assemble_segments`.
-        Bit-identical to the step-server and in-process paths (module
-        docstring); requires a prior :meth:`sync_policy`. Under a fault
-        policy, caller-owned RNG states are applied only after *every*
-        worker answered, so an interrupted collect replays (or degrades)
-        with pristine inputs — recovered rollouts are bit-identical.
+        Bit-identical to the in-process path (module docstring);
+        requires a prior :meth:`sync_policy`. Under a fault policy,
+        caller-owned RNG states are applied only after *every* worker
+        answered, so an interrupted collect re-runs (or degrades) with
+        pristine inputs — recovered rollouts are bit-identical.
 
         Implemented as :meth:`collect_rollouts_async` followed
         immediately by :meth:`collect_rollouts_wait`; use the pair
@@ -1510,26 +1263,18 @@ class ShardedVecEnvPool(ShardableVecPool):
         other work (a policy update, metric logging) and must call
         :meth:`collect_rollouts_wait` to gather the segments. Exactly
         one collect can be in flight, and every other pool command
-        (step/reset/broadcast/evaluate/load/fetch) is fenced until the
-        wait — only :meth:`close` is allowed, which discards the
-        in-flight collect. All side effects (caller-owned RNG
-        advancement, snapshot/journal refresh) are applied by the wait,
-        after every worker answered, so the fault-recovery contract is
-        unchanged. On a degraded pool the in-process collect is deferred
-        to the wait as well: the caller's dispatch→update→wait schedule
-        executes identically, just without overlap.
+        (broadcast/evaluate/load/fetch) is fenced until the wait — only
+        :meth:`close` is allowed, which discards the in-flight collect.
+        All side effects (caller-owned RNG advancement, snapshot
+        refresh) are applied by the wait, after every worker answered,
+        so the fault-recovery contract is unchanged. On a degraded pool
+        the in-process collect is deferred to the wait as well: the
+        caller's dispatch→update→wait schedule executes identically,
+        just without overlap.
         """
         self._check_open()
-        if self._pending_slot is not None:
-            raise RuntimeError(
-                "collect_rollouts_async() during an in-flight step_async()"
-            )
         self._check_no_collect("collect_rollouts_async()")
-        if self._replica_version == 0:
-            raise RuntimeError(
-                "collect_rollouts_async() needs a policy replica: call "
-                "sync_policy() first"
-            )
+        self._check_replica("collect_rollouts_async()")
         if max_steps is None:
             max_steps = self.max_steps
         rngs, owners = self._as_env_rngs(rng)
@@ -1544,21 +1289,20 @@ class ShardedVecEnvPool(ShardableVecPool):
             return
         capacity = max(max_steps or horizon for horizon in self._horizons)
         traj_name = self._ensure_traj(capacity)
-        commands = []
-        for shard in self._shards:
-            commands.append(
-                (
-                    "rollout",
-                    {
-                        "version": self._replica_version,
-                        "traj": (traj_name, self._traj_capacity),
-                        "max_steps": max_steps,
-                        "extras": extras,
-                        "rngs": rngs[shard.start : shard.stop],
-                        "return_envs": self._fault is not None,
-                    },
-                )
+        commands = [
+            (
+                "rollout",
+                {
+                    "version": self._replica_version,
+                    "traj": (traj_name, self._traj_capacity),
+                    "max_steps": max_steps,
+                    "extras": extras,
+                    "rngs": rngs[shard],
+                    "return_envs": self._fault is not None,
+                },
             )
+            for shard in self._shards
+        ]
         # Fail-fast pools close-and-raise inside _send_commands; with a
         # fault policy the send failures are recorded and recovered at
         # wait time, exactly like the synchronous path.
@@ -1579,10 +1323,10 @@ class ShardedVecEnvPool(ShardableVecPool):
         Blocks until every worker answered (recovering crashed workers
         under a :class:`FaultPolicy`, degrading on budget exhaustion),
         then — and only then — applies caller-owned RNG states,
-        refreshes the recovery snapshots, clears the journal and cuts
-        the :class:`~repro.rl.buffer.RolloutSegment` objects. A failed
-        wait clears the pending collect before propagating, so the pool
-        is never left half-waiting.
+        refreshes the recovery snapshots and cuts the
+        :class:`~repro.rl.buffer.RolloutSegment` objects. A failed wait
+        clears the pending collect before propagating, so the pool is
+        never left half-waiting.
         """
         self._check_open()
         pending = self._collect_pending
@@ -1594,57 +1338,35 @@ class ShardedVecEnvPool(ShardableVecPool):
         max_steps = pending["max_steps"]
         extras_from_info = pending["extras"]
         rngs = pending["rngs"]
-        if pending["degraded"]:
-            return self._collect_degraded(rngs, max_steps, extras_from_info)
-        commands = pending["commands"]
-        owners = pending["owners"]
-        lengths: List[Optional[int]] = [None] * self.num_envs
-        extras_per_env: List[Optional[Dict[str, np.ndarray]]] = [None] * self.num_envs
-        rng_states: List[Any] = [None] * self.num_envs
-        env_blobs: List[Optional[bytes]] = [None] * len(self._shards)
-        deadline = self._deadline_for("rollout")
-        try:
-            failed = dict(pending["failed"])
-            for worker, shard in enumerate(self._shards):
-                wait_start = time.perf_counter() if self._metrics is not None else 0.0
-                if worker in failed:
-                    reply = self._recover(
-                        worker, commands[worker], "rollout", failed.pop(worker)
-                    )
-                else:
-                    try:
-                        reply = self._recv(worker, deadline=deadline, op="rollout")
-                    except _RECOVERABLE_ERRORS as error:
-                        if self._fault is None:
-                            self.close()
-                            raise
-                        reply = self._recover(worker, commands[worker], "rollout", error)
-                    except WorkerStepError:
-                        self.close()
-                        raise
-                if self._metrics is not None:
-                    self._m_collect_wait.labels(str(worker)).observe(
-                        time.perf_counter() - wait_start
-                    )
-                _, shard_lengths, shard_extras, shard_states, env_blob = reply
-                env_blobs[worker] = env_blob
-                for offset, env_index in enumerate(range(shard.start, shard.stop)):
-                    lengths[env_index] = int(shard_lengths[offset])
-                    extras_per_env[env_index] = shard_extras[offset]
-                    rng_states[env_index] = shard_states[offset]
-        except _Degraded:
-            return self._collect_degraded(rngs, max_steps, extras_from_info)
-        # The collect succeeded on every shard: only now apply the side
-        # effects (owner RNG advancement, recovery baseline refresh) —
-        # a failed collect must leave no partial state behind.
-        if owners is not None:
-            for env_index, state in enumerate(rng_states):
-                owners[env_index].bit_generator.state = state
-        if self._fault is not None:
-            self._snapshots = env_blobs
-            self._journal.clear()
-        self._steps[:] = lengths
-        self._active[:] = False
+        if not pending["degraded"]:
+            try:
+                replies = self._gather(
+                    pending["commands"],
+                    "rollout",
+                    pending["failed"],
+                    wait_seconds=self._m_collect_wait if self._metrics is not None else None,
+                )
+            except _Degraded:
+                pass
+            else:
+                return self._assemble_rollouts(replies, pending["owners"], extras_from_info)
+        return self._collect_degraded(rngs, max_steps, extras_from_info)
+
+    def _assemble_rollouts(
+        self,
+        replies: List[Any],
+        owners: Optional[List[np.random.Generator]],
+        extras_from_info: Tuple[str, ...],
+    ) -> List[RolloutSegment]:
+        """Commit a collect every worker answered and cut its segments."""
+        lengths: List[int] = []
+        extras_per_env: List[Dict[str, np.ndarray]] = []
+        rng_states: List[Any] = []
+        for _, shard_lengths, shard_extras, shard_states, _ in replies:
+            lengths.extend(int(length) for length in shard_lengths)
+            extras_per_env.extend(shard_extras)
+            rng_states.extend(shard_states)
+        self._commit(owners, rng_states, [reply[4] for reply in replies])
         last_values = [self._traj_last[block] for block in self.slices]
         segments = assemble_segments(
             self._traj_stacked,
@@ -1676,19 +1398,17 @@ class ShardedVecEnvPool(ShardableVecPool):
         bit-identical to what the workers would have produced.
         """
         assert self._inner is not None
-        replica = self._materialize_replica()
         self._inner.max_steps = max_steps
-        segments = collect_segments_vec(
+        return collect_segments_vec(
             self._inner,
-            replica,
+            self._materialize_replica(),
             rngs,
             extras_from_info=tuple(extras_from_info),
-            overlap=False,
         )
-        self._steps[:] = [segment.horizon for segment in segments]
-        self._active[:] = False
-        return segments
 
+    # ------------------------------------------------------------------
+    # replica-side evaluation
+    # ------------------------------------------------------------------
     def evaluate_policy(
         self,
         rng: RNGLike,
@@ -1699,113 +1419,62 @@ class ShardedVecEnvPool(ShardableVecPool):
     ) -> np.ndarray:
         """Replica-side evaluation sweep: every worker evaluates its shard.
 
-        The sharded counterpart of :func:`~repro.rl.vec.evaluate_policy_vec`
-        that finally retires its parent-side acting: each worker runs
-        :func:`~repro.rl.vec.evaluate_policy_replica` over its shard-local
-        sub-pool with its **policy replica** (requires a prior
-        :meth:`sync_policy`; a stale replica raises
-        :class:`StaleReplicaError`) and its slice of the per-env noise
-        streams, then replies with per-env mean (discounted) returns and
-        advanced RNG states. Because the kernel draws each env's action
-        noise from that env's own stream and computes context per env
-        block, the totals are bit-identical to evaluating the same envs in
-        one in-process pool — for any worker count. ``rng`` follows the
-        :meth:`collect_rollouts` convention (single generator → transient
-        per-env children; sequence / :class:`~repro.rl.vec.BlockRNG` →
-        caller-owned streams, synced back only after every worker
-        answered). Under a :class:`FaultPolicy` the sweep participates in
-        recovery exactly like a rollout: crashed workers are respawned and
-        re-issued the sweep with pristine inputs, and the recovery
-        baseline is refreshed on success (the sweep advances worker-side
-        env RNGs, so the old snapshots no longer describe the shard).
+        Each worker runs the replica evaluation kernel of
+        :mod:`repro.rl.evaluate` over its shard-local sub-pool with its
+        **policy replica** (requires a prior :meth:`sync_policy`; a stale
+        replica raises :class:`StaleReplicaError`) and its slice of the
+        per-env noise streams, then replies with per-env mean
+        (discounted) returns and advanced RNG states. Because the kernel
+        draws each env's action noise from that env's own stream and
+        computes context per env block, the totals are bit-identical to
+        evaluating the same envs in one in-process pool — for any worker
+        count. ``rng`` follows the :meth:`collect_rollouts` convention
+        (single generator → transient per-env children; sequence /
+        :class:`~repro.rl.vec.BlockRNG` → caller-owned streams, synced
+        back only after every worker answered). Under a
+        :class:`FaultPolicy` the sweep participates in recovery exactly
+        like a rollout: crashed workers are respawned and re-issued the
+        sweep with pristine inputs, and the recovery snapshots are
+        refreshed on success (the sweep advances worker-side env RNGs,
+        so the old snapshots no longer describe the shard).
         """
         self._check_open()
         self._check_no_collect("evaluate_policy()")
-        if self._pending_slot is not None:
-            raise RuntimeError("evaluate_policy() during an in-flight step_async()")
-        if self._replica_version == 0:
-            raise RuntimeError(
-                "evaluate_policy() needs a policy replica: call sync_policy() first"
-            )
+        self._check_replica("evaluate_policy()")
         if max_steps is None:
             max_steps = self.max_steps
         rngs, owners = self._as_env_rngs(rng)
-        if self._inner is not None:
-            return _replica_eval(
-                self._inner,
-                self._materialize_replica(),
-                rngs,
-                episodes=episodes,
-                gamma=gamma,
-                deterministic=deterministic,
-                max_steps=max_steps,
-            )
-        commands = []
-        for shard in self._shards:
-            commands.append(
+        job = {
+            "episodes": episodes,
+            "gamma": gamma,
+            "deterministic": deterministic,
+            "max_steps": max_steps,
+        }
+        if self._inner is None:
+            commands = [
                 (
                     "evaluate",
-                    {
-                        "version": self._replica_version,
-                        "episodes": episodes,
-                        "gamma": gamma,
-                        "deterministic": deterministic,
-                        "max_steps": max_steps,
-                        "rngs": rngs[shard.start : shard.stop],
-                        "return_envs": self._fault is not None,
-                    },
+                    dict(
+                        job,
+                        version=self._replica_version,
+                        rngs=rngs[shard],
+                        return_envs=self._fault is not None,
+                    ),
                 )
-            )
-        totals = np.zeros(self.num_envs)
-        rng_states: List[Any] = [None] * self.num_envs
-        env_blobs: List[Optional[bytes]] = [None] * len(self._shards)
-        deadline = self._deadline_for("evaluate")
-        try:
-            failed = self._send_commands(commands, op="evaluate")
-            for worker, shard in enumerate(self._shards):
-                if worker in failed:
-                    reply = self._recover(
-                        worker, commands[worker], "evaluate", failed.pop(worker)
-                    )
-                else:
-                    try:
-                        reply = self._recv(worker, deadline=deadline, op="evaluate")
-                    except _RECOVERABLE_ERRORS as error:
-                        if self._fault is None:
-                            self.close()
-                            raise
-                        reply = self._recover(
-                            worker, commands[worker], "evaluate", error
-                        )
-                    except WorkerStepError:
-                        self.close()
-                        raise
-                _, shard_totals, shard_states, env_blob = reply
-                env_blobs[worker] = env_blob
-                totals[shard] = shard_totals
-                for offset, env_index in enumerate(range(shard.start, shard.stop)):
-                    rng_states[env_index] = shard_states[offset]
-        except _Degraded:
-            return _replica_eval(
-                self._inner,
-                self._materialize_replica(),
-                rngs,
-                episodes=episodes,
-                gamma=gamma,
-                deterministic=deterministic,
-                max_steps=max_steps,
-            )
-        # All shards answered: only now apply side effects (same
-        # all-or-nothing rule as collect_rollouts).
-        if owners is not None:
-            for env_index, state in enumerate(rng_states):
-                owners[env_index].bit_generator.state = state
-        if self._fault is not None:
-            self._snapshots = env_blobs
-            self._journal.clear()
-        self._steps[:] = 0
-        self._active[:] = False
-        return totals
+                for shard in self._shards
+            ]
+            try:
+                replies = self._exchange(commands, op="evaluate")
+            except _Degraded:
+                pass
+            else:
+                self._commit(
+                    owners,
+                    [state for reply in replies for state in reply[2]],
+                    [reply[3] for reply in replies],
+                )
+                return np.concatenate([reply[1] for reply in replies])
+        return _replica_eval(self._inner, self._materialize_replica(), rngs, **job)
 
     # ------------------------------------------------------------------
     def load_envs(self, envs: Sequence[MultiUserEnv]) -> None:
@@ -1814,7 +1483,7 @@ class ShardedVecEnvPool(ShardableVecPool):
         The new envs must match the current layout exactly (same per-env
         user counts and dims) so the shared buffers and shard boundaries
         stay valid; each worker rebuilds its in-process sub-pool from the
-        pickled replacements. Call :meth:`reset` afterwards as usual.
+        pickled replacements.
         """
         envs = list(envs)
         if [env.num_users for env in envs] != self._user_counts:
@@ -1823,10 +1492,7 @@ class ShardedVecEnvPool(ShardableVecPool):
                 f"pool ({self._user_counts})"
             )
         first = envs[0]
-        if (
-            first.observation_dim != self._layout.obs_dim
-            or first.action_dim != self._layout.act_dim
-        ):
+        if (first.observation_dim, first.action_dim) != self._layout_spec[1:]:
             raise ValueError("load_envs needs matching observation/action dims")
         if len({id(env) for env in envs}) != len(envs):
             raise ValueError("load_envs members must be distinct objects")
@@ -1843,11 +1509,8 @@ class ShardedVecEnvPool(ShardableVecPool):
             self._inner = VecEnvPool(envs, max_steps=self.max_steps)
         elif self._fault is not None:
             self._snapshots = [pickle.dumps(list(envs[shard])) for shard in self._shards]
-            self._journal.clear()
         self.group_id = [env.group_id for env in envs]
         self._horizons = [env.horizon for env in envs]
-        self.horizon = max(self._horizons)
-        self._active[:] = False
 
     def fetch_member_envs(self) -> List[MultiUserEnv]:
         """Pull the worker-side env objects (their advanced state) back.
@@ -1866,11 +1529,9 @@ class ShardedVecEnvPool(ShardableVecPool):
                     [("fetch",)] * self.num_workers, op="fetch"
                 )
             except _Degraded:
-                return list(self._inner.envs)
-            fetched: List[MultiUserEnv] = []
-            for reply in replies:
-                fetched.extend(reply[1])
-            return fetched
+                pass
+            else:
+                return [env for reply in replies for env in reply[1]]
         return list(self._inner.envs)
 
     # ------------------------------------------------------------------
@@ -1883,7 +1544,6 @@ class ShardedVecEnvPool(ShardableVecPool):
         # to be reaped, and no side effect was committed at dispatch.
         self._collect_pending = None
         # Drop our buffer views so the segments' mmaps can actually close.
-        self._obs = self._act = self._rew = self._done = None
         self._traj_stacked = self._traj_last = None
         self._finalizer.detach()
         _cleanup(self._procs, self._conns, self._shm_segments)
@@ -1899,73 +1559,3 @@ class ShardedVecEnvPool(ShardableVecPool):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def collect_segments_shard_parallel(
-    pool: Union[ShardedVecEnvPool, Sequence[MultiUserEnv]],
-    policy: ActorCriticBase,
-    rng: RNGLike,
-    num_workers: int = 2,
-    max_steps: Optional[int] = None,
-    extras_from_info: Tuple[str, ...] = (),
-) -> List[RolloutSegment]:
-    """One-shot shard-parallel collection: sync the policy, roll, assemble.
-
-    The full-rollout counterpart of
-    :func:`~repro.rl.vec.collect_segments_vec`: given a prebuilt
-    :class:`ShardedVecEnvPool` it broadcasts ``policy`` and collects in
-    the workers (reuse the pool across iterations to amortise process
-    startup and the structure broadcast); given a plain env sequence it
-    builds a throwaway pool, collects once and closes it.
-    """
-    if isinstance(pool, ShardedVecEnvPool):
-        pool.sync_policy(policy)
-        return pool.collect_rollouts(
-            rng, max_steps=max_steps, extras_from_info=extras_from_info
-        )
-    with ShardedVecEnvPool(pool, num_workers=num_workers) as owned:
-        owned.sync_policy(policy)
-        return owned.collect_rollouts(
-            rng, max_steps=max_steps, extras_from_info=extras_from_info
-        )
-
-
-def evaluate_policy_replicas(
-    envs: Union[ShardableVecPool, Sequence[MultiUserEnv]],
-    policy: ActorCriticBase,
-    rng: RNGLike,
-    episodes: int = 1,
-    gamma: float = 1.0,
-    deterministic: bool = True,
-    max_steps: Optional[int] = None,
-) -> np.ndarray:
-    """Deprecated alias for :func:`repro.rl.evaluate` (replica routing).
-
-    Use ``repro.rl.evaluate(policy, envs, rng=..., ...)`` instead — the
-    unified front door applies the identical routing (a
-    :class:`ShardedVecEnvPool` gets the policy synced and evaluated
-    inside the workers; anything else runs the same kernel in-process),
-    so results are bit-identical.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.rl.evaluate_policy_replicas is deprecated; use "
-        "repro.rl.evaluate(policy, envs, rng=..., ...) — the unified "
-        "evaluation front door (bit-identical results)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .evaluate import evaluate
-
-    totals = evaluate(
-        policy,
-        envs,
-        episodes=episodes,
-        gamma=gamma,
-        mode="replica",
-        rng=rng,
-        deterministic=deterministic,
-        max_steps=max_steps,
-    )
-    return np.atleast_1d(np.asarray(totals, dtype=np.float64))

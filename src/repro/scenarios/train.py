@@ -2,9 +2,9 @@
 
 :class:`ScenarioTrainer` is the family-agnostic counterpart of
 :class:`repro.core.Sim2RecLTSTrainer`: it samples simulators uniformly
-from a scenario's training population, rides every rollout mode of
-:class:`repro.core.PolicyTrainer` (``Sim2RecConfig.rollout_mode`` /
-``rollout_workers``), and keeps SADAE learning on state sets observed
+from a scenario's training population, rides the in-process and
+worker-replica collection of :class:`repro.core.PolicyTrainer`
+(``Sim2RecConfig.rollout_workers``), and keeps SADAE learning on state sets observed
 during rollouts. :func:`trainer_from_config` resolves
 ``Sim2RecConfig.scenario`` — a registered-family config dict — into a
 ready trainer, sizing the Sim2Rec policy from the scenario's dims; the

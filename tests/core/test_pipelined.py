@@ -29,7 +29,6 @@ SPEC = {"family": "slate", "num_envs": 4, "num_users": 5, "horizon": 5}
 FAST_POLICY = FaultPolicy(
     max_restarts=2,
     backoff=0.0,
-    step_deadline=15.0,
     broadcast_deadline=15.0,
     collect_deadline=30.0,
     graceful_join=0.5,
@@ -45,7 +44,6 @@ def build_trainer(
 ):
     config = scenario_small_config(seed=seed)
     config.scenario = dict(SPEC)
-    config.rollout_mode = "shard_parallel"
     config.rollout_workers = workers
     config.determinism = determinism
     config.fault_policy = fault_policy

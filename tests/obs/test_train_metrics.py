@@ -89,11 +89,7 @@ class TestJSONLRecords:
         if not sharding_available():
             pytest.skip("platform has no multiprocessing start method")
         path = tmp_path / "metrics.jsonl"
-        with build_trainer(
-            metrics_path=str(path),
-            rollout_mode="shard_parallel",
-            rollout_workers=2,
-        ) as trainer:
+        with build_trainer(metrics_path=str(path), rollout_workers=2) as trainer:
             trainer.train_iteration()
             trainer.config.rollout_workers = 1
             trainer.train_iteration()
@@ -106,12 +102,9 @@ class TestJSONLRecords:
 )
 class TestPoolInstrumentation:
     def test_sharded_pool_reports_into_trainer_registry(self):
-        with build_trainer(
-            rollout_mode="shard_parallel", rollout_workers=2
-        ) as trainer:
+        with build_trainer(rollout_workers=2) as trainer:
             trainer.train_iteration()
             snapshot = trainer.metrics.snapshot()
-        assert "rollout_step_wait_seconds" in snapshot
         assert "rollout_collect_seconds" in snapshot
         collect = snapshot["rollout_collect_seconds"]["series"]
         assert sum(series["count"] for series in collect) >= 1

@@ -2,12 +2,14 @@
 
 The contract under test (see ``repro.rl.workers``, *Failure handling*):
 with a :class:`FaultPolicy`, any worker crash / hang / dropped reply /
-stale replica recovers **bit-identically** — the recovered collection
+stale replica recovers **bit-identically** — a recovered collection
 equals the sequential reference to the byte (the same parity harness
-that certifies the fault-free paths). When the restart budget runs out,
-the pool degrades gracefully to in-process collection — still
-bit-identical — and never leaks worker processes or shared memory.
-Faults come from the deterministic schedules in ``repro.rl.chaos``.
+that certifies the fault-free paths), and a recovered evaluation sweep
+equals in-process ``evaluate`` in its per-env totals and owner-RNG end
+states. When the restart budget runs out, the pool degrades gracefully
+to in-process execution — still bit-identical — and never leaks worker
+processes or shared memory. Faults come from the deterministic
+schedules in ``repro.rl.chaos``.
 """
 
 import multiprocessing as mp
@@ -30,6 +32,7 @@ from repro.rl import (
     WorkerCrashed,
     WorkerTimeout,
     collect_segments_vec,
+    evaluate,
     sharding_available,
 )
 from repro.rl.chaos import apply_fault
@@ -43,20 +46,14 @@ pytestmark = pytest.mark.skipif(
 FAST_POLICY = FaultPolicy(
     max_restarts=2,
     backoff=0.0,
-    step_deadline=15.0,
     broadcast_deadline=15.0,
     collect_deadline=30.0,
     graceful_join=0.5,
 )
 
-#: The protocol op each grid column injects into, and the rollout mode
-#: that exercises it ("broadcast" = the replica sync, "collect" = the
-#: worker-side full rollout, "step" = the step server).
-OP_MODES = {
-    "step": ("step", "sharded"),
-    "broadcast": ("replica", "shard_parallel"),
-    "collect": ("rollout", "shard_parallel"),
-}
+#: The protocol op each grid column injects into ("broadcast" = the
+#: replica sync, "collect" = the worker-side full rollout).
+GRID_OPS = {"broadcast": "replica", "collect": "rollout"}
 
 
 def make_envs(num=5):
@@ -95,14 +92,18 @@ def spec_for(kind, op, workers, phase="receive"):
     return FaultSpec(kind, worker=max(workers - 1, 0), op=op, at=0, phase=phase)
 
 
+def rngs_for(count, seed):
+    return [np.random.default_rng(seed + i) for i in range(count)]
+
+
 class TestRecoveryParityGrid:
-    """kill / hang / corrupt × step / broadcast / collect × 1, 2, 4 shards."""
+    """kill / hang / corrupt × broadcast / collect × 1, 2, 4 shards."""
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("target", ["step", "broadcast", "collect"])
+    @pytest.mark.parametrize("target", ["broadcast", "collect"])
     @pytest.mark.parametrize("kind", ["kill", "hang", "corrupt"])
     def test_recovered_rollouts_are_bit_identical(self, kind, target, shards):
-        op, mode = OP_MODES[target]
+        op = GRID_OPS[target]
         if kind == "corrupt":
             if target != "broadcast":
                 pytest.skip("corrupt_stamp faults target the replica broadcast")
@@ -125,7 +126,6 @@ class TestRecoveryParityGrid:
         policy = FaultPolicy(
             max_restarts=2,
             backoff=0.0,
-            step_deadline=1.5 if kind == "hang" else 15.0,
             broadcast_deadline=1.5 if kind == "hang" else 15.0,
             collect_deadline=3.0 if kind == "hang" else 30.0,
             graceful_join=0.5,
@@ -134,7 +134,7 @@ class TestRecoveryParityGrid:
             make_envs,
             make_policy(),
             seed=500 + shards,
-            modes=(mode,),
+            modes=("shard_parallel",),
             num_workers=shards,
             label=f"chaos/{kind}/{target}/{shards}",
             pool_kwargs=dict(fault_policy=policy, chaos=chaos),
@@ -142,16 +142,17 @@ class TestRecoveryParityGrid:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_kill_after_envs_advanced_replays_exactly(self, shards):
-        """phase='reply' kills a worker whose envs already stepped — the
-        respawn must discard that progress and replay from the journal."""
+        """phase='reply' kills a worker whose envs already rolled a whole
+        episode — the respawn must discard that progress and re-run the
+        collect from the snapshot."""
         chaos = ChaosSchedule(
-            [FaultSpec("kill", worker=0, op="step", at=2, phase="reply")]
+            [FaultSpec("kill", worker=0, op="rollout", at=0, phase="reply")]
         )
         verify_rollout_parity(
             make_envs,
             make_policy(),
             seed=600 + shards,
-            modes=("sharded",),
+            modes=("shard_parallel",),
             num_workers=shards,
             label=f"chaos/reply-kill/{shards}",
             pool_kwargs=dict(fault_policy=FAST_POLICY, chaos=chaos),
@@ -184,8 +185,8 @@ class TestRecoveryParityGrid:
         policy = make_policy()
         rngs = lambda s: [np.random.default_rng(s + i) for i in range(5)]  # noqa: E731
         reference_pool = VecEnvPool(make_envs())
-        ref1 = collect_segments_vec(reference_pool, policy, rngs(40), overlap=False)
-        ref2 = collect_segments_vec(reference_pool, policy, rngs(90), overlap=False)
+        ref1 = collect_segments_vec(reference_pool, policy, rngs(40))
+        ref2 = collect_segments_vec(reference_pool, policy, rngs(90))
         with ShardedVecEnvPool(
             make_envs(), num_workers=2, fault_policy=FAST_POLICY
         ) as pool:
@@ -229,8 +230,8 @@ class TestGracefulDegradation:
         policy = make_policy()
         rngs = lambda s: [np.random.default_rng(s + i) for i in range(5)]  # noqa: E731
         reference_pool = VecEnvPool(make_envs())
-        ref1 = collect_segments_vec(reference_pool, policy, rngs(50), overlap=False)
-        ref2 = collect_segments_vec(reference_pool, policy, rngs(60), overlap=False)
+        ref1 = collect_segments_vec(reference_pool, policy, rngs(50))
+        ref2 = collect_segments_vec(reference_pool, policy, rngs(60))
         chaos = ChaosSchedule([FaultSpec("kill", worker=0, op="rollout", at=0)])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -249,28 +250,154 @@ class TestGracefulDegradation:
         assert_segments_identical(ref1, got1, label="degraded/ep1")
         assert_segments_identical(ref2, got2, label="degraded/ep2")
 
-    def test_degradation_mid_step_finishes_the_step(self):
-        """step_wait() falls through to the in-process pool when the
-        budget dies mid-step: the step-server collection still matches."""
+
+#: Evaluation sweep shape shared by the evaluate recovery cases.
+EVAL_KWARGS = dict(episodes=2, gamma=0.97, deterministic=False)
+
+
+def evaluate_in_process(policy, seed):
+    """Reference sweep: per-env totals and owner-RNG end states."""
+    rngs = rngs_for(5, seed)
+    totals = evaluate(policy, make_envs(), rng=rngs, **EVAL_KWARGS)
+    return totals, [rng.bit_generator.state for rng in rngs]
+
+
+def evaluate_sharded(policy, seed, shards, **pool_kwargs):
+    rngs = rngs_for(5, seed)
+    with ShardedVecEnvPool(make_envs(), num_workers=shards, **pool_kwargs) as pool:
+        totals = evaluate(policy, pool, rng=rngs, **EVAL_KWARGS)
+        restarts, degraded = pool.restart_counts, pool.degraded
+    return totals, [rng.bit_generator.state for rng in rngs], restarts, degraded
+
+
+class TestEvaluateRecovery:
+    """The worker-side evaluate path recovers like the rollout path."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("phase", ["receive", "reply"])
+    @pytest.mark.parametrize("kind", ["kill", "hang"])
+    def test_recovered_evaluation_is_bit_identical(self, kind, phase, shards):
+        """phase='reply' faults a worker whose envs already ran the sweep:
+        the respawn re-runs it from the snapshot with pristine streams."""
         policy = make_policy()
-        rngs = lambda: [np.random.default_rng(70 + i) for i in range(5)]  # noqa: E731
+        expected, expected_states = evaluate_in_process(policy, 900 + shards)
+        chaos = ChaosSchedule(
+            [
+                FaultSpec(
+                    kind, worker=shards - 1, op="evaluate", at=0, phase=phase,
+                    hang_seconds=120.0,
+                )
+            ]
+        )
+        fault = FaultPolicy(
+            max_restarts=2,
+            backoff=0.0,
+            collect_deadline=2.0 if kind == "hang" else 30.0,
+            graceful_join=0.5,
+        )
+        totals, states, restarts, degraded = evaluate_sharded(
+            policy, 900 + shards, shards, fault_policy=fault, chaos=chaos
+        )
+        assert restarts[shards - 1] == 1 and not degraded
+        np.testing.assert_array_equal(totals, expected)
+        assert states == expected_states
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_dropped_reply_is_reissued(self, shards):
+        """A sweep that ran but never answered looks like a hang: the
+        deadline SIGKILLs the worker and the respawn re-runs the sweep."""
+        policy = make_policy()
+        expected, expected_states = evaluate_in_process(policy, 920 + shards)
+        chaos = ChaosSchedule([spec_for("drop_reply", "evaluate", shards)])
+        fault = FaultPolicy(
+            max_restarts=2, backoff=0.0, collect_deadline=2.0, graceful_join=0.5
+        )
+        totals, states, restarts, degraded = evaluate_sharded(
+            policy, 920 + shards, shards, fault_policy=fault, chaos=chaos
+        )
+        assert restarts[shards - 1] == 1 and not degraded
+        np.testing.assert_array_equal(totals, expected)
+        assert states == expected_states
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_stale_replica_sweep_is_reissued(self, shards):
+        """A corrupted version stamp makes the worker answer the sweep
+        stale; the respawned worker gets the archived replica and the
+        re-issued sweep matches in-process evaluate."""
+        policy = make_policy()
+        expected, expected_states = evaluate_in_process(policy, 940 + shards)
+        chaos = ChaosSchedule([spec_for("corrupt_stamp", "replica", shards)])
+        totals, states, restarts, degraded = evaluate_sharded(
+            policy, 940 + shards, shards, fault_policy=FAST_POLICY, chaos=chaos
+        )
+        assert restarts[shards - 1] == 1 and not degraded
+        np.testing.assert_array_equal(totals, expected)
+        assert states == expected_states
+
+    @pytest.mark.parametrize("phase", ["receive", "reply"])
+    def test_rollout_after_sweep_respawns_from_post_sweep_snapshot(self, phase):
+        """A sweep advances the worker-side envs and its reply refreshes
+        the recovery snapshots: a worker killed in the next rollout is
+        rebuilt in its post-sweep state, so the recovered rollout equals
+        an in-process pool that ran the same sweep first."""
+        policy = make_policy()
+        reference_envs = make_envs()
+        expected = evaluate(policy, reference_envs, rng=rngs_for(5, 300), **EVAL_KWARGS)
         reference = collect_segments_vec(
-            VecEnvPool(make_envs()), policy, rngs(), overlap=False
+            VecEnvPool(reference_envs), policy, rngs_for(5, 400)
+        )
+        unswept = collect_segments_vec(VecEnvPool(make_envs()), policy, rngs_for(5, 400))
+        assert not np.array_equal(unswept[-1].rewards, reference[-1].rewards)
+        chaos = ChaosSchedule(
+            [FaultSpec("kill", worker=1, op="rollout", at=0, phase=phase)]
+        )
+        with ShardedVecEnvPool(
+            make_envs(), num_workers=2, fault_policy=FAST_POLICY, chaos=chaos
+        ) as pool:
+            totals = evaluate(policy, pool, rng=rngs_for(5, 300), **EVAL_KWARGS)
+            collected = pool.collect_rollouts(rngs_for(5, 400))
+            assert pool.restart_counts == [0, 1] and not pool.degraded
+        np.testing.assert_array_equal(totals, expected)
+        assert_segments_identical(reference, collected, label=f"post-sweep/{phase}")
+
+    def test_persistent_fault_degrades_bit_identically(self):
+        """A fault that re-arms in every respawn burns the restart budget;
+        the sweep finishes in-process from the snapshots and still matches."""
+        policy = make_policy()
+        expected, expected_states = evaluate_in_process(policy, 950)
+        chaos = ChaosSchedule(
+            [FaultSpec("kill", worker=0, op="evaluate", at=0)], persistent=True
+        )
+        with pytest.warns(RuntimeWarning, match="restart budget"):
+            totals, states, _, degraded = evaluate_sharded(
+                policy, 950, 2, fault_policy=FAST_POLICY, chaos=chaos
+            )
+        assert degraded
+        np.testing.assert_array_equal(totals, expected)
+        assert states == expected_states
+
+    def test_pool_degraded_by_a_sweep_keeps_serving(self):
+        """After a sweep degrades the pool, rollouts run in-process on the
+        envs the sweep advanced — matching a pool that never forked."""
+        policy = make_policy()
+        reference_envs = make_envs()
+        expected = evaluate(policy, reference_envs, rng=rngs_for(5, 310), **EVAL_KWARGS)
+        reference = collect_segments_vec(
+            VecEnvPool(reference_envs), policy, rngs_for(5, 410)
         )
         chaos = ChaosSchedule(
-            [FaultSpec("kill", worker=1, op="step", at=1, phase="reply")]
+            [FaultSpec("kill", worker=0, op="evaluate", at=0)], persistent=True
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with ShardedVecEnvPool(
-                make_envs(),
-                num_workers=2,
-                fault_policy=FaultPolicy(max_restarts=0, backoff=0.0),
-                chaos=chaos,
+                make_envs(), num_workers=2, fault_policy=FAST_POLICY, chaos=chaos
             ) as pool:
-                got = collect_segments_vec(pool, policy, rngs(), overlap=False)
-                assert pool.degraded
-        assert_segments_identical(reference, got, label="degraded/step")
+                totals = evaluate(policy, pool, rng=rngs_for(5, 310), **EVAL_KWARGS)
+                assert pool.degraded and pool.num_workers == 0
+                collected = pool.collect_rollouts(rngs_for(5, 410))
+        np.testing.assert_array_equal(totals, expected)
+        assert_segments_identical(reference, collected, label="degraded-sweep/rollout")
 
 
 class TestLegacyContract:
@@ -297,7 +424,9 @@ class TestProcessHygiene:
             ignore_sigterm=True,
         )
         pool = ShardedVecEnvPool(make_envs(), num_workers=2, chaos=chaos)
-        segment_name = pool.shared_memory_name
+        pool.sync_policy(make_policy())
+        pool.collect_rollouts(rngs_for(5, 0))
+        segment_name = pool._traj_shm.name
         pids = [proc.pid for proc in pool._procs]
         pool.close()
         assert not os.path.exists(f"/dev/shm/{segment_name}")
@@ -346,25 +475,25 @@ class TestFaultPrimitives:
         with pytest.raises(ValueError, match="phase"):
             FaultSpec("kill", phase="later")
         with pytest.raises(ValueError, match="replica"):
-            FaultSpec("corrupt_stamp", op="step")
+            FaultSpec("corrupt_stamp", op="rollout")
 
     def test_schedule_counts_per_op_and_fires_once(self):
-        schedule = ChaosSchedule([FaultSpec("drop_reply", op="step", at=1)])
-        assert schedule.match("step", "receive") is None      # occurrence 0
-        spec = schedule.match("step", "receive")               # occurrence 1
+        schedule = ChaosSchedule([FaultSpec("drop_reply", op="rollout", at=1)])
+        assert schedule.match("rollout", "receive") is None      # occurrence 0
+        spec = schedule.match("rollout", "receive")               # occurrence 1
         assert spec is not None and spec.kind == "drop_reply"
-        assert schedule.match("step", "receive") is None       # already fired
+        assert schedule.match("rollout", "receive") is None       # already fired
 
     def test_schedule_pickle_resets_counters(self):
         import pickle
 
-        schedule = ChaosSchedule([FaultSpec("drop_reply", op="step", at=0)])
-        assert schedule.match("step", "receive") is not None
+        schedule = ChaosSchedule([FaultSpec("drop_reply", op="rollout", at=0)])
+        assert schedule.match("rollout", "receive") is not None
         clone = pickle.loads(pickle.dumps(schedule))
-        assert clone.match("step", "receive") is not None  # counters reset
+        assert clone.match("rollout", "receive") is not None  # counters reset
 
     def test_for_worker_filters_and_none_means_clean(self):
-        schedule = ChaosSchedule([FaultSpec("kill", worker=3, op="step")])
+        schedule = ChaosSchedule([FaultSpec("kill", worker=3, op="rollout")])
         assert schedule.for_worker(0) is None
         sub = schedule.for_worker(3)
         assert sub is not None and len(sub.specs) == 1
@@ -377,10 +506,10 @@ class TestFaultPrimitives:
 
     def test_fault_policy_knobs(self):
         policy = FaultPolicy(max_restarts=3, backoff=0.1, max_backoff=0.3)
-        assert policy.deadline_for("step") == policy.step_deadline
-        assert policy.deadline_for("reset") == policy.step_deadline
         assert policy.deadline_for("rollout") == policy.collect_deadline
+        assert policy.deadline_for("evaluate") == policy.collect_deadline
         assert policy.deadline_for("replica") == policy.broadcast_deadline
+        assert policy.deadline_for("load") == policy.broadcast_deadline
         assert policy.backoff_for(1) == pytest.approx(0.1)
         assert policy.backoff_for(2) == pytest.approx(0.2)
         assert policy.backoff_for(5) == pytest.approx(0.3)  # capped
@@ -388,6 +517,17 @@ class TestFaultPrimitives:
             FaultPolicy(max_restarts=-1)
         with pytest.raises(ValueError):
             FaultPolicy(backoff=-0.5)
+
+    def test_fault_policy_rejects_non_positive_deadlines(self):
+        """A deadline <= 0 would SIGKILL every worker on its first reply
+        and silently burn the restart budget; it is refused by name."""
+        for name in ("broadcast_deadline", "collect_deadline"):
+            for bad in (0.0, -1.0):
+                with pytest.raises(ValueError, match=name):
+                    FaultPolicy(**{name: bad})
+        with pytest.raises(ValueError, match="graceful_join"):
+            FaultPolicy(graceful_join=-5.0)
+        FaultPolicy(graceful_join=0.0, broadcast_deadline=None, collect_deadline=None)
 
 
 class TestTrainerSurvivesFaults:

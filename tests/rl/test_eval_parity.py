@@ -14,13 +14,9 @@ across
 - sharded pools with {1, 2, 4} workers (replica acting in the workers),
 
 for MLP / recurrent / Sim2Rec policies, deterministic and stochastic
-action modes, multi-episode sweeps with discounting, and heterogeneous
-horizons (the pool masks finished members' rewards to zero, so totals
-are layout-invariant). The four retired entry points
-(``evaluate_policy`` / ``evaluate_policy_vec`` /
-``evaluate_policy_replica`` / ``evaluate_policy_replicas``) survive as
-deprecated aliases; ``TestDeprecatedAliases`` pins that each one warns
-and returns bits identical to the front door.
+action modes, multi-episode sweeps with discounting, ragged LTS / DPR /
+SlateRec layouts and heterogeneous horizons (the pool masks finished
+members' rewards to zero, so totals are layout-invariant).
 
 Caveat pinned here too: with heterogeneous horizons the *pool* keeps
 drawing from a finished env's stream until the pool ends, so caller-owned
@@ -33,16 +29,19 @@ import numpy as np
 import pytest
 
 from repro.core import build_sim2rec_policy, dpr_small_config
-from repro.envs import DPRConfig, DPRWorld, LTSConfig, LTSEnv
-from repro.envs import evaluate_policy as legacy_evaluate_policy
+from repro.envs import (
+    DPRConfig,
+    DPRWorld,
+    LTSConfig,
+    LTSEnv,
+    SlateConfig,
+    SlateRecEnv,
+)
 from repro.rl import (
     MLPActorCritic,
     RecurrentActorCritic,
     ShardedVecEnvPool,
     evaluate,
-    evaluate_policy_replica,
-    evaluate_policy_replicas,
-    evaluate_policy_vec,
     sharding_available,
 )
 
@@ -68,6 +67,39 @@ def make_dpr_envs():
     return world.make_all_city_envs()
 
 
+def make_hetero_dpr_envs():
+    """DPR members that leave the pool at their own horizon (3 / 5 / 4 / 5)."""
+    envs = make_dpr_envs()
+    envs[0].horizon = 3
+    envs[2].horizon = 4
+    return envs
+
+
+def make_slate_envs(horizons=(5, 5, 5, 5)):
+    """SlateRec members with ragged user counts and per-env choice models
+    (the family the ``rollout_eval`` workload evaluates)."""
+    sizes = [(4, -4.0), (8, 2.0), (3, 5.0), (6, -2.0)]
+    return [
+        SlateRecEnv(
+            SlateConfig(
+                num_users=k,
+                horizon=h,
+                slate_size=3,
+                omega_g=g,
+                omega_u_range=2.0,
+                temperature=0.4 + 0.1 * i,
+                churn_base=0.15,
+                seed=30 + i,
+            )
+        )
+        for i, ((k, g), h) in enumerate(zip(sizes, horizons))
+    ]
+
+
+def make_hetero_slate_envs():
+    return make_slate_envs(horizons=(3, 5, 2, 4))
+
+
 def make_policy(kind, state_dim, action_dim):
     if kind == "mlp":
         return MLPActorCritic(
@@ -83,11 +115,29 @@ def make_policy(kind, state_dim, action_dim):
     raise ValueError(kind)
 
 
-def setup_case(kind):
-    """(env_factory, policy) for a policy family on its native envs."""
+#: Extra layouts for the stochastic parity checks: (env factory, state dim,
+#: action dim). Slate populations (choice models, churn) and members
+#: leaving the pool early are where per-env totals could pick up a layout
+#: dependence; they sweep one episode so the check stays independent of
+#: the hetero-horizon stream caveat above.
+LAYOUTS = {
+    "slate": (make_slate_envs, 4, 3),
+    "hetero_slate": (make_hetero_slate_envs, 4, 3),
+    "hetero_dpr": (make_hetero_dpr_envs, 13, 2),
+}
+
+
+def setup_case(layout, kind):
+    """(env_factory, policy, episodes) for a policy family on a layout.
+
+    ``native`` is the family's own env set (DPR for Sim2Rec, LTS otherwise).
+    """
+    if layout != "native":
+        env_factory, state_dim, action_dim = LAYOUTS[layout]
+        return env_factory, make_policy(kind, state_dim, action_dim), 1
     if kind == "sim2rec":
-        return make_dpr_envs, make_policy(kind, 13, 2)
-    return make_lts_envs, make_policy(kind, 2, 1)
+        return make_dpr_envs, make_policy(kind, 13, 2), EPISODES
+    return make_lts_envs, make_policy(kind, 2, 1), EPISODES
 
 
 def env_seeds(num_envs):
@@ -130,37 +180,46 @@ def pooled_eval(env_factory, policy, deterministic, workers=0, episodes=EPISODES
     return totals, [rng.bit_generator.state for rng in rngs]
 
 
+LAYOUT_NAMES = ["native", *sorted(LAYOUTS)]
+
+
 @pytest.mark.parametrize("kind", ["mlp", "recurrent", "sim2rec"])
 class TestEvalParity:
     def test_in_process_pool_matches_solo_deterministic(self, kind):
-        env_factory, policy = setup_case(kind)
+        env_factory, policy, _ = setup_case("native", kind)
         solo = solo_eval(env_factory, policy, deterministic=True)
         pooled, _ = pooled_eval(env_factory, policy, deterministic=True)
         assert np.array_equal(solo, pooled), f"{kind}: pooled eval != solo"
 
-    def test_in_process_pool_matches_solo_stochastic(self, kind):
-        env_factory, policy = setup_case(kind)
-        solo = solo_eval(env_factory, policy, deterministic=False)
-        pooled, _ = pooled_eval(env_factory, policy, deterministic=False)
-        assert np.array_equal(solo, pooled), f"{kind}: stochastic pooled != solo"
+    @pytest.mark.parametrize("layout", LAYOUT_NAMES)
+    def test_in_process_pool_matches_solo_stochastic(self, kind, layout):
+        env_factory, policy, episodes = setup_case(layout, kind)
+        solo = solo_eval(env_factory, policy, deterministic=False, episodes=episodes)
+        pooled, _ = pooled_eval(
+            env_factory, policy, deterministic=False, episodes=episodes
+        )
+        assert np.array_equal(solo, pooled), (
+            f"{layout}/{kind}: stochastic pooled != solo"
+        )
 
     @needs_sharding
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_sharded_matches_solo(self, kind, workers):
+    @pytest.mark.parametrize("layout", LAYOUT_NAMES)
+    def test_sharded_matches_solo(self, kind, layout, workers):
         """Replica acting inside the workers reproduces solo eval exactly."""
-        env_factory, policy = setup_case(kind)
-        solo = solo_eval(env_factory, policy, deterministic=False)
+        env_factory, policy, episodes = setup_case(layout, kind)
+        solo = solo_eval(env_factory, policy, deterministic=False, episodes=episodes)
         sharded, _ = pooled_eval(
-            env_factory, policy, deterministic=False, workers=workers
+            env_factory, policy, deterministic=False, workers=workers, episodes=episodes
         )
         assert np.array_equal(solo, sharded), (
-            f"{kind}: sharded eval (w={workers}) != solo"
+            f"{layout}/{kind}: sharded eval (w={workers}) != solo"
         )
 
     @needs_sharding
     def test_owner_rng_continuity_across_modes(self, kind):
         """Equal horizons: caller streams end identically in every mode."""
-        env_factory, policy = setup_case(kind)
+        env_factory, policy, _ = setup_case("native", kind)
         _, states_inproc = pooled_eval(env_factory, policy, deterministic=False)
         _, states_sharded = pooled_eval(
             env_factory, policy, deterministic=False, workers=2
@@ -277,84 +336,3 @@ class TestFrontDoor:
         policy = make_policy("mlp", 2, 1)
         with pytest.raises(ValueError, match="generator"):
             evaluate(policy, make_lts_envs(), rng=[np.random.default_rng(0)])
-
-
-class TestDeprecatedAliases:
-    """The four retired names warn and return front-door-identical bits."""
-
-    def test_evaluate_policy_alias(self):
-        policy = make_policy("mlp", 2, 1)
-        front = evaluate(
-            policy.as_act_fn(np.random.default_rng(3)), make_lts_envs()[0],
-            episodes=EPISODES, gamma=GAMMA,
-        )
-        with pytest.warns(DeprecationWarning, match="repro.rl.evaluate"):
-            alias = legacy_evaluate_policy(
-                make_lts_envs()[0],
-                policy.as_act_fn(np.random.default_rng(3)),
-                episodes=EPISODES,
-                gamma=GAMMA,
-            )
-        assert front == alias
-
-    def test_evaluate_policy_vec_alias(self):
-        policy = make_policy("recurrent", 2, 1)
-        front = evaluate(
-            policy.as_act_fn(np.random.default_rng(4)), make_lts_envs(),
-            mode="vec", episodes=EPISODES, gamma=GAMMA,
-        )
-        with pytest.warns(DeprecationWarning, match="repro.rl.evaluate"):
-            alias = evaluate_policy_vec(
-                make_lts_envs(),
-                policy.as_act_fn(np.random.default_rng(4)),
-                episodes=EPISODES,
-                gamma=GAMMA,
-            )
-        assert np.array_equal(front, alias)
-
-    def test_evaluate_policy_replica_alias(self):
-        policy = make_policy("mlp", 2, 1)
-        seeds = env_seeds(5)
-        front = evaluate(
-            policy, make_lts_envs(),
-            rng=[np.random.default_rng(s) for s in seeds],
-            episodes=EPISODES, gamma=GAMMA, deterministic=False,
-        )
-        with pytest.warns(DeprecationWarning, match="repro.rl.evaluate"):
-            alias = evaluate_policy_replica(
-                make_lts_envs(),
-                policy,
-                [np.random.default_rng(s) for s in seeds],
-                episodes=EPISODES,
-                gamma=GAMMA,
-                deterministic=False,
-            )
-        assert np.array_equal(front, alias)
-
-    def test_evaluate_policy_replicas_alias(self):
-        policy = make_policy("mlp", 2, 1)
-        front = evaluate(
-            policy, make_lts_envs(), rng=np.random.default_rng(21),
-            episodes=EPISODES, gamma=GAMMA, deterministic=False,
-        )
-        with pytest.warns(DeprecationWarning, match="repro.rl.evaluate"):
-            alias = evaluate_policy_replicas(
-                make_lts_envs(), policy, np.random.default_rng(21),
-                episodes=EPISODES, gamma=GAMMA, deterministic=False,
-            )
-        assert np.array_equal(front, alias)
-
-    def test_internal_repro_callers_escalate(self):
-        """The pytest config turns repro-internal alias calls into errors."""
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "error", category=DeprecationWarning, module=r"repro\."
-            )
-            # A call attributed to a test module only warns ...
-            with pytest.warns(DeprecationWarning):
-                evaluate_policy_vec(
-                    make_lts_envs(),
-                    make_policy("mlp", 2, 1).as_act_fn(np.random.default_rng(0)),
-                )

@@ -1,11 +1,9 @@
 """Cross-mode rollout parity: one harness, every collection path.
 
-The single source of truth for rollout equivalence (replacing the
-per-mode equivalence tests that used to be duplicated across
-``test_vec.py`` and ``test_workers.py``): every collection mode —
-``vectorized``, ``sharded`` (step server) and ``shard_parallel`` (policy
-replicas in the workers) — must produce **bitwise-identical** segments
-to the sequential per-env ``collect_segment`` loop, across shard counts
+The single source of truth for rollout equivalence: every collection
+mode — ``vectorized`` (one in-process pool) and ``shard_parallel``
+(policy replicas in the workers) — must produce **bitwise-identical**
+segments to the sequential per-env ``collect_segment`` loop, across shard counts
 {1, 2, 4}, ragged env sizes, heterogeneous horizons, truncation, extras,
 and MLP / Recurrent / Sim2Rec policies. The harness itself lives in
 :mod:`repro.rl.parity` so ``benchmarks/perf_rollout.py`` runs the exact
@@ -15,12 +13,7 @@ same check before timing anything.
 import numpy as np
 import pytest
 
-from repro.core import (
-    Sim2RecLTSTrainer,
-    build_sim2rec_policy,
-    dpr_small_config,
-    lts_small_config,
-)
+from repro.core import build_sim2rec_policy, dpr_small_config
 from repro.envs import (
     DPRConfig,
     DPRWorld,
@@ -28,7 +21,6 @@ from repro.envs import (
     LTSEnv,
     SlateConfig,
     SlateRecEnv,
-    make_lts_task,
 )
 from repro.rl import (
     ROLLOUT_MODES,
@@ -41,16 +33,13 @@ from repro.rl import (
     collect_segments_sequential,
     sharding_available,
 )
-from repro.rl.parity import SEGMENT_FIELDS, SHARDED_MODES
 
 needs_sharding = pytest.mark.skipif(
     not sharding_available(), reason="platform has no multiprocessing start method"
 )
 
 # (mode, worker count): the full grid the acceptance criteria name.
-MODE_GRID = [("vectorized", 0)] + [
-    (mode, workers) for mode in SHARDED_MODES for workers in (1, 2, 4)
-]
+MODE_GRID = [("vectorized", 0)] + [("shard_parallel", workers) for workers in (1, 2, 4)]
 
 
 def _grid_id(case):
@@ -215,7 +204,7 @@ class TestFeatureParity:
 
 @needs_sharding
 class TestContinuityParity:
-    @pytest.mark.parametrize("mode", ("vectorized",) + SHARDED_MODES)
+    @pytest.mark.parametrize("mode", ROLLOUT_MODES[1:])
     def test_multi_episode_rng_continuity(self, mode):
         """Back-to-back episodes on one persistent pool keep every env
         stream and every env's internal RNG aligned with the sequential
@@ -256,35 +245,24 @@ class TestContinuityParity:
             assert_segments_identical(reference, collected, label=f"gru/{mode}")
 
 
-@needs_sharding
-class TestTrainerModeParity:
-    """config.rollout_mode end to end: pooled modes reproduce each other."""
+class TestModeDispatch:
+    """Names and pools outside the three modes fail loudly."""
 
-    def _make_trainer(self, mode):
-        config = lts_small_config(seed=0)
-        config.rollout_mode = mode
-        config.rollout_workers = 2
-        config.segments_per_iteration = 3
-        task = make_lts_task("LTS3", num_users=8, horizon=6, seed=0)
-        policy = build_sim2rec_policy(2, 1, config)
-        return Sim2RecLTSTrainer(policy, task, config)
+    def test_step_server_mode_is_rejected(self):
+        """``sharded`` (workers step, the parent acts) is not a mode."""
+        assert ROLLOUT_MODES == ("sequential", "vectorized", "shard_parallel")
+        envs = make_dpr_envs()
+        with pytest.raises(ValueError, match="unknown rollout mode 'sharded'"):
+            collect_rollout_mode(
+                "sharded", envs, make_policy("mlp", 13, 2), rngs_for(len(envs), 0)
+            )
 
-    @pytest.mark.parametrize("mode", ["sharded", "shard_parallel"])
-    def test_trainer_collect_matches_vectorized(self, mode):
-        with self._make_trainer("vectorized") as base, self._make_trainer(mode) as other:
-            for _ in range(2):
-                buffer_a, rewards_a = base.collect()
-                buffer_b, rewards_b = other.collect()
-                assert rewards_a == rewards_b
-                for seg_a, seg_b in zip(buffer_a.segments, buffer_b.segments):
-                    for name in SEGMENT_FIELDS:
-                        np.testing.assert_array_equal(
-                            getattr(seg_a, name), getattr(seg_b, name), err_msg=name
-                        )
-            assert other._worker_pool is not None  # pool reused, not rebuilt
-
-    def test_sequential_mode_uses_no_pool(self):
-        with self._make_trainer("sequential") as trainer:
-            buffer, rewards = trainer.collect()
-            assert len(buffer) == 3
-            assert trainer._worker_pool is None
+    def test_shard_parallel_refuses_an_in_process_pool(self):
+        with pytest.raises(ValueError, match="needs a ShardedVecEnvPool"):
+            collect_rollout_mode(
+                "shard_parallel",
+                [],
+                make_policy("mlp", 13, 2),
+                rngs_for(5, 0),
+                pool=VecEnvPool(make_dpr_envs()),
+            )

@@ -32,8 +32,8 @@ from repro.rl import (  # noqa: E402
     BlockRNG,
     MLPActorCritic,
     VecEnvPool,
+    collect_rollout_mode,
     collect_segments_sequential,
-    collect_segments_shard_parallel,
     collect_segments_vec,
     sharding_available,
 )
@@ -248,7 +248,8 @@ class TestShardParallelLayoutFuzz:
             policy,
             [np.random.default_rng(seed + 100 + i) for i in range(len(user_counts))],
         )
-        collected = collect_segments_shard_parallel(
+        collected = collect_rollout_mode(
+            "shard_parallel",
             make_envs(user_counts, horizons, seed),
             policy,
             [np.random.default_rng(seed + 100 + i) for i in range(len(user_counts))],
@@ -279,7 +280,8 @@ class TestShardParallelLayoutFuzz:
             policy,
             [np.random.default_rng(seed + 100 + i) for i in range(len(user_counts))],
         )
-        collected = collect_segments_shard_parallel(
+        collected = collect_rollout_mode(
+            "shard_parallel",
             make_slate_envs(user_counts, horizon, slate_size, seed),
             policy,
             [np.random.default_rng(seed + 100 + i) for i in range(len(user_counts))],

@@ -1,18 +1,20 @@
 """Sharded worker pools: protocol, param sync and failure paths.
 
-The bitwise-equivalence contract (sharded and shard-parallel collection
-reproduce the sequential ``collect_segment`` loop for any shard layout)
-is enforced by the cross-mode parity suite in ``test_rollout_parity.py``.
+The bitwise-equivalence contract (shard-parallel collection reproduces
+the sequential ``collect_segment`` loop for any shard layout) is
+enforced by the cross-mode parity suite in ``test_rollout_parity.py``.
 This module keeps what is specific to the worker machinery: the pool
-protocol (shm views, load/fetch, worker clamping), the policy-replica
-mailbox (version stamps, oversized broadcasts, structure changes) and
-the operational guarantees — a crashed worker raises instead of hanging,
-stale replicas are refused, and shared memory never leaks.
+protocol (load/fetch, worker clamping, the parent-side stepping paths
+it refuses), the policy-replica mailbox (version stamps, oversized
+broadcasts, structure changes) and the operational guarantees — a
+crashed worker raises instead of hanging, stale replicas are refused,
+and shared memory never leaks.
 """
 
 import os
 import signal
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,11 +25,10 @@ from repro.rl import (
     RecurrentActorCritic,
     ShardedVecEnvPool,
     StaleReplicaError,
-    VecEnvPool,
     WorkerCrashed,
     WorkerStepError,
+    collect_rollout_mode,
     collect_segment,
-    collect_segments_shard_parallel,
     collect_segments_vec,
     evaluate,
     sharding_available,
@@ -52,68 +53,62 @@ def make_policy(**kwargs):
     return RecurrentActorCritic(13, 2, np.random.default_rng(0), **defaults)
 
 
-class TestOverlapProtocol:
-    def test_overlap_off_matches_overlap_on(self):
-        """overlap=False (synchronous stepping) records the same numbers."""
-        world = make_world(num_cities=4)
-        policy = make_policy()
-        rngs = lambda: [np.random.default_rng(200 + i) for i in range(4)]  # noqa: E731
-        with ShardedVecEnvPool(world.make_all_city_envs(), num_workers=2) as pool:
-            on = collect_segments_vec(pool, policy, rngs(), overlap=True)
-        with ShardedVecEnvPool(world.make_all_city_envs(), num_workers=2) as pool:
-            off = collect_segments_vec(pool, policy, rngs(), overlap=False)
-        assert_segments_identical(on, off, label="overlap")
+def rngs_for(count: int, seed: int):
+    return [np.random.default_rng(seed + i) for i in range(count)]
 
-    def test_overlap_requires_async_pool(self):
-        world = make_world(num_cities=2)
-        policy = MLPActorCritic(13, 2, np.random.default_rng(4), hidden_sizes=(8,))
-        pool = VecEnvPool(world.make_all_city_envs())
-        with pytest.raises(ValueError, match="step_async"):
-            collect_segments_vec(
-                pool, policy, np.random.default_rng(0), overlap=True
+
+def assert_collects_identical(expected, got):
+    """Two trainer ``collect()`` results: same raw rewards, same segments."""
+    (buffer_a, rewards_a), (buffer_b, rewards_b) = expected, got
+    assert rewards_a == rewards_b
+    for seg_a, seg_b in zip(buffer_a.segments, buffer_b.segments):
+        for name in SEGMENT_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(seg_a, name), getattr(seg_b, name), err_msg=name
             )
 
 
 class TestPoolProtocol:
-    def test_pool_is_a_multi_user_env(self):
+    def test_pool_reports_member_layout(self):
+        """The stacked user axis and its per-env / per-worker blocks."""
         world = make_world(num_cities=4, drivers_per_city=10)
         with ShardedVecEnvPool(world.make_all_city_envs(), num_workers=2) as pool:
-            assert pool.num_users == 40
-            assert pool.observation_dim == 13
+            assert (pool.num_envs, pool.num_workers, pool.num_users) == (4, 2, 40)
             assert pool.group_id == [0, 1, 2, 3]
-            states = pool.reset()
-            assert states.shape == (40, 13)
-            next_states, rewards, dones, info = pool.step(np.full((40, 2), 0.5))
-            assert rewards.shape == (40,)
-            assert len(info["per_env"]) == 4
-            assert next_states.base is None  # step() hands back copies
+            assert [(s.start, s.stop) for s in pool.slices] == [
+                (0, 10), (10, 20), (20, 30), (30, 40)
+            ]
+            assert [(s.start, s.stop) for s in pool.shards] == [(0, 2), (2, 4)]
 
-    def test_evaluate_policy_through_pool(self):
-        """The pool satisfies the plain MultiUserEnv protocol end to end."""
-        world = make_world(num_cities=3)
-        policy = RecurrentActorCritic(
-            13, 2, np.random.default_rng(6), lstm_hidden=16, head_hidden=(32,)
-        )
-        sequential = evaluate(
-            policy.as_act_fn(np.random.default_rng(0)),
-            world.make_all_city_envs(),
-            episodes=1,
-        )
-        with ShardedVecEnvPool(world.make_all_city_envs(), num_workers=2) as pool:
-            pooled = evaluate(
-                policy.as_act_fn(np.random.default_rng(0)), pool, mode="solo", episodes=1
-            )
-        weights = np.array([env.num_users for env in world.make_all_city_envs()])
-        assert pooled == pytest.approx(
-            float(np.sum(sequential * weights) / weights.sum())
-        )
+    def test_parent_side_collect_is_refused(self):
+        """The pool never steps from the parent: the in-process collector
+        rejects it and names the worker-side replacement."""
+        policy = MLPActorCritic(13, 2, np.random.default_rng(4), hidden_sizes=(8,))
+        with ShardedVecEnvPool(make_world(num_cities=2).make_all_city_envs()) as pool:
+            with pytest.raises(TypeError, match="collect_rollouts"):
+                collect_segments_vec(pool, policy, np.random.default_rng(0))
+            assert not pool.closed
+
+    @pytest.mark.parametrize("mode", ["auto", "solo", "vec"])
+    def test_act_fn_evaluate_is_refused(self, mode):
+        """Only a policy can be evaluated worker-side; a bare act_fn (or a
+        forced act_fn mode) raises and names the replica call."""
+        policy = make_policy()
+        with ShardedVecEnvPool(make_world(num_cities=3).make_all_city_envs()) as pool:
+            with pytest.raises(TypeError, match=r"evaluate\(policy, pool\)"):
+                evaluate(policy.as_act_fn(np.random.default_rng(0)), pool, mode=mode)
+            if mode != "auto":
+                with pytest.raises(TypeError, match=r"evaluate\(policy, pool\)"):
+                    evaluate(policy, pool, mode=mode)
+            assert pool.replica_version == 0  # nothing was broadcast
 
     def test_workers_clamped_to_env_count(self):
         world = make_world(num_cities=3)
+        policy = make_policy()
         with ShardedVecEnvPool(world.make_all_city_envs(), num_workers=8) as pool:
             assert pool.num_workers == 3
-            pool.reset()
-            pool.step(np.zeros((pool.num_users, 2)))
+            pool.sync_policy(policy)
+            assert len(pool.collect_rollouts(rngs_for(3, 0))) == 3
 
     def test_rejects_duplicates_and_dim_mismatch(self):
         world = make_world(num_cities=2)
@@ -144,12 +139,13 @@ class TestPoolProtocol:
             for env, rng in zip(world_b.make_all_city_envs(), rngs())
         ]
         with ShardedVecEnvPool(world_a.make_all_city_envs(), num_workers=2) as pool:
-            collect_segments_vec(pool, policy, [np.random.default_rng(i) for i in range(5)])
+            pool.sync_policy(policy)
+            pool.collect_rollouts(rngs_for(5, 0))
             pids = [proc.pid for proc in pool._procs]
             pool.load_envs(world_b.make_all_city_envs())
             assert [proc.pid for proc in pool._procs] == pids  # same processes
-            vec = collect_segments_vec(pool, policy, rngs())
-        assert_segments_identical(seq, vec)
+            collected = pool.collect_rollouts(rngs())
+        assert_segments_identical(seq, collected)
 
     def test_load_envs_rejects_layout_mismatch(self):
         with ShardedVecEnvPool(make_world().make_all_city_envs(), num_workers=2) as pool:
@@ -166,9 +162,8 @@ class TestPoolProtocol:
             collect_segment(env, policy, np.random.default_rng(80 + i))
         parents = make_world().make_all_city_envs()
         with ShardedVecEnvPool(parents, num_workers=2) as pool:
-            collect_segments_vec(
-                pool, policy, [np.random.default_rng(80 + i) for i in range(5)]
-            )
+            pool.sync_policy(policy)
+            pool.collect_rollouts(rngs_for(5, 80))
             fetched = pool.fetch_member_envs()
         for mine, theirs in zip(parents, fetched):
             vars(mine).update(vars(theirs))
@@ -210,13 +205,18 @@ class TestParamSyncFailures:
         """A worker SIGKILLed before answering sync_policy: the broadcast
         raises WorkerCrashed instead of hanging, the pool closes, shm
         is released."""
+        policy = make_policy()
         pool = ShardedVecEnvPool(make_world().make_all_city_envs(), num_workers=2)
         try:
+            pool.sync_policy(policy)
+            pool.collect_rollouts(rngs_for(5, 0))  # allocates the segment
+            name = pool._traj_shm.name
             os.kill(pool._procs[1].pid, signal.SIGKILL)
+            policy.parameters()[0].data += 1e-6  # a real re-broadcast
             with pytest.raises(WorkerCrashed, match="worker 1"):
-                pool.sync_policy(make_policy())
+                pool.sync_policy(policy)
             assert pool.closed
-            assert shm_segment_exists(pool.shared_memory_name) is not True
+            assert shm_segment_exists(name) is not True
         finally:
             pool.close()  # idempotent
 
@@ -231,7 +231,7 @@ class TestParamSyncFailures:
             with pytest.raises(StaleReplicaError, match="version 1"):
                 pool.collect_rollouts([np.random.default_rng(i) for i in range(5)])
             assert pool.closed
-            assert shm_segment_exists(pool.shared_memory_name) is not True
+            assert shm_segment_exists(pool._traj_shm.name) is not True
         finally:
             pool.close()
 
@@ -258,12 +258,13 @@ class TestParamSyncFailures:
                 pool.sync_policy(make_policy())
             assert not pool.closed
             assert pool.replica_version == 0  # nothing was broadcast
-            # still usable as a step server despite the refused broadcast
-            pool.reset()
-            pool.step(np.zeros((pool.num_users, 2)))
+            # still usable despite the refused broadcast
+            pool.max_param_bytes = 1 << 30
+            pool.sync_policy(make_policy())
+            assert len(pool.collect_rollouts(rngs_for(5, 0))) == 5
         finally:
             pool.close()
-        assert shm_segment_exists(pool.shared_memory_name) is not True
+        assert shm_segment_exists(pool._traj_shm.name) is not True
 
     def test_structure_change_ships_fresh_replica(self):
         """Re-syncing a differently-shaped policy falls back to the full
@@ -288,8 +289,8 @@ class TestParamSyncFailures:
             collect_segment(env, policy, rng)
             for env, rng in zip(make_world().make_all_city_envs(), rngs())
         ]
-        collected = collect_segments_shard_parallel(
-            make_world().make_all_city_envs(), policy, rngs(), num_workers=2
+        collected = collect_rollout_mode(
+            "shard_parallel", make_world().make_all_city_envs(), policy, rngs(), num_workers=2
         )
         assert_segments_identical(reference, collected, label="one_shot")
 
@@ -349,7 +350,6 @@ class TestReplicaResendSkip:
         from repro.envs import make_lts_task
 
         config = lts_small_config(seed=0)
-        config.rollout_mode = "shard_parallel"
         config.rollout_workers = 2
         config.segments_per_iteration = 3
         task = make_lts_task("LTS3", num_users=6, horizon=5, seed=0)
@@ -378,13 +378,13 @@ class TestFailurePaths:
         world = make_world(num_cities=4)
         pool = ShardedVecEnvPool(world.make_all_city_envs(), num_workers=2)
         try:
-            pool.reset()
+            pool.sync_policy(make_policy())
             os.kill(pool._procs[1].pid, signal.SIGKILL)
             with pytest.raises(WorkerCrashed, match="worker 1"):
-                pool.step(np.zeros((pool.num_users, 2)))
+                pool.collect_rollouts(rngs_for(4, 0))
             assert pool.closed  # crash tears the pool down
             # shared memory is gone even though close() ran via the crash path
-            assert shm_segment_exists(pool.shared_memory_name) is not True
+            assert shm_segment_exists(pool._traj_shm.name) is not True
         finally:
             pool.close()  # idempotent
 
@@ -396,32 +396,57 @@ class TestFailurePaths:
         # only meaningful under fork (local classes don't survive spawn pickling)
         if not sharding_available("fork"):
             pytest.skip("needs fork start method")
+        policy = MLPActorCritic(2, 1, np.random.default_rng(4), hidden_sizes=(8,))
         with ShardedVecEnvPool(envs, num_workers=2, start_method="fork") as pool:
-            pool.reset()
-            actions = np.zeros((pool.num_users, 1))
-            pool.step(actions)
+            pool.sync_policy(policy)
             with pytest.raises(WorkerStepError, match="boom from the worker side"):
-                pool.step(actions)
-            # the step protocol is desynchronised after an env error, so
-            # the pool refuses further use rather than stepping half-blind
+                pool.collect_rollouts(rngs_for(2, 0))
+            # the worker's sub-pool state is unreliable after an env error,
+            # so the pool refuses further use
             assert pool.closed
 
     def test_close_unlinks_shared_memory(self):
         world = make_world(num_cities=2)
         pool = ShardedVecEnvPool(world.make_all_city_envs(), num_workers=2)
-        name = pool.shared_memory_name
+        pool.sync_policy(make_policy())
+        pool.collect_rollouts(rngs_for(2, 0))
+        name = pool._traj_shm.name
         assert shm_segment_exists(name) is not False
         pool.close()
         assert shm_segment_exists(name) is not True
         pool.close()  # double close is a no-op
         with pytest.raises(RuntimeError, match="closed"):
-            pool.reset()
+            pool.collect_rollouts(rngs_for(2, 0))
+
+    def test_resource_tracker_starts_before_the_workers(self, monkeypatch):
+        """Construction alone starts the tracker, ahead of every worker."""
+        from multiprocessing import resource_tracker
+
+        events = []
+        ensure_running = resource_tracker.ensure_running
+        spawn_worker = ShardedVecEnvPool._spawn_worker
+
+        def record_tracker():
+            events.append("tracker")
+            ensure_running()
+
+        def record_worker(pool, *args, **kwargs):
+            events.append("worker")
+            spawn_worker(pool, *args, **kwargs)
+
+        monkeypatch.setattr(resource_tracker, "ensure_running", record_tracker)
+        monkeypatch.setattr(ShardedVecEnvPool, "_spawn_worker", record_worker)
+        with ShardedVecEnvPool(make_world(num_cities=2).make_all_city_envs(), num_workers=2):
+            pass
+        assert events == ["tracker", "worker", "worker"]
 
     def test_terminated_workers_still_clean_up(self):
         """SIGTERM'd workers (the Ctrl-C path) leave no segment behind."""
         world = make_world(num_cities=2)
         pool = ShardedVecEnvPool(world.make_all_city_envs(), num_workers=2)
-        name = pool.shared_memory_name
+        pool.sync_policy(make_policy())
+        pool.collect_rollouts(rngs_for(2, 0))
+        name = pool._traj_shm.name
         for proc in pool._procs:
             proc.terminate()
         pool.close()
@@ -448,47 +473,68 @@ class TestTrainerIntegration:
         sharded = self._make_trainer(workers=2)
         try:
             for _ in range(2):
-                buffer_a, rewards_a = base.collect()
-                buffer_b, rewards_b = sharded.collect()
-                assert rewards_a == rewards_b
-                for seg_a, seg_b in zip(buffer_a.segments, buffer_b.segments):
-                    for name in SEGMENT_FIELDS:
-                        np.testing.assert_array_equal(
-                            getattr(seg_a, name), getattr(seg_b, name), err_msg=name
-                        )
+                assert_collects_identical(base.collect(), sharded.collect())
             assert sharded._worker_pool is not None  # pool reused, not rebuilt
         finally:
             base.close()
             sharded.close()
         assert sharded._worker_pool is None
 
-    def test_unpicklable_policy_degrades_to_step_server(self):
+    def test_worker_count_changes_between_collects(self):
+        """Dropping rollout_workers to 1 closes the worker pool and raising
+        it again builds a new one; every collect matches the in-process
+        run, so the parent's envs carried the workers' state across."""
+        base = self._make_trainer(workers=1)
+        trainer = self._make_trainer(workers=2)
+        try:
+            pools = []
+            for workers in (2, 1, 2):
+                trainer.config.rollout_workers = workers
+                got = trainer.collect()
+                pools.append(trainer._worker_pool)
+                assert_collects_identical(base.collect(), got)
+            assert pools[0] is not None and pools[0].closed
+            assert pools[1] is None
+            assert pools[2] is not None and pools[2] is not pools[0]
+        finally:
+            base.close()
+            trainer.close()
+
+    def test_more_workers_than_envs_is_clamped(self):
+        """rollout_workers above the batch size runs one worker per env."""
+        base = self._make_trainer(workers=1)
+        trainer = self._make_trainer(workers=8)
+        try:
+            assert_collects_identical(base.collect(), trainer.collect())
+            pool = trainer._worker_pool
+            assert pool is not None
+            assert pool.num_workers <= trainer.config.segments_per_iteration
+        finally:
+            base.close()
+            trainer.close()
+
+    def test_unpicklable_policy_falls_back_in_process(self):
         """A policy that cannot cross the process boundary (externally
-        attached lambdas etc.) must not break the *derived* default for
-        rollout_workers > 1: the trainer warns once and falls back to
-        step-server sharding, which never ships the policy."""
+        attached lambdas etc.) must not break rollout_workers > 1: the
+        trainer warns once, closes the worker pool and collects
+        in-process — bit-identically to rollout_workers=1."""
+        base = self._make_trainer(workers=1)
         trainer = self._make_trainer(workers=2)
         trainer.policy._attached_hook = lambda x: x  # unpicklable member
         try:
-            with pytest.warns(RuntimeWarning, match="step-server"):
-                buffer, _ = trainer.collect()
-            assert len(buffer) == 3
-            buffer, _ = trainer.collect()  # second collect: no new warning path
+            with pytest.warns(RuntimeWarning, match="in-process"):
+                buffer, rewards = trainer.collect()
             assert trainer._replica_unpicklable
-            assert trainer._worker_pool is not None  # still sharded, as step server
+            assert trainer._worker_pool is None  # worker pool closed
+            batches = [(buffer, rewards)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # warns once only
+                batches.append(trainer.collect())
+            for got in batches:
+                assert_collects_identical(base.collect(), got)
+            assert trainer._worker_pool is None
         finally:
-            trainer.close()
-
-    def test_unpicklable_policy_fails_loudly_when_mode_explicit(self):
-        """An *explicitly requested* shard_parallel mode is honoured or
-        fails — never silently downgraded."""
-        trainer = self._make_trainer(workers=2)
-        trainer.config.rollout_mode = "shard_parallel"
-        trainer.policy._attached_hook = lambda x: x
-        try:
-            with pytest.raises((TypeError, AttributeError)):
-                trainer.collect()
-        finally:
+            base.close()
             trainer.close()
 
     def test_rollout_workers_degrade_on_single_env_batches(self):
@@ -549,8 +595,6 @@ class TestAsyncCollect:
             for call in (
                 lambda: pool.collect_rollouts_async(rngs),
                 lambda: pool.collect_rollouts(rngs),
-                pool.reset,
-                lambda: pool.step_async(np.zeros((pool.num_users, 2))),
                 lambda: pool.sync_policy(policy),
                 lambda: pool.evaluate_policy(np.random.default_rng(0)),
                 lambda: pool.load_envs(make_world().make_all_city_envs()),
@@ -565,10 +609,10 @@ class TestAsyncCollect:
         """close() during an async collect tears down cleanly (no hang,
         shm unlinked) and the pool reports no pending collect."""
         pool, _ = self._pool_and_policy()
-        name = pool.shared_memory_name
         pool.collect_rollouts_async(
             [np.random.default_rng(920 + i) for i in range(5)]
         )
+        name = pool._traj_shm.name
         pool.close()
         assert not pool.collect_pending
         assert shm_segment_exists(name) is not True
@@ -626,7 +670,7 @@ class TestAsyncCollect:
             pool.sync_policy(policy)
             os.kill(pool._procs[0].pid, signal.SIGKILL)
             with pytest.warns(RuntimeWarning, match="degrading"):
-                pool.reset()
+                pool.fetch_member_envs()
             assert pool.degraded
             return pool
 

@@ -82,26 +82,24 @@ class TestScenarioTrainer:
             collect_scenario_state_sets(scenario, users_per_set=999)
 
     def test_shard_parallel_matches_vectorized_collection(self):
-        """The scenario trainer rides the rollout-mode contract: slate
+        """The scenario trainer rides the rollout contract: slate
         populations collect bit-identically with policy replicas in the
-        workers (the mode the trainer defaults to at rollout_workers>1)."""
+        workers (rollout_workers > 1) and in one in-process pool."""
         from repro.rl import sharding_available
 
         if not sharding_available():
             pytest.skip("platform has no multiprocessing start method")
         rewards = {}
         buffers = {}
-        for mode in ("vectorized", "shard_parallel"):
-            config = tiny_config(rollout_mode=mode, rollout_workers=2)
+        for workers in (1, 2):
+            config = tiny_config(rollout_workers=workers)
             config.scenario = TINY["slate"]
             with trainer_from_config(config) as trainer:
                 buffer, raw = trainer.collect()
-            rewards[mode] = raw
-            buffers[mode] = buffer
-        assert rewards["vectorized"] == rewards["shard_parallel"]
-        for seg_a, seg_b in zip(
-            buffers["vectorized"].segments, buffers["shard_parallel"].segments
-        ):
+            rewards[workers] = raw
+            buffers[workers] = buffer
+        assert rewards[1] == rewards[2]
+        for seg_a, seg_b in zip(buffers[1].segments, buffers[2].segments):
             np.testing.assert_array_equal(seg_a.states, seg_b.states)
             np.testing.assert_array_equal(seg_a.rewards, seg_b.rewards)
 

@@ -24,9 +24,6 @@ def rollout_payload(
     worker_speedup=2.0,
     cpu_count=4,
     equivalent=True,
-    shard_parallel_vs_sharded=1.6,
-    mode_equivalent=True,
-    with_mode_sweep=True,
     scenario_speedup=2.0,
     scenario_equivalent=True,
     with_scenario_sweep=True,
@@ -48,22 +45,6 @@ def rollout_payload(
             },
         ],
     }
-    if with_mode_sweep:
-        scenario["mode_sweep"] = [
-            {
-                "mode": "sharded",
-                "num_workers": 2,
-                "speedup_vs_sequential": worker_speedup,
-                "equivalent": mode_equivalent,
-            },
-            {
-                "mode": "shard_parallel",
-                "num_workers": 2,
-                "speedup_vs_sequential": worker_speedup * shard_parallel_vs_sharded,
-                "speedup_vs_sharded": shard_parallel_vs_sharded,
-                "equivalent": mode_equivalent,
-            },
-        ]
     payload = {"cpu_count": cpu_count, "scenarios": [scenario]}
     if with_scenario_sweep:
         payload["scenario_sweep"] = [
@@ -81,13 +62,6 @@ def rollout_payload(
 BASELINE = {
     "scenarios": {"smoke_cross_city": {"min_speedup": 1.6}},
     "workers": {"2": {"min_speedup_vs_sequential": 1.3, "min_cpus": 2}},
-    "mode_sweep": {
-        "shard_parallel": {
-            "num_workers": 2,
-            "min_speedup_vs_sharded": 1.25,
-            "min_cpus": 2,
-        }
-    },
     "scenario_sweep": {
         "scenario_slate": {"min_speedup": 1.3},
         "scenario_lts": {"min_speedup": 1.5},
@@ -130,76 +104,39 @@ class TestCheckPayload:
         )
         assert any("equivalence" in f for f in failures)
 
+    def test_worker_equivalence_enforced_even_on_single_core(self, gate):
+        """Bit-identity does not depend on cores: a false flag on any
+        worker record fails the gate even where the speed floor is
+        skipped, including worker counts without a floor."""
+        payload = rollout_payload(cpu_count=1)
+        for record in payload["scenarios"][0]["workers"]:
+            record["equivalent"] = False
+        failures = gate.check_payload(payload, BASELINE, 0.8, "rollout")
+        assert any("workers=1" in f and "equivalence" in f for f in failures)
+        assert any("workers=2" in f and "equivalence" in f for f in failures)
+        assert not any("speedup_vs_sequential" in f for f in failures)
+
+    def test_fails_when_worker_count_missing_from_sweep(self, gate):
+        payload = rollout_payload()
+        payload["scenarios"][0]["workers"] = payload["scenarios"][0]["workers"][:1]
+        failures = gate.check_payload(payload, BASELINE, 0.8, "rollout")
+        assert any("workers=2" in f and "missing" in f for f in failures)
+
+    def test_worker_floor_gates_every_scenario(self, gate):
+        """The floor applies to each sweep scenario, not to the best one."""
+        payload = rollout_payload()
+        weak = rollout_payload(worker_speedup=0.9)["scenarios"][0]
+        weak["name"] = "large_groups"
+        payload["scenarios"].append(weak)
+        failures = gate.check_payload(payload, BASELINE, 0.8, "rollout")
+        assert len(failures) == 1
+        assert "large_groups/workers=2" in failures[0] and "0.9" in failures[0]
+
     def test_fails_on_missing_scenario(self, gate):
         failures = gate.check_payload(
             {"cpu_count": 4, "scenarios": []}, BASELINE, 0.8, "rollout"
         )
         assert any("missing" in f for f in failures)
-
-
-class TestModeSweepFloors:
-    def test_passes_when_shard_parallel_beats_sharded(self, gate):
-        assert gate.check_payload(rollout_payload(), BASELINE, 0.8, "rollout") == []
-
-    def test_fails_when_shard_parallel_regresses(self, gate):
-        # floor 1.25 x tolerance 0.8 = 1.0: a 0.9x head-to-head fails
-        failures = gate.check_payload(
-            rollout_payload(shard_parallel_vs_sharded=0.9), BASELINE, 0.8, "rollout"
-        )
-        assert any("mode=shard_parallel" in f and "0.9" in f for f in failures)
-
-    def test_mode_floor_skipped_on_single_core(self, gate, capsys):
-        failures = gate.check_payload(
-            rollout_payload(shard_parallel_vs_sharded=0.5, worker_speedup=2.0, cpu_count=1),
-            BASELINE,
-            0.8,
-            "rollout",
-        )
-        assert failures == []
-        assert "skip rollout/mode=shard_parallel" in capsys.readouterr().out
-
-    def test_mode_equivalence_enforced_even_on_single_core(self, gate):
-        """Bit-identity does not depend on cores: a false equivalence flag
-        in the mode sweep fails the gate on any machine."""
-        failures = gate.check_payload(
-            rollout_payload(mode_equivalent=False, cpu_count=1),
-            BASELINE,
-            0.8,
-            "rollout",
-        )
-        assert any("mode=sharded" in f and "equivalence" in f for f in failures)
-        assert any("mode=shard_parallel" in f and "equivalence" in f for f in failures)
-
-    def test_fails_when_mode_missing_from_sweep(self, gate):
-        failures = gate.check_payload(
-            rollout_payload(with_mode_sweep=False), BASELINE, 0.8, "rollout"
-        )
-        assert any("mode=shard_parallel" in f and "missing" in f for f in failures)
-
-    def test_floor_applies_only_to_its_worker_count(self, gate):
-        """A sweep also carrying workers=1 and oversubscribed workers=4
-        records (which structurally cannot clear a 2-worker floor) must
-        still pass when the workers=2 record does."""
-        payload = rollout_payload()
-        payload["scenarios"][0]["mode_sweep"].extend(
-            [
-                {
-                    "mode": "shard_parallel",
-                    "num_workers": 1,
-                    "speedup_vs_sequential": 2.0,
-                    "speedup_vs_sharded": 1.02,
-                    "equivalent": True,
-                },
-                {
-                    "mode": "shard_parallel",
-                    "num_workers": 4,
-                    "speedup_vs_sequential": 1.8,
-                    "speedup_vs_sharded": 0.9,
-                    "equivalent": True,
-                },
-            ]
-        )
-        assert gate.check_payload(payload, BASELINE, 0.8, "rollout") == []
 
 
 class TestScenarioSweepFloors:
@@ -288,6 +225,18 @@ class TestRun:
         rollout = self.write(tmp_path, "r.json", rollout_payload())
         train = self.write(tmp_path, "t.json", train_payload())
         assert gate.run(rollout, train, baselines_path) == 0
+
+    def test_committed_rollout_artifact_clears_its_floors(self, gate):
+        """The committed full-mode BENCH_rollout.json was recorded with
+        BLAS pinned on a host that has the cores its worker floors need,
+        so those floors actually ran — and held."""
+        baselines = json.loads((ROOT / ".github" / "bench_baselines.json").read_text())
+        payload = json.loads((ROOT / "BENCH_rollout.json").read_text())
+        assert payload["mode"] == "full"
+        floors = baselines["rollout"]["full"]
+        assert payload["cpu_count"] >= floors["workers"]["2"]["min_cpus"]
+        assert set(payload["blas_threads"].values()) == {"1"}
+        assert gate.check_payload(payload, floors, baselines["tolerance"], "rollout") == []
 
     def test_run_fails_on_missing_artifact(self, gate, tmp_path):
         rollout = self.write(tmp_path, "r.json", rollout_payload())
