@@ -1,10 +1,13 @@
 """Training-backbone microbenchmark: sequential vs batched learner updates.
 
 The learning-side companion of ``perf_rollout.py``: times the PPO update
-loop with per-segment LSTM unrolls (``batch_segments=False``) against the
-stacked-segment BPTT path (``batch_segments=True``, one time-major
-``[T, sum-of-users, d]`` pass per minibatch round), and one SADAE epoch
-with per-set ELBO forwards against the set-batched ``elbo_batch`` path.
+loop with per-segment, per-step LSTM unrolls (``batch_segments=False``)
+against the stacked-segment BPTT path (``batch_segments=True``, one
+time-major ``[T, sum-of-users, d]`` pass per minibatch round with a fused
+extractor unroll), and one SADAE epoch with per-set ELBO forwards against
+the set-batched ``elbo_batch`` path. The ``ppo_update`` records cover a
+context-free ``RecurrentActorCritic`` and the Sim2Rec policy, whose
+stacked path also embeds each segment's T per-step SADAE sets at once.
 Verifies the batched evaluation is bit-identical to the sequential one
 before trusting the clock, and writes the results to ``BENCH_train.json``
 so the speedup is tracked across PRs.
@@ -38,7 +41,7 @@ except ImportError:  # running from a checkout: fall back to the src/ layout
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import SADAE, SADAEConfig, train_sadae
+from repro.core import SADAE, SADAEConfig, Sim2RecConfig, build_sim2rec_policy, train_sadae
 from repro.envs import DPRConfig, DPRWorld
 from repro.rl import (
     PPO,
@@ -63,10 +66,21 @@ def restore_parameters(module, snapshot):
 
 
 def verify_eval_equivalence(policy, buffer) -> None:
-    """Stacked evaluation must reproduce per-segment evaluation bit for bit."""
+    """Stacked evaluation must reproduce per-segment evaluation bit for bit.
+
+    A Sim2Rec policy samples its context υ from ``_eval_rng``, so both
+    paths start from the same generator state.
+    """
     segments = list(buffer)
     idxs = [np.arange(segment.num_users) for segment in segments]
+
+    def reset_context_rng() -> None:
+        if hasattr(policy, "_eval_rng"):
+            policy._eval_rng = np.random.default_rng(0)
+
+    reset_context_rng()
     sequential = [policy.evaluate_segment(s, i) for s, i in zip(segments, idxs)]
+    reset_context_rng()
     log_probs, values, entropy = policy.evaluate_segments_batched(segments, idxs)
     offset = 0
     for (seq_lp, seq_v, seq_e), idx in zip(sequential, idxs):
@@ -81,12 +95,21 @@ def verify_eval_equivalence(policy, buffer) -> None:
         offset += len(idx)
 
 
-def bench_ppo_update(name: str, config: DPRConfig, horizon: int, repeats: int) -> dict:
-    """Time PPO.update over one iteration's many-city buffer, both paths."""
+def bench_ppo_update(
+    name: str, config: DPRConfig, horizon: int, repeats: int, policy_kind: str = "recurrent"
+) -> dict:
+    """Time PPO.update over one iteration's many-city buffer, both paths.
+
+    ``policy_kind`` is ``"recurrent"`` (no context) or ``"sim2rec"``
+    (SADAE context with the Table II default sizes).
+    """
     world = DPRWorld(config)
-    policy = RecurrentActorCritic(
-        13, 2, np.random.default_rng(0), lstm_hidden=64, head_hidden=(128, 64)
-    )
+    if policy_kind == "sim2rec":
+        policy = build_sim2rec_policy(13, 2, Sim2RecConfig(seed=0))
+    else:
+        policy = RecurrentActorCritic(
+            13, 2, np.random.default_rng(0), lstm_hidden=64, head_hidden=(128, 64)
+        )
     envs = world.make_all_city_envs()
     rngs = [np.random.default_rng(1000 + i) for i in range(len(envs))]
     buffer = RolloutBuffer()
@@ -113,6 +136,7 @@ def bench_ppo_update(name: str, config: DPRConfig, horizon: int, repeats: int) -
     result = {
         "name": name,
         "kind": "ppo_update",
+        "policy": policy_kind,
         "num_cities": config.num_cities,
         "drivers_per_city": config.drivers_per_city,
         "horizon": horizon,
@@ -265,6 +289,11 @@ def main() -> None:
                 horizon=5, repeats=repeats,
             ),
             bench_sadae_epoch("smoke_sadae", num_sets=8, users_per_set=40, repeats=repeats),
+            bench_ppo_update(
+                "smoke_sim2rec_ppo",
+                DPRConfig(num_cities=6, drivers_per_city=6, horizon=8, seed=0),
+                horizon=5, repeats=repeats, policy_kind="sim2rec",
+            ),
         ]
         pipelined = bench_pipelined(
             "smoke_pipelined", repeats=repeats, iterations=3,
@@ -287,6 +316,13 @@ def main() -> None:
                 horizon=10, repeats=repeats,
             ),
             bench_sadae_epoch("sadae_corpus", num_sets=48, users_per_set=100, repeats=repeats),
+            # The many-city buffer again, through the Sim2Rec policy: the
+            # stacked path also batches each segment's SADAE context.
+            bench_ppo_update(
+                "sim2rec_ppo",
+                DPRConfig(num_cities=24, drivers_per_city=10, horizon=12, seed=0),
+                horizon=10, repeats=repeats, policy_kind="sim2rec",
+            ),
         ]
         pipelined = bench_pipelined(
             "pipelined_slate", repeats=repeats, iterations=4,

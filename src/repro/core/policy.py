@@ -104,14 +104,17 @@ class Sim2RecPolicy(RecurrentActorCritic):
         return context
 
     def _segment_context(self, segment: RolloutSegment) -> nn.Tensor:
-        """υ context per step over the full group, with gradients to κ."""
-        contexts = []
+        """υ context per step over the full group, with gradients to κ.
+
+        The T per-step sets ``X_t = (S_t, A_{t-1})`` go through SADAE as
+        one ``[T, N, d]`` stack and f runs once on ``[T, latent]``. Every
+        row, and the υ-noise stream, is bit-identical to embedding the
+        steps one by one (see :meth:`SADAE.embed_tensor`).
+        """
         rng = self._eval_rng if self.sample_embedding else None
-        for t in range(segment.horizon):
-            actions = None if self.sadae.config.state_only else segment.prev_actions[t]
-            upsilon = self.sadae.embed_tensor(segment.states[t], actions, rng)
-            contexts.append(self.context_mlp(upsilon.reshape(1, -1))[0])
-        return nn.stack(contexts, axis=0)
+        actions = None if self.sadae.config.state_only else segment.prev_actions
+        upsilon = self.sadae.embed_tensor(segment.states, actions, rng)
+        return self.context_mlp(upsilon)
 
     # Note: ``self.sadae`` and ``self.context_mlp`` are module attributes, so
     # ``self.parameters()`` already exposes q_κ and f to the PPO optimiser —

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import nn
+from ..rl.ppo import TrainingDiverged
 from ..utils.seeding import make_rng
 
 StateActionSet = Tuple[np.ndarray, np.ndarray]
@@ -121,19 +122,31 @@ class SADAE(nn.Module):
         if self.config.state_only:
             raw = np.asarray(states, dtype=np.float64)
         else:
-            raw = np.concatenate([states, actions], axis=1)
+            raw = np.concatenate([states, actions], axis=-1)
         return (raw - self.input_mean) / self.input_std
 
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
     def posterior(self, states: np.ndarray, actions: Optional[np.ndarray] = None) -> nn.DiagGaussian:
-        """q_κ(υ | X): product of per-sample factors (Eq. 6), differentiable."""
-        encoded = self.encoder(nn.Tensor(self._encoder_input(states, actions)))
+        """q_κ(υ | X): product of per-sample factors (Eq. 6), differentiable.
+
+        ``[N, d]`` inputs give one set's posterior (``[latent]``
+        parameters). ``[K, N, d]`` inputs stack K equal-cardinality sets:
+        one encoder forward over the K·N rows and one product over axis
+        −2 give ``[K, latent]`` parameters whose row k is bit-identical
+        to the posterior of set k alone (encoder rows are batch-length
+        independent, and an axis −2 sum adds each set's rows in the same
+        order as a lone set's axis-0 sum).
+        """
+        inputs = self._encoder_input(states, actions)
+        encoded = self.encoder(nn.Tensor(inputs.reshape(-1, inputs.shape[-1])))
+        if inputs.ndim == 3:
+            encoded = encoded.reshape(*inputs.shape[:2], -1)
         latent = self.config.latent_dim
-        means = encoded[:, :latent]
-        log_stds = encoded[:, latent:]
-        return nn.product_of_gaussians(means, log_stds, axis=0)
+        means = encoded[..., :latent]
+        log_stds = encoded[..., latent:]
+        return nn.product_of_gaussians(means, log_stds, axis=-2)
 
     def embed(self, states: np.ndarray, actions: Optional[np.ndarray] = None) -> np.ndarray:
         """Posterior mean embedding υ (no gradients; used during rollouts)."""
@@ -150,6 +163,10 @@ class SADAE(nn.Module):
 
         With ``rng`` the embedding is a reparameterised sample; without it
         the posterior mean is used (deterministic but still differentiable).
+        A ``[K, N, d]`` stack of sets (see :meth:`posterior`) embeds to
+        ``[K, latent]`` with one ``(K, latent)`` draw, which consumes
+        ``rng`` exactly as K successive per-set calls would: rows, and
+        the generator's end state, are bit-identical to that loop.
         """
         posterior = self.posterior(states, actions)
         if rng is None:
@@ -205,16 +222,16 @@ class SADAE(nn.Module):
     ) -> List[nn.Tensor]:
         """Per-set ELBOs for equal-cardinality sets via stacked forwards.
 
-        The batched counterpart of :meth:`elbo`: the K sets' inputs are
-        stacked to ``[K·N, d]`` so the encoder and both decoders run once
-        for the whole batch instead of once per set; only the per-set
-        reductions (the Eq. (6) posterior product, the reparameterised
-        υ draw, the KL term) stay set-wise. Each returned scalar is
+        The batched counterpart of :meth:`elbo`: the K sets run as one
+        ``[K, N, d]`` stack through the stacked :meth:`posterior` (one
+        encoder forward, one Eq. (6) product over axis −2), one
+        ``(K, latent)`` reparameterised draw, one decoder forward per
+        decoder and one ``[K]`` KL. Each returned scalar is
         **bit-identical** to ``elbo(states, actions, rng)`` called set by
         set in order: the MLP forwards are batch-length independent
-        row-wise, the υ-noise is drawn per set in set order (so ``rng``
-        advances exactly as the sequential loop would), and the per-set
-        log-likelihood sums reduce the same contiguous rows.
+        row-wise, the ``(K, latent)`` draw advances ``rng`` exactly as K
+        per-set draws do, and every per-set sum adds the same rows in
+        the same order.
 
         All sets must share one cardinality — :func:`train_sadae` groups
         ragged collections by set size before calling this.
@@ -228,58 +245,44 @@ class SADAE(nn.Module):
             raise ValueError("actions required unless state_only=True")
         k = len(sets)
         latent = self.config.latent_dim
-        stacked_states = np.concatenate(
-            [np.asarray(states, dtype=np.float64) for states, _ in sets], axis=0
-        )
+        stacked_states = np.stack(
+            [np.asarray(states, dtype=np.float64) for states, _ in sets]
+        )  # [K, N, ds]
         stacked_actions = None
         if not self.config.state_only:
-            stacked_actions = np.concatenate(
-                [np.asarray(actions, dtype=np.float64) for _, actions in sets], axis=0
+            stacked_actions = np.stack(
+                [np.asarray(actions, dtype=np.float64) for _, actions in sets]
             )
-        encoded = self.encoder(
-            nn.Tensor(self._encoder_input(stacked_states, stacked_actions))
-        )  # [K·N, 2·latent]
+        posterior = self.posterior(stacked_states, stacked_actions)  # [K, latent]
+        upsilon = posterior.rsample(rng)  # [K, latent]: set k's draw in row k
 
-        posteriors, upsilons = [], []
-        for index in range(k):
-            rows = encoded[index * n : (index + 1) * n]
-            posterior = nn.product_of_gaussians(rows[:, :latent], rows[:, latent:], axis=0)
-            posteriors.append(posterior)
-            upsilons.append(posterior.rsample(rng))  # one draw per set, in set order
-
-        stacked_upsilon = nn.stack(upsilons, axis=0)  # [K, latent]
-        decoded_s = self.state_decoder(stacked_upsilon)  # [K, 2·ds]
-        norm_states = (stacked_states - self.state_mean) / self.state_std
         counts = [n] * k
+        norm_states = (stacked_states.reshape(k * n, -1) - self.state_mean) / self.state_std
+        decoded_s = self.state_decoder(upsilon)  # [K, 2·ds]
         state_dist = nn.DiagGaussian(
             nn.tile_rows(decoded_s[:, : self.state_dim], counts),
             nn.tile_rows(decoded_s[:, self.state_dim :], counts),
         )
-        state_row_logp = state_dist.log_prob(norm_states)  # [K·N]
+        recon = state_dist.log_prob(norm_states).reshape(k, n).sum(axis=1)  # [K]
 
-        action_row_logp = None
         if self.action_decoder is not None:
-            latent_tiled = nn.tile_rows(stacked_upsilon, counts)  # [K·N, latent]
-            norm_state_t = nn.Tensor(norm_states)
-            decoded_a = self.action_decoder(nn.concat([latent_tiled, norm_state_t], axis=1))
+            latent_tiled = nn.tile_rows(upsilon, counts)  # [K·N, latent]
+            decoded_a = self.action_decoder(
+                nn.concat([latent_tiled, nn.Tensor(norm_states)], axis=1)
+            )
             action_dist = nn.DiagGaussian(
                 decoded_a[:, : self.action_dim], decoded_a[:, self.action_dim :]
             )
-            norm_actions = (stacked_actions - self.action_mean) / self.action_std
-            action_row_logp = action_dist.log_prob(norm_actions)  # [K·N]
+            norm_actions = (
+                stacked_actions.reshape(k * n, -1) - self.action_mean
+            ) / self.action_std
+            recon = recon + action_dist.log_prob(norm_actions).reshape(k, n).sum(axis=1)
 
         prior = nn.DiagGaussian(
             nn.Tensor(np.zeros(latent)), nn.Tensor(np.zeros(latent))
         )
-        elbos: List[nn.Tensor] = []
-        for index in range(k):
-            block = slice(index * n, (index + 1) * n)
-            recon = state_row_logp[block].sum()
-            if action_row_logp is not None:
-                recon = recon + action_row_logp[block].sum()
-            kl = posteriors[index].kl(prior)
-            elbos.append((recon - kl) * (1.0 / n))
-        return elbos
+        elbos = (recon - posterior.kl(prior)) * (1.0 / n)  # [K]
+        return [elbos[index] for index in range(k)]
 
     # ------------------------------------------------------------------
     # reconstruction / analysis
@@ -384,6 +387,9 @@ def train_sadae(
     gradients in a different order, letting parameters drift at the last
     ulp (per-epoch losses agree to ≤1e-10, enforced by
     ``tests/core/test_sadae_batched.py`` and ``benchmarks/perf_train.py``).
+
+    A non-finite step loss raises :class:`~repro.rl.TrainingDiverged`
+    before that step's update, leaving the parameters finite.
     """
     rng = rng or make_rng(sadae.config.seed)
     if fit_normalizer:
@@ -413,6 +419,8 @@ def train_sadae(
                     value = -sadae.elbo(states, actions, rng)
                     total = value if total is None else total + value
             loss = total * (1.0 / len(batch_ids))
+            if not np.isfinite(loss.item()):
+                raise TrainingDiverged(f"SADAE loss is {loss.item()} in epoch {epoch}")
             loss.backward()
             nn.clip_grad_norm(sadae.parameters(), 10.0)
             optimizer.step()

@@ -30,7 +30,7 @@ from ..envs.lts_tasks import LTSTask
 from ..obs import JSONLMetricsSink, MetricsRegistry, PHASE_SECONDS_BUCKETS
 from ..rl.buffer import RolloutBuffer, RolloutSegment
 from ..rl.policies import ActorCriticBase
-from ..rl.ppo import PPO
+from ..rl.ppo import PPO, TrainingDiverged
 from ..rl.runner import collect_segment
 from ..rl.vec import collect_segments_vec, split_rng
 from ..rl.workers import ShardedVecEnvPool, sharding_available
@@ -148,6 +148,9 @@ class PolicyTrainer:
         # launch collected synchronously, or a checkpoint drained it) or
         # an async dispatch still rolling in the worker pool.
         self._prefetch: Optional[Dict[str, Any]] = None
+        # Completed iterations held by the last checkpoint this trainer
+        # wrote to config.checkpoint_path (None: none written yet).
+        self._last_checkpoint: Optional[int] = None
 
     def close(self) -> None:
         """Release the rollout worker processes (idempotent, exception-safe).
@@ -218,6 +221,7 @@ class PolicyTrainer:
         ):
             with self._phase_timer("checkpoint"):
                 self.save_checkpoint(config.checkpoint_path)
+            self._last_checkpoint = self._iteration
         self._write_metrics_record(iteration, metrics)
         return metrics
 
@@ -500,9 +504,31 @@ class PolicyTrainer:
         return self._finish_iteration(metrics)
 
     def train_iteration(self) -> Dict[str, float]:
+        """Collect, PPO-update and run the SADAE step once; returns the metrics.
+
+        A non-finite loss or gradient norm in either learner raises
+        :class:`~repro.rl.TrainingDiverged` before any parameter moves,
+        re-raised here naming the last run checkpoint to resume from.
+        """
+        try:
+            if self.config.resolved_determinism() == "pipelined":
+                return self._train_iteration_pipelined()
+            return self._train_iteration_strict()
+        except TrainingDiverged as error:
+            path = self.config.checkpoint_path
+            if self._last_checkpoint is None:
+                resume = f"no checkpoint was written (checkpoint_path={path!r})"
+            else:
+                resume = (
+                    f"the last checkpoint, {path!r}, was written after "
+                    f"{self._last_checkpoint} completed iterations"
+                )
+            raise TrainingDiverged(
+                f"training diverged in iteration {self._iteration}: {error}; {resume}"
+            ) from error
+
+    def _train_iteration_strict(self) -> Dict[str, float]:
         config = self.config
-        if config.resolved_determinism() == "pipelined":
-            return self._train_iteration_pipelined()
         with self._phase_timer("collect"):
             buffer, raw_rewards = self.collect()
         self._m_collect_lag.set(0.0)

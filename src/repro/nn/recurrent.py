@@ -1,9 +1,10 @@
 """Recurrent layers: LSTM and GRU cells plus a sequence-level LSTM.
 
 The environment-parameter extractor φ in Sim2Rec is a single-layer LSTM
-(Table II); the DR-OSI baseline uses the same cell. Sequences are unrolled
-step by step to build the autodiff graph (full backpropagation through
-time).
+(Table II); the DR-OSI baseline uses the same cell. Calling a cell
+advances it one step and builds the autodiff graph op by op (full
+backpropagation through time); ``unroll`` runs a whole time-major
+sequence as two graph nodes instead (see below).
 
 Inference fast path
 -------------------
@@ -15,11 +16,23 @@ across timesteps), and the nonlinearities run in place on views of that
 buffer. The arithmetic replicates the autodiff path operation-for-
 operation, so the produced hidden states are bit-identical to the graph
 path.
+
+Fused sequence path
+-------------------
+The PPO learner evaluates whole ``[T, B, input]`` sequences with
+gradients. ``unroll`` projects the inputs of all T steps in one
+:func:`~repro.nn.tensor.affine` and runs the recurrence as a single graph
+node: its forward repeats ``_fast_forward`` op for op (so the hidden
+states are bit-identical to T autodiff cell calls) and caches the gate
+activations; its backward is a numpy BPTT loop that sums the weight
+gradients in one gemm over all T·B rows. Only that summation order
+differs from the per-step graph, so gradients agree to ≤1e-10 relative
+(``tests/nn/test_recurrent.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +42,7 @@ from .tensor import (
     Tensor,
     _graphless,
     _row_stable_matmul,
+    affine,
     as_tensor,
     is_grad_enabled,
     stack,
@@ -49,6 +63,25 @@ def _as_data(x) -> np.ndarray:
     if isinstance(x, Tensor):
         return x.data
     return np.asarray(x, dtype=np.float64)
+
+
+def _project_sequence(x_seq, weight: Tensor, bias: Optional[Tensor]) -> Tuple[Tensor, int, int]:
+    """``x @ W (+ b)`` for every step of ``[T, B, input]`` in one affine."""
+    x_seq = as_tensor(x_seq)
+    steps, batch = x_seq.shape[0], x_seq.shape[1]
+    flat = x_seq.reshape(steps * batch, x_seq.shape[2])
+    return affine(flat, weight, bias), steps, batch
+
+
+def _sequence_node(
+    hidden: np.ndarray, parents: Tuple[Tensor, ...], backward: Callable[[np.ndarray], None]
+) -> Tensor:
+    """Wrap an unrolled ``[T, B, H]`` hidden sequence as one graph node."""
+    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
+        return _graphless(hidden)
+    out = Tensor(hidden, requires_grad=True, _prev=parents)
+    out._backward = backward
+    return out
 
 
 class LSTMCell(Module):
@@ -126,6 +159,65 @@ class LSTMCell(Module):
         h_new = o_gate * c_new.tanh()
         return h_new, (h_new, c_new)
 
+    def unroll(self, x_seq) -> Tensor:
+        """Hidden states ``[T, B, hidden]`` of a zero-state ``[T, B, input]`` run.
+
+        Bit-identical to calling the cell T times from
+        :meth:`initial_state`; see the module docstring for the fused
+        graph this builds.
+        """
+        projected, steps, batch = _project_sequence(x_seq, self.weight_ih, None)
+        hs = self.hidden_size
+        xw = projected.data.reshape(steps, batch, 4 * hs)
+        w_hh, bias = self.weight_hh.data, self.bias.data
+        # Activated gates [i, f, g, o], cell states and tanh(c) per step;
+        # index 0 of ``hidden``/``cells`` is the zero initial state.
+        gates = np.empty((steps, batch, 4 * hs))
+        cells = np.zeros((steps + 1, batch, hs))
+        hidden = np.zeros((steps + 1, batch, hs))
+        tanh_cells = np.empty((steps, batch, hs))
+        for t in range(steps):
+            g = gates[t]
+            np.add(xw[t], _row_stable_matmul(hidden[t], w_hh), out=g)
+            g += bias
+            i_gate = _sigmoid_(g[:, 0 * hs : 1 * hs])
+            f_gate = _sigmoid_(g[:, 1 * hs : 2 * hs])
+            g_gate = np.tanh(g[:, 2 * hs : 3 * hs], out=g[:, 2 * hs : 3 * hs])
+            o_gate = _sigmoid_(g[:, 3 * hs : 4 * hs])
+            c_new = np.multiply(f_gate, cells[t], out=cells[t + 1])
+            c_new += i_gate * g_gate
+            np.multiply(o_gate, np.tanh(c_new, out=tanh_cells[t]), out=hidden[t + 1])
+
+        def backward(grad: np.ndarray) -> None:
+            d_gates = np.empty_like(gates)
+            dh_next = dc_next = 0.0
+            for t in reversed(range(steps)):
+                g = gates[t]
+                i_gate, f_gate = g[:, 0 * hs : 1 * hs], g[:, 1 * hs : 2 * hs]
+                g_gate, o_gate = g[:, 2 * hs : 3 * hs], g[:, 3 * hs : 4 * hs]
+                tanh_c = tanh_cells[t]
+                dh = grad[t] + dh_next
+                dc = dh * o_gate * (1.0 - tanh_c * tanh_c) + dc_next
+                dg = d_gates[t]
+                dg[:, 0 * hs : 1 * hs] = dc * g_gate * i_gate * (1.0 - i_gate)
+                dg[:, 1 * hs : 2 * hs] = dc * cells[t] * f_gate * (1.0 - f_gate)
+                dg[:, 2 * hs : 3 * hs] = dc * i_gate * (1.0 - g_gate * g_gate)
+                dg[:, 3 * hs : 4 * hs] = dh * tanh_c * o_gate * (1.0 - o_gate)
+                dc_next = dc * f_gate
+                if t:
+                    dh_next = dg @ w_hh.T
+            flat = d_gates.reshape(steps * batch, 4 * hs)
+            if self.weight_hh.requires_grad:
+                self.weight_hh._accumulate(hidden[:-1].reshape(steps * batch, hs).T @ flat)
+            if self.bias.requires_grad:
+                self.bias._accumulate(flat.sum(axis=0))
+            if projected.requires_grad:
+                projected._accumulate(flat)
+
+        return _sequence_node(
+            hidden[1:], (projected, self.weight_hh, self.bias), backward
+        )
+
 
 class GRUCell(Module):
     """A GRU cell (provided for the RNN [19] variant used in related work)."""
@@ -190,6 +282,58 @@ class GRUCell(Module):
         z_gate = (gates_x[:, hs : 2 * hs] + gates_h[:, hs : 2 * hs]).sigmoid()
         n_gate = (gates_x[:, 2 * hs :] + r_gate * gates_h[:, 2 * hs :]).tanh()
         return (1.0 - z_gate) * n_gate + z_gate * h_prev
+
+    def unroll(self, x_seq) -> Tensor:
+        """Hidden states ``[T, B, hidden]`` of a zero-state ``[T, B, input]`` run.
+
+        Bit-identical to calling the cell T times from
+        :meth:`initial_state`; see the module docstring for the fused
+        graph this builds.
+        """
+        projected, steps, batch = _project_sequence(x_seq, self.weight_ih, self.bias)
+        hs = self.hidden_size
+        gx = projected.data.reshape(steps, batch, 3 * hs)
+        w_hh = self.weight_hh.data
+        # Per step: h @ W_hh, the activated [r, z] gates and n; index 0
+        # of ``hidden`` is the zero initial state.
+        gh = np.empty((steps, batch, 3 * hs))
+        rz = np.empty((steps, batch, 2 * hs))
+        n_gates = np.empty((steps, batch, hs))
+        hidden = np.zeros((steps + 1, batch, hs))
+        for t in range(steps):
+            gh[t] = _row_stable_matmul(hidden[t], w_hh)
+            _sigmoid_(np.add(gx[t, :, : 2 * hs], gh[t, :, : 2 * hs], out=rz[t]))
+            r_gate, z_gate = rz[t, :, :hs], rz[t, :, hs:]
+            n_pre = gx[t, :, 2 * hs :] + r_gate * gh[t, :, 2 * hs :]
+            n_gate = np.tanh(n_pre, out=n_gates[t])
+            h_new = np.multiply(1.0 - z_gate, n_gate, out=hidden[t + 1])
+            h_new += z_gate * hidden[t]
+
+        def backward(grad: np.ndarray) -> None:
+            d_gx = np.empty((steps, batch, 3 * hs))
+            d_gh = np.empty((steps, batch, 3 * hs))
+            dh_next = 0.0
+            for t in reversed(range(steps)):
+                r_gate, z_gate, n_gate = rz[t, :, :hs], rz[t, :, hs:], n_gates[t]
+                dh = grad[t] + dh_next
+                dn_pre = dh * (1.0 - z_gate) * (1.0 - n_gate * n_gate)
+                d_gx[t, :, :hs] = dn_pre * gh[t, :, 2 * hs :] * r_gate * (1.0 - r_gate)
+                d_gx[t, :, hs : 2 * hs] = dh * (hidden[t] - n_gate) * z_gate * (1.0 - z_gate)
+                d_gx[t, :, 2 * hs :] = dn_pre
+                d_gh[t, :, : 2 * hs] = d_gx[t, :, : 2 * hs]
+                d_gh[t, :, 2 * hs :] = dn_pre * r_gate
+                dh_next = dh * z_gate
+                if t:
+                    dh_next = dh_next + d_gh[t] @ w_hh.T
+            if self.weight_hh.requires_grad:
+                self.weight_hh._accumulate(
+                    hidden[:-1].reshape(steps * batch, hs).T
+                    @ d_gh.reshape(steps * batch, 3 * hs)
+                )
+            if projected.requires_grad:
+                projected._accumulate(d_gx.reshape(steps * batch, 3 * hs))
+
+        return _sequence_node(hidden[1:], (projected, self.weight_hh), backward)
 
 
 class LSTM(Module):

@@ -3,7 +3,7 @@
 from .buffer import RolloutBuffer, RolloutSegment
 from .gae import compute_gae, valid_step_mask
 from .policies import ActorCriticBase, MLPActorCritic, RecurrentActorCritic
-from .ppo import PPO, PPOConfig
+from .ppo import PPO, PPOConfig, TrainingDiverged
 from .runner import collect_segment, collect_segments_sequential
 from .evaluate import evaluate
 from .vec import (
@@ -46,6 +46,7 @@ __all__ = [
     "RolloutSegment",
     "ShardedVecEnvPool",
     "StaleReplicaError",
+    "TrainingDiverged",
     "VecEnvPool",
     "WorkerCrashed",
     "WorkerStepError",

@@ -30,6 +30,20 @@ from .. import nn
 from .buffer import RolloutSegment
 
 
+def _stacked_rows(
+    segments: Sequence[RolloutSegment], user_idxs: Sequence[np.ndarray], field: str
+) -> np.ndarray:
+    """``field`` of every segment's selected users as time-major ``[T·Σb, d]`` rows.
+
+    Row ``t·Σb + offset_k + j`` is user ``user_idxs[k][j]`` of segment k
+    at step t: segment blocks stay contiguous within each step.
+    """
+    stacked = np.concatenate(
+        [getattr(s, field)[:, idx] for s, idx in zip(segments, user_idxs)], axis=1
+    )
+    return stacked.reshape(stacked.shape[0] * stacked.shape[1], -1)
+
+
 class ActorCriticBase(nn.Module):
     """Shared interface; see module docstring."""
 
@@ -250,18 +264,10 @@ class MLPActorCritic(ActorCriticBase):
         bit-equivalence contract.
         """
         t = self._check_equal_horizons(segments)
-        counts = [len(idx) for idx in user_idxs]
-        total = sum(counts)
-        # [T, sum_b, d] -> [T * sum_b, d] with each segment's block intact
-        states = np.concatenate(
-            [s.states[:, idx] for s, idx in zip(segments, user_idxs)], axis=1
-        ).reshape(t * total, self.state_dim)
-        actions = np.concatenate(
-            [s.actions[:, idx] for s, idx in zip(segments, user_idxs)], axis=1
-        ).reshape(t * total, self.action_dim)
-        states_t = nn.Tensor(states)
+        total = sum(len(idx) for idx in user_idxs)
+        states_t = nn.Tensor(_stacked_rows(segments, user_idxs, "states"))
         dist = self._distribution(states_t)
-        log_probs = dist.log_prob(actions).reshape(t, total)
+        log_probs = dist.log_prob(_stacked_rows(segments, user_idxs, "actions")).reshape(t, total)
         values = self.critic(states_t).reshape(t, total)
         entropy = dist.entropy().reshape(t, total)
         return log_probs, values, entropy
@@ -412,18 +418,22 @@ class RecurrentActorCritic(ActorCriticBase):
     def evaluate_segments_batched(self, segments, user_idxs):
         """One time-major BPTT pass over every segment's selected users.
 
-        Stacks the segments on the user axis (``[T, sum-of-users, d]``) so
-        the extractor cell, heads and distributions run once per timestep
-        for the whole batch instead of once per segment — the same
-        block-diagonal trick :func:`repro.rl.vec.collect_segments_vec`
+        Stacks the segments on the user axis (``[T, sum-of-users, d]``)
+        and evaluates the whole horizon at once: the extractor runs as
+        one fused ``unroll`` (:mod:`repro.nn.recurrent`) and the heads
+        and distributions run once on all ``T·sum-of-users`` rows — the
+        same block-diagonal trick :func:`repro.rl.vec.collect_segments_vec`
         applies to rollouts, now with the autodiff graph attached.
 
-        Bit-equivalence with per-segment :meth:`evaluate_segment` holds
-        because (a) the recurrent state of row i only ever reads row i,
-        (b) group-level context is computed per segment, in segment order,
-        so any embedding-noise stream advances exactly as the sequential
-        loop would, and (c) context tiling uses :func:`repro.nn.tile_rows`,
-        whose forward is value-identical to the per-user concat tiling.
+        The forward is bit-identical to per-segment
+        :meth:`evaluate_segment` because (a) the recurrent state of row i
+        only ever reads row i, (b) group-level context is computed per
+        segment, in segment order, so any embedding-noise stream advances
+        exactly as the sequential loop would, (c) context tiling uses
+        :func:`repro.nn.tile_rows`, whose forward is value-identical to
+        the per-user concat tiling, and (d) every matmul is batch-length
+        independent row-wise. Gradients sum the same terms in another
+        order and agree to ≤1e-10 relative (``tests/rl/test_batched_eval.py``).
         """
         t = self._check_equal_horizons(segments)
         counts = [len(idx) for idx in user_idxs]
@@ -435,33 +445,19 @@ class RecurrentActorCritic(ActorCriticBase):
         have_context = [c is not None for c in context_seqs]
         if any(have_context) and not all(have_context):
             raise RuntimeError("segments disagree on context availability")
-        states_all = np.concatenate(
-            [s.states[:, idx] for s, idx in zip(segments, user_idxs)], axis=1
-        )
-        prev_all = np.concatenate(
-            [s.prev_actions[:, idx] for s, idx in zip(segments, user_idxs)], axis=1
-        )
-        actions_all = np.concatenate(
-            [s.actions[:, idx] for s, idx in zip(segments, user_idxs)], axis=1
-        )
-        state = self.extractor.initial_state(total)
-        log_probs, values, entropies = [], [], []
-        for step in range(t):
-            states_t = nn.Tensor(states_all[step])
-            parts = [states_t, nn.Tensor(prev_all[step])]
-            if all(have_context):
-                step_rows = nn.stack(
-                    [c[step] for c in context_seqs], axis=0
-                )  # [K, context_dim]
-                parts.append(nn.tile_rows(step_rows, counts))
-            x = nn.concat(parts, axis=-1)
-            z, state = self._advance(x, state)
-            dist, value = self._heads(states_t, z)
-            log_probs.append(dist.log_prob(actions_all[step]))
-            values.append(value[:, 0])
-            entropies.append(dist.entropy())
+        states_t = nn.Tensor(_stacked_rows(segments, user_idxs, "states"))
+        parts = [states_t, nn.Tensor(_stacked_rows(segments, user_idxs, "prev_actions"))]
+        if all(have_context):
+            # Row (step, k) holds segment k's context at that step.
+            step_rows = nn.stack(context_seqs, axis=1).reshape(
+                t * len(segments), self.context_dim
+            )
+            parts.append(nn.tile_rows(step_rows, counts * t))
+        x = nn.concat(parts, axis=-1).reshape(t, total, -1)
+        z = self.extractor.unroll(x).reshape(t * total, -1)
+        dist, values = self._heads(states_t, z)
         return (
-            nn.stack(log_probs, axis=0),
-            nn.stack(values, axis=0),
-            nn.stack(entropies, axis=0),
+            dist.log_prob(_stacked_rows(segments, user_idxs, "actions")).reshape(t, total),
+            values.reshape(t, total),
+            dist.entropy().reshape(t, total),
         )

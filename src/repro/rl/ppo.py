@@ -58,6 +58,16 @@ class PPOConfig:
     batch_segments: bool = True
 
 
+class TrainingDiverged(RuntimeError):
+    """A loss or gradient norm went non-finite; no parameter was updated.
+
+    Raised before the optimizer step, so the parameters (and the
+    optimizer's moment estimates) keep their last finite values.
+    :class:`repro.core.PolicyTrainer` re-raises it naming the last run
+    checkpoint to resume from.
+    """
+
+
 class PPO:
     """One PPO learner bound to a policy (and optionally extra modules).
 
@@ -95,7 +105,14 @@ class PPO:
         trainer does so after applying its reward/done post-processing.
         """
         config = self.config
-        stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_frac": 0.0}
+        stats = {
+            "policy_loss": 0.0,
+            "value_loss": 0.0,
+            "entropy": 0.0,
+            "clip_frac": 0.0,
+            "approx_kl": 0.0,
+            "grad_norm": 0.0,
+        }
         updates = 0
         for segment in buffer:
             if segment.advantages is None:
@@ -217,11 +234,20 @@ class PPO:
         old_log_probs: np.ndarray,
         mask: np.ndarray,
     ) -> Dict[str, float]:
-        """Clipped-PPO loss on ``[T, B]`` evaluation outputs + one step."""
+        """Clipped-PPO loss on ``[T, B]`` evaluation outputs + one step.
+
+        Besides the losses, the returned metrics carry two learner-health
+        series: ``grad_norm``, the pre-clip global gradient norm, and
+        ``approx_kl``, the mask-weighted mean of ``(r − 1) − log r`` (a
+        low-variance, non-negative estimate of KL(old ‖ new)). Raises
+        :class:`TrainingDiverged` before the optimizer step when the loss
+        or the gradient norm is non-finite.
+        """
         config = self.config
         mask_total = max(mask.sum(), 1.0)
         mask_t = nn.Tensor(mask)
-        ratio = (log_probs - old_log_probs).exp()
+        log_ratio = log_probs - old_log_probs
+        ratio = log_ratio.exp()
         surrogate = ratio * adv
         clipped = ratio.clip(1.0 - config.clip_ratio, 1.0 + config.clip_ratio) * adv
         policy_loss = -(surrogate.minimum(clipped) * mask_t).sum() / mask_total
@@ -236,17 +262,24 @@ class PPO:
             + config.value_coef * value_loss
             - config.entropy_coef * entropy_mean
         )
+        if not np.isfinite(loss.item()):
+            raise TrainingDiverged(f"PPO loss is {loss.item()}")
         self.optimizer.zero_grad()
         loss.backward()
-        nn.clip_grad_norm(self._all_params, config.max_grad_norm)
+        grad_norm = nn.clip_grad_norm(self._all_params, config.max_grad_norm)
+        if not np.isfinite(grad_norm):
+            raise TrainingDiverged(f"PPO gradient norm is {grad_norm}")
         self.optimizer.step()
 
         clip_frac = float(
             ((np.abs(ratio.data - 1.0) > config.clip_ratio) * mask).sum() / mask_total
         )
+        approx_kl = float((((ratio.data - 1.0) - log_ratio.data) * mask).sum() / mask_total)
         return {
             "policy_loss": policy_loss.item(),
             "value_loss": value_loss.item(),
             "entropy": entropy_mean.item(),
             "clip_frac": clip_frac,
+            "approx_kl": approx_kl,
+            "grad_norm": grad_norm,
         }

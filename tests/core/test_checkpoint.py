@@ -23,6 +23,7 @@ from repro.core.config import scenario_small_config
 from repro.envs.lts_tasks import make_lts_task
 from repro.core.trainer import Sim2RecLTSTrainer, build_sim2rec_policy
 from repro.nn import StateChecksumError
+from repro.rl import TrainingDiverged
 from repro.rl.chaos import flip_byte, truncate_file
 from repro.scenarios import trainer_from_config
 
@@ -211,3 +212,47 @@ class TestPickleArrays:
         got = [r.random(3) for r in split_rng(clone, 2)]
         for a, b in zip(expected, got):
             np.testing.assert_array_equal(a, b)
+
+
+def poison_rewards_from(trainer, iteration):
+    """Make every reward NaN from training iteration ``iteration`` on."""
+    post_process = trainer.post_process_segment
+
+    def poisoned(segment, env):
+        post_process(segment, env)
+        if trainer.iteration >= iteration:
+            segment.rewards[:] = np.nan
+
+    trainer.post_process_segment = poisoned
+
+
+class TestDivergenceNamesTheCheckpoint:
+    def test_names_the_last_checkpoint_written(self, tmp_path):
+        path = tmp_path / "run.npz"
+
+        def tweak(config):
+            config.checkpoint_path = str(path)
+            config.checkpoint_every = 1
+
+        with scenario_trainer(tweak=tweak) as trainer:
+            run_iterations(trainer, 2)
+            before = final_params(trainer)
+            poison_rewards_from(trainer, 2)
+            with pytest.raises(TrainingDiverged) as caught:
+                trainer.train_iteration()
+            message = str(caught.value)
+            assert str(path) in message
+            assert "written after 2 completed iterations" in message
+            assert "training diverged in iteration 2" in message
+            assert isinstance(caught.value.__cause__, TrainingDiverged)
+            for key, value in final_params(trainer).items():
+                np.testing.assert_array_equal(value, before[key])
+        assert checkpoint_iteration(path) == 2
+
+    def test_says_when_no_checkpoint_was_written(self):
+        with scenario_trainer() as trainer:
+            poison_rewards_from(trainer, 0)
+            with pytest.raises(
+                TrainingDiverged, match=r"no checkpoint was written \(checkpoint_path=None\)"
+            ):
+                trainer.train_iteration()

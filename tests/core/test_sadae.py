@@ -73,6 +73,71 @@ class TestPosterior:
         np.testing.assert_array_equal(e1, e2)
 
 
+class TestStackedEmbedding:
+    """``embed_tensor`` on a ``[T, N, d]`` stack of T per-step sets equals
+    T per-step calls: rows bit-equal, the rng in the same end state, and
+    gradients within 1e-10 relative (only their summation order moves)."""
+
+    @staticmethod
+    def step_sets(steps=6, n=10, seed=4):
+        rng = np.random.default_rng(seed)
+        states = rng.normal(rng.uniform(-2, 2, 2), 1.0, size=(steps, n, 2))
+        actions = rng.normal(0.0, 1.0, size=(steps, n, 1))
+        return states, actions
+
+    def per_step(self, sadae, states, actions, rng):
+        rows = [
+            sadae.embed_tensor(states[t], None if actions is None else actions[t], rng)
+            for t in range(states.shape[0])
+        ]
+        return nn.stack(rows, axis=0)
+
+    @pytest.mark.parametrize("state_only", [False, True])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_bit_equal_to_per_step_calls(self, state_only, sampled):
+        sadae = make_sadae(state_only=state_only)
+        states, actions = self.step_sets()
+        if state_only:
+            actions = None
+        sadae.fit_normalizer([(states[0], None if actions is None else actions[0])])
+        rng_steps = np.random.default_rng(9) if sampled else None
+        rng_stack = np.random.default_rng(9) if sampled else None
+        reference = self.per_step(sadae, states, actions, rng_steps)
+        stacked = sadae.embed_tensor(states, actions, rng_stack)
+        assert stacked.shape == (states.shape[0], 4)
+        np.testing.assert_array_equal(stacked.data, reference.data)
+        if sampled:
+            assert rng_stack.bit_generator.state == rng_steps.bit_generator.state
+
+    @pytest.mark.parametrize("state_only", [False, True])
+    def test_gradients_match_per_step_calls(self, state_only):
+        sadae = make_sadae(state_only=state_only)
+        states, actions = self.step_sets(steps=5, n=7)
+        if state_only:
+            actions = None
+        cotangent = nn.Tensor(np.random.default_rng(2).standard_normal((5, 4)))
+        grads = []
+        for embed in (
+            lambda rng: self.per_step(sadae, states, actions, rng),
+            lambda rng: sadae.embed_tensor(states, actions, rng),
+        ):
+            sadae.zero_grad()
+            (embed(np.random.default_rng(3)) * cotangent).sum().backward()
+            grads.append([p.grad.copy() for p in sadae.encoder.parameters()])
+        for expected, actual in zip(*grads):
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(actual - expected)) <= 1e-10 * scale
+
+    def test_stacked_posterior_rows_match_single_sets(self):
+        sadae = make_sadae()
+        states, actions = self.step_sets(steps=3, n=1)
+        stacked = sadae.posterior(states, actions)
+        for t in range(3):
+            single = sadae.posterior(states[t], actions[t])
+            np.testing.assert_array_equal(stacked.mean.data[t], single.mean.data)
+            np.testing.assert_array_equal(stacked.log_std.data[t], single.log_std.data)
+
+
 class TestELBO:
     def test_elbo_is_scalar(self):
         sadae = make_sadae()
@@ -115,6 +180,26 @@ class TestELBO:
         calls = []
         train_sadae(sadae, sets, epochs=3, rng=np.random.default_rng(0), callback=calls.append)
         assert calls == [0, 1, 2]
+
+
+    def test_non_finite_loss_raises_before_the_step(self):
+        from repro.rl import TrainingDiverged
+
+        sadae = make_sadae()
+        sets, _ = gaussian_sets(num_sets=4)
+        sadae.fit_normalizer(sets)
+        states, actions = sets[2]
+        states = states.copy()
+        states[5, 1] = np.nan
+        sets[2] = (states, actions)
+        before = [p.data.copy() for p in sadae.parameters()]
+        with pytest.raises(TrainingDiverged, match="SADAE loss is nan in epoch 0"):
+            train_sadae(
+                sadae, sets, epochs=1, rng=np.random.default_rng(0),
+                sets_per_step=4, fit_normalizer=False,
+            )
+        for param, data in zip(sadae.parameters(), before):
+            np.testing.assert_array_equal(param.data, data)
 
 
 class TestEmbeddingQuality:

@@ -1,8 +1,9 @@
 """Tests for LSTM / GRU cells and sequence unrolling (BPTT)."""
 
 import numpy as np
+import pytest
 
-from repro.nn import GRUCell, LSTM, LSTMCell, Tensor
+from repro.nn import GRUCell, LSTM, LSTMCell, Tensor, no_grad, stack
 
 from ..helpers import check_gradients
 
@@ -145,3 +146,104 @@ class TestLSTMSequence:
             optimizer.step()
             losses.append(loss.item())
         assert np.mean(losses[-10:]) < np.mean(losses[:10]) * 0.5
+
+
+def _cell_loop(cell, x):
+    """Reference: T autodiff cell calls from the zero state, stacked."""
+    state = cell.initial_state(x.shape[1])
+    outputs = []
+    for t in range(x.shape[0]):
+        if isinstance(cell, LSTMCell):
+            h, state = cell(x[t], state)
+        else:
+            h = state = cell(x[t], state)
+        outputs.append(h)
+    return stack(outputs, axis=0)
+
+
+def _gradients(cell, run, x_data, cotangent):
+    """(per-parameter grads, input grad) of ``sum(run(x) * cotangent)``."""
+    cell.zero_grad()
+    x = Tensor(x_data, requires_grad=True)
+    (run(cell, x) * Tensor(cotangent)).sum().backward()
+    return {name: p.grad.copy() for name, p in cell.named_parameters()}, x.grad.copy()
+
+
+def assert_relative_close(actual, expected, rtol=1e-10):
+    """max |actual − expected| ≤ rtol · max |expected| (exact when expected is 0)."""
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+CELLS = {"lstm": LSTMCell, "gru": GRUCell}
+UNROLL_GRID = pytest.mark.parametrize(
+    "kind,batch,steps",
+    [(kind, b, t) for kind in CELLS for b in (1, 5) for t in (1, 7)],
+)
+
+
+def _setup(kind, batch, steps, input_size=3, hidden=4):
+    rng = np.random.default_rng([sorted(CELLS).index(kind), batch, steps])
+    cell = CELLS[kind](input_size, hidden, rng)
+    x = rng.standard_normal((steps, batch, input_size))
+    cotangent = rng.standard_normal((steps, batch, hidden))
+    return cell, x, cotangent
+
+
+class TestFusedUnroll:
+    """``unroll`` is one projection node plus one recurrence node; its
+    forward is bit-identical to the per-step graph and its gradients sum
+    the same terms in another order (≤1e-10 relative)."""
+
+    @UNROLL_GRID
+    def test_forward_bit_equal_to_cell_loop(self, kind, batch, steps):
+        cell, x, _ = _setup(kind, batch, steps)
+        reference = _cell_loop(cell, Tensor(x, requires_grad=True))
+        fused = cell.unroll(Tensor(x, requires_grad=True))
+        assert fused.shape == (steps, batch, cell.hidden_size)
+        np.testing.assert_array_equal(fused.data, reference.data)
+        with no_grad():
+            graphless = cell.unroll(x)
+        assert not graphless.requires_grad
+        np.testing.assert_array_equal(graphless.data, reference.data)
+
+    @UNROLL_GRID
+    def test_backward_matches_cell_loop(self, kind, batch, steps):
+        cell, x, cotangent = _setup(kind, batch, steps)
+        ref_params, ref_x = _gradients(cell, _cell_loop, x, cotangent)
+        params, grad_x = _gradients(cell, type(cell).unroll, x, cotangent)
+        assert params.keys() == ref_params.keys()
+        for name, expected in ref_params.items():
+            assert_relative_close(params[name], expected)
+        assert_relative_close(grad_x, ref_x)
+
+    @UNROLL_GRID
+    def test_finite_difference_gradcheck(self, kind, batch, steps):
+        cell, x, cotangent = _setup(kind, batch, steps)
+        weight = Tensor(cotangent)
+
+        def loss(tensors):
+            return (cell.unroll(tensors[0]) * weight).sum()
+
+        check_gradients(loss, [x], atol=1e-7)
+        params, _ = _gradients(cell, type(cell).unroll, x, cotangent)
+        eps = 1e-6
+        for name, param in cell.named_parameters():
+            numeric = np.zeros_like(param.data)
+            flat, grad_flat = param.data.reshape(-1), numeric.reshape(-1)
+            with no_grad():
+                for index in range(flat.size):
+                    original = flat[index]
+                    flat[index] = original + eps
+                    plus = float(loss([Tensor(x)]).data)
+                    flat[index] = original - eps
+                    minus = float(loss([Tensor(x)]).data)
+                    flat[index] = original
+                    grad_flat[index] = (plus - minus) / (2 * eps)
+            np.testing.assert_allclose(params[name], numeric, atol=1e-7, rtol=1e-5)
+
+    def test_input_without_grad_still_trains_the_cell(self):
+        cell, x, cotangent = _setup("lstm", 3, 4)
+        (cell.unroll(Tensor(x)) * Tensor(cotangent)).sum().backward()
+        for param in cell.parameters():
+            assert param.grad is not None and np.any(param.grad != 0)

@@ -7,12 +7,14 @@ from repro.envs import LTSConfig, LTSEnv
 from repro.rl import evaluate
 from repro.envs.base import MultiUserEnv
 from repro.envs.spaces import Box
+from repro import nn
 from repro.rl import (
     MLPActorCritic,
     PPO,
     PPOConfig,
     RecurrentActorCritic,
     RolloutBuffer,
+    TrainingDiverged,
     collect_segment,
 )
 
@@ -131,6 +133,101 @@ class TestPPOMechanics:
         buffer.add(collect_segment(TargetActionEnv(num_users=9, horizon=6), policy, rng))
         buffer.finalize(0.99, 0.95)
         ppo.update(buffer)  # must not raise
+
+
+def recurrent_buffer(nan_reward=False):
+    """A RecurrentActorCritic and a finalized 2-segment buffer; optionally
+    one NaN reward in the second segment."""
+    rng = np.random.default_rng(4)
+    policy = RecurrentActorCritic(2, 1, rng, lstm_hidden=8, head_hidden=(16,))
+    buffer = RolloutBuffer()
+    for seed in range(2):
+        buffer.add(collect_segment(TargetActionEnv(num_users=6, horizon=4, seed=seed), policy, rng))
+    if nan_reward:
+        buffer.segments[1].rewards[2, 3] = np.nan
+    buffer.finalize(0.99, 0.95)
+    return policy, buffer
+
+
+class TestDivergenceGuard:
+    def test_nan_reward_raises_and_leaves_parameters_untouched(self):
+        policy, buffer = recurrent_buffer(nan_reward=True)
+        ppo = PPO(policy, PPOConfig(update_epochs=2))
+        before = [p.data.copy() for p in policy.parameters()]
+        optimizer_before = ppo.optimizer.state_dict()
+        with pytest.raises(TrainingDiverged, match="PPO loss is nan"):
+            ppo.update(buffer)
+        assert len(before) == 12
+        for param, data in zip(policy.parameters(), before):
+            np.testing.assert_array_equal(param.data, data)
+        for key, value in ppo.optimizer.state_dict().items():
+            np.testing.assert_array_equal(value, optimizer_before[key])
+
+    def test_non_finite_gradient_norm_raises_before_the_step(self, monkeypatch):
+        policy, buffer = recurrent_buffer()
+        ppo = PPO(policy, PPOConfig(update_epochs=1))
+        before = [p.data.copy() for p in policy.parameters()]
+        monkeypatch.setattr(nn, "clip_grad_norm", lambda params, max_norm: float("inf"))
+        with pytest.raises(TrainingDiverged, match="gradient norm is inf"):
+            ppo.update(buffer)
+        for param, data in zip(policy.parameters(), before):
+            np.testing.assert_array_equal(param.data, data)
+
+    def test_diverged_is_exported_from_rl(self):
+        import repro.rl
+
+        assert "TrainingDiverged" in repro.rl.__all__
+        assert issubclass(TrainingDiverged, RuntimeError)
+
+
+class TestLearnerHealth:
+    def test_approx_kl_matches_a_hand_computed_ratio(self):
+        policy = MLPActorCritic(2, 1, np.random.default_rng(0), hidden_sizes=(8,))
+        ppo = PPO(policy, PPOConfig())
+        new_log_probs = np.array([[-1.0, -0.5, -2.0], [-0.2, -1.5, -0.9]])
+        old_log_probs = np.array([[-1.2, -0.5, -1.0], [-0.3, -1.0, -0.4]])
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        ratio = np.exp(new_log_probs - old_log_probs)
+        expected = sum(
+            (r - 1.0) - np.log(r) for r, m in zip(ratio.ravel(), mask.ravel()) if m
+        ) / mask.sum()
+        metrics = ppo._loss_step(
+            nn.Tensor(new_log_probs, requires_grad=True),
+            nn.Tensor(np.zeros((2, 3)), requires_grad=True),
+            nn.Tensor(np.zeros((2, 3))),
+            np.ones((2, 3)),
+            np.zeros((2, 3)),
+            old_log_probs,
+            mask,
+        )
+        assert metrics["approx_kl"] == pytest.approx(expected, rel=1e-12)
+        assert metrics["approx_kl"] > 0.0
+
+    def test_grad_norm_is_the_mean_pre_clip_norm(self, monkeypatch):
+        policy, buffer = recurrent_buffer()
+        ppo = PPO(policy, PPOConfig(update_epochs=2))
+        norms = []
+        original = nn.clip_grad_norm
+
+        def recording(params, max_norm):
+            norms.append(original(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(nn, "clip_grad_norm", recording)
+        stats = ppo.update(buffer)
+        assert len(norms) == 4  # 2 epochs x 2 stacked minibatch rounds
+        assert stats["grad_norm"] == pytest.approx(np.mean(norms), rel=1e-12)
+        assert stats["grad_norm"] > 0.0
+
+    def test_health_series_are_deterministic(self):
+        def run():
+            policy, buffer = recurrent_buffer()
+            return PPO(policy, PPOConfig(update_epochs=2)).update(buffer)
+
+        first, second = run(), run()
+        assert first == second
+        assert {"approx_kl", "grad_norm"} <= first.keys()
+        assert all(np.isfinite(value) for value in first.values())
 
 
 class TestPPOConvergence:
