@@ -40,7 +40,8 @@ connection alive wherever the client can act on the error:
   id is dead to the client either way.
 - ``SESSION`` — protocol misuse (unknown id, double submit, shape
   mismatch): the server-side :class:`SessionError` message, verbatim.
-- ``BAD_REQUEST`` — unparseable operation or missing fields.
+- ``BAD_REQUEST`` — unparseable operation, missing fields or
+  out-of-range values (a non-finite ``num_users``, say).
 
 Slow or vanished clients cannot pin resources: reads idle out after
 ``idle_timeout_s`` and close the connection, and closing a connection
@@ -301,11 +302,19 @@ class Gateway:
         if self._metrics_http is not None:
             self._metrics_http.close()
             self._metrics_http = None
-        self._tcp.shutdown()
-        self._tcp.server_close()
         if self._thread is not None:
+            # shutdown() waits for serve_forever to return, so only a
+            # started gateway may call it.
+            self._tcp.shutdown()
             self._thread.join()
             self._thread = None
+        self._tcp.server_close()
+        # Serve what is still queued first: a quarantined session's
+        # batch then resolves now instead of the reaper waiting on it.
+        try:
+            self.replicas.flush()
+        except Exception:
+            pass  # the failed batch's tickets carry the error
         self._reap(wait=True)
         for session_id, handle in self._sessions.clear():
             self._end_quietly(session_id, handle)
@@ -396,7 +405,9 @@ class Gateway:
         except SessionError as error:
             self._m_failures.labels("SESSION").inc()
             return {"ok": False, "error": "SESSION", "message": str(error)}
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
+            # OverflowError: JSON admits Infinity and 1e400, which no
+            # int() accepts.
             return self._bad_request(str(error))
 
     def _op_open(self, message: Dict[str, Any], opened: List[str]) -> Dict[str, Any]:

@@ -48,7 +48,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class FrameError(ValueError):
-    """Malformed frame: oversized length prefix, bad JSON, bad ndarray tag."""
+    """Malformed frame: oversized length prefix, bad JSON, nesting too deep
+    to decode, bad ndarray tag."""
 
 
 # ----------------------------------------------------------------------
@@ -107,10 +108,13 @@ def pack_frame(message: Any) -> bytes:
 def unpack_frame(body: bytes) -> Any:
     """Decode one frame body (the bytes after the length prefix)."""
     try:
-        message = json.loads(body.decode("utf-8"))
+        return decode_payload(json.loads(body.decode("utf-8")))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise FrameError(f"bad frame body: {error}") from error
-    return decode_payload(message)
+    except RecursionError as error:
+        # A small frame of deeply nested arrays exhausts the stack of
+        # the parser or of decode_payload.
+        raise FrameError("frame nests too deeply to decode") from error
 
 
 class FrameReader:

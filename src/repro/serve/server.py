@@ -72,6 +72,13 @@ __all__ = [
 ]
 
 
+#: Why a microbatch window closed — the ``reason`` label of
+#: ``serve_windows_total``: it held ``max_batch_size`` requests, it held
+#: one request from every open session, its oldest request waited out
+#: ``max_wait_ms``, or :meth:`PolicyServer.flush` drained it.
+_WINDOW_REASONS = ("full", "all_pending", "max_wait", "flush")
+
+
 class SessionError(RuntimeError):
     """Invalid session-protocol use (unknown id, double submit, ...)."""
 
@@ -94,11 +101,12 @@ class ServeConfig:
     ``max_batch_size`` caps how many pending requests one batched
     ``policy.act`` may serve (the user-axis row count is the sum of their
     sessions' ``num_users``). ``max_wait_ms`` bounds how long the
-    background dispatcher holds an incomplete window open for stragglers;
-    the synchronous :meth:`PolicyServer.flush` path ignores it (it drains
-    whatever is pending). ``seed`` feeds the server's session seed
-    sequence — sessions created without an explicit seed/generator get
-    deterministic spawned child streams.
+    background dispatcher holds an incomplete window open for stragglers
+    (a window holding one request from every open session cannot grow,
+    so it closes at once); the synchronous :meth:`PolicyServer.flush`
+    path ignores it (it drains whatever is pending). ``seed`` feeds the
+    server's session seed sequence — sessions created without an explicit
+    seed/generator get deterministic spawned child streams.
     """
 
     max_batch_size: int = 32
@@ -313,7 +321,7 @@ def _series_for_replica(snapshot: Dict[str, dict], replica: str) -> Dict[Any, fl
     """Flatten one replica's scalar series out of a registry snapshot.
 
     Keys are metric names, except multi-label families (e.g.
-    ``serve_swaps_total``) which key by ``(name, outcome)``.
+    ``serve_swaps_total``) which key by ``(name, <other label value>)``.
     """
     out: Dict[Any, float] = {}
     for name, family in snapshot.items():
@@ -324,8 +332,8 @@ def _series_for_replica(snapshot: Dict[str, dict], replica: str) -> Dict[Any, fl
             value = series.get("value")
             if value is None:
                 continue  # histogram series; scalars come from their gauges
-            outcome = labels.get("outcome")
-            out[(name, outcome) if outcome is not None else name] = value
+            others = tuple(v for k, v in labels.items() if k != "replica")
+            out[(name, *others) if others else name] = value
     return out
 
 
@@ -339,9 +347,9 @@ class PolicyServer:
       which makes batch composition fully deterministic (tests, benches,
       single-threaded drivers);
     - **background** — :meth:`start` runs a dispatcher thread that closes
-      the window when ``max_batch_size`` requests are pending or the
-      oldest has waited ``max_wait_ms``; clients block on
-      :meth:`Ticket.result`.
+      the window when ``max_batch_size`` requests are pending, when every
+      open session has a request pending, or when the oldest has waited
+      ``max_wait_ms``; clients block on :meth:`Ticket.result`.
 
     The server owns ``policy`` as its serving replica: hot swaps load new
     weights into it in place. See the module docstring for the
@@ -404,6 +412,14 @@ class PolicyServer:
             "submit-to-batch-start wait per request",
             ("replica",),
         ).labels(replica)
+        windows = m.counter(
+            "serve_windows_total",
+            "microbatch windows closed, by the rule that closed them",
+            ("replica", "reason"),
+        )
+        self._m_windows = {
+            reason: windows.labels(replica, reason) for reason in _WINDOW_REASONS
+        }
         self._m_compute = m.histogram(
             "serve_request_compute_seconds",
             "batched policy.act compute time per request's window",
@@ -504,7 +520,7 @@ class PolicyServer:
             return self._sessions.get(state.id) is state
 
     def _end(self, state: _Session) -> None:
-        with self._lock:
+        with self._cond:
             if self._sessions.get(state.id) is not state:
                 raise SessionError(f"unknown session {state.id!r}")
             if state.pending:
@@ -513,6 +529,9 @@ class PolicyServer:
                     "flush (or await the ticket) before ending it"
                 )
             del self._sessions[state.id]
+            # A window held open for this (idle) session may now hold a
+            # request from every session that is left.
+            self._cond.notify_all()
 
     @property
     def num_sessions(self) -> int:
@@ -627,13 +646,19 @@ class PolicyServer:
         served = 0
         with self._lock:
             while self._queue:
-                batch = [
-                    self._queue.popleft()
-                    for _ in range(min(len(self._queue), self.config.max_batch_size))
-                ]
-                self._process_batch(batch)
-                served += len(batch)
+                served += self._serve_window("flush")
         return served
+
+    def _serve_window(self, reason: str) -> int:
+        """Close one window of ≤ ``max_batch_size`` queued requests and
+        serve it, lock held; returns its request count."""
+        batch = [
+            self._queue.popleft()
+            for _ in range(min(len(self._queue), self.config.max_batch_size))
+        ]
+        self._m_windows[reason].inc()
+        self._process_batch(batch)
+        return len(batch)
 
     def act(
         self, session_id: str, obs: np.ndarray, timeout: Optional[float] = None
@@ -838,20 +863,22 @@ class PolicyServer:
                     self._cond.wait(timeout=0.05)
                     continue
                 waited = time.monotonic() - self._queue[0].arrived
-                if len(self._queue) >= self.config.max_batch_size or waited >= max_wait:
-                    batch = [
-                        self._queue.popleft()
-                        for _ in range(
-                            min(len(self._queue), self.config.max_batch_size)
-                        )
-                    ]
-                    try:
-                        self._process_batch(batch)
-                    except Exception:
-                        # Tickets already carry the error; keep serving.
-                        pass
+                if len(self._queue) >= self.config.max_batch_size:
+                    reason = "full"
+                elif len(self._queue) >= len(self._sessions):
+                    # One request in flight per session: with every open
+                    # session queued, no straggler can join this window.
+                    reason = "all_pending"
+                elif waited >= max_wait:
+                    reason = "max_wait"
                 else:
                     self._cond.wait(timeout=max(max_wait - waited, 0.0005))
+                    continue
+                try:
+                    self._serve_window(reason)
+                except Exception:
+                    # Tickets already carry the error; keep serving.
+                    pass
 
     def stop(self, drain: bool = True) -> None:
         """Stop the dispatcher; by default serve whatever is still queued."""

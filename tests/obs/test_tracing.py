@@ -142,10 +142,11 @@ class TestEndToEndPropagation:
 
     def test_timeout_reply_carries_the_trace_id(self):
         """A typed TIMEOUT still reports which trace died."""
-        gateway, _ = make_gateway(
+        gateway, server = make_gateway(
             serve_overrides={"max_wait_ms": 60_000.0, "max_batch_size": 64}
         )
         with gateway:
+            server.session(num_users=1)  # idle: holds the window open
             with GatewayClient(gateway.address) as client:
                 session = client.open_session(num_users=1)
                 reply = gateway._op_act(

@@ -81,3 +81,14 @@ def assert_result_matches(result, expected, label=""):
     assert np.array_equal(result.actions, actions), f"{label}: actions diverge"
     assert np.array_equal(result.log_probs, log_probs), f"{label}: log_probs diverge"
     assert np.array_equal(result.values, values), f"{label}: values diverge"
+
+
+def window_counts(server):
+    """Windows ``server`` has closed so far, keyed by the rule that closed
+    them (its ``serve_windows_total`` series)."""
+    family = server.metrics.snapshot()["serve_windows_total"]
+    return {
+        series["labels"]["reason"]: int(series["value"])
+        for series in family["series"]
+        if series["labels"]["replica"] == server.name
+    }

@@ -43,12 +43,14 @@ class TestConnectionPoisoning:
     def test_mid_frame_timeout_poisons_the_client(self):
         """A socket timeout mid-reply closes the client; every later call
         raises instead of reading the stale reply off the wire."""
-        # Wide-open batching parks the act server-side; the client's own
-        # 0.2 s socket timeout fires first, mid-exchange.
-        gateway, _ = make_gateway(
+        # Wide-open batching with an idle session open parks the act
+        # server-side; the client's own 0.2 s socket timeout fires first,
+        # mid-exchange.
+        gateway, server = make_gateway(
             serve_overrides={"max_wait_ms": 60_000.0, "max_batch_size": 64}
         )
         with gateway:
+            server.session(num_users=1)  # idle: holds the window open
             client = GatewayClient(gateway.address, timeout_s=0.2)
             session = client.open_session(num_users=1)
             with pytest.raises(GatewayError, match="transport failure"):
@@ -73,6 +75,7 @@ class TestDeadlineOverSocketTimeout:
             serve_overrides={"max_wait_ms": 60_000.0, "max_batch_size": 64}
         )
         with gateway:
+            idle = server.session(num_users=1)  # holds the window open
             client = GatewayClient(gateway.address, timeout_s=0.2)
             session = client.open_session(num_users=1)
             with pytest.raises(DeadlineExceeded, match="deadline"):
@@ -83,6 +86,7 @@ class TestDeadlineOverSocketTimeout:
             assert client._sock.gettimeout() == pytest.approx(0.2)
             assert gateway.stats()["deadline_timeouts"] == 1
             server.flush()
+            idle.end()
             # stats() drives the reaper that ends the quarantined session.
             assert wait_until(
                 lambda: gateway.stats() is not None and server.num_sessions == 0

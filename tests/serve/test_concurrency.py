@@ -8,7 +8,8 @@ contracts under test:
 
 - per-session bit-identity to solo serving holds for **every** batch
   composition the scheduler produces (the parity argument is composition
-  -independent, so thread timing cannot matter);
+  -independent, so thread timing cannot matter), including the lock-step
+  windows that close as soon as every session has a request queued;
 - under a mid-stream swap, every response carries the version that
   produced it, versions are monotone per session, and each session's
   stream equals a solo replay that switches weights at the step where
@@ -21,6 +22,7 @@ contracts under test:
 import threading
 
 import numpy as np
+import pytest
 
 from repro.rl import MLPActorCritic
 from repro.serve import PolicyServer, ServeConfig, snapshot_policy
@@ -32,6 +34,7 @@ from .helpers import (
     make_obs_streams,
     make_policy,
     solo_serve,
+    window_counts,
 )
 
 
@@ -110,6 +113,27 @@ def test_threaded_sim2rec_group_context_isolated():
     served = run_threaded("sim2rec", user_counts, obs_streams, seeds)
     for i, n in enumerate(user_counts):
         solo = solo_serve("sim2rec", n, seeds[i], obs_streams[i])
+        for t, (result, expected) in enumerate(zip(served[i], solo)):
+            assert_result_matches(result, expected, f"session{i}/step{t}")
+
+
+@pytest.mark.parametrize("kind", ["lstm", "sim2rec"])
+def test_all_pending_windows_match_solo(kind):
+    """With the default max_batch_size and a window no step may wait out,
+    each window closes once every session has its request queued: the
+    sessions advance in lock-step, one window per step, still solo."""
+    user_counts = [1, 3, 2]
+    steps = 6
+    obs_streams = make_obs_streams(user_counts, steps, seed=71)
+    seeds = [5000 + i for i in range(len(user_counts))]
+    server = PolicyServer(make_policy(kind), ServeConfig(max_wait_ms=60_000.0))
+    served = run_threaded(kind, user_counts, obs_streams, seeds, server=server)
+    assert window_counts(server) == {
+        "full": 0, "all_pending": steps, "max_wait": 0, "flush": 0
+    }
+    for i, n in enumerate(user_counts):
+        assert len(served[i]) == steps
+        solo = solo_serve(kind, n, seeds[i], obs_streams[i])
         for t, (result, expected) in enumerate(zip(served[i], solo)):
             assert_result_matches(result, expected, f"session{i}/step{t}")
 

@@ -8,18 +8,22 @@ Three layers:
 - **protocol** — one live loopback gateway per test: typed ``TIMEOUT``
   on deadline expiry (with deferred session cleanup), ``BUSY`` under
   admission overflow, disconnect/idle cleanup, LRU/TTL session bounds,
-  ``BAD_REQUEST`` resilience;
+  ``BAD_REQUEST`` resilience, prompt ``close()``, and a fuzz of
+  arbitrary messages that must all get a typed reply;
 - **parity** — the contract the transport must not break: actions served
   through TCP by many concurrent clients are bit-identical to direct
   in-process ``PolicyServer`` serving.
 """
 
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     DeadlineExceeded,
@@ -34,7 +38,7 @@ from repro.serve import (
     ServeConfig,
     SessionError,
 )
-from repro.serve.protocol import pack_frame
+from repro.serve.protocol import pack_frame, unpack_frame
 
 from .helpers import STATE_DIM, make_obs_streams, make_policy, solo_serve
 
@@ -110,6 +114,15 @@ class TestFraming:
         with pytest.raises(FrameError, match="ndarray"):
             decode_payload({"__ndarray__": [4], "dtype": "<f8", "b64": "AA=="})
 
+    def test_deeply_nested_frame_rejected(self):
+        # ~1.8 KB of nested arrays used to exhaust the decoder's stack
+        # with a RecursionError instead of a typed FrameError.
+        body = b"[" * 900 + b"]" * 900
+        with pytest.raises(FrameError, match="nests too deeply"):
+            unpack_frame(body)
+        with pytest.raises(FrameError, match="nests too deeply"):
+            FrameReader().feed(struct.pack(">I", len(body)) + body)
+
 
 # ----------------------------------------------------------------------
 # protocol semantics over a live socket
@@ -174,13 +187,46 @@ class TestProtocol:
                     assert reply["error"] in ("BAD_REQUEST", "SESSION")
                 assert roundtrip({"op": "ping"})["ok"] is True
 
+    def test_non_finite_numbers_are_bad_requests(self):
+        # JSON admits Infinity and 1e400; int() of either used to raise
+        # OverflowError, which killed the connection's handler thread.
+        gateway, server = make_gateway()
+        with gateway:
+            with socket.create_connection(gateway.address, timeout=5.0) as sock:
+                reader = FrameReader()
+
+                def roundtrip(body):
+                    sock.sendall(struct.pack(">I", len(body)) + body)
+                    while True:
+                        chunk = sock.recv(65536)
+                        assert chunk, "gateway closed the connection"
+                        messages = reader.feed(chunk)
+                        if messages:
+                            return messages[0]
+
+                for body in (
+                    b'{"op": "open", "num_users": Infinity}',
+                    b'{"op": "open", "num_users": -Infinity}',
+                    b'{"op": "open", "seed": 1e400}',
+                    b'{"op": "act", "session": "s", "obs": [[0, 0]], '
+                    b'"deadline_ms": 1' + b"0" * 400 + b"}",
+                ):
+                    reply = roundtrip(body)
+                    assert reply["ok"] is False
+                    assert reply["error"] == "BAD_REQUEST", reply
+                assert roundtrip(b'{"op": "ping"}')["ok"] is True
+            assert server.num_sessions == 0
+            assert gateway.stats()["bad_requests"] == 4
+
     def test_deadline_expiry_returns_typed_timeout(self):
-        # A wide-open batching window (huge max_wait, huge batch) parks
-        # the lone request: its 50 ms deadline must expire, typed.
+        # A wide-open batching window (huge max_wait, huge batch) with an
+        # idle session open parks the request: its 50 ms deadline must
+        # expire, typed.
         gateway, server = make_gateway(
             serve_overrides={"max_wait_ms": 60_000.0, "max_batch_size": 64}
         )
         with gateway, GatewayClient(gateway.address) as client:
+            idle = server.session(num_users=1)
             session = client.open_session(num_users=1)
             begin = time.monotonic()
             with pytest.raises(DeadlineExceeded, match="deadline"):
@@ -191,16 +237,18 @@ class TestProtocol:
             # server-side once its in-flight batch resolves (the reaper
             # runs on any later request or stats call).
             server.flush()
+            idle.end()
             assert wait_until(
                 lambda: gateway.stats() is not None and server.num_sessions == 0
             )
 
     def test_busy_under_admission_overflow(self):
-        gateway, _ = make_gateway(
+        gateway, server = make_gateway(
             serve_overrides={"max_wait_ms": 60_000.0, "max_batch_size": 64},
             max_pending=1,
         )
         with gateway:
+            server.session(num_users=1)  # idle: holds the occupant's window open
             blocked_error = []
 
             def occupant():
@@ -305,6 +353,115 @@ class TestProtocol:
         ):
             with pytest.raises(ValueError):
                 GatewayConfig(**knobs)
+
+
+class TestClose:
+    def test_close_without_start_returns(self):
+        # socketserver.shutdown() waits for a serve_forever loop, so a
+        # gateway that never started used to hang in close() forever.
+        gateway = Gateway(PolicyServer(make_policy("mlp"), ServeConfig(seed=0)))
+        closer = threading.Thread(target=gateway.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive(), "close() hung on a gateway never started"
+        assert gateway._tcp.socket.fileno() == -1  # the port is released
+
+    def test_close_does_not_wait_out_quarantined_batches(self):
+        # Two timed-out sessions whose batch is parked behind a wide
+        # window (an idle session keeps it open). close() used to wait
+        # 5 s on each quarantined ticket before draining the replicas.
+        gateway, server = make_gateway(
+            serve_overrides={"max_wait_ms": 60_000.0, "max_batch_size": 64}
+        )
+        server.session(num_users=1)  # idle: holds the window open
+        with GatewayClient(gateway.address) as client:
+            for _ in range(2):
+                session = client.open_session(num_users=1)
+                with pytest.raises(DeadlineExceeded):
+                    session.act(np.zeros((1, STATE_DIM)), deadline_ms=50)
+        assert gateway.stats()["quarantined"] == 2
+        begin = time.monotonic()
+        gateway.close()
+        assert time.monotonic() - begin < 1.0
+        assert gateway.stats()["quarantined"] == 0
+
+
+# ----------------------------------------------------------------------
+# fuzz: arbitrary messages always get a typed reply
+# ----------------------------------------------------------------------
+TYPED_ERRORS = {"BAD_REQUEST", "SESSION", "BUSY", "TIMEOUT"}
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.just(10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def _messages(session_ids):
+    """Wire messages: op-shaped dicts whose fields take arbitrary JSON
+    values (a live session id and a well-formed ``obs`` half the time,
+    so acts get served too), dicts with an arbitrary ``op``, and any JSON
+    value at all."""
+    session = st.sampled_from(session_ids) | _json_values
+    obs = (
+        st.lists(
+            st.lists(st.floats(), min_size=STATE_DIM, max_size=STATE_DIM),
+            min_size=1,
+            max_size=1,
+        )
+        | _json_values
+    )
+    optional = {
+        name: _json_values
+        for name in ("num_users", "seed", "deterministic", "key", "deadline_ms", "trace")
+    }
+    ops = st.sampled_from(["open", "act", "end", "ping", "stats", "warp"])
+    return st.one_of(
+        st.fixed_dictionaries(
+            {"op": ops, "session": session, "obs": obs}, optional=optional
+        ),
+        st.fixed_dictionaries(
+            {"op": _json_values}, optional={"session": session, "obs": obs, **optional}
+        ),
+        _json_values,
+    )
+
+
+class TestDispatchFuzz:
+    SESSION_IDS = ["fuzz-a", "fuzz-b"]
+
+    def test_any_message_gets_a_typed_reply(self):
+        # An unstarted gateway: _dispatch flushes the replica itself, so
+        # served acts run synchronously on this thread.
+        with Gateway(PolicyServer(make_policy("mlp"), ServeConfig(seed=0))) as gateway:
+
+            def reopen_ended_sessions():
+                for session_id in self.SESSION_IDS:
+                    if gateway._sessions.get(session_id) is None:
+                        handle, _ = gateway.replicas.open_session(session_id)
+                        gateway._sessions.put(session_id, handle)
+
+            @settings(max_examples=100, deadline=None)
+            @given(message=_messages(self.SESSION_IDS))
+            def check(message):
+                reopen_ended_sessions()
+                reply = gateway._dispatch(message, [], gateway._clock())
+                assert isinstance(reply, dict)
+                assert isinstance(reply.get("ok"), bool), reply
+                if not reply["ok"]:
+                    assert reply.get("error") in TYPED_ERRORS, reply
+
+            check()
 
 
 # ----------------------------------------------------------------------

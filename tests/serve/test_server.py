@@ -2,7 +2,8 @@
 
 Parity is proven in ``test_parity.py``; this file pins the *protocol*:
 session lifecycle rules (unknown ids, double submits, shape checks,
-pending-request fences), window accounting, the synchronous ``act``
+pending-request fences), window accounting and the dispatcher's window
+close rules, the synchronous ``act``
 convenience, and the full hot-swap rulebook (apply / skip-if-byte-equal /
 stale stamp / torn archive / structure mismatch), plus server shutdown.
 """
@@ -19,7 +20,7 @@ from repro.serve import (
     snapshot_policy,
 )
 
-from .helpers import STATE_DIM, make_obs_streams, make_policy
+from .helpers import STATE_DIM, make_obs_streams, make_policy, window_counts
 
 
 def make_server(kind="mlp", **overrides):
@@ -252,6 +253,79 @@ class TestWindows:
             ticket.result(timeout=0.01)
         server.flush()
         assert ticket.result(timeout=1.0).step == 1
+
+
+class TestWindowCloseRules:
+    """Which rule closes a background window, read off
+    ``serve_windows_total`` rather than inferred from timing."""
+
+    WIDE = 60_000.0  # a max_wait_ms no test may wait out
+
+    @staticmethod
+    def started(**overrides):
+        return PolicyServer(make_policy("mlp"), ServeConfig(**overrides)).start()
+
+    def test_window_closes_once_every_session_is_pending(self):
+        server = self.started(max_wait_ms=self.WIDE)
+        try:
+            first = server.session(num_users=1)
+            second = server.session(num_users=2)
+            tickets = [
+                first.submit(np.zeros((1, STATE_DIM))),
+                second.submit(np.zeros((2, STATE_DIM))),
+            ]
+            assert [t.result(timeout=10).step for t in tickets] == [1, 1]
+            assert window_counts(server) == {
+                "full": 0, "all_pending": 1, "max_wait": 0, "flush": 0
+            }
+            assert server.stats()["max_batch_rows"] == 3  # one shared window
+        finally:
+            server.close()
+
+    def test_window_waits_for_an_idle_session(self):
+        server = self.started(max_wait_ms=self.WIDE)
+        try:
+            sessions = [server.session(num_users=1) for _ in range(3)]
+            ticket = sessions[0].submit(np.zeros((1, STATE_DIM)))
+            with pytest.raises(TimeoutError):
+                ticket.result(timeout=0.2)
+            assert server.flush() == 1
+            assert ticket.result(timeout=1.0).step == 1
+            assert window_counts(server) == {
+                "full": 0, "all_pending": 0, "max_wait": 0, "flush": 1
+            }
+        finally:
+            server.close()
+
+    def test_ending_the_idle_session_closes_the_window(self):
+        server = self.started(max_wait_ms=self.WIDE)
+        try:
+            busy, idle = server.session(num_users=1), server.session(num_users=1)
+            ticket = busy.submit(np.zeros((1, STATE_DIM)))
+            with pytest.raises(TimeoutError):
+                ticket.result(timeout=0.1)  # the dispatcher is waiting on idle
+            idle.end()
+            assert ticket.result(timeout=10).step == 1
+            assert window_counts(server)["all_pending"] == 1
+        finally:
+            server.close()
+
+    def test_full_and_max_wait_still_close_windows(self):
+        server = self.started(max_batch_size=2, max_wait_ms=self.WIDE)
+        try:
+            sessions = [server.session(num_users=1) for _ in range(3)]
+            tickets = [s.submit(np.zeros((1, STATE_DIM))) for s in sessions[:2]]
+            assert [t.result(timeout=10).step for t in tickets] == [1, 1]
+            assert window_counts(server)["full"] == 1
+        finally:
+            server.close()
+        server = self.started(max_wait_ms=1.0)
+        try:
+            busy, _idle = server.session(num_users=1), server.session(num_users=1)
+            assert busy.submit(np.zeros((1, STATE_DIM))).result(timeout=10).step == 1
+            assert window_counts(server)["max_wait"] == 1
+        finally:
+            server.close()
 
 
 class TestHotSwapProtocol:
