@@ -25,16 +25,12 @@ Compares the smoke-run ``BENCH_rollout.json`` / ``BENCH_train.json`` /
   vs-sequential ratio; equivalence flags on every swept record are
   enforced unconditionally (bit-identity is machine-independent);
 - singleton sections gate one record each: the serve bench's
-  ``gateway``/``soak`` and the train bench's ``pipelined``
-  (strict-vs-pipelined training overlap). ``min_*`` floors take the
-  tolerance band; ``max_*`` ceilings (latency splits and queue depth
-  from the observability layer) are the inverse — measured must stay at
-  or below ``ceiling / tolerance``, with ``max_rss_growth_mb`` keeping
-  its absolute, RSS-tracked-only semantics; a section's ``min_cpus``
-  skips its speed floors on
-  machines too small to show the effect, while equivalence flags —
-  for ``pipelined``, seeded run-to-run reproducibility of the
-  overlapped trajectory — are enforced on every machine;
+  ``gateway``/``soak``. ``min_*`` floors take the tolerance band;
+  ``max_*`` ceilings (latency splits and queue depth from the
+  observability layer) are the inverse — measured must stay at or
+  below ``ceiling / tolerance``, with ``max_rss_growth_mb`` keeping its
+  absolute, RSS-tracked-only semantics; the ``gateway`` equivalence
+  flag is enforced on every machine;
 - baselines are keyed by bench mode (``smoke`` for the CI artifacts,
   ``full`` for the committed dev-box artifacts), so the same gate checks
   whichever artifact it is handed.
@@ -145,13 +141,8 @@ def check_payload(payload: dict, baseline: dict, tolerance: float, label: str) -
                     f"floor {floor} x tolerance {tolerance} = {floor * tolerance:.3f}"
                 )
 
-    # Singleton record sections: the serve bench's 'gateway' and 'soak',
-    # and the train bench's 'pipelined' (strict-vs-pipelined overlap).
-    # min_* floors take the tolerance band like every other floor; an
-    # optional 'min_cpus' skips the speed floors on machines too small
-    # to show the effect (the overlap needs a second core), while the
-    # equivalence flag — for 'pipelined', seeded run-to-run
-    # reproducibility — is enforced on every machine.
+    # Singleton record sections: the serve bench's 'gateway' and 'soak'.
+    # min_* floors take the tolerance band like every other floor.
     # max_* ceilings are the inverse: the measured value must stay at or
     # below ceiling / tolerance (the same band, loosened upward), so
     # latency splits recorded by the observability layer (queue-wait /
@@ -159,7 +150,7 @@ def check_payload(payload: dict, baseline: dict, tolerance: float, label: str) -
     # max_rss_growth_mb keeps its special absolute semantics: a leak
     # ceiling applied as-is and only when the artifact tracked RSS
     # (Linux /proc).
-    for section in ("gateway", "soak", "pipelined"):
+    for section in ("gateway", "soak"):
         floors = baseline.get(section)
         if not floors:
             continue
@@ -167,19 +158,10 @@ def check_payload(payload: dict, baseline: dict, tolerance: float, label: str) -
         if record is None:
             failures.append(f"{label}/{section}: missing from artifact")
             continue
-        if section in ("gateway", "pipelined") and record.get("equivalent") is not True:
+        if section == "gateway" and record.get("equivalent") is not True:
             failures.append(f"{label}/{section}: equivalence flag is not true")
-        min_cpus = floors.get("min_cpus")
-        skip_speed = min_cpus is not None and cpu_count < min_cpus
-        if skip_speed:
-            print(
-                f"skip {label}/{section} speed floors: bench ran on "
-                f"{cpu_count} CPU(s), floor needs >= {min_cpus}"
-            )
         for metric, floor in floors.items():
-            if metric.startswith("min_") and metric != "min_cpus":
-                if skip_speed:
-                    continue
+            if metric.startswith("min_"):
                 key = metric[len("min_"):]
                 measured = record.get(key)
                 if measured is None or measured < floor * tolerance:
@@ -188,8 +170,6 @@ def check_payload(payload: dict, baseline: dict, tolerance: float, label: str) -
                         f"tolerance {tolerance} = {floor * tolerance:.3f}"
                     )
             elif metric.startswith("max_") and metric != "max_rss_growth_mb":
-                if skip_speed:
-                    continue
                 key = metric[len("max_"):]
                 measured = record.get(key)
                 allowed = floor / tolerance if tolerance else floor

@@ -12,12 +12,6 @@ Verifies the batched evaluation is bit-identical to the sequential one
 before trusting the clock, and writes the results to ``BENCH_train.json``
 so the speedup is tracked across PRs.
 
-A singleton ``pipelined`` record additionally times whole training
-iterations with ``determinism="strict"`` against ``"pipelined"`` (the
-collect/update overlap, docs/performance.md): its equivalence gate is
-seeded run-to-run reproducibility of the pipelined trajectory, and its
-CI floor is ``min_cpus``-gated — a 1-CPU machine has nothing to overlap.
-
 Not a pytest module — run directly::
 
     python benchmarks/perf_train.py [--smoke] [--output PATH]
@@ -209,66 +203,6 @@ def bench_sadae_epoch(name: str, num_sets: int, users_per_set: int, repeats: int
     return result
 
 
-def bench_pipelined(name: str, repeats: int, iterations: int, spec: dict) -> dict:
-    """Time strict vs pipelined training end to end on a scenario run.
-
-    The equivalence gate is the pipelined contract itself: the same
-    config and seed must reproduce the same metric trajectory run to
-    run (``verify_training_reproducibility``) before any clock is
-    trusted. The speedup is bounded by min(collect, update) overlap and
-    needs a second core to materialise — the record carries the payload
-    ``cpu_count`` for exactly that reason, and the CI floor skips on
-    single-CPU machines.
-    """
-    from repro.core.config import scenario_small_config
-    from repro.rl import verify_training_reproducibility
-    from repro.scenarios import trainer_from_config
-
-    def build(determinism: str):
-        config = scenario_small_config(seed=3)
-        config.scenario = dict(spec)
-        config.rollout_workers = 2
-        config.determinism = determinism
-        trainer = trainer_from_config(config, dict(spec))
-        trainer.pretrain_sadae(epochs=1)
-        return trainer
-
-    verify_training_reproducibility(
-        lambda: build("pipelined"), iterations=min(iterations, 3), runs=2, label=name
-    )
-
-    def timed(determinism: str) -> float:
-        best = np.inf
-        for _ in range(repeats):
-            with build(determinism) as trainer:
-                start = time.perf_counter()
-                for _ in range(iterations):
-                    trainer.train_iteration()
-                best = min(best, time.perf_counter() - start)
-        return best
-
-    timed("pipelined")  # warmup (worker spawn, BLAS threads)
-    strict = timed("strict")
-    pipelined = timed("pipelined")
-    result = {
-        "name": name,
-        "kind": "pipelined_train",
-        "spec": dict(spec),
-        "workers": 2,
-        "iterations": iterations,
-        "strict_s": round(strict, 6),
-        "pipelined_s": round(pipelined, 6),
-        "speedup": round(strict / pipelined, 3),
-        "equivalent": True,
-    }
-    print(
-        f"[{name}] {iterations} iterations, 2 workers: "
-        f"strict={strict:.3f}s pipelined={pipelined:.3f}s "
-        f"-> {result['speedup']:.2f}x"
-    )
-    return result
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="tiny CI-sized run")
@@ -295,10 +229,6 @@ def main() -> None:
                 horizon=5, repeats=repeats, policy_kind="sim2rec",
             ),
         ]
-        pipelined = bench_pipelined(
-            "smoke_pipelined", repeats=repeats, iterations=3,
-            spec={"family": "slate", "num_envs": 4, "num_users": 5, "horizon": 5},
-        )
     else:
         results = [
             # The many-city regime Sim2Rec targets: one iteration's buffer
@@ -324,10 +254,6 @@ def main() -> None:
                 horizon=10, repeats=repeats, policy_kind="sim2rec",
             ),
         ]
-        pipelined = bench_pipelined(
-            "pipelined_slate", repeats=repeats, iterations=4,
-            spec={"family": "slate", "num_envs": 8, "num_users": 10, "horizon": 10},
-        )
 
     payload = {
         "benchmark": "perf_train",
@@ -339,7 +265,6 @@ def main() -> None:
         "cpu_count": os.cpu_count(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "scenarios": results,
-        "pipelined": pipelined,
         "headline_speedup": results[0]["speedup"],
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")

@@ -22,12 +22,7 @@ exact trajectory** an unbroken run would have taken:
 - ``aux.*``   — trainer-specific continuation state (shared training-env
   objects with their internal RNGs, the SADAE replay window, the DPR env
   seed counter) via the ``checkpoint_extra_state`` hook;
-- ``meta.*``  — format version and the completed-iteration counter;
-- ``prefetch.*`` — present only when a pipelined trainer
-  (``determinism="pipelined"``) had a prefetched collection in flight:
-  the drained segments and their sampled envs, consumed (not
-  re-collected) by the resumed run. See
-  :meth:`~repro.core.trainer.PolicyTrainer.drain_prefetch`.
+- ``meta.*``  — format version and the completed-iteration counter.
 
 Loading refuses archives whose checksum, format version or parameter
 shapes do not match — a torn or bit-flipped checkpoint fails loudly
@@ -83,16 +78,7 @@ def save_checkpoint(path: PathLike, trainer) -> None:
     ``trainer`` is any :class:`~repro.core.trainer.PolicyTrainer`; the
     archive is written atomically, so an existing checkpoint at ``path``
     survives a crash mid-save.
-
-    A pipelined trainer with a prefetch in flight **drains** it first
-    (``trainer.drain_prefetch()``): the wait commits the same side
-    effects the next iteration's consume would have, so the env / RNG
-    state written below is bit-identical to the unbroken run's, and the
-    drained segments are stashed under ``prefetch.*`` so the resumed
-    trainer consumes them instead of re-collecting. Strict-mode
-    checkpoints never carry ``prefetch.*`` keys and are unchanged.
     """
-    drained = trainer.drain_prefetch() if hasattr(trainer, "drain_prefetch") else None
     state: Dict[str, np.ndarray] = {
         "meta.version": np.array([CHECKPOINT_VERSION], dtype=np.int64),
         "meta.iteration": np.array([trainer.iteration], dtype=np.int64),
@@ -111,9 +97,6 @@ def save_checkpoint(path: PathLike, trainer) -> None:
         state["rng.eval"] = pickle_to_array(eval_rng)
     for key, value in trainer.checkpoint_extra_state().items():
         state[f"aux.{key}"] = np.asarray(value)
-    if drained is not None:
-        state["prefetch.envs"] = pickle_to_array(drained["envs"])
-        state["prefetch.segments"] = pickle_to_array(drained["segments"])
     save_state(path, state)
 
 
@@ -126,8 +109,10 @@ def load_checkpoint(path: PathLike, trainer) -> int:
     aux state in place, after which ``train_iteration`` continues the
     unbroken run's trajectory bit for bit. Raises
     :class:`~repro.nn.StateChecksumError` on a corrupt archive,
-    ``ValueError`` on a version or shape mismatch, and ``KeyError`` on
-    missing entries.
+    ``ValueError`` on a version or shape mismatch or on an archive that
+    holds a prefetched collection (``prefetch.*`` keys), and
+    ``KeyError`` on missing entries. The version and prefetch checks
+    run before any trainer state is overwritten.
     """
     state = load_state(path)
     version = int(np.asarray(state["meta.version"]).ravel()[0])
@@ -135,6 +120,12 @@ def load_checkpoint(path: PathLike, trainer) -> int:
         raise ValueError(
             f"checkpoint {path} has format version {version}, this build "
             f"reads version {CHECKPOINT_VERSION}"
+        )
+    if any(key.startswith("prefetch.") for key in state):
+        raise ValueError(
+            f"checkpoint {path} holds a prefetched collection from the "
+            "removed pipelined training mode; only checkpoints of the "
+            "synchronous collect schedule can resume"
         )
     iteration = int(np.asarray(state["meta.iteration"]).ravel()[0])
 
@@ -160,14 +151,6 @@ def load_checkpoint(path: PathLike, trainer) -> int:
     if "rng.eval" in state:
         trainer.policy._eval_rng = unpickle_array(state["rng.eval"])
     trainer.load_checkpoint_extra_state(prefixed("aux."))
-    if "prefetch.segments" in state:
-        # The drained prefetch resumes exactly where the unbroken run's
-        # consume would pick it up: finished segments, no pool attached.
-        trainer._prefetch = {
-            "envs": unpickle_array(state["prefetch.envs"]),
-            "segments": unpickle_array(state["prefetch.segments"]),
-            "pool": None,
-        }
     trainer._iteration = iteration
     return iteration
 

@@ -16,7 +16,6 @@ from ..rl.workers import FaultPolicy
 from .sadae import SADAEConfig
 
 __all__ = [
-    "DETERMINISM_MODES",
     "Sim2RecConfig",
     "dpr_paper_config",
     "dpr_small_config",
@@ -24,14 +23,6 @@ __all__ = [
     "lts_small_config",
     "scenario_small_config",
 ]
-
-# Collect/update scheduling contracts accepted by
-# Sim2RecConfig.determinism. "strict" is the barrier schedule the parity
-# grid pins bit-for-bit; "pipelined" overlaps iteration N's update with
-# iteration N+1's collection (stale-by-one policy, own seeded
-# reproducibility tier — see docs/performance.md).
-DETERMINISM_MODES = ("strict", "pipelined")
-
 
 @dataclass
 class Sim2RecConfig:
@@ -48,10 +39,6 @@ class Sim2RecConfig:
     sadae_pretrain_epochs: int = 30
     sadae_updates_per_iteration: int = 1
     sadae_sets_per_update: int = 8
-    # Evaluate each SADAE step's equal-cardinality sets through one
-    # stacked elbo_batch forward (bit-identical losses for
-    # equal-cardinality corpora; see repro.core.sadae.train_sadae).
-    batched_sadae: bool = True
 
     # --- PPO (Eq. 4) -----------------------------------------------------
     ppo: PPOConfig = field(default_factory=PPOConfig)
@@ -72,19 +59,6 @@ class Sim2RecConfig:
     # out. None (the default) keeps the legacy fail-fast contract: any
     # worker failure closes the pool and raises.
     fault_policy: Optional[FaultPolicy] = None
-    # Collect/update scheduling contract. "strict" (the default) keeps
-    # the barrier semantics every bit-parity suite pins: collect
-    # iteration N, then update on it, in one thread of control.
-    # "pipelined" overlaps them: train_iteration launches iteration
-    # N+1's collection (env sampling + async dispatch against the
-    # last-broadcast, stale-by-one policy replica) before running the
-    # PPO update on iteration N's buffer, so rollout workers and the
-    # learner run concurrently. Pipelined runs are seeded and
-    # reproducible run-to-run (and across worker counts — the same
-    # prefetch schedule executes synchronously when no worker pool is
-    # eligible), but they are a *different* trajectory from strict:
-    # rollouts use the pre-update policy, one iteration stale.
-    determinism: str = "strict"
 
     # --- run checkpoint / resume ----------------------------------------
     # Every checkpoint_every completed iterations (0 = off) the trainer
@@ -122,14 +96,6 @@ class Sim2RecConfig:
     exec_tolerance: float = 0.02
 
     seed: int = 0
-
-    def resolved_determinism(self) -> str:
-        """The effective scheduling contract (see :attr:`determinism`)."""
-        if self.determinism not in DETERMINISM_MODES:
-            raise ValueError(
-                f"determinism {self.determinism!r} not in {DETERMINISM_MODES}"
-            )
-        return self.determinism
 
     def ablate_prediction_error_handling(self) -> "Sim2RecConfig":
         """Sim2Rec-PE: drop the uncertainty penalty and the T_c truncation."""

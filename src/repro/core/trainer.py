@@ -21,7 +21,7 @@ import pickle
 import time
 import warnings
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,11 +118,6 @@ class PolicyTrainer:
         self._m_iterations = self.metrics.counter(
             "train_iterations_total", "completed training iterations"
         )
-        self._m_collect_lag = self.metrics.gauge(
-            "train_collect_lag",
-            "staleness of the last consumed rollout buffer in iterations "
-            "(0 fresh, 1 prefetched under the pipelined contract)",
-        )
         self._metrics_sink: Optional[JSONLMetricsSink] = None
         # Samplers with side effects (e.g. resampling user gaps on shared
         # env objects) need the sample→rollout interleaving of the
@@ -143,11 +138,6 @@ class PolicyTrainer:
         # loggers, lambdas, ...) falls back to in-process collection
         # instead of failing the run (set on first failure).
         self._replica_unpicklable = False
-        # Pipelined determinism: iteration N+1's collection, launched
-        # before iteration N's update. Either finished segments (the
-        # launch collected synchronously, or a checkpoint drained it) or
-        # an async dispatch still rolling in the worker pool.
-        self._prefetch: Optional[Dict[str, Any]] = None
         # Completed iterations held by the last checkpoint this trainer
         # wrote to config.checkpoint_path (None: none written yet).
         self._last_checkpoint: Optional[int] = None
@@ -158,11 +148,8 @@ class PolicyTrainer:
         The cached pool reference is dropped *before* its ``close()``
         runs, so a teardown that raises (e.g. a worker that already
         crashed) still leaves the trainer in the no-pool state and a
-        second ``close()`` is always a no-op. An in-flight prefetch is
-        discarded with the pool (no side effect was committed at
-        dispatch, so nothing is left half-applied).
+        second ``close()`` is always a no-op.
         """
-        self._prefetch = None
         sink, self._metrics_sink = self._metrics_sink, None
         if sink is not None:
             sink.close()
@@ -202,29 +189,6 @@ class PolicyTrainer:
             }
         )
 
-    def _finish_iteration(self, metrics: Dict[str, float]) -> Dict[str, float]:
-        """Shared iteration epilogue: log, count, checkpoint, snapshot.
-
-        Everything observability-related happens *after* the metrics dict
-        is final, so instrumentation cannot perturb the values the
-        determinism harness compares run-to-run.
-        """
-        config = self.config
-        iteration = self._iteration
-        self.logger.log(iteration, **metrics)
-        self._iteration += 1
-        self._m_iterations.inc()
-        if (
-            config.checkpoint_every > 0
-            and config.checkpoint_path is not None
-            and self._iteration % config.checkpoint_every == 0
-        ):
-            with self._phase_timer("checkpoint"):
-                self.save_checkpoint(config.checkpoint_path)
-            self._last_checkpoint = self._iteration
-        self._write_metrics_record(iteration, metrics)
-        return metrics
-
     # Worker-pool plumbing ----------------------------------------------
     def _sharded_pool(self, envs: Sequence[MultiUserEnv], workers: int) -> ShardedVecEnvPool:
         key = (
@@ -259,9 +223,7 @@ class PolicyTrainer:
         Worker replicas collect when ``config.rollout_workers > 1`` and
         the round has more than one env. A policy that cannot be pickled
         warns once, closes the worker pool and leaves the rest of the run
-        in-process — bit-identical, just not parallel. The broadcast
-        ships the policy as it stands now, so a pipelined launch hands
-        the workers the pre-update weights: the stale-by-one contract.
+        in-process — bit-identical, just not parallel.
         """
         workers = min(self.config.rollout_workers, len(envs))
         if workers <= 1 or self._replica_unpicklable or not sharding_available():
@@ -301,23 +263,25 @@ class PolicyTrainer:
             for mine, theirs in zip(envs, pool.fetch_member_envs()):
                 vars(mine).update(vars(theirs))
 
-    def _dispatch_round(
+    def _collect_round(
         self, envs: List[MultiUserEnv], streams: List[np.random.Generator]
-    ) -> Dict[str, Any]:
-        """Start one pooled rollout round and return its pending collect.
+    ) -> List[RolloutSegment]:
+        """Roll out one pool round: a lone env directly, else through a pool.
 
-        The single place that picks the pool: worker replicas get the
-        rollout dispatched asynchronously (``_wait_collect`` gathers it),
-        the in-process pool collects right here.
+        The single place that picks the pool: worker replicas when
+        :meth:`_replica_pool` hands one out, the in-process
+        :class:`~repro.rl.vec.VecEnvPool` otherwise. A lone env never
+        touches the worker pool, so a singleton round keeps it cached.
         """
+        max_steps = self.config.truncate_horizon
+        if len(envs) == 1:
+            return [collect_segment(envs[0], self.policy, streams[0], max_steps=max_steps)]
         pool = self._replica_pool(envs)
         if pool is None:
-            segments = collect_segments_vec(
-                envs, self.policy, streams, max_steps=self.config.truncate_horizon
-            )
-            return {"envs": envs, "segments": segments, "pool": None}
-        pool.collect_rollouts_async(streams, max_steps=self.config.truncate_horizon)
-        return {"envs": envs, "segments": None, "pool": pool}
+            return collect_segments_vec(envs, self.policy, streams, max_steps=max_steps)
+        segments = pool.collect_rollouts(streams, max_steps=max_steps)
+        self._pull_worker_envs(envs, pool)
+        return segments
 
     # Hooks specialised by Sim2Rec trainers ------------------------------
     def post_process_segment(self, segment: RolloutSegment, env: MultiUserEnv) -> None:
@@ -326,7 +290,7 @@ class PolicyTrainer:
     def after_update(self) -> None:
         """Extra learning steps after PPO (the Eq. 8 SADAE update)."""
 
-    # The collect schedule: sample -> dispatch -> wait -> post-process --
+    # The collect schedule: sample -> roll out -> post-process ----------
     def collect(self) -> Tuple[RolloutBuffer, List[float]]:
         """Sample simulators and roll the policy out in each (Alg. 1 l. 4–6).
 
@@ -339,57 +303,12 @@ class PolicyTrainer:
         samplers that reuse env instances, or mismatched state/action
         dims) fall back to additional pool rounds or single-env
         rollouts, and samplers with side effects roll simulators one at
-        a time. This is the pipelined schedule with no lag:
-        ``_finish_collect(_begin_collect())``.
-        """
-        return self._finish_collect(self._begin_collect())
-
-    def _collect_batches(
-        self,
-        envs: Sequence[MultiUserEnv],
-        streams: List[np.random.Generator],
-        batches: List[List[Tuple[int, MultiUserEnv]]],
-    ) -> List[RolloutSegment]:
-        """Collect one segment per sampled env, pool round by pool round."""
-        segments: List[Optional[RolloutSegment]] = [None] * len(envs)
-        for batch in batches:
-            if len(batch) == 1:
-                index, env = batch[0]
-                segments[index] = collect_segment(
-                    env,
-                    self.policy,
-                    streams[index],
-                    max_steps=self.config.truncate_horizon,
-                )
-            else:
-                indices = [index for index, _ in batch]
-                pending = self._dispatch_round(
-                    [env for _, env in batch],
-                    [streams[index] for index in indices],
-                )
-                self._wait_collect(pending)
-                for index, segment in zip(indices, pending["segments"]):
-                    segments[index] = segment
-        return segments
-
-    def _begin_collect(self) -> Dict[str, Any]:
-        """Sample this collection's simulators and start collecting.
-
-        The launch half of the collect schedule: every RNG draw that
-        shapes the collection (env sampling, stream splitting) happens
-        here, so the trajectory is fixed at launch time no matter when —
-        or where — the rollouts actually run. When the iteration is one
-        pooled round over several envs and worker replicas are in use,
-        the rollout is dispatched asynchronously and the returned pending
-        holds the live pool; every other setup (sequential/interleaved
-        samplers, in-process pools, multi-round batches) collects right
-        here, which executes the *same* schedule without overlap —
-        trajectories are therefore identical across worker counts.
+        a time.
         """
         config = self.config
         if self._sequential_collect:
             envs: List[MultiUserEnv] = []
-            segments: List[RolloutSegment] = []
+            segments: List[Optional[RolloutSegment]] = []
             for _ in range(config.segments_per_iteration):
                 env = self.env_sampler(self.rng)
                 envs.append(env)
@@ -398,110 +317,24 @@ class PolicyTrainer:
                         env, self.policy, self.rng, max_steps=config.truncate_horizon
                     )
                 )
-            return {"envs": envs, "segments": segments, "pool": None}
-        envs = [self.env_sampler(self.rng) for _ in range(config.segments_per_iteration)]
-        streams = split_rng(self.rng, len(envs))
-        batches = _poolable_batches(envs)
-        if len(batches) == 1 and len(envs) > 1:
-            return self._dispatch_round(envs, streams)
-        return {
-            "envs": envs,
-            "segments": self._collect_batches(envs, streams, batches),
-            "pool": None,
-        }
-
-    def _wait_collect(self, pending: Dict[str, Any]) -> None:
-        """Resolve an in-flight pending collect to finished segments, in place.
-
-        Commits exactly the side effects the synchronous path would
-        have: the workers' advanced env state is synced back into the
-        parent's objects (when the sampler shares them) and the pool's
-        owner-RNG/snapshot bookkeeping is applied by
-        ``collect_rollouts_wait`` itself.
-        """
-        pool = pending["pool"]
-        if pool is None:
-            return
-        segments = pool.collect_rollouts_wait()
-        self._pull_worker_envs(pending["envs"], pool)
-        pending["segments"] = segments
-        pending["pool"] = None
-
-    def _finish_collect(
-        self, pending: Dict[str, Any]
-    ) -> Tuple[RolloutBuffer, List[float]]:
-        """Wait on a pending collect and post-process it into a buffer."""
-        self._wait_collect(pending)
+        else:
+            envs = [self.env_sampler(self.rng) for _ in range(config.segments_per_iteration)]
+            streams = split_rng(self.rng, len(envs))
+            segments = [None] * len(envs)
+            for batch in _poolable_batches(envs):
+                indices = [index for index, _ in batch]
+                collected = self._collect_round(
+                    [env for _, env in batch], [streams[index] for index in indices]
+                )
+                for index, segment in zip(indices, collected):
+                    segments[index] = segment
         buffer = RolloutBuffer()
         raw_rewards: List[float] = []
-        for env, segment in zip(pending["envs"], pending["segments"]):
+        for env, segment in zip(envs, segments):
             raw_rewards.append(float(segment.rewards.sum(axis=0).mean()))
             self.post_process_segment(segment, env)
             buffer.add(segment)
         return buffer, raw_rewards
-
-    # Pipelined determinism (config.determinism == "pipelined") ----------
-    def drain_prefetch(self) -> Optional[Dict[str, Any]]:
-        """Resolve an in-flight prefetch to finished segments, in place.
-
-        Called before a checkpoint is taken: waiting now (instead of at
-        the next ``train_iteration``) commits exactly the side effects
-        the next consume would have committed — worker env state synced
-        back, pool RNG streams advanced — so the snapshot captures a
-        state bit-identical to the unbroken run's, and the stashed
-        segments let the resumed trainer consume the collect without
-        re-running it (post-processing still happens at consume time).
-        Returns the drained prefetch, or None when nothing is pending.
-        A failed wait discards the prefetch before propagating.
-        """
-        pending = self._prefetch
-        if pending is None:
-            return None
-        try:
-            self._wait_collect(pending)
-        except BaseException:
-            self._prefetch = None
-            raise
-        return pending
-
-    def _train_iteration_pipelined(self) -> Dict[str, float]:
-        """One pipelined iteration: consume prefetch N, launch N+1, update N.
-
-        The buffer consumed here was collected against the policy as it
-        stood *before* the previous iteration's update — staleness
-        exactly one iteration (zero only at iteration 0, when the
-        collect is fresh). The next iteration's collection is dispatched
-        before this iteration's update, so the workers roll while the
-        parent learns. ``collect_lag`` in the returned metrics records
-        how stale the consumed buffer was (0.0 fresh / 1.0 prefetched).
-        """
-        config = self.config
-        pending, self._prefetch = self._prefetch, None
-        lag = 1.0
-        if pending is None:
-            lag = 0.0
-            pending = self._begin_collect()
-        with self._phase_timer("collect"):
-            buffer, raw_rewards = self._finish_collect(pending)
-        with self._phase_timer("collect_dispatch"):
-            self._prefetch = self._begin_collect()
-        self._m_collect_lag.set(lag)
-        buffer.finalize(
-            config.ppo.gamma,
-            config.ppo.gae_lambda,
-            bootstrap_last=config.ppo.bootstrap_truncated,
-        )
-        with self._phase_timer("update"):
-            stats = self.ppo.update(buffer)
-        with self._phase_timer("sadae"):
-            self.after_update()
-        metrics = {
-            "reward": float(np.mean(raw_rewards)),
-            "shaped_reward": buffer.mean_reward(),
-            "collect_lag": lag,
-            **stats,
-        }
-        return self._finish_iteration(metrics)
 
     def train_iteration(self) -> Dict[str, float]:
         """Collect, PPO-update and run the SADAE step once; returns the metrics.
@@ -509,13 +342,25 @@ class PolicyTrainer:
         A non-finite loss or gradient norm in either learner raises
         :class:`~repro.rl.TrainingDiverged` before any parameter moves,
         re-raised here naming the last run checkpoint to resume from.
+        Logging, checkpointing and the metrics snapshot happen *after*
+        the metrics dict is final, so instrumentation cannot perturb the
+        values the parity tests compare run to run.
         """
+        config = self.config
         try:
-            if self.config.resolved_determinism() == "pipelined":
-                return self._train_iteration_pipelined()
-            return self._train_iteration_strict()
+            with self._phase_timer("collect"):
+                buffer, raw_rewards = self.collect()
+            buffer.finalize(
+                config.ppo.gamma,
+                config.ppo.gae_lambda,
+                bootstrap_last=config.ppo.bootstrap_truncated,
+            )
+            with self._phase_timer("update"):
+                stats = self.ppo.update(buffer)
+            with self._phase_timer("sadae"):
+                self.after_update()
         except TrainingDiverged as error:
-            path = self.config.checkpoint_path
+            path = config.checkpoint_path
             if self._last_checkpoint is None:
                 resume = f"no checkpoint was written (checkpoint_path={path!r})"
             else:
@@ -526,27 +371,25 @@ class PolicyTrainer:
             raise TrainingDiverged(
                 f"training diverged in iteration {self._iteration}: {error}; {resume}"
             ) from error
-
-    def _train_iteration_strict(self) -> Dict[str, float]:
-        config = self.config
-        with self._phase_timer("collect"):
-            buffer, raw_rewards = self.collect()
-        self._m_collect_lag.set(0.0)
-        buffer.finalize(
-            config.ppo.gamma,
-            config.ppo.gae_lambda,
-            bootstrap_last=config.ppo.bootstrap_truncated,
-        )
-        with self._phase_timer("update"):
-            stats = self.ppo.update(buffer)
-        with self._phase_timer("sadae"):
-            self.after_update()
         metrics = {
             "reward": float(np.mean(raw_rewards)),
             "shaped_reward": buffer.mean_reward(),
             **stats,
         }
-        return self._finish_iteration(metrics)
+        iteration = self._iteration
+        self.logger.log(iteration, **metrics)
+        self._iteration += 1
+        self._m_iterations.inc()
+        if (
+            config.checkpoint_every > 0
+            and config.checkpoint_path is not None
+            and self._iteration % config.checkpoint_every == 0
+        ):
+            with self._phase_timer("checkpoint"):
+                self.save_checkpoint(config.checkpoint_path)
+            self._last_checkpoint = self._iteration
+        self._write_metrics_record(iteration, metrics)
+        return metrics
 
     def train(self, iterations: int) -> MetricLogger:
         for _ in range(iterations):
@@ -679,7 +522,6 @@ class Sim2RecLTSTrainer(PolicyTrainer):
                 sets,
                 epochs=epochs or self.config.sadae_pretrain_epochs,
                 rng=self.rng,
-                batched=self.config.batched_sadae,
             )
 
     def post_process_segment(self, segment: RolloutSegment, env: MultiUserEnv) -> None:
@@ -705,7 +547,6 @@ class Sim2RecLTSTrainer(PolicyTrainer):
             epochs=self.config.sadae_updates_per_iteration,
             rng=self.rng,
             fit_normalizer=False,
-            batched=self.config.batched_sadae,
         )
 
 
@@ -818,7 +659,6 @@ class Sim2RecDPRTrainer(PolicyTrainer):
                 self._sadae_sets,
                 epochs=epochs or self.config.sadae_pretrain_epochs,
                 rng=self.rng,
-                batched=self.config.batched_sadae,
             )
 
     def post_process_segment(self, segment: RolloutSegment, env: MultiUserEnv) -> None:
@@ -853,7 +693,6 @@ class Sim2RecDPRTrainer(PolicyTrainer):
             epochs=self.config.sadae_updates_per_iteration,
             rng=self.rng,
             fit_normalizer=False,
-            batched=self.config.batched_sadae,
         )
 
 

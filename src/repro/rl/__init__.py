@@ -28,7 +28,6 @@ from .parity import (
     assert_segments_identical,
     collect_rollout_mode,
     verify_rollout_parity,
-    verify_training_reproducibility,
 )
 
 __all__ = [
@@ -63,5 +62,4 @@ __all__ = [
     "split_rng",
     "valid_step_mask",
     "verify_rollout_parity",
-    "verify_training_reproducibility",
 ]

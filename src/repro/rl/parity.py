@@ -30,7 +30,7 @@ RNGs travel inside the pickled envs. See :mod:`repro.rl.workers`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -185,44 +185,4 @@ def verify_rollout_parity(
             pool_kwargs=pool_kwargs,
         )
         assert_segments_identical(reference, collected, label=f"{label}/{mode}")
-    return reference
-
-
-def verify_training_reproducibility(
-    build_trainer: Callable[[], Any],
-    iterations: int = 3,
-    runs: int = 2,
-    label: str = "reproducibility",
-) -> List[dict]:
-    """Assert a trainer factory reproduces its metric trajectory run to run.
-
-    The verification primitive behind ``determinism="pipelined"``:
-    strict mode is certified bit-identical *across collection modes* by
-    :func:`verify_rollout_parity`, while pipelined mode promises a
-    different, deliberately weaker contract — the same config and seed
-    produce the same trajectory on every run (and on any worker count,
-    because ineligible launches execute the identical schedule
-    synchronously), **not** the strict trajectory (its rollouts use the
-    pre-update, stale-by-one policy). ``build_trainer`` must return a
-    freshly built, ready-to-train trainer each call (do any pretraining
-    inside the factory); each trainer is closed after its run. Returns
-    the reference run's metric dicts so callers can assert further
-    properties (e.g. ``collect_lag``).
-    """
-    reference: Optional[List[dict]] = None
-    for run in range(runs):
-        with build_trainer() as trainer:
-            metrics = [trainer.train_iteration() for _ in range(iterations)]
-        if reference is None:
-            reference = metrics
-        elif metrics != reference:
-            for step, (expected, got) in enumerate(zip(reference, metrics)):
-                if expected != got:
-                    raise AssertionError(
-                        f"{label}: run {run} diverged from run 0 at iteration "
-                        f"{step}: {got!r} != {expected!r}"
-                    )
-            raise AssertionError(
-                f"{label}: run {run} diverged from run 0: {metrics!r} != {reference!r}"
-            )
     return reference

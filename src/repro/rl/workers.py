@@ -595,9 +595,8 @@ class ShardedVecEnvPool:
     """Member envs sharded across worker processes that act with replicas.
 
     The pool runs jobs, not steps: :meth:`sync_policy` broadcasts the
-    policy replica, then :meth:`collect_rollouts` (or the
-    :meth:`collect_rollouts_async` / :meth:`collect_rollouts_wait` pair)
-    and :meth:`evaluate_policy` run whole rollouts or evaluation sweeps
+    policy replica, then :meth:`collect_rollouts` and
+    :meth:`evaluate_policy` run whole rollouts or evaluation sweeps
     inside the workers (see the module docstring). ``load_envs`` reuses
     the worker processes for a fresh env set of identical layout
     (amortising process startup across training iterations), and
@@ -695,7 +694,6 @@ class ShardedVecEnvPool:
             _cleanup(self._procs, self._conns, self._shm_segments)
             raise
 
-        self._collect_pending: Optional[Dict[str, Any]] = None
         self._closed = False
         self._finalizer = weakref.finalize(
             self, _cleanup, self._procs, self._conns, self._shm_segments
@@ -724,11 +722,6 @@ class ShardedVecEnvPool:
     def restart_counts(self) -> List[int]:
         """Per-worker respawn counts (copy; index = original worker slot)."""
         return list(self._restarts)
-
-    @property
-    def collect_pending(self) -> bool:
-        """True while a :meth:`collect_rollouts_async` awaits its wait."""
-        return self._collect_pending is not None
 
     def set_metrics(self, registry: MetricsRegistry) -> None:
         """Attach a metrics registry (purely additive; idempotent).
@@ -826,19 +819,6 @@ class ShardedVecEnvPool:
         if self._closed:
             raise RuntimeError("pool is closed")
 
-    def _check_no_collect(self, op: str) -> None:
-        """Fence: the workers are busy rolling an async collect.
-
-        Every command that would interleave pipe traffic with the
-        in-flight rollout replies (or mutate state the rollout is
-        reading) must wait for :meth:`collect_rollouts_wait` first.
-        """
-        if self._collect_pending is not None:
-            raise RuntimeError(
-                f"{op} during an in-flight collect_rollouts_async(); call "
-                "collect_rollouts_wait() first"
-            )
-
     def _recv(self, worker: int, deadline: Optional[float] = None, op: str = "command"):
         """Liveness- and deadline-checked receive.
 
@@ -886,14 +866,22 @@ class ShardedVecEnvPool:
             )
         return message
 
-    def _send_commands(self, commands: Sequence[Any], op: str) -> Dict[int, BaseException]:
-        """Send one command per worker.
+    def _exchange(
+        self,
+        commands: Sequence[Any],
+        op: str,
+        wait_seconds: Optional[Histogram] = None,
+    ) -> List[Any]:
+        """One supervised command round: one command and one reply per worker.
 
-        Without a fault policy a broken pipe closes the pool and raises
-        (fail-fast contract); with one, the failure is recorded and
-        handed to the receive phase, which recovers the worker and
-        re-issues the command.
+        Without a fault policy a failed send or receive closes the pool
+        and raises (fail-fast contract); with one, the failed worker is
+        respawned and re-issued its command, and budget exhaustion
+        raises :class:`_Degraded` after the in-process fallback is
+        built. Each worker's wait, recovery included, is observed into
+        ``wait_seconds`` under its shard label when given.
         """
+        self._check_open()
         failed: Dict[int, BaseException] = {}
         for worker, (conn, command) in enumerate(zip(self._conns, commands)):
             try:
@@ -909,25 +897,6 @@ class ShardedVecEnvPool:
                     self.close()
                     raise crash from None
                 failed[worker] = crash
-        return failed
-
-    def _gather(
-        self,
-        commands: Sequence[Any],
-        op: str,
-        failed: Optional[Dict[int, BaseException]] = None,
-        wait_seconds: Optional[Histogram] = None,
-    ) -> List[Any]:
-        """Collect one reply per worker, recovering failures when allowed.
-
-        Raises the usual pool errors (closing first) without a fault
-        policy; with one, recoverable failures respawn the worker and
-        re-issue its command, and budget exhaustion raises
-        :class:`_Degraded` after the in-process fallback is built. Each
-        worker's wait, recovery included, is observed into
-        ``wait_seconds`` under its shard label when given.
-        """
-        failed = dict(failed or {})
         replies: List[Any] = [None] * len(commands)
         deadline = self._deadline_for(op)
         for worker in range(len(commands)):
@@ -948,12 +917,6 @@ class ShardedVecEnvPool:
             if wait_seconds is not None:
                 wait_seconds.labels(str(worker)).observe(time.perf_counter() - wait_start)
         return replies
-
-    def _exchange(self, commands: Sequence[Any], op: str) -> List[Any]:
-        """One full supervised command round: send all, gather all."""
-        self._check_open()
-        failed = self._send_commands(commands, op)
-        return self._gather(commands, op, failed)
 
     def _recover(self, worker: int, command: Any, op: str, error: BaseException):
         """Respawn a failed worker from its snapshot, re-issue its command.
@@ -1106,7 +1069,6 @@ class ShardedVecEnvPool:
         received anything, and leaves the pool usable.
         """
         self._check_open()
-        self._check_no_collect("sync_policy()")
         state = _replica_state(policy)
         signature = tuple(sorted((key, value.shape) for key, value in state.items()))
         if (
@@ -1239,118 +1201,50 @@ class ShardedVecEnvPool:
         caller-owned RNG states are applied only after *every* worker
         answered, so an interrupted collect re-runs (or degrades) with
         pristine inputs — recovered rollouts are bit-identical.
-
-        Implemented as :meth:`collect_rollouts_async` followed
-        immediately by :meth:`collect_rollouts_wait`; use the pair
-        directly to overlap parent-side work (e.g. a PPO update) with
-        the workers' collection.
-        """
-        self.collect_rollouts_async(
-            rng, max_steps=max_steps, extras_from_info=extras_from_info
-        )
-        return self.collect_rollouts_wait()
-
-    def collect_rollouts_async(
-        self,
-        rng: RNGLike,
-        max_steps: Optional[int] = None,
-        extras_from_info: Tuple[str, ...] = (),
-    ) -> None:
-        """Dispatch a full rollout to every worker without waiting.
-
-        The workers start their act → step → record loops against the
-        last-broadcast replica immediately; the parent is free to run
-        other work (a policy update, metric logging) and must call
-        :meth:`collect_rollouts_wait` to gather the segments. Exactly
-        one collect can be in flight, and every other pool command
-        (broadcast/evaluate/load/fetch) is fenced until the wait — only
-        :meth:`close` is allowed, which discards the in-flight collect.
-        All side effects (caller-owned RNG advancement, snapshot
-        refresh) are applied by the wait, after every worker answered,
-        so the fault-recovery contract is unchanged. On a degraded pool
-        the in-process collect is deferred to the wait as well: the
-        caller's dispatch→update→wait schedule executes identically,
-        just without overlap.
         """
         self._check_open()
-        self._check_no_collect("collect_rollouts_async()")
-        self._check_replica("collect_rollouts_async()")
+        self._check_replica("collect_rollouts()")
         if max_steps is None:
             max_steps = self.max_steps
         rngs, owners = self._as_env_rngs(rng)
-        extras = tuple(extras_from_info)
-        if self._inner is not None:
-            self._collect_pending = {
-                "degraded": True,
-                "rngs": rngs,
-                "max_steps": max_steps,
-                "extras": extras,
-            }
-            return
-        capacity = max(max_steps or horizon for horizon in self._horizons)
-        traj_name = self._ensure_traj(capacity)
-        commands = [
-            (
-                "rollout",
-                {
-                    "version": self._replica_version,
-                    "traj": (traj_name, self._traj_capacity),
-                    "max_steps": max_steps,
-                    "extras": extras,
-                    "rngs": rngs[shard],
-                    "return_envs": self._fault is not None,
-                },
-            )
-            for shard in self._shards
-        ]
-        # Fail-fast pools close-and-raise inside _send_commands; with a
-        # fault policy the send failures are recorded and recovered at
-        # wait time, exactly like the synchronous path.
-        failed = self._send_commands(commands, op="rollout")
-        self._collect_pending = {
-            "degraded": False,
-            "commands": commands,
-            "failed": failed,
-            "rngs": rngs,
-            "owners": owners,
-            "max_steps": max_steps,
-            "extras": extras,
-        }
-
-    def collect_rollouts_wait(self) -> List[RolloutSegment]:
-        """Gather the in-flight async collect and commit its side effects.
-
-        Blocks until every worker answered (recovering crashed workers
-        under a :class:`FaultPolicy`, degrading on budget exhaustion),
-        then — and only then — applies caller-owned RNG states,
-        refreshes the recovery snapshots and cuts the
-        :class:`~repro.rl.buffer.RolloutSegment` objects. A failed wait
-        clears the pending collect before propagating, so the pool is
-        never left half-waiting.
-        """
-        self._check_open()
-        pending = self._collect_pending
-        if pending is None:
-            raise RuntimeError(
-                "collect_rollouts_wait() without a collect_rollouts_async()"
-            )
-        self._collect_pending = None
-        max_steps = pending["max_steps"]
-        extras_from_info = pending["extras"]
-        rngs = pending["rngs"]
-        if not pending["degraded"]:
-            try:
-                replies = self._gather(
-                    pending["commands"],
+        extras_from_info = tuple(extras_from_info)
+        if self._inner is None:
+            capacity = max(max_steps or horizon for horizon in self._horizons)
+            traj_name = self._ensure_traj(capacity)
+            commands = [
+                (
                     "rollout",
-                    pending["failed"],
+                    {
+                        "version": self._replica_version,
+                        "traj": (traj_name, self._traj_capacity),
+                        "max_steps": max_steps,
+                        "extras": extras_from_info,
+                        "rngs": rngs[shard],
+                        "return_envs": self._fault is not None,
+                    },
+                )
+                for shard in self._shards
+            ]
+            try:
+                replies = self._exchange(
+                    commands,
+                    op="rollout",
                     wait_seconds=self._m_collect_wait if self._metrics is not None else None,
                 )
             except _Degraded:
                 pass
             else:
-                return self._assemble_rollouts(replies, pending["owners"], extras_from_info)
-        return self._collect_degraded(rngs, max_steps, extras_from_info)
+                return self._assemble_rollouts(replies, owners, extras_from_info)
+        # Degraded: the archived replica is byte-equal to the weights the
+        # workers held and a failed attempt advanced none of the caller's
+        # generators, so the in-process segments are bit-identical.
+        self._inner.max_steps = max_steps
+        return collect_segments_vec(
+            self._inner,
+            self._materialize_replica(),
+            rngs,
+            extras_from_info=extras_from_info,
+        )
 
     def _assemble_rollouts(
         self,
@@ -1383,28 +1277,6 @@ class ShardedVecEnvPool:
             for segment, extras in zip(segments, extras_per_env):
                 segment.extras = {key: extras[key] for key in extras_from_info}
         return segments
-
-    def _collect_degraded(
-        self,
-        rngs: List[np.random.Generator],
-        max_steps: Optional[int],
-        extras_from_info: Tuple[str, ...],
-    ) -> List[RolloutSegment]:
-        """Run the interrupted (or a fresh) rollout through the inner pool.
-
-        Uses the archived policy replica — byte-equal to the weights the
-        workers held — and the caller's generator objects directly (they
-        were not advanced by the failed attempt), so the segments are
-        bit-identical to what the workers would have produced.
-        """
-        assert self._inner is not None
-        self._inner.max_steps = max_steps
-        return collect_segments_vec(
-            self._inner,
-            self._materialize_replica(),
-            rngs,
-            extras_from_info=tuple(extras_from_info),
-        )
 
     # ------------------------------------------------------------------
     # replica-side evaluation
@@ -1439,7 +1311,6 @@ class ShardedVecEnvPool:
         so the old snapshots no longer describe the shard).
         """
         self._check_open()
-        self._check_no_collect("evaluate_policy()")
         self._check_replica("evaluate_policy()")
         if max_steps is None:
             max_steps = self.max_steps
@@ -1497,7 +1368,6 @@ class ShardedVecEnvPool:
         if len({id(env) for env in envs}) != len(envs):
             raise ValueError("load_envs members must be distinct objects")
         self._check_open()
-        self._check_no_collect("load_envs()")
         if self._inner is None:
             try:
                 self._exchange(
@@ -1522,7 +1392,6 @@ class ShardedVecEnvPool:
         whole training run.
         """
         self._check_open()
-        self._check_no_collect("fetch_member_envs()")
         if self._inner is None:
             try:
                 replies = self._exchange(
@@ -1540,9 +1409,6 @@ class ShardedVecEnvPool:
         if self._closed:
             return
         self._closed = True
-        # An in-flight async collect is discarded: the workers are about
-        # to be reaped, and no side effect was committed at dispatch.
-        self._collect_pending = None
         # Drop our buffer views so the segments' mmaps can actually close.
         self._traj_stacked = self._traj_last = None
         self._finalizer.detach()

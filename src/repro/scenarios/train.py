@@ -107,7 +107,6 @@ class ScenarioTrainer(PolicyTrainer):
                 sets,
                 epochs=epochs or self.config.sadae_pretrain_epochs,
                 rng=self.rng,
-                batched=self.config.batched_sadae,
             )
 
     def post_process_segment(self, segment: RolloutSegment, env: MultiUserEnv) -> None:
@@ -133,7 +132,6 @@ class ScenarioTrainer(PolicyTrainer):
             epochs=self.config.sadae_updates_per_iteration,
             rng=self.rng,
             fit_normalizer=False,
-            batched=self.config.batched_sadae,
         )
 
 

@@ -94,6 +94,31 @@ class TestResumeTrajectory:
             tail = run_iterations(trainer, 2)
         assert head + tail == unbroken
 
+    @pytest.mark.parametrize("saved, resumed", [(2, 1), (1, 2)])
+    def test_resume_across_worker_counts(self, tmp_path, saved, resumed):
+        """The archive does not depend on where rollouts ran: a run saved
+        with one worker setting resumes under the other onto the same
+        trajectory."""
+        path = tmp_path / "run.npz"
+
+        def workers(count):
+            def tweak(config):
+                config.rollout_workers = count
+
+            return tweak
+
+        with scenario_trainer(tweak=workers(saved)) as trainer:
+            trainer.pretrain_sadae(epochs=1)
+            unbroken = run_iterations(trainer, 3)
+        with scenario_trainer(tweak=workers(saved)) as trainer:
+            trainer.pretrain_sadae(epochs=1)
+            head = run_iterations(trainer, 1)
+            trainer.save_checkpoint(path)
+        with scenario_trainer(tweak=workers(resumed)) as trainer:
+            trainer.load_checkpoint(path)
+            tail = run_iterations(trainer, 2)
+        assert head + tail == unbroken
+
     def test_lts_trainer_resumes_exactly(self, tmp_path):
         path = tmp_path / "lts.npz"
         unbroken_trainer = lts_trainer()
@@ -106,6 +131,30 @@ class TestResumeTrajectory:
         fresh = lts_trainer()
         fresh.load_checkpoint(path)
         tail = run_iterations(fresh, 2)
+        assert head + tail == unbroken
+
+    def test_lts_trainer_resumes_under_sharded_rollouts(self, tmp_path):
+        """The LTS sampler reuses its env objects, so each collect pulls
+        the workers' advanced env state back before the iteration ends:
+        a checkpoint taken between iterations holds it and the resumed
+        run stays on the unbroken trajectory."""
+        path = tmp_path / "lts.npz"
+
+        def sharded():
+            trainer = lts_trainer()
+            trainer.config.rollout_workers = 2
+            trainer.pretrain_sadae(epochs=1, users_per_set=6)
+            return trainer
+
+        with sharded() as trainer:
+            unbroken = run_iterations(trainer, 4)
+        with sharded() as trainer:
+            head = run_iterations(trainer, 2)
+            assert trainer._worker_pool is not None
+            trainer.save_checkpoint(path)
+        with sharded() as trainer:
+            trainer.load_checkpoint(path)
+            tail = run_iterations(trainer, 2)
         assert head + tail == unbroken
 
     def test_periodic_checkpointing_through_config(self, tmp_path):
@@ -125,6 +174,51 @@ class TestResumeTrajectory:
             assert checkpoint_iteration(path) == 2
             run_iterations(trainer, 2)
             assert checkpoint_iteration(path) == 4
+
+    def test_periodic_checkpointing_keeps_sharded_trajectory(self, tmp_path):
+        """Writing a checkpoint between iterations touches no rollout
+        state: a sharded run that checkpoints every iteration takes the
+        trajectory of one that never does."""
+        path = tmp_path / "auto.npz"
+
+        def sharded(config):
+            config.rollout_workers = 2
+
+        def sharded_auto(config):
+            sharded(config)
+            config.checkpoint_every = 1
+            config.checkpoint_path = str(path)
+
+        runs = []
+        for tweak in (sharded, sharded_auto):
+            with scenario_trainer(tweak=tweak) as trainer:
+                trainer.pretrain_sadae(epochs=1)
+                runs.append(run_iterations(trainer, 3))
+                assert trainer._worker_pool is not None
+        assert runs[0] == runs[1]
+        assert checkpoint_iteration(path) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_archive_holds_only_the_documented_sections(self, tmp_path, workers):
+        """A saved run carries the module's documented sections and no
+        key a resume would refuse, whether it rolled out in process or
+        in workers."""
+        from repro.nn import load_state
+
+        path = tmp_path / "run.npz"
+
+        def tweak(config):
+            config.rollout_workers = workers
+
+        with scenario_trainer(tweak=tweak) as trainer:
+            trainer.pretrain_sadae(epochs=1)
+            run_iterations(trainer, 2)
+            trainer.save_checkpoint(path)
+        sections = {key.split(".", 1)[0] for key in load_state(path)}
+        assert {"meta", "rng", "policy", "optimizer", "aux"} <= sections
+        assert sections <= {"meta", "rng", "policy", "optimizer", "schedule", "aux"}
+        with scenario_trainer(tweak=tweak) as trainer:
+            assert trainer.load_checkpoint(path) == 2
 
 
 class TestCorruptionSafety:
@@ -167,6 +261,65 @@ class TestCorruptionSafety:
         with scenario_trainer() as trainer:
             with pytest.raises(ValueError, match="version"):
                 trainer.load_checkpoint(path)
+
+    def test_pipelined_checkpoint_is_rejected(self, tmp_path):
+        """A checkpoint holding a prefetched collection fails by name
+        before any trainer state is overwritten."""
+        path = self.make_checkpoint(tmp_path)
+        from repro.nn import load_state, save_state
+
+        state = load_state(path)
+        state["prefetch.segments"] = pickle_to_array([])
+        save_state(path, state)
+        with scenario_trainer() as trainer:
+            before = final_params(trainer)
+            with pytest.raises(ValueError, match="pipelined"):
+                trainer.load_checkpoint(path)
+            after = final_params(trainer)
+            assert trainer.iteration == 0
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [("prefetch.envs",), ("prefetch.envs", "prefetch.segments")],
+        ids=["envs_only", "envs_and_segments"],
+    )
+    def test_any_prefetch_key_is_rejected(self, tmp_path, keys):
+        """Every ``prefetch.*`` key is refused, not only the segments."""
+        path = self.make_checkpoint(tmp_path)
+        from repro.nn import load_state, save_state
+
+        state = load_state(path)
+        for key in keys:
+            state[key] = pickle_to_array([])
+        save_state(path, state)
+        with scenario_trainer() as trainer:
+            with pytest.raises(ValueError, match="pipelined"):
+                trainer.load_checkpoint(path)
+            assert trainer.iteration == 0
+
+    def test_rejected_load_leaves_the_trainer_untouched(self, tmp_path):
+        """The refusal comes before the env population, generators,
+        optimizer or replay window are restored: the trainer then runs
+        exactly like one that never tried to load."""
+        from repro.nn import load_state, save_state
+
+        path = tmp_path / "lts.npz"
+        trainer = lts_trainer()
+        trainer.pretrain_sadae(epochs=1, users_per_set=6)
+        run_iterations(trainer, 2)
+        trainer.save_checkpoint(path)
+        state = load_state(path)
+        state["prefetch.segments"] = pickle_to_array([])
+        save_state(path, state)
+        fresh, refused = lts_trainer(), lts_trainer()
+        for each in (fresh, refused):
+            each.pretrain_sadae(epochs=1, users_per_set=6)
+        with pytest.raises(ValueError, match="pipelined"):
+            refused.load_checkpoint(path)
+        assert run_iterations(refused, 2) == run_iterations(fresh, 2)
 
     def test_config_mismatch_is_rejected(self, tmp_path):
         """A checkpoint from a different architecture must not load."""

@@ -74,7 +74,6 @@ class TestJSONLRecords:
         assert set(final["logged"]) == set(logged[-1])
         snapshot = final["metrics"]
         assert snapshot["train_iterations_total"]["series"][0]["value"] == 2
-        assert "train_collect_lag" in snapshot
         phases = {
             series["labels"]["phase"]
             for series in snapshot["train_phase_seconds"]["series"]
@@ -82,6 +81,34 @@ class TestJSONLRecords:
         assert {"collect", "update", "sadae", "sadae_pretrain"} <= phases
         for series in snapshot["train_phase_seconds"]["series"]:
             assert sum(series["counts"]) == series["count"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_phases_are_the_documented_synchronous_schedule(self, tmp_path, workers):
+        """Every iteration times one collect, update and SADAE step (and
+        here a checkpoint); no other phase label appears, in process or
+        with rollout workers."""
+        if workers > 1 and not sharding_available():
+            pytest.skip("platform has no multiprocessing start method")
+        path = tmp_path / "metrics.jsonl"
+        run(
+            iterations=3,
+            metrics_path=str(path),
+            rollout_workers=workers,
+            checkpoint_every=1,
+            checkpoint_path=str(tmp_path / "run.npz"),
+        )
+        snapshot = read_metrics_jsonl(path, strict=True)[-1]["metrics"]
+        counts = {
+            series["labels"]["phase"]: series["count"]
+            for series in snapshot["train_phase_seconds"]["series"]
+        }
+        assert counts == {
+            "sadae_pretrain": 1,
+            "collect": 3,
+            "update": 3,
+            "sadae": 3,
+            "checkpoint": 3,
+        }
 
     def test_sink_reopened_after_pool_relayout_keeps_appending(self, tmp_path):
         """Changing the worker layout mid-run closes the sink; the next

@@ -126,8 +126,8 @@ class TestRecoveryParityGrid:
         policy = FaultPolicy(
             max_restarts=2,
             backoff=0.0,
-            broadcast_deadline=1.5 if kind == "hang" else 15.0,
-            collect_deadline=3.0 if kind == "hang" else 30.0,
+            broadcast_deadline=0.5 if kind == "hang" else 15.0,
+            collect_deadline=0.5 if kind == "hang" else 30.0,
             graceful_join=0.5,
         )
         verify_rollout_parity(
@@ -162,7 +162,7 @@ class TestRecoveryParityGrid:
         """A lost IPC reply looks like a hang; the deadline catches it."""
         chaos = ChaosSchedule([FaultSpec("drop_reply", worker=1, op="rollout", at=0)])
         policy = FaultPolicy(
-            max_restarts=2, backoff=0.0, collect_deadline=2.0, graceful_join=0.5
+            max_restarts=2, backoff=0.0, collect_deadline=0.5, graceful_join=0.5
         )
         verify_rollout_parity(
             make_envs,
@@ -292,7 +292,7 @@ class TestEvaluateRecovery:
         fault = FaultPolicy(
             max_restarts=2,
             backoff=0.0,
-            collect_deadline=2.0 if kind == "hang" else 30.0,
+            collect_deadline=0.5 if kind == "hang" else 30.0,
             graceful_join=0.5,
         )
         totals, states, restarts, degraded = evaluate_sharded(
@@ -310,7 +310,7 @@ class TestEvaluateRecovery:
         expected, expected_states = evaluate_in_process(policy, 920 + shards)
         chaos = ChaosSchedule([spec_for("drop_reply", "evaluate", shards)])
         fault = FaultPolicy(
-            max_restarts=2, backoff=0.0, collect_deadline=2.0, graceful_join=0.5
+            max_restarts=2, backoff=0.0, collect_deadline=0.5, graceful_join=0.5
         )
         totals, states, restarts, degraded = evaluate_sharded(
             policy, 920 + shards, shards, fault_policy=fault, chaos=chaos

@@ -547,137 +547,133 @@ class TestTrainerIntegration:
         finally:
             trainer.close()
 
+    @pytest.mark.parametrize("kind", ["lts", "scenario"])
+    def test_sharded_training_matches_in_process_trajectory(self, kind):
+        """Whole iterations (collect, PPO update, SADAE step) take the
+        same trajectory with worker replicas as in one process: metrics
+        equal and final parameters bit-identical."""
 
-class TestAsyncCollect:
-    """The collect_rollouts_async()/collect_rollouts_wait() split."""
+        def build(workers):
+            if kind == "lts":
+                return self._make_trainer(workers)
+            from repro.core.config import scenario_small_config
+            from repro.scenarios import trainer_from_config
 
-    def _pool_and_policy(self, **pool_kwargs):
-        policy = make_policy()
-        pool = ShardedVecEnvPool(
-            make_world().make_all_city_envs(), num_workers=2, **pool_kwargs
-        )
-        pool.sync_policy(policy)
-        return pool, policy
+            spec = {"family": "slate", "num_envs": 4, "num_users": 5, "horizon": 5}
+            config = scenario_small_config(seed=11)
+            config.scenario = dict(spec)
+            config.rollout_workers = workers
+            trainer = trainer_from_config(config, dict(spec))
+            trainer.pretrain_sadae(epochs=1)
+            return trainer
 
-    def test_async_then_wait_matches_synchronous_collect(self):
-        """Splitting dispatch from gather changes no bytes."""
-        policy = make_policy()
-        rngs = lambda: [np.random.default_rng(900 + i) for i in range(5)]  # noqa: E731
-        with ShardedVecEnvPool(
-            make_world().make_all_city_envs(), num_workers=2
-        ) as pool:
-            pool.sync_policy(policy)
-            reference = pool.collect_rollouts(rngs())
-        with ShardedVecEnvPool(
-            make_world().make_all_city_envs(), num_workers=2
-        ) as pool:
-            pool.sync_policy(policy)
-            assert not pool.collect_pending
-            pool.collect_rollouts_async(rngs())
-            assert pool.collect_pending
-            collected = pool.collect_rollouts_wait()
-            assert not pool.collect_pending
-        assert_segments_identical(reference, collected, label="async_split")
+        runs = {}
+        for workers in (1, 2):
+            with build(workers) as trainer:
+                metrics = [trainer.train_iteration() for _ in range(2)]
+                if workers == 2:
+                    assert trainer._worker_pool is not None
+                params = {k: v.copy() for k, v in trainer.policy.replica_state().items()}
+            runs[workers] = metrics, params
+        (base_metrics, base_params), (got_metrics, got_params) = runs[1], runs[2]
+        assert got_metrics == base_metrics
+        assert got_params.keys() == base_params.keys()
+        for key, value in base_params.items():
+            np.testing.assert_array_equal(got_params[key], value, err_msg=key)
 
-    def test_wait_without_async_raises(self):
-        pool, _ = self._pool_and_policy()
-        with pool:
-            with pytest.raises(RuntimeError, match="without a collect_rollouts_async"):
-                pool.collect_rollouts_wait()
-
-    def test_conflicting_commands_are_fenced_until_wait(self):
-        """Every command that would interleave with the in-flight rollout
-        replies raises; the wait still gathers clean segments after."""
-        pool, policy = self._pool_and_policy()
-        rngs = [np.random.default_rng(910 + i) for i in range(5)]
-        with pool:
-            pool.collect_rollouts_async(rngs)
-            for call in (
-                lambda: pool.collect_rollouts_async(rngs),
-                lambda: pool.collect_rollouts(rngs),
-                lambda: pool.sync_policy(policy),
-                lambda: pool.evaluate_policy(np.random.default_rng(0)),
-                lambda: pool.load_envs(make_world().make_all_city_envs()),
-                pool.fetch_member_envs,
-            ):
-                with pytest.raises(RuntimeError, match="in-flight collect"):
-                    call()
-            segments = pool.collect_rollouts_wait()
-            assert len(segments) == 5
-
-    def test_close_discards_inflight_collect(self):
-        """close() during an async collect tears down cleanly (no hang,
-        shm unlinked) and the pool reports no pending collect."""
-        pool, _ = self._pool_and_policy()
-        pool.collect_rollouts_async(
-            [np.random.default_rng(920 + i) for i in range(5)]
-        )
+    def test_close_releases_worker_processes(self):
+        """close() after sharded training stops every worker, unlinks the
+        trajectory segment and is a no-op the second time."""
+        trainer = self._make_trainer(workers=2)
+        trainer.train_iteration()
+        pool = trainer._worker_pool
+        procs = list(pool._procs)
         name = pool._traj_shm.name
-        pool.close()
-        assert not pool.collect_pending
+        trainer.close()
+        assert pool.closed and trainer._worker_pool is None
+        assert not any(proc.is_alive() for proc in procs)
         assert shm_segment_exists(name) is not True
+        trainer.close()
 
-    def test_owner_rng_commit_happens_at_wait(self):
-        """Caller-owned generators advance only when the wait lands —
-        dispatching alone must not mutate them."""
-        pool, _ = self._pool_and_policy()
-        rngs = [np.random.default_rng(930 + i) for i in range(5)]
-        states_before = [rng.bit_generator.state for rng in rngs]
-        with pool:
-            pool.collect_rollouts_async(rngs)
-            assert [rng.bit_generator.state for rng in rngs] == states_before
-            pool.collect_rollouts_wait()
-            assert [rng.bit_generator.state for rng in rngs] != states_before
 
-    def test_worker_killed_mid_async_collect_recovers_bit_identically(self):
-        """A SIGKILL while the prefetch is in flight is recovered by the
-        wait under a FaultPolicy, with byte-identical segments."""
-        from repro.rl.workers import FaultPolicy
+class TestSynchronousCollect:
+    """collect_rollouts() is one supervised command round like every other
+    pool command: it returns once every worker replied, so any command
+    may follow it and the pool stays on the in-process trajectory."""
 
+    @pytest.mark.parametrize(
+        "command",
+        ["sync_policy", "collect_rollouts", "evaluate_policy", "load_envs", "fetch_member_envs"],
+    )
+    def test_command_after_collect_continues_in_process_run(self, command):
         policy = make_policy()
-        rngs = lambda: [np.random.default_rng(940 + i) for i in range(5)]  # noqa: E731
-        with ShardedVecEnvPool(
-            make_world().make_all_city_envs(), num_workers=2
-        ) as pool:
+        envs = make_world().make_all_city_envs()  # the in-process twin
+        with ShardedVecEnvPool(make_world().make_all_city_envs(), num_workers=2) as pool:
             pool.sync_policy(policy)
-            reference = pool.collect_rollouts(rngs())
-        fault = FaultPolicy(
-            max_restarts=2, backoff=0.0, collect_deadline=30.0, graceful_join=0.5
-        )
-        with ShardedVecEnvPool(
-            make_world().make_all_city_envs(), num_workers=2, fault_policy=fault
-        ) as pool:
-            pool.sync_policy(policy)
-            pool.collect_rollouts_async(rngs())
-            os.kill(pool._procs[0].pid, signal.SIGKILL)
-            collected = pool.collect_rollouts_wait()
-            assert pool.restart_counts[0] >= 1
-        assert_segments_identical(reference, collected, label="async_recovery")
-
-    def test_degraded_pool_defers_collect_to_wait(self):
-        """On a degraded pool the async dispatch records inputs and the
-        wait runs the in-process collect — same bits as synchronous."""
-        from repro.rl.workers import FaultPolicy
-
-        policy = make_policy()
-        rngs = lambda: [np.random.default_rng(950 + i) for i in range(5)]  # noqa: E731
-        fault = FaultPolicy(max_restarts=0, backoff=0.0, graceful_join=0.5)
-
-        def degraded_pool():
-            pool = ShardedVecEnvPool(
-                make_world().make_all_city_envs(), num_workers=2, fault_policy=fault
+            assert_segments_identical(
+                collect_segments_vec(envs, policy, rngs_for(5, 960)),
+                pool.collect_rollouts(rngs_for(5, 960)),
+                label="first",
             )
-            pool.sync_policy(policy)
-            os.kill(pool._procs[0].pid, signal.SIGKILL)
-            with pytest.warns(RuntimeWarning, match="degrading"):
-                pool.fetch_member_envs()
-            assert pool.degraded
-            return pool
+            fetched = None
+            if command == "sync_policy":
+                policy.parameters()[0].data += 1e-3
+                assert pool.sync_policy(policy) == 2
+            elif command == "collect_rollouts":
+                assert_segments_identical(
+                    collect_segments_vec(envs, policy, rngs_for(5, 970)),
+                    pool.collect_rollouts(rngs_for(5, 970)),
+                    label="second",
+                )
+            elif command == "evaluate_policy":
+                expected = evaluate(policy, envs, rng=rngs_for(5, 980), deterministic=False)
+                np.testing.assert_array_equal(
+                    pool.evaluate_policy(rngs_for(5, 980), deterministic=False), expected
+                )
+            elif command == "load_envs":
+                envs = make_world(seed=99).make_all_city_envs()
+                pool.load_envs(make_world(seed=99).make_all_city_envs())
+            else:
+                fetched = pool.fetch_member_envs()
+            expected = collect_segments_vec(envs, policy, rngs_for(5, 990))
+            assert_segments_identical(
+                expected, pool.collect_rollouts(rngs_for(5, 990)), label="after"
+            )
+        if fetched is not None:
+            assert_segments_identical(
+                expected, collect_segments_vec(fetched, policy, rngs_for(5, 990)),
+                label="fetched",
+            )
 
-        with degraded_pool() as pool:
-            reference = pool.collect_rollouts(rngs())
-        with degraded_pool() as pool:
-            pool.collect_rollouts_async(rngs())
-            assert pool.collect_pending
-            collected = pool.collect_rollouts_wait()
-        assert_segments_identical(reference, collected, label="async_degraded")
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_collect_observes_one_wait_per_shard(self, workers):
+        """rollout_collect_seconds gets one observation per shard per
+        collect; broadcasts, sweeps and fetches add none."""
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        with ShardedVecEnvPool(
+            make_world().make_all_city_envs(), num_workers=workers
+        ) as pool:
+            pool.set_metrics(registry)
+            pool.sync_policy(make_policy())
+            for seed in (0, 10):
+                pool.collect_rollouts(rngs_for(5, seed))
+            pool.evaluate_policy(rngs_for(5, 20))
+            pool.fetch_member_envs()
+        series = registry.snapshot()["rollout_collect_seconds"]["series"]
+        counts = {entry["labels"]["shard"]: entry["count"] for entry in series}
+        assert counts == {str(worker): 2 for worker in range(workers)}
+
+    def test_failed_collect_leaves_owner_rngs_untouched(self):
+        """Caller-owned generators advance only once every worker replied:
+        a collect that loses a worker raises with the streams as they were."""
+        rngs = rngs_for(5, 995)
+        before = [rng.bit_generator.state for rng in rngs]
+        with ShardedVecEnvPool(make_world().make_all_city_envs(), num_workers=2) as pool:
+            pool.sync_policy(make_policy())
+            os.kill(pool._procs[1].pid, signal.SIGKILL)
+            with pytest.raises(WorkerCrashed, match="worker 1"):
+                pool.collect_rollouts(rngs)
+            assert pool.closed
+        assert [rng.bit_generator.state for rng in rngs] == before

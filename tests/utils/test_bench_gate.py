@@ -185,30 +185,51 @@ class TestScenarioSweepFloors:
         assert any("scenario_new_family" in f for f in failures)
 
 
-def train_payload(
-    pipelined_speedup=1.5,
-    pipelined_equivalent=True,
-    cpu_count=4,
-    with_pipelined=True,
-):
-    payload = {
-        "cpu_count": cpu_count,
+def train_payload():
+    return {
+        "cpu_count": 4,
         "mode": "smoke",
         "scenarios": [
             {"name": "smoke_ppo", "speedup": 3.5, "equivalent": True},
             {"name": "smoke_sadae", "speedup": 1.5, "equivalent": True},
         ],
     }
-    if with_pipelined:
-        payload["pipelined"] = {
-            "name": "smoke_pipelined",
-            "kind": "pipelined_train",
-            "strict_s": 1.0,
-            "pipelined_s": round(1.0 / pipelined_speedup, 6),
-            "speedup": pipelined_speedup,
-            "equivalent": pipelined_equivalent,
-        }
-    return payload
+
+
+class TestTrainFloors:
+    """The train bench is gated by its scenario floors alone: the PPO
+    learner and SADAE speedups plus their equivalence flags."""
+
+    @pytest.fixture
+    def floors(self):
+        baselines = json.loads((ROOT / ".github" / "bench_baselines.json").read_text())
+        return baselines["train"]["smoke"]
+
+    def test_passes_when_floors_hold(self, gate, floors):
+        assert gate.check_payload(train_payload(), floors, 0.8, "train") == []
+
+    def test_fails_on_sadae_regression(self, gate, floors):
+        # floor 1.2 x tolerance 0.8 = 0.96: a 0.9x stacked SADAE step fails
+        payload = train_payload()
+        payload["scenarios"][1]["speedup"] = 0.9
+        failures = gate.check_payload(payload, floors, 0.8, "train")
+        assert any("smoke_sadae" in f and "0.9" in f for f in failures)
+
+    def test_fails_when_equivalence_not_verified(self, gate, floors):
+        payload = train_payload()
+        payload["scenarios"][0]["equivalent"] = False
+        failures = gate.check_payload(payload, floors, 0.8, "train")
+        assert failures == ["train/smoke_ppo: equivalence flag is not true"]
+
+    def test_committed_train_artifact_clears_its_floors(self, gate):
+        """The committed full-mode BENCH_train.json, recorded with BLAS
+        pinned, holds its full-mode floors."""
+        baselines = json.loads((ROOT / ".github" / "bench_baselines.json").read_text())
+        payload = json.loads((ROOT / "BENCH_train.json").read_text())
+        assert payload["mode"] == "full"
+        assert set(payload["blas_threads"].values()) == {"1"}
+        floors = baselines["train"]["full"]
+        assert gate.check_payload(payload, floors, baselines["tolerance"], "train") == []
 
 
 class TestRun:
@@ -244,63 +265,6 @@ class TestRun:
             gate.run(rollout, tmp_path / "absent.json", ROOT / ".github" / "bench_baselines.json")
             == 1
         )
-
-
-class TestPipelinedFloor:
-    """The train bench's 'pipelined' singleton: cpu-gated speed floor,
-    machine-independent equivalence (seeded reproducibility) flag."""
-
-    BASELINE = {
-        "scenarios": {
-            "smoke_ppo": {"min_speedup": 2.0},
-            "smoke_sadae": {"min_speedup": 1.2},
-        },
-        "pipelined": {"min_speedup": 1.05, "min_cpus": 2},
-    }
-
-    def test_passes_when_floor_holds(self, gate):
-        assert gate.check_payload(train_payload(), self.BASELINE, 0.8, "train") == []
-
-    def test_fails_on_overlap_regression(self, gate):
-        # floor 1.05 x tolerance 0.8 = 0.84: a 0.8x overlap fails
-        failures = gate.check_payload(
-            train_payload(pipelined_speedup=0.8), self.BASELINE, 0.8, "train"
-        )
-        assert any("pipelined" in f and "0.8" in f for f in failures)
-
-    def test_speed_floor_skipped_on_single_core(self, gate, capsys):
-        """One CPU has nothing to overlap: the speed floor is skipped,
-        not failed."""
-        failures = gate.check_payload(
-            train_payload(pipelined_speedup=0.6, cpu_count=1),
-            self.BASELINE, 0.8, "train",
-        )
-        assert failures == []
-        assert "skip train/pipelined" in capsys.readouterr().out
-
-    def test_equivalence_enforced_even_on_single_core(self, gate):
-        """Seeded reproducibility is machine-independent: a false flag
-        fails the gate regardless of cpu_count."""
-        failures = gate.check_payload(
-            train_payload(pipelined_equivalent=False, cpu_count=1),
-            self.BASELINE, 0.8, "train",
-        )
-        assert any("pipelined" in f and "equivalence" in f for f in failures)
-
-    def test_missing_section_fails(self, gate):
-        failures = gate.check_payload(
-            train_payload(with_pipelined=False), self.BASELINE, 0.8, "train"
-        )
-        assert any("pipelined: missing" in f for f in failures)
-
-    def test_committed_baselines_carry_pipelined_floors(self, gate):
-        baselines = json.loads(
-            (ROOT / ".github" / "bench_baselines.json").read_text()
-        )
-        for mode in ("smoke", "full"):
-            floors = baselines["train"][mode]["pipelined"]
-            assert floors["min_speedup"] > 1.0
-            assert floors["min_cpus"] == 2
 
 
 def serve_payload(
