@@ -16,7 +16,7 @@ actually needs, exactly as the paper prescribes.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,24 +83,31 @@ class Sim2RecPolicy(RecurrentActorCritic):
     # ------------------------------------------------------------------
     def _rollout_context(self, states: np.ndarray, prev_actions: np.ndarray) -> np.ndarray:
         # υ_t is a *group-level* embedding: in a vectorized rollout the
-        # stacked batch holds several groups (one block per env), so the
-        # SADAE posterior product must run per block — mixing users across
-        # cities would change every number.
+        # stacked batch holds several groups (one block per env), and the
+        # Eq. (6) posterior product must never mix users across groups.
+        # Groups of one size embed together: their rows form a [K, n, d]
+        # stack whose posterior row k is bit-identical to group k alone
+        # (see `SADAE.posterior`), f runs once on the [K, latent] means,
+        # and each output row is repeated to its group's users. A size
+        # with one group is exactly the solo computation.
         #
         # Shard-parallel ordering note: rollout-time υ is the posterior
-        # *mean* (`sadae.embed` draws no noise), so computing blocks on
-        # different workers cannot reorder any υ-draw stream; the sampled
-        # υ path (`_segment_context` with `_eval_rng`) runs only during
-        # parent-side PPO evaluation, segment by segment, in order.
+        # *mean* (`sadae.embed` draws no noise), so neither stacking
+        # groups nor computing them on different workers can reorder any
+        # υ-draw stream; the sampled υ path (`_segment_context` with
+        # `_eval_rng`) runs only during parent-side PPO evaluation,
+        # segment by segment, in order.
         groups = self._rollout_groups or (slice(0, states.shape[0]),)
+        actions = None if self.sadae.config.state_only else prev_actions
         context = np.empty((states.shape[0], self.context_dim))
-        for block in groups:
+        for rows, count, size in _size_buckets(groups, states.shape[0]):
             upsilon = self.sadae.embed(
-                states[block],
-                None if self.sadae.config.state_only else prev_actions[block],
+                states[rows].reshape(count, size, -1),
+                None if actions is None else actions[rows].reshape(count, size, -1),
             )
             with nn.no_grad():
-                context[block] = self.context_mlp(nn.Tensor(upsilon.reshape(1, -1))).data
+                group_context = self.context_mlp(nn.Tensor(upsilon)).data
+            context[rows] = np.repeat(group_context, size, axis=0)
         return context
 
     def _segment_context(self, segment: RolloutSegment) -> nn.Tensor:
@@ -119,3 +126,42 @@ class Sim2RecPolicy(RecurrentActorCritic):
     # Note: ``self.sadae`` and ``self.context_mlp`` are module attributes, so
     # ``self.parameters()`` already exposes q_κ and f to the PPO optimiser —
     # the Eq. (4) gradient path updates κ without extra wiring.
+
+
+def _size_buckets(
+    groups: Sequence[slice], total: int
+) -> List[Tuple[Union[slice, np.ndarray], int, int]]:
+    """The rows of every group size in a stacked ``total``-row batch.
+
+    ``groups`` must cover rows ``0 .. total-1`` exactly once, in order;
+    an empty group owns no rows and is skipped. Returns one
+    ``(rows, count, size)`` triple per distinct group size, in order of
+    first appearance: ``rows`` selects that size's ``count`` groups back
+    to back, as a slice when they are adjacent and as an index array
+    otherwise.
+    """
+    by_size: Dict[int, List[slice]] = {}
+    cursor = 0
+    for block in groups:
+        if block.start == block.stop:
+            continue
+        if block.start != cursor or block.stop < block.start or block.step not in (None, 1):
+            raise _tiling_error(groups, total)
+        by_size.setdefault(block.stop - block.start, []).append(block)
+        cursor = block.stop
+    if cursor != total:
+        raise _tiling_error(groups, total)
+    return [(_bucket_rows(blocks), len(blocks), size) for size, blocks in by_size.items()]
+
+
+def _bucket_rows(blocks: List[slice]) -> Union[slice, np.ndarray]:
+    if all(a.stop == b.start for a, b in zip(blocks, blocks[1:])):
+        return slice(blocks[0].start, blocks[-1].stop)
+    return np.concatenate([np.arange(block.start, block.stop) for block in blocks])
+
+
+def _tiling_error(groups: Sequence[slice], total: int) -> ValueError:
+    return ValueError(
+        f"rollout groups {list(groups)} do not tile the {total}-row batch: "
+        "every row must belong to exactly one group, in order"
+    )

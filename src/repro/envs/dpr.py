@@ -42,7 +42,7 @@ HISTORY_DAYS = 14
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -60.0)))
 
 
 @dataclass

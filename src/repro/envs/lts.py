@@ -46,7 +46,7 @@ MU_K_REAL = 4.0
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -60.0)))
 
 
 @dataclass

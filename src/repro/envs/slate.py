@@ -47,6 +47,7 @@ the observation carries a noisy group channel ``o ~ N(μ_c, σ_o²)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -60,7 +61,26 @@ MU_KALE_REAL = 4.0    # μ_k,r: engagement scale of fully nutritious content
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -60.0)))
+
+
+# The SlateConfig constants read by the choice model, the engagement draw
+# and the user transition. The batch stepper holds each one as per-user
+# rows, so envs with different values still step as one stacked batch.
+_ROW_CONSTANTS = (
+    "appeal",
+    "click_pull",
+    "temperature",
+    "null_utility",
+    "sigma_engagement",
+    "interest_lr",
+    "recency_lr",
+    "boredom_decay",
+    "boredom_gain",
+    "boredom_weight",
+    "churn_base",
+    "return_prob",
+)
 
 
 @dataclass
@@ -281,6 +301,11 @@ class SlateRecEnv(MultiUserEnv):
         return _SlateBatchStepper(envs, slices)
 
 
+def _column(value):
+    """A per-user ``[n]`` constant as an ``[n, 1]`` column; scalars as is."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
+
+
 def _choice_probabilities(
     slates: np.ndarray,
     interest: np.ndarray,
@@ -290,19 +315,22 @@ def _choice_probabilities(
 ) -> np.ndarray:
     """Softmax over the K slate items plus the no-click option, [n, K+1].
 
-    ``cfg`` only contributes scalars, so the same function serves one env
-    and the stacked batch (per-user rows via broadcast of the scalars is
-    exact: every row's arithmetic is identical either way).
+    ``cfg`` holds the choice-model constants either as one env's scalars
+    or as the batch stepper's per-user rows, which broadcast as columns,
+    so every user's arithmetic is identical either way.
     """
     match = 1.0 - np.abs(slates - interest[:, None])
     familiar = 1.0 - np.abs(slates - recent[:, None])
-    scores = (
-        cfg.appeal * match
-        + cfg.click_pull * slates
-        - boredom[:, None] * familiar
-    ) / cfg.temperature
-    null = np.full((slates.shape[0], 1), cfg.null_utility / cfg.temperature)
-    logits = np.concatenate([scores, null], axis=1)
+    temperature = _column(cfg.temperature)
+    logits = np.empty((slates.shape[0], slates.shape[1] + 1))
+    np.divide(
+        _column(cfg.appeal) * match
+        + _column(cfg.click_pull) * slates
+        - boredom[:, None] * familiar,
+        temperature,
+        out=logits[:, :-1],
+    )
+    logits[:, -1:] = _column(cfg.null_utility) / temperature
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     return exp / exp.sum(axis=1, keepdims=True)
@@ -314,7 +342,7 @@ def _choose_items(
     recent: np.ndarray,
     boredom: np.ndarray,
     active: np.ndarray,
-    cfg: SlateConfig,
+    cfg: Any,
     choice_draw: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One MNL choice per user: (chosen attribute [n], clicked flag [n]).
@@ -341,10 +369,14 @@ def _update_users(
     active: np.ndarray,
     sensitivity: np.ndarray,
     memory_discount: np.ndarray,
-    cfg: SlateConfig,
+    cfg: Any,
     churn_draw: np.ndarray,
 ) -> Tuple[np.ndarray, ...]:
-    """Latent-state transition shared by the env and the batch stepper."""
+    """Latent-state transition shared by the env and the batch stepper.
+
+    ``cfg`` holds the transition constants as one env's scalars or as
+    the stepper's per-user rows; the arithmetic is elementwise either way.
+    """
     familiar = clicked * (1.0 - np.abs(chosen - recent))
     boredom = cfg.boredom_decay * boredom + cfg.boredom_gain * familiar
     interest = interest + cfg.interest_lr * clicked * (chosen - interest)
@@ -365,13 +397,17 @@ def _update_users(
 class _SlateBatchStepper:
     """Block-diagonal reset/step for a homogeneous list of :class:`SlateRecEnv`.
 
-    All choice-model and latent-state arithmetic runs once over the
-    stacked user axis; only the random draws — choice, engagement noise,
-    churn, and the group observation noise — loop over member envs, each
-    consuming that env's own generator with exactly the shapes and order
-    of the sequential :meth:`SlateRecEnv.step` / ``_observe``, so every
-    number and every env's RNG stream is bit-identical to stepping the
-    envs one by one.
+    The per-env constants the dynamics read — the user draws, μ_c and the
+    :data:`_ROW_CONSTANTS` of each env's :class:`SlateConfig` — are held
+    as per-user rows, so the choice model, the engagement means and the
+    latent-state update run once over the stacked user axis even when
+    every env has its own temperature, churn rate, ... Only the random
+    draws — choice, engagement noise, churn, and the group observation
+    noise — loop over member envs, each consuming that env's own
+    generator with exactly the shapes and order of the sequential
+    :meth:`SlateRecEnv.step` / ``_observe``. All arithmetic is
+    elementwise or per row, so every number and every env's RNG stream is
+    bit-identical to stepping the envs one by one.
 
     Member envs' mutable episode state is *not* written back while the
     stepper drives a pool; their RNGs do advance, so a later
@@ -392,6 +428,9 @@ class _SlateBatchStepper:
         self.mu_kale_users = np.empty(self.total)
         self.mu_click = np.empty(self.total)
         self.interest0 = np.empty(self.total)
+        self.constants = SimpleNamespace(
+            **{name: np.empty(self.total) for name in _ROW_CONSTANTS}
+        )
         self._t = 0
 
     def _refresh_parameters(self) -> None:
@@ -401,6 +440,8 @@ class _SlateBatchStepper:
             self.mu_kale_users[block] = env.mu_kale_users
             self.mu_click[block] = env.mu_click
             self.interest0[block] = env.interest0
+            for name in _ROW_CONSTANTS:
+                getattr(self.constants, name)[block] = getattr(env.config, name)
 
     def _observe(self) -> np.ndarray:
         noise = np.empty(self.total)
@@ -428,6 +469,7 @@ class _SlateBatchStepper:
         self, actions: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict[str, Any]]]:
         slates = np.clip(actions, 0.0, 1.0)
+        constants = self.constants
 
         choice_draw = np.empty(self.total)
         engagement_noise = np.empty(self.total)
@@ -438,51 +480,39 @@ class _SlateBatchStepper:
             engagement_noise[block] = env._rng.standard_normal(env.num_users)
             churn_draw[block] = env._rng.random(env.num_users)
 
-        chosen = np.empty(self.total)
-        clicked = np.empty(self.total)
-        mu_t = np.empty(self.total)
-        engagement = np.empty(self.total)
-        for env, block in zip(self.envs, self.slices):
-            # The choice-model constants are per-env scalars (temperature,
-            # appeal, ...), so the softmax runs per block; each block's
-            # arithmetic is exactly the sequential env's.
-            chosen[block], clicked[block] = _choose_items(
-                slates[block],
-                self._interest[block],
-                self._recent[block],
-                self._boredom[block],
-                self._active[block],
-                env.config,
-                choice_draw[block],
-            )
-            mu_t[block] = (
-                chosen[block] * self.mu_click[block]
-                + (1.0 - chosen[block]) * self.mu_kale_users[block]
-            ) * self._sat[block]
-            engagement[block] = clicked[block] * np.maximum(
-                0.0,
-                mu_t[block] + env.config.sigma_engagement * engagement_noise[block],
-            )
-            (
-                self._npe[block],
-                self._sat[block],
-                self._boredom[block],
-                self._interest[block],
-                self._recent[block],
-                self._active[block],
-            ) = _update_users(
-                chosen[block],
-                clicked[block],
-                self._npe[block],
-                self._boredom[block],
-                self._interest[block],
-                self._recent[block],
-                self._active[block],
-                self.sensitivity[block],
-                self.memory_discount[block],
-                env.config,
-                churn_draw[block],
-            )
+        chosen, clicked = _choose_items(
+            slates,
+            self._interest,
+            self._recent,
+            self._boredom,
+            self._active,
+            constants,
+            choice_draw,
+        )
+        mu_t = (chosen * self.mu_click + (1.0 - chosen) * self.mu_kale_users) * self._sat
+        engagement = clicked * np.maximum(
+            0.0, mu_t + constants.sigma_engagement * engagement_noise
+        )
+        (
+            self._npe,
+            self._sat,
+            self._boredom,
+            self._interest,
+            self._recent,
+            self._active,
+        ) = _update_users(
+            chosen,
+            clicked,
+            self._npe,
+            self._boredom,
+            self._interest,
+            self._recent,
+            self._active,
+            self.sensitivity,
+            self.memory_discount,
+            constants,
+            churn_draw,
+        )
         self._t += 1
 
         states = self._observe()

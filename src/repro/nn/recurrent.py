@@ -51,7 +51,7 @@ from .tensor import (
 
 def _sigmoid_(values: np.ndarray) -> np.ndarray:
     """In-place sigmoid replicating ``Tensor.sigmoid`` numerics exactly."""
-    np.clip(values, -60.0, 60.0, out=values)
+    np.maximum(values, -60.0, out=values)
     np.negative(values, out=values)
     np.exp(values, out=values)
     values += 1.0

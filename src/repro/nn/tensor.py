@@ -406,7 +406,7 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
+        out_data = 1.0 / (1.0 + np.exp(-np.maximum(self.data, -60.0)))
         if not self._needs_graph():
             return _graphless(out_data)
 

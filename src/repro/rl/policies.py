@@ -62,7 +62,10 @@ class ActorCriticBase(nn.Module):
         Group-level machinery (the SADAE context in
         :class:`~repro.core.policy.Sim2RecPolicy`) must never mix users
         across environments; the vectorized collector calls this after
-        ``start_rollout`` so context is computed block by block.
+        ``start_rollout`` so context is scoped block by block. The blocks
+        must cover the rows of every ``act`` batch exactly once, in order
+        (empty blocks are allowed); a group-aware policy raises
+        ``ValueError`` otherwise.
         """
         self._rollout_groups = list(groups) if groups is not None else None
 

@@ -21,8 +21,9 @@ city, provided each city keeps its own policy-noise stream:
 - policy sampling noise is drawn through :class:`BlockRNG`, which owns
   one ``np.random.Generator`` per environment and fills each env's block
   of the stacked batch from that env's stream;
-- group-level context (the SADAE embedding υ_t) is computed per block via
-  ``policy.set_rollout_groups``, never across city boundaries.
+- group-level context (the SADAE embedding υ_t) is scoped per block via
+  ``policy.set_rollout_groups``: blocks of one size share a stacked
+  posterior pass, but no block's users ever mix with another city's.
 
 Per-env done masking: an environment leaves the pool as soon as all of
 its users are done (or its own step budget is exhausted); its block is

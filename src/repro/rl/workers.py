@@ -59,9 +59,10 @@ layout and worker count:
   env identity (slice order), not to shard placement: each worker draws
   from exactly the generators of its own envs (shipped with the command,
   advanced states returned), so every env consumes the same stream;
-- group context is computed per block via ``set_rollout_groups`` on the
-  shard-local stacked batch, and a block's rows never mix with another
-  env's;
+- group context is scoped per block via ``set_rollout_groups`` on the
+  shard-local stacked batch: blocks of one size share a stacked
+  posterior pass whose rows equal each block's solo context, and a
+  block's rows never mix with another env's;
 - replica forwards equal parent forwards row for row: the nn engine's
   row-stable matmul contract makes a forward over a shard's rows
   bit-identical to the same rows of the full stacked forward, and the

@@ -1,7 +1,9 @@
 """Tests for the Sim2Rec policy wiring and the Table II configs."""
 
 import numpy as np
+import pytest
 
+from repro import nn
 from repro.core import (
     SADAE,
     SADAEConfig,
@@ -81,6 +83,48 @@ class TestSim2RecPolicy:
         ctx_a = policy._rollout_context(rng.normal(0, 1, (50, 3)), np.zeros((50, 2)))
         ctx_b = policy._rollout_context(rng.normal(5, 1, (50, 3)), np.zeros((50, 2)))
         assert not np.allclose(ctx_a[0], ctx_b[0])
+
+    @pytest.mark.parametrize("state_only", [False, True])
+    def test_stacked_context_matches_per_group_loop(self, state_only):
+        """Groups of one size embed as one stack; every row must equal
+        the per-group posterior and f computed one group at a time."""
+        policy = make_policy(state_only=state_only)
+        sizes = [4, 6, 4, 0, 6, 3, 4]  # two repeated sizes, an empty group, a singleton
+        bounds = np.cumsum([0, *sizes])
+        groups = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        rng = np.random.default_rng(3)
+        states = rng.standard_normal((bounds[-1], 3)) + np.repeat(np.arange(len(sizes)), sizes)[:, None]
+        prev = rng.uniform(0, 1, (bounds[-1], 2))
+        policy.start_rollout(bounds[-1])
+        policy.set_rollout_groups(groups)
+        context = policy._rollout_context(states, prev)
+        for block in groups:
+            if block.start == block.stop:
+                continue
+            upsilon = policy.sadae.embed(
+                states[block], None if state_only else prev[block]
+            )
+            with nn.no_grad():
+                expected = policy.context_mlp(nn.Tensor(upsilon.reshape(1, -1))).data
+            assert np.array_equal(context[block], np.repeat(expected, block.stop - block.start, axis=0))
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [slice(0, 10)],  # short cover: rows 10-19 belong to no group
+            [slice(0, 8), slice(10, 20)],  # gap
+            [slice(0, 12), slice(10, 20)],  # overlap
+            [slice(10, 20), slice(0, 10)],  # out of order
+        ],
+        ids=["short", "gap", "overlap", "order"],
+    )
+    def test_rollout_groups_must_tile_the_batch(self, groups):
+        policy = make_policy()
+        policy.start_rollout(20)
+        policy.set_rollout_groups(groups)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="20-row batch"):
+            policy.act(rng.standard_normal((20, 3)), np.zeros((20, 2)), rng)
 
     def test_ppo_gradient_reaches_sadae_encoder(self):
         """The Eq. (4) path: policy loss → context → q_κ."""

@@ -11,6 +11,7 @@ engagement signal.
 import pickle
 
 import numpy as np
+import pytest
 
 from repro.envs import SlateConfig, SlateRecEnv
 from repro.rl import (
@@ -43,6 +44,27 @@ def make_envs(num_envs=4, num_users=8, horizon=7, slate_size=3, seed0=100, **ove
         )
         envs.append(SlateRecEnv(config))
     return envs
+
+
+#: One value per env for every per-env constant the stepper stacks into
+#: per-user rows, plus the observation noise it draws per env. The second
+#: item holds fixed overrides that make the constant matter within a short
+#: horizon (``return_prob`` only acts on users who churned).
+HETEROGENEOUS_CONSTANTS = {
+    "appeal": ((0.5, 1.0, 1.5, 2.5), {}),
+    "click_pull": ((0.0, 0.6, 1.2, 2.0), {}),
+    "temperature": ((0.2, 0.4, 0.7, 1.0), {}),
+    "null_utility": ((-0.5, 0.3, 0.8, 1.5), {}),
+    "sigma_engagement": ((0.5, 1.0, 2.0, 3.0), {}),
+    "interest_lr": ((0.0, 0.05, 0.2, 0.5), {}),
+    "recency_lr": ((0.1, 0.5, 0.8, 1.0), {}),
+    "boredom_decay": ((0.5, 0.8, 0.9, 0.99), {}),
+    "boredom_gain": ((0.0, 0.4, 1.0, 2.0), {}),
+    "boredom_weight": ((0.5, 1.5, 3.0, 5.0), {}),
+    "churn_base": ((0.05, 0.2, 0.5, 0.9), {}),
+    "return_prob": ((0.05, 0.2, 0.5, 0.9), {"churn_base": 0.9}),
+    "observation_noise_std": ((0.5, 1.0, 2.0, 4.0), {}),
+}
 
 
 def make_policy(slate_size=3, seed=2):
@@ -237,3 +259,41 @@ class TestSlateBatchStepper:
             pool, policy, [np.random.default_rng(60 + i) for i in range(4)]
         )
         assert_segments_identical(seq, vec, label="slate-resample")
+
+    @pytest.mark.parametrize("name", sorted(HETEROGENEOUS_CONSTANTS))
+    def test_heterogeneous_constant_bit_identical(self, name):
+        """Each env carries its own value of one constant: the stacked
+        rows must give every env exactly its sequential trajectory."""
+        values, overrides = HETEROGENEOUS_CONSTANTS[name]
+
+        def envs():
+            return [
+                SlateRecEnv(
+                    SlateConfig(
+                        num_users=8,
+                        horizon=10,
+                        slate_size=3,
+                        omega_g=2.0 * g - 3.0,
+                        omega_u_range=2.0,
+                        seed=400 + g,
+                        **{name: value, **overrides},
+                    )
+                )
+                for g, value in enumerate(values)
+            ]
+
+        policy = make_policy(seed=6)
+        extras = ("sat", "active")
+        seq = [
+            collect_segment(env, policy, np.random.default_rng(70 + i), extras_from_info=extras)
+            for i, env in enumerate(envs())
+        ]
+        pool = VecEnvPool(envs())
+        assert pool._batch_stepper is not None
+        vec = collect_segments_vec(
+            pool,
+            policy,
+            [np.random.default_rng(70 + i) for i in range(len(values))],
+            extras_from_info=extras,
+        )
+        assert_segments_identical(seq, vec, label=f"slate-{name}")

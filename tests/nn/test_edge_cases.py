@@ -1,8 +1,38 @@
 """Edge-case and numerical-robustness tests for the nn substrate."""
 
 import numpy as np
+import pytest
 
 from repro import nn
+from repro.envs import dpr, lts, slate
+from repro.nn import recurrent
+
+
+def _two_sided_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The sigmoid with the former symmetric ``[-60, 60]`` input clamp."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
+def _sigmoid_inputs() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    edges = [0.0, -0.0, 36.7, 36.8, 36.9, 59.999, 60.0, 60.001, 1e308, np.inf, np.nan, 5e-324, 2.2e-308]
+    return np.concatenate(
+        [
+            rng.standard_normal(50_000) * 20.0,
+            rng.uniform(-120.0, 120.0, 50_000),
+            np.array(edges),
+            -np.array(edges),
+        ]
+    )
+
+
+SIGMOIDS = {
+    "recurrent._sigmoid_": lambda x: recurrent._sigmoid_(x.copy()),
+    "Tensor.sigmoid": lambda x: nn.Tensor(x).sigmoid().data,
+    "slate._sigmoid": slate._sigmoid,
+    "lts._sigmoid": lts._sigmoid,
+    "dpr._sigmoid": dpr._sigmoid,
+}
 
 
 class TestNumericalRobustness:
@@ -10,6 +40,14 @@ class TestNumericalRobustness:
         out = nn.Tensor(np.array([1e4, -1e4])).sigmoid()
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SIGMOIDS))
+    def test_one_sided_sigmoid_clamp_is_bit_identical(self, name):
+        """Above ~36.8, ``1 + exp(-x)`` already rounds to 1.0, so dropping
+        the upper clamp changes no output bit (NaN and ±inf included)."""
+        x = _sigmoid_inputs()
+        out = SIGMOIDS[name](x)
+        assert np.array_equal(out.view(np.uint64), _two_sided_sigmoid(x).view(np.uint64))
 
     def test_softmax_with_neg_inf_like_logits(self):
         logits = nn.Tensor(np.array([[0.0, -1e30, 0.0]]))

@@ -75,10 +75,9 @@ def make_hetero_dpr_envs():
     return envs
 
 
-def make_slate_envs(horizons=(5, 5, 5, 5)):
+def make_slate_envs(horizons=(5, 5, 5, 5), sizes=((4, -4.0), (8, 2.0), (3, 5.0), (6, -2.0))):
     """SlateRec members with ragged user counts and per-env choice models
     (the family the ``rollout_eval`` workload evaluates)."""
-    sizes = [(4, -4.0), (8, 2.0), (3, 5.0), (6, -2.0)]
     return [
         SlateRecEnv(
             SlateConfig(
@@ -98,6 +97,13 @@ def make_slate_envs(horizons=(5, 5, 5, 5)):
 
 def make_hetero_slate_envs():
     return make_slate_envs(horizons=(3, 5, 2, 4))
+
+
+def make_repeated_slate_envs():
+    """User counts 4, 6, 4, 6, 3: Sim2Rec stacks each repeated size's
+    two non-adjacent groups into one context pass, next to a singleton."""
+    sizes = ((4, -4.0), (6, 2.0), (4, 5.0), (6, -2.0), (3, 0.5))
+    return make_slate_envs(horizons=(5,) * len(sizes), sizes=sizes)
 
 
 def make_policy(kind, state_dim, action_dim):
@@ -123,6 +129,7 @@ def make_policy(kind, state_dim, action_dim):
 LAYOUTS = {
     "slate": (make_slate_envs, 4, 3),
     "hetero_slate": (make_hetero_slate_envs, 4, 3),
+    "slate_repeated": (make_repeated_slate_envs, 4, 3),
     "hetero_dpr": (make_hetero_dpr_envs, 13, 2),
 }
 
