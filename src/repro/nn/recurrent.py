@@ -12,9 +12,15 @@ Rollouts advance the cell once per environment step with gradients
 disabled, so both cells implement a graph-free ``_fast_forward`` used
 whenever ``no_grad()`` is active: gate pre-activations are computed with
 raw BLAS calls into a preallocated per-batch scratch buffer (reused
-across timesteps), and the nonlinearities run in place on views of that
-buffer. The arithmetic replicates the autodiff path operation-for-
-operation, so the produced hidden states are bit-identical to the graph
+across timesteps), and the sigmoid gates are activated in one
+contiguous in-place pass. The LSTM takes tanh of its g block into its
+own array first and then runs the sigmoid over the whole ``[B, 4H]``
+buffer (the g block's sigmoid is never read): five passes over one
+contiguous buffer cost about half of three passes over strided
+``[B, H]`` column slices. The GRU activates its adjacent r and z
+columns as one contiguous ``[B, 2H]`` block. Every gate is the same
+elementwise function of the same pre-activation as in the autodiff
+path, so the produced hidden states are bit-identical to the graph
 path.
 
 Fused sequence path
@@ -22,12 +28,12 @@ Fused sequence path
 The PPO learner evaluates whole ``[T, B, input]`` sequences with
 gradients. ``unroll`` projects the inputs of all T steps in one
 :func:`~repro.nn.tensor.affine` and runs the recurrence as a single graph
-node: its forward repeats ``_fast_forward`` op for op (so the hidden
-states are bit-identical to T autodiff cell calls) and caches the gate
-activations; its backward is a numpy BPTT loop that sums the weight
-gradients in one gemm over all T·B rows. Only that summation order
-differs from the per-step graph, so gradients agree to ≤1e-10 relative
-(``tests/nn/test_recurrent.py``).
+node: its forward repeats ``_fast_forward`` op for op, single gate
+pass included (so the hidden states are bit-identical to T autodiff
+cell calls), and caches the gate activations; its backward is a numpy
+BPTT loop that sums the weight gradients in one gemm over all T·B rows.
+Only that summation order differs from the per-step graph, so gradients
+agree to ≤1e-10 relative (``tests/nn/test_recurrent.py``).
 """
 
 from __future__ import annotations
@@ -134,10 +140,11 @@ class LSTMCell(Module):
             np.matmul(xd, self.weight_ih.data, out=gates)
             gates += hd @ self.weight_hh.data
         gates += self.bias.data
-        i_gate = _sigmoid_(gates[:, 0 * hs : 1 * hs])
-        f_gate = _sigmoid_(gates[:, 1 * hs : 2 * hs])
         g_gate = np.tanh(gates[:, 2 * hs : 3 * hs])
-        o_gate = _sigmoid_(gates[:, 3 * hs : 4 * hs])
+        _sigmoid_(gates)  # i, f and o in one pass; the g block is overwritten
+        i_gate = gates[:, 0 * hs : 1 * hs]
+        f_gate = gates[:, 1 * hs : 2 * hs]
+        o_gate = gates[:, 3 * hs : 4 * hs]
         c_new = f_gate * cd
         c_new += i_gate * g_gate
         h_new = o_gate * np.tanh(c_new)
@@ -170,9 +177,11 @@ class LSTMCell(Module):
         hs = self.hidden_size
         xw = projected.data.reshape(steps, batch, 4 * hs)
         w_hh, bias = self.weight_hh.data, self.bias.data
-        # Activated gates [i, f, g, o], cell states and tanh(c) per step;
-        # index 0 of ``hidden``/``cells`` is the zero initial state.
+        # Per step: the sigmoid of all four gate blocks (the i, f and o
+        # gates are read; the g slot is not), tanh(g), the cell states and
+        # tanh(c); index 0 of ``hidden``/``cells`` is the zero initial state.
         gates = np.empty((steps, batch, 4 * hs))
+        g_gates = np.empty((steps, batch, hs))
         cells = np.zeros((steps + 1, batch, hs))
         hidden = np.zeros((steps + 1, batch, hs))
         tanh_cells = np.empty((steps, batch, hs))
@@ -180,10 +189,10 @@ class LSTMCell(Module):
             g = gates[t]
             np.add(xw[t], _row_stable_matmul(hidden[t], w_hh), out=g)
             g += bias
-            i_gate = _sigmoid_(g[:, 0 * hs : 1 * hs])
-            f_gate = _sigmoid_(g[:, 1 * hs : 2 * hs])
-            g_gate = np.tanh(g[:, 2 * hs : 3 * hs], out=g[:, 2 * hs : 3 * hs])
-            o_gate = _sigmoid_(g[:, 3 * hs : 4 * hs])
+            g_gate = np.tanh(g[:, 2 * hs : 3 * hs], out=g_gates[t])
+            _sigmoid_(g)
+            i_gate, f_gate = g[:, 0 * hs : 1 * hs], g[:, 1 * hs : 2 * hs]
+            o_gate = g[:, 3 * hs : 4 * hs]
             c_new = np.multiply(f_gate, cells[t], out=cells[t + 1])
             c_new += i_gate * g_gate
             np.multiply(o_gate, np.tanh(c_new, out=tanh_cells[t]), out=hidden[t + 1])
@@ -194,7 +203,7 @@ class LSTMCell(Module):
             for t in reversed(range(steps)):
                 g = gates[t]
                 i_gate, f_gate = g[:, 0 * hs : 1 * hs], g[:, 1 * hs : 2 * hs]
-                g_gate, o_gate = g[:, 2 * hs : 3 * hs], g[:, 3 * hs : 4 * hs]
+                g_gate, o_gate = g_gates[t], g[:, 3 * hs : 4 * hs]
                 tanh_c = tanh_cells[t]
                 dh = grad[t] + dh_next
                 dc = dh * o_gate * (1.0 - tanh_c * tanh_c) + dc_next
@@ -232,18 +241,19 @@ class GRUCell(Module):
             initializers.orthogonal(rng, hidden_size, 3 * hidden_size), name="weight_hh"
         )
         self.bias = Parameter(np.zeros(3 * hidden_size), name="bias")
-        self._scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._scratch: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def initial_state(self, batch: int) -> Tensor:
         return Tensor(np.zeros((batch, self.hidden_size)))
 
-    def _gates_scratch(self, batch: int) -> Tuple[np.ndarray, np.ndarray]:
+    def _gates_scratch(self, batch: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         bufs = self._scratch.get(batch)
         if bufs is None:
             self._scratch.clear()
             bufs = (
                 np.empty((batch, 3 * self.hidden_size)),
                 np.empty((batch, 3 * self.hidden_size)),
+                np.empty((batch, 2 * self.hidden_size)),
             )
             self._scratch[batch] = bufs
         return bufs
@@ -252,7 +262,7 @@ class GRUCell(Module):
         xd = _as_data(x)
         hd = _as_data(h_prev)
         hs = self.hidden_size
-        gates_x, gates_h = self._gates_scratch(xd.shape[0])
+        gates_x, gates_h, rz = self._gates_scratch(xd.shape[0])
         if xd.shape[0] == 1:
             # See LSTMCell._fast_forward: keep single-row batches on the
             # row-stable gemm path.
@@ -262,8 +272,8 @@ class GRUCell(Module):
             np.matmul(xd, self.weight_ih.data, out=gates_x)
             np.matmul(hd, self.weight_hh.data, out=gates_h)
         gates_x += self.bias.data
-        r_gate = _sigmoid_(gates_x[:, :hs].__iadd__(gates_h[:, :hs]))
-        z_gate = _sigmoid_(gates_x[:, hs : 2 * hs].__iadd__(gates_h[:, hs : 2 * hs]))
+        _sigmoid_(np.add(gates_x[:, : 2 * hs], gates_h[:, : 2 * hs], out=rz))
+        r_gate, z_gate = rz[:, :hs], rz[:, hs:]
         n_pre = gates_x[:, 2 * hs :]
         n_pre += r_gate * gates_h[:, 2 * hs :]
         n_gate = np.tanh(n_pre)

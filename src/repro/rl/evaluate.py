@@ -66,24 +66,26 @@ def _solo_eval(env: MultiUserEnv, act_fn, episodes: int = 1, gamma: float = 1.0)
     group_slices = getattr(env, "group_slices", None)
     forward_groups = group_slices is not None and hasattr(act_fn, "set_rollout_groups")
     total = 0.0
-    for _ in range(episodes):
-        if hasattr(act_fn, "reset"):
-            act_fn.reset(env.num_users)
+    try:
+        for _ in range(episodes):
+            if hasattr(act_fn, "reset"):
+                act_fn.reset(env.num_users)
+            if forward_groups:
+                act_fn.set_rollout_groups(group_slices)
+            states = env.reset()
+            returns = np.zeros(env.num_users)
+            discount = 1.0
+            for t in range(env.horizon):
+                actions = act_fn(states, t)
+                states, rewards, dones, _ = env.step(actions)
+                returns += discount * rewards
+                discount *= gamma
+                if np.all(dones):
+                    break
+            total += float(returns.mean())
+    finally:
         if forward_groups:
-            act_fn.set_rollout_groups(group_slices)
-        states = env.reset()
-        returns = np.zeros(env.num_users)
-        discount = 1.0
-        for t in range(env.horizon):
-            actions = act_fn(states, t)
-            states, rewards, dones, _ = env.step(actions)
-            returns += discount * rewards
-            discount *= gamma
-            if np.all(dones):
-                break
-        total += float(returns.mean())
-    if forward_groups:
-        act_fn.set_rollout_groups(None)  # don't leak block structure
+            act_fn.set_rollout_groups(None)  # don't leak block structure
     return total / episodes
 
 
@@ -102,25 +104,27 @@ def _vec_eval(
     """
     pool = envs if isinstance(envs, VecEnvPool) else VecEnvPool(envs)
     totals = np.zeros(pool.num_envs)
-    for _ in range(episodes):
-        if hasattr(act_fn, "reset"):
-            act_fn.reset(pool.num_users)
+    try:
+        for _ in range(episodes):
+            if hasattr(act_fn, "reset"):
+                act_fn.reset(pool.num_users)
+            if hasattr(act_fn, "set_rollout_groups"):
+                act_fn.set_rollout_groups(pool.slices)
+            states = pool.reset()
+            returns = np.zeros(pool.num_users)
+            discount = 1.0
+            step = 0
+            while not pool.all_done:
+                actions = act_fn(states, step)
+                states, rewards, dones, _ = pool.step(actions)
+                returns += discount * rewards
+                discount *= gamma
+                step += 1
+            for index, block in enumerate(pool.slices):
+                totals[index] += float(returns[block].mean())
+    finally:
         if hasattr(act_fn, "set_rollout_groups"):
-            act_fn.set_rollout_groups(pool.slices)
-        states = pool.reset()
-        returns = np.zeros(pool.num_users)
-        discount = 1.0
-        step = 0
-        while not pool.all_done:
-            actions = act_fn(states, step)
-            states, rewards, dones, _ = pool.step(actions)
-            returns += discount * rewards
-            discount *= gamma
-            step += 1
-        for index, block in enumerate(pool.slices):
-            totals[index] += float(returns[block].mean())
-    if hasattr(act_fn, "set_rollout_groups"):
-        act_fn.set_rollout_groups(None)
+            act_fn.set_rollout_groups(None)
     return totals / episodes
 
 
@@ -147,6 +151,10 @@ def _replica_eval(
     call it over their shard with their policy replica, the degraded/in-process
     path calls it over the full pool.
 
+    Only the actor runs: the kernel calls :meth:`ActorCriticBase.actions`,
+    which draws exactly what ``act`` would but skips the critic and the
+    log-prob that evaluation never reads.
+
     ``rngs`` objects are advanced in place (per-env stream continuity across
     multi-episode sweeps). Returns one mean (discounted) per-user return per
     member env.
@@ -163,25 +171,27 @@ def _replica_eval(
         )
     block_rng = BlockRNG(rngs, pool.slices)
     totals = np.zeros(pool.num_envs)
-    with no_grad():
-        for _ in range(episodes):
-            policy.start_rollout(pool.num_users)
-            policy.set_rollout_groups(pool.slices)
-            states = pool.reset()
-            prev_actions = np.zeros((pool.num_users, policy.action_dim))
-            returns = np.zeros(pool.num_users)
-            discount = 1.0
-            while not pool.all_done:
-                actions, _, _ = policy.act(
-                    states, prev_actions, block_rng, deterministic=deterministic
-                )
-                prev_actions = actions
-                states, rewards, dones, _ = pool.step(actions)
-                returns += discount * rewards
-                discount *= gamma
-            for index, block in enumerate(pool.slices):
-                totals[index] += float(returns[block].mean())
-    policy.set_rollout_groups(None)
+    try:
+        with no_grad():
+            for _ in range(episodes):
+                policy.start_rollout(pool.num_users)
+                policy.set_rollout_groups(pool.slices)
+                states = pool.reset()
+                prev_actions = np.zeros((pool.num_users, policy.action_dim))
+                returns = np.zeros(pool.num_users)
+                discount = 1.0
+                while not pool.all_done:
+                    actions = policy.actions(
+                        states, prev_actions, block_rng, deterministic=deterministic
+                    )
+                    prev_actions = actions
+                    states, rewards, dones, _ = pool.step(actions)
+                    returns += discount * rewards
+                    discount *= gamma
+                for index, block in enumerate(pool.slices):
+                    totals[index] += float(returns[block].mean())
+    finally:
+        policy.set_rollout_groups(None)
     return totals / episodes
 
 

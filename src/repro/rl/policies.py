@@ -15,7 +15,11 @@ Both expose the same rollout/update interface consumed by
 :mod:`repro.rl.runner` and :mod:`repro.rl.ppo`:
 
 - ``start_rollout(num_users)`` — reset per-episode recurrent state;
-- ``act(states, prev_actions, rng)`` — sample actions without gradients;
+- ``act(states, prev_actions, rng)`` — sample actions without gradients,
+  with their log-probs and values (what collection and serving record);
+- ``actions(states, prev_actions, rng)`` — the same rollout step and
+  noise draw, returning only the actions (what evaluation reads: the
+  critic and the log-prob never run);
 - ``evaluate_segment(segment, user_idx)`` — recompute log-probs / values /
   entropy with gradients (full BPTT for recurrent policies).
 """
@@ -77,6 +81,21 @@ class ActorCriticBase(nn.Module):
         deterministic: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def actions(
+        self,
+        states: np.ndarray,
+        prev_actions: np.ndarray,
+        rng: np.random.Generator,
+        deterministic: bool = False,
+    ) -> np.ndarray:
+        """``act(...)[0]``: the actions alone, for callers that only step envs.
+
+        Advances any recurrent state and consumes ``rng`` exactly like
+        :meth:`act`, so the two can be interleaved freely. The built-in
+        policies override it to skip the critic and the log-prob.
+        """
+        return self.act(states, prev_actions, rng, deterministic=deterministic)[0]
 
     # ------------------------------------------------------------------
     # session state (serving layer)
@@ -202,7 +221,7 @@ class ActorCriticBase(nn.Module):
             def __call__(self, states: np.ndarray, t: int) -> np.ndarray:
                 if self._prev_actions is None:
                     self._prev_actions = np.zeros((states.shape[0], policy.action_dim))
-                actions, _, _ = policy.act(
+                actions = policy.actions(
                     states, self._prev_actions, rng, deterministic=deterministic
                 )
                 self._prev_actions = actions
@@ -238,14 +257,28 @@ class MLPActorCritic(ActorCriticBase):
         mean = self.actor(states).sigmoid()  # actions live in [0, 1]
         return nn.DiagGaussian(mean, self.log_std)
 
+    def _rollout_step(self, states, rng, deterministic):
+        """The actor half of a rollout step (call under ``no_grad``).
+
+        Returns the drawn actions, their distribution and the critic's
+        input: :meth:`act` adds the log-prob and value, :meth:`actions`
+        stops here.
+        """
+        states_t = nn.Tensor(np.asarray(states, dtype=np.float64))
+        dist = self._distribution(states_t)
+        actions = dist.mode() if deterministic else dist.sample(rng)
+        return actions, dist, states_t
+
     def act(self, states, prev_actions, rng, deterministic=False):
         with nn.no_grad():
-            states_t = nn.Tensor(np.asarray(states, dtype=np.float64))
-            dist = self._distribution(states_t)
-            actions = dist.mode() if deterministic else dist.sample(rng)
+            actions, dist, states_t = self._rollout_step(states, rng, deterministic)
             log_probs = dist.log_prob(actions).data
             values = self.critic(states_t).data[:, 0]
         return actions, log_probs, values
+
+    def actions(self, states, prev_actions, rng, deterministic=False):
+        with nn.no_grad():
+            return self._rollout_step(states, rng, deterministic)[0]
 
     def evaluate_segment(self, segment, user_idx):
         t, b = segment.horizon, len(user_idx)
@@ -367,29 +400,51 @@ class RecurrentActorCritic(ActorCriticBase):
         else:
             self._state = nn.Tensor(np.array(state, dtype=np.float64))
 
+    def _distribution(self, features: nn.Tensor) -> nn.DiagGaussian:
+        """π(a | s, z) from the head features ``[s, z]``."""
+        mean = self.actor(features).sigmoid()  # actions live in [0, 1]
+        return nn.DiagGaussian(mean, self.log_std)
+
     def _heads(self, states_t: nn.Tensor, z: nn.Tensor) -> Tuple[nn.DiagGaussian, nn.Tensor]:
         features = nn.concat([states_t, z], axis=-1)
-        mean = self.actor(features).sigmoid()
-        values = self.critic(features)
-        return nn.DiagGaussian(mean, self.log_std), values
+        return self._distribution(features), self.critic(features)
+
+    def _rollout_step(self, states, prev_actions, rng, deterministic):
+        """Advance the extractor one step and draw actions (call under ``no_grad``).
+
+        Returns the actions, their distribution and the head features:
+        :meth:`act` adds the log-prob and the critic, :meth:`actions`
+        stops here. A batch-size change restarts the extractor state
+        only; declared rollout groups stay, so groups that do not tile
+        the new batch still raise.
+        """
+        if self._state_batch_size() != states.shape[0]:
+            self._state = self.extractor.initial_state(states.shape[0])
+        states = np.asarray(states, dtype=np.float64)
+        prev_actions = np.asarray(prev_actions, dtype=np.float64)
+        parts = [states, prev_actions]
+        context = self._rollout_context(states, prev_actions)
+        if context is not None:
+            parts.append(context)
+        x = nn.Tensor(np.concatenate(parts, axis=-1))
+        z, self._state = self._advance(x, self._state)
+        features = nn.concat([nn.Tensor(states), z], axis=-1)
+        dist = self._distribution(features)
+        actions = dist.mode() if deterministic else dist.sample(rng)
+        return actions, dist, features
 
     def act(self, states, prev_actions, rng, deterministic=False):
-        if self._state_batch_size() != states.shape[0]:
-            self.start_rollout(states.shape[0])
         with nn.no_grad():
-            states = np.asarray(states, dtype=np.float64)
-            prev_actions = np.asarray(prev_actions, dtype=np.float64)
-            parts = [states, prev_actions]
-            context = self._rollout_context(states, prev_actions)
-            if context is not None:
-                parts.append(context)
-            x = nn.Tensor(np.concatenate(parts, axis=-1))
-            z, self._state = self._advance(x, self._state)
-            states_t = nn.Tensor(states)
-            dist, values = self._heads(states_t, z)
-            actions = dist.mode() if deterministic else dist.sample(rng)
+            actions, dist, features = self._rollout_step(
+                states, prev_actions, rng, deterministic
+            )
             log_probs = dist.log_prob(actions).data
-        return actions, log_probs, values.data[:, 0]
+            values = self.critic(features).data[:, 0]
+        return actions, log_probs, values
+
+    def actions(self, states, prev_actions, rng, deterministic=False):
+        with nn.no_grad():
+            return self._rollout_step(states, prev_actions, rng, deterministic)[0]
 
     def evaluate_segment(self, segment, user_idx):
         t = segment.horizon

@@ -327,8 +327,14 @@ def collect_segments_vec(
     elif max_steps is not None:
         pool.max_steps = max_steps
     block_rng = _as_block_rng(rng, pool)
-    with no_grad():
-        return _collect_impl(pool, policy, block_rng, extras_from_info)
+    try:
+        with no_grad():
+            return _collect_impl(pool, policy, block_rng, extras_from_info)
+    finally:
+        # Set by _collect_impl; cleared here so a raising env step or act
+        # cannot leak the block structure into the policy's next caller.
+        if hasattr(policy, "set_rollout_groups"):
+            policy.set_rollout_groups(None)
 
 
 def _collect_impl(
@@ -402,9 +408,6 @@ def _collect_impl(
         _, _, values = policy.act(states, prev_actions, block_rng, deterministic=True)
         for index in pending:
             last_values[index] = values[pool.slices[index]].copy()
-
-    if hasattr(policy, "set_rollout_groups"):
-        policy.set_rollout_groups(None)
 
     stacked = {
         "states": np.stack(seq_states),

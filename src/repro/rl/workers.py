@@ -192,6 +192,12 @@ class StaleReplicaError(RuntimeError):
 #: Errors the fault policy can recover by respawning the worker.
 _RECOVERABLE_ERRORS = (WorkerCrashed, StaleReplicaError)
 
+#: Shutdown graces of :func:`_cleanup`, in seconds: how long all workers
+#: get to exit after the ``close`` command, then how long each gets to
+#: honour SIGTERM before it is SIGKILLed.
+_CLOSE_GRACE_S = 2.0
+_TERMINATE_GRACE_S = 1.0
+
 
 @dataclass(frozen=True)
 class FaultPolicy:
@@ -572,13 +578,13 @@ def _cleanup(procs, conns, shms) -> None:
             conn.send(("close",))
         except (OSError, BrokenPipeError, ValueError):
             pass
-    deadline = time.monotonic() + 2.0
+    deadline = time.monotonic() + _CLOSE_GRACE_S
     for proc in procs:
         proc.join(timeout=max(0.0, deadline - time.monotonic()))
     for proc in procs:
         if proc.is_alive():
             proc.terminate()
-            proc.join(timeout=1.0)
+            proc.join(timeout=_TERMINATE_GRACE_S)
     for proc in procs:
         if proc.is_alive():  # ignored SIGTERM: escalate to SIGKILL
             proc.kill()

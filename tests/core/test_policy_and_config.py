@@ -126,6 +126,32 @@ class TestSim2RecPolicy:
         with pytest.raises(ValueError, match="20-row batch"):
             policy.act(rng.standard_normal((20, 3)), np.zeros((20, 2)), rng)
 
+    def test_implicit_restart_keeps_rollout_groups(self):
+        """act restarts the extractor when the batch size changes; the
+        declared groups must survive it and still scope the context."""
+        policy = make_policy()
+        groups = [slice(0, 10), slice(10, 20)]
+        rng = np.random.default_rng(0)
+        states = rng.standard_normal((20, 3)) + np.repeat([[-2.0], [2.0]], 10, axis=0)
+        prev = rng.uniform(0, 1, (20, 2))
+        policy.start_rollout(20)
+        policy.set_rollout_groups(groups)
+        expected, _, _ = policy.act(states, prev, rng, deterministic=True)
+        policy.start_rollout(5)
+        policy.set_rollout_groups(groups)
+        actions, _, _ = policy.act(states, prev, rng, deterministic=True)
+        assert policy._rollout_groups == groups
+        assert np.array_equal(actions, expected)
+
+    def test_act_fn_groups_declared_before_the_first_call_are_checked(self):
+        """as_act_fn starts from a 0-row state, so its first call restarts
+        the extractor: groups that do not tile the batch must raise, not
+        vanish."""
+        act_fn = make_policy().as_act_fn(np.random.default_rng(0))
+        act_fn.set_rollout_groups([slice(0, 10)])
+        with pytest.raises(ValueError, match="20-row batch"):
+            act_fn(np.zeros((20, 3)), 0)
+
     def test_ppo_gradient_reaches_sadae_encoder(self):
         """The Eq. (4) path: policy loss → context → q_κ."""
         policy = make_policy()

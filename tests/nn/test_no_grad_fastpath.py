@@ -12,6 +12,7 @@ Three guarantees:
 """
 
 import numpy as np
+import pytest
 
 from repro import nn
 from repro.nn.tensor import affine
@@ -113,6 +114,43 @@ class TestFastPathMatchesGraphPath:
                 h_fast = cell(nn.Tensor(xs[t]), h_fast)
             h_slow = cell(nn.Tensor(xs[t]), h_slow)
             np.testing.assert_array_equal(h_fast.data, h_slow.data)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("batch", [1, 2, 7, 1200])
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_cell_bitwise_on_saturating_and_non_finite_inputs(self, kind, batch):
+        """The one contiguous gate pass against the graph path: inputs
+        scaled so pre-activations cross ±60 (where the sigmoid clamp
+        acts), plus a row holding ±inf and a row holding NaN. The fused
+        ``unroll`` forward must match the same per-step graph."""
+        rng = np.random.default_rng(batch)
+        cell = (nn.LSTMCell if kind == "lstm" else nn.GRUCell)(6, 16, rng)
+        xs = rng.standard_normal((4, batch, 6)) * 60.0
+        pre = xs[0] @ cell.weight_ih.data
+        assert pre.max() > 60.0 and pre.min() < -60.0
+        if batch > 1:
+            xs[:, 0, 0], xs[:, 0, 1] = np.inf, -np.inf
+            xs[:, -1, 2] = np.nan
+
+        def run(state, x):
+            out = cell(nn.Tensor(x), state)
+            return out if kind == "lstm" else (out, out)
+
+        fast_state = slow_state = cell.initial_state(batch)
+        slow_hidden = []
+        for x in xs:
+            with nn.no_grad():
+                h_fast, fast_state = run(fast_state, x)
+            h_slow, slow_state = run(slow_state, x)
+            slow_hidden.append(h_slow.data)
+            assert np.array_equal(h_fast.data, h_slow.data, equal_nan=True)
+            if kind == "lstm":
+                assert np.array_equal(fast_state[1].data, slow_state[1].data, equal_nan=True)
+        assert np.array_equal(
+            cell.unroll(nn.Tensor(xs)).data, np.stack(slow_hidden), equal_nan=True
+        )
+        if batch > 1:
+            assert np.isnan(slow_hidden[-1][0]).all() and np.isnan(slow_hidden[-1][-1]).all()
 
     def test_scratch_reuse_across_batch_sizes(self):
         """Changing batch size mid-stream must not corrupt the scratch."""

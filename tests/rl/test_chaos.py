@@ -35,6 +35,7 @@ from repro.rl import (
     evaluate,
     sharding_available,
 )
+from repro.rl import workers as workers_module
 from repro.rl.chaos import apply_fault
 from repro.rl.parity import assert_segments_identical, verify_rollout_parity
 
@@ -416,9 +417,13 @@ class TestLegacyContract:
 
 
 class TestProcessHygiene:
-    def test_sigterm_ignoring_worker_is_killed_and_shm_unlinked(self):
+    def test_sigterm_ignoring_worker_is_killed_and_shm_unlinked(self, monkeypatch):
         """The zombie case: workers that ignore SIGTERM and hang on close
-        must still die (SIGKILL escalation) and leak no shared memory."""
+        must still die (SIGKILL escalation) and leak no shared memory.
+        Both shutdown graces are shortened: the escalation, not its
+        timing, is under test."""
+        monkeypatch.setattr(workers_module, "_CLOSE_GRACE_S", 0.05)
+        monkeypatch.setattr(workers_module, "_TERMINATE_GRACE_S", 0.05)
         chaos = ChaosSchedule(
             [FaultSpec("hang", worker=w, op="close", hang_seconds=300.0) for w in range(2)],
             ignore_sigterm=True,

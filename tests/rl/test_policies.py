@@ -1,9 +1,12 @@
 """Tests for MLP and recurrent actor-critic policies."""
 
 import numpy as np
+import pytest
 
 from repro import nn
-from repro.rl import MLPActorCritic, RecurrentActorCritic, RolloutSegment
+from repro.core import SADAE, SADAEConfig, Sim2RecPolicy
+from repro.envs import DPRConfig, DPRWorld
+from repro.rl import MLPActorCritic, RecurrentActorCritic, RolloutSegment, evaluate
 
 RNG = np.random.default_rng(6)
 
@@ -168,3 +171,113 @@ class TestRecurrentActorCritic:
         act_fn.reset(3)
         actions = act_fn(RNG.standard_normal((3, 3)), 0)
         assert actions.shape == (3, 2)
+
+
+def make_sim2rec(state_dim, action_dim, rng):
+    sadae = SADAE(
+        state_dim,
+        action_dim,
+        SADAEConfig(latent_dim=4, encoder_hidden=(16,), decoder_hidden=(16,), seed=0),
+    )
+    return Sim2RecPolicy(
+        state_dim, action_dim, sadae, rng, fc_sizes=(8, 4), lstm_hidden=8, head_hidden=(16,)
+    )
+
+
+POLICIES = {
+    "mlp": lambda ds, da, rng: MLPActorCritic(ds, da, rng, hidden_sizes=(8,)),
+    "lstm": lambda ds, da, rng: RecurrentActorCritic(
+        ds, da, rng, lstm_hidden=8, head_hidden=(16,)
+    ),
+    "gru": lambda ds, da, rng: RecurrentActorCritic(
+        ds, da, rng, lstm_hidden=8, head_hidden=(16,), cell="gru"
+    ),
+    "sim2rec": make_sim2rec,
+}
+
+
+def state_arrays(policy):
+    state = policy.recurrent_state()
+    if state is None:
+        return []
+    return list(state) if isinstance(state, tuple) else [state]
+
+
+class TestActionsOnly:
+    """``actions`` is ``act(...)[0]`` without the critic and the log-prob."""
+
+    @pytest.mark.parametrize("deterministic", [False, True], ids=["sampled", "mode"])
+    @pytest.mark.parametrize("kind", sorted(POLICIES))
+    def test_actions_match_act_bit_for_bit(self, kind, deterministic):
+        """Same actions, same rng end state and same recurrent state after
+        every step, on a 2-group batch."""
+        policy = POLICIES[kind](3, 2, np.random.default_rng(0))
+        data = np.random.default_rng(7)
+        steps = [
+            data.standard_normal((10, 3)) + np.repeat([[-1.0], [2.0]], [4, 6], axis=0)
+            for _ in range(3)
+        ]
+        runs = {}
+        for method in ("act", "actions"):
+            rng = np.random.default_rng(11)
+            policy.start_rollout(10)
+            policy.set_rollout_groups([slice(0, 4), slice(4, 10)])
+            prev = np.zeros((10, 2))
+            trace = []
+            for states in steps:
+                out = getattr(policy, method)(states, prev, rng, deterministic=deterministic)
+                prev = out[0] if method == "act" else out
+                trace.append((prev, state_arrays(policy)))
+            runs[method] = (trace, rng.bit_generator.state)
+        (act_trace, act_rng), (only_trace, only_rng) = runs["act"], runs["actions"]
+        assert only_rng == act_rng
+        for (act_actions, act_state), (actions, state) in zip(act_trace, only_trace):
+            assert np.array_equal(actions, act_actions)
+            assert len(state) == len(act_state)
+            for part, act_part in zip(state, act_state):
+                assert np.array_equal(part, act_part)
+
+    def test_base_class_default_is_act(self):
+        """A policy that only implements ``act`` gets ``act(...)[0]``."""
+        from repro.rl.policies import ActorCriticBase
+
+        class ActOnly(MLPActorCritic):
+            actions = ActorCriticBase.actions
+
+        policy = ActOnly(3, 2, np.random.default_rng(0), hidden_sizes=(8,))
+        states = RNG.standard_normal((5, 3))
+        rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
+        expected, _, _ = policy.act(states, np.zeros((5, 2)), rng_a)
+        assert np.array_equal(policy.actions(states, np.zeros((5, 2)), rng_b), expected)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class _CriticCalled(nn.Module):
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("evaluation ran the critic")
+
+
+def _log_prob_called(self, value):
+    raise AssertionError("evaluation ran DiagGaussian.log_prob")
+
+
+@pytest.mark.parametrize("kind", sorted(POLICIES))
+def test_evaluation_runs_only_the_actor(kind, monkeypatch):
+    """With the critic and ``log_prob`` made to raise, the replica kernel
+    and ``as_act_fn`` still return the unpatched returns bit for bit."""
+    world = DPRWorld(DPRConfig(num_cities=3, drivers_per_city=5, horizon=5, seed=3))
+    policy = POLICIES[kind](13, 2, np.random.default_rng(4))
+
+    def run():
+        pooled = evaluate(
+            policy, world.make_all_city_envs(), rng=np.random.default_rng(5), deterministic=False
+        )
+        solo = evaluate(policy.as_act_fn(np.random.default_rng(6)), world.make_city_env(1))
+        return pooled, solo
+
+    expected_pooled, expected_solo = run()
+    monkeypatch.setattr(policy, "critic", _CriticCalled())
+    monkeypatch.setattr(nn.DiagGaussian, "log_prob", _log_prob_called)
+    pooled, solo = run()
+    assert np.array_equal(pooled, expected_pooled)
+    assert solo == expected_solo

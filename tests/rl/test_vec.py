@@ -122,6 +122,45 @@ class TestEvaluatePolicyVec:
         assert pooled == pytest.approx(float(np.mean(per_env)))
 
 
+class _InjectedStepError(RuntimeError):
+    pass
+
+
+class TestRolloutGroupsCleared:
+    """Every stacked loop declares the pool's blocks on the policy and
+    must clear them even when an env step raises mid-rollout."""
+
+    LOOPS = {
+        "replica": lambda policy, envs: evaluate(policy, envs),
+        "vec": lambda policy, envs: evaluate(
+            policy.as_act_fn(np.random.default_rng(0)), envs, mode="vec"
+        ),
+        "solo": lambda policy, envs: evaluate(
+            policy.as_act_fn(np.random.default_rng(0)), VecEnvPool(envs), mode="solo"
+        ),
+        "collect": lambda policy, envs: collect_segments_vec(
+            envs, policy, np.random.default_rng(0)
+        ),
+    }
+
+    @pytest.mark.parametrize("loop", sorted(LOOPS))
+    def test_groups_are_cleared_when_a_step_raises(self, loop, monkeypatch):
+        step, calls = VecEnvPool.step, []
+
+        def failing_step(pool, actions):
+            calls.append(None)
+            if len(calls) == 4:
+                raise _InjectedStepError("env step failed")
+            return step(pool, actions)
+
+        monkeypatch.setattr(VecEnvPool, "step", failing_step)
+        policy = build_sim2rec_policy(13, 2, dpr_small_config(seed=1))
+        with pytest.raises(_InjectedStepError):
+            self.LOOPS[loop](policy, make_world().make_all_city_envs())
+        assert len(calls) == 4
+        assert policy._rollout_groups is None
+
+
 class TestTrainerVectorizedCollect:
     def test_vectorized_collect_produces_full_buffer(self):
         from repro.core import Sim2RecLTSTrainer, lts_small_config
