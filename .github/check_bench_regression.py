@@ -11,13 +11,6 @@ Compares the smoke-run ``BENCH_rollout.json`` / ``BENCH_train.json`` /
 - every scenario must carry ``"equivalent": true`` — a bench that could
   not verify bit-equivalence between its timed paths is a failure
   regardless of timing;
-- worker-sweep floors (``workers`` section, keyed by worker count) apply
-  the ``speedup_vs_sequential`` number and are skipped when the bench
-  machine has fewer than ``min_cpus`` cores: multi-process collection
-  cannot beat a single core, and the JSON records ``cpu_count`` exactly
-  so this gate can tell a slow runner from a slow commit. Equivalence
-  flags on worker records are enforced unconditionally: bit-identity
-  does not depend on core count;
 - scenario-sweep floors (``scenario_sweep`` section, keyed by case name)
   gate the registry-driven scenario cases (``repro.scenarios`` families
   driven through the vectorized engine, including the ≥200-env SlateRec
@@ -55,7 +48,6 @@ def check_payload(payload: dict, baseline: dict, tolerance: float, label: str) -
     """Return a list of human-readable failures for one bench artifact."""
     failures: List[str] = []
     scenarios = {s["name"]: s for s in payload.get("scenarios", [])}
-    cpu_count = payload.get("cpu_count") or 1
 
     for name, floors in baseline.get("scenarios", {}).items():
         scenario = scenarios.get(name)
@@ -71,47 +63,6 @@ def check_payload(payload: dict, baseline: dict, tolerance: float, label: str) -
                 f"{label}/{name}: speedup {measured} < floor {floor} x "
                 f"tolerance {tolerance} = {floor * tolerance:.3f}"
             )
-
-    worker_floors = baseline.get("workers", {})
-    if worker_floors:
-        # Every sweep scenario must clear the floor: collect all records
-        # per worker count and gate the weakest one.
-        sweeps: dict = {}
-        for scenario in scenarios.values():
-            for record in scenario.get("workers", []):
-                # Bit-equivalence holds on any machine: enforce the flag
-                # on every swept record regardless of core count.
-                if record.get("equivalent") is not True:
-                    failures.append(
-                        f"{label}/{scenario['name']}/workers={record['num_workers']}: "
-                        "equivalence flag is not true"
-                    )
-                sweeps.setdefault(str(record["num_workers"]), []).append(
-                    (scenario["name"], record)
-                )
-        for count, floors in worker_floors.items():
-            min_cpus = floors.get("min_cpus", 2)
-            if cpu_count < min_cpus:
-                print(
-                    f"skip {label}/workers={count}: bench ran on {cpu_count} "
-                    f"CPU(s), floor needs >= {min_cpus}"
-                )
-                continue
-            records = sweeps.get(str(count))
-            if not records:
-                failures.append(
-                    f"{label}/workers={count}: missing from the worker sweep"
-                )
-                continue
-            floor = floors["min_speedup_vs_sequential"]
-            for scenario_name, record in records:
-                measured = record.get("speedup_vs_sequential")
-                if measured is None or measured < floor * tolerance:
-                    failures.append(
-                        f"{label}/{scenario_name}/workers={count}: "
-                        f"speedup_vs_sequential {measured} < floor {floor} x "
-                        f"tolerance {tolerance} = {floor * tolerance:.3f}"
-                    )
 
     sweep_floors = baseline.get("scenario_sweep", {})
     sweep_records = payload.get("scenario_sweep", [])

@@ -1,14 +1,11 @@
-"""Rollout-engine microbenchmark: the full collection-mode sweep.
+"""Rollout-engine microbenchmark: vectorized vs sequential collection.
 
-Times every rollout mode against the sequential per-city baseline:
+Times the in-process rollout engine against the sequential per-city
+baseline:
 
-- ``vectorized`` — one ``policy.act`` per timestep for all cities over an
-  in-process :class:`VecEnvPool` (block-diagonal env stepping, no-grad
-  fast path);
-- ``shard_parallel`` — full rollouts in worker processes: policy
-  replicas per shard (``sync_policy`` + ``collect_rollouts``, the unit a
-  training iteration pays), so the whole act → step → record loop
-  parallelises, swept over worker counts (the ``workers`` records);
+- ``scenarios`` — ``vectorized``: one ``policy.act`` per timestep for
+  all cities over an in-process :class:`VecEnvPool` (block-diagonal env
+  stepping, no-grad fast path);
 - ``scenario_sweep`` — registry-driven scenario cases: every
   ``repro.scenarios`` family built from a pure config dict and driven
   through the vectorized engine, including a hundreds-of-envs SlateRec
@@ -18,24 +15,14 @@ Every timed path is first proven **bit-identical** to the sequential
 baseline through the same parity harness the test suite runs
 (:mod:`repro.rl.parity` — the bench re-implements nothing); results go
 to ``BENCH_rollout.json`` so speedups are tracked across PRs (and gated
-in CI by ``.github/check_bench_regression.py``).
-
-Worker speedups scale with physical cores: on a 1-CPU container
-``shard_parallel`` records ~1x or below (the JSON carries ``cpu_count``
-so the CI gate only enforces worker floors on multi-core runners). They
-also depend on BLAS threading: default BLAS pools in the parent and
-every worker oversubscribe the cores, so run with
-``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=MKL_NUM_THREADS=1`` — the JSON
-records all three variables (``blas_threads``).
-
-``--chaos`` opts into a fault-injection sweep on top: scheduled worker
-kills mid-collection (:mod:`repro.rl.chaos`) with supervision enabled,
-reporting the per-incident recovery overhead — every faulted collection
-passes the same bit-identity gate first.
+in CI by ``.github/check_bench_regression.py``). Run with
+``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=MKL_NUM_THREADS=1``, as CI does —
+the JSON records all three variables (``blas_threads``) and
+``cpu_count``.
 
 Not a pytest module — run directly::
 
-    python benchmarks/perf_rollout.py [--smoke] [--chaos] [--output PATH] [--workers 1,2,4]
+    python benchmarks/perf_rollout.py [--smoke] [--output PATH]
 """
 
 from __future__ import annotations
@@ -58,16 +45,11 @@ except ImportError:  # running from a checkout: fall back to the src/ layout
 
 from repro.envs import DPRConfig, DPRWorld
 from repro.rl import (
-    ChaosSchedule,
-    FaultPolicy,
-    FaultSpec,
     RecurrentActorCritic,
-    ShardedVecEnvPool,
     VecEnvPool,
     collect_segment,
     collect_segments_sequential,
     collect_segments_vec,
-    sharding_available,
 )
 from repro.rl.parity import assert_segments_identical
 from repro.scenarios import make_scenario
@@ -138,186 +120,6 @@ def bench_scenario(name: str, config: DPRConfig, repeats: int) -> dict:
         f"-> {result['speedup']:.2f}x"
     )
     return result
-
-
-def _time_shard_parallel(pool, policy, rngs, repeats: int) -> float:
-    """Steady-state full-rollout iteration: param broadcast + collection.
-
-    The timed unit includes ``sync_policy`` because a training iteration
-    pays it every time (fresh parameters); after the first broadcast it
-    is the delta-free state-archive path, which is the steady state. An
-    *unchanged* policy is skipped outright since the no-resend
-    optimisation, so each repeat nudges one weight first — the timed
-    broadcast is the real one a post-update iteration pays.
-    """
-    pool.sync_policy(policy)
-    pool.collect_rollouts(rngs)  # warmup (structure already shipped)
-    times = []
-    param = policy.parameters()[0]
-    original = param.data.copy()
-    try:
-        for _ in range(repeats):
-            param.data += 1e-12
-            start = time.perf_counter()
-            pool.sync_policy(policy)
-            pool.collect_rollouts(rngs)
-            times.append(time.perf_counter() - start)
-    finally:
-        param.data[:] = original  # the shared policy must stay bit-exact
-    return min(times)
-
-
-def bench_workers(
-    name: str,
-    config: DPRConfig,
-    worker_counts: tuple,
-    repeats: int,
-    sequential_s: float,
-    vectorized_s: float,
-) -> list:
-    """Time shard-parallel collection per worker count; verify bitwise first.
-
-    Returns one ``workers`` record per worker count, the records the CI
-    worker floors gate. Speedups are against the sequential per-city
-    loop (the end-to-end win a training run sees) and the single-process
-    vectorized pool; expect < 1x on single-core machines where IPC
-    serialises. Throughput is stacked user-steps per second.
-    """
-    world = DPRWorld(config)
-    policy = make_policy(13, 2)
-    total_steps = config.num_cities * config.drivers_per_city * config.horizon
-    seq_ref = collect_segments_sequential(
-        world.make_all_city_envs(), policy, make_rngs(world, 7)
-    )
-    records = []
-    for workers in worker_counts:
-        if not sharding_available():
-            print(f"[{name}] workers={workers}: sharding unavailable, skipped")
-            continue
-        pool = ShardedVecEnvPool(world.make_all_city_envs(), num_workers=workers)
-        try:
-            # The acceptance contract, re-proven inside the bench for this
-            # exact layout before the clock starts.
-            pool.sync_policy(policy)
-            collected = pool.collect_rollouts(make_rngs(world, 7))
-            assert_segments_identical(
-                seq_ref, collected, label=f"{name}/shard_parallel/workers={workers}"
-            )
-            best = _time_shard_parallel(pool, policy, make_rngs(world, 1000), repeats)
-        finally:
-            pool.close()
-        record = {
-            "num_workers": pool.num_workers,
-            "shard_parallel_s": round(best, 6),
-            "speedup_vs_sequential": round(sequential_s / best, 3),
-            "speedup_vs_vectorized": round(vectorized_s / best, 3),
-            "throughput_user_steps_per_s": round(total_steps / best, 1),
-            "equivalent": True,
-        }
-        records.append(record)
-        print(
-            f"[{name}] shard_parallel workers={pool.num_workers}: {best:.3f}s "
-            f"-> {record['speedup_vs_sequential']:.2f}x vs sequential, "
-            f"{record['speedup_vs_vectorized']:.2f}x vs vectorized "
-            f"({record['throughput_user_steps_per_s']:.0f} user-steps/s)"
-        )
-    return records
-
-
-#: Supervision knobs for the chaos bench: short deadlines so a hang is
-#: detected quickly, tiny backoff so the measured overhead is the
-#: recovery machinery (snapshot respawn + re-run), not sleeps.
-CHAOS_POLICY = FaultPolicy(
-    max_restarts=2,
-    backoff=0.01,
-    broadcast_deadline=30.0,
-    collect_deadline=120.0,
-)
-
-#: Fault cases injected by ``--chaos``: a worker dying the instant it is
-#: asked to collect and one dying just before replying (the envs already
-#: advanced a full episode, so the parent must respawn from the snapshot
-#: and re-run the whole collect).
-CHAOS_CASES = (
-    ("kill_on_rollout", FaultSpec(kind="kill", worker=0, op="rollout", at=0)),
-    (
-        "kill_after_rollout",
-        FaultSpec(kind="kill", worker=0, op="rollout", at=0, phase="reply"),
-    ),
-)
-
-
-def bench_chaos(config: DPRConfig, worker_counts: tuple, repeats: int) -> list:
-    """Opt-in fault-injection sweep: recovery cost of a mid-collect crash.
-
-    For each worker count and fault case, a fresh supervised pool
-    (:data:`CHAOS_POLICY`) collects one full rollout while the scheduled
-    fault kills a worker; the collection must come back **bit-identical**
-    to the sequential baseline (the same acceptance gate as the timed
-    modes — recovery that alters results would be worse than a crash).
-    The clean run rebuilds the identical pool without a schedule, so the
-    reported ``recovery_overhead_s`` isolates detection + respawn +
-    re-run. Single-rollout times on fresh pools, not steady state:
-    recovery cost is a per-incident number.
-    """
-    world = DPRWorld(config)
-    policy = make_policy(13, 2)
-    seq_ref = collect_segments_sequential(
-        world.make_all_city_envs(), policy, make_rngs(world, 7)
-    )
-
-    def one_collect(workers, chaos):
-        pool = ShardedVecEnvPool(
-            world.make_all_city_envs(),
-            num_workers=workers,
-            fault_policy=CHAOS_POLICY,
-            chaos=chaos,
-        )
-        try:
-            pool.sync_policy(policy)
-            start = time.perf_counter()
-            collected = pool.collect_rollouts(make_rngs(world, 7))
-            elapsed = time.perf_counter() - start
-            restarts = sum(pool.restart_counts)
-            degraded = pool.degraded
-        finally:
-            pool.close()
-        return collected, elapsed, restarts, degraded
-
-    records = []
-    for workers in worker_counts:
-        for case, spec in CHAOS_CASES:
-            clean_times, fault_times = [], []
-            for _ in range(repeats):
-                collected, elapsed, restarts, degraded = one_collect(workers, None)
-                assert restarts == 0 and not degraded
-                clean_times.append(elapsed)
-                collected, elapsed, restarts, degraded = one_collect(
-                    workers, ChaosSchedule(specs=[spec])
-                )
-                assert restarts == 1, f"fault did not fire (restarts={restarts})"
-                assert not degraded
-                assert_segments_identical(
-                    seq_ref, collected, label=f"chaos/{case}/workers={workers}"
-                )
-                fault_times.append(elapsed)
-            clean, faulted = min(clean_times), min(fault_times)
-            record = {
-                "case": case,
-                "num_workers": workers,
-                "clean_collect_s": round(clean, 6),
-                "faulted_collect_s": round(faulted, 6),
-                "recovery_overhead_s": round(faulted - clean, 6),
-                "restarts": 1,
-                "equivalent": True,
-            }
-            records.append(record)
-            print(
-                f"[chaos] {case} workers={workers}: clean={clean:.3f}s "
-                f"faulted={faulted:.3f}s -> +{record['recovery_overhead_s']:.3f}s "
-                "recovery overhead (bit-identical)"
-            )
-    return records
 
 
 # Registry-driven scenario cases: pure config dicts resolved through
@@ -428,18 +230,6 @@ def main() -> None:
     parser.add_argument("--smoke", action="store_true", help="tiny CI-sized run")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
-        "--chaos",
-        action="store_true",
-        help="also run the fault-injection sweep: kill workers mid-collect "
-        "and report per-incident recovery overhead (parity-gated)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=str,
-        default=None,
-        help="comma-separated worker counts for the shard-parallel sweep (default 1,2,4)",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_rollout.json",
@@ -451,8 +241,6 @@ def main() -> None:
         scenarios = [
             ("smoke_cross_city", DPRConfig(num_cities=8, drivers_per_city=8, horizon=8, seed=0)),
         ]
-        sweep_scenarios = {"smoke_cross_city"}
-        worker_counts = (1, 2)
         repeats = min(args.repeats, 2)
     else:
         scenarios = [
@@ -462,41 +250,12 @@ def main() -> None:
             ("wide_sweep", DPRConfig(num_cities=100, drivers_per_city=5, horizon=20, seed=0)),
             ("large_groups", DPRConfig(num_cities=12, drivers_per_city=64, horizon=20, seed=0)),
         ]
-        sweep_scenarios = {"many_cities", "large_groups"}
-        worker_counts = (1, 2, 4)
         repeats = args.repeats
-    if args.workers:
-        worker_counts = tuple(int(w) for w in args.workers.split(","))
 
-    results = []
-    for name, config in scenarios:
-        result = bench_scenario(name, config, repeats)
-        if name in sweep_scenarios:
-            result["workers"] = bench_workers(
-                name,
-                config,
-                worker_counts,
-                repeats,
-                result["sequential_s"],
-                result["vectorized_s"],
-            )
-        results.append(result)
+    results = [bench_scenario(name, config, repeats) for name, config in scenarios]
     scenario_sweep = bench_scenario_sweep(
         SCENARIO_CASES["smoke" if args.smoke else "full"], repeats
     )
-    chaos_records = None
-    if args.chaos:
-        if sharding_available():
-            # Recovery cost is per-incident, not throughput-bound: the
-            # small smoke layout keeps the sweep fast at any scale.
-            chaos_config = DPRConfig(
-                num_cities=8, drivers_per_city=8, horizon=8, seed=0
-            )
-            chaos_records = bench_chaos(
-                chaos_config, worker_counts, min(repeats, 2)
-            )
-        else:
-            print("[chaos] sharding unavailable, skipped")
     payload = {
         "benchmark": "perf_rollout",
         "mode": "smoke" if args.smoke else "full",
@@ -510,8 +269,6 @@ def main() -> None:
         "scenario_sweep": scenario_sweep,
         "headline_speedup": max(r["speedup"] for r in results),
     }
-    if chaos_records is not None:
-        payload["chaos"] = chaos_records
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output} (headline speedup {payload['headline_speedup']:.2f}x)")
 

@@ -9,7 +9,7 @@ exact trajectory** an unbroken run would have taken:
 - ``policy.*``  — the policy's full replica state (all parameters,
   including the SADAE, plus non-parameter buffers such as the SADAE
   input normaliser) via ``replica_state`` — the same delta-free archive
-  the rollout workers receive;
+  the evaluation workers receive;
 - ``optimizer.*`` / ``schedule.*`` — the PPO Adam accumulators and the
   linear-LR schedule position, so the first post-resume update takes
   the same parameter step;

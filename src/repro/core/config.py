@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..rl.ppo import PPOConfig
-from ..rl.workers import FaultPolicy
 from .sadae import SADAEConfig
 
 __all__ = [
@@ -43,22 +42,6 @@ class Sim2RecConfig:
     # --- PPO (Eq. 4) -----------------------------------------------------
     ppo: PPOConfig = field(default_factory=PPOConfig)
     segments_per_iteration: int = 2
-    # Rollout worker processes. <= 1 collects each iteration's simulators
-    # together in one in-process repro.rl.vec.VecEnvPool; > 1 shards them
-    # across a repro.rl.workers.ShardedVecEnvPool whose workers roll out
-    # with policy replicas. Bit-identical to the in-process pool for any
-    # value. Falls back to in-process when a rollout batch has a single
-    # env, the platform offers no multiprocessing start method, or the
-    # policy cannot be pickled. Worker processes are reused across
-    # iterations.
-    rollout_workers: int = 1
-    # Worker supervision for rollout_workers > 1: a
-    # repro.rl.workers.FaultPolicy turns on per-op deadlines, automatic
-    # respawn with bit-identical crash recovery, and graceful
-    # degradation to in-process collection when the restart budget runs
-    # out. None (the default) keeps the legacy fail-fast contract: any
-    # worker failure closes the pool and raises.
-    fault_policy: Optional[FaultPolicy] = None
 
     # --- run checkpoint / resume ----------------------------------------
     # Every checkpoint_every completed iterations (0 = off) the trainer

@@ -17,9 +17,7 @@ environment sampler). :class:`Sim2RecLTSTrainer` and
 
 from __future__ import annotations
 
-import pickle
 import time
-import warnings
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -33,7 +31,6 @@ from ..rl.policies import ActorCriticBase
 from ..rl.ppo import PPO, TrainingDiverged
 from ..rl.runner import collect_segment
 from ..rl.vec import collect_segments_vec, split_rng
-from ..rl.workers import ShardedVecEnvPool, sharding_available
 from ..sim.dataset import TrajectoryDataset
 from ..sim.ensemble import SimulatorEnsemble
 from ..sim.env_wrapper import SimulatedDPREnv
@@ -123,40 +120,18 @@ class PolicyTrainer:
         # env objects) need the sample→rollout interleaving of the
         # sequential path; subclasses set this to opt out of pooling.
         self._sequential_collect = False
-        # Multi-process rollout workers (config.rollout_workers > 1): the
-        # sharded pool is cached and its worker processes reused across
-        # iterations whenever the sampled batch has the same layout.
-        self._worker_pool: Optional[ShardedVecEnvPool] = None
-        self._worker_pool_key: Optional[tuple] = None
-        # Samplers that hand out *shared* env objects (the LTS task's
-        # train envs) rely on env state continuity across iterations, so
-        # worker-side state is synced back after each collection. Fresh-
-        # env samplers (DPR) opt out to skip the transfer.
-        self._sync_worker_envs = True
-        # Worker replicas need the policy itself to cross the process
-        # boundary; a policy that cannot be pickled (externally attached
-        # loggers, lambdas, ...) falls back to in-process collection
-        # instead of failing the run (set on first failure).
-        self._replica_unpicklable = False
         # Completed iterations held by the last checkpoint this trainer
         # wrote to config.checkpoint_path (None: none written yet).
         self._last_checkpoint: Optional[int] = None
 
     def close(self) -> None:
-        """Release the rollout worker processes (idempotent, exception-safe).
+        """Close the JSONL metrics sink (idempotent).
 
-        The cached pool reference is dropped *before* its ``close()``
-        runs, so a teardown that raises (e.g. a worker that already
-        crashed) still leaves the trainer in the no-pool state and a
-        second ``close()`` is always a no-op.
+        A later iteration reopens the sink in append mode.
         """
         sink, self._metrics_sink = self._metrics_sink, None
         if sink is not None:
             sink.close()
-        pool, self._worker_pool = self._worker_pool, None
-        self._worker_pool_key = None
-        if pool is not None:
-            pool.close()
 
     def __enter__(self) -> "PolicyTrainer":
         return self
@@ -189,99 +164,14 @@ class PolicyTrainer:
             }
         )
 
-    # Worker-pool plumbing ----------------------------------------------
-    def _sharded_pool(self, envs: Sequence[MultiUserEnv], workers: int) -> ShardedVecEnvPool:
-        key = (
-            workers,
-            tuple(env.num_users for env in envs),
-            envs[0].observation_dim,
-            envs[0].action_dim,
-            self.config.fault_policy,
-        )
-        if self._worker_pool is not None and self._worker_pool.closed:
-            # A crash (WorkerCrashed / WorkerStepError / StaleReplicaError)
-            # closes the pool behind our back; drop the stale handle
-            # instead of feeding load_envs to dead workers.
-            self.close()
-        if self._worker_pool is not None and key == self._worker_pool_key:
-            self._worker_pool.load_envs(envs)
-            return self._worker_pool
-        # Layout or worker count changed since the last collect: the old
-        # pool (processes + shared memory) must go before a new one
-        # replaces it.
-        self.close()
-        self._worker_pool = ShardedVecEnvPool(
-            envs, num_workers=workers, fault_policy=self.config.fault_policy
-        )
-        self._worker_pool.set_metrics(self.metrics)
-        self._worker_pool_key = key
-        return self._worker_pool
-
-    def _replica_pool(self, envs: Sequence[MultiUserEnv]) -> Optional[ShardedVecEnvPool]:
-        """The worker pool for one pooled round, policy synced; None = in-process.
-
-        Worker replicas collect when ``config.rollout_workers > 1`` and
-        the round has more than one env. A policy that cannot be pickled
-        warns once, closes the worker pool and leaves the rest of the run
-        in-process — bit-identical, just not parallel.
-        """
-        workers = min(self.config.rollout_workers, len(envs))
-        if workers <= 1 or self._replica_unpicklable or not sharding_available():
-            if self._worker_pool is not None:
-                # rollout_workers changed to an in-process setting
-                # between collects: the cached pool would otherwise leak
-                # its worker processes.
-                self.close()
-            return None
-        pool = self._sharded_pool(envs, workers)
-        try:
-            pool.sync_policy(self.policy)
-        except (TypeError, AttributeError, pickle.PicklingError) as error:
-            if pool.replica_version != 0:
-                raise  # a previously-syncable policy failing is a real bug
-            warnings.warn(
-                f"policy cannot be shipped to rollout workers ({error!r}); "
-                "collecting in-process for the rest of this run",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self._replica_unpicklable = True
-            self.close()
-            return None
-        return pool
-
-    def _pull_worker_envs(
-        self, envs: Sequence[MultiUserEnv], pool: ShardedVecEnvPool
-    ) -> None:
-        """Copy the workers' advanced env state into the parent's objects.
-
-        Samplers that reuse envs across iterations (RNG streams, episode
-        state) stay bit-identical to in-process runs; fresh-env samplers
-        opt out via ``_sync_worker_envs`` to skip the transfer.
-        """
-        if self._sync_worker_envs:
-            for mine, theirs in zip(envs, pool.fetch_member_envs()):
-                vars(mine).update(vars(theirs))
-
     def _collect_round(
         self, envs: List[MultiUserEnv], streams: List[np.random.Generator]
     ) -> List[RolloutSegment]:
-        """Roll out one pool round: a lone env directly, else through a pool.
-
-        The single place that picks the pool: worker replicas when
-        :meth:`_replica_pool` hands one out, the in-process
-        :class:`~repro.rl.vec.VecEnvPool` otherwise. A lone env never
-        touches the worker pool, so a singleton round keeps it cached.
-        """
+        """Roll out one pool round: a lone env directly, else through a pool."""
         max_steps = self.config.truncate_horizon
         if len(envs) == 1:
             return [collect_segment(envs[0], self.policy, streams[0], max_steps=max_steps)]
-        pool = self._replica_pool(envs)
-        if pool is None:
-            return collect_segments_vec(envs, self.policy, streams, max_steps=max_steps)
-        segments = pool.collect_rollouts(streams, max_steps=max_steps)
-        self._pull_worker_envs(envs, pool)
-        return segments
+        return collect_segments_vec(envs, self.policy, streams, max_steps=max_steps)
 
     # Hooks specialised by Sim2Rec trainers ------------------------------
     def post_process_segment(self, segment: RolloutSegment, env: MultiUserEnv) -> None:
@@ -294,16 +184,13 @@ class PolicyTrainer:
     def collect(self) -> Tuple[RolloutBuffer, List[float]]:
         """Sample simulators and roll the policy out in each (Alg. 1 l. 4–6).
 
-        ``config.rollout_workers`` <= 1 drives the iteration's simulators
-        together through one in-process
-        :class:`~repro.rl.vec.VecEnvPool`; > 1 shards them across a
-        :class:`~repro.rl.workers.ShardedVecEnvPool` whose workers roll
-        out with policy replicas — bit-identical segments either way.
-        Environments that cannot share a pool (duplicate objects from
-        samplers that reuse env instances, or mismatched state/action
-        dims) fall back to additional pool rounds or single-env
-        rollouts, and samplers with side effects roll simulators one at
-        a time.
+        The iteration's simulators roll out together through one
+        in-process :class:`~repro.rl.vec.VecEnvPool` — bit-identical to
+        rolling them out one at a time. Environments that cannot share
+        a pool (duplicate objects from samplers that reuse env
+        instances, or mismatched state/action dims) fall back to
+        additional pool rounds or single-env rollouts, and samplers with
+        side effects roll simulators one at a time.
         """
         config = self.config
         if self._sequential_collect:
@@ -459,8 +346,8 @@ def load_env_population_extra_state(
 
     The checkpointed env states are written into the existing objects
     (``vars`` update) rather than replacing them — the sampler closure
-    and any cached pool hold references to these exact objects. Returns
-    the restored replay window.
+    holds references to these exact objects. Returns the restored replay
+    window.
     """
     from .checkpoint import unpickle_array
 
@@ -633,9 +520,6 @@ class Sim2RecDPRTrainer(PolicyTrainer):
         super().__init__(policy, sampler, config, logger)
         self.sim2rec_policy = policy
         self._sadae_sets = dataset.state_action_sets()
-        # The sampler builds a fresh SimulatedDPREnv per draw — nothing
-        # outlives its iteration, so skip the worker-state sync transfer.
-        self._sync_worker_envs = False
 
     @property
     def trend_results(self):

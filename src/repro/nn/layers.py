@@ -15,8 +15,8 @@ Activation = Callable[[Tensor], Tensor]
 
 # Module-level functions rather than lambdas: modules keep a reference to
 # their activation, and named functions keep every model (and everything
-# holding one, e.g. simulator-backed envs shipped to rollout worker
-# processes) picklable.
+# holding one, e.g. simulator-backed envs shipped to worker processes)
+# picklable.
 def _tanh(x: Tensor) -> Tensor:
     return x.tanh()
 

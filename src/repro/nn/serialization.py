@@ -4,8 +4,8 @@ Two transports share the same archive format:
 
 - :func:`save_module` / :func:`load_module` — on-disk checkpoints;
 - :func:`state_to_bytes` / :func:`state_from_bytes` — in-memory archives
-  used for the per-iteration policy-parameter broadcast to rollout
-  workers (:meth:`repro.rl.workers.ShardedVecEnvPool.sync_policy`).
+  used for the policy-parameter broadcast to evaluation workers
+  (:meth:`repro.rl.workers.ShardedVecEnvPool.sync_policy`).
   The byte payload is a plain npz (no pickled objects), so a replica
   that round-trips through it reproduces the source arrays bit for bit.
 

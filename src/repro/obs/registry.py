@@ -1,7 +1,7 @@
 """Thread-safe metrics registry: labeled counters, gauges, histograms.
 
 Stdlib-only instrumentation substrate for the serving gateway, the
-sharded rollout workers, and the trainer. Design constraints, in order:
+sharded evaluation pool, and the trainer. Design constraints, in order:
 
 - **Zero impact on determinism.** Nothing in here touches RNG state or
   feeds back into computation; recording a sample is arithmetic on

@@ -27,7 +27,6 @@ from .parity import (
     ROLLOUT_MODES,
     assert_segments_identical,
     collect_rollout_mode,
-    verify_rollout_parity,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "sharding_available",
     "split_rng",
     "valid_step_mask",
-    "verify_rollout_parity",
 ]

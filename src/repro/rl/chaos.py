@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the sharded rollout stack.
+"""Deterministic fault injection for the sharded evaluation pool.
 
 The supervision layer in :mod:`repro.rl.workers` promises that worker
 crashes, hangs and stale replicas recover **bit-identically** to an
@@ -7,8 +7,8 @@ produced on demand, at exact protocol points, reproducibly. This module
 is that harness:
 
 - :class:`FaultSpec` — one scheduled fault: *which worker*, *which
-  protocol operation* (``replica`` / ``rollout`` / ``evaluate`` /
-  ``load`` / ``fetch`` / ``close``, or ``"*"`` for any), the *n-th
+  protocol operation* (``replica`` / ``evaluate`` / ``load`` /
+  ``close``, or ``"*"`` for any), the *n-th
   occurrence* of that operation inside the worker process, the fault
   *kind* and the *phase* (on command receipt or just before the reply —
   the latter crashes a worker that already advanced its envs, the
@@ -36,8 +36,7 @@ Fault kinds:
     parent-side signature as a hang.
 ``"corrupt_stamp"``
     Execute a ``replica`` broadcast normally but corrupt the worker's
-    local version stamp, so the next ``rollout`` or ``evaluate`` answers
-    stale.
+    local version stamp, so the next ``evaluate`` answers stale.
 
 :func:`truncate_file` and :func:`flip_byte` corrupt on-disk checkpoints
 for the checkpoint-robustness tests (CRC32 validation in
@@ -52,15 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 #: Protocol operations a fault can target (``"*"`` matches any).
-FAULT_OPS: Tuple[str, ...] = (
-    "replica",
-    "rollout",
-    "evaluate",
-    "load",
-    "fetch",
-    "close",
-    "*",
-)
+FAULT_OPS: Tuple[str, ...] = ("replica", "evaluate", "load", "close", "*")
 
 #: Supported fault kinds.
 FAULT_KINDS: Tuple[str, ...] = ("kill", "hang", "drop_reply", "corrupt_stamp")

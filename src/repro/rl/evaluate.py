@@ -49,6 +49,12 @@ __all__ = ["evaluate"]
 _MODES = ("auto", "solo", "vec", "replica")
 
 
+def _check_episodes(episodes: int) -> None:
+    """Refuse a sweep of no episodes: every kernel averages over them."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes!r}")
+
+
 # ----------------------------------------------------------------------
 # kernels (internal: the public surface is ``evaluate``)
 # ----------------------------------------------------------------------
@@ -243,6 +249,8 @@ def evaluate(
       deterministic per-env children), a per-env sequence, or a
       :class:`~repro.rl.vec.BlockRNG` (caller-owned streams, advanced in
       place). Defaults to ``default_rng(0)``.
+    - ``episodes`` — episodes averaged per env; below 1 raises
+      ``ValueError`` before any env steps or any worker is contacted.
 
     Returns a ``float`` for a single bare env, else an array of one mean
     (discounted) per-user return per member env. Per-env results are
@@ -251,6 +259,7 @@ def evaluate(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    _check_episodes(episodes)
     from .workers import ShardedVecEnvPool  # local: workers imports this module
 
     is_policy = isinstance(policy, ActorCriticBase)

@@ -119,7 +119,7 @@ class ActorCriticBase(nn.Module):
             )
 
     # ------------------------------------------------------------------
-    # replica synchronisation (shard-parallel rollout workers)
+    # replica synchronisation (sharded evaluation workers)
     # ------------------------------------------------------------------
     def extra_state(self) -> Dict[str, np.ndarray]:
         """Non-parameter arrays a rollout replica needs to act faithfully.
@@ -128,7 +128,7 @@ class ActorCriticBase(nn.Module):
         tensors; policies whose forward pass also reads plain-array
         buffers (e.g. the SADAE input normaliser of
         :class:`~repro.core.policy.Sim2RecPolicy`) override this so the
-        per-iteration parameter broadcast carries them too. Values must
+        parameter broadcast carries them too. Values must
         be plain numpy arrays (the broadcast is pickle-free).
         """
         return {}
@@ -137,7 +137,7 @@ class ActorCriticBase(nn.Module):
         """Inverse of :meth:`extra_state` (no-op by default)."""
 
     def replica_state(self) -> Dict[str, np.ndarray]:
-        """Everything a worker-side replica must load each iteration.
+        """Everything a worker-side replica must load on each broadcast.
 
         One flat name → array mapping: ``param.*`` entries are the
         ``state_dict`` and ``extra.*`` entries the :meth:`extra_state`

@@ -146,7 +146,7 @@ class PPO:
         The position-derived seed (rather than ``id(segment)``, whose
         memory address made every run's shuffles unique) keeps the whole
         PPO update reproducible: same buffer contents → same minibatch
-        order, across runs, processes and rollout worker counts.
+        order, across runs and processes.
         """
         n = segment.num_users
         count = min(self.config.minibatches_per_segment, n)

@@ -311,16 +311,17 @@ def collect_segments_vec(
     stands.
 
     A :class:`repro.rl.workers.ShardedVecEnvPool` does not step from the
-    parent: passing one raises ``TypeError`` — its workers collect with
-    policy replicas through ``sync_policy`` + ``collect_rollouts``.
+    parent: passing one raises ``TypeError`` — the sharded pool only
+    evaluates, through ``evaluate(policy, pool)``.
     """
     from .workers import ShardedVecEnvPool  # local: workers imports this module
 
     if isinstance(pool, ShardedVecEnvPool):
         raise TypeError(
             "collect_segments_vec steps envs in this process; a "
-            "ShardedVecEnvPool collects inside its workers — call "
-            "pool.sync_policy(policy) then pool.collect_rollouts(rng, ...)"
+            "ShardedVecEnvPool only evaluates, inside its workers — call "
+            "evaluate(policy, pool), and collect through a VecEnvPool or "
+            "an env list"
         )
     if not isinstance(pool, VecEnvPool):
         pool = VecEnvPool(pool, max_steps=max_steps)
@@ -448,12 +449,8 @@ def assemble_segments(
     ``stacked`` holds one time-major ``[T, total_users, ...]`` array per
     :data:`TRAJECTORY_FIELDS` entry; env ``k`` owns user rows
     ``slices[k]`` and its first ``lengths[k]`` timesteps (rows past an
-    env's own end are ignored — they may be unwritten scratch, e.g. the
-    shared-memory trajectory buffers of shard-parallel collection).
-    Shared by the in-process collector (:func:`collect_segments_vec`) and
-    the shard-parallel parent
-    (:meth:`repro.rl.workers.ShardedVecEnvPool.collect_rollouts`), so
-    both paths cut and copy segments with exactly the same code.
+    env's own end are ignored). Used by the in-process collector
+    (:func:`collect_segments_vec`).
     """
     segments: List[RolloutSegment] = []
     for index, gid in enumerate(group_ids):

@@ -1,20 +1,17 @@
-"""Multi-process rollout and evaluation actors over a sharded env set.
+"""Multi-process evaluation actors over a sharded env set.
 
 :class:`ShardedVecEnvPool` shards the member envs of a pool across N
-worker processes and runs whole jobs inside them. The parent broadcasts
-a policy replica to every worker (:meth:`ShardedVecEnvPool.sync_policy`,
-version-stamped, delta-free ``state_dict`` sync through
-:mod:`repro.nn.serialization`); each worker then serves two jobs over
-its own shard with its own replica:
+worker processes and runs evaluation sweeps inside them. The parent
+broadcasts a policy replica to every worker
+(:meth:`ShardedVecEnvPool.sync_policy`, version-stamped, delta-free
+``state_dict`` sync through :mod:`repro.nn.serialization`); then
+:meth:`ShardedVecEnvPool.evaluate_policy` has each worker run the
+replica evaluation kernel of :mod:`repro.rl.evaluate` over its own shard
+with its own replica and reply with per-env returns.
 
-- :meth:`ShardedVecEnvPool.collect_rollouts` runs the entire
-  act → step → record loop and writes finished trajectory arrays into a
-  shared-memory block, so the *whole* collection parallelises;
-- :meth:`ShardedVecEnvPool.evaluate_policy` runs the replica evaluation
-  kernel of :mod:`repro.rl.evaluate` and replies with per-env returns.
-
-The parent never steps envs through this pool: per-step stepping is the
-in-process :class:`~repro.rl.vec.VecEnvPool`'s job.
+The parent never steps envs or collects training rollouts through this
+pool: per-step stepping and collection are the in-process
+:class:`~repro.rl.vec.VecEnvPool`'s job.
 
 Process model
 -------------
@@ -27,24 +24,20 @@ Process model
 - **Startup**: the member envs (their full state, including internal RNG
   generators) are shipped to the workers as pickled construction specs —
   via fork inheritance or the spawn pickling path. The parent keeps only
-  metadata (user counts, horizons, group ids).
-- **Shared memory**: full rollouts write one time-major trajectory
-  segment (states/prev_actions/actions/rewards/dones/values/log_probs
-  ``[T, total_users, ...]`` plus bootstrap values ``[total_users]``),
-  allocated on the first collect, sized to the longest member budget and
-  grown on demand. Per-job pipe traffic is one command and one reply per
-  worker.
+  metadata (user counts, dims, group ids). ``load_envs`` ships a fresh
+  env set of the same layout to the running workers.
+- **Pipes**: every job is one command and one reply per worker.
 - **Param mailbox**: ``sync_policy`` ships the policy object once
   (structure + weights) and thereafter only the serialized
   ``replica_state`` archive (full parameters every time — delta-free, so
   a worker can never be a partial update behind). A sync whose state is
   byte-identical to the last successful broadcast is skipped outright —
-  no pipe traffic, same version stamp — so per-iteration ``sync_policy``
+  no pipe traffic, same version stamp — so repeated ``sync_policy``
   calls only pay when parameters actually changed. Every real broadcast
-  bumps a version stamp; every rollout/evaluate command carries the
-  stamp it expects, and a worker whose replica is stale answers with a
-  distinct reply that raises :class:`StaleReplicaError` in the parent
-  instead of silently acting with old weights.
+  bumps a version stamp; every evaluate command carries the stamp it
+  expects, and a worker whose replica is stale answers with a distinct
+  reply that raises :class:`StaleReplicaError` in the parent instead of
+  silently acting with old weights.
 
 Determinism contract
 --------------------
@@ -68,12 +61,9 @@ layout and worker count:
   bit-identical to the same rows of the full stacked forward, and the
   replica's weights are byte-equal to the parent's (npz round-trip).
 
-Hence ``ShardedVecEnvPool(envs, W).collect_rollouts(...)`` is
-bit-identical to ``collect_segments_vec(VecEnvPool(envs), ...)`` — and
-therefore to the sequential per-env ``collect_segment`` loop — for every
-W. Enforced by ``tests/rl/test_rollout_parity.py`` (one harness over all
-modes) and re-verified inside ``benchmarks/perf_rollout.py`` before any
-timing is reported.
+Hence ``evaluate(policy, ShardedVecEnvPool(envs, W))`` is bit-identical
+to ``evaluate(policy, envs)`` in its per-env returns and its owner-RNG
+end states, for every W. Enforced by ``tests/rl/test_eval_parity.py``.
 
 Failure handling and supervision
 --------------------------------
@@ -84,12 +74,12 @@ Crashes are detected by liveness-checked pipe polls; hangs by per-op
 deadlines. Without a :class:`FaultPolicy` (the default) the fail-fast
 contract holds: a dead worker raises :class:`WorkerCrashed`, a stale
 replica :class:`StaleReplicaError`, an env exception
-:class:`WorkerStepError` — each closes the pool before propagating — an
-oversized ``replica_state`` raises ``ValueError`` before anything is
-sent (the pool stays usable), and every shared-memory segment is
-unlinked on ``close()``, on garbage collection and on interpreter exit
-(shutdown escalates ``join`` → ``terminate()`` → ``kill()``, so even a
-worker that ignores SIGTERM cannot leak its segment).
+:class:`WorkerStepError` — each closes the pool before propagating — and
+an oversized ``replica_state`` raises ``ValueError`` before anything is
+sent (the pool stays usable). Shutdown runs on ``close()``, on garbage
+collection and on interpreter exit, and escalates ``join`` →
+``terminate()`` → ``kill()``, so even a worker that ignores SIGTERM
+dies.
 
 With a :class:`FaultPolicy`, the pool becomes **self-healing** with an
 exactly-once, bit-identical recovery guarantee:
@@ -100,21 +90,21 @@ exactly-once, bit-identical recovery guarantee:
   exponential backoff) from the parent's snapshot of its shard's envs
   plus the current policy-replica archive, and the interrupted command
   is re-issued. Every command that changes worker env state refreshes
-  the snapshot when it succeeds — rollout and evaluate replies carry the
-  shard's advanced envs back, and ``load`` replaces them with the envs
-  the parent just sent — so the snapshot is always the worker's exact
-  state before the interrupted command. Side effects are applied in the
+  the snapshot when it succeeds — evaluate replies carry the shard's
+  advanced envs back, and ``load`` replaces them with the envs the
+  parent just sent — so the snapshot is always the worker's exact state
+  before the interrupted command. Side effects are applied in the
   parent only after *all* workers answered (RNG owner states, snapshot
   refreshes), so a failed operation leaves no partial state and its
   re-execution produces bit-identical results — enforced by
-  ``tests/rl/test_chaos.py`` through :mod:`repro.rl.parity` under
-  injected faults (:mod:`repro.rl.chaos`).
+  ``tests/rl/test_chaos.py`` under injected faults
+  (:mod:`repro.rl.chaos`).
 - When a worker's restart budget is exhausted the pool **degrades
   gracefully** to an in-process :class:`~repro.rl.vec.VecEnvPool`
   rebuilt from the same snapshots (a ``RuntimeWarning`` is emitted,
   ``pool.degraded`` flips True): the interrupted operation and all
   subsequent ones run in-process with the archived policy replica —
-  still bit-identical, just no longer parallel. Training survives.
+  still bit-identical, just no longer parallel.
 """
 
 from __future__ import annotations
@@ -128,35 +118,26 @@ import traceback
 import warnings
 import weakref
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import resource_tracker
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..envs.base import MultiUserEnv
 from ..nn.serialization import state_from_bytes, state_to_bytes
-from ..obs import PHASE_SECONDS_BUCKETS, Histogram, MetricsRegistry
-from .buffer import RolloutSegment
+from ..obs import MetricsRegistry
 from .chaos import ChaosSchedule, apply_fault
 from .policies import ActorCriticBase
-from .vec import (
-    RNGLike,
-    BlockRNG,
-    VecEnvPool,
-    assemble_segments,
-    collect_segments_vec,
-    split_rng,
-    validate_pool_members,
-)
-from .evaluate import _replica_eval
+from .vec import RNGLike, BlockRNG, VecEnvPool, split_rng, validate_pool_members
+from .evaluate import _check_episodes, _replica_eval
 
 
 class WorkerCrashed(RuntimeError):
-    """A rollout worker process died instead of answering a command."""
+    """A pool worker process died instead of answering a command."""
 
 
 class WorkerTimeout(WorkerCrashed):
-    """A rollout worker exceeded its per-op deadline and was SIGKILLed.
+    """A pool worker exceeded its per-op deadline and was SIGKILLed.
 
     Only raised under a :class:`FaultPolicy` with a finite deadline for
     the operation; subclasses :class:`WorkerCrashed` because from the
@@ -166,7 +147,7 @@ class WorkerTimeout(WorkerCrashed):
 
 
 class WorkerStepError(RuntimeError):
-    """A rollout worker raised while executing a command (env bug etc.).
+    """A pool worker raised while executing a command (env bug etc.).
 
     Carries the worker-side traceback. The pool is closed before this
     propagates: after an env exception the worker's sub-pool state is
@@ -179,13 +160,13 @@ class WorkerStepError(RuntimeError):
 class StaleReplicaError(RuntimeError):
     """A worker's policy replica version differs from the one requested.
 
-    Raised by :meth:`ShardedVecEnvPool.collect_rollouts` and
-    :meth:`ShardedVecEnvPool.evaluate_policy` when a worker reports a
-    replica version stamp other than the one the parent's last
+    Raised by :meth:`ShardedVecEnvPool.evaluate_policy` when a worker
+    reports a replica version stamp other than the one the parent's last
     :meth:`~ShardedVecEnvPool.sync_policy` established — acting with
-    silently-stale weights would corrupt training. Without a
-    :class:`FaultPolicy` the pool is closed before this propagates; with
-    one, the worker is respawned and re-shipped the current replica.
+    silently-stale weights would report returns of the wrong policy.
+    Without a :class:`FaultPolicy` the pool is closed before this
+    propagates; with one, the worker is respawned and re-shipped the
+    current replica.
     """
 
 
@@ -206,9 +187,9 @@ class FaultPolicy:
     ``max_restarts`` bounds respawns *per worker* over the pool's
     lifetime; each retry sleeps ``backoff * 2**(attempt-1)`` seconds
     (capped at ``max_backoff``). The per-op deadlines bound every IPC
-    wait — ``broadcast_deadline`` the replica/load/fetch exchanges,
-    ``collect_deadline`` the worker-side rollout and evaluation jobs —
-    and ``None`` disables hang detection for that class (liveness
+    wait — ``broadcast_deadline`` the replica and load exchanges,
+    ``collect_deadline`` the worker-side evaluation sweeps — and
+    ``None`` disables hang detection for that class (liveness
     polling still catches outright deaths). A deadline must be > 0:
     a worker answering later than the deadline is SIGKILLed, so a zero
     or negative one would kill every worker on its first reply.
@@ -236,8 +217,12 @@ class FaultPolicy:
             raise ValueError(f"graceful_join must be >= 0, got {self.graceful_join!r}")
 
     def deadline_for(self, op: str) -> Optional[float]:
-        """The IPC deadline (seconds) governing one protocol operation."""
-        if op in ("rollout", "evaluate"):
+        """The IPC deadline (seconds) governing one protocol operation.
+
+        ``collect_deadline`` governs ``evaluate``, the only long-running
+        job; every other operation gets ``broadcast_deadline``.
+        """
+        if op == "evaluate":
             return self.collect_deadline
         return self.broadcast_deadline
 
@@ -293,93 +278,26 @@ def partition_contiguous(user_counts: Sequence[int], num_workers: int) -> List[s
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-class _TrajLayout:
-    """Offsets of the time-major trajectory arrays inside one shm segment.
-
-    One ``[T, total_users, ...]`` array per
-    :data:`repro.rl.vec.TRAJECTORY_FIELDS` entry plus the ``[total_users]``
-    bootstrap values; each worker writes its shard's user rows for its
-    envs' own step counts, the parent slices per-env segments back out.
-    """
-
-    def __init__(self, horizon: int, num_users: int, obs_dim: int, act_dim: int):
-        self.horizon = horizon
-        self.num_users = num_users
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
-        f8 = np.dtype(np.float64).itemsize
-        per_user = obs_dim + 2 * act_dim + 4  # states + prev/actions + 4 scalars
-        self.size = (horizon * num_users * per_user + num_users) * f8
-
-    def views(self, buf) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-        t, u, od, ad = self.horizon, self.num_users, self.obs_dim, self.act_dim
-        f8 = np.dtype(np.float64).itemsize
-        offset = 0
-        stacked: Dict[str, np.ndarray] = {}
-        for field, dim in (
-            ("states", od),
-            ("prev_actions", ad),
-            ("actions", ad),
-            ("rewards", 0),
-            ("dones", 0),
-            ("values", 0),
-            ("log_probs", 0),
-        ):
-            shape = (t, u, dim) if dim else (t, u)
-            stacked[field] = np.ndarray(shape, dtype=np.float64, buffer=buf, offset=offset)
-            offset += int(np.prod(shape)) * f8
-        last_values = np.ndarray((u,), dtype=np.float64, buffer=buf, offset=offset)
-        return stacked, last_values
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without registering it for cleanup.
-
-    Only the parent owns the segment's lifetime. Python < 3.13 registers
-    every attach with the (fork-shared) resource tracker, which would
-    race the parent's unlink at worker exit — suppress the registration
-    instead of unregistering after the fact.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
 def _worker_main(
     conn,
-    layout_spec: Tuple[int, int, int],
-    row_offset: int,
     envs: List[MultiUserEnv],
     chaos: Optional[ChaosSchedule] = None,
 ) -> None:
-    """Worker loop: serve replica/rollout/evaluate/load/fetch/close.
+    """Worker loop: serve replica/evaluate/load/close.
 
     The shard is wrapped in an in-process :class:`VecEnvPool`, so done
     masking, step budgets and native batch steppers behave exactly as in
     the single-process pool. The ``replica`` command is the param
     mailbox (policy structure once, then version-stamped state archives;
-    a respawned worker gets structure *and* state in one command);
-    ``rollout`` runs the full act → step → record loop for the shard
-    through :func:`~repro.rl.vec.collect_segments_vec` — the same
-    collector the parent would run, just over the shard's rows, which
-    start at ``row_offset`` of the stacked user axis — and ``evaluate``
-    runs the replica evaluation kernel. SIGINT is ignored — on Ctrl-C
-    the parent coordinates shutdown and reaps the workers. ``chaos`` is
-    the deterministic fault-injection schedule (tests and the chaos
-    bench only; see :mod:`repro.rl.chaos`).
+    a respawned worker gets structure *and* state in one command), and
+    ``evaluate`` runs the replica evaluation kernel over the shard.
+    SIGINT is ignored — on Ctrl-C the parent coordinates shutdown and
+    reaps the workers. ``chaos`` is the deterministic fault-injection
+    schedule (tests only; see :mod:`repro.rl.chaos`).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if chaos is not None and chaos.ignore_sigterm:
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    traj_shm: Optional[shared_memory.SharedMemory] = None
-    traj_views: Optional[Tuple[Dict[str, np.ndarray], np.ndarray]] = None
-    traj_name: Optional[str] = None
     replica: Optional[ActorCriticBase] = None
     replica_version = 0
     try:
@@ -420,47 +338,6 @@ def _worker_main(
                         _load_replica_bytes(replica, payload["state"])
                     replica_version = payload["version"]
                     reply = ("ok", replica_version)
-                elif kind == "rollout":
-                    payload = command[1]
-                    if replica is None or payload["version"] != replica_version:
-                        reply = ("stale", replica_version, payload["version"])
-                    else:
-                        name, capacity = payload["traj"]
-                        if traj_name != name:
-                            traj_views = None
-                            if traj_shm is not None:
-                                traj_shm.close()
-                            traj_shm = _attach_untracked(name)
-                            traj_name = name
-                            traj_layout = _TrajLayout(capacity, *layout_spec)
-                            traj_views = traj_layout.views(traj_shm.buf)
-                        stacked, last_values = traj_views
-                        rngs = payload["rngs"]
-                        pool.max_steps = payload["max_steps"]
-                        segments = collect_segments_vec(
-                            pool,
-                            replica,
-                            rngs,
-                            extras_from_info=payload["extras"],
-                        )
-                        for segment, local in zip(segments, pool.slices):
-                            block = slice(row_offset + local.start, row_offset + local.stop)
-                            steps = segment.horizon
-                            for field in stacked:
-                                stacked[field][:steps, block] = getattr(segment, field)
-                            last_values[block] = segment.last_values
-                        env_blob = (
-                            pickle.dumps(pool.envs)
-                            if payload.get("return_envs")
-                            else None
-                        )
-                        reply = (
-                            "ok",
-                            [segment.horizon for segment in segments],
-                            [segment.extras for segment in segments],
-                            [rng.bit_generator.state for rng in rngs],
-                            env_blob,
-                        )
                 elif kind == "evaluate":
                     payload = command[1]
                     if replica is None or payload["version"] != replica_version:
@@ -490,8 +367,6 @@ def _worker_main(
                 elif kind == "load":
                     pool = VecEnvPool(command[1])
                     reply = ("ok",)
-                elif kind == "fetch":
-                    reply = ("ok", pool.envs)
                 elif kind == "close":
                     reply = ("ok",)
                     stop = True
@@ -519,12 +394,6 @@ def _worker_main(
                 except (OSError, BrokenPipeError):  # parent already gone
                     break
     finally:
-        traj_views = None
-        if traj_shm is not None:
-            try:
-                traj_shm.close()
-            except BufferError:  # pragma: no cover - lingering views
-                pass
         conn.close()
 
 
@@ -547,31 +416,14 @@ def _load_replica_bytes(replica: ActorCriticBase, payload: bytes) -> None:
         )
 
 
-def _release(segment: shared_memory.SharedMemory) -> None:
-    """Close and unlink one parent-owned segment (idempotent)."""
-    try:
-        segment.close()
-    except BufferError:
-        # Someone still holds a view into the segment; the memory is
-        # reclaimed when the last view dies. Unlinking below still
-        # removes the named segment (no leak in /dev/shm).
-        pass
-    try:
-        segment.unlink()
-    except FileNotFoundError:
-        pass
-
-
-def _cleanup(procs, conns, shms) -> None:
+def _cleanup(procs, conns) -> None:
     """Idempotent teardown shared by close(), GC and interpreter exit.
 
-    ``shms`` is the pool's *mutable* segment list — the trajectory
-    segment is allocated (and possibly regrown) after the finalizer is
-    registered, so the finalizer holds the list, not a snapshot of it.
-    Shutdown escalates: a polite ``close`` command and a join grace
-    first, then ``terminate()`` (SIGTERM), then ``kill()`` (SIGKILL) — a
-    worker that ignores SIGTERM (wedged signal handler, buggy env C
-    extension) still dies and its shared memory is still unlinked.
+    The finalizer holds the pool's *mutable* process and pipe lists, so
+    respawned workers are reaped too. Shutdown escalates: a polite
+    ``close`` command and a join grace first, then ``terminate()``
+    (SIGTERM), then ``kill()`` (SIGKILL) — a worker that ignores SIGTERM
+    (wedged signal handler, buggy env C extension) still dies.
     """
     for conn in conns:
         try:
@@ -594,22 +446,17 @@ def _cleanup(procs, conns, shms) -> None:
             conn.close()
         except OSError:
             pass
-    for shm in shms:
-        _release(shm)
 
 
 class ShardedVecEnvPool:
-    """Member envs sharded across worker processes that act with replicas.
+    """Member envs sharded across worker processes that evaluate with replicas.
 
     The pool runs jobs, not steps: :meth:`sync_policy` broadcasts the
-    policy replica, then :meth:`collect_rollouts` and
-    :meth:`evaluate_policy` run whole rollouts or evaluation sweeps
-    inside the workers (see the module docstring). ``load_envs`` reuses
-    the worker processes for a fresh env set of identical layout
-    (amortising process startup across training iterations), and
-    ``fetch_member_envs`` pulls the advanced env states back into the
-    parent (training loops that reuse env objects across iterations stay
-    bit-identical to in-process collection).
+    policy replica, then :meth:`evaluate_policy` runs a whole evaluation
+    sweep inside the workers (see the module docstring), and
+    ``evaluate(policy, pool)`` does both. ``load_envs`` reuses the
+    worker processes for a fresh env set of identical layout (amortising
+    process startup across evaluations).
 
     ``num_workers`` is clamped to the number of envs; 0/1 workers still
     run a (single) subprocess — use :class:`~repro.rl.vec.VecEnvPool`
@@ -617,12 +464,12 @@ class ShardedVecEnvPool:
     step budget of every job. ``max_param_bytes`` bounds the serialized
     policy state a single :meth:`sync_policy` broadcast may ship (a
     guard against accidentally pushing a giant model through the pipes
-    every iteration). ``fault_policy`` turns on worker supervision:
+    every evaluation). ``fault_policy`` turns on worker supervision:
     deadline enforcement, automatic respawn with bit-identical state
     recovery, and graceful degradation to an in-process pool when the
     restart budget runs out (module docstring, *Failure handling*).
-    ``chaos`` injects deterministic faults into the workers — testing
-    and the chaos bench only. The pool is a context manager; ``close()``
+    ``chaos`` injects deterministic faults into the workers — tests
+    only. The pool is a context manager; ``close()``
     is idempotent and also runs on GC and interpreter exit.
     """
 
@@ -637,7 +484,6 @@ class ShardedVecEnvPool:
         chaos: Optional[ChaosSchedule] = None,
     ):
         self.slices = validate_pool_members(envs)
-        first = envs[0]
         method = start_method or _default_start_method()
         if not sharding_available(method):
             raise RuntimeError(f"start method {method!r} unavailable on this platform")
@@ -645,19 +491,10 @@ class ShardedVecEnvPool:
         self._user_counts = [env.num_users for env in envs]
         self.num_users = int(self.slices[-1].stop)
         self.group_id = [env.group_id for env in envs]
-        self._horizons = [env.horizon for env in envs]
         self.max_steps = max_steps
-        self._layout_spec = (self.num_users, first.observation_dim, first.action_dim)
+        self._dims = (envs[0].observation_dim, envs[0].action_dim)
 
         self._shards = partition_contiguous(self._user_counts, num_workers)
-        self._row_offsets = [self.slices[shard.start].start for shard in self._shards]
-        # Mutable segment list shared with the finalizer: the trajectory
-        # segment joins it lazily on the first collect_rollouts().
-        self._shm_segments: List[shared_memory.SharedMemory] = []
-        self._traj_shm: Optional[shared_memory.SharedMemory] = None
-        self._traj_capacity = 0
-        self._traj_stacked: Optional[Dict[str, np.ndarray]] = None
-        self._traj_last: Optional[np.ndarray] = None
         self.max_param_bytes = int(max_param_bytes)
         self._replica_version = 0
         self._replica_signature: Optional[tuple] = None
@@ -683,11 +520,12 @@ class ShardedVecEnvPool:
                 pickle.dumps(list(envs[shard])) for shard in self._shards
             ]
 
-        # Start the shared-memory resource tracker before any worker
-        # starts, as the spawn and forkserver methods already do, so every
-        # start method launches the pool's helper processes during
-        # construction (not inside the first collect) and fork workers
-        # inherit the parent's tracker.
+        # The pool makes no shared memory, so nothing here needs the
+        # multiprocessing resource tracker. It still starts before any
+        # worker, as the spawn and forkserver methods already do, because
+        # perfbench/test_perfbench.py::test_no_process_outlives_a_rollout_run
+        # checks that a rollout run started it. Once that test checks for
+        # surviving child processes instead, this call can go.
         resource_tracker.ensure_running()
         self._ctx = mp.get_context(method)
         self._procs: List[Any] = []
@@ -698,13 +536,11 @@ class ShardedVecEnvPool:
         except Exception:
             # A failed spawn (e.g. unpicklable envs under the spawn start
             # method) must not leak the workers already up.
-            _cleanup(self._procs, self._conns, self._shm_segments)
+            _cleanup(self._procs, self._conns)
             raise
 
         self._closed = False
-        self._finalizer = weakref.finalize(
-            self, _cleanup, self._procs, self._conns, self._shm_segments
-        )
+        self._finalizer = weakref.finalize(self, _cleanup, self._procs, self._conns)
 
     # ------------------------------------------------------------------
     @property
@@ -733,19 +569,12 @@ class ShardedVecEnvPool:
     def set_metrics(self, registry: MetricsRegistry) -> None:
         """Attach a metrics registry (purely additive; idempotent).
 
-        Registers per-shard timing histograms plus the supervision
-        counters (:class:`~repro.rl.workers.FaultPolicy` respawns and
-        the degradation gauge). Observation points only read wall-clock
-        and existing state — attaching a registry can never perturb the
-        bit-parity contracts.
+        Registers the supervision series: the per-shard
+        :class:`~repro.rl.workers.FaultPolicy` respawn counter and the
+        degradation gauge. Observation points only read existing state —
+        attaching a registry can never perturb the bit-parity contracts.
         """
         self._metrics = registry
-        self._m_collect_wait = registry.histogram(
-            "rollout_collect_seconds",
-            "parent-side wait for one worker's full-rollout reply",
-            ("shard",),
-            buckets=PHASE_SECONDS_BUCKETS,
-        )
         self._m_respawns = registry.counter(
             "rollout_worker_respawns_total",
             "supervised worker respawns (crash/hang recovery)",
@@ -781,13 +610,7 @@ class ShardedVecEnvPool:
         try:
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(
-                    child_conn,
-                    self._layout_spec,
-                    self._row_offsets[index],
-                    envs,
-                    worker_chaos,
-                ),
+                args=(child_conn, envs, worker_chaos),
                 daemon=True,
             )
             proc.start()
@@ -844,7 +667,7 @@ class ShardedVecEnvPool:
                     raise WorkerCrashed(
                         f"rollout worker {worker} (pid {proc.pid}) died with "
                         f"exit code {proc.exitcode} before answering; the pool "
-                        "has been closed and its shared memory released"
+                        "has been closed"
                     )
                 if limit is not None and time.monotonic() > limit:
                     proc.kill()
@@ -857,8 +680,7 @@ class ShardedVecEnvPool:
         except (EOFError, OSError) as error:
             raise WorkerCrashed(
                 f"rollout worker {worker} (pid {proc.pid}) closed its pipe "
-                f"mid-command ({error!r}); the pool has been closed and its "
-                "shared memory released"
+                f"mid-command ({error!r}); the pool has been closed"
             ) from None
         if message[0] == "error":
             raise WorkerStepError(
@@ -873,20 +695,14 @@ class ShardedVecEnvPool:
             )
         return message
 
-    def _exchange(
-        self,
-        commands: Sequence[Any],
-        op: str,
-        wait_seconds: Optional[Histogram] = None,
-    ) -> List[Any]:
+    def _exchange(self, commands: Sequence[Any], op: str) -> List[Any]:
         """One supervised command round: one command and one reply per worker.
 
         Without a fault policy a failed send or receive closes the pool
         and raises (fail-fast contract); with one, the failed worker is
         respawned and re-issued its command, and budget exhaustion
         raises :class:`_Degraded` after the in-process fallback is
-        built. Each worker's wait, recovery included, is observed into
-        ``wait_seconds`` under its shard label when given.
+        built.
         """
         self._check_open()
         failed: Dict[int, BaseException] = {}
@@ -897,8 +713,7 @@ class ShardedVecEnvPool:
                 proc = self._procs[worker]
                 crash = WorkerCrashed(
                     f"rollout worker {worker} (pid {proc.pid}) rejected a "
-                    f"command ({error!r}); the pool has been closed and its "
-                    "shared memory released"
+                    f"command ({error!r}); the pool has been closed"
                 )
                 if self._fault is None:
                     self.close()
@@ -907,7 +722,6 @@ class ShardedVecEnvPool:
         replies: List[Any] = [None] * len(commands)
         deadline = self._deadline_for(op)
         for worker in range(len(commands)):
-            wait_start = time.perf_counter()
             if worker in failed:
                 replies[worker] = self._recover(worker, commands[worker], op, failed.pop(worker))
             else:
@@ -921,8 +735,6 @@ class ShardedVecEnvPool:
                 except WorkerStepError:
                     self.close()
                     raise
-            if wait_seconds is not None:
-                wait_seconds.labels(str(worker)).observe(time.perf_counter() - wait_start)
         return replies
 
     def _recover(self, worker: int, command: Any, op: str, error: BaseException):
@@ -988,22 +800,15 @@ class ShardedVecEnvPool:
 
         All shards are rebuilt from their snapshots in the parent (no
         cooperation from possibly-dead workers needed), the worker
-        processes and shared memory are torn down, and subsequent
-        operations run through the inner :class:`VecEnvPool` — same
-        bits, no parallelism.
+        processes are torn down, and subsequent operations run through
+        the inner :class:`VecEnvPool` — same bits, no parallelism.
         """
         assert self._snapshots is not None
         member_envs = [env for blob in self._snapshots for env in pickle.loads(blob)]
         for worker in range(len(self._procs)):
             self._reap_worker(worker)
-        # Release the worker-mode machinery: drop views first so the shm
-        # mmaps can close, then unlink; empty the lists in place so the
-        # GC finalizer (which holds them) becomes a no-op.
-        self._traj_stacked = self._traj_last = None
-        self._traj_shm = None
-        for shm in self._shm_segments:
-            _release(shm)
-        self._shm_segments.clear()
+        # Empty the lists in place so the GC finalizer (which holds them)
+        # becomes a no-op.
         self._procs.clear()
         self._conns.clear()
         self._inner = VecEnvPool(member_envs, max_steps=self.max_steps)
@@ -1013,7 +818,7 @@ class ShardedVecEnvPool:
         warnings.warn(
             f"rollout worker restart budget exhausted "
             f"(max_restarts={self._fault.max_restarts} per worker): degrading "
-            f"to in-process collection for the rest of this pool's life. "
+            f"to in-process evaluation for the rest of this pool's life. "
             f"Last failure: {error}",
             RuntimeWarning,
             stacklevel=4,
@@ -1047,9 +852,9 @@ class ShardedVecEnvPool:
 
         An unchanged policy (same structure, byte-equal state arrays) is
         skipped entirely — the workers already hold these exact weights
-        under the current version stamp — so training loops that call
-        ``sync_policy`` every iteration pay for the archive only when
-        parameters actually moved.
+        under the current version stamp — so loops that call
+        ``evaluate(policy, pool)`` after every update pay for the
+        archive only when parameters actually moved.
         """
         return self._replica_broadcasts
 
@@ -1070,10 +875,10 @@ class ShardedVecEnvPool:
         usual pool errors (:class:`WorkerCrashed` /
         :class:`WorkerStepError`) when a worker dies or rejects the
         broadcast mid-way (without a fault policy the pool is closed
-        first — no hang, shared memory unlinked; with one the worker is
-        recovered or the pool degrades in-process). A policy that cannot
-        be pickled raises from the first send, before any worker
-        received anything, and leaves the pool usable.
+        first — no hang; with one the worker is recovered or the pool
+        degrades in-process). A policy that cannot be pickled raises from
+        the first send, before any worker received anything, and leaves
+        the pool usable.
         """
         self._check_open()
         state = _replica_state(policy)
@@ -1172,120 +977,6 @@ class ShardedVecEnvPool:
             self._snapshots = list(env_blobs)
 
     # ------------------------------------------------------------------
-    # shard-parallel full rollouts
-    # ------------------------------------------------------------------
-    def _ensure_traj(self, capacity: int) -> str:
-        """Allocate (or grow) the shared trajectory segment; returns its name."""
-        if self._traj_shm is None or capacity > self._traj_capacity:
-            if self._traj_shm is not None:
-                self._traj_stacked = self._traj_last = None
-                self._shm_segments.remove(self._traj_shm)
-                _release(self._traj_shm)
-            layout = _TrajLayout(capacity, *self._layout_spec)
-            self._traj_shm = shared_memory.SharedMemory(create=True, size=layout.size)
-            self._shm_segments.append(self._traj_shm)
-            self._traj_capacity = capacity
-            self._traj_stacked, self._traj_last = layout.views(self._traj_shm.buf)
-        return self._traj_shm.name
-
-    def collect_rollouts(
-        self,
-        rng: RNGLike,
-        max_steps: Optional[int] = None,
-        extras_from_info: Tuple[str, ...] = (),
-    ) -> List[RolloutSegment]:
-        """Run the full act → step → record loop inside every worker.
-
-        Each worker rolls its shard with its policy replica (one
-        :func:`~repro.rl.vec.collect_segments_vec` over the shard-local
-        sub-pool), writes the finished trajectory arrays into the shared
-        trajectory segment, and replies with per-env lengths, extras and
-        advanced RNG states; the parent then cuts per-env
-        :class:`~repro.rl.buffer.RolloutSegment` objects out of the
-        shared arrays via :func:`~repro.rl.vec.assemble_segments`.
-        Bit-identical to the in-process path (module docstring);
-        requires a prior :meth:`sync_policy`. Under a fault policy,
-        caller-owned RNG states are applied only after *every* worker
-        answered, so an interrupted collect re-runs (or degrades) with
-        pristine inputs — recovered rollouts are bit-identical.
-        """
-        self._check_open()
-        self._check_replica("collect_rollouts()")
-        if max_steps is None:
-            max_steps = self.max_steps
-        rngs, owners = self._as_env_rngs(rng)
-        extras_from_info = tuple(extras_from_info)
-        if self._inner is None:
-            capacity = max(max_steps or horizon for horizon in self._horizons)
-            traj_name = self._ensure_traj(capacity)
-            commands = [
-                (
-                    "rollout",
-                    {
-                        "version": self._replica_version,
-                        "traj": (traj_name, self._traj_capacity),
-                        "max_steps": max_steps,
-                        "extras": extras_from_info,
-                        "rngs": rngs[shard],
-                        "return_envs": self._fault is not None,
-                    },
-                )
-                for shard in self._shards
-            ]
-            try:
-                replies = self._exchange(
-                    commands,
-                    op="rollout",
-                    wait_seconds=self._m_collect_wait if self._metrics is not None else None,
-                )
-            except _Degraded:
-                pass
-            else:
-                return self._assemble_rollouts(replies, owners, extras_from_info)
-        # Degraded: the archived replica is byte-equal to the weights the
-        # workers held and a failed attempt advanced none of the caller's
-        # generators, so the in-process segments are bit-identical.
-        self._inner.max_steps = max_steps
-        return collect_segments_vec(
-            self._inner,
-            self._materialize_replica(),
-            rngs,
-            extras_from_info=extras_from_info,
-        )
-
-    def _assemble_rollouts(
-        self,
-        replies: List[Any],
-        owners: Optional[List[np.random.Generator]],
-        extras_from_info: Tuple[str, ...],
-    ) -> List[RolloutSegment]:
-        """Commit a collect every worker answered and cut its segments."""
-        lengths: List[int] = []
-        extras_per_env: List[Dict[str, np.ndarray]] = []
-        rng_states: List[Any] = []
-        for _, shard_lengths, shard_extras, shard_states, _ in replies:
-            lengths.extend(int(length) for length in shard_lengths)
-            extras_per_env.extend(shard_extras)
-            rng_states.extend(shard_states)
-        self._commit(owners, rng_states, [reply[4] for reply in replies])
-        last_values = [self._traj_last[block] for block in self.slices]
-        segments = assemble_segments(
-            self._traj_stacked,
-            {},
-            lengths,
-            last_values,
-            self.slices,
-            self.group_id,
-        )
-        if extras_from_info:
-            # Workers return extras already cut per env (the arrays their
-            # shard-local collector produced); attach them directly — the
-            # parent owns the unpickled copies, no restacking needed.
-            for segment, extras in zip(segments, extras_per_env):
-                segment.extras = {key: extras[key] for key in extras_from_info}
-        return segments
-
-    # ------------------------------------------------------------------
     # replica-side evaluation
     # ------------------------------------------------------------------
     def evaluate_policy(
@@ -1307,16 +998,17 @@ class ShardedVecEnvPool:
         draws each env's action noise from that env's own stream and
         computes context per env block, the totals are bit-identical to
         evaluating the same envs in one in-process pool — for any worker
-        count. ``rng`` follows the :meth:`collect_rollouts` convention
-        (single generator → transient per-env children; sequence /
-        :class:`~repro.rl.vec.BlockRNG` → caller-owned streams, synced
-        back only after every worker answered). Under a
-        :class:`FaultPolicy` the sweep participates in recovery exactly
-        like a rollout: crashed workers are respawned and re-issued the
-        sweep with pristine inputs, and the recovery snapshots are
+        count. ``rng`` is a single generator (transient per-env
+        children) or a sequence / :class:`~repro.rl.vec.BlockRNG` of
+        caller-owned streams, synced back only after every worker
+        answered. ``episodes`` below 1 raises ``ValueError`` before any
+        command is sent, so the pool stays usable. Under a
+        :class:`FaultPolicy` crashed workers are respawned and re-issued
+        the sweep with pristine inputs, and the recovery snapshots are
         refreshed on success (the sweep advances worker-side env RNGs,
         so the old snapshots no longer describe the shard).
         """
+        _check_episodes(episodes)
         self._check_open()
         self._check_replica("evaluate_policy()")
         if max_steps is None:
@@ -1359,9 +1051,9 @@ class ShardedVecEnvPool:
         """Replace the member envs, reusing the worker processes.
 
         The new envs must match the current layout exactly (same per-env
-        user counts and dims) so the shared buffers and shard boundaries
-        stay valid; each worker rebuilds its in-process sub-pool from the
-        pickled replacements.
+        user counts and dims) so the shard boundaries stay valid; each
+        worker rebuilds its in-process sub-pool from the pickled
+        replacements.
         """
         envs = list(envs)
         if [env.num_users for env in envs] != self._user_counts:
@@ -1369,8 +1061,7 @@ class ShardedVecEnvPool:
                 "load_envs needs the same per-env user counts as the current "
                 f"pool ({self._user_counts})"
             )
-        first = envs[0]
-        if (first.observation_dim, first.action_dim) != self._layout_spec[1:]:
+        if (envs[0].observation_dim, envs[0].action_dim) != self._dims:
             raise ValueError("load_envs needs matching observation/action dims")
         if len({id(env) for env in envs}) != len(envs):
             raise ValueError("load_envs members must be distinct objects")
@@ -1387,39 +1078,15 @@ class ShardedVecEnvPool:
         elif self._fault is not None:
             self._snapshots = [pickle.dumps(list(envs[shard])) for shard in self._shards]
         self.group_id = [env.group_id for env in envs]
-        self._horizons = [env.horizon for env in envs]
-
-    def fetch_member_envs(self) -> List[MultiUserEnv]:
-        """Pull the worker-side env objects (their advanced state) back.
-
-        Training loops whose samplers hand out *shared* env objects rely
-        on state continuity across iterations (RNG streams, user gaps);
-        syncing the fetched state back into the parent's objects keeps
-        sharded collection bit-identical to in-process collection over a
-        whole training run.
-        """
-        self._check_open()
-        if self._inner is None:
-            try:
-                replies = self._exchange(
-                    [("fetch",)] * self.num_workers, op="fetch"
-                )
-            except _Degraded:
-                pass
-            else:
-                return [env for reply in replies for env in reply[1]]
-        return list(self._inner.envs)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the workers down and release every shared-memory segment."""
+        """Shut the workers down (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        # Drop our buffer views so the segments' mmaps can actually close.
-        self._traj_stacked = self._traj_last = None
         self._finalizer.detach()
-        _cleanup(self._procs, self._conns, self._shm_segments)
+        _cleanup(self._procs, self._conns)
         self._inner = None
         self._degraded_replica = None
 

@@ -3,7 +3,7 @@
     python -m repro.scenarios list
     python -m repro.scenarios spec slate
     python -m repro.scenarios train --scenario '{"family": "slate", "num_envs": 4}' \
-        --iterations 5 --pretrain-epochs 10 --workers 2
+        --iterations 5 --pretrain-epochs 10
 
 ``list`` prints every registered family, ``spec`` the fully-resolved
 default spec of one family (a valid ``--scenario`` starting point), and
@@ -57,7 +57,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("--resume needs --checkpoint pointing at a snapshot")
     config = scenario_small_config(seed=args.seed)
     config.scenario = normalize_spec(_parse_scenario(args.scenario)).to_dict()
-    config.rollout_workers = args.workers
     config.checkpoint_path = args.checkpoint
     config.checkpoint_every = args.checkpoint_every if args.checkpoint else 0
     config.metrics_path = args.metrics
@@ -103,7 +102,6 @@ def main(argv=None) -> int:
     )
     train_parser.add_argument("--iterations", type=int, default=5)
     train_parser.add_argument("--pretrain-epochs", type=int, default=10)
-    train_parser.add_argument("--workers", type=int, default=1)
     train_parser.add_argument("--seed", type=int, default=0)
     train_parser.add_argument(
         "--checkpoint",

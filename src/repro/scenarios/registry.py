@@ -104,7 +104,7 @@ class Scenario:
 
     ``make_train_env(index, seed_offset)`` must be deterministic in its
     arguments (same spec → same env), so scenario-built populations are
-    reproducible and shippable to rollout workers.
+    reproducible and shippable to worker processes.
     """
 
     def __init__(

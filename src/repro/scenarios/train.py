@@ -2,13 +2,13 @@
 
 :class:`ScenarioTrainer` is the family-agnostic counterpart of
 :class:`repro.core.Sim2RecLTSTrainer`: it samples simulators uniformly
-from a scenario's training population, rides the in-process and
-worker-replica collection of :class:`repro.core.PolicyTrainer`
-(``Sim2RecConfig.rollout_workers``), and keeps SADAE learning on state sets observed
-during rollouts. :func:`trainer_from_config` resolves
-``Sim2RecConfig.scenario`` — a registered-family config dict — into a
-ready trainer, sizing the Sim2Rec policy from the scenario's dims; the
-``python -m repro.scenarios`` CLI is a thin shell around it.
+from a scenario's training population, rides the pooled in-process
+collection of :class:`repro.core.PolicyTrainer`, and keeps SADAE
+learning on state sets observed during rollouts.
+:func:`trainer_from_config` resolves ``Sim2RecConfig.scenario`` — a
+registered-family config dict — into a ready trainer, sizing the
+Sim2Rec policy from the scenario's dims; the ``python -m
+repro.scenarios`` CLI is a thin shell around it.
 """
 
 from __future__ import annotations
@@ -72,9 +72,8 @@ class ScenarioTrainer(PolicyTrainer):
 
     Simulators are shared env objects sampled uniformly per segment (the
     LTS-trainer convention — env state and RNG streams persist across
-    iterations, and worker-side state is synced back under the sharded
-    modes). SADAE keeps learning from state sets snapshotted out of the
-    collected rollouts, exactly as in the LTS trainer.
+    iterations). SADAE keeps learning from state sets snapshotted out of
+    the collected rollouts, exactly as in the LTS trainer.
     """
 
     def __init__(

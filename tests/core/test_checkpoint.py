@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import (
     CHECKPOINT_VERSION,
-    Sim2RecConfig,
     checkpoint_iteration,
     lts_small_config,
 )
@@ -76,49 +75,6 @@ class TestResumeTrajectory:
         for key in expected:
             np.testing.assert_array_equal(resumed[key], expected[key], err_msg=key)
 
-    def test_resume_matches_under_sharded_rollouts(self, tmp_path):
-        path = tmp_path / "run.npz"
-
-        def sharded(config):
-            config.rollout_workers = 2
-
-        with scenario_trainer(tweak=sharded) as trainer:
-            trainer.pretrain_sadae(epochs=1)
-            unbroken = run_iterations(trainer, 3)
-        with scenario_trainer(tweak=sharded) as trainer:
-            trainer.pretrain_sadae(epochs=1)
-            head = run_iterations(trainer, 1)
-            trainer.save_checkpoint(path)
-        with scenario_trainer(tweak=sharded) as trainer:
-            trainer.load_checkpoint(path)
-            tail = run_iterations(trainer, 2)
-        assert head + tail == unbroken
-
-    @pytest.mark.parametrize("saved, resumed", [(2, 1), (1, 2)])
-    def test_resume_across_worker_counts(self, tmp_path, saved, resumed):
-        """The archive does not depend on where rollouts ran: a run saved
-        with one worker setting resumes under the other onto the same
-        trajectory."""
-        path = tmp_path / "run.npz"
-
-        def workers(count):
-            def tweak(config):
-                config.rollout_workers = count
-
-            return tweak
-
-        with scenario_trainer(tweak=workers(saved)) as trainer:
-            trainer.pretrain_sadae(epochs=1)
-            unbroken = run_iterations(trainer, 3)
-        with scenario_trainer(tweak=workers(saved)) as trainer:
-            trainer.pretrain_sadae(epochs=1)
-            head = run_iterations(trainer, 1)
-            trainer.save_checkpoint(path)
-        with scenario_trainer(tweak=workers(resumed)) as trainer:
-            trainer.load_checkpoint(path)
-            tail = run_iterations(trainer, 2)
-        assert head + tail == unbroken
-
     def test_lts_trainer_resumes_exactly(self, tmp_path):
         path = tmp_path / "lts.npz"
         unbroken_trainer = lts_trainer()
@@ -131,30 +87,6 @@ class TestResumeTrajectory:
         fresh = lts_trainer()
         fresh.load_checkpoint(path)
         tail = run_iterations(fresh, 2)
-        assert head + tail == unbroken
-
-    def test_lts_trainer_resumes_under_sharded_rollouts(self, tmp_path):
-        """The LTS sampler reuses its env objects, so each collect pulls
-        the workers' advanced env state back before the iteration ends:
-        a checkpoint taken between iterations holds it and the resumed
-        run stays on the unbroken trajectory."""
-        path = tmp_path / "lts.npz"
-
-        def sharded():
-            trainer = lts_trainer()
-            trainer.config.rollout_workers = 2
-            trainer.pretrain_sadae(epochs=1, users_per_set=6)
-            return trainer
-
-        with sharded() as trainer:
-            unbroken = run_iterations(trainer, 4)
-        with sharded() as trainer:
-            head = run_iterations(trainer, 2)
-            assert trainer._worker_pool is not None
-            trainer.save_checkpoint(path)
-        with sharded() as trainer:
-            trainer.load_checkpoint(path)
-            tail = run_iterations(trainer, 2)
         assert head + tail == unbroken
 
     def test_periodic_checkpointing_through_config(self, tmp_path):
@@ -175,49 +107,38 @@ class TestResumeTrajectory:
             run_iterations(trainer, 2)
             assert checkpoint_iteration(path) == 4
 
-    def test_periodic_checkpointing_keeps_sharded_trajectory(self, tmp_path):
+    def test_periodic_checkpointing_keeps_the_trajectory(self, tmp_path):
         """Writing a checkpoint between iterations touches no rollout
-        state: a sharded run that checkpoints every iteration takes the
+        state: a run that checkpoints every iteration takes the
         trajectory of one that never does."""
         path = tmp_path / "auto.npz"
 
-        def sharded(config):
-            config.rollout_workers = 2
-
-        def sharded_auto(config):
-            sharded(config)
+        def auto(config):
             config.checkpoint_every = 1
             config.checkpoint_path = str(path)
 
         runs = []
-        for tweak in (sharded, sharded_auto):
+        for tweak in (None, auto):
             with scenario_trainer(tweak=tweak) as trainer:
                 trainer.pretrain_sadae(epochs=1)
                 runs.append(run_iterations(trainer, 3))
-                assert trainer._worker_pool is not None
         assert runs[0] == runs[1]
         assert checkpoint_iteration(path) == 3
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_archive_holds_only_the_documented_sections(self, tmp_path, workers):
+    def test_archive_holds_only_the_documented_sections(self, tmp_path):
         """A saved run carries the module's documented sections and no
-        key a resume would refuse, whether it rolled out in process or
-        in workers."""
+        key a resume would refuse."""
         from repro.nn import load_state
 
         path = tmp_path / "run.npz"
-
-        def tweak(config):
-            config.rollout_workers = workers
-
-        with scenario_trainer(tweak=tweak) as trainer:
+        with scenario_trainer() as trainer:
             trainer.pretrain_sadae(epochs=1)
             run_iterations(trainer, 2)
             trainer.save_checkpoint(path)
         sections = {key.split(".", 1)[0] for key in load_state(path)}
         assert {"meta", "rng", "policy", "optimizer", "aux"} <= sections
         assert sections <= {"meta", "rng", "policy", "optimizer", "schedule", "aux"}
-        with scenario_trainer(tweak=tweak) as trainer:
+        with scenario_trainer() as trainer:
             assert trainer.load_checkpoint(path) == 2
 
 

@@ -8,12 +8,10 @@ never into anything the optimiser or the determinism witness reads.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.config import scenario_small_config
 from repro.nn.serialization import state_to_bytes
 from repro.obs import read_metrics_jsonl
-from repro.rl import sharding_available
 from repro.scenarios import trainer_from_config
 
 SPEC = {"family": "slate", "num_envs": 4, "num_users": 5, "horizon": 5}
@@ -82,18 +80,13 @@ class TestJSONLRecords:
         for series in snapshot["train_phase_seconds"]["series"]:
             assert sum(series["counts"]) == series["count"]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_phases_are_the_documented_synchronous_schedule(self, tmp_path, workers):
+    def test_phases_are_the_documented_synchronous_schedule(self, tmp_path):
         """Every iteration times one collect, update and SADAE step (and
-        here a checkpoint); no other phase label appears, in process or
-        with rollout workers."""
-        if workers > 1 and not sharding_available():
-            pytest.skip("platform has no multiprocessing start method")
+        here a checkpoint); no other phase label appears."""
         path = tmp_path / "metrics.jsonl"
         run(
             iterations=3,
             metrics_path=str(path),
-            rollout_workers=workers,
             checkpoint_every=1,
             checkpoint_path=str(tmp_path / "run.npz"),
         )
@@ -110,29 +103,13 @@ class TestJSONLRecords:
             "checkpoint": 3,
         }
 
-    def test_sink_reopened_after_pool_relayout_keeps_appending(self, tmp_path):
-        """Changing the worker layout mid-run closes the sink; the next
-        iteration must reopen it in append mode, not truncate."""
-        if not sharding_available():
-            pytest.skip("platform has no multiprocessing start method")
+    def test_sink_reopened_after_close_keeps_appending(self, tmp_path):
+        """Closing the trainer mid-run closes the sink; the next iteration
+        must reopen it in append mode, not truncate."""
         path = tmp_path / "metrics.jsonl"
-        with build_trainer(metrics_path=str(path), rollout_workers=2) as trainer:
+        with build_trainer(metrics_path=str(path)) as trainer:
             trainer.train_iteration()
-            trainer.config.rollout_workers = 1
+            trainer.close()
             trainer.train_iteration()
         records = read_metrics_jsonl(path, strict=True)
         assert [r["iteration"] for r in records] == [0, 1]
-
-
-@pytest.mark.skipif(
-    not sharding_available(), reason="platform has no multiprocessing start method"
-)
-class TestPoolInstrumentation:
-    def test_sharded_pool_reports_into_trainer_registry(self):
-        with build_trainer(rollout_workers=2) as trainer:
-            trainer.train_iteration()
-            snapshot = trainer.metrics.snapshot()
-        assert "rollout_collect_seconds" in snapshot
-        collect = snapshot["rollout_collect_seconds"]["series"]
-        assert sum(series["count"] for series in collect) >= 1
-        assert trainer.metrics.value("rollout_pool_degraded") == 0.0

@@ -13,16 +13,17 @@ across
 - one in-process pool over all envs,
 - sharded pools with {1, 2, 4} workers (replica acting in the workers),
 
-for MLP / recurrent / Sim2Rec policies, deterministic and stochastic
+for MLP / LSTM / GRU / Sim2Rec policies, deterministic and stochastic
 action modes, multi-episode sweeps with discounting, ragged LTS / DPR /
 SlateRec layouts and heterogeneous horizons (the pool masks finished
-members' rewards to zero, so totals are layout-invariant).
+members' rewards to zero, so totals are layout-invariant). Sim2Rec
+replicas must also carry the fitted SADAE normaliser, which lives
+outside ``state_dict``.
 
 Caveat pinned here too: with heterogeneous horizons the *pool* keeps
 drawing from a finished env's stream until the pool ends, so caller-owned
 generator **end states** (and hence episode 2+ of a stochastic sweep)
-are only layout-invariant for equal horizons — the same stream-continuity
-caveat ``collect_rollouts`` documents.
+are only layout-invariant for equal horizons.
 """
 
 import numpy as np
@@ -116,6 +117,11 @@ def make_policy(kind, state_dim, action_dim):
             state_dim, action_dim, np.random.default_rng(0),
             lstm_hidden=8, head_hidden=(16,),
         )
+    if kind == "gru":
+        return RecurrentActorCritic(
+            state_dim, action_dim, np.random.default_rng(2),
+            lstm_hidden=8, head_hidden=(16,), cell="gru",
+        )
     if kind == "sim2rec":
         return build_sim2rec_policy(state_dim, action_dim, dpr_small_config(seed=0))
     raise ValueError(kind)
@@ -190,7 +196,7 @@ def pooled_eval(env_factory, policy, deterministic, workers=0, episodes=EPISODES
 LAYOUT_NAMES = ["native", *sorted(LAYOUTS)]
 
 
-@pytest.mark.parametrize("kind", ["mlp", "recurrent", "sim2rec"])
+@pytest.mark.parametrize("kind", ["mlp", "recurrent", "gru", "sim2rec"])
 class TestEvalParity:
     def test_in_process_pool_matches_solo_deterministic(self, kind):
         env_factory, policy, _ = setup_case("native", kind)
@@ -224,6 +230,23 @@ class TestEvalParity:
         )
 
     @needs_sharding
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_sharded_matches_solo_deterministic(self, kind, workers):
+        """The deterministic flag reaches the worker-side replicas: a
+        worker acting stochastically would miss the solo mean-action
+        totals, and the caller's streams end as in-process ones do."""
+        env_factory, policy, _ = setup_case("native", kind)
+        solo = solo_eval(env_factory, policy, deterministic=True)
+        _, states_inproc = pooled_eval(env_factory, policy, deterministic=True)
+        sharded, states_sharded = pooled_eval(
+            env_factory, policy, deterministic=True, workers=workers
+        )
+        assert np.array_equal(solo, sharded), (
+            f"{kind}: deterministic sharded eval (w={workers}) != solo"
+        )
+        assert states_sharded == states_inproc
+
+    @needs_sharding
     def test_owner_rng_continuity_across_modes(self, kind):
         """Equal horizons: caller streams end identically in every mode."""
         env_factory, policy, _ = setup_case("native", kind)
@@ -234,6 +257,64 @@ class TestEvalParity:
         assert states_inproc == states_sharded, (
             f"{kind}: per-env RNG streams diverged between modes"
         )
+
+
+def fit_normalizer(policy, seed):
+    """Fit a Sim2Rec policy's SADAE normaliser on random DPR-shaped sets.
+
+    The statistics are plain buffers outside ``state_dict``; a refit
+    changes them and leaves every weight as it was.
+    """
+    rng = np.random.default_rng(seed)
+    policy.sadae.fit_normalizer(
+        [(rng.normal(size=(20, 13)), rng.random((20, 2))) for _ in range(4)]
+    )
+    return policy
+
+
+@needs_sharding
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+class TestReplicaBuffers:
+    """Sim2Rec replicas carry the fitted normaliser, not just the weights."""
+
+    def test_fitted_normalizer_reaches_the_replicas(self, workers):
+        policy = fit_normalizer(make_policy("sim2rec", 13, 2), seed=5)
+        solo = solo_eval(make_dpr_envs, policy, deterministic=False)
+        sharded, _ = pooled_eval(
+            make_dpr_envs, policy, deterministic=False, workers=workers
+        )
+        assert np.array_equal(solo, sharded), f"w={workers}: replica normaliser stale"
+
+    def test_refit_alone_is_rebroadcast(self, workers):
+        """A refit between sweeps changes only buffers: the byte-equality
+        skip in ``sync_policy`` must see a new replica state and ship it,
+        or the second sweep would run on the old statistics."""
+        kwargs = dict(episodes=1, gamma=GAMMA, deterministic=False)
+        num_envs = len(make_dpr_envs())
+
+        def streams(seed):
+            return [np.random.default_rng(seed + i) for i in range(num_envs)]
+
+        stale_envs, stale = make_dpr_envs(), make_policy("sim2rec", 13, 2)
+        fit_normalizer(stale, seed=5)
+        evaluate(stale, stale_envs, rng=streams(70), **kwargs)
+        stale_second = evaluate(stale, stale_envs, rng=streams(80), **kwargs)
+
+        reference_envs = make_dpr_envs()
+        reference = fit_normalizer(make_policy("sim2rec", 13, 2), seed=5)
+        ref_first = evaluate(reference, reference_envs, rng=streams(70), **kwargs)
+        fit_normalizer(reference, seed=6)
+        ref_second = evaluate(reference, reference_envs, rng=streams(80), **kwargs)
+        assert not np.array_equal(ref_second, stale_second)
+
+        policy = fit_normalizer(make_policy("sim2rec", 13, 2), seed=5)
+        with ShardedVecEnvPool(make_dpr_envs(), num_workers=workers) as pool:
+            first = evaluate(policy, pool, rng=streams(70), **kwargs)
+            fit_normalizer(policy, seed=6)
+            second = evaluate(policy, pool, rng=streams(80), **kwargs)
+            assert pool.replica_broadcasts == 2
+        np.testing.assert_array_equal(first, ref_first)
+        np.testing.assert_array_equal(second, ref_second)
 
 
 class TestHeteroHorizons:
@@ -343,3 +424,29 @@ class TestFrontDoor:
         policy = make_policy("mlp", 2, 1)
         with pytest.raises(ValueError, match="generator"):
             evaluate(policy, make_lts_envs(), rng=[np.random.default_rng(0)])
+
+    @pytest.mark.parametrize("episodes", [0, -1])
+    @pytest.mark.parametrize("path", ["auto", "solo", "vec", "pool"])
+    def test_episodes_below_one_rejected(self, path, episodes):
+        """A sweep of no episodes averages over nothing: every path raises
+        ValueError naming the value. A sharded pool raises before any
+        command goes out, so it stays usable."""
+        policy = make_policy("mlp", 2, 1)
+        refused = rf"episodes must be >= 1, got {episodes}"
+        if path != "pool":
+            with pytest.raises(ValueError, match=refused):
+                evaluate(policy, make_lts_envs()[:2], mode=path, episodes=episodes)
+            return
+        if not sharding_available():
+            pytest.skip("platform has no multiprocessing start method")
+        with ShardedVecEnvPool(make_lts_envs()[:2], num_workers=2) as pool:
+            with pytest.raises(ValueError, match=refused):
+                evaluate(policy, pool, episodes=episodes)
+            assert pool.replica_version == 0  # refused before the broadcast
+            pool.sync_policy(policy)
+            with pytest.raises(ValueError, match=refused):
+                pool.evaluate_policy(np.random.default_rng(0), episodes=episodes)
+            assert not pool.closed
+            np.testing.assert_array_equal(
+                evaluate(policy, pool), evaluate(policy, make_lts_envs()[:2])
+            )

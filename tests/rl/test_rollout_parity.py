@@ -1,13 +1,12 @@
 """Cross-mode rollout parity: one harness, every collection path.
 
-The single source of truth for rollout equivalence: every collection
-mode — ``vectorized`` (one in-process pool) and ``shard_parallel``
-(policy replicas in the workers) — must produce **bitwise-identical**
-segments to the sequential per-env ``collect_segment`` loop, across shard counts
-{1, 2, 4}, ragged env sizes, heterogeneous horizons, truncation, extras,
-and MLP / Recurrent / Sim2Rec policies. The harness itself lives in
-:mod:`repro.rl.parity` so ``benchmarks/perf_rollout.py`` runs the exact
-same check before timing anything.
+The single source of truth for rollout equivalence: the ``vectorized``
+mode (one in-process pool) must produce **bitwise-identical** segments
+to the sequential per-env ``collect_segment`` loop, across ragged env
+sizes, heterogeneous horizons, truncation, extras, and MLP / Recurrent
+/ Sim2Rec policies. The harness itself lives in :mod:`repro.rl.parity`
+so ``benchmarks/perf_rollout.py`` runs the exact same check before
+timing anything.
 """
 
 import numpy as np
@@ -26,25 +25,11 @@ from repro.rl import (
     ROLLOUT_MODES,
     MLPActorCritic,
     RecurrentActorCritic,
-    ShardedVecEnvPool,
     VecEnvPool,
     assert_segments_identical,
     collect_rollout_mode,
     collect_segments_sequential,
-    sharding_available,
 )
-
-needs_sharding = pytest.mark.skipif(
-    not sharding_available(), reason="platform has no multiprocessing start method"
-)
-
-# (mode, worker count): the full grid the acceptance criteria name.
-MODE_GRID = [("vectorized", 0)] + [("shard_parallel", workers) for workers in (1, 2, 4)]
-
-
-def _grid_id(case):
-    mode, workers = case
-    return mode if not workers else f"{mode}-w{workers}"
 
 
 # ----------------------------------------------------------------------
@@ -131,28 +116,25 @@ def collect_reference(make_envs, policy, seed, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# The acceptance grid: mode x shard count x env layout x policy family.
+# The acceptance grid: mode x env layout x policy family. Sim2Rec runs
+# its stacked context pass over every layout's user groups (distinct
+# sizes, finished members, slate choice models).
 # ----------------------------------------------------------------------
-@needs_sharding
-@pytest.mark.parametrize("policy_kind", ["mlp", "recurrent"])
+@pytest.mark.parametrize("policy_kind", ["mlp", "recurrent", "sim2rec"])
 @pytest.mark.parametrize("env_set", sorted(ENV_SETS))
-@pytest.mark.parametrize("case", MODE_GRID, ids=_grid_id)
+@pytest.mark.parametrize("mode", ROLLOUT_MODES[1:])
 class TestModeParity:
-    def test_bitwise_matches_sequential(self, case, env_set, policy_kind):
-        mode, workers = case
+    def test_bitwise_matches_sequential(self, mode, env_set, policy_kind):
         make_envs, state_dim, action_dim = ENV_SETS[env_set]
         policy = make_policy(policy_kind, state_dim, action_dim)
         reference = collect_reference(make_envs, policy, seed=100)
         envs = make_envs()
-        collected = collect_rollout_mode(
-            mode, envs, policy, rngs_for(len(envs), 100), num_workers=workers or 2
-        )
+        collected = collect_rollout_mode(mode, envs, policy, rngs_for(len(envs), 100))
         assert_segments_identical(
-            reference, collected, label=f"{env_set}/{policy_kind}/{_grid_id(case)}"
+            reference, collected, label=f"{env_set}/{policy_kind}/{mode}"
         )
 
 
-@needs_sharding
 @pytest.mark.parametrize("mode", ROLLOUT_MODES[1:])
 class TestFeatureParity:
     def test_truncation_and_extras(self, mode):
@@ -162,7 +144,7 @@ class TestFeatureParity:
         reference = collect_reference(make_dpr_envs, policy, seed=70, **kwargs)
         envs = make_dpr_envs()
         collected = collect_rollout_mode(
-            mode, envs, policy, rngs_for(len(envs), 70), num_workers=2, **kwargs
+            mode, envs, policy, rngs_for(len(envs), 70), **kwargs
         )
         assert_segments_identical(reference, collected, label=f"extras/{mode}")
         assert collected[0].horizon == 4
@@ -176,7 +158,7 @@ class TestFeatureParity:
         reference = collect_reference(make_ragged_slate_envs, policy, seed=75, **kwargs)
         envs = make_ragged_slate_envs()
         collected = collect_rollout_mode(
-            mode, envs, policy, rngs_for(len(envs), 75), num_workers=2, **kwargs
+            mode, envs, policy, rngs_for(len(envs), 75), **kwargs
         )
         assert_segments_identical(reference, collected, label=f"slate-extras/{mode}")
         assert collected[0].horizon == 4
@@ -185,10 +167,9 @@ class TestFeatureParity:
     def test_sim2rec_policy_with_fitted_normalizer(self, mode):
         """SADAE context policies: υ per block + normaliser buffers in sync.
 
-        The normaliser statistics are plain arrays outside state_dict —
-        exactly what the shard-parallel ``extra_state`` broadcast must
-        carry; a replica embedding with default statistics would diverge
-        in the first act call.
+        The normaliser statistics are plain arrays outside state_dict;
+        the stacked context pass must read the fitted ones, or the first
+        act call would diverge from the sequential loop.
         """
         policy = make_policy("sim2rec", 13, 2)
         rng = np.random.default_rng(5)
@@ -197,39 +178,28 @@ class TestFeatureParity:
         reference = collect_reference(make_dpr_envs, policy, seed=200, max_steps=4)
         envs = make_dpr_envs()
         collected = collect_rollout_mode(
-            mode, envs, policy, rngs_for(len(envs), 200), num_workers=2, max_steps=4
+            mode, envs, policy, rngs_for(len(envs), 200), max_steps=4
         )
         assert_segments_identical(reference, collected, label=f"sim2rec/{mode}")
 
 
-@needs_sharding
 class TestContinuityParity:
     @pytest.mark.parametrize("mode", ROLLOUT_MODES[1:])
     def test_multi_episode_rng_continuity(self, mode):
         """Back-to-back episodes on one persistent pool keep every env
         stream and every env's internal RNG aligned with the sequential
-        loop — for shard_parallel this exercises the advanced-generator
-        write-back and the repeat (state-bytes) policy broadcast."""
+        loop."""
         policy = make_policy("recurrent", 13, 2)
         envs_seq = make_dpr_envs()
         rngs_seq = rngs_for(5, 50)
         rngs_par = rngs_for(5, 50)
-        if mode == "vectorized":
-            pool = VecEnvPool(make_dpr_envs())
-        else:
-            pool = ShardedVecEnvPool(make_dpr_envs(), num_workers=2)
-        try:
-            for episode in range(2):
-                reference = collect_segments_sequential(envs_seq, policy, rngs_seq)
-                collected = collect_rollout_mode(
-                    mode, [], policy, rngs_par, pool=pool
-                )
-                assert_segments_identical(
-                    reference, collected, label=f"continuity/{mode}/ep{episode}"
-                )
-        finally:
-            if mode != "vectorized":
-                pool.close()
+        pool = VecEnvPool(make_dpr_envs())
+        for episode in range(2):
+            reference = collect_segments_sequential(envs_seq, policy, rngs_seq)
+            collected = collect_rollout_mode(mode, [], policy, rngs_par, pool=pool)
+            assert_segments_identical(
+                reference, collected, label=f"continuity/{mode}/ep{episode}"
+            )
 
     def test_gru_policy_odd_block_sizes(self):
         """7 drivers/city blocks that do not align with BLAS kernel
@@ -239,30 +209,18 @@ class TestContinuityParity:
         reference = collect_reference(make_dpr_envs, policy, seed=300)
         for mode in ROLLOUT_MODES[1:]:
             envs = make_dpr_envs()
-            collected = collect_rollout_mode(
-                mode, envs, policy, rngs_for(len(envs), 300), num_workers=2
-            )
+            collected = collect_rollout_mode(mode, envs, policy, rngs_for(len(envs), 300))
             assert_segments_identical(reference, collected, label=f"gru/{mode}")
 
 
 class TestModeDispatch:
-    """Names and pools outside the three modes fail loudly."""
+    """Names outside the two modes fail loudly."""
 
     def test_step_server_mode_is_rejected(self):
         """``sharded`` (workers step, the parent acts) is not a mode."""
-        assert ROLLOUT_MODES == ("sequential", "vectorized", "shard_parallel")
+        assert ROLLOUT_MODES == ("sequential", "vectorized")
         envs = make_dpr_envs()
         with pytest.raises(ValueError, match="unknown rollout mode 'sharded'"):
             collect_rollout_mode(
                 "sharded", envs, make_policy("mlp", 13, 2), rngs_for(len(envs), 0)
-            )
-
-    def test_shard_parallel_refuses_an_in_process_pool(self):
-        with pytest.raises(ValueError, match="needs a ShardedVecEnvPool"):
-            collect_rollout_mode(
-                "shard_parallel",
-                [],
-                make_policy("mlp", 13, 2),
-                rngs_for(5, 0),
-                pool=VecEnvPool(make_dpr_envs()),
             )

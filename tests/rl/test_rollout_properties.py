@@ -14,8 +14,9 @@ below catch the layout edge cases fixed-shape tests miss:
 - **RNG-stream isolation** — an env's segment depends only on its own
   env state and noise stream, never on which other envs share the pool
   (the property that makes every collection mode bit-identical);
-- **shard-parallel layouts** — random ragged layouts × worker counts
-  reproduce the sequential loop through worker-side policy replicas.
+- **sharded evaluation layouts** — random ragged layouts × worker
+  counts reproduce in-process ``evaluate`` through worker-side policy
+  replicas.
 
 Runs derandomized (fixed example database seed) so CI is reproducible.
 """
@@ -31,10 +32,10 @@ from repro.envs import LTSConfig, LTSEnv, SlateConfig, SlateRecEnv  # noqa: E402
 from repro.rl import (  # noqa: E402
     BlockRNG,
     MLPActorCritic,
+    ShardedVecEnvPool,
     VecEnvPool,
-    collect_rollout_mode,
-    collect_segments_sequential,
     collect_segments_vec,
+    evaluate,
     sharding_available,
 )
 from repro.rl.parity import assert_segments_identical  # noqa: E402
@@ -224,10 +225,23 @@ class TestPoolInvariants:
         assert_segments_identical([pooled[index]], alone, label="isolation")
 
 
+def assert_sharded_matches_in_process(policy, make_envs, workers, seed):
+    """One sampled-action sweep, in-process and across ``workers`` shards."""
+
+    def streams(count):
+        return [np.random.default_rng(seed + 100 + i) for i in range(count)]
+
+    envs = make_envs()
+    expected = evaluate(policy, envs, rng=streams(len(envs)), deterministic=False)
+    with ShardedVecEnvPool(make_envs(), num_workers=workers) as pool:
+        got = evaluate(policy, pool, rng=streams(len(envs)), deterministic=False)
+    np.testing.assert_array_equal(got, expected)
+
+
 @pytest.mark.skipif(
     not sharding_available(), reason="platform has no multiprocessing start method"
 )
-class TestShardParallelLayoutFuzz:
+class TestShardedEvaluateLayoutFuzz:
     @settings(max_examples=6, suppress_health_check=[HealthCheck.too_slow], **COMMON)
     @given(
         user_counts=st.lists(st.integers(1, 7), min_size=2, max_size=5),
@@ -235,27 +249,14 @@ class TestShardParallelLayoutFuzz:
         workers=st.integers(1, 4),
         seed=st.integers(0, 2**10),
     )
-    def test_random_layouts_match_sequential(
-        self, user_counts, horizon, workers, seed
-    ):
-        """Worker-side policy replicas reproduce the sequential loop for
+    def test_random_layouts_match_in_process(self, user_counts, horizon, workers, seed):
+        """Worker-side policy replicas reproduce in-process evaluate for
         random ragged layouts and shard counts — the fuzzed counterpart
-        of the fixed parity grid."""
-        policy = make_policy()
+        of the fixed eval parity grid."""
         horizons = [horizon] * len(user_counts)
-        reference = collect_segments_sequential(
-            make_envs(user_counts, horizons, seed),
-            policy,
-            [np.random.default_rng(seed + 100 + i) for i in range(len(user_counts))],
+        assert_sharded_matches_in_process(
+            make_policy(), lambda: make_envs(user_counts, horizons, seed), workers, seed
         )
-        collected = collect_rollout_mode(
-            "shard_parallel",
-            make_envs(user_counts, horizons, seed),
-            policy,
-            [np.random.default_rng(seed + 100 + i) for i in range(len(user_counts))],
-            num_workers=workers,
-        )
-        assert_segments_identical(reference, collected, label="fuzz")
 
     @settings(max_examples=6, suppress_health_check=[HealthCheck.too_slow], **COMMON)
     @given(
@@ -265,26 +266,18 @@ class TestShardParallelLayoutFuzz:
         workers=st.integers(1, 4),
         seed=st.integers(0, 2**10),
     )
-    def test_random_slate_layouts_match_sequential(
+    def test_random_slate_layouts_match_in_process(
         self, user_counts, horizon, slate_size, workers, seed
     ):
         """The slate family under the same fuzz: random ragged layouts,
-        slate widths and shard counts reproduce the sequential loop
-        through worker-side policy replicas (MNL choice draws, churn
-        draws and observation noise all riding per-env streams)."""
+        slate widths and shard counts (MNL choice draws, churn draws and
+        observation noise all riding per-env streams)."""
         policy = MLPActorCritic(
             SlateRecEnv.STATE_DIM, slate_size, np.random.default_rng(3), hidden_sizes=(8,)
         )
-        reference = collect_segments_sequential(
-            make_slate_envs(user_counts, horizon, slate_size, seed),
+        assert_sharded_matches_in_process(
             policy,
-            [np.random.default_rng(seed + 100 + i) for i in range(len(user_counts))],
+            lambda: make_slate_envs(user_counts, horizon, slate_size, seed),
+            workers,
+            seed,
         )
-        collected = collect_rollout_mode(
-            "shard_parallel",
-            make_slate_envs(user_counts, horizon, slate_size, seed),
-            policy,
-            [np.random.default_rng(seed + 100 + i) for i in range(len(user_counts))],
-            num_workers=workers,
-        )
-        assert_segments_identical(reference, collected, label="slate-fuzz")

@@ -167,7 +167,6 @@ class TestTrainerVectorizedCollect:
         from repro.envs import make_lts_task
 
         config = lts_small_config(seed=0)
-        assert config.rollout_workers == 1  # one in-process pool by default
         task = make_lts_task("LTS3", num_users=8, horizon=6, seed=0)
         policy = build_sim2rec_policy(2, 1, config)
         trainer = Sim2RecLTSTrainer(policy, task, config)

@@ -81,28 +81,6 @@ class TestScenarioTrainer:
         with pytest.raises(ValueError, match="users_per_set"):
             collect_scenario_state_sets(scenario, users_per_set=999)
 
-    def test_shard_parallel_matches_vectorized_collection(self):
-        """The scenario trainer rides the rollout contract: slate
-        populations collect bit-identically with policy replicas in the
-        workers (rollout_workers > 1) and in one in-process pool."""
-        from repro.rl import sharding_available
-
-        if not sharding_available():
-            pytest.skip("platform has no multiprocessing start method")
-        rewards = {}
-        buffers = {}
-        for workers in (1, 2):
-            config = tiny_config(rollout_workers=workers)
-            config.scenario = TINY["slate"]
-            with trainer_from_config(config) as trainer:
-                buffer, raw = trainer.collect()
-            rewards[workers] = raw
-            buffers[workers] = buffer
-        assert rewards[1] == rewards[2]
-        for seg_a, seg_b in zip(buffers[1].segments, buffers[2].segments):
-            np.testing.assert_array_equal(seg_a.states, seg_b.states)
-            np.testing.assert_array_equal(seg_a.rewards, seg_b.rewards)
-
 
 class TestCLI:
     def test_list_and_spec(self, capsys):

@@ -269,6 +269,9 @@ class TestProtocol:
                         session.act(np.zeros((1, STATE_DIM)))
                 assert gateway.stats()["busy_rejections"] == 1
             finally:
+                # Serve the occupant's window now instead of letting its
+                # 2 s deadline run out: the idle session holds it open.
+                server.flush()
                 thread.join()
 
     def test_disconnect_mid_session_cleans_up(self):

@@ -1,4 +1,4 @@
-"""The CI bench-regression gate: floor comparisons, tolerance, CPU gating."""
+"""The CI bench-regression gate: floor comparisons, tolerance, equivalence."""
 
 import importlib.util
 import json
@@ -21,7 +21,6 @@ def gate():
 
 def rollout_payload(
     speedup=2.5,
-    worker_speedup=2.0,
     cpu_count=4,
     equivalent=True,
     scenario_speedup=2.0,
@@ -32,18 +31,6 @@ def rollout_payload(
         "name": "smoke_cross_city",
         "speedup": speedup,
         "equivalent": equivalent,
-        "workers": [
-            {
-                "num_workers": 1,
-                "speedup_vs_sequential": 1.0,
-                "equivalent": equivalent,
-            },
-            {
-                "num_workers": 2,
-                "speedup_vs_sequential": worker_speedup,
-                "equivalent": equivalent,
-            },
-        ],
     }
     payload = {"cpu_count": cpu_count, "scenarios": [scenario]}
     if with_scenario_sweep:
@@ -61,7 +48,6 @@ def rollout_payload(
 
 BASELINE = {
     "scenarios": {"smoke_cross_city": {"min_speedup": 1.6}},
-    "workers": {"2": {"min_speedup_vs_sequential": 1.3, "min_cpus": 2}},
     "scenario_sweep": {
         "scenario_slate": {"min_speedup": 1.3},
         "scenario_lts": {"min_speedup": 1.5},
@@ -85,52 +71,11 @@ class TestCheckPayload:
         assert gate.check_payload(rollout_payload(speedup=1.3), BASELINE, 0.8, "r") == []
         assert gate.check_payload(rollout_payload(speedup=1.2), BASELINE, 0.8, "r")
 
-    def test_fails_on_worker_regression(self, gate):
-        failures = gate.check_payload(
-            rollout_payload(worker_speedup=0.9), BASELINE, 0.8, "rollout"
-        )
-        assert any("workers=2" in f for f in failures)
-
-    def test_worker_floor_skipped_on_single_core(self, gate, capsys):
-        failures = gate.check_payload(
-            rollout_payload(worker_speedup=0.5, cpu_count=1), BASELINE, 0.8, "rollout"
-        )
-        assert failures == []
-        assert "skip" in capsys.readouterr().out
-
     def test_fails_when_equivalence_not_verified(self, gate):
         failures = gate.check_payload(
             rollout_payload(equivalent=False), BASELINE, 0.8, "rollout"
         )
         assert any("equivalence" in f for f in failures)
-
-    def test_worker_equivalence_enforced_even_on_single_core(self, gate):
-        """Bit-identity does not depend on cores: a false flag on any
-        worker record fails the gate even where the speed floor is
-        skipped, including worker counts without a floor."""
-        payload = rollout_payload(cpu_count=1)
-        for record in payload["scenarios"][0]["workers"]:
-            record["equivalent"] = False
-        failures = gate.check_payload(payload, BASELINE, 0.8, "rollout")
-        assert any("workers=1" in f and "equivalence" in f for f in failures)
-        assert any("workers=2" in f and "equivalence" in f for f in failures)
-        assert not any("speedup_vs_sequential" in f for f in failures)
-
-    def test_fails_when_worker_count_missing_from_sweep(self, gate):
-        payload = rollout_payload()
-        payload["scenarios"][0]["workers"] = payload["scenarios"][0]["workers"][:1]
-        failures = gate.check_payload(payload, BASELINE, 0.8, "rollout")
-        assert any("workers=2" in f and "missing" in f for f in failures)
-
-    def test_worker_floor_gates_every_scenario(self, gate):
-        """The floor applies to each sweep scenario, not to the best one."""
-        payload = rollout_payload()
-        weak = rollout_payload(worker_speedup=0.9)["scenarios"][0]
-        weak["name"] = "large_groups"
-        payload["scenarios"].append(weak)
-        failures = gate.check_payload(payload, BASELINE, 0.8, "rollout")
-        assert len(failures) == 1
-        assert "large_groups/workers=2" in failures[0] and "0.9" in failures[0]
 
     def test_fails_on_missing_scenario(self, gate):
         failures = gate.check_payload(
@@ -249,13 +194,11 @@ class TestRun:
 
     def test_committed_rollout_artifact_clears_its_floors(self, gate):
         """The committed full-mode BENCH_rollout.json was recorded with
-        BLAS pinned on a host that has the cores its worker floors need,
-        so those floors actually ran — and held."""
+        BLAS pinned, and its floors held."""
         baselines = json.loads((ROOT / ".github" / "bench_baselines.json").read_text())
         payload = json.loads((ROOT / "BENCH_rollout.json").read_text())
         assert payload["mode"] == "full"
         floors = baselines["rollout"]["full"]
-        assert payload["cpu_count"] >= floors["workers"]["2"]["min_cpus"]
         assert set(payload["blas_threads"].values()) == {"1"}
         assert gate.check_payload(payload, floors, baselines["tolerance"], "rollout") == []
 
@@ -265,6 +208,43 @@ class TestRun:
             gate.run(rollout, tmp_path / "absent.json", ROOT / ".github" / "bench_baselines.json")
             == 1
         )
+
+
+BASELINES = json.loads((ROOT / ".github" / "bench_baselines.json").read_text())
+
+#: Where a healthy artifact for each (bench, mode) comes from: the full-mode
+#: artifacts are the committed ones, the smoke ones the builders above.
+HEALTHY_ARTIFACTS = {
+    ("rollout", "smoke"): rollout_payload,
+    ("rollout", "full"): lambda: json.loads((ROOT / "BENCH_rollout.json").read_text()),
+    ("train", "smoke"): train_payload,
+    ("train", "full"): lambda: json.loads((ROOT / "BENCH_train.json").read_text()),
+}
+
+COMMITTED_SPEEDUP_FLOORS = [
+    (bench, mode, section, name)
+    for bench, mode in HEALTHY_ARTIFACTS
+    for section, floors in BASELINES[bench][mode].items()
+    for name in floors
+]
+
+
+@pytest.mark.parametrize("bench,mode,section,name", COMMITTED_SPEEDUP_FLOORS)
+def test_every_committed_floor_gates_its_record(gate, bench, mode, section, name):
+    """Each committed speedup floor binds its own record at floor x
+    tolerance: a healthy artifact passes, the same artifact with only
+    that record on the band edge still passes, and just under the edge
+    it fails once, naming the record."""
+    floors, tolerance = BASELINES[bench][mode], BASELINES["tolerance"]
+    payload = HEALTHY_ARTIFACTS[bench, mode]()
+    assert gate.check_payload(payload, floors, tolerance, bench) == []
+    (record,) = [r for r in payload[section] if r["name"] == name]
+    edge = floors[section][name]["min_speedup"] * tolerance
+    record["speedup"] = edge
+    assert gate.check_payload(payload, floors, tolerance, bench) == []
+    record["speedup"] = edge * 0.99
+    failures = gate.check_payload(payload, floors, tolerance, bench)
+    assert len(failures) == 1 and f"/{name}: speedup" in failures[0], failures
 
 
 def serve_payload(

@@ -1,19 +1,13 @@
-"""The rollout bench's worker sweep: what it times and what it records."""
+"""The rollout bench: what it times and what it records."""
 
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.envs import DPRConfig, DPRWorld
-from repro.rl import ShardedVecEnvPool, sharding_available
+from repro.envs import DPRConfig
 
 ROOT = Path(__file__).resolve().parents[2]
-
-pytestmark = pytest.mark.skipif(
-    not sharding_available(), reason="platform has no multiprocessing start method"
-)
 
 TINY = DPRConfig(num_cities=3, drivers_per_city=4, horizon=4, seed=1)
 
@@ -28,39 +22,40 @@ def bench():
     return module
 
 
-def test_worker_records_time_shard_parallel(bench):
-    """One parity-checked shard_parallel record per worker count — the
-    records the CI worker floors gate."""
-    records = bench.bench_workers(
-        "tiny", TINY, (1, 2), repeats=1, sequential_s=1.0, vectorized_s=1.0
+def test_scenario_record_is_parity_checked(bench):
+    """One record per DPR layout: both timings, their ratio, and the
+    equivalence flag the CI gate enforces."""
+    record = bench.bench_scenario("tiny", TINY, repeats=1)
+    assert set(record) == {
+        "name",
+        "num_cities",
+        "drivers_per_city",
+        "horizon",
+        "total_users",
+        "sequential_s",
+        "vectorized_s",
+        "speedup",
+        "equivalent",
+    }
+    assert record["equivalent"] is True
+    assert record["total_users"] == 12
+    assert record["speedup"] == pytest.approx(
+        record["sequential_s"] / record["vectorized_s"], rel=1e-2
     )
-    assert [record["num_workers"] for record in records] == [1, 2]
-    for record in records:
-        assert set(record) == {
-            "num_workers",
-            "shard_parallel_s",
-            "speedup_vs_sequential",
-            "speedup_vs_vectorized",
-            "throughput_user_steps_per_s",
-            "equivalent",
-        }
+
+
+def test_scenario_sweep_records_every_case(bench):
+    """Each registry case is built from its config dict, parity-checked
+    and timed; the record carries the resolved spec."""
+    cases = [
+        ("tiny_slate", {"family": "slate", "num_envs": 3, "num_users": 4, "horizon": 3,
+                        "slate_size": 2, "seed": 0}),
+        ("tiny_lts", {"family": "lts", "task": "LTS2", "num_users": 4, "horizon": 3,
+                      "seed": 0}),
+    ]
+    records = bench.bench_scenario_sweep(cases, repeats=1)
+    assert [record["name"] for record in records] == ["tiny_slate", "tiny_lts"]
+    for record, (_, spec) in zip(records, cases):
         assert record["equivalent"] is True
-        assert record["shard_parallel_s"] > 0
-        assert record["speedup_vs_sequential"] == pytest.approx(
-            1.0 / record["shard_parallel_s"], rel=1e-2
-        )
-
-
-def test_timed_unit_pays_a_real_broadcast_and_restores_the_policy(bench):
-    """Each repeat nudges a weight so sync_policy ships a real broadcast
-    (an unchanged policy is skipped), and the shared policy comes back
-    bit-exact for the records that follow."""
-    world = DPRWorld(TINY)
-    policy = bench.make_policy(13, 2)
-    before = [param.data.copy() for param in policy.parameters()]
-    with ShardedVecEnvPool(world.make_all_city_envs(), num_workers=2) as pool:
-        best = bench._time_shard_parallel(pool, policy, bench.make_rngs(world, 0), 3)
-        assert best > 0
-        assert pool.replica_broadcasts == 1 + 3  # warmup sync + one per repeat
-    for original, param in zip(before, policy.parameters()):
-        np.testing.assert_array_equal(original, param.data)
+        assert record["spec"]["family"] == spec["family"]
+        assert record["throughput_user_steps_per_s"] > 0
