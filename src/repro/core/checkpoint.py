@@ -1,8 +1,9 @@
 """Run checkpoint / resume for the training loops.
 
-A checkpoint is one atomic, CRC32-verified ``.npz`` archive
-(:func:`repro.nn.save_state` — write-temp-then-rename, so a crash
-mid-write can never corrupt the previous checkpoint) holding everything
+A checkpoint is one CRC32-verified state archive in the one-block layout
+of :mod:`repro.nn.serialization`, written atomically by
+:func:`repro.nn.save_state` (write-temp-then-rename, so a crash
+mid-write can never corrupt the previous checkpoint), holding everything
 a :class:`~repro.core.trainer.PolicyTrainer` needs to continue **on the
 exact trajectory** an unbroken run would have taken:
 

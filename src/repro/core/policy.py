@@ -11,11 +11,15 @@ Per time-step, for every user i of the group:
 
 During PPO updates the whole pipeline — including q_κ — is recomputed with
 gradients (Eq. 4), so the extractor learns representations that the policy
-actually needs, exactly as the paper prescribes.
+actually needs, exactly as the paper prescribes. The learner computes that
+context per run of consecutive equal-cardinality segments: one SADAE pass
+over the run's stacked per-step sets and one pass of f
+(:meth:`Sim2RecPolicy._segments_context`).
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -94,9 +98,9 @@ class Sim2RecPolicy(RecurrentActorCritic):
         # Shard-parallel ordering note: rollout-time υ is the posterior
         # *mean* (`sadae.embed` draws no noise), so neither stacking
         # groups nor computing them on different workers can reorder any
-        # υ-draw stream; the sampled υ path (`_segment_context` with
-        # `_eval_rng`) runs only during parent-side PPO evaluation,
-        # segment by segment, in order.
+        # υ-draw stream; the sampled υ path (`_segments_context` with
+        # `_eval_rng`) runs only during parent-side PPO evaluation, in
+        # segment order.
         groups = self._rollout_groups or (slice(0, states.shape[0]),)
         actions = None if self.sadae.config.state_only else prev_actions
         context = np.empty((states.shape[0], self.context_dim))
@@ -113,15 +117,40 @@ class Sim2RecPolicy(RecurrentActorCritic):
     def _segment_context(self, segment: RolloutSegment) -> nn.Tensor:
         """υ context per step over the full group, with gradients to κ.
 
-        The T per-step sets ``X_t = (S_t, A_{t-1})`` go through SADAE as
-        one ``[T, N, d]`` stack and f runs once on ``[T, latent]``. Every
-        row, and the υ-noise stream, is bit-identical to embedding the
-        steps one by one (see :meth:`SADAE.embed_tensor`).
+        The one-segment case of :meth:`_segments_context`: ``[T, context_dim]``.
+        """
+        return self._segments_context([segment]).reshape(
+            segment.horizon, self.context_dim
+        )
+
+    def _segments_context(self, segments: Sequence[RolloutSegment]) -> nn.Tensor:
+        """υ context of same-length segments, ``[K, T, context_dim]``, with gradients to κ.
+
+        Each run of consecutive segments with one group size N stacks
+        its S·T per-step sets ``X_t = (S_t, A_{t-1})`` into one
+        ``[S·T, N, d]`` SADAE call, and f runs once on all K·T latent
+        rows. Every row is bit-identical to embedding the segments, and
+        their steps, one by one: encoder and f rows do not depend on the
+        batch length, and each run's ``(S·T, latent)`` υ draw consumes
+        ``_eval_rng`` exactly as S per-segment draws do. Only
+        *consecutive* segments stack, so the draws stay in segment order
+        (see :meth:`SADAE.embed_tensor`).
         """
         rng = self._eval_rng if self.sample_embedding else None
-        actions = None if self.sadae.config.state_only else segment.prev_actions
-        upsilon = self.sadae.embed_tensor(segment.states, actions, rng)
-        return self.context_mlp(upsilon)
+        state_only = self.sadae.config.state_only
+        upsilons = []
+        for _, run in groupby(segments, key=lambda segment: segment.num_users):
+            run = list(run)
+            states = np.concatenate([segment.states for segment in run])
+            actions = (
+                None
+                if state_only
+                else np.concatenate([segment.prev_actions for segment in run])
+            )
+            upsilons.append(self.sadae.embed_tensor(states, actions, rng))
+        return self.context_mlp(nn.concat(upsilons, axis=0)).reshape(
+            len(segments), segments[0].horizon, self.context_dim
+        )
 
     # Note: ``self.sadae`` and ``self.context_mlp`` are module attributes, so
     # ``self.parameters()`` already exposes q_κ and f to the PPO optimiser —

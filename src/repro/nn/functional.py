@@ -7,8 +7,6 @@ supervised baselines.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .tensor import Tensor, as_tensor, concat, stack, where  # noqa: F401 (re-export)
@@ -73,11 +71,3 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     abs_logits = logits.abs()
     log_term = ((-abs_logits).exp() + 1.0).log()
     return (relu_term - logits * targets + log_term).mean()
-
-
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Optional[np.ndarray]:
-    """Return an inverted-dropout mask, or None when rate <= 0."""
-    if rate <= 0.0:
-        return None
-    keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep

@@ -32,8 +32,13 @@ node: its forward repeats ``_fast_forward`` op for op, single gate
 pass included (so the hidden states are bit-identical to T autodiff
 cell calls), and caches the gate activations; its backward is a numpy
 BPTT loop that sums the weight gradients in one gemm over all T·B rows.
-Only that summation order differs from the per-step graph, so gradients
-agree to ≤1e-10 relative (``tests/nn/test_recurrent.py``).
+The LSTM backward first computes, for all T steps in a few vectorised
+passes, every gate factor that does not depend on the recurrence (the
+gate slopes times the cell terms they multiply); the time loop keeps
+only the dh/dc recurrence, two gate-block products and the ``dh_next``
+matmul. The summation order and the grouping of those products differ
+from the per-step graph, so gradients agree to ≤1e-10 relative
+(``tests/nn/test_recurrent.py``).
 """
 
 from __future__ import annotations
@@ -198,23 +203,31 @@ class LSTMCell(Module):
             np.multiply(o_gate, np.tanh(c_new, out=tanh_cells[t]), out=hidden[t + 1])
 
         def backward(grad: np.ndarray) -> None:
-            d_gates = np.empty_like(gates)
+            # Every factor that does not depend on the recurrence, for all
+            # T steps in a few vectorised passes: per gate block, the
+            # pre-activation gradient is dc (i, f, g) or dh (o) times
+            # factors[t, :, block].
+            sig = gates.reshape(steps, batch, 4, hs)
+            i_gate, f_gate, o_gate = sig[:, :, 0], sig[:, :, 1], sig[:, :, 3]
+            slopes = sig * (1.0 - sig)  # σ' of every block (the g slot is unused)
+            factors = np.empty((steps, batch, 4, hs))
+            np.multiply(g_gates, slopes[:, :, 0], out=factors[:, :, 0])
+            np.multiply(cells[:-1], slopes[:, :, 1], out=factors[:, :, 1])
+            np.multiply(i_gate, 1.0 - g_gates * g_gates, out=factors[:, :, 2])
+            np.multiply(tanh_cells, slopes[:, :, 3], out=factors[:, :, 3])
+            dc_dh = o_gate * (1.0 - tanh_cells * tanh_cells)
+            d_gates = np.empty((steps, batch, 4, hs))
             dh_next = dc_next = 0.0
             for t in reversed(range(steps)):
-                g = gates[t]
-                i_gate, f_gate = g[:, 0 * hs : 1 * hs], g[:, 1 * hs : 2 * hs]
-                g_gate, o_gate = g_gates[t], g[:, 3 * hs : 4 * hs]
-                tanh_c = tanh_cells[t]
                 dh = grad[t] + dh_next
-                dc = dh * o_gate * (1.0 - tanh_c * tanh_c) + dc_next
+                dc = dh * dc_dh[t]
+                dc += dc_next
                 dg = d_gates[t]
-                dg[:, 0 * hs : 1 * hs] = dc * g_gate * i_gate * (1.0 - i_gate)
-                dg[:, 1 * hs : 2 * hs] = dc * cells[t] * f_gate * (1.0 - f_gate)
-                dg[:, 2 * hs : 3 * hs] = dc * i_gate * (1.0 - g_gate * g_gate)
-                dg[:, 3 * hs : 4 * hs] = dh * tanh_c * o_gate * (1.0 - o_gate)
-                dc_next = dc * f_gate
+                np.multiply(factors[t, :, :3], dc[:, None, :], out=dg[:, :3])
+                np.multiply(factors[t, :, 3], dh, out=dg[:, 3])
+                dc_next = dc * f_gate[t]
                 if t:
-                    dh_next = dg @ w_hh.T
+                    dh_next = dg.reshape(batch, 4 * hs) @ w_hh.T
             flat = d_gates.reshape(steps * batch, 4 * hs)
             if self.weight_hh.requires_grad:
                 self.weight_hh._accumulate(hidden[:-1].reshape(steps * batch, hs).T @ flat)

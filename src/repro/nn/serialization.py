@@ -1,36 +1,66 @@
-"""Save / load module parameters as ``.npz`` archives.
+"""Save / load module parameters and name → array state archives.
 
-Two transports share the same archive format:
+Two transports share one state-archive format:
 
-- :func:`save_module` / :func:`load_module` — on-disk checkpoints;
+- :func:`save_state` / :func:`load_state` — on-disk run checkpoints
+  (:mod:`repro.core.checkpoint`);
 - :func:`state_to_bytes` / :func:`state_from_bytes` — in-memory archives
   used for the policy-parameter broadcast to evaluation workers
-  (:meth:`repro.rl.workers.ShardedVecEnvPool.sync_policy`).
-  The byte payload is a plain npz (no pickled objects), so a replica
-  that round-trips through it reproduces the source arrays bit for bit.
+  (:meth:`repro.rl.workers.ShardedVecEnvPool.sync_policy`) and the
+  serving hot swap (:meth:`repro.serve.PolicyServer.swap_policy`).
 
-Every archive written by :func:`state_to_bytes` carries a CRC32 of its
-contents under the reserved key ``__crc32__``; :func:`state_from_bytes`
-recomputes and verifies it, so a torn or bit-flipped replica broadcast
-or checkpoint fails loudly with :class:`StateChecksumError` instead of
-loading garbage weights. Archives written before the checksum existed
-(no ``__crc32__`` entry) still load.
+Archive layout
+--------------
+One magic-prefixed header, one contiguous data block and a trailing
+CRC32, all little-endian::
 
-:func:`save_state` / :func:`load_state` put the same checksummed archive
-on disk **atomically** (write to a temp file in the target directory,
-fsync, then ``os.replace``), so a crash mid-write can never leave a
-half-written checkpoint under the final name — the previous checkpoint
-survives intact. This is the transport used by
-:mod:`repro.core.checkpoint` for run checkpoint/resume.
+    MAGIC (8 bytes) | header length (uint64) | header (UTF-8 JSON)
+    | data block | CRC32 of every preceding byte (uint32)
+
+The header is a JSON list of ``[name, dtype.str, shape]`` entries, one
+per array in insertion order; the data block holds each array's raw
+C-order bytes back to back, in the same order. No pickling is involved,
+so the payload is safe to ship across process boundaries, its size is a
+faithful measure of the parameter volume, and a round trip reproduces
+every array's dtype, shape and bytes exactly. Object and structured
+arrays, whose dtype string does not describe them, are refused at save.
+
+:func:`state_from_bytes` checks the CRC32 before it parses the header,
+then validates every header entry (a known non-object dtype,
+non-negative integer dims, unique names, and byte totals that match the
+data block exactly) before it allocates anything from them. Torn,
+truncated or bit-flipped payloads therefore fail loudly with
+:class:`StateChecksumError` instead of loading garbage weights or
+allocating from a corrupt size. Each loaded array is a fresh, aligned,
+writeable copy owned by nobody else.
+
+Legacy archives
+---------------
+Archives written before this layout are npz files: one zip member per
+array plus, from the checksum's introduction on, a CRC32 of the
+contents under the reserved key ``__crc32__``. A payload that does not
+start with :data:`MAGIC` goes to that npz reader, which verifies the
+``__crc32__`` entry when present, so old checkpoints still load and
+resume.
+
+:func:`save_state` puts an archive on disk **atomically** (write to a
+temp file in the target directory, fsync, then ``os.replace``), so a
+crash mid-write can never leave a half-written checkpoint under the
+final name — the previous checkpoint survives intact.
+
+:func:`save_module` / :func:`load_module` write a module's parameters as
+a plain ``.npz`` for ad-hoc weight files; they are not state archives.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
+import struct
 import tempfile
 import zlib
-from typing import Dict, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -38,16 +68,27 @@ from .module import Module
 
 PathLike = Union[str, os.PathLike]
 
-#: Reserved archive key holding the CRC32 of every other entry.
+#: Reserved key of the legacy npz layout holding the CRC32 of every
+#: other entry; refused as a state name so the two layouts never clash.
 CHECKSUM_KEY = "__crc32__"
+
+#: First bytes of every archive in the one-block layout.
+MAGIC = b"\x93R2RSTA\x01"
+
+_LENGTH = struct.Struct("<Q")
+_CRC = struct.Struct("<I")
+_PREFIX = len(MAGIC) + _LENGTH.size
 
 
 class StateChecksumError(ValueError):
-    """A state archive's CRC32 does not match its contents (corruption)."""
+    """A state archive is truncated, malformed or fails its CRC32."""
 
 
 def _state_crc32(state: Dict[str, np.ndarray]) -> int:
-    """CRC32 over every entry's name, dtype, shape and raw bytes (sorted)."""
+    """CRC32 over every entry's name, dtype, shape and raw bytes (sorted).
+
+    The checksum of the legacy npz layout (its ``__crc32__`` entry).
+    """
     crc = 0
     for key in sorted(state):
         value = np.ascontiguousarray(state[key])
@@ -72,39 +113,121 @@ def load_module(module: Module, path: PathLike) -> None:
 
 
 def state_to_bytes(state: Dict[str, np.ndarray]) -> bytes:
-    """Serialise a name → array mapping to an in-memory npz archive.
+    """Serialise a name → array mapping to one archive (see module docstring).
 
-    Values round-trip losslessly through :func:`state_from_bytes`; no
-    pickling is involved, so the payload is safe to ship across process
-    boundaries and its size is a faithful measure of the parameter
-    volume being broadcast. A CRC32 of the contents rides along under
-    :data:`CHECKSUM_KEY` and is verified on load.
+    Values round-trip losslessly through :func:`state_from_bytes`, and
+    equal states give equal bytes. Raises ``ValueError`` on the reserved
+    :data:`CHECKSUM_KEY` name and on object or structured arrays.
     """
     if CHECKSUM_KEY in state:
         raise ValueError(f"state key {CHECKSUM_KEY!r} is reserved for the checksum")
-    arrays = {key: np.asarray(value) for key, value in state.items()}
-    checksum = np.array([_state_crc32(arrays)], dtype=np.uint32)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays, **{CHECKSUM_KEY: checksum})
-    return buffer.getvalue()
+    entries: List[list] = []
+    blocks: List[bytes] = []
+    for key, value in state.items():
+        array = np.asarray(value)
+        if array.dtype.hasobject or np.dtype(array.dtype.str) != array.dtype:
+            raise ValueError(
+                f"state entry {key!r} has dtype {array.dtype}; archives hold "
+                "plain arrays only (no object or structured dtypes)"
+            )
+        entries.append([key, array.dtype.str, list(array.shape)])
+        blocks.append(array.tobytes())
+    header = json.dumps(entries, separators=(",", ":")).encode("utf8")
+    parts = [MAGIC, _LENGTH.pack(len(header)), header, *blocks]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(_CRC.pack(crc))
+    return b"".join(parts)
 
 
-def state_from_bytes(payload: bytes) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`state_to_bytes`; verifies the embedded CRC32.
+def _corrupt(reason: str) -> StateChecksumError:
+    return StateChecksumError(f"state archive is corrupt: {reason}")
 
-    Raises :class:`StateChecksumError` when the archive's contents do
-    not hash to the stored checksum — a torn write, truncated pipe
-    payload or flipped bit must never load as plausible weights — and
-    also when the payload is not even a readable npz (truncation often
-    destroys the zip directory before the checksum can be compared).
-    Archives without a checksum entry (written by older versions) load
-    unverified.
+
+def _parse_header(header: bytes) -> List[Tuple[str, np.dtype, Tuple[int, ...], int]]:
+    """Validated ``(name, dtype, shape, nbytes)`` entries of a header.
+
+    Nothing is allocated from the entries here: a dtype must be a known
+    non-object type, every dim a non-negative integer, every name unique.
     """
+    try:
+        raw = json.loads(header.decode("utf8"))
+    except (UnicodeDecodeError, ValueError):
+        raise _corrupt("header is not valid JSON") from None
+    if not isinstance(raw, list):
+        raise _corrupt("header is not a list of entries")
+    entries = []
+    names = set()
+    for entry in raw:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise _corrupt(f"malformed header entry {entry!r}")
+        name, descr, shape = entry
+        if not isinstance(name, str) or name in names:
+            raise _corrupt(f"bad or duplicate entry name {name!r}")
+        names.add(name)
+        if not isinstance(descr, str):
+            raise _corrupt(f"entry {name!r} has dtype {descr!r}")
+        try:
+            dtype = np.dtype(descr)
+        except (TypeError, ValueError):
+            raise _corrupt(f"entry {name!r} has unknown dtype {descr!r}") from None
+        if dtype.hasobject or dtype.subdtype is not None:
+            raise _corrupt(f"entry {name!r} has unsupported dtype {descr!r}")
+        if not isinstance(shape, list) or not all(
+            type(dim) is int and dim >= 0 for dim in shape
+        ):
+            raise _corrupt(f"entry {name!r} has invalid shape {shape!r}")
+        count = 1
+        for dim in shape:
+            count *= dim
+        entries.append((name, dtype, tuple(shape), count * dtype.itemsize))
+    return entries
+
+
+def _from_block(payload: bytes) -> Dict[str, np.ndarray]:
+    """Decode a payload in the one-block layout (it starts with :data:`MAGIC`)."""
+    size = len(payload)
+    if size < _PREFIX + _CRC.size:
+        raise _corrupt(f"{size} bytes is shorter than the fixed framing")
+    body = memoryview(payload)[: size - _CRC.size]
+    (stored,) = _CRC.unpack_from(payload, size - _CRC.size)
+    actual = zlib.crc32(body)
+    if actual != stored:
+        raise StateChecksumError(
+            f"state archive checksum mismatch: stored crc32={stored:#010x} "
+            f"but contents hash to {actual:#010x} — the archive is corrupt "
+            "(torn write, truncation or bit flip); refusing to load garbage weights"
+        )
+    (header_size,) = _LENGTH.unpack_from(payload, len(MAGIC))
+    if header_size > len(body) - _PREFIX:
+        raise _corrupt(f"header length {header_size} overruns the payload")
+    data_start = _PREFIX + header_size
+    entries = _parse_header(bytes(body[_PREFIX:data_start]))
+    claimed = sum(nbytes for _, _, _, nbytes in entries)
+    if claimed != len(body) - data_start:
+        raise _corrupt(
+            f"header claims {claimed} data bytes but the data block holds "
+            f"{len(body) - data_start}"
+        )
+    state: Dict[str, np.ndarray] = {}
+    offset = data_start
+    for name, dtype, shape, nbytes in entries:
+        if dtype.itemsize == 0:
+            state[name] = np.empty(shape, dtype=dtype)
+            continue
+        count = nbytes // dtype.itemsize
+        view = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+        state[name] = view.reshape(shape).copy()
+        offset += nbytes
+    return state
+
+
+def _from_npz(payload: bytes) -> Dict[str, np.ndarray]:
+    """Decode a legacy npz archive, verifying its ``__crc32__`` when present."""
     try:
         with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
             state = {key: archive[key] for key in archive.files}
-    except StateChecksumError:
-        raise
     except Exception as error:
         # Corruption can land anywhere in the zip structure, so the
         # parse failures are legion (BadZipFile, zlib.error, KeyError,
@@ -124,6 +247,21 @@ def state_from_bytes(payload: bytes) -> Dict[str, np.ndarray]:
                 "(torn write or bit flip); refusing to load garbage weights"
             )
     return state
+
+
+def state_from_bytes(payload: bytes) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`state_to_bytes`; verifies the archive's CRC32.
+
+    Raises :class:`StateChecksumError` when the payload is truncated,
+    malformed or does not hash to its stored checksum — a torn write,
+    truncated pipe payload or flipped bit must never load as plausible
+    weights. A payload without :data:`MAGIC` is read as a legacy npz
+    archive (verified when it carries ``__crc32__``); one that is not
+    even a zip raises :class:`StateChecksumError` too.
+    """
+    if bytes(payload[: len(MAGIC)]) == MAGIC:
+        return _from_block(payload)
+    return _from_npz(payload)
 
 
 def save_state(path: PathLike, state: Dict[str, np.ndarray]) -> None:

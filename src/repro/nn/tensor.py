@@ -95,6 +95,18 @@ def _row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is a basic numpy index: ints, slices, ``...``, ``None``."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None
+        or item is Ellipsis
+        or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+        for item in items
+    )
+
+
 def _graphless(data: np.ndarray) -> "Tensor":
     """Fast Tensor constructor for op results on the inference path.
 
@@ -557,10 +569,16 @@ class Tensor:
         out_data = self.data[index]
         if not self._needs_graph():
             return _graphless(np.asarray(out_data))
+        basic = _is_basic_index(index)
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
+            if basic:
+                # A basic index selects each element at most once, so one
+                # in-place add onto +0.0 gives add.at's exact result.
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)  # advanced indices may repeat
             self._accumulate(full)
 
         return self._make(out_data, (self,), backward)

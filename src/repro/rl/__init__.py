@@ -9,7 +9,6 @@ from .evaluate import evaluate
 from .vec import (
     BlockRNG,
     VecEnvPool,
-    assemble_segments,
     collect_segments_vec,
     split_rng,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "WorkerCrashed",
     "WorkerStepError",
     "WorkerTimeout",
-    "assemble_segments",
     "assert_segments_identical",
     "collect_rollout_mode",
     "collect_segment",

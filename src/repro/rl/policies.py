@@ -187,8 +187,8 @@ class ActorCriticBase(nn.Module):
         (:mod:`repro.rl.vec`): every number is **bit-identical** to calling
         ``evaluate_segment(segments[k], user_idxs[k])`` one segment at a
         time, because each row's arithmetic never mixes users across
-        segments (group-level context is computed per segment) and all
-        matmuls are batch-length independent row-wise.
+        segments (group-level context is computed per group, one segment
+        per group) and all matmuls are batch-length independent row-wise.
 
         All segments must share one horizon — :class:`repro.rl.ppo.PPO`
         buckets ragged segments by length before calling this. The base
@@ -314,8 +314,10 @@ class RecurrentActorCritic(ActorCriticBase):
 
     Subclasses provide a per-step group context by overriding
     :meth:`_rollout_context` (numpy, no grad) and
-    :meth:`_segment_context` (Tensor sequence, with grad); the base class
-    uses an empty context, which recovers the DR-OSI architecture.
+    :meth:`_segment_context` (Tensor sequence, with grad), and may
+    override :meth:`_segments_context` to compute several segments'
+    context in fewer passes; the base class uses an empty context, which
+    recovers the DR-OSI architecture.
     """
 
     recurrent = True
@@ -365,6 +367,23 @@ class RecurrentActorCritic(ActorCriticBase):
         it broadcasts over the user axis during evaluation.
         """
         return None
+
+    def _segments_context(self, segments: Sequence[RolloutSegment]) -> Optional[nn.Tensor]:
+        """Context of several same-length segments, ``[K, T, context_dim]`` or None.
+
+        Row k is :meth:`_segment_context` of ``segments[k]``; the base
+        computes them one segment at a time, in order, so any
+        embedding-noise stream advances exactly as sequential evaluation
+        would. :class:`~repro.core.policy.Sim2RecPolicy` overrides it
+        with one SADAE pass per run of equal-cardinality segments.
+        """
+        contexts = [self._segment_context(segment) for segment in segments]
+        have_context = [c is not None for c in contexts]
+        if not any(have_context):
+            return None
+        if not all(have_context):
+            raise RuntimeError("segments disagree on context availability")
+        return nn.stack(contexts, axis=0)
 
     # ------------------------------------------------------------------
     def start_rollout(self, num_users: int) -> None:
@@ -485,29 +504,26 @@ class RecurrentActorCritic(ActorCriticBase):
 
         The forward is bit-identical to per-segment
         :meth:`evaluate_segment` because (a) the recurrent state of row i
-        only ever reads row i, (b) group-level context is computed per
-        segment, in segment order, so any embedding-noise stream advances
-        exactly as the sequential loop would, (c) context tiling uses
-        :func:`repro.nn.tile_rows`, whose forward is value-identical to
-        the per-user concat tiling, and (d) every matmul is batch-length
-        independent row-wise. Gradients sum the same terms in another
-        order and agree to ≤1e-10 relative (``tests/rl/test_batched_eval.py``).
+        only ever reads row i, (b) group-level context comes from
+        :meth:`_segments_context`, which draws any embedding noise in
+        segment order exactly as the sequential loop would (the Sim2Rec
+        policy computes it per run of equal-cardinality segments), (c)
+        context tiling uses :func:`repro.nn.tile_rows`, whose forward is
+        value-identical to the per-user concat tiling, and (d) every
+        matmul is batch-length independent row-wise. Gradients sum the
+        same terms in another order and agree to ≤1e-10 relative
+        (``tests/rl/test_batched_eval.py``).
         """
         t = self._check_equal_horizons(segments)
         counts = [len(idx) for idx in user_idxs]
         total = sum(counts)
-        # Per-segment context first (in order): each call may consume the
-        # embedding-noise stream, and the draws must happen segment by
-        # segment exactly like sequential evaluation.
-        context_seqs = [self._segment_context(segment) for segment in segments]
-        have_context = [c is not None for c in context_seqs]
-        if any(have_context) and not all(have_context):
-            raise RuntimeError("segments disagree on context availability")
+        # Context first: it may consume the embedding-noise stream.
+        contexts = self._segments_context(segments)
         states_t = nn.Tensor(_stacked_rows(segments, user_idxs, "states"))
         parts = [states_t, nn.Tensor(_stacked_rows(segments, user_idxs, "prev_actions"))]
-        if all(have_context):
+        if contexts is not None:
             # Row (step, k) holds segment k's context at that step.
-            step_rows = nn.stack(context_seqs, axis=1).reshape(
+            step_rows = contexts.transpose(1, 0, 2).reshape(
                 t * len(segments), self.context_dim
             )
             parts.append(nn.tile_rows(step_rows, counts * t))

@@ -420,7 +420,7 @@ def _collect_impl(
         "log_probs": np.stack(seq_log_probs),
     }
     stacked_extras = {key: np.stack(value) for key, value in seq_extras.items()}
-    return assemble_segments(
+    return _assemble_segments(
         stacked, stacked_extras, lengths, last_values, pool.slices, pool.group_id
     )
 
@@ -436,7 +436,7 @@ TRAJECTORY_FIELDS = (
 )
 
 
-def assemble_segments(
+def _assemble_segments(
     stacked: Dict[str, np.ndarray],
     stacked_extras: Dict[str, np.ndarray],
     lengths: Sequence[Optional[int]],
@@ -449,8 +449,7 @@ def assemble_segments(
     ``stacked`` holds one time-major ``[T, total_users, ...]`` array per
     :data:`TRAJECTORY_FIELDS` entry; env ``k`` owns user rows
     ``slices[k]`` and its first ``lengths[k]`` timesteps (rows past an
-    env's own end are ignored). Used by the in-process collector
-    (:func:`collect_segments_vec`).
+    env's own end are ignored).
     """
     segments: List[RolloutSegment] = []
     for index, gid in enumerate(group_ids):

@@ -9,8 +9,8 @@
 default spec of one family (a valid ``--scenario`` starting point), and
 ``train`` runs a short Algorithm-1 loop on any registered scenario and
 evaluates the policy zero-shot in the scenario's target environment.
-``train --checkpoint run.npz`` snapshots the run after every iteration
-(``--checkpoint-every`` to thin); ``train --checkpoint run.npz
+``train --checkpoint run.ckpt`` snapshots the run after every iteration
+(``--checkpoint-every`` to thin); ``train --checkpoint run.ckpt
 --resume`` restores the snapshot and continues on the unbroken run's
 exact trajectory (see :mod:`repro.core.checkpoint`).
 """

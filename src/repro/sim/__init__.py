@@ -2,7 +2,7 @@
 
 from .dataset import GroupTrajectories, TrajectoryDataset
 from .ensemble import SimulatorEnsemble, build_simulator_set
-from .env_wrapper import SimulatedDPREnv, make_simulated_pool
+from .env_wrapper import SimulatedDPREnv
 from .learner import (
     SimulatorLearnerConfig,
     UserSimulator,
@@ -31,6 +31,5 @@ __all__ = [
     "UserSimulator",
     "build_simulator_set",
     "heldout_log_likelihood",
-    "make_simulated_pool",
     "train_user_simulator",
 ]

@@ -26,7 +26,6 @@ from .. import nn
 from ..envs.base import MultiUserEnv
 from ..envs.dpr import COST_RATE, DPRFeaturizer, FEEDBACK_DIM, HISTORY_DAYS
 from ..envs.spaces import Box
-from ..rl.vec import VecEnvPool
 from ..utils.seeding import make_rng
 from .dataset import GroupTrajectories
 from .ensemble import SimulatorEnsemble
@@ -283,32 +282,3 @@ class _SimulatedDPRBatchStepper:
                 info["uncertainty"] = np.asarray(uncertainty)[block].copy()
             infos.append(info)
         return self._states.copy(), rewards, dones, infos
-
-
-def make_simulated_pool(
-    simulator: UserSimulator,
-    group_logs: Sequence[GroupTrajectories],
-    truncate_horizon: int = 5,
-    alpha1: float = 1.0,
-    ensemble: Optional[SimulatorEnsemble] = None,
-    seed: Optional[int] = None,
-) -> VecEnvPool:
-    """All cities of a logged dataset under one sampled simulator M_ω.
-
-    The canonical batched cross-city rollout setup: one
-    :class:`SimulatedDPREnv` per group, stacked on the user axis so
-    :func:`repro.rl.vec.collect_segments_vec` drives every city with a
-    single ``act`` call per timestep.
-    """
-    envs = [
-        SimulatedDPREnv(
-            simulator,
-            log,
-            truncate_horizon=truncate_horizon,
-            alpha1=alpha1,
-            ensemble=ensemble,
-            seed=None if seed is None else seed + index,
-        )
-        for index, log in enumerate(group_logs)
-    ]
-    return VecEnvPool(envs)

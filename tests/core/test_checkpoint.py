@@ -75,6 +75,34 @@ class TestResumeTrajectory:
         for key in expected:
             np.testing.assert_array_equal(resumed[key], expected[key], err_msg=key)
 
+    def test_legacy_npz_checkpoint_resumes_on_the_unbroken_trajectory(self, tmp_path):
+        """A checkpoint in the earlier npz layout (one member per array
+        plus ``__crc32__``) still loads, verifies and resumes exactly."""
+        from repro.nn import load_state
+        from repro.nn.serialization import CHECKSUM_KEY, _state_crc32
+
+        path = tmp_path / "run.npz"
+        with scenario_trainer() as trainer:
+            trainer.pretrain_sadae(epochs=2)
+            unbroken = run_iterations(trainer, 4)
+            expected = final_params(trainer)
+        with scenario_trainer() as trainer:
+            trainer.pretrain_sadae(epochs=2)
+            head = run_iterations(trainer, 2)
+            trainer.save_checkpoint(path)
+        state = load_state(path)
+        checksum = np.array([_state_crc32(state)], dtype=np.uint32)
+        with open(path, "wb") as handle:
+            np.savez(handle, **state, **{CHECKSUM_KEY: checksum})
+        assert path.read_bytes()[:2] == b"PK"  # a zip, not the one-block layout
+        with scenario_trainer() as trainer:
+            assert trainer.load_checkpoint(path) == 2
+            tail = run_iterations(trainer, 2)
+            resumed = final_params(trainer)
+        assert head + tail == unbroken
+        for key in expected:
+            np.testing.assert_array_equal(resumed[key], expected[key], err_msg=key)
+
     def test_lts_trainer_resumes_exactly(self, tmp_path):
         path = tmp_path / "lts.npz"
         unbroken_trainer = lts_trainer()

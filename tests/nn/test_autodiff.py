@@ -208,6 +208,49 @@ class TestShapeOps:
         )
 
 
+#: Basic indices (the backward adds in place) and advanced ones, some
+#: with repeated positions (the backward keeps ``np.add.at``).
+GETITEM_INDICES = {
+    "int": 2,
+    "numpy_int": np.int64(-1),
+    "slice": slice(1, 4),
+    "strided_slice": slice(None, None, -2),
+    "int_and_slice": (1, slice(0, 3)),
+    "ellipsis": (Ellipsis, 1),
+    "newaxis": (None, slice(2, 5), 0),
+    "empty_tuple": (),
+    "empty_slice": slice(3, 3),
+    "repeated_rows": np.array([1, 1, 4, 1]),
+    "repeated_pairs": (np.array([0, 0, 2]), np.array([1, 1, 2])),
+    "boolean_mask": np.array([True, False, True, False, True]),
+    "list_with_slice": ([3, 0, 3], slice(None)),
+}
+
+
+class TestGetitemBackward:
+    """Every index's gradient is bit-identical to an ``np.add.at`` scatter,
+    signed zeros included."""
+
+    @pytest.mark.parametrize("name", sorted(GETITEM_INDICES))
+    def test_matches_add_at_bitwise(self, name):
+        index = GETITEM_INDICES[name]
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((5, 3, 2)), requires_grad=True)
+        out = x[index]
+        cotangent = rng.standard_normal(out.shape)
+        if cotangent.size:
+            cotangent.reshape(-1)[0] = -0.0
+        out.backward(cotangent)
+        reference = np.zeros_like(x.data)
+        np.add.at(reference, index, cotangent)
+        assert x.grad.tobytes() == reference.tobytes()
+
+    def test_negative_zero_gradient_lands_as_positive_zero(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        x[1:].backward(np.array([-0.0, -0.0]))
+        assert not np.signbit(x.grad).any()
+
+
 class TestGraphMechanics:
     def test_reused_node_accumulates(self):
         t = Tensor(np.array([3.0]), requires_grad=True)

@@ -180,6 +180,18 @@ UNROLL_GRID = pytest.mark.parametrize(
     "kind,batch,steps",
     [(kind, b, t) for kind in CELLS for b in (1, 5) for t in (1, 7)],
 )
+#: The grid plus the shape the slate training workload unrolls
+#: (10 users, horizon 30, 32 hidden units).
+UNROLL_GRID_WITH_TRAIN_SHAPE = pytest.mark.parametrize(
+    "kind,batch,steps,hidden",
+    [
+        pytest.param(kind, b, t, 4, id=f"{kind}-{b}-{t}")
+        for kind in CELLS
+        for b in (1, 5)
+        for t in (1, 7)
+    ]
+    + [pytest.param(kind, 10, 30, 32, id=f"{kind}-10-30-h32") for kind in CELLS],
+)
 
 
 def _setup(kind, batch, steps, input_size=3, hidden=4):
@@ -195,9 +207,9 @@ class TestFusedUnroll:
     forward is bit-identical to the per-step graph and its gradients sum
     the same terms in another order (≤1e-10 relative)."""
 
-    @UNROLL_GRID
-    def test_forward_bit_equal_to_cell_loop(self, kind, batch, steps):
-        cell, x, _ = _setup(kind, batch, steps)
+    @UNROLL_GRID_WITH_TRAIN_SHAPE
+    def test_forward_bit_equal_to_cell_loop(self, kind, batch, steps, hidden):
+        cell, x, _ = _setup(kind, batch, steps, hidden=hidden)
         reference = _cell_loop(cell, Tensor(x, requires_grad=True))
         fused = cell.unroll(Tensor(x, requires_grad=True))
         assert fused.shape == (steps, batch, cell.hidden_size)
@@ -207,9 +219,9 @@ class TestFusedUnroll:
         assert not graphless.requires_grad
         np.testing.assert_array_equal(graphless.data, reference.data)
 
-    @UNROLL_GRID
-    def test_backward_matches_cell_loop(self, kind, batch, steps):
-        cell, x, cotangent = _setup(kind, batch, steps)
+    @UNROLL_GRID_WITH_TRAIN_SHAPE
+    def test_backward_matches_cell_loop(self, kind, batch, steps, hidden):
+        cell, x, cotangent = _setup(kind, batch, steps, hidden=hidden)
         ref_params, ref_x = _gradients(cell, _cell_loop, x, cotangent)
         params, grad_x = _gradients(cell, type(cell).unroll, x, cotangent)
         assert params.keys() == ref_params.keys()

@@ -209,9 +209,43 @@ class TestBatchedGradients:
             assert np.max(np.abs(actual[name] - grad)) <= 1e-10 * scale, name
         assert any(np.any(g != 0) for n, g in expected.items() if n.startswith("sadae."))
 
-    def test_one_sadae_context_per_segment(self, monkeypatch):
-        """The T per-step SADAE sets of a segment go through one stacked
-        ``embed_tensor`` call (the per-step path made T)."""
+    def test_sim2rec_gradients_match_per_segment_on_ragged_runs(self):
+        """Group sizes 7, 7, 5, 5, 7: three stacked SADAE runs, same
+        gradients as one segment at a time."""
+        policy = sim2rec_policy("lstm")
+        seven = collect_world_segments(make_world(), policy)
+        five = collect_world_segments(make_world(drivers_per_city=5, seed=4), policy)
+        segments = [seven[0], seven[1], five[0], five[1], seven[2]]
+        idxs = [np.arange(s.num_users)[::2] for s in segments]
+        total = sum(len(idx) for idx in idxs)
+        rng = np.random.default_rng(13)
+        cotangents = [rng.standard_normal((segments[0].horizon, total)) for _ in range(3)]
+
+        def batched():
+            return zip(policy.evaluate_segments_batched(segments, idxs), cotangents)
+
+        def per_segment():
+            offset = 0
+            for segment, idx in zip(segments, idxs):
+                block = slice(offset, offset + len(idx))
+                yield from zip(
+                    policy.evaluate_segment(segment, idx), (c[:, block] for c in cotangents)
+                )
+                offset += len(idx)
+
+        expected = parameter_gradients(policy, per_segment)
+        actual = parameter_gradients(policy, batched)
+        for name, grad in expected.items():
+            scale = np.max(np.abs(grad))
+            assert np.max(np.abs(actual[name] - grad)) <= 1e-10 * scale, name
+        assert any(np.any(g != 0) for n, g in expected.items() if n.startswith("sadae."))
+
+    @pytest.mark.parametrize("layout", ["equal", "ragged"])
+    def test_one_sadae_context_per_cardinality_run(self, monkeypatch, layout):
+        """Each run of consecutive equal-cardinality segments goes through
+        one stacked ``embed_tensor`` call of shape ``(S·T, N, d)`` (the
+        per-segment path made one call per segment), and the υ-noise
+        stream ends where the per-segment path leaves it."""
         calls = []
         original = SADAE.embed_tensor
 
@@ -221,12 +255,26 @@ class TestBatchedGradients:
 
         monkeypatch.setattr(SADAE, "embed_tensor", counting)
         policy = sim2rec_policy("lstm")
-        segments = collect_world_segments(make_world(), policy)
+        seven = collect_world_segments(make_world(), policy)
+        if layout == "equal":
+            segments = seven
+            expected = [(4 * 6, 7, 13)]
+        else:
+            # DPR-style ragged group sizes: runs (7, 7), (5, 5) and (7).
+            five = collect_world_segments(make_world(drivers_per_city=5, seed=4), policy)
+            segments = [seven[0], seven[1], five[0], five[1], seven[2]]
+            expected = [(2 * 6, 7, 13), (2 * 6, 5, 13), (6, 7, 13)]
+        idxs = [np.arange(s.num_users) for s in segments]
+        assert_batched_eval_identical(policy, segments, idxs)
+        policy._eval_rng = np.random.default_rng(7)
+        for segment, idx in zip(segments, idxs):
+            policy.evaluate_segment(segment, idx)
+        per_segment_end = policy._eval_rng.bit_generator.state
+        policy._eval_rng = np.random.default_rng(7)
         calls.clear()
-        policy.evaluate_segments_batched(
-            segments, [np.arange(s.num_users) for s in segments]
-        )
-        assert calls == [segments[0].states.shape] * len(segments)
+        policy.evaluate_segments_batched(segments, idxs)
+        assert calls == expected
+        assert policy._eval_rng.bit_generator.state == per_segment_end
 
 
 def fresh_policy_and_segments(batch_segments, num_segments=3, horizon=5, seed=9):
