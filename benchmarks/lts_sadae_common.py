@@ -6,8 +6,9 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core import SADAE, SADAEConfig, collect_lts_state_sets, train_sadae
+from repro.core import SADAE, SADAEConfig, train_sadae
 from repro.envs import LTSConfig, LTSEnv, make_lts_task
+from repro.scenarios import collect_scenario_state_sets, make_scenario
 
 STATE_DIM = 2
 OBS_NOISE_STD = 2.0  # o ~ N(μ_c, 4)
@@ -15,9 +16,11 @@ OBS_NOISE_STD = 2.0  # o ~ N(μ_c, 4)
 
 def build_lts3_corpus(num_users: int = 150, steps_per_env: int = 6, seed: int = 0):
     """State sets from every LTS3 training simulator, tagged with ω_g."""
-    task = make_lts_task("LTS3", num_users=num_users, horizon=steps_per_env, seed=seed)
-    sets = collect_lts_state_sets(
-        task, users_per_set=num_users, steps_per_env=steps_per_env,
+    params = {"num_users": num_users, "horizon": steps_per_env, "seed": seed}
+    task = make_lts_task("LTS3", **params)
+    sets = collect_scenario_state_sets(
+        make_scenario({"family": "lts", "task": "LTS3", **params}),
+        steps_per_env=steps_per_env,
         rng=np.random.default_rng(seed),
     )
     omega_tags = [

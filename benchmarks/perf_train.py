@@ -148,14 +148,14 @@ def bench_ppo_update(
     return result
 
 
-def bench_sadae_epoch(name: str, num_sets: int, users_per_set: int, repeats: int) -> dict:
+def bench_sadae_epoch(name: str, num_sets: int, set_size: int, repeats: int) -> dict:
     """Time SADAE epochs with per-set vs set-batched ELBO forwards."""
     rng = np.random.default_rng(0)
     sets = []
     for _ in range(num_sets):
         mean = rng.uniform(-2, 2, 2)
         sets.append(
-            (rng.normal(mean, 1.0, (users_per_set, 2)), rng.normal(0, 1, (users_per_set, 1)))
+            (rng.normal(mean, 1.0, (set_size, 2)), rng.normal(0, 1, (set_size, 1)))
         )
     sadae = SADAE(
         2,
@@ -190,14 +190,14 @@ def bench_sadae_epoch(name: str, num_sets: int, users_per_set: int, repeats: int
         "name": name,
         "kind": "sadae_epoch",
         "num_sets": num_sets,
-        "users_per_set": users_per_set,
+        "set_size": set_size,
         "sequential_s": round(sequential, 6),
         "batched_s": round(batched, 6),
         "speedup": round(sequential / batched, 3),
         "equivalent": True,
     }
     print(
-        f"[{name}] {num_sets} sets x {users_per_set} users: "
+        f"[{name}] {num_sets} sets x {set_size} users: "
         f"seq={sequential:.3f}s batched={batched:.3f}s -> {result['speedup']:.2f}x"
     )
     return result
@@ -222,7 +222,7 @@ def main() -> None:
                 "smoke_ppo", DPRConfig(num_cities=6, drivers_per_city=6, horizon=8, seed=0),
                 horizon=5, repeats=repeats,
             ),
-            bench_sadae_epoch("smoke_sadae", num_sets=8, users_per_set=40, repeats=repeats),
+            bench_sadae_epoch("smoke_sadae", num_sets=8, set_size=40, repeats=repeats),
             bench_ppo_update(
                 "smoke_sim2rec_ppo",
                 DPRConfig(num_cities=6, drivers_per_city=6, horizon=8, seed=0),
@@ -245,7 +245,7 @@ def main() -> None:
                 DPRConfig(num_cities=48, drivers_per_city=5, horizon=12, seed=0),
                 horizon=10, repeats=repeats,
             ),
-            bench_sadae_epoch("sadae_corpus", num_sets=48, users_per_set=100, repeats=repeats),
+            bench_sadae_epoch("sadae_corpus", num_sets=48, set_size=100, repeats=repeats),
             # The many-city buffer again, through the Sim2Rec policy: the
             # stacked path also batches each segment's SADAE context.
             bench_ppo_update(

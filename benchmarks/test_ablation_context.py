@@ -16,10 +16,11 @@ paper's harder DPR setting needs SADAE).
 
 import numpy as np
 
-from repro.core import Sim2RecLTSTrainer, build_sim2rec_policy, lts_small_config
+from repro.core import lts_small_config
 from repro.envs import make_lts_task
 from repro.rl import evaluate
 from repro.rl import RecurrentActorCritic
+from repro.scenarios import trainer_from_config
 
 from .conftest import print_table
 
@@ -59,8 +60,7 @@ def evaluate_on_target(task, policy) -> float:
 
 
 def run_experiment():
-    task = make_lts_task(
-        "LTS3",
+    task_params = dict(
         num_users=NUM_USERS,
         horizon=HORIZON,
         seed=5,
@@ -68,14 +68,16 @@ def run_experiment():
         sensitivity_range=(0.25, 0.4),
         memory_discount_range=(0.7, 0.8),
     )
+    task = make_lts_task("LTS3", **task_params)
     config = lts_small_config(seed=5)
     results = {}
 
-    sadae_policy = build_sim2rec_policy(2, 1, config)
-    sadae_trainer = Sim2RecLTSTrainer(sadae_policy, task, config)
-    sadae_trainer.pretrain_sadae(epochs=20, users_per_set=NUM_USERS)
+    sadae_trainer = trainer_from_config(
+        config, {"family": "lts", "task": "LTS3", **task_params}
+    )
+    sadae_trainer.pretrain_sadae(epochs=20)
     sadae_trainer.train(ITERATIONS)
-    results["SADAE context"] = evaluate_on_target(task, sadae_policy)
+    results["SADAE context"] = evaluate_on_target(task, sadae_trainer.sim2rec_policy)
 
     from repro.core.trainer import PolicyTrainer
 

@@ -30,9 +30,10 @@ from repro.baselines import (
     make_dr_osi_trainer,
     make_dr_uni_trainer,
 )
-from repro.core import Sim2RecLTSTrainer, build_sim2rec_policy, lts_small_config
+from repro.core import lts_small_config
 from repro.envs import make_lts_task
 from repro.rl import evaluate
+from repro.scenarios import trainer_from_config
 
 from .conftest import print_table
 
@@ -43,6 +44,14 @@ MLP_ITERATIONS = 50
 RECURRENT_ITERATIONS = 30
 EVAL_EPISODES = 3
 TASKS = ("LTS1", "LTS2", "LTS3")
+TASK_PARAMS = dict(
+    num_users=NUM_USERS,
+    horizon=HORIZON,
+    seed=0,
+    observation_noise_std=OBS_NOISE,
+    sensitivity_range=(0.25, 0.4),
+    memory_discount_range=(0.7, 0.8),
+)
 
 
 def evaluate_on_target(task, policy) -> float:
@@ -55,15 +64,7 @@ def evaluate_on_target(task, policy) -> float:
 
 
 def run_task(task_name: str) -> dict:
-    task = make_lts_task(
-        task_name,
-        num_users=NUM_USERS,
-        horizon=HORIZON,
-        seed=0,
-        observation_noise_std=OBS_NOISE,
-        sensitivity_range=(0.25, 0.4),
-        memory_discount_range=(0.7, 0.8),
-    )
+    task = make_lts_task(task_name, **TASK_PARAMS)
     config = lts_small_config(seed=0)
     results = {}
 
@@ -86,11 +87,12 @@ def run_task(task_name: str) -> dict:
     dr_osi_trainer.train(RECURRENT_ITERATIONS)
     results["DR-OSI"] = evaluate_on_target(task, dr_osi_trainer.policy)
 
-    sim2rec_policy = build_sim2rec_policy(2, 1, config)
-    sim2rec_trainer = Sim2RecLTSTrainer(sim2rec_policy, task, config)
-    sim2rec_trainer.pretrain_sadae(epochs=20, users_per_set=NUM_USERS)
+    sim2rec_trainer = trainer_from_config(
+        config, {"family": "lts", "task": task_name, **TASK_PARAMS}
+    )
+    sim2rec_trainer.pretrain_sadae(epochs=20)
     sim2rec_trainer.train(RECURRENT_ITERATIONS)
-    results["Sim2Rec"] = evaluate_on_target(task, sim2rec_policy)
+    results["Sim2Rec"] = evaluate_on_target(task, sim2rec_trainer.sim2rec_policy)
 
     return results
 

@@ -12,9 +12,9 @@ Paper claims:
 
 import numpy as np
 
-from repro.core import Sim2RecLTSTrainer, build_sim2rec_policy, lts_small_config
-from repro.envs import make_lts_task
+from repro.core import lts_small_config
 from repro.rl import evaluate
+from repro.scenarios import trainer_from_config
 
 from .conftest import print_table
 
@@ -26,24 +26,25 @@ BETAS = (0.0, 4.0, 8.0)
 
 
 def train_sim2rec(beta: float, resample_users: bool) -> float:
-    task = make_lts_task(
-        "LTS3",
-        beta=beta if beta > 0 else None,
-        num_users=NUM_USERS,
-        horizon=HORIZON,
-        seed=3,
-        observation_noise_std=OBS_NOISE,
-        sensitivity_range=(0.25, 0.4),
-        memory_discount_range=(0.7, 0.8),
-    )
-    config = lts_small_config(seed=3)
-    policy = build_sim2rec_policy(2, 1, config)
-    trainer = Sim2RecLTSTrainer(policy, task, config, resample_users=resample_users)
-    trainer.pretrain_sadae(epochs=15, users_per_set=NUM_USERS)
+    spec = {
+        "family": "lts",
+        "task": "LTS3",
+        "beta": beta if beta > 0 else None,
+        "num_users": NUM_USERS,
+        "horizon": HORIZON,
+        "seed": 3,
+        "observation_noise_std": OBS_NOISE,
+        "sensitivity_range": (0.25, 0.4),
+        "memory_discount_range": (0.7, 0.8),
+        "resample_users": resample_users,
+    }
+    trainer = trainer_from_config(lts_small_config(seed=3), spec)
+    trainer.pretrain_sadae(epochs=15)
     trainer.train(ITERATIONS)
+    policy = trainer.sim2rec_policy
     returns = []
     for episode_seed in range(3):
-        env = task.make_target_env(seed_offset=2000 + episode_seed)
+        env = trainer.scenario.make_target_env(seed_offset=2000 + episode_seed)
         act_fn = policy.as_act_fn(np.random.default_rng(episode_seed), deterministic=True)
         returns.append(evaluate(act_fn, env, episodes=1))
     return float(np.mean(returns))

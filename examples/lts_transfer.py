@@ -24,54 +24,54 @@ from repro.baselines import (
     make_dr_osi_trainer,
     make_dr_uni_trainer,
 )
-from repro.core import Sim2RecLTSTrainer, build_sim2rec_policy, lts_small_config
+from repro.core import lts_small_config
 from repro.envs import make_lts_task
 from repro.rl import evaluate
+from repro.scenarios import trainer_from_config
 
 MLP_ITERS = 40
 RECURRENT_ITERS = 25
+TASK_PARAMS = dict(
+    num_users=40,
+    horizon=30,
+    seed=1,
+    observation_noise_std=6.0,
+    sensitivity_range=(0.25, 0.4),
+    memory_discount_range=(0.7, 0.8),
+)
 
 
-def evaluate(task, policy) -> float:
+def target_reward(task, policy) -> float:
     env = task.make_target_env(seed_offset=99)
     act_fn = policy.as_act_fn(np.random.default_rng(0), deterministic=True)
     return evaluate(act_fn, env, episodes=2)
 
 
 def main():
-    task = make_lts_task(
-        "LTS2",
-        num_users=40,
-        horizon=30,
-        seed=1,
-        observation_noise_std=6.0,
-        sensitivity_range=(0.25, 0.4),
-        memory_discount_range=(0.7, 0.8),
-    )
+    task = make_lts_task("LTS2", **TASK_PARAMS)
     config = lts_small_config(seed=1)
     results = {}
 
     print("training DIRECT (one wrong simulator, no gap handling) ...")
     direct = make_direct_trainer(2, 1, lts_single_sampler(task, 0), config)
     direct.train(MLP_ITERS)
-    results["DIRECT"] = evaluate(task, direct.policy)
+    results["DIRECT"] = target_reward(task, direct.policy)
 
     print("training DR-UNI (domain randomization, unified policy) ...")
     dr_uni = make_dr_uni_trainer(2, 1, lts_task_sampler(task), config)
     dr_uni.train(MLP_ITERS)
-    results["DR-UNI"] = evaluate(task, dr_uni.policy)
+    results["DR-UNI"] = target_reward(task, dr_uni.policy)
 
     print("training DR-OSI (LSTM extractor, per-user identification) ...")
     dr_osi = make_dr_osi_trainer(2, 1, lts_task_sampler(task), config)
     dr_osi.train(RECURRENT_ITERS)
-    results["DR-OSI"] = evaluate(task, dr_osi.policy)
+    results["DR-OSI"] = target_reward(task, dr_osi.policy)
 
     print("training Sim2Rec (SADAE group embedding + LSTM extractor) ...")
-    policy = build_sim2rec_policy(2, 1, config)
-    sim2rec = Sim2RecLTSTrainer(policy, task, config)
-    sim2rec.pretrain_sadae(epochs=20, users_per_set=40)
+    sim2rec = trainer_from_config(config, {"family": "lts", "task": "LTS2", **TASK_PARAMS})
+    sim2rec.pretrain_sadae(epochs=20)
     sim2rec.train(RECURRENT_ITERS)
-    results["Sim2Rec"] = evaluate(task, policy)
+    results["Sim2Rec"] = target_reward(task, sim2rec.sim2rec_policy)
 
     print("\nzero-shot rewards in the unseen environment (higher is better):")
     for name in ("Sim2Rec", "DR-OSI", "DR-UNI", "DIRECT"):

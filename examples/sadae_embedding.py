@@ -18,10 +18,11 @@ except ImportError:  # running from a checkout: fall back to the src/ layout
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import collect_lts_state_sets, train_sadae
+from repro.core import train_sadae
 from repro.core.sadae import SADAE, SADAEConfig
-from repro.envs import LTSConfig, LTSEnv, MU_C_REAL, make_lts_task
+from repro.envs import LTSConfig, LTSEnv, MU_C_REAL
 from repro.eval import PCA, gaussian_kld
+from repro.scenarios import collect_scenario_state_sets, make_scenario
 
 
 def fresh_states(omega_g: float, num_users: int = 200, seed: int = 50) -> np.ndarray:
@@ -35,9 +36,12 @@ def fresh_states(omega_g: float, num_users: int = 200, seed: int = 50) -> np.nda
 
 
 def main():
-    task = make_lts_task("LTS3", num_users=150, horizon=6, seed=0)
-    sets = collect_lts_state_sets(task, users_per_set=150, steps_per_env=5)
-    print(f"SADAE corpus: {len(sets)} state sets from {task.num_simulators} simulators")
+    scenario = make_scenario(
+        {"family": "lts", "task": "LTS3", "num_users": 150, "horizon": 6, "seed": 0}
+    )
+    sets = collect_scenario_state_sets(scenario, steps_per_env=5)
+    print(f"SADAE corpus: {len(sets)} state sets from "
+          f"{scenario.num_train_envs} simulators")
 
     sadae = SADAE(
         2,

@@ -19,15 +19,12 @@ from ..sim.env_wrapper import SimulatedDPREnv
 from ..sim.learner import UserSimulator
 
 
-def lts_task_sampler(task: LTSTask, resample_users: bool = False) -> EnvSampler:
+def lts_task_sampler(task: LTSTask) -> EnvSampler:
     """Uniform sampling over the task's training simulator set (DR-*)."""
     envs = task.make_train_envs()
 
     def sampler(rng: np.random.Generator) -> MultiUserEnv:
-        env = envs[int(rng.integers(0, len(envs)))]
-        if resample_users:
-            env.resample_user_gaps()
-        return env
+        return envs[int(rng.integers(0, len(envs)))]
 
     return sampler
 

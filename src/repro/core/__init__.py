@@ -27,9 +27,7 @@ from .sadae import SADAE, SADAEConfig, train_sadae
 from .trainer import (
     PolicyTrainer,
     Sim2RecDPRTrainer,
-    Sim2RecLTSTrainer,
     build_sim2rec_policy,
-    collect_lts_state_sets,
 )
 
 __all__ = [
@@ -39,14 +37,12 @@ __all__ = [
     "SADAEConfig",
     "Sim2RecConfig",
     "Sim2RecDPRTrainer",
-    "Sim2RecLTSTrainer",
     "Sim2RecPolicy",
     "TrendFilterResult",
     "apply_exec_filter",
     "apply_uncertainty_penalty",
     "build_sim2rec_policy",
     "checkpoint_iteration",
-    "collect_lts_state_sets",
     "compute_trend_filter",
     "dpr_paper_config",
     "dpr_small_config",

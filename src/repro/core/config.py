@@ -64,8 +64,9 @@ class Sim2RecConfig:
     # A registered-family config dict resolved by repro.scenarios, e.g.
     # {"family": "slate", "num_envs": 48, "num_users": 10}. Consumed by
     # repro.scenarios.trainer_from_config and the
-    # `python -m repro.scenarios train` CLI; the Sim2Rec*Trainer classes
-    # ignore it (their environments are passed explicitly).
+    # `python -m repro.scenarios train` CLI when no spec is passed
+    # explicitly; Sim2RecDPRTrainer and the baseline trainers ignore it
+    # (their environments come from an ensemble or a sampler).
     scenario: Optional[Dict[str, Any]] = None
 
     # --- simulator-error countermeasures (Sec. IV-C) --------------------

@@ -100,8 +100,9 @@ class SADAE(nn.Module):
         self.input_std = np.concatenate([self.state_std, self.action_std])
 
     def normalizer_state(self) -> dict:
-        """The standardisation statistics (not Parameters, so not covered by
-        ``save_module``); persist alongside the weight checkpoint."""
+        """The standardisation statistics. They are not Parameters, so
+        ``state_dict`` misses them; ``Sim2RecPolicy.extra_state`` carries
+        them into replica archives and run checkpoints."""
         return {
             "input_mean": self.input_mean.copy(),
             "input_std": self.input_std.copy(),

@@ -3,8 +3,10 @@
 :class:`PolicyTrainer` implements the shared loop — sample an environment
 from the simulator set, roll out, post-process, PPO-update — which is all
 that DIRECT / DR-UNI / DR-OSI need (they differ only in policy class and
-environment sampler). :class:`Sim2RecLTSTrainer` and
-:class:`Sim2RecDPRTrainer` specialise it into the full Algorithm 1:
+environment sampler). :class:`repro.scenarios.ScenarioTrainer` (any
+registered family, the LTS task sets included) and
+:class:`Sim2RecDPRTrainer` specialise it into the full Algorithm 1, both
+through the one Eq. (8) step :func:`sadae_step`:
 
 1. construct Ω' (done by the caller: LTS task sets / DEMER-style ensemble);
 2. sample a simulator M_ω ~ p(Ω) and a group g ~ p(g)          (lines 4–5);
@@ -24,7 +26,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..envs.base import MultiUserEnv
-from ..envs.lts_tasks import LTSTask
 from ..obs import JSONLMetricsSink, MetricsRegistry, PHASE_SECONDS_BUCKETS
 from ..rl.buffer import RolloutBuffer, RolloutSegment
 from ..rl.policies import ActorCriticBase
@@ -44,7 +45,7 @@ from .filters import (
     filter_group_log,
 )
 from .policy import Sim2RecPolicy
-from .sadae import train_sadae
+from .sadae import SADAE, StateActionSet, train_sadae
 
 EnvSampler = Callable[[np.random.Generator], MultiUserEnv]
 
@@ -177,8 +178,13 @@ class PolicyTrainer:
     def post_process_segment(self, segment: RolloutSegment, env: MultiUserEnv) -> None:
         """Reward/done post-processing before GAE (Alg. 1 lines 8–9)."""
 
-    def after_update(self) -> None:
-        """Extra learning steps after PPO (the Eq. 8 SADAE update)."""
+    def after_update(self) -> List[float]:
+        """Extra learning steps after PPO (the Eq. 8 SADAE update).
+
+        Returns the step's per-epoch losses, empty when no update ran;
+        :meth:`train_iteration` logs their mean as ``sadae_loss``.
+        """
+        return []
 
     # The collect schedule: sample -> roll out -> post-process ----------
     def collect(self) -> Tuple[RolloutBuffer, List[float]]:
@@ -245,7 +251,7 @@ class PolicyTrainer:
             with self._phase_timer("update"):
                 stats = self.ppo.update(buffer)
             with self._phase_timer("sadae"):
-                self.after_update()
+                sadae_losses = self.after_update()
         except TrainingDiverged as error:
             path = config.checkpoint_path
             if self._last_checkpoint is None:
@@ -263,6 +269,10 @@ class PolicyTrainer:
             "shaped_reward": buffer.mean_reward(),
             **stats,
         }
+        # No update, no key: the mean of nothing would log NaN. A
+        # non-finite SADAE loss raised TrainingDiverged above.
+        if sadae_losses:
+            metrics["sadae_loss"] = float(np.mean(sadae_losses))
         iteration = self._iteration
         self.logger.log(iteration, **metrics)
         self._iteration += 1
@@ -321,158 +331,30 @@ class PolicyTrainer:
         return load_checkpoint(path, self)
 
 
-def env_population_extra_state(
-    envs: Sequence[MultiUserEnv],
-    recent_sets: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
-) -> Dict[str, np.ndarray]:
-    """Checkpoint payload for trainers over a shared env population.
+def sadae_step(
+    sadae: SADAE,
+    sets: Sequence[StateActionSet],
+    config: Sim2RecConfig,
+    rng: np.random.Generator,
+) -> List[float]:
+    """The Eq. (8) step of Algorithm 1 line 10, shared by the Sim2Rec trainers.
 
-    Captures the env objects whole (their internal RNG generators and
-    episode state travel inside the pickle) plus the SADAE replay
-    window. Shared by the LTS and scenario trainers.
+    Runs ``config.sadae_updates_per_iteration`` ELBO epochs, normaliser
+    frozen, on ``config.sadae_sets_per_update`` sets drawn from ``sets``
+    without replacement. Returns :func:`train_sadae`'s per-epoch losses,
+    or ``[]`` when no update ran (no sets yet, or updates switched off).
     """
-    from .checkpoint import pickle_to_array
-
-    return {
-        "train_envs": pickle_to_array(list(envs)),
-        "recent_sets": pickle_to_array(list(recent_sets)),
-    }
-
-
-def load_env_population_extra_state(
-    envs: Sequence[MultiUserEnv], state: Dict[str, np.ndarray]
-) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Restore :func:`env_population_extra_state` **into** ``envs``.
-
-    The checkpointed env states are written into the existing objects
-    (``vars`` update) rather than replacing them — the sampler closure
-    holds references to these exact objects. Returns the restored replay
-    window.
-    """
-    from .checkpoint import unpickle_array
-
-    saved = unpickle_array(state["train_envs"])
-    if len(saved) != len(envs):
-        raise ValueError(
-            f"checkpoint has {len(saved)} training envs, trainer has "
-            f"{len(envs)} — config mismatch"
-        )
-    for mine, theirs in zip(envs, saved):
-        vars(mine).update(vars(theirs))
-    return unpickle_array(state["recent_sets"])
-
-
-class Sim2RecLTSTrainer(PolicyTrainer):
-    """Algorithm 1 on the LTS task sets (predefined parameter space Ω).
-
-    The LTS simulators are exact environment variants, so the data-driven
-    error countermeasures stay off; the trainer adds SADAE ELBO updates on
-    the state sets observed during rollouts and supports the Fig. 7
-    "unlimited-user" mode that resamples per-user gaps each draw.
-    """
-
-    def __init__(
-        self,
-        policy: Sim2RecPolicy,
-        task: LTSTask,
-        config: Sim2RecConfig,
-        resample_users: bool = False,
-        logger: Optional[MetricLogger] = None,
-    ):
-        self.task = task
-        self.resample_users = resample_users
-        self._train_envs = task.make_train_envs()
-        self._recent_sets: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
-
-        def sampler(rng: np.random.Generator) -> MultiUserEnv:
-            env = self._train_envs[int(rng.integers(0, len(self._train_envs)))]
-            if self.resample_users:
-                env.resample_user_gaps()
-            return env
-
-        super().__init__(policy, sampler, config, logger)
-        self.sim2rec_policy = policy
-        # The unlimited-user mode resamples gaps on *shared* env objects at
-        # sample time; batching samples up front would let a later resample
-        # overwrite an earlier one before its rollout runs. Keep the
-        # sequential sample→rollout interleaving in that mode.
-        self._sequential_collect = resample_users
-
-    def pretrain_sadae(self, epochs: Optional[int] = None, users_per_set: int = 200) -> List[float]:
-        """Fit q_κ/p_θ on state sets drawn from the training simulators."""
-        sets = collect_lts_state_sets(
-            self.task, users_per_set=users_per_set, rng=self.rng
-        )
-        with self._phase_timer("sadae_pretrain"):
-            return train_sadae(
-                self.sim2rec_policy.sadae,
-                sets,
-                epochs=epochs or self.config.sadae_pretrain_epochs,
-                rng=self.rng,
-            )
-
-    def post_process_segment(self, segment: RolloutSegment, env: MultiUserEnv) -> None:
-        for t in range(0, segment.horizon, max(segment.horizon // 4, 1)):
-            self._recent_sets.append((segment.states[t], None))
-        self._recent_sets = self._recent_sets[-64:]
-
-    def checkpoint_extra_state(self) -> Dict[str, np.ndarray]:
-        return env_population_extra_state(self._train_envs, self._recent_sets)
-
-    def load_checkpoint_extra_state(self, state: Dict[str, np.ndarray]) -> None:
-        self._recent_sets = load_env_population_extra_state(self._train_envs, state)
-
-    def after_update(self) -> None:
-        if not self._recent_sets or self.config.sadae_updates_per_iteration <= 0:
-            return
-        count = min(self.config.sadae_sets_per_update, len(self._recent_sets))
-        indices = self.rng.choice(len(self._recent_sets), size=count, replace=False)
-        sets = [self._recent_sets[i] for i in indices]
-        train_sadae(
-            self.sim2rec_policy.sadae,
-            sets,
-            epochs=self.config.sadae_updates_per_iteration,
-            rng=self.rng,
-            fit_normalizer=False,
-        )
-
-
-def collect_lts_state_sets(
-    task: LTSTask,
-    users_per_set: int = 200,
-    steps_per_env: int = 10,
-    rng: Optional[np.random.Generator] = None,
-) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Build the SADAE training corpus: state sets from every LTS simulator.
-
-    Mirrors the paper's setup ("we draw 1000 users for each simulator ...
-    to the constructed state dataset D"): each simulator contributes its
-    observed group state sets under random actions.
-    """
-    rng = rng or make_rng(0)
-    sets: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
-    for index in range(task.num_simulators):
-        env = task.make_train_env(index)
-        if users_per_set != env.num_users:
-            from ..envs.lts import LTSConfig, LTSEnv
-
-            env = LTSEnv(
-                LTSConfig(
-                    num_users=users_per_set,
-                    horizon=steps_per_env,
-                    omega_g=float(task.train_omega_gs[index]),
-                    omega_u_range=task.beta,
-                    observation_noise_std=task.observation_noise_std,
-                    seed=task.seed + 3000 + index,
-                )
-            )
-        states = env.reset()
-        sets.append((states.copy(), None))
-        for _ in range(steps_per_env - 1):
-            actions = rng.random((env.num_users, 1))
-            states, _, _, _ = env.step(actions)
-            sets.append((states.copy(), None))
-    return sets
+    if not sets or config.sadae_updates_per_iteration <= 0:
+        return []
+    count = min(config.sadae_sets_per_update, len(sets))
+    indices = rng.choice(len(sets), size=count, replace=False)
+    return train_sadae(
+        sadae,
+        [sets[i] for i in indices],
+        epochs=config.sadae_updates_per_iteration,
+        rng=rng,
+        fit_normalizer=False,
+    )
 
 
 class Sim2RecDPRTrainer(PolicyTrainer):
@@ -565,19 +447,8 @@ class Sim2RecDPRTrainer(PolicyTrainer):
                 action_clip=(0.0, 1.0),
             )
 
-    def after_update(self) -> None:
-        if self.config.sadae_updates_per_iteration <= 0:
-            return
-        count = min(self.config.sadae_sets_per_update, len(self._sadae_sets))
-        indices = self.rng.choice(len(self._sadae_sets), size=count, replace=False)
-        sets = [self._sadae_sets[i] for i in indices]
-        train_sadae(
-            self.sim2rec_policy.sadae,
-            sets,
-            epochs=self.config.sadae_updates_per_iteration,
-            rng=self.rng,
-            fit_normalizer=False,
-        )
+    def after_update(self) -> List[float]:
+        return sadae_step(self.sim2rec_policy.sadae, self._sadae_sets, self.config, self.rng)
 
 
 def build_sim2rec_policy(
@@ -587,8 +458,6 @@ def build_sim2rec_policy(
     rng: Optional[np.random.Generator] = None,
 ) -> Sim2RecPolicy:
     """Assemble the SADAE + extractor + context-aware policy from a config."""
-    from .sadae import SADAE
-
     rng = rng or make_rng(config.seed)
     sadae = SADAE(state_dim, action_dim, config.sadae)
     return Sim2RecPolicy(

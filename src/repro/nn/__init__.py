@@ -8,9 +8,7 @@ engine in :mod:`repro.nn.tensor`, verified against finite differences.
 from .distributions import Bernoulli, Categorical, DiagGaussian, product_of_gaussians
 from .functional import (
     LOG_2PI,
-    binary_cross_entropy_with_logits,
     gaussian_log_prob,
-    huber_loss,
     log_softmax,
     logsumexp,
     mse_loss,
@@ -22,9 +20,7 @@ from .optim import Adam, LinearLRSchedule, Optimizer, SGD, clip_grad_norm
 from .recurrent import GRUCell, LSTM, LSTMCell
 from .serialization import (
     StateChecksumError,
-    load_module,
     load_state,
-    save_module,
     save_state,
     state_from_bytes,
     state_to_bytes,
@@ -64,21 +60,17 @@ __all__ = [
     "Tensor",
     "affine",
     "as_tensor",
-    "binary_cross_entropy_with_logits",
     "clip_grad_norm",
     "concat",
     "gaussian_log_prob",
     "get_activation",
-    "huber_loss",
     "is_grad_enabled",
-    "load_module",
     "load_state",
     "log_softmax",
     "logsumexp",
     "mse_loss",
     "no_grad",
     "product_of_gaussians",
-    "save_module",
     "save_state",
     "softmax",
     "stack",

@@ -1,7 +1,7 @@
 """Composite differentiable functions built on :mod:`repro.nn.tensor`.
 
 These are the numerically careful building blocks (softmax, logsumexp,
-log-softmax, smooth losses) shared by the policy, the SADAE decoders and the
+log-softmax, losses) shared by the policy, the SADAE decoders and the
 supervised baselines.
 """
 
@@ -52,22 +52,3 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean squared error over all elements."""
     diff = as_tensor(prediction) - as_tensor(target)
     return (diff * diff).mean()
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber (smooth-L1) loss, mean over all elements."""
-    diff = as_tensor(prediction) - as_tensor(target)
-    abs_diff = diff.abs()
-    quadratic = abs_diff.minimum(delta)
-    linear = abs_diff - quadratic
-    return (quadratic * quadratic * 0.5 + linear * delta).mean()
-
-
-def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
-    """Mean BCE computed stably from logits."""
-    logits, targets = as_tensor(logits), as_tensor(targets)
-    # max(x, 0) - x * t + log(1 + exp(-|x|))
-    relu_term = logits.maximum(0.0)
-    abs_logits = logits.abs()
-    log_term = ((-abs_logits).exp() + 1.0).log()
-    return (relu_term - logits * targets + log_term).mean()

@@ -1,4 +1,4 @@
-"""Save / load module parameters and name → array state archives.
+"""Name → array state archives.
 
 Two transports share one state-archive format:
 
@@ -46,10 +46,10 @@ resume.
 :func:`save_state` puts an archive on disk **atomically** (write to a
 temp file in the target directory, fsync, then ``os.replace``), so a
 crash mid-write can never leave a half-written checkpoint under the
-final name — the previous checkpoint survives intact.
-
-:func:`save_module` / :func:`load_module` write a module's parameters as
-a plain ``.npz`` for ad-hoc weight files; they are not state archives.
+final name — the previous checkpoint survives intact. A module's
+weights go through the same archive:
+``save_state(path, module.state_dict())`` and
+``module.load_state_dict(load_state(path))``.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ import zlib
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
-
-from .module import Module
 
 PathLike = Union[str, os.PathLike]
 
@@ -96,20 +94,6 @@ def _state_crc32(state: Dict[str, np.ndarray]) -> int:
         crc = zlib.crc32(header, crc)
         crc = zlib.crc32(value.tobytes(), crc)
     return crc & 0xFFFFFFFF
-
-
-def save_module(module: Module, path: PathLike) -> None:
-    """Write all named parameters of ``module`` to ``path`` (npz)."""
-    state = module.state_dict()
-    # npz keys cannot contain '/', module paths use '.', which is fine.
-    np.savez(path, **state)
-
-
-def load_module(module: Module, path: PathLike) -> None:
-    """Load parameters saved by :func:`save_module` into ``module``."""
-    with np.load(path) as archive:
-        state = {key: archive[key] for key in archive.files}
-    module.load_state_dict(state)
 
 
 def state_to_bytes(state: Dict[str, np.ndarray]) -> bytes:

@@ -27,6 +27,9 @@ LTS_DEFAULTS = {
     "observation_noise_std": 2.0,
     "sensitivity_range": (0.05, 0.15),
     "memory_discount_range": (0.85, 0.95),
+    # Fig. 7's unlimited-user simulators: redraw per-user gaps ω_u on
+    # every draw of a training simulator (a no-op without beta).
+    "resample_users": False,
 }
 
 
@@ -37,6 +40,12 @@ LTS_DEFAULTS = {
 )
 def build_lts_scenario(spec: ScenarioSpec) -> Scenario:
     params = spec.params
+    resample_users = params["resample_users"]
+    if not isinstance(resample_users, bool):
+        raise ValueError(
+            f"scenario 'lts': resample_users must be true or false, got "
+            f"{resample_users!r}"
+        )
     task = make_lts_task(
         params["task"],
         beta=params["beta"],
@@ -54,6 +63,10 @@ def build_lts_scenario(spec: ScenarioSpec) -> Scenario:
         action_dim=1,
         make_train_env=task.make_train_env,
         make_target_env=lambda seed_offset=0: task.make_target_env(seed_offset),
+        resample_users=resample_users,
+        # The paper draws SADAE's state dataset D from the simulator set
+        # itself: the corpus envs are fresh copies of the training envs.
+        corpus_seed_offset=0,
     )
 
 

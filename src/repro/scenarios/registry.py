@@ -105,6 +105,15 @@ class Scenario:
     ``make_train_env(index, seed_offset)`` must be deterministic in its
     arguments (same spec → same env), so scenario-built populations are
     reproducible and shippable to worker processes.
+
+    Two attributes, set by the family's builder, tell
+    :class:`~repro.scenarios.ScenarioTrainer` how to train on it:
+
+    - ``resample_users``: redraw the sampled env's per-user gaps
+      (``env.resample_user_gaps()``) on every draw — Fig. 7's
+      unlimited-user simulators;
+    - ``corpus_seed_offset``: the seed offset of the fresh training-env
+      copies the SADAE pretraining corpus is collected from.
     """
 
     def __init__(
@@ -117,6 +126,8 @@ class Scenario:
         make_train_env: Callable[..., MultiUserEnv],
         make_target_env: Callable[..., MultiUserEnv],
         description: str = "",
+        resample_users: bool = False,
+        corpus_seed_offset: int = 3000,
     ):
         self.spec = spec
         self.num_train_envs = int(num_train_envs)
@@ -125,6 +136,8 @@ class Scenario:
         self._make_train_env = make_train_env
         self._make_target_env = make_target_env
         self.description = description
+        self.resample_users = resample_users
+        self.corpus_seed_offset = int(corpus_seed_offset)
         if self.num_train_envs < 1:
             raise ValueError(
                 f"scenario {spec.family!r} built an empty training population "

@@ -1,10 +1,11 @@
-"""Training on registered scenarios: the generic Algorithm-1 trainer.
+"""Training on registered scenarios: the Algorithm-1 trainer.
 
-:class:`ScenarioTrainer` is the family-agnostic counterpart of
-:class:`repro.core.Sim2RecLTSTrainer`: it samples simulators uniformly
-from a scenario's training population, rides the pooled in-process
-collection of :class:`repro.core.PolicyTrainer`, and keeps SADAE
-learning on state sets observed during rollouts.
+:class:`ScenarioTrainer` runs Algorithm 1 on any registered family, the
+LTS transfer tasks included: it samples simulators uniformly from a
+scenario's training population, rides the pooled in-process collection
+of :class:`repro.core.PolicyTrainer`, and keeps SADAE learning on state
+sets observed during rollouts through the Eq. (8) step it shares with
+:class:`repro.core.Sim2RecDPRTrainer`.
 :func:`trainer_from_config` resolves ``Sim2RecConfig.scenario`` — a
 registered-family config dict — into a ready trainer, sizing the
 Sim2Rec policy from the scenario's dims; the ``python -m
@@ -13,19 +14,15 @@ repro.scenarios`` CLI is a thin shell around it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.checkpoint import pickle_to_array, unpickle_array
 from ..core.config import Sim2RecConfig
 from ..core.policy import Sim2RecPolicy
-from ..core.sadae import train_sadae
-from ..core.trainer import (
-    PolicyTrainer,
-    build_sim2rec_policy,
-    env_population_extra_state,
-    load_env_population_extra_state,
-)
+from ..core.sadae import StateActionSet, train_sadae
+from ..core.trainer import PolicyTrainer, build_sim2rec_policy, sadae_step
 from ..envs.base import MultiUserEnv
 from ..rl.buffer import RolloutSegment
 from ..utils.logging import MetricLogger
@@ -35,28 +32,21 @@ from .registry import Scenario, SpecLike, make_scenario
 
 def collect_scenario_state_sets(
     scenario: Scenario,
-    users_per_set: Optional[int] = None,
     steps_per_env: int = 10,
     rng: Optional[np.random.Generator] = None,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+) -> List[StateActionSet]:
     """Build a SADAE pretraining corpus from every training simulator.
 
     Each simulator contributes its observed state-action sets under
-    uniform random actions (fresh env instances at a dedicated seed
-    offset, so the scenario's shared training envs are not advanced).
-    ``users_per_set`` is accepted for interface parity with the LTS
-    corpus collector but scenario populations are sized by their spec —
-    a mismatch raises rather than silently resizing.
+    uniform random actions. The sets come from fresh env instances at
+    the scenario's ``corpus_seed_offset``, so the shared training envs
+    are not advanced: offset 0 for ``lts`` (copies of the training envs
+    themselves), 3000 for the other built-in families.
     """
     rng = rng or make_rng(0)
-    sets: List[Tuple[np.ndarray, np.ndarray]] = []
+    sets: List[StateActionSet] = []
     for index in range(scenario.num_train_envs):
-        env = scenario.make_train_env(index, seed_offset=3000)
-        if users_per_set is not None and users_per_set != env.num_users:
-            raise ValueError(
-                f"users_per_set={users_per_set} does not match the scenario's "
-                f"num_users={env.num_users}; size the population via the spec"
-            )
+        env = scenario.make_train_env(index, seed_offset=scenario.corpus_seed_offset)
         states = env.reset()
         actions = np.zeros((env.num_users, env.action_dim))
         sets.append((states.copy(), actions.copy()))
@@ -70,10 +60,11 @@ def collect_scenario_state_sets(
 class ScenarioTrainer(PolicyTrainer):
     """Algorithm 1 over any registered scenario's training population.
 
-    Simulators are shared env objects sampled uniformly per segment (the
-    LTS-trainer convention — env state and RNG streams persist across
-    iterations). SADAE keeps learning from state sets snapshotted out of
-    the collected rollouts, exactly as in the LTS trainer.
+    Simulators are shared env objects sampled uniformly per segment (env
+    state and RNG streams persist across iterations). On a scenario with
+    ``resample_users`` set, each draw also redraws the sampled env's
+    per-user gaps (Fig. 7's unlimited-user simulators). SADAE keeps
+    learning from state sets snapshotted out of the collected rollouts.
     """
 
     def __init__(
@@ -85,13 +76,20 @@ class ScenarioTrainer(PolicyTrainer):
     ):
         self.scenario = scenario
         self._train_envs = scenario.make_train_envs()
-        self._recent_sets: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
+        self._recent_sets: List[StateActionSet] = []
 
         def sampler(rng: np.random.Generator) -> MultiUserEnv:
-            return self._train_envs[int(rng.integers(0, len(self._train_envs)))]
+            env = self._train_envs[int(rng.integers(0, len(self._train_envs)))]
+            if scenario.resample_users:
+                env.resample_user_gaps()
+            return env
 
         super().__init__(policy, sampler, config, logger)
         self.sim2rec_policy = policy
+        # Resampling changes *shared* env objects at sample time; batching
+        # samples up front would let a later resample overwrite an earlier
+        # one before its rollout runs. Keep the sample→rollout order then.
+        self._sequential_collect = scenario.resample_users
 
     def pretrain_sadae(
         self, epochs: Optional[int] = None, steps_per_env: int = 10
@@ -113,24 +111,30 @@ class ScenarioTrainer(PolicyTrainer):
             self._recent_sets.append((segment.states[t], segment.prev_actions[t]))
         self._recent_sets = self._recent_sets[-64:]
 
-    def checkpoint_extra_state(self):
-        return env_population_extra_state(self._train_envs, self._recent_sets)
+    def checkpoint_extra_state(self) -> Dict[str, np.ndarray]:
+        """The shared env objects, whole (their RNGs and episode state
+        travel inside the pickle), and the SADAE replay window."""
+        return {
+            "train_envs": pickle_to_array(self._train_envs),
+            "recent_sets": pickle_to_array(self._recent_sets),
+        }
 
-    def load_checkpoint_extra_state(self, state) -> None:
-        self._recent_sets = load_env_population_extra_state(self._train_envs, state)
+    def load_checkpoint_extra_state(self, state: Dict[str, np.ndarray]) -> None:
+        """Write the saved env states **into** the existing env objects,
+        which the sampler holds, and restore the replay window."""
+        saved = unpickle_array(state["train_envs"])
+        if len(saved) != len(self._train_envs):
+            raise ValueError(
+                f"checkpoint has {len(saved)} training envs, trainer has "
+                f"{len(self._train_envs)} — config mismatch"
+            )
+        for mine, theirs in zip(self._train_envs, saved):
+            vars(mine).update(vars(theirs))
+        self._recent_sets = unpickle_array(state["recent_sets"])
 
-    def after_update(self) -> None:
-        if not self._recent_sets or self.config.sadae_updates_per_iteration <= 0:
-            return
-        count = min(self.config.sadae_sets_per_update, len(self._recent_sets))
-        indices = self.rng.choice(len(self._recent_sets), size=count, replace=False)
-        sets = [self._recent_sets[i] for i in indices]
-        train_sadae(
-            self.sim2rec_policy.sadae,
-            sets,
-            epochs=self.config.sadae_updates_per_iteration,
-            rng=self.rng,
-            fit_normalizer=False,
+    def after_update(self) -> List[float]:
+        return sadae_step(
+            self.sim2rec_policy.sadae, self._recent_sets, self.config, self.rng
         )
 
 

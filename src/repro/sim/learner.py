@@ -84,7 +84,8 @@ class UserSimulator(nn.Module):
             self.target_std = targets.std(axis=0) + 1e-6
 
     def normalizer_state(self) -> dict:
-        """Standardisation stats to persist alongside ``save_module``."""
+        """Standardisation stats; not Parameters, so persist them beside
+        ``state_dict()``."""
         return {
             "input_mean": self.input_mean.copy(),
             "input_std": self.input_std.copy(),

@@ -1,13 +1,11 @@
 """Shared utilities: seeding, normalisation, logging."""
 
 from .logging import MetricLogger
-from .normalization import RewardScaler, RunningMeanStd
-from .seeding import RngStream, make_rng, spawn_rngs
+from .normalization import RunningMeanStd
+from .seeding import make_rng, spawn_rngs
 
 __all__ = [
     "MetricLogger",
-    "RewardScaler",
-    "RngStream",
     "RunningMeanStd",
     "make_rng",
     "spawn_rngs",

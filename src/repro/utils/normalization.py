@@ -35,29 +35,3 @@ class RunningMeanStd:
     def denormalize(self, value: np.ndarray) -> np.ndarray:
         return np.asarray(value) * np.sqrt(self.var + 1e-8) + self.mean
 
-
-class RewardScaler:
-    """Scales rewards by a running estimate of the return's std-dev.
-
-    Keeps PPO value targets in a numerically friendly range without
-    changing the optimal policy (a positive rescaling of rewards).
-    """
-
-    def __init__(self, gamma: float, epsilon: float = 1e-4):
-        self.gamma = gamma
-        self.rms = RunningMeanStd(shape=())
-        self._returns: np.ndarray | None = None
-        self.epsilon = epsilon
-
-    def reset(self, batch: int) -> None:
-        self._returns = np.zeros(batch, dtype=np.float64)
-
-    def scale(self, rewards: np.ndarray, dones: np.ndarray) -> np.ndarray:
-        rewards = np.asarray(rewards, dtype=np.float64)
-        if self._returns is None or self._returns.shape != rewards.shape:
-            self._returns = np.zeros_like(rewards)
-        self._returns = self._returns * self.gamma + rewards
-        self.rms.update(self._returns)
-        # A done at this step ends the episode *after* its reward counts.
-        self._returns = self._returns * (1.0 - np.asarray(dones, dtype=np.float64))
-        return rewards / np.sqrt(self.rms.var + self.epsilon)

@@ -8,7 +8,7 @@ reproducible and components do not share RNG state accidentally.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -31,24 +31,3 @@ def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
     sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in sequence.spawn(count)]
 
-
-class RngStream:
-    """A named hierarchy of generators derived from one root seed.
-
-    ``stream.child("policy")`` always returns the same generator for the
-    same root seed and name, regardless of call order — this keeps
-    multi-component training runs reproducible even when code paths change.
-    """
-
-    def __init__(self, seed: Optional[int] = 0):
-        self._root = np.random.SeedSequence(seed)
-        self._cache: dict[str, np.random.Generator] = {}
-
-    def child(self, name: str) -> np.random.Generator:
-        if name not in self._cache:
-            entropy = [int.from_bytes(name.encode("utf8"), "little") % (2**63)]
-            derived = np.random.SeedSequence(
-                entropy=self._root.entropy, spawn_key=tuple(entropy)
-            )
-            self._cache[name] = np.random.default_rng(derived)
-        return self._cache[name]

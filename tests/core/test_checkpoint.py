@@ -19,14 +19,13 @@ from repro.core import (
 )
 from repro.core.checkpoint import pickle_to_array, unpickle_array
 from repro.core.config import scenario_small_config
-from repro.envs.lts_tasks import make_lts_task
-from repro.core.trainer import Sim2RecLTSTrainer, build_sim2rec_policy
 from repro.nn import StateChecksumError
 from repro.rl import TrainingDiverged
 from repro.rl.chaos import flip_byte, truncate_file
 from repro.scenarios import trainer_from_config
 
 SPEC = {"family": "slate", "num_envs": 4, "num_users": 5, "horizon": 5}
+LTS_SPEC = {"family": "lts", "task": "LTS3", "num_users": 8, "horizon": 6}
 
 
 def scenario_trainer(seed=3, tweak=None):
@@ -41,9 +40,7 @@ def scenario_trainer(seed=3, tweak=None):
 def lts_trainer(seed=5):
     config = lts_small_config(seed=seed)
     config.segments_per_iteration = 2
-    task = make_lts_task("LTS3", num_users=8, horizon=6, seed=seed)
-    policy = build_sim2rec_policy(2, 1, config)
-    return Sim2RecLTSTrainer(policy, task, config)
+    return trainer_from_config(config, dict(LTS_SPEC, seed=seed))
 
 
 def run_iterations(trainer, count):
@@ -106,10 +103,10 @@ class TestResumeTrajectory:
     def test_lts_trainer_resumes_exactly(self, tmp_path):
         path = tmp_path / "lts.npz"
         unbroken_trainer = lts_trainer()
-        unbroken_trainer.pretrain_sadae(epochs=1, users_per_set=6)
+        unbroken_trainer.pretrain_sadae(epochs=1)
         unbroken = run_iterations(unbroken_trainer, 4)
         trainer = lts_trainer()
-        trainer.pretrain_sadae(epochs=1, users_per_set=6)
+        trainer.pretrain_sadae(epochs=1)
         head = run_iterations(trainer, 2)
         trainer.save_checkpoint(path)
         fresh = lts_trainer()
@@ -257,7 +254,7 @@ class TestCorruptionSafety:
 
         path = tmp_path / "lts.npz"
         trainer = lts_trainer()
-        trainer.pretrain_sadae(epochs=1, users_per_set=6)
+        trainer.pretrain_sadae(epochs=1)
         run_iterations(trainer, 2)
         trainer.save_checkpoint(path)
         state = load_state(path)
@@ -265,7 +262,7 @@ class TestCorruptionSafety:
         save_state(path, state)
         fresh, refused = lts_trainer(), lts_trainer()
         for each in (fresh, refused):
-            each.pretrain_sadae(epochs=1, users_per_set=6)
+            each.pretrain_sadae(epochs=1)
         with pytest.raises(ValueError, match="pipelined"):
             refused.load_checkpoint(path)
         assert run_iterations(refused, 2) == run_iterations(fresh, 2)

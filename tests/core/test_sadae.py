@@ -202,6 +202,25 @@ class TestELBO:
             np.testing.assert_array_equal(param.data, data)
 
 
+    def test_state_only_training_ignores_the_sets_actions(self):
+        """A state-only SADAE trains bit-identically on (states, None)
+        sets and on (states, actions) sets: same losses, parameters and
+        normaliser. Mixed cardinalities cover both ELBO paths."""
+        sets, _ = gaussian_sets(num_sets=10, n=12)
+        sets += gaussian_sets(num_sets=3, n=7, seed=1)[0]
+        runs = []
+        for corpus in (sets, [(states, None) for states, _ in sets]):
+            sadae = make_sadae(state_only=True, seed=2)
+            losses = train_sadae(sadae, corpus, epochs=3, rng=np.random.default_rng(4))
+            runs.append((losses, sadae))
+        (losses_a, sadae_a), (losses_b, sadae_b) = runs
+        assert losses_a == losses_b
+        for mine, theirs in zip(sadae_a.parameters(), sadae_b.parameters()):
+            np.testing.assert_array_equal(mine.data, theirs.data)
+        for key, value in sadae_a.normalizer_state().items():
+            np.testing.assert_array_equal(value, sadae_b.normalizer_state()[key])
+
+
 class TestEmbeddingQuality:
     def test_embedding_separates_distributions(self):
         """Sets from distant distributions must embed further apart than

@@ -1,27 +1,29 @@
-"""Tests for the Algorithm 1 trainers (LTS and DPR backends)."""
+"""Tests for the Algorithm 1 trainers (LTS scenarios and the DPR backend)."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
     Sim2RecDPRTrainer,
-    Sim2RecLTSTrainer,
     build_sim2rec_policy,
-    collect_lts_state_sets,
     dpr_small_config,
     lts_small_config,
+    train_sadae,
 )
+from repro.core.trainer import sadae_step
 from repro.envs import DPRConfig, DPRWorld, collect_dpr_dataset, make_lts_task
+from repro.scenarios import trainer_from_config
 from repro.sim import SimulatorLearnerConfig, build_simulator_set
+
+LTS_SPEC = {"family": "lts", "task": "LTS3", "num_users": 20, "horizon": 15, "seed": 0}
 
 
 @pytest.fixture(scope="module")
 def lts_setup():
     config = lts_small_config(seed=0)
     task = make_lts_task("LTS3", num_users=20, horizon=15, seed=0)
-    policy = build_sim2rec_policy(2, 1, config)
-    trainer = Sim2RecLTSTrainer(policy, task, config)
-    return config, task, policy, trainer
+    trainer = trainer_from_config(config, LTS_SPEC)
+    return config, task, trainer.sim2rec_policy, trainer
 
 
 @pytest.fixture(scope="module")
@@ -51,10 +53,9 @@ class TestLTSTrainer:
         assert len(trainer.logger.series("reward")) == start + 2
 
     def test_pretrain_sadae_reduces_loss(self, lts_setup):
-        config, task, _, _ = lts_setup
-        policy = build_sim2rec_policy(2, 1, config)
-        trainer = Sim2RecLTSTrainer(policy, task, config)
-        losses = trainer.pretrain_sadae(epochs=8, users_per_set=60)
+        config, _, _, _ = lts_setup
+        trainer = trainer_from_config(config, LTS_SPEC)
+        losses = trainer.pretrain_sadae(epochs=8)
         assert losses[-1] < losses[0]
 
     def test_env_sampler_draws_from_task_set(self, lts_setup):
@@ -64,28 +65,74 @@ class TestLTSTrainer:
         assert omega_gs <= set(float(w) for w in task.train_omega_gs)
         assert len(omega_gs) > 1
 
-    def test_resample_users_mode_changes_gaps(self):
-        config = lts_small_config(seed=1)
-        task = make_lts_task("LTS3", beta=4.0, num_users=15, horizon=10, seed=1)
-        policy = build_sim2rec_policy(2, 1, config)
-        trainer = Sim2RecLTSTrainer(policy, task, config, resample_users=True)
-        rng = np.random.default_rng(0)
-        env = trainer.env_sampler(rng)
-        before = env.mu_k_users.copy()
-        # drawing the same env again resamples its user gaps
-        for _ in range(10):
-            env2 = trainer.env_sampler(rng)
-            if env2 is env:
-                break
-        assert not np.allclose(before, env.mu_k_users)
+    def test_iteration_logs_the_mean_sadae_loss(self, lts_setup):
+        config, _, _, _ = lts_setup
+        trainer = trainer_from_config(config, LTS_SPEC)
+        update = trainer.after_update
+        seen = []
 
-    def test_collect_lts_state_sets_shapes(self):
-        task = make_lts_task("LTS3", num_users=10, horizon=8, seed=0)
-        sets = collect_lts_state_sets(task, users_per_set=25, steps_per_env=4)
-        assert len(sets) == task.num_simulators * 4
-        states, actions = sets[0]
-        assert states.shape == (25, 2)
-        assert actions is None
+        def spy():
+            seen.append(update())
+            return seen[-1]
+
+        trainer.after_update = spy
+        metrics = trainer.train_iteration()
+        assert len(seen[0]) == config.sadae_updates_per_iteration
+        assert metrics["sadae_loss"] == float(np.mean(seen[0]))
+        assert np.isfinite(metrics["sadae_loss"])
+        assert trainer.logger.series("sadae_loss") == [metrics["sadae_loss"]]
+
+    def test_no_sadae_update_logs_no_sadae_loss(self):
+        config = lts_small_config(seed=0)
+        config.sadae_updates_per_iteration = 0
+        trainer = trainer_from_config(config, LTS_SPEC)
+        metrics = trainer.train_iteration()
+        assert "sadae_loss" not in metrics
+        assert all(np.isfinite(value) for value in metrics.values())
+
+
+def _sadae_and_sets(config, count=6):
+    rng = np.random.default_rng(3)
+    sadae = build_sim2rec_policy(2, 1, config).sadae
+    sets = [(rng.normal(size=(5, 2)), rng.random((5, 1))) for _ in range(count)]
+    sadae.fit_normalizer(sets)
+    return sadae, sets
+
+
+class TestSADAEStep:
+    def test_returns_train_sadae_losses_on_a_sample_of_the_sets(self):
+        """The shared Eq. (8) step draws its sets, then trains on them
+        exactly as a direct train_sadae call with the same draws."""
+        config = lts_small_config(seed=0)
+        config.sadae_updates_per_iteration = 3
+        config.sadae_sets_per_update = 4
+        sadae, sets = _sadae_and_sets(config)
+        reference, _ = _sadae_and_sets(config)
+        losses = sadae_step(sadae, sets, config, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        indices = rng.choice(len(sets), size=4, replace=False)
+        expected = train_sadae(
+            reference, [sets[i] for i in indices], epochs=3, rng=rng,
+            fit_normalizer=False,
+        )
+        assert losses == expected and len(losses) == 3
+        for mine, theirs in zip(sadae.parameters(), reference.parameters()):
+            np.testing.assert_array_equal(mine.data, theirs.data)
+
+    @pytest.mark.parametrize("case", ["no_sets", "updates_off"])
+    def test_no_update_returns_no_losses_and_draws_nothing(self, case):
+        config = lts_small_config(seed=0)
+        sadae, sets = _sadae_and_sets(config)
+        if case == "no_sets":
+            sets = []
+        else:
+            config.sadae_updates_per_iteration = 0
+        before = [param.data.copy() for param in sadae.parameters()]
+        rng = np.random.default_rng(5)
+        assert sadae_step(sadae, sets, config, rng) == []
+        assert rng.random() == np.random.default_rng(5).random()
+        for param, old in zip(sadae.parameters(), before):
+            np.testing.assert_array_equal(param.data, old)
 
 
 class TestDPRTrainer:
@@ -99,6 +146,12 @@ class TestDPRTrainer:
         trainer, _ = self.make_trainer(dpr_setup)
         metrics = trainer.train_iteration()
         assert "reward" in metrics
+
+    def test_iteration_logs_sadae_loss(self, dpr_setup):
+        trainer, config = self.make_trainer(dpr_setup)
+        metrics = trainer.train_iteration()
+        assert config.sadae_updates_per_iteration > 0
+        assert np.isfinite(metrics["sadae_loss"])
 
     def test_trend_filter_computed_per_group(self, dpr_setup):
         trainer, _ = self.make_trainer(dpr_setup)

@@ -10,35 +10,36 @@ import numpy as np
 import pytest
 
 from repro.baselines import lts_single_sampler, make_direct_trainer
-from repro.core import Sim2RecLTSTrainer, build_sim2rec_policy, lts_small_config
+from repro.core import lts_small_config
 from repro.envs import make_lts_task, oracle_constant_policy_return
 from repro.rl import evaluate
+from repro.scenarios import trainer_from_config
+
+TASK_PARAMS = dict(
+    num_users=30,
+    horizon=25,
+    seed=0,
+    observation_noise_std=6.0,
+    sensitivity_range=(0.25, 0.4),
+    memory_discount_range=(0.7, 0.8),
+)
 
 
 @pytest.fixture(scope="module")
 def task():
-    return make_lts_task(
-        "LTS3",
-        num_users=30,
-        horizon=25,
-        seed=0,
-        observation_noise_std=6.0,
-        sensitivity_range=(0.25, 0.4),
-        memory_discount_range=(0.7, 0.8),
-    )
+    return make_lts_task("LTS3", **TASK_PARAMS)
 
 
 @pytest.fixture(scope="module")
 def trained(task):
     config = lts_small_config(seed=0)
-    policy = build_sim2rec_policy(2, 1, config)
-    trainer = Sim2RecLTSTrainer(policy, task, config)
-    trainer.pretrain_sadae(epochs=15, users_per_set=30)
+    trainer = trainer_from_config(config, {"family": "lts", "task": "LTS3", **TASK_PARAMS})
+    trainer.pretrain_sadae(epochs=15)
     trainer.train(20)
 
     direct = make_direct_trainer(2, 1, lts_single_sampler(task, 0), config)
     direct.train(30)
-    return policy, direct.policy, trainer
+    return trainer.sim2rec_policy, direct.policy, trainer
 
 
 def target_reward(task, policy, seed=0):

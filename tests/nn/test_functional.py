@@ -6,9 +6,7 @@ from scipy.stats import norm
 
 from repro.nn import (
     Tensor,
-    binary_cross_entropy_with_logits,
     gaussian_log_prob,
-    huber_loss,
     log_softmax,
     logsumexp,
     mse_loss,
@@ -100,37 +98,3 @@ class TestLosses:
     def test_mse_gradient(self):
         target = RNG.standard_normal((3, 2))
         check_gradients(lambda t: mse_loss(t[0], target), [RNG.standard_normal((3, 2))])
-
-    def test_huber_quadratic_region(self):
-        pred = Tensor(np.array([0.3]))
-        target = Tensor(np.array([0.0]))
-        np.testing.assert_allclose(huber_loss(pred, target, delta=1.0).item(), 0.5 * 0.09)
-
-    def test_huber_linear_region(self):
-        pred = Tensor(np.array([3.0]))
-        target = Tensor(np.array([0.0]))
-        np.testing.assert_allclose(huber_loss(pred, target, delta=1.0).item(), 0.5 + 2.0)
-
-    def test_huber_gradient(self):
-        pred = np.array([0.2, 2.5, -3.0, 0.0])
-        target = np.zeros(4)
-        check_gradients(lambda t: huber_loss(t[0], target), [pred])
-
-    def test_bce_matches_reference(self):
-        logits = RNG.standard_normal(20)
-        targets = (RNG.random(20) < 0.5).astype(float)
-        probs = 1.0 / (1.0 + np.exp(-logits))
-        expected = -(targets * np.log(probs) + (1 - targets) * np.log(1 - probs)).mean()
-        ours = binary_cross_entropy_with_logits(Tensor(logits), Tensor(targets)).item()
-        np.testing.assert_allclose(ours, expected, atol=1e-10)
-
-    def test_bce_stable_for_extreme_logits(self):
-        logits = Tensor(np.array([100.0, -100.0]))
-        targets = Tensor(np.array([1.0, 0.0]))
-        loss = binary_cross_entropy_with_logits(logits, targets).item()
-        assert np.isfinite(loss) and loss < 1e-6
-
-    def test_bce_gradient(self):
-        logits = RNG.standard_normal(6)
-        targets = (RNG.random(6) < 0.5).astype(float)
-        check_gradients(lambda t: binary_cross_entropy_with_logits(t[0], targets), [logits])

@@ -94,7 +94,7 @@ class TestFullPolicyCheckpoint:
         policy.sadae.fit_normalizer([(states, np.zeros((6, 1)))])
 
         path = tmp_path / "policy.npz"
-        nn.save_module(policy, path)
+        nn.save_state(path, policy.state_dict())
 
         clone_sadae = SADAE(
             2, 1, SADAEConfig(latent_dim=3, encoder_hidden=(8,), decoder_hidden=(8,), seed=9)
@@ -103,7 +103,7 @@ class TestFullPolicyCheckpoint:
             2, 1, clone_sadae, np.random.default_rng(9), fc_sizes=(4, 2), lstm_hidden=8, head_hidden=(8,)
         )
         clone.sadae.fit_normalizer([(states, np.zeros((6, 1)))])
-        nn.load_module(clone, path)
+        clone.load_state_dict(nn.load_state(path))
 
         policy.start_rollout(6)
         clone.start_rollout(6)

@@ -163,13 +163,13 @@ class TestRolloutGroupsCleared:
 
 class TestTrainerVectorizedCollect:
     def test_vectorized_collect_produces_full_buffer(self):
-        from repro.core import Sim2RecLTSTrainer, lts_small_config
-        from repro.envs import make_lts_task
+        from repro.core import lts_small_config
+        from repro.scenarios import trainer_from_config
 
         config = lts_small_config(seed=0)
-        task = make_lts_task("LTS3", num_users=8, horizon=6, seed=0)
-        policy = build_sim2rec_policy(2, 1, config)
-        trainer = Sim2RecLTSTrainer(policy, task, config)
+        trainer = trainer_from_config(
+            config, {"family": "lts", "num_users": 8, "horizon": 6, "seed": 0}
+        )
         buffer, raw_rewards = trainer.collect()
         assert len(buffer) == config.segments_per_iteration
         assert len(raw_rewards) == config.segments_per_iteration

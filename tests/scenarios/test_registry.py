@@ -204,6 +204,31 @@ class TestPopulationValidation:
         with pytest.raises(ValueError, match="target_city"):
             make_scenario(spec)
 
+    def test_lts_resample_users_round_trips(self):
+        scenario = make_scenario(dict(SMALL_SPECS["lts"], beta=4.0, resample_users=True))
+        assert scenario.resample_users is True
+        data = scenario.spec.to_dict()
+        assert data["resample_users"] is True
+        rebuilt = make_scenario(data)
+        assert rebuilt.spec == scenario.spec
+        assert rebuilt.resample_users is True
+        assert make_scenario(SMALL_SPECS["lts"]).resample_users is False
+        numpy_bool = dict(SMALL_SPECS["lts"], resample_users=np.True_)
+        assert make_scenario(numpy_bool).resample_users is True
+
+    @pytest.mark.parametrize("bad", [1, 0, "true", None, 1.0])
+    def test_lts_non_bool_resample_users_rejected(self, bad):
+        with pytest.raises(ValueError, match="resample_users"):
+            make_scenario(dict(SMALL_SPECS["lts"], resample_users=bad))
+
+    @pytest.mark.parametrize("family", ["dpr", "slate"])
+    def test_resample_users_is_an_lts_parameter(self, family):
+        with pytest.raises(ValueError, match="unknown parameter"):
+            make_scenario(dict(SMALL_SPECS[family], resample_users=True))
+        scenario = make_scenario(SMALL_SPECS[family])
+        assert scenario.resample_users is False
+        assert scenario.corpus_seed_offset == 3000
+
     def test_spec_defaults_are_copies(self):
         defaults = scenario_defaults("slate")
         defaults["num_envs"] = 999

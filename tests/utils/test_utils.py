@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.utils import (
     MetricLogger,
-    RewardScaler,
-    RngStream,
     RunningMeanStd,
     make_rng,
     spawn_rngs,
@@ -32,26 +30,6 @@ class TestSeeding:
         d1 = [r.integers(0, 10**9) for r in spawn_rngs(42, 3)]
         d2 = [r.integers(0, 10**9) for r in spawn_rngs(42, 3)]
         assert d1 == d2
-
-    def test_rng_stream_same_name_same_stream(self):
-        stream = RngStream(seed=1)
-        rng_a = stream.child("policy")
-        rng_b = stream.child("policy")
-        assert rng_a is rng_b
-
-    def test_rng_stream_names_independent(self):
-        stream = RngStream(seed=1)
-        a = stream.child("policy").integers(0, 10**9)
-        b = stream.child("sadae").integers(0, 10**9)
-        assert a != b
-
-    def test_rng_stream_order_independent(self):
-        s1 = RngStream(seed=3)
-        s2 = RngStream(seed=3)
-        s1.child("x")
-        value1 = s1.child("y").integers(0, 10**9)
-        value2 = s2.child("y").integers(0, 10**9)  # no prior child("x")
-        assert value1 == value2
 
 
 class TestRunningMeanStd:
@@ -99,27 +77,6 @@ class TestRunningMeanStd:
         oneshot.update(data)
         np.testing.assert_allclose(incremental.mean, oneshot.mean, atol=1e-10)
         np.testing.assert_allclose(incremental.var, oneshot.var, atol=1e-10)
-
-
-class TestRewardScaler:
-    def test_scale_shape_preserved(self):
-        scaler = RewardScaler(gamma=0.99)
-        rewards = np.ones(8)
-        scaled = scaler.scale(rewards, np.zeros(8))
-        assert scaled.shape == (8,)
-
-    def test_scaling_reduces_large_rewards(self):
-        scaler = RewardScaler(gamma=0.99)
-        for _ in range(50):
-            scaled = scaler.scale(np.full(4, 100.0), np.zeros(4))
-        assert np.all(scaled < 10.0)
-
-    def test_dones_reset_returns(self):
-        scaler = RewardScaler(gamma=1.0)
-        scaler.scale(np.ones(2), np.zeros(2))
-        scaler.scale(np.ones(2), np.ones(2))  # episode ends
-        scaler.scale(np.ones(2), np.zeros(2))
-        np.testing.assert_allclose(scaler._returns, 1.0)
 
 
 class TestMetricLogger:
