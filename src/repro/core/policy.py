@@ -109,9 +109,7 @@ class Sim2RecPolicy(RecurrentActorCritic):
                 states[rows].reshape(count, size, -1),
                 None if actions is None else actions[rows].reshape(count, size, -1),
             )
-            with nn.no_grad():
-                group_context = self.context_mlp(nn.Tensor(upsilon)).data
-            context[rows] = np.repeat(group_context, size, axis=0)
+            context[rows] = np.repeat(self.context_mlp.infer(upsilon), size, axis=0)
         return context
 
     def _segment_context(self, segment: RolloutSegment) -> nn.Tensor:

@@ -150,9 +150,25 @@ class SADAE(nn.Module):
         return nn.product_of_gaussians(means, log_stds, axis=-2)
 
     def embed(self, states: np.ndarray, actions: Optional[np.ndarray] = None) -> np.ndarray:
-        """Posterior mean embedding υ (no gradients; used during rollouts)."""
-        with nn.no_grad():
-            return self.posterior(states, actions).mean.data.copy()
+        """Posterior mean embedding υ on arrays (no gradients; used during rollouts).
+
+        ``posterior(states, actions).mean.data`` without building a
+        ``Tensor``: the encoder's graph-free :meth:`~repro.nn.MLP.infer`
+        and the Eq. (6) precision-weighted mean of
+        :func:`~repro.nn.product_of_gaussians`, op for op, so the result
+        is bit-identical for ``[N, d]`` (→ ``[latent]``) and ``[K, N, d]``
+        (→ ``[K, latent]``) sets.
+        """
+        inputs = self._encoder_input(states, actions)
+        encoded = self.encoder.infer(inputs.reshape(-1, inputs.shape[-1]))
+        if inputs.ndim == 3:
+            encoded = encoded.reshape(*inputs.shape[:2], -1)
+        latent = self.config.latent_dim
+        precisions = np.maximum(encoded[..., latent:], nn.DiagGaussian.LOG_STD_MIN)
+        np.minimum(precisions, nn.DiagGaussian.LOG_STD_MAX, out=precisions)  # the log-std clip
+        precisions *= -2.0
+        np.exp(precisions, out=precisions)
+        return (encoded[..., :latent] * precisions).sum(axis=-2) / precisions.sum(axis=-2)
 
     def embed_tensor(
         self,

@@ -5,7 +5,14 @@ are built on this package. Gradients come from the reverse-mode autodiff
 engine in :mod:`repro.nn.tensor`, verified against finite differences.
 """
 
-from .distributions import Bernoulli, Categorical, DiagGaussian, product_of_gaussians
+from .distributions import (
+    Bernoulli,
+    Categorical,
+    DiagGaussian,
+    diag_gaussian_log_prob,
+    diag_gaussian_sample,
+    product_of_gaussians,
+)
 from .functional import (
     LOG_2PI,
     gaussian_log_prob,
@@ -32,6 +39,7 @@ from .tensor import (
     concat,
     is_grad_enabled,
     no_grad,
+    sigmoid_data,
     stack,
     tile_rows,
     where,
@@ -62,6 +70,8 @@ __all__ = [
     "as_tensor",
     "clip_grad_norm",
     "concat",
+    "diag_gaussian_log_prob",
+    "diag_gaussian_sample",
     "gaussian_log_prob",
     "get_activation",
     "is_grad_enabled",
@@ -72,6 +82,7 @@ __all__ = [
     "no_grad",
     "product_of_gaussians",
     "save_state",
+    "sigmoid_data",
     "softmax",
     "stack",
     "state_from_bytes",

@@ -63,6 +63,46 @@ class DiagGaussian:
         return self.mean.data.copy()
 
 
+def _clip_log_std(log_std: np.ndarray) -> np.ndarray:
+    # ``np.clip``'s bounds as two selections (no arithmetic, so the same
+    # bits, NaN included) without its Python-level dispatch.
+    return np.minimum(
+        np.maximum(log_std, DiagGaussian.LOG_STD_MIN), DiagGaussian.LOG_STD_MAX
+    )
+
+
+def diag_gaussian_sample(
+    mean: np.ndarray, log_std: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``DiagGaussian(mean, log_std).sample(rng)`` on arrays.
+
+    The graph-free head of the rollout step: the same log-std clip, one
+    ``mean.shape`` standard-normal draw (``log_std`` broadcasts over the
+    last axis) and the same arithmetic, so draws and results are
+    bit-identical to the ``DiagGaussian`` path.
+    """
+    log_std = _clip_log_std(log_std)
+    return mean + np.exp(log_std) * rng.standard_normal(mean.shape)
+
+
+def diag_gaussian_log_prob(
+    value: np.ndarray, mean: np.ndarray, log_std: np.ndarray
+) -> np.ndarray:
+    """``DiagGaussian(mean, log_std).log_prob(value).data`` on arrays.
+
+    :func:`~repro.nn.functional.gaussian_log_prob` op for op (in place
+    on fresh buffers), summed over the last axis: bit-identical.
+    """
+    log_std = _clip_log_std(log_std)
+    z = value - mean
+    z *= np.exp(-log_std)
+    per_dim = z * z
+    per_dim *= -0.5
+    per_dim -= log_std
+    per_dim -= 0.5 * LOG_2PI
+    return per_dim.sum(axis=-1)
+
+
 class Categorical:
     """Categorical distribution parameterised by logits (last axis)."""
 

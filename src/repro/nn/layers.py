@@ -1,4 +1,15 @@
-"""Feed-forward layers: Linear, MLP, LayerNorm, Embedding."""
+"""Feed-forward layers: Linear, MLP, LayerNorm, Embedding.
+
+Inference fast path
+-------------------
+``MLP.infer`` is the graph-free forward on plain arrays that the
+rollout step calls (and that ``MLP.__call__`` takes under
+``no_grad()``): each layer is :func:`~repro.nn.tensor.affine_data`, the
+forward :func:`~repro.nn.tensor.affine` itself computes, and each
+activation runs in place on that layer's fresh output with the same
+elementwise function as its ``Tensor`` form. The result is therefore
+bit-identical to the graph path for any batch length and head width.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +19,19 @@ import numpy as np
 
 from . import init as initializers
 from .module import Module, Parameter
-from .tensor import Tensor, affine, as_tensor
+from .tensor import (
+    Tensor,
+    _as_array,
+    _graphless,
+    affine,
+    affine_data,
+    as_tensor,
+    is_grad_enabled,
+    sigmoid_data,
+)
 
 Activation = Callable[[Tensor], Tensor]
+ArrayActivation = Callable[[np.ndarray], np.ndarray]
 
 
 # Module-level functions rather than lambdas: modules keep a reference to
@@ -44,6 +65,29 @@ ACTIVATIONS: dict[str, Activation] = {
 def get_activation(name: str) -> Activation:
     """Look up an activation function by name (raises KeyError on typos)."""
     return ACTIVATIONS[name]
+
+
+# In-place array forms of ``ACTIVATIONS`` for ``MLP.infer``: each writes
+# into ``x`` what its Tensor form returns (identity has nothing to do).
+def _tanh_(x: np.ndarray) -> np.ndarray:
+    return np.tanh(x, out=x)
+
+
+def _relu_(x: np.ndarray) -> np.ndarray:
+    x *= x > 0
+    return x
+
+
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    return sigmoid_data(x, out=x)
+
+
+_ARRAY_ACTIVATIONS: dict[str, Optional[ArrayActivation]] = {
+    "tanh": _tanh_,
+    "relu": _relu_,
+    "sigmoid": _sigmoid_,
+    "identity": None,
+}
 
 
 class Linear(Module):
@@ -98,6 +142,8 @@ class MLP(Module):
         self.sizes = list(sizes)
         self.activation = get_activation(activation)
         self.out_activation = get_activation(out_activation) if out_activation else None
+        self._activation_ = _ARRAY_ACTIVATIONS[activation]
+        self._out_activation_ = _ARRAY_ACTIVATIONS[out_activation] if out_activation else None
         gain = np.sqrt(2.0) if activation == "relu" else 1.0
         self.layers = []
         for index, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -105,7 +151,25 @@ class MLP(Module):
             layer_gain = out_gain if is_last else gain
             self.layers.append(Linear(fan_in, fan_out, rng, init=init, gain=layer_gain))
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The graph-free forward on a float64 array (``x`` is only read).
+
+        What ``__call__`` computes, bit for bit; see the module docstring.
+        """
+        activation = self._activation_
+        for layer in self.layers[:-1]:
+            x = affine_data(x, layer.weight.data, layer.bias.data)
+            if activation is not None:
+                activation(x)
+        layer = self.layers[-1]
+        x = affine_data(x, layer.weight.data, layer.bias.data)
+        if self._out_activation_ is not None:
+            self._out_activation_(x)
+        return x
+
     def __call__(self, x: Tensor) -> Tensor:
+        if not is_grad_enabled():
+            return _graphless(self.infer(_as_array(x)))
         out = as_tensor(x)
         for index, layer in enumerate(self.layers):
             out = layer(out)

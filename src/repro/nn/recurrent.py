@@ -9,26 +9,29 @@ sequence as two graph nodes instead (see below).
 Inference fast path
 -------------------
 Rollouts advance the cell once per environment step with gradients
-disabled, so both cells implement a graph-free ``_fast_forward`` used
-whenever ``no_grad()`` is active: gate pre-activations are computed with
-raw BLAS calls into a preallocated per-batch scratch buffer (reused
-across timesteps), and the sigmoid gates are activated in one
-contiguous in-place pass. The LSTM takes tanh of its g block into its
-own array first and then runs the sigmoid over the whole ``[B, 4H]``
-buffer (the g block's sigmoid is never read): five passes over one
-contiguous buffer cost about half of three passes over strided
-``[B, H]`` column slices. The GRU activates its adjacent r and z
-columns as one contiguous ``[B, 2H]`` block. Every gate is the same
-elementwise function of the same pre-activation as in the autodiff
-path, so the produced hidden states are bit-identical to the graph
-path.
+disabled, so both cells implement a graph-free ``infer`` on plain
+arrays — what the policies' rollout step calls directly, and what
+``__call__`` takes whenever ``no_grad()`` is active. Gate
+pre-activations are computed with raw BLAS calls into a preallocated
+per-batch scratch buffer (reused across timesteps), and the sigmoid
+gates are activated in one contiguous in-place
+:func:`~repro.nn.tensor.sigmoid_data` pass; the returned state arrays
+are fresh on every step and never written afterwards. The LSTM takes
+tanh of its g block into its own array first and then runs the sigmoid
+over the whole ``[B, 4H]`` buffer (the g block's sigmoid is never
+read): five passes over one contiguous buffer cost about half of three
+passes over strided ``[B, H]`` column slices. The GRU activates its
+adjacent r and z columns as one contiguous ``[B, 2H]`` block. Every
+gate is the same elementwise function of the same pre-activation as in
+the autodiff path, so the produced hidden states are bit-identical to
+the graph path.
 
 Fused sequence path
 -------------------
 The PPO learner evaluates whole ``[T, B, input]`` sequences with
 gradients. ``unroll`` projects the inputs of all T steps in one
 :func:`~repro.nn.tensor.affine` and runs the recurrence as a single graph
-node: its forward repeats ``_fast_forward`` op for op, single gate
+node: its forward repeats ``infer`` op for op, single gate
 pass included (so the hidden states are bit-identical to T autodiff
 cell calls), and caches the gate activations; its backward is a numpy
 BPTT loop that sums the weight gradients in one gemm over all T·B rows.
@@ -51,29 +54,15 @@ from . import init as initializers
 from .module import Module, Parameter
 from .tensor import (
     Tensor,
+    _as_array,
     _graphless,
     _row_stable_matmul,
     affine,
     as_tensor,
     is_grad_enabled,
+    sigmoid_data,
     stack,
 )
-
-
-def _sigmoid_(values: np.ndarray) -> np.ndarray:
-    """In-place sigmoid replicating ``Tensor.sigmoid`` numerics exactly."""
-    np.maximum(values, -60.0, out=values)
-    np.negative(values, out=values)
-    np.exp(values, out=values)
-    values += 1.0
-    np.reciprocal(values, out=values)
-    return values
-
-
-def _as_data(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
 
 
 def _project_sequence(x_seq, weight: Tensor, bias: Optional[Tensor]) -> Tuple[Tensor, int, int]:
@@ -130,36 +119,40 @@ class LSTMCell(Module):
             self._scratch[batch] = buf
         return buf
 
-    def _fast_forward(self, x, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
+    def infer(
+        self, x: np.ndarray, state: Tuple[np.ndarray, np.ndarray]
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        """One graph-free step on arrays: ``h, (h, c)`` from ``x`` and ``(h, c)``."""
         h_prev, c_prev = state
-        xd = _as_data(x)
-        hd, cd = _as_data(h_prev), _as_data(c_prev)
         hs = self.hidden_size
-        gates = self._gates_scratch(xd.shape[0])
-        if xd.shape[0] == 1:
+        gates = self._gates_scratch(x.shape[0])
+        if x.shape[0] == 1:
             # Single-row batches replicate the graph path's row-stable
             # matmul (gemv results differ from gemm at the last ulp).
-            gates[:] = _row_stable_matmul(xd, self.weight_ih.data)
-            gates += _row_stable_matmul(hd, self.weight_hh.data)
+            gates[:] = _row_stable_matmul(x, self.weight_ih.data)
+            gates += _row_stable_matmul(h_prev, self.weight_hh.data)
         else:
-            np.matmul(xd, self.weight_ih.data, out=gates)
-            gates += hd @ self.weight_hh.data
+            np.matmul(x, self.weight_ih.data, out=gates)
+            gates += h_prev @ self.weight_hh.data
         gates += self.bias.data
         g_gate = np.tanh(gates[:, 2 * hs : 3 * hs])
-        _sigmoid_(gates)  # i, f and o in one pass; the g block is overwritten
+        sigmoid_data(gates, out=gates)  # i, f and o in one pass; the g block is overwritten
         i_gate = gates[:, 0 * hs : 1 * hs]
         f_gate = gates[:, 1 * hs : 2 * hs]
         o_gate = gates[:, 3 * hs : 4 * hs]
-        c_new = f_gate * cd
+        c_new = f_gate * c_prev
         c_new += i_gate * g_gate
         h_new = o_gate * np.tanh(c_new)
-        h_t = _graphless(h_new)
-        return h_t, (h_t, _graphless(c_new))
+        return h_new, (h_new, c_new)
 
     def __call__(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        if not is_grad_enabled():
-            return self._fast_forward(x, state)
         h_prev, c_prev = state
+        if not is_grad_enabled():
+            h_new, (_, c_new) = self.infer(
+                _as_array(x), (_as_array(h_prev), _as_array(c_prev))
+            )
+            h_t = _graphless(h_new)
+            return h_t, (h_t, _graphless(c_new))
         x = as_tensor(x)
         gates = x @ self.weight_ih + h_prev @ self.weight_hh + self.bias
         hs = self.hidden_size
@@ -195,7 +188,7 @@ class LSTMCell(Module):
             np.add(xw[t], _row_stable_matmul(hidden[t], w_hh), out=g)
             g += bias
             g_gate = np.tanh(g[:, 2 * hs : 3 * hs], out=g_gates[t])
-            _sigmoid_(g)
+            sigmoid_data(g, out=g)
             i_gate, f_gate = g[:, 0 * hs : 1 * hs], g[:, 1 * hs : 2 * hs]
             o_gate = g[:, 3 * hs : 4 * hs]
             c_new = np.multiply(f_gate, cells[t], out=cells[t + 1])
@@ -271,32 +264,31 @@ class GRUCell(Module):
             self._scratch[batch] = bufs
         return bufs
 
-    def _fast_forward(self, x, h_prev) -> Tensor:
-        xd = _as_data(x)
-        hd = _as_data(h_prev)
+    def infer(self, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
+        """One graph-free step on arrays: the next hidden state."""
         hs = self.hidden_size
-        gates_x, gates_h, rz = self._gates_scratch(xd.shape[0])
-        if xd.shape[0] == 1:
-            # See LSTMCell._fast_forward: keep single-row batches on the
+        gates_x, gates_h, rz = self._gates_scratch(x.shape[0])
+        if x.shape[0] == 1:
+            # See LSTMCell.infer: keep single-row batches on the
             # row-stable gemm path.
-            gates_x[:] = _row_stable_matmul(xd, self.weight_ih.data)
-            gates_h[:] = _row_stable_matmul(hd, self.weight_hh.data)
+            gates_x[:] = _row_stable_matmul(x, self.weight_ih.data)
+            gates_h[:] = _row_stable_matmul(h_prev, self.weight_hh.data)
         else:
-            np.matmul(xd, self.weight_ih.data, out=gates_x)
-            np.matmul(hd, self.weight_hh.data, out=gates_h)
+            np.matmul(x, self.weight_ih.data, out=gates_x)
+            np.matmul(h_prev, self.weight_hh.data, out=gates_h)
         gates_x += self.bias.data
-        _sigmoid_(np.add(gates_x[:, : 2 * hs], gates_h[:, : 2 * hs], out=rz))
+        sigmoid_data(np.add(gates_x[:, : 2 * hs], gates_h[:, : 2 * hs], out=rz), out=rz)
         r_gate, z_gate = rz[:, :hs], rz[:, hs:]
         n_pre = gates_x[:, 2 * hs :]
         n_pre += r_gate * gates_h[:, 2 * hs :]
         n_gate = np.tanh(n_pre)
         h_new = (1.0 - z_gate) * n_gate
-        h_new += z_gate * hd
-        return _graphless(h_new)
+        h_new += z_gate * h_prev
+        return h_new
 
     def __call__(self, x: Tensor, h_prev: Tensor) -> Tensor:
         if not is_grad_enabled():
-            return self._fast_forward(x, h_prev)
+            return _graphless(self.infer(_as_array(x), _as_array(h_prev)))
         x = as_tensor(x)
         hs = self.hidden_size
         gates_x = x @ self.weight_ih + self.bias
@@ -325,7 +317,7 @@ class GRUCell(Module):
         hidden = np.zeros((steps + 1, batch, hs))
         for t in range(steps):
             gh[t] = _row_stable_matmul(hidden[t], w_hh)
-            _sigmoid_(np.add(gx[t, :, : 2 * hs], gh[t, :, : 2 * hs], out=rz[t]))
+            sigmoid_data(np.add(gx[t, :, : 2 * hs], gh[t, :, : 2 * hs], out=rz[t]), out=rz[t])
             r_gate, z_gate = rz[t, :, :hs], rz[t, :, hs:]
             n_pre = gx[t, :, 2 * hs :] + r_gate * gh[t, :, 2 * hs :]
             n_gate = np.tanh(n_pre, out=n_gates[t])

@@ -16,9 +16,16 @@ graph is needed at all (``no_grad()`` active, or no operand requires
 grad). On that path the op returns immediately through
 :func:`_graphless` — a raw ``Tensor.__new__`` constructor that skips
 ``np.asarray`` validation and, crucially, never allocates the backward
-closure or the parent tuple. This roughly halves the per-op cost of
-policy inference and is what ``policy.act`` / ``collect_segment`` /
-``repro.rl.evaluate`` ride on.
+closure or the parent tuple.
+
+The rollout step itself goes one level lower and never builds a
+``Tensor``: ``policy.act`` / ``policy.actions``, ``SADAE.embed`` and the
+layers under them (``MLP.infer``, the recurrent cells' ``infer``) run on
+plain arrays. The array forms are the forwards' single definitions:
+:func:`affine_data`, with its narrow-head and single-row rules, is what
+:func:`affine` computes, and :func:`sigmoid_data` is what
+:meth:`Tensor.sigmoid` computes, so both paths give bit-identical
+numbers by construction.
 
 Only the operations needed by the Sim2Rec stack are implemented, which keeps
 the engine small enough to verify exhaustively with finite differences (see
@@ -93,6 +100,45 @@ def _row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim == 2 and b.ndim == 2 and a.shape[0] == 1:
         return np.matmul(np.repeat(a, 2, axis=0), b)[:1]
     return a @ b
+
+
+def sigmoid_data(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The logistic sigmoid ``1 / (1 + exp(-max(x, -60)))`` on arrays.
+
+    The one definition behind :meth:`Tensor.sigmoid`, the recurrent gates
+    and the graph-free heads. Only the lower clamp is needed: above ~36.8,
+    ``1 + exp(-x)`` already rounds to 1.0. Pass ``out=x`` to activate a
+    fresh buffer in place; the result is bit-identical either way.
+    """
+    out = np.maximum(x, -60.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def affine_data(
+    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``x @ weight (+ bias)`` on arrays, returning a fresh array.
+
+    The one forward definition behind :func:`affine` and the graph-free
+    ``MLP.infer``. Narrow heads (value functions, 1-3 dim action means)
+    would dispatch to BLAS gemv-style kernels whose last-ulp results
+    depend on how the batch length aligns with the kernel's row
+    chunking — breaking the bitwise sequential/vectorized rollout
+    equivalence — so they take per-row reductions, which are batch-size
+    independent; wider outputs take the row-stable gemm.
+    """
+    if weight.ndim == 2 and weight.shape[1] <= 3 and x.ndim >= 2:
+        out = np.empty(x.shape[:-1] + weight.shape[1:])
+        for j in range(weight.shape[1]):
+            out[..., j] = (x * weight[:, j]).sum(axis=-1)
+    else:
+        out = _row_stable_matmul(x, weight)
+    if bias is not None:
+        out += bias
+    return out
 
 
 def _is_basic_index(index) -> bool:
@@ -418,7 +464,7 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.maximum(self.data, -60.0)))
+        out_data = sigmoid_data(self.data)
         if not self._needs_graph():
             return _graphless(out_data)
 
@@ -590,30 +636,16 @@ class Tensor:
 def affine(x: ArrayLike, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Fused ``y = x @ W (+ b)`` — one graph node instead of two.
 
-    The backward pass reproduces exactly the gradients the unfused
-    ``__matmul__`` + ``__add__`` pair would produce, so training numbers
-    are unchanged; on the inference path the whole call reduces to a
-    single BLAS gemm plus an in-place bias add with no closures at all.
+    The forward is :func:`affine_data`. The backward pass reproduces
+    exactly the gradients the unfused ``__matmul__`` + ``__add__`` pair
+    would produce, so training numbers are unchanged; on the inference
+    path the call builds no closures at all.
     """
     x = as_tensor(x)
     weight = as_tensor(weight)
-    w = weight.data
-    if w.ndim == 2 and w.shape[1] <= 3 and x.data.ndim >= 2:
-        # Narrow heads (value functions, 1-3 dim action means) dispatch
-        # to BLAS gemv-style kernels whose last-ulp results depend on how
-        # the batch length aligns with the kernel's row chunking —
-        # breaking the bitwise sequential/vectorized rollout equivalence.
-        # Per-row reductions are batch-size independent; N >= 4 gemm is
-        # row-stable.
-        xd = x.data
-        out_data = np.stack(
-            [(xd * w[:, j]).sum(axis=-1) for j in range(w.shape[1])], axis=-1
-        )
-    else:
-        out_data = _row_stable_matmul(x.data, w)
     if bias is not None:
         bias = as_tensor(bias)
-        out_data += bias.data
+    out_data = affine_data(x.data, weight.data, None if bias is None else bias.data)
     requires = _GRAD_ENABLED and (
         x.requires_grad
         or weight.requires_grad

@@ -22,6 +22,15 @@ Both expose the same rollout/update interface consumed by
   critic and the log-prob never run);
 - ``evaluate_segment(segment, user_idx)`` — recompute log-probs / values /
   entropy with gradients (full BPTT for recurrent policies).
+
+The rollout step (``act`` / ``actions``) is array-native end to end: it
+never builds a ``Tensor``. The layers run their graph-free ``infer``
+forwards (:meth:`repro.nn.MLP.infer`, the recurrent cells' ``infer``),
+and the Gaussian head samples and scores with
+:func:`repro.nn.diag_gaussian_sample` / :func:`repro.nn.diag_gaussian_log_prob`.
+Each of these is the graph path's arithmetic op for op, so the actions,
+log-probs and values a rollout records are bit-identical to what
+``evaluate_segment`` recomputes at the same parameters.
 """
 
 from __future__ import annotations
@@ -46,6 +55,29 @@ def _stacked_rows(
         [getattr(s, field)[:, idx] for s, idx in zip(segments, user_idxs)], axis=1
     )
     return stacked.reshape(stacked.shape[0] * stacked.shape[1], -1)
+
+
+def _gaussian_head(
+    actor: nn.MLP, log_std: nn.Parameter, features: np.ndarray, rng, deterministic: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """π(a | features) on arrays: the drawn actions and the Gaussian mean.
+
+    The mean is the actor's sigmoid output (actions live in [0, 1]). A
+    deterministic step returns the mean itself as its actions (the
+    distribution's mode) and draws no noise.
+    """
+    mean = actor.infer(features)
+    nn.sigmoid_data(mean, out=mean)
+    if deterministic:
+        return mean, mean
+    return nn.diag_gaussian_sample(mean, log_std.data, rng), mean
+
+
+def _copy_state(state):
+    """An independent copy of a recurrent state: an array or a tuple of arrays."""
+    if isinstance(state, tuple):
+        return tuple(np.array(part, dtype=np.float64) for part in state)
+    return np.array(state, dtype=np.float64)
 
 
 class ActorCriticBase(nn.Module):
@@ -100,23 +132,38 @@ class ActorCriticBase(nn.Module):
     # ------------------------------------------------------------------
     # session state (serving layer)
     # ------------------------------------------------------------------
+    def initial_recurrent_state(self, num_users: int):
+        """The state a ``num_users``-row rollout starts from (None: stateless)."""
+        return None
+
     def recurrent_state(self):
         """Numpy snapshot of the per-rollout recurrent state, or None.
 
         Feed-forward policies carry no state between ``act`` calls, so the
         base returns None. :class:`RecurrentActorCritic` returns plain
-        arrays (copies) that :meth:`set_recurrent_state` can restore later
-        — the pair is how :class:`repro.serve.PolicyServer` checkpoints a
-        session's extractor state between microbatches.
+        arrays (copies) that :meth:`set_recurrent_state` can restore later.
         """
         return None
 
     def set_recurrent_state(self, state) -> None:
         """Restore a :meth:`recurrent_state` snapshot (no-op base)."""
-        if state is not None:  # pragma: no cover - defensive
+        self.exchange_recurrent_state(None if state is None else _copy_state(state))
+
+    def exchange_recurrent_state(self, state):
+        """Adopt ``state`` as the live rollout state, uncopied; return the old one.
+
+        The serving kernel's hand-off (:class:`repro.serve.PolicyServer`):
+        it installs a window's freshly stacked session rows before
+        ``act`` and takes the advanced state back after it, with no
+        snapshot copies in between. The caller gives up ``state`` and
+        owns what is returned; the rollout step never writes into either
+        (it allocates every new state). Stateless policies hold None.
+        """
+        if state is not None:
             raise ValueError(
-                f"{type(self).__name__} is stateless; cannot restore recurrent state"
+                f"{type(self).__name__} is stateless; cannot adopt recurrent state"
             )
+        return None
 
     # ------------------------------------------------------------------
     # replica synchronisation (sharded evaluation workers)
@@ -257,28 +304,15 @@ class MLPActorCritic(ActorCriticBase):
         mean = self.actor(states).sigmoid()  # actions live in [0, 1]
         return nn.DiagGaussian(mean, self.log_std)
 
-    def _rollout_step(self, states, rng, deterministic):
-        """The actor half of a rollout step (call under ``no_grad``).
-
-        Returns the drawn actions, their distribution and the critic's
-        input: :meth:`act` adds the log-prob and value, :meth:`actions`
-        stops here.
-        """
-        states_t = nn.Tensor(np.asarray(states, dtype=np.float64))
-        dist = self._distribution(states_t)
-        actions = dist.mode() if deterministic else dist.sample(rng)
-        return actions, dist, states_t
-
     def act(self, states, prev_actions, rng, deterministic=False):
-        with nn.no_grad():
-            actions, dist, states_t = self._rollout_step(states, rng, deterministic)
-            log_probs = dist.log_prob(actions).data
-            values = self.critic(states_t).data[:, 0]
-        return actions, log_probs, values
+        states = np.asarray(states, dtype=np.float64)
+        actions, mean = _gaussian_head(self.actor, self.log_std, states, rng, deterministic)
+        log_probs = nn.diag_gaussian_log_prob(actions, mean, self.log_std.data)
+        return actions, log_probs, self.critic.infer(states)[:, 0]
 
     def actions(self, states, prev_actions, rng, deterministic=False):
-        with nn.no_grad():
-            return self._rollout_step(states, rng, deterministic)[0]
+        states = np.asarray(states, dtype=np.float64)
+        return _gaussian_head(self.actor, self.log_std, states, rng, deterministic)[0]
 
     def evaluate_segment(self, segment, user_idx):
         t, b = segment.horizon, len(user_idx)
@@ -313,7 +347,7 @@ class RecurrentActorCritic(ActorCriticBase):
     """LSTM extractor + context-aware Gaussian head (DR-OSI / Sim2Rec core).
 
     Subclasses provide a per-step group context by overriding
-    :meth:`_rollout_context` (numpy, no grad) and
+    :meth:`_rollout_context` (arrays in, array out) and
     :meth:`_segment_context` (Tensor sequence, with grad), and may
     override :meth:`_segments_context` to compute several segments'
     context in fewer passes; the base class uses an empty context, which
@@ -350,7 +384,8 @@ class RecurrentActorCritic(ActorCriticBase):
         )
         self.critic = nn.MLP([head_in, *head_hidden, 1], rng, activation="tanh")
         self.log_std = nn.Parameter(np.full(action_dim, init_log_std), name="log_std")
-        self._state: Optional[Tuple[nn.Tensor, nn.Tensor]] = None
+        # The live extractor state: (h, c) arrays for an LSTM, h for a GRU.
+        self._state = None
 
     # ------------------------------------------------------------------
     # context hooks (overridden by the Sim2Rec policy)
@@ -388,7 +423,7 @@ class RecurrentActorCritic(ActorCriticBase):
     # ------------------------------------------------------------------
     def start_rollout(self, num_users: int) -> None:
         super().start_rollout(num_users)
-        self._state = self.extractor.initial_state(num_users)
+        self._state = self.initial_recurrent_state(num_users)
 
     def _advance(self, x: nn.Tensor, state):
         """One extractor step; returns (z, new_state) for either cell type."""
@@ -404,20 +439,18 @@ class RecurrentActorCritic(ActorCriticBase):
         h = self._state[0] if isinstance(self._state, tuple) else self._state
         return h.shape[0]
 
-    def recurrent_state(self):
-        if self._state is None:
-            return None
-        if isinstance(self._state, tuple):
-            return tuple(np.array(part.data) for part in self._state)
-        return np.array(self._state.data)
+    def initial_recurrent_state(self, num_users: int):
+        state = self.extractor.initial_state(num_users)
+        if isinstance(state, tuple):
+            return tuple(part.data for part in state)
+        return state.data
 
-    def set_recurrent_state(self, state) -> None:
-        if state is None:
-            self._state = None
-        elif isinstance(state, tuple):
-            self._state = tuple(nn.Tensor(np.array(part, dtype=np.float64)) for part in state)
-        else:
-            self._state = nn.Tensor(np.array(state, dtype=np.float64))
+    def recurrent_state(self):
+        return None if self._state is None else _copy_state(self._state)
+
+    def exchange_recurrent_state(self, state):
+        previous, self._state = self._state, state
+        return previous
 
     def _distribution(self, features: nn.Tensor) -> nn.DiagGaussian:
         """π(a | s, z) from the head features ``[s, z]``."""
@@ -429,41 +462,38 @@ class RecurrentActorCritic(ActorCriticBase):
         return self._distribution(features), self.critic(features)
 
     def _rollout_step(self, states, prev_actions, rng, deterministic):
-        """Advance the extractor one step and draw actions (call under ``no_grad``).
+        """Advance the extractor one step and draw actions, on arrays.
 
-        Returns the actions, their distribution and the head features:
-        :meth:`act` adds the log-prob and the critic, :meth:`actions`
-        stops here. A batch-size change restarts the extractor state
-        only; declared rollout groups stay, so groups that do not tile
-        the new batch still raise.
+        Returns the actions, the Gaussian mean and the head features
+        ``[s, z]``: :meth:`act` adds the log-prob and the critic,
+        :meth:`actions` stops here. A batch-size change restarts the
+        extractor state only; declared rollout groups stay, so groups
+        that do not tile the new batch still raise.
         """
-        if self._state_batch_size() != states.shape[0]:
-            self._state = self.extractor.initial_state(states.shape[0])
         states = np.asarray(states, dtype=np.float64)
         prev_actions = np.asarray(prev_actions, dtype=np.float64)
+        if self._state_batch_size() != states.shape[0]:
+            self._state = self.initial_recurrent_state(states.shape[0])
         parts = [states, prev_actions]
         context = self._rollout_context(states, prev_actions)
         if context is not None:
             parts.append(context)
-        x = nn.Tensor(np.concatenate(parts, axis=-1))
-        z, self._state = self._advance(x, self._state)
-        features = nn.concat([nn.Tensor(states), z], axis=-1)
-        dist = self._distribution(features)
-        actions = dist.mode() if deterministic else dist.sample(rng)
-        return actions, dist, features
+        x = np.concatenate(parts, axis=-1)
+        if self.cell_type == "lstm":
+            z, self._state = self.extractor.infer(x, self._state)
+        else:
+            z = self._state = self.extractor.infer(x, self._state)
+        features = np.concatenate([states, z], axis=-1)
+        actions, mean = _gaussian_head(self.actor, self.log_std, features, rng, deterministic)
+        return actions, mean, features
 
     def act(self, states, prev_actions, rng, deterministic=False):
-        with nn.no_grad():
-            actions, dist, features = self._rollout_step(
-                states, prev_actions, rng, deterministic
-            )
-            log_probs = dist.log_prob(actions).data
-            values = self.critic(features).data[:, 0]
-        return actions, log_probs, values
+        actions, mean, features = self._rollout_step(states, prev_actions, rng, deterministic)
+        log_probs = nn.diag_gaussian_log_prob(actions, mean, self.log_std.data)
+        return actions, log_probs, self.critic.infer(features)[:, 0]
 
     def actions(self, states, prev_actions, rng, deterministic=False):
-        with nn.no_grad():
-            return self._rollout_step(states, prev_actions, rng, deterministic)[0]
+        return self._rollout_step(states, prev_actions, rng, deterministic)[0]
 
     def evaluate_segment(self, segment, user_idx):
         t = segment.horizon

@@ -23,10 +23,12 @@ sequential ones:
 - **per-session context groups** — ``policy.set_rollout_groups`` scopes
   group-level context (the Sim2Rec SADAE υ-embedding) to each session's
   block, so υ never mixes users across sessions;
-- **per-session recurrent state** — the extractor state is scattered
-  back to each session after the batch and restored (row-exact) before
-  the next one, so an interleaved session's hidden state evolves exactly
-  as it would serving alone.
+- **per-session recurrent state** — before the batch, each state part
+  is gathered once, stacking every session's saved extractor rows in
+  window order, and handed to the policy uncopied
+  (``exchange_recurrent_state``); after it, each session takes back one
+  slice copy of its rows, so an interleaved session's hidden state
+  evolves exactly as it would serving alone.
 
 Together these make microbatched serving **bit-identical** to serving
 every session by itself, one ``policy.act`` per request — the contract
@@ -154,22 +156,33 @@ class ActionResult:
 
 
 class Ticket:
-    """Handle for one submitted request; resolved by the next batch."""
+    """Handle for one submitted request; resolved by the next batch.
 
-    __slots__ = ("_event", "_result", "_error")
+    The signal is a lock held from creation until the batch resolves the
+    ticket: waiters block on acquiring it, with ``threading.Event``'s
+    semantics at a fraction of its per-request cost (an Event builds a
+    Condition and notifies under it).
+    """
+
+    __slots__ = ("_served", "_done", "_result", "_error")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._served = threading.Lock()
+        self._served.acquire()
+        self._done = False
         self._result: Optional[ActionResult] = None
         self._error: Optional[BaseException] = None
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     def result(self, timeout: Optional[float] = None) -> ActionResult:
         """Block until the request is served; raises what the batch raised."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("request not served within timeout")
+        if not self._done:
+            wait = -1 if timeout is None else max(timeout, 0.0)
+            if not self._served.acquire(True, wait):
+                raise TimeoutError("request not served within timeout")
+            self._served.release()  # let every other waiter through too
         if self._error is not None:
             raise self._error
         assert self._result is not None
@@ -177,11 +190,13 @@ class Ticket:
 
     def _resolve(self, result: ActionResult) -> None:
         self._result = result
-        self._event.set()
+        self._done = True
+        self._served.release()
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
-        self._event.set()
+        self._done = True
+        self._served.release()
 
 
 class _Session:
@@ -315,6 +330,33 @@ class _Request:
         self.ticket = Ticket()
         self.arrived = arrived
         self.trace = trace
+
+
+def _fail(requests: Sequence[_Request], error: BaseException) -> None:
+    """Resolve ``requests`` with ``error``, freeing their sessions."""
+    for request in requests:
+        request.session.pending = False
+        request.ticket._fail(error)
+
+
+def _stack_states(policy: ActorCriticBase, sessions: Sequence[_Session]):
+    """The window's extractor state: one stack per state part, or None.
+
+    Rows follow the window's session order; a session that has not
+    acted yet contributes the policy's initial rows. Feed-forward
+    policies keep no state.
+    """
+    states = [
+        session.recurrent_state
+        if session.recurrent_state is not None
+        else policy.initial_recurrent_state(session.num_users)
+        for session in sessions
+    ]
+    if states[0] is None:
+        return None
+    if isinstance(states[0], tuple):
+        return tuple(np.concatenate(parts) for parts in zip(*states))
+    return np.concatenate(states)
 
 
 def _series_for_replica(snapshot: Dict[str, dict], replica: str) -> Dict[Any, float]:
@@ -611,11 +653,17 @@ class PolicyServer:
         single-user sessions). One request per session may be in flight —
         a session's next observation depends on its previous action, so a
         second submit before the first is served can only be a protocol
-        bug.
+        bug. A non-finite observation is refused before it is queued: one
+        NaN would turn the whole group's SADAE context, and every later
+        step's extractor state, into NaN.
         """
         obs = np.asarray(obs, dtype=np.float64)
         if obs.ndim == 1:
             obs = obs.reshape(1, -1)
+        if not np.isfinite(obs).all():
+            raise SessionError(
+                f"session {session.id!r} observations must be finite (got NaN or inf)"
+            )
         with self._cond:
             self._check_serving()
             if self._sessions.get(session.id) is not session:
@@ -675,15 +723,29 @@ class PolicyServer:
     # microbatch kernel
     # ------------------------------------------------------------------
     def _process_batch(self, batch: Sequence[_Request]) -> None:
-        """One batched ``policy.act`` per determinism class, lock held."""
+        """One batched ``policy.act`` per determinism class, lock held.
+
+        Every class is served or failed even when an earlier one raises
+        (its tickets carry the error); the first error is re-raised.
+        """
         # ``deterministic`` is a batch-wide flag on policy.act, so a mixed
         # window is served as (up to) two stacked calls. Per-session
         # bit-identity is indifferent to the split: each session's rows,
         # noise stream and context block are its own either way.
+        first_error: Optional[BaseException] = None
         for flag in (False, True):
             sub = [r for r in batch if r.session.deterministic is flag]
-            if sub:
+            if not sub:
+                continue
+            if first_error is not None and not isinstance(first_error, Exception):
+                _fail(sub, first_error)  # an interrupt: stop serving
+                continue
+            try:
                 self._serve_stacked(sub, deterministic=flag)
+            except BaseException as error:  # re-raised below
+                first_error = first_error or error
+        if first_error is not None:
+            raise first_error
 
     def _serve_stacked(self, batch: Sequence[_Request], deterministic: bool) -> None:
         sessions = [request.session for request in batch]
@@ -706,34 +768,15 @@ class PolicyServer:
                 ],
                 axis=0,
             )
-            # Fresh per-batch rollout state, then overwrite each returning
-            # session's rows with its saved extractor state: a session's
-            # hidden state evolves exactly as if it were served alone.
-            policy.start_rollout(total)
-            template = policy.recurrent_state()
-            if template is not None:
-                parts = template if isinstance(template, tuple) else (template,)
-                for session, block in zip(sessions, slices):
-                    if session.recurrent_state is None:
-                        continue
-                    saved = (
-                        session.recurrent_state
-                        if isinstance(session.recurrent_state, tuple)
-                        else (session.recurrent_state,)
-                    )
-                    for dst, src in zip(parts, saved):
-                        dst[block] = src
-                policy.set_recurrent_state(template)
+            policy.exchange_recurrent_state(_stack_states(policy, sessions))
             policy.set_rollout_groups(slices)
             block_rng = BlockRNG([session.rng for session in sessions], slices)
             actions, log_probs, values = policy.act(
                 obs, prev, block_rng, deterministic=deterministic
             )
-            new_state = policy.recurrent_state()
+            new_state = policy.exchange_recurrent_state(None)
         except BaseException as error:
-            for request in batch:
-                request.session.pending = False
-                request.ticket._fail(error)
+            _fail(batch, error)
             raise
         finally:
             policy.set_rollout_groups(None)
@@ -767,13 +810,10 @@ class PolicyServer:
                     batch_rows=total,
                 )
         for request, session, block in zip(batch, sessions, slices):
-            if new_state is not None:
-                if isinstance(new_state, tuple):
-                    session.recurrent_state = tuple(
-                        np.array(part[block]) for part in new_state
-                    )
-                else:
-                    session.recurrent_state = np.array(new_state[block])
+            if isinstance(new_state, tuple):
+                session.recurrent_state = tuple(part[block].copy() for part in new_state)
+            elif new_state is not None:
+                session.recurrent_state = new_state[block].copy()
             session.prev_actions = np.array(actions[block])
             session.steps += 1
             session.pending = False
@@ -899,10 +939,8 @@ class PolicyServer:
             if self._closed:
                 return
             self._closed = True
-            while self._queue:
-                request = self._queue.popleft()
-                request.session.pending = False
-                request.ticket._fail(SessionError("server closed"))
+            _fail(list(self._queue), SessionError("server closed"))
+            self._queue.clear()
             self._sessions.clear()
 
     def _check_serving(self) -> None:

@@ -58,6 +58,27 @@ class TestPosterior:
         embedding = sadae.embed(*sets[0])
         np.testing.assert_allclose(embedding, sadae.posterior(*sets[0]).mean.data)
 
+    @pytest.mark.parametrize("state_only", [False, True])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_embed_is_the_posterior_mean_bit_for_bit(self, state_only, stacked):
+        """The graph-free ``embed`` against the autodiff posterior, for
+        ``[N, d]`` and ``[K, N, d]`` sets; log-stds cross both clip bounds."""
+        sadae = make_sadae(state_only=state_only)
+        rng = np.random.default_rng(1)
+        shape = (3, 7) if stacked else (7,)
+        states = rng.normal(0.0, 4.0, size=shape + (2,))
+        actions = rng.normal(0.0, 4.0, size=shape + (1,))
+        sadae.encoder.layers[-1].weight.data *= 40.0  # drive log-stds past ±clip
+        sadae.fit_normalizer([(states.reshape(-1, 2), actions.reshape(-1, 1))])
+        posterior = sadae.posterior(states, actions)
+        raw = sadae.encoder(nn.Tensor(sadae._encoder_input(states, actions))).data
+        log_stds = raw[..., sadae.config.latent_dim :]
+        assert log_stds.max() > nn.DiagGaussian.LOG_STD_MAX
+        assert log_stds.min() < nn.DiagGaussian.LOG_STD_MIN
+        embedding = sadae.embed(states, None if state_only else actions)
+        assert embedding.shape == shape[:-1] + (4,)
+        assert np.array_equal(embedding, posterior.mean.data)
+
     def test_embed_tensor_gradient_flows_to_encoder(self):
         sadae = make_sadae()
         sets, _ = gaussian_sets(num_sets=1)

@@ -5,7 +5,6 @@ import pytest
 
 from repro import nn
 from repro.envs import dpr, lts, slate
-from repro.nn import recurrent
 
 
 def _two_sided_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -26,8 +25,14 @@ def _sigmoid_inputs() -> np.ndarray:
     )
 
 
+def _sigmoid_in_place(x: np.ndarray) -> np.ndarray:
+    """The in-place form the recurrent gates and the graph-free heads use."""
+    out = x.copy()
+    return nn.sigmoid_data(out, out=out)
+
+
 SIGMOIDS = {
-    "recurrent._sigmoid_": lambda x: recurrent._sigmoid_(x.copy()),
+    "sigmoid_data_in_place": _sigmoid_in_place,
     "Tensor.sigmoid": lambda x: nn.Tensor(x).sigmoid().data,
     "slate._sigmoid": slate._sigmoid,
     "lts._sigmoid": lts._sigmoid,

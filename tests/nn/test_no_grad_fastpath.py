@@ -6,7 +6,10 @@ Three guarantees:
    recorded, even when parameters are involved (the ops return through
    the graphless constructor);
 2. the fast path changes no numbers: forward results are bit-identical
-   to the graph-building path for Linear/MLP and both recurrent cells;
+   to the graph-building path for Linear/MLP and both recurrent cells,
+   and the array-level step the policies run (``MLP.infer``, the array
+   Gaussian head) equals the graph path for every batch shape, head
+   width and activation;
 3. train-mode gradients (fused ``affine``, GRU/LSTM cells) still match
    finite differences.
 """
@@ -172,6 +175,51 @@ class TestFastPathMatchesGraphPath:
             for start in range(0, 30, 7):
                 block = layer(nn.Tensor(x[start : start + 7])).data
                 np.testing.assert_array_equal(full[start : start + 7], block)
+
+
+class TestArrayForwardMatchesGraphPath:
+    """``MLP.infer`` and the array Gaussian head against the autodiff graph."""
+
+    @pytest.mark.parametrize("activation", sorted(nn.ACTIVATIONS))
+    @pytest.mark.parametrize("out_dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("batch", [(1,), (7,), (40,), (3, 5)], ids=str)
+    def test_mlp_infer_bitwise(self, activation, out_dim, batch):
+        """1-row and odd-row batches, narrow heads of 1-3 columns (the
+        per-row reduction rule), a gemm-wide head and 3-D inputs."""
+        rng = np.random.default_rng(out_dim)
+        mlp = nn.MLP([6, 9, 11, out_dim], rng, activation=activation, out_activation=activation)
+        x = rng.standard_normal(batch + (6,)) * 3.0
+        graph = mlp(nn.Tensor(x, requires_grad=True))
+        assert graph.requires_grad  # the reference really is the graph path
+        kept = x.copy()
+        assert np.array_equal(mlp.infer(x), graph.data)
+        assert np.array_equal(x, kept)  # the input is only read
+        with nn.no_grad():
+            assert np.array_equal(mlp(nn.Tensor(x)).data, graph.data)
+
+    def test_mlp_infer_rows_do_not_depend_on_the_batch(self):
+        mlp = nn.MLP([5, 8, 1], RNG)
+        x = RNG.standard_normal((9, 5))
+        full = mlp.infer(x)
+        for row in range(9):
+            assert np.array_equal(mlp.infer(x[row : row + 1]), full[row : row + 1])
+
+    @pytest.mark.parametrize("log_std", [-0.5, -12.0, 6.0])
+    def test_gaussian_head_bitwise(self, log_std):
+        """Sample and log-prob on arrays equal ``DiagGaussian``'s, with the
+        same draws, including log-stds clipped at either bound."""
+        rng = np.random.default_rng(3)
+        mean = rng.random((7, 3))
+        log_stds = log_std + rng.standard_normal(3) * 0.1
+        dist = nn.DiagGaussian(nn.Tensor(mean), nn.Parameter(log_stds))
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        sample = nn.diag_gaussian_sample(mean, log_stds, ours)
+        assert np.array_equal(sample, dist.sample(theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        for value in (sample, mean):
+            assert np.array_equal(
+                nn.diag_gaussian_log_prob(value, mean, log_stds), dist.log_prob(value).data
+            )
 
 
 class TestTrainGradientsUnchanged:

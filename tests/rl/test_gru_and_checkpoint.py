@@ -40,7 +40,7 @@ class TestGRUExtractor:
         policy = self.make_policy("gru")
         policy.start_rollout(3)
         policy.act(RNG.standard_normal((3, 2)), np.zeros((3, 1)), RNG)
-        assert isinstance(policy._state, nn.Tensor)
+        assert isinstance(policy.recurrent_state(), np.ndarray)
 
     def test_gru_history_affects_actions(self):
         policy = self.make_policy("gru")

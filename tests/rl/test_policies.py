@@ -112,16 +112,16 @@ class TestRecurrentActorCritic:
         policy.start_rollout(2)
         states = RNG.standard_normal((2, 3))
         policy.act(states, np.zeros((2, 2)), np.random.default_rng(0))
-        h_after_one = policy._state[0].data.copy()
+        h_after_one = policy.recurrent_state()[0]
         policy.act(states, np.zeros((2, 2)), np.random.default_rng(0))
-        assert not np.allclose(policy._state[0].data, h_after_one)
+        assert not np.allclose(policy.recurrent_state()[0], h_after_one)
 
     def test_start_rollout_resets_state(self):
         policy = self.make_policy()
         policy.start_rollout(2)
         policy.act(RNG.standard_normal((2, 3)), np.zeros((2, 2)), RNG)
         policy.start_rollout(2)
-        np.testing.assert_array_equal(policy._state[0].data, np.zeros((2, 8)))
+        np.testing.assert_array_equal(policy.recurrent_state()[0], np.zeros((2, 8)))
 
     def test_history_affects_actions(self):
         """Same state, different history → different deterministic action
@@ -252,19 +252,60 @@ class TestActionsOnly:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+@pytest.mark.parametrize("kind", ["lstm", "gru", "sim2rec"])
+def test_snapshots_are_copies_and_exchange_hands_over(kind):
+    """``recurrent_state`` / ``set_recurrent_state`` copy; the serving
+    kernel's ``exchange_recurrent_state`` adopts and returns uncopied."""
+    policy = POLICIES[kind](13, 2, np.random.default_rng(4))
+    policy.start_rollout(3)
+    policy.act(RNG.standard_normal((3, 13)), np.zeros((3, 2)), np.random.default_rng(0))
+    live = [part.copy() for part in state_arrays(policy)]
+    snapshot = policy.recurrent_state()
+    parts = snapshot if isinstance(snapshot, tuple) else (snapshot,)
+    for part in parts:
+        part[...] = 7.0  # writing a snapshot leaves the policy alone
+    assert all(np.array_equal(a, b) for a, b in zip(state_arrays(policy), live))
+    policy.set_recurrent_state(snapshot)
+    for part in parts:
+        part[...] = 8.0  # and so does writing what was restored
+    assert all((part == 7.0).all() for part in state_arrays(policy))
+
+    fresh = policy.initial_recurrent_state(3)
+    fresh_parts = fresh if isinstance(fresh, tuple) else (fresh,)
+    assert all(part.shape == (3, 8) and not part.any() for part in fresh_parts)
+    handed = policy.exchange_recurrent_state(fresh)
+    assert all((part == 7.0).all() for part in (handed if isinstance(handed, tuple) else (handed,)))
+    assert policy.exchange_recurrent_state(None) is fresh
+    assert policy.recurrent_state() is None
+
+
+def test_feed_forward_policy_holds_no_state():
+    policy = POLICIES["mlp"](13, 2, np.random.default_rng(4))
+    assert policy.initial_recurrent_state(3) is None
+    assert policy.exchange_recurrent_state(None) is None
+    with pytest.raises(ValueError, match="stateless"):
+        policy.exchange_recurrent_state(np.zeros((3, 8)))
+
+
 class _CriticCalled(nn.Module):
     def __call__(self, *args, **kwargs):
         raise AssertionError("evaluation ran the critic")
 
+    infer = __call__
 
-def _log_prob_called(self, value):
-    raise AssertionError("evaluation ran DiagGaussian.log_prob")
+
+def _log_prob_called(*args, **kwargs):
+    raise AssertionError("evaluation computed a log-prob")
 
 
 @pytest.mark.parametrize("kind", sorted(POLICIES))
 def test_evaluation_runs_only_the_actor(kind, monkeypatch):
-    """With the critic and ``log_prob`` made to raise, the replica kernel
-    and ``as_act_fn`` still return the unpatched returns bit for bit."""
+    """With the critic and the log-prob made to raise, the replica kernel
+    and ``as_act_fn`` still return the unpatched returns bit for bit.
+
+    The probes cover what the array-level rollout step calls (the
+    critic's ``infer`` and ``nn.diag_gaussian_log_prob``) and the graph
+    path's ``__call__`` / ``DiagGaussian.log_prob`` alike."""
     world = DPRWorld(DPRConfig(num_cities=3, drivers_per_city=5, horizon=5, seed=3))
     policy = POLICIES[kind](13, 2, np.random.default_rng(4))
 
@@ -277,6 +318,7 @@ def test_evaluation_runs_only_the_actor(kind, monkeypatch):
 
     expected_pooled, expected_solo = run()
     monkeypatch.setattr(policy, "critic", _CriticCalled())
+    monkeypatch.setattr(nn, "diag_gaussian_log_prob", _log_prob_called)
     monkeypatch.setattr(nn.DiagGaussian, "log_prob", _log_prob_called)
     pooled, solo = run()
     assert np.array_equal(pooled, expected_pooled)

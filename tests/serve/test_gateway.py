@@ -159,6 +159,31 @@ class TestProtocol:
             # the connection survives a typed error
             assert client.ping()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    def test_non_finite_observation_is_typed_session_error(self, bad):
+        gateway, server = make_gateway("sim2rec")
+        stream = make_obs_streams([3], steps=3)[0]
+        with gateway, GatewayClient(gateway.address) as client:
+            session = client.open_session(num_users=3, seed=11)
+            twin = client.open_session(num_users=3, seed=11)
+            session.act(stream[0])
+            twin.act(stream[0])
+            poisoned = stream[1].copy()
+            poisoned[2, 1] = bad
+            with pytest.raises(SessionError, match="finite"):
+                session.act(poisoned)
+            assert client.ping()
+            assert server.stats()["pending"] == 0
+            for obs in stream[1:]:
+                got, want = session.act(obs), twin.act(obs)
+                assert np.array_equal(got.actions, want.actions)
+                assert np.array_equal(got.log_probs, want.log_probs)
+                assert np.array_equal(got.values, want.values)
+            assert session.steps == 3
+            session.end()
+            twin.end()
+            assert gateway.stats()["session_errors"] == 1
+
     def test_bad_requests_keep_the_connection_alive(self):
         gateway, _ = make_gateway()
         with gateway:

@@ -8,6 +8,8 @@ convenience, and the full hot-swap rulebook (apply / skip-if-byte-equal /
 stale stamp / torn archive / structure mismatch), plus server shutdown.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,18 @@ from repro.serve import (
     PolicyServer,
     ServeConfig,
     SessionError,
+    Ticket,
     snapshot_policy,
 )
 
-from .helpers import STATE_DIM, make_obs_streams, make_policy, window_counts
+from .helpers import (
+    STATE_DIM,
+    assert_result_matches,
+    make_obs_streams,
+    make_policy,
+    solo_serve,
+    window_counts,
+)
 
 
 def make_server(kind="mlp", **overrides):
@@ -217,6 +227,123 @@ class TestSessionHandle:
             handle.end()
         server.flush()
         handle.end()
+
+
+class TestNonFiniteObservations:
+    """One NaN in one user's row would make the whole group's SADAE
+    context NaN, and the session's extractor state with it for good, so
+    the one submit funnel refuses it before anything is queued."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("kind", ["lstm", "sim2rec"])
+    def test_rejected_and_the_session_is_untouched(self, kind, bad):
+        server = make_server(kind)
+        stream = make_obs_streams([3], steps=3)[0]
+        session = server.session(num_users=3, seed=11)
+        twin = server.session(num_users=3, seed=11)
+        session.act(stream[0])
+        twin.act(stream[0])
+        poisoned = stream[1].copy()
+        poisoned[1, 0] = bad
+        with pytest.raises(SessionError, match="finite"):
+            session.submit(poisoned)
+        with pytest.raises(SessionError, match="finite"):
+            server.submit(session.id, poisoned)  # the legacy surface too
+        assert server.stats()["pending"] == 0
+        assert server.stats()["requests"] == 2
+        for obs in stream[1:]:
+            got, want = session.act(obs), twin.act(obs)
+            assert_result_matches(got, (want.actions, want.log_probs, want.values))
+            assert np.isfinite(got.actions).all()
+        assert session.steps == twin.steps == 3
+        session.end()
+
+
+class TestMixedWindowFailure:
+    """A window holding stochastic and deterministic requests is served
+    as two ``policy.act`` calls; one raising must not orphan the other."""
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["stochastic", "deterministic"])
+    def test_every_class_is_served_or_failed(self, failing, monkeypatch):
+        kind = "lstm"
+        policy = make_policy(kind)
+        server = PolicyServer(policy, ServeConfig(max_batch_size=8, seed=0))
+        streams = {False: make_obs_streams([2], 3, seed=1)[0], True: make_obs_streams([3], 3, seed=2)[0]}
+        sessions = {
+            False: server.session(num_users=2, seed=4),
+            True: server.session(num_users=3, deterministic=True),
+        }
+        # Solo references. The failed request drew no noise and moved no
+        # state, so the failing session replays its stream from step 1.
+        references = {
+            flag: solo_serve(
+                kind,
+                sessions[flag].num_users,
+                4,
+                streams[flag][1:] if flag is failing else streams[flag],
+                deterministic=flag,
+            )
+            for flag in (False, True)
+        }
+        original = policy.act
+
+        def act(states, prev_actions, rng, deterministic=False):
+            if deterministic is failing:
+                raise RuntimeError("boom")
+            return original(states, prev_actions, rng, deterministic=deterministic)
+
+        monkeypatch.setattr(policy, "act", act)
+        tickets = {flag: sessions[flag].submit(streams[flag][0]) for flag in (False, True)}
+        with pytest.raises(RuntimeError, match="boom"):
+            server.flush()
+        with pytest.raises(RuntimeError, match="boom"):
+            tickets[failing].result(timeout=0.5)
+        assert_result_matches(
+            tickets[not failing].result(timeout=0.5), references[not failing][0]
+        )
+        assert server.stats()["pending"] == 0
+        monkeypatch.undo()
+        for step in (1, 2):
+            for flag, session in sessions.items():
+                expected = references[flag][step - 1 if flag is failing else step]
+                assert_result_matches(session.act(streams[flag][step]), expected)
+        for session in sessions.values():
+            session.end()
+
+
+class TestTicket:
+    def test_every_waiter_wakes_with_the_result(self):
+        ticket = Ticket()
+        seen = []
+        waiters = [
+            threading.Thread(target=lambda: seen.append(ticket.result(timeout=5.0)))
+            for _ in range(4)
+        ]
+        for waiter in waiters:
+            waiter.start()
+        assert not ticket.done()
+        ticket._resolve("served")
+        for waiter in waiters:
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive()
+        assert ticket.done()
+        assert seen == ["served"] * 4
+        assert ticket.result(timeout=0) == "served"
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, 0.01])
+    def test_unresolved_ticket_times_out(self, timeout):
+        ticket = Ticket()
+        with pytest.raises(TimeoutError):
+            ticket.result(timeout=timeout)
+        assert not ticket.done()
+
+    def test_failure_reaches_every_caller(self):
+        ticket = Ticket()
+        ticket._fail(ValueError("nope"))
+        assert ticket.done()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nope"):
+                ticket.result()
 
 
 class TestWindows:
