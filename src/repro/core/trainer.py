@@ -101,7 +101,7 @@ class PolicyTrainer:
         self.logger = logger or MetricLogger()
         self._iteration = 0
         # Observability (docs/observability.md): wall-clock phase timings
-        # and supervision counters live in a metrics registry, *never* in
+        # and counters live in a metrics registry, *never* in
         # the metrics dict ``train_iteration`` returns — that dict is the
         # determinism contract's witness and must stay timing-free. The
         # registry is also what the per-iteration JSONL sink

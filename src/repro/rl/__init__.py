@@ -12,14 +12,11 @@ from .vec import (
     collect_segments_vec,
     split_rng,
 )
-from .chaos import ChaosSchedule, FaultSpec
 from .workers import (
-    FaultPolicy,
     ShardedVecEnvPool,
     StaleReplicaError,
     WorkerCrashed,
     WorkerStepError,
-    WorkerTimeout,
     sharding_available,
 )
 from .parity import (
@@ -31,9 +28,6 @@ from .parity import (
 __all__ = [
     "ActorCriticBase",
     "BlockRNG",
-    "ChaosSchedule",
-    "FaultPolicy",
-    "FaultSpec",
     "MLPActorCritic",
     "PPO",
     "PPOConfig",
@@ -47,7 +41,6 @@ __all__ = [
     "VecEnvPool",
     "WorkerCrashed",
     "WorkerStepError",
-    "WorkerTimeout",
     "assert_segments_identical",
     "collect_rollout_mode",
     "collect_segment",

@@ -154,8 +154,8 @@ def _replica_eval(
     across any number of shard-local pools (each with its env's generator)
     produces bit-identical per-env returns. This is the kernel both sides of
     :meth:`repro.rl.workers.ShardedVecEnvPool.evaluate_policy` run: workers
-    call it over their shard with their policy replica, the degraded/in-process
-    path calls it over the full pool.
+    call it over their shard with their policy replica, and in-process
+    ``evaluate`` calls it over the full pool.
 
     Only the actor runs: the kernel calls :meth:`ActorCriticBase.actions`,
     which draws exactly what ``act`` would but skips the critic and the

@@ -80,6 +80,36 @@ def _copy_state(state):
     return np.array(state, dtype=np.float64)
 
 
+class _PolicyActFn:
+    """A policy behind the ``act_fn(states, t)`` protocol (:meth:`ActorCriticBase.as_act_fn`).
+
+    Feeds each step the previous step's actions (zeros on the first step
+    after a reset) and draws noise from ``rng``.
+    """
+
+    def __init__(self, policy: ActorCriticBase, rng: np.random.Generator, deterministic: bool):
+        self.policy = policy
+        self.rng = rng
+        self.deterministic = deterministic
+        self.reset(0)
+
+    def reset(self, num_users: int) -> None:
+        self.policy.start_rollout(num_users)
+        self._prev_actions: Optional[np.ndarray] = None
+
+    def set_rollout_groups(self, groups) -> None:
+        self.policy.set_rollout_groups(groups)
+
+    def __call__(self, states: np.ndarray, t: int) -> np.ndarray:
+        if self._prev_actions is None:
+            self._prev_actions = np.zeros((states.shape[0], self.policy.action_dim))
+        actions = self.policy.actions(
+            states, self._prev_actions, self.rng, deterministic=self.deterministic
+        )
+        self._prev_actions = actions
+        return actions
+
+
 class ActorCriticBase(nn.Module):
     """Shared interface; see module docstring."""
 
@@ -255,28 +285,7 @@ class ActorCriticBase(nn.Module):
 
     def as_act_fn(self, rng: np.random.Generator, deterministic: bool = True):
         """Adapt to the ``act_fn(states, t)`` protocol of :func:`repro.rl.evaluate`."""
-        policy = self
-
-        class _ActFn:
-            def reset(self, num_users: int) -> None:
-                policy.start_rollout(num_users)
-                self._prev_actions: Optional[np.ndarray] = None
-
-            def set_rollout_groups(self, groups) -> None:
-                policy.set_rollout_groups(groups)
-
-            def __call__(self, states: np.ndarray, t: int) -> np.ndarray:
-                if self._prev_actions is None:
-                    self._prev_actions = np.zeros((states.shape[0], policy.action_dim))
-                actions = policy.actions(
-                    states, self._prev_actions, rng, deterministic=deterministic
-                )
-                self._prev_actions = actions
-                return actions
-
-        fn = _ActFn()
-        fn.reset(0)
-        return fn
+        return _PolicyActFn(self, rng, deterministic)
 
 
 class MLPActorCritic(ActorCriticBase):

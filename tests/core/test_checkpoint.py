@@ -21,8 +21,9 @@ from repro.core.checkpoint import pickle_to_array, unpickle_array
 from repro.core.config import scenario_small_config
 from repro.nn import StateChecksumError
 from repro.rl import TrainingDiverged
-from repro.rl.chaos import flip_byte, truncate_file
 from repro.scenarios import trainer_from_config
+
+from ..helpers import flip_byte, truncate_file
 
 SPEC = {"family": "slate", "num_envs": 4, "num_users": 5, "horizon": 5}
 LTS_SPEC = {"family": "lts", "task": "LTS3", "num_users": 8, "horizon": 6}

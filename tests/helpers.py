@@ -1,7 +1,8 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and file corruption."""
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,3 +47,29 @@ def check_gradients(
         expected = numeric_gradient(func, inputs, wrt=index)
         actual = tensor.grad if tensor.grad is not None else np.zeros_like(expected)
         np.testing.assert_allclose(actual, expected, atol=atol, rtol=rtol)
+
+
+def truncate_file(path, keep_fraction: float = 0.5) -> int:
+    """Truncate a file to a fraction of its size (a torn write). Returns
+    the new size."""
+    size = os.path.getsize(path)
+    new_size = max(1, int(size * keep_fraction))
+    with open(path, "rb+") as handle:
+        handle.truncate(new_size)
+    return new_size
+
+
+def flip_byte(path, offset: int = -64) -> None:
+    """Flip every bit of one byte of a file (silent media corruption).
+
+    A negative ``offset`` indexes from the end of the file, where archive
+    data blocks live, so the default corrupts array bytes rather than a
+    header.
+    """
+    size = os.path.getsize(path)
+    position = offset % size
+    with open(path, "rb+") as handle:
+        handle.seek(position)
+        byte = handle.read(1)
+        handle.seek(position)
+        handle.write(bytes([byte[0] ^ 0xFF]))

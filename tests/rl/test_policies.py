@@ -172,6 +172,13 @@ class TestRecurrentActorCritic:
         actions = act_fn(RNG.standard_normal((3, 3)), 0)
         assert actions.shape == (3, 2)
 
+    def test_as_act_fn_builds_no_class_per_call(self):
+        """Every adapter is an instance of one module-level class."""
+        policy = self.make_policy()
+        first = policy.as_act_fn(np.random.default_rng(0))
+        second = policy.as_act_fn(np.random.default_rng(1), deterministic=False)
+        assert type(first) is type(second)
+
 
 def make_sim2rec(state_dim, action_dim, rng):
     sadae = SADAE(
