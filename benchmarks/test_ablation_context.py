@@ -41,7 +41,13 @@ class StatsContextPolicy(RecurrentActorCritic):
         return np.concatenate([states.mean(axis=0), states.std(axis=0)])
 
     def _rollout_context(self, states, prev_actions):
-        return np.tile(self._stats(states), (states.shape[0], 1))
+        # One context per env block: a pooled rollout stacks several
+        # simulators' users, and each group's statistics come from its own
+        # users only, as `_segment_context` recomputes them.
+        context = np.empty((states.shape[0], self.context_dim))
+        for block in self._rollout_groups or (slice(0, states.shape[0]),):
+            context[block] = self._stats(states[block])
+        return context
 
     def _segment_context(self, segment):
         from repro import nn

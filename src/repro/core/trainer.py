@@ -30,7 +30,6 @@ from ..obs import JSONLMetricsSink, MetricsRegistry, PHASE_SECONDS_BUCKETS
 from ..rl.buffer import RolloutBuffer, RolloutSegment
 from ..rl.policies import ActorCriticBase
 from ..rl.ppo import PPO, TrainingDiverged
-from ..rl.runner import collect_segment
 from ..rl.vec import collect_segments_vec, split_rng
 from ..sim.dataset import TrajectoryDataset
 from ..sim.ensemble import SimulatorEnsemble
@@ -165,15 +164,6 @@ class PolicyTrainer:
             }
         )
 
-    def _collect_round(
-        self, envs: List[MultiUserEnv], streams: List[np.random.Generator]
-    ) -> List[RolloutSegment]:
-        """Roll out one pool round: a lone env directly, else through a pool."""
-        max_steps = self.config.truncate_horizon
-        if len(envs) == 1:
-            return [collect_segment(envs[0], self.policy, streams[0], max_steps=max_steps)]
-        return collect_segments_vec(envs, self.policy, streams, max_steps=max_steps)
-
     # Hooks specialised by Sim2Rec trainers ------------------------------
     def post_process_segment(self, segment: RolloutSegment, env: MultiUserEnv) -> None:
         """Reward/done post-processing before GAE (Alg. 1 lines 8–9)."""
@@ -190,25 +180,27 @@ class PolicyTrainer:
     def collect(self) -> Tuple[RolloutBuffer, List[float]]:
         """Sample simulators and roll the policy out in each (Alg. 1 l. 4–6).
 
-        The iteration's simulators roll out together through one
-        in-process :class:`~repro.rl.vec.VecEnvPool` — bit-identical to
-        rolling them out one at a time. Environments that cannot share
-        a pool (duplicate objects from samplers that reuse env
-        instances, or mismatched state/action dims) fall back to
-        additional pool rounds or single-env rollouts, and samplers with
-        side effects roll simulators one at a time.
+        Every rollout goes through :func:`~repro.rl.vec.collect_segments_vec`,
+        which is bit-identical to rolling the envs out one at a time. The
+        iteration's simulators roll out together in one in-process
+        :class:`~repro.rl.vec.VecEnvPool`, each with its own child of
+        ``self.rng``. Environments that cannot share a pool (duplicate
+        objects from samplers that reuse env instances, or mismatched
+        state/action dims) go to additional pool rounds. A sampler with
+        side effects rolls each simulator out right after drawing it,
+        with ``self.rng`` itself as the one env's stream.
         """
         config = self.config
+        max_steps = config.truncate_horizon
         if self._sequential_collect:
             envs: List[MultiUserEnv] = []
             segments: List[Optional[RolloutSegment]] = []
             for _ in range(config.segments_per_iteration):
                 env = self.env_sampler(self.rng)
                 envs.append(env)
-                segments.append(
-                    collect_segment(
-                        env, self.policy, self.rng, max_steps=config.truncate_horizon
-                    )
+                # A one-element list: a bare generator would be split.
+                segments += collect_segments_vec(
+                    [env], self.policy, [self.rng], max_steps=max_steps
                 )
         else:
             envs = [self.env_sampler(self.rng) for _ in range(config.segments_per_iteration)]
@@ -216,8 +208,11 @@ class PolicyTrainer:
             segments = [None] * len(envs)
             for batch in _poolable_batches(envs):
                 indices = [index for index, _ in batch]
-                collected = self._collect_round(
-                    [env for _, env in batch], [streams[index] for index in indices]
+                collected = collect_segments_vec(
+                    [env for _, env in batch],
+                    self.policy,
+                    [streams[index] for index in indices],
+                    max_steps=max_steps,
                 )
                 for index, segment in zip(indices, collected):
                     segments[index] = segment

@@ -87,7 +87,7 @@ class _PolicyActFn:
     after a reset) and draws noise from ``rng``.
     """
 
-    def __init__(self, policy: ActorCriticBase, rng: np.random.Generator, deterministic: bool):
+    def __init__(self, policy: ActorCriticBase, rng, deterministic: bool):
         self.policy = policy
         self.rng = rng
         self.deterministic = deterministic
@@ -283,8 +283,12 @@ class ActorCriticBase(nn.Module):
             nn.concat([out[field] for out in outs], axis=1) for field in range(3)
         )
 
-    def as_act_fn(self, rng: np.random.Generator, deterministic: bool = True):
-        """Adapt to the ``act_fn(states, t)`` protocol of :func:`repro.rl.evaluate`."""
+    def as_act_fn(self, rng, deterministic: bool = True):
+        """Adapt to the ``act_fn(states, t)`` protocol of :func:`repro.rl.evaluate`.
+
+        ``rng`` is a generator or a :class:`~repro.rl.vec.BlockRNG` (one
+        stream per env block of the batch).
+        """
         return _PolicyActFn(self, rng, deterministic)
 
 

@@ -1,4 +1,9 @@
-"""Rollout collection: policy × environment → RolloutSegment."""
+"""The sequential rollout reference: policy × environment → RolloutSegment.
+
+:func:`collect_segment` rolls one env out at a time. It is the
+semantics :func:`repro.rl.vec.collect_segments_vec`, the one collector
+training uses, must bit-reproduce (:mod:`repro.rl.parity`).
+"""
 
 from __future__ import annotations
 

@@ -161,12 +161,11 @@ class VecEnvPool(MultiUserEnv):
     block-diagonal transition: each member env receives its own slice of
     the stacked action matrix and advances with its own internal RNG.
     On top of the env interface it exposes the block structure and
-    per-member progress :func:`collect_segments_vec` needs: ``slices``
-    (one user-axis slice per member, in member order; ``group_slices``
-    is the duck-typed alias context-aware policies read), ``group_id``,
-    ``num_envs``, ``active_mask``, ``env_steps``, ``all_done`` and
-    ``max_steps`` (a settable per-episode step budget, applied at the
-    next ``reset``).
+    per-member progress :func:`collect_segments_vec` and
+    :func:`repro.rl.evaluate` need: ``slices`` (one user-axis slice per
+    member, in member order), ``group_id``, ``num_envs``,
+    ``active_mask``, ``env_steps``, ``all_done`` and ``max_steps`` (a
+    settable per-episode step budget, applied at the next ``reset``).
 
     Finished members (all users done, or the member's step budget spent)
     are masked out: their state block freezes, their rewards read zero
@@ -179,9 +178,6 @@ class VecEnvPool(MultiUserEnv):
         first = envs[0]
         self.envs = list(envs)
         self.max_steps = max_steps
-        # Duck-typed hook consumed by repro.rl.evaluate / context-aware
-        # policies without importing this module.
-        self.group_slices = self.slices
         self.num_users = int(self.slices[-1].stop)
         self.horizon = max(env.horizon for env in self.envs)
         self.observation_space = first.observation_space
@@ -278,15 +274,20 @@ class VecEnvPool(MultiUserEnv):
         return self._states.copy(), rewards, dones, info
 
 
-def _as_block_rng(rng: RNGLike, pool: VecEnvPool) -> BlockRNG:
-    if isinstance(rng, BlockRNG):
-        return rng
+def env_streams(rng: RNGLike, num_envs: int) -> List[np.random.Generator]:
+    """One policy-noise generator per env, from any accepted ``rng`` form.
+
+    A single generator is split into ``num_envs`` deterministic children
+    (:func:`split_rng`); a sequence of generators or a :class:`BlockRNG`
+    hands over the caller's own generators, which every draw advances in
+    place. Raises ``ValueError`` unless there is exactly one per env.
+    """
     if isinstance(rng, np.random.Generator):
-        return BlockRNG(split_rng(rng, pool.num_envs), pool.slices)
-    rngs = list(rng)
-    if len(rngs) != pool.num_envs:
-        raise ValueError(f"expected {pool.num_envs} generators, got {len(rngs)}")
-    return BlockRNG(rngs, pool.slices)
+        return split_rng(rng, num_envs)
+    rngs = list(rng.rngs if isinstance(rng, BlockRNG) else rng)
+    if len(rngs) != num_envs:
+        raise ValueError(f"expected {num_envs} generators, got {len(rngs)}")
+    return rngs
 
 
 def collect_segments_vec(
@@ -327,7 +328,7 @@ def collect_segments_vec(
         pool = VecEnvPool(pool, max_steps=max_steps)
     elif max_steps is not None:
         pool.max_steps = max_steps
-    block_rng = _as_block_rng(rng, pool)
+    block_rng = BlockRNG(env_streams(rng, pool.num_envs), pool.slices)
     try:
         with no_grad():
             return _collect_impl(pool, policy, block_rng, extras_from_info)

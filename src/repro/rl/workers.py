@@ -5,9 +5,9 @@ worker processes and runs evaluation sweeps inside them. The parent
 broadcasts a policy replica to every worker
 (:meth:`ShardedVecEnvPool.sync_policy`, version-stamped, delta-free
 ``state_dict`` sync through :mod:`repro.nn.serialization`); then
-:meth:`ShardedVecEnvPool.evaluate_policy` has each worker run the
-replica evaluation kernel of :mod:`repro.rl.evaluate` over its own shard
-with its own replica and reply with per-env returns.
+:meth:`ShardedVecEnvPool.evaluate_policy` has each worker run
+:func:`repro.rl.evaluate` over its own shard with its own replica and
+reply with per-env returns.
 
 The parent never steps envs or collects training rollouts through this
 pool: per-step stepping and collection are the in-process
@@ -96,15 +96,15 @@ import traceback
 import weakref
 from multiprocessing import resource_tracker
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..envs.base import MultiUserEnv
 from ..nn.serialization import state_from_bytes, state_to_bytes
 from .policies import ActorCriticBase
-from .vec import RNGLike, BlockRNG, VecEnvPool, split_rng, validate_pool_members
-from .evaluate import _check_episodes, _replica_eval
+from .vec import RNGLike, VecEnvPool, env_streams, validate_pool_members
+from .evaluate import _check_episodes, evaluate
 
 
 class WorkerCrashed(RuntimeError):
@@ -179,9 +179,11 @@ def _worker_main(conn, envs: List[MultiUserEnv]) -> None:
     masking, step budgets and native batch steppers behave exactly as in
     the single-process pool. The ``replica`` command is the param
     mailbox (policy structure once, then version-stamped state
-    archives), and ``evaluate`` runs the replica evaluation kernel over
-    the shard. SIGINT is ignored — on Ctrl-C the parent coordinates
-    shutdown and reaps the workers.
+    archives), and ``evaluate`` runs :func:`repro.rl.evaluate` over the
+    shard with the replica. A command that fails, including one whose
+    bytes do not unpickle, is answered with its traceback; only a closed
+    pipe ends the loop. SIGINT is ignored — on Ctrl-C the parent
+    coordinates shutdown and reaps the workers.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     replica: Optional[ActorCriticBase] = None
@@ -190,11 +192,12 @@ def _worker_main(conn, envs: List[MultiUserEnv]) -> None:
         pool = VecEnvPool(envs)
         while True:
             try:
-                command = conn.recv()
+                message = conn.recv_bytes()
             except (EOFError, OSError):
                 break
-            kind = command[0]
             try:
+                command = ForkingPickler.loads(message)
+                kind = command[0]
                 stop = False
                 if kind == "replica":
                     payload = command[1]
@@ -206,7 +209,7 @@ def _worker_main(conn, envs: List[MultiUserEnv]) -> None:
                             "policy structure"
                         )
                     else:
-                        _load_replica_bytes(replica, payload["state"])
+                        replica.load_replica_state(state_from_bytes(payload["state"]))
                     replica_version = payload["version"]
                     reply: tuple = ("ok", replica_version)
                 elif kind == "evaluate":
@@ -215,14 +218,16 @@ def _worker_main(conn, envs: List[MultiUserEnv]) -> None:
                         reply = ("stale", replica_version, payload["version"])
                     else:
                         rngs = payload["rngs"]
-                        totals = _replica_eval(
-                            pool,
+                        # Every job carries its whole budget, None included:
+                        # an earlier job's must not stick to the shard.
+                        pool.max_steps = payload["max_steps"]
+                        totals = evaluate(
                             replica,
-                            rngs,
+                            pool,
+                            rng=rngs,
                             episodes=payload["episodes"],
                             gamma=payload["gamma"],
                             deterministic=payload["deterministic"],
-                            max_steps=payload["max_steps"],
                         )
                         reply = ("ok", totals, [rng.bit_generator.state for rng in rngs])
                 elif kind == "load":
@@ -243,25 +248,6 @@ def _worker_main(conn, envs: List[MultiUserEnv]) -> None:
                     break
     finally:
         conn.close()
-
-
-def _replica_state(policy: ActorCriticBase) -> Dict[str, np.ndarray]:
-    """A policy's full replica state (params + extra buffers), flat."""
-    if hasattr(policy, "replica_state"):
-        return policy.replica_state()
-    # plain Module: parameters only
-    return {f"param.{key}": value for key, value in policy.state_dict().items()}
-
-
-def _load_replica_bytes(replica: ActorCriticBase, payload: bytes) -> None:
-    """Load a serialized replica-state archive into a worker's replica."""
-    state = state_from_bytes(payload)
-    if hasattr(replica, "load_replica_state"):
-        replica.load_replica_state(state)
-    else:
-        replica.load_state_dict(
-            {k[len("param."):]: v for k, v in state.items() if k.startswith("param.")}
-        )
 
 
 def _cleanup(procs, conns) -> None:
@@ -538,7 +524,7 @@ class ShardedVecEnvPool:
         anything, and leaves the pool usable.
         """
         self._check_open()
-        state = _replica_state(policy)
+        state = policy.replica_state()
         signature = tuple(sorted((key, value.shape) for key, value in state.items()))
         if (
             self._replica_version > 0
@@ -578,31 +564,6 @@ class ShardedVecEnvPool:
                 f"{op} needs a policy replica: call sync_policy() first"
             )
 
-    def _as_env_rngs(
-        self, rng: RNGLike
-    ) -> Tuple[List[np.random.Generator], Optional[List[np.random.Generator]]]:
-        """Per-env generators plus the caller-owned objects to sync back.
-
-        Mirrors :func:`repro.rl.vec._as_block_rng`: a single generator is
-        split into per-env child streams (the children are transient, so
-        nothing is synced back — exactly the vectorized-path semantics);
-        an explicit sequence or a :class:`~repro.rl.vec.BlockRNG` hands
-        over caller-owned generators whose advanced states are copied
-        back after the job, preserving multi-episode stream continuity.
-        """
-        if isinstance(rng, BlockRNG):
-            rngs = list(rng.rngs)
-            owners: Optional[List[np.random.Generator]] = rngs
-        elif isinstance(rng, np.random.Generator):
-            rngs = split_rng(rng, self.num_envs)
-            owners = None
-        else:
-            rngs = list(rng)
-            owners = rngs
-        if len(rngs) != self.num_envs:
-            raise ValueError(f"expected {self.num_envs} generators, got {len(rngs)}")
-        return rngs, owners
-
     # ------------------------------------------------------------------
     # replica-side evaluation
     # ------------------------------------------------------------------
@@ -616,12 +577,12 @@ class ShardedVecEnvPool:
     ) -> np.ndarray:
         """Replica-side evaluation sweep: every worker evaluates its shard.
 
-        Each worker runs the replica evaluation kernel of
-        :mod:`repro.rl.evaluate` over its shard-local sub-pool with its
-        **policy replica** (requires a prior :meth:`sync_policy`; a stale
-        replica raises :class:`StaleReplicaError`) and its slice of the
-        per-env noise streams, then replies with per-env mean
-        (discounted) returns and advanced RNG states. Because the kernel
+        Each worker runs :func:`repro.rl.evaluate` over its shard-local
+        sub-pool with its **policy replica** (requires a prior
+        :meth:`sync_policy`; a stale replica raises
+        :class:`StaleReplicaError`) and its slice of the per-env noise
+        streams, then replies with per-env mean (discounted) returns and
+        advanced RNG states. Because the evaluation kernel
         draws each env's action noise from that env's own stream and
         computes context per env block, the totals are bit-identical to
         evaluating the same envs in one in-process pool — for any worker
@@ -637,7 +598,7 @@ class ShardedVecEnvPool:
         self._check_replica("evaluate_policy()")
         if max_steps is None:
             max_steps = self.max_steps
-        rngs, owners = self._as_env_rngs(rng)
+        rngs = env_streams(rng, self.num_envs)
         job = {
             "episodes": episodes,
             "gamma": gamma,
@@ -648,10 +609,9 @@ class ShardedVecEnvPool:
         replies = self._exchange(
             [("evaluate", dict(job, rngs=rngs[shard])) for shard in self._shards]
         )
-        if owners is not None:
-            states = [state for reply in replies for state in reply[2]]
-            for owner, state in zip(owners, states):
-                owner.bit_generator.state = state
+        states = [state for reply in replies for state in reply[2]]
+        for stream, state in zip(rngs, states):
+            stream.bit_generator.state = state
         return np.concatenate([reply[1] for reply in replies])
 
     # ------------------------------------------------------------------

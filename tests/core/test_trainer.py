@@ -8,10 +8,13 @@ from repro.core import (
     build_sim2rec_policy,
     dpr_small_config,
     lts_small_config,
+    scenario_small_config,
     train_sadae,
 )
 from repro.core.trainer import sadae_step
 from repro.envs import DPRConfig, DPRWorld, collect_dpr_dataset, make_lts_task
+from repro.rl import collect_segment, split_rng
+from repro.rl.parity import assert_segments_identical
 from repro.scenarios import trainer_from_config
 from repro.sim import SimulatorLearnerConfig, build_simulator_set
 
@@ -89,6 +92,75 @@ class TestLTSTrainer:
         metrics = trainer.train_iteration()
         assert "sadae_loss" not in metrics
         assert all(np.isfinite(value) for value in metrics.values())
+
+
+#: Collect set-ups: a slate population of one env, so every pool round
+#: holds a lone env; three slate envs sampled four times, so rounds pool
+#: envs and defer repeats; and LTS with per-draw user resampling, which
+#: rolls each simulator out as soon as it is drawn.
+COLLECT_CASES = {
+    "slate_lone_env": (
+        scenario_small_config,
+        {"family": "slate", "num_envs": 1, "num_users": 6, "horizon": 6, "seed": 1},
+    ),
+    "slate_pooled": (
+        scenario_small_config,
+        {"family": "slate", "num_envs": 3, "num_users": 6, "horizon": 6, "seed": 1},
+    ),
+    "lts_resample_users": (
+        lts_small_config,
+        {"family": "lts", "beta": 4.0, "num_users": 8, "horizon": 6, "seed": 1,
+         "resample_users": True},
+    ),
+}
+
+
+def reference_collect(twin, policy):
+    """The segments ``PolicyTrainer.collect`` must return, rolled out env by
+    env with ``collect_segment``.
+
+    ``twin`` is a second trainer built from the same config and spec, so
+    its envs and ``rng`` are copies of the collecting trainer's; ``policy``
+    is the collecting trainer's own instance. A resampling draw rolls out
+    on ``twin.rng`` itself; otherwise every draw gets its own child of it.
+    """
+    config = twin.config
+    count, max_steps = config.segments_per_iteration, config.truncate_horizon
+    if twin._sequential_collect:
+        segments = []
+        for _ in range(count):
+            env = twin.env_sampler(twin.rng)
+            segments.append(collect_segment(env, policy, twin.rng, max_steps=max_steps))
+        return segments
+    envs = [twin.env_sampler(twin.rng) for _ in range(count)]
+    return [
+        collect_segment(env, policy, stream, max_steps=max_steps)
+        for env, stream in zip(envs, split_rng(twin.rng, count))
+    ]
+
+
+class TestCollectMatchesReference:
+    """``PolicyTrainer.collect`` rolls out only through
+    ``collect_segments_vec``, and that is bit-identical to the sequential
+    ``collect_segment`` loop on copies of the same envs and streams."""
+
+    @pytest.mark.parametrize("case", sorted(COLLECT_CASES))
+    def test_collect_equals_the_sequential_reference(self, case):
+        make_config, spec = COLLECT_CASES[case]
+
+        def build():
+            config = make_config(seed=3)
+            config.segments_per_iteration = 4
+            config.truncate_horizon = 5
+            return trainer_from_config(config, spec)
+
+        trainer, twin = build(), build()
+        assert trainer._sequential_collect == (case == "lts_resample_users")
+        for _ in range(2):  # the second round starts from advanced envs
+            buffer, _ = trainer.collect()
+            expected = reference_collect(twin, trainer.policy)
+            assert_segments_identical(expected, buffer.segments, label=case)
+            assert trainer.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 def _sadae_and_sets(config, count=6):

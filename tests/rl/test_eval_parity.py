@@ -352,7 +352,7 @@ class TestHeteroHorizons:
 
 
 class TestFrontDoor:
-    """`repro.rl.evaluate` dispatch, routing and RNG-normalisation semantics."""
+    """`repro.rl.evaluate` input handling, routing and RNG-normalisation semantics."""
 
     @needs_sharding
     def test_single_generator_split_is_mode_invariant(self):
@@ -390,7 +390,7 @@ class TestFrontDoor:
         assert isinstance(result, float)
 
     def test_act_fn_auto_dispatch(self):
-        """Callable + single env -> solo; callable + sequence -> per-env."""
+        """Callable + single env -> float; callable + sequence -> per-env."""
         policy = make_policy("mlp", 2, 1)
         solo = evaluate(
             policy.as_act_fn(np.random.default_rng(5)), make_lts_envs()[0]
@@ -401,13 +401,23 @@ class TestFrontDoor:
         )
         assert per_env.shape == (5,)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            evaluate(make_policy("mlp", 2, 1), make_lts_envs(), mode="warp")
-
-    def test_replica_mode_needs_a_policy(self):
-        with pytest.raises(TypeError, match="ActorCriticBase"):
-            evaluate(lambda s, t: s[:, :1], make_lts_envs(), mode="replica")
+    def test_max_steps_truncates_a_callable(self):
+        """Every input honours ``max_steps``: a callable's episodes stop
+        where the policy's own do, short of the full horizon."""
+        policy = make_policy("recurrent", 2, 1)
+        kwargs = dict(episodes=EPISODES, gamma=GAMMA)
+        truncated = evaluate(
+            policy.as_act_fn(np.random.default_rng(13)), make_lts_envs(),
+            max_steps=2, **kwargs,
+        )
+        expected = evaluate(
+            policy, make_lts_envs(), max_steps=2, deterministic=True, **kwargs
+        )
+        np.testing.assert_array_equal(truncated, expected)
+        full = evaluate(
+            policy.as_act_fn(np.random.default_rng(13)), make_lts_envs(), **kwargs
+        )
+        assert not np.array_equal(truncated, full)
 
     def test_empty_env_sequence_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -426,16 +436,22 @@ class TestFrontDoor:
             evaluate(policy, make_lts_envs(), rng=[np.random.default_rng(0)])
 
     @pytest.mark.parametrize("episodes", [0, -1])
-    @pytest.mark.parametrize("path", ["auto", "solo", "vec", "pool"])
+    @pytest.mark.parametrize("path", ["policy", "act_fn", "env", "pool"])
     def test_episodes_below_one_rejected(self, path, episodes):
-        """A sweep of no episodes averages over nothing: every path raises
-        ValueError naming the value. A sharded pool raises before any
-        command goes out, so it stays usable."""
+        """A sweep of no episodes averages over nothing: every input (a
+        policy or a callable over an env list, a policy on a bare env, a
+        sharded pool) raises ValueError naming the value. A sharded pool
+        raises before any command goes out, so it stays usable."""
         policy = make_policy("mlp", 2, 1)
         refused = rf"episodes must be >= 1, got {episodes}"
+        inputs = {
+            "policy": (policy, make_lts_envs()[:2]),
+            "act_fn": (policy.as_act_fn(np.random.default_rng(0)), make_lts_envs()[:2]),
+            "env": (policy, make_lts_envs()[0]),
+        }
         if path != "pool":
             with pytest.raises(ValueError, match=refused):
-                evaluate(policy, make_lts_envs()[:2], mode=path, episodes=episodes)
+                evaluate(*inputs[path], episodes=episodes)
             return
         if not sharding_available():
             pytest.skip("platform has no multiprocessing start method")

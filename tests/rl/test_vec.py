@@ -107,19 +107,21 @@ class TestEvaluatePolicyVec:
         np.testing.assert_array_equal(seq_returns, vec_returns)
 
     def test_pool_works_through_plain_evaluate_policy(self):
+        """A prebuilt pool evaluates exactly like the env list it stacks."""
         world = make_world()
         policy = build_sim2rec_policy(13, 2, dpr_small_config(seed=1))
-        pool = VecEnvPool(world.make_all_city_envs())
         pooled = evaluate(
-            policy.as_act_fn(np.random.default_rng(0)), pool, mode="solo", episodes=1
-        )
-        per_env = evaluate(
             policy.as_act_fn(np.random.default_rng(0)),
             VecEnvPool(world.make_all_city_envs()),
             episodes=1,
         )
-        # The pool's aggregate mean weights every user equally.
-        assert pooled == pytest.approx(float(np.mean(per_env)))
+        listed = evaluate(
+            policy.as_act_fn(np.random.default_rng(0)),
+            world.make_all_city_envs(),
+            episodes=1,
+        )
+        assert pooled.shape == (4,)
+        np.testing.assert_array_equal(pooled, listed)
 
 
 class _InjectedStepError(RuntimeError):
@@ -127,16 +129,17 @@ class _InjectedStepError(RuntimeError):
 
 
 class TestRolloutGroupsCleared:
-    """Every stacked loop declares the pool's blocks on the policy and
-    must clear them even when an env step raises mid-rollout."""
+    """Evaluation and collection declare the pool's blocks on the policy
+    and must clear them even when an env step raises mid-rollout, for
+    every kind of evaluation input."""
 
     LOOPS = {
-        "replica": lambda policy, envs: evaluate(policy, envs),
-        "vec": lambda policy, envs: evaluate(
-            policy.as_act_fn(np.random.default_rng(0)), envs, mode="vec"
+        "policy": lambda policy, envs: evaluate(policy, envs),
+        "act_fn": lambda policy, envs: evaluate(
+            policy.as_act_fn(np.random.default_rng(0)), envs
         ),
-        "solo": lambda policy, envs: evaluate(
-            policy.as_act_fn(np.random.default_rng(0)), VecEnvPool(envs), mode="solo"
+        "act_fn_pool": lambda policy, envs: evaluate(
+            policy.as_act_fn(np.random.default_rng(0)), VecEnvPool(envs)
         ),
         "collect": lambda policy, envs: collect_segments_vec(
             envs, policy, np.random.default_rng(0)

@@ -107,18 +107,41 @@ class TestPoolProtocol:
                 collect_segments_vec(pool, policy, np.random.default_rng(0))
             assert not pool.closed
 
-    @pytest.mark.parametrize("mode", ["auto", "solo", "vec"])
-    def test_act_fn_evaluate_is_refused(self, mode):
-        """Only a policy can be evaluated worker-side; a bare act_fn (or a
-        forced act_fn mode) raises and names the replica call."""
+    @pytest.mark.parametrize("kind", ["as_act_fn", "lambda"])
+    def test_act_fn_evaluate_is_refused(self, kind):
+        """Only a policy can be evaluated worker-side; a bare callable (a
+        policy's own adapter included) raises and names the replica call."""
         policy = make_policy()
+        act_fn = {
+            "as_act_fn": policy.as_act_fn(np.random.default_rng(0)),
+            "lambda": lambda states, t: states[:, :2],
+        }[kind]
         with ShardedVecEnvPool(make_world(num_cities=3).make_all_city_envs()) as pool:
             with pytest.raises(TypeError, match=r"evaluate\(policy, pool\)"):
-                evaluate(policy.as_act_fn(np.random.default_rng(0)), pool, mode=mode)
-            if mode != "auto":
-                with pytest.raises(TypeError, match=r"evaluate\(policy, pool\)"):
-                    evaluate(policy, pool, mode=mode)
+                evaluate(act_fn, pool)
             assert pool.replica_version == 0  # nothing was broadcast
+
+    @pytest.mark.parametrize("default", [None, 4])
+    def test_step_budget_is_per_job(self, default):
+        """A sweep runs on the call's ``max_steps``, else on the pool's
+        (None: the full horizon): one call's budget must not stick to the
+        workers' shards. The sweeps match in-process evaluation call for
+        call."""
+        policy = make_policy()
+        envs = make_world().make_all_city_envs()
+        with ShardedVecEnvPool(
+            make_world().make_all_city_envs(), num_workers=2, max_steps=default
+        ) as pool:
+            for call, asked in enumerate([2, None, 5, None]):
+                got = evaluate(
+                    policy, pool, rng=rngs_for(5, call), deterministic=False,
+                    max_steps=asked,
+                )
+                expected = evaluate(
+                    policy, envs, rng=rngs_for(5, call), deterministic=False,
+                    max_steps=default if asked is None else asked,
+                )
+                np.testing.assert_array_equal(got, expected, err_msg=f"call {call}")
 
     def test_workers_clamped_to_env_count(self):
         world = make_world(num_cities=3)
@@ -195,6 +218,18 @@ class _ExplodingEnv(LTSEnv):
         if self.phase == "step" and self._step_calls >= self.explode_at:
             self._explode()
         return super().step(actions)
+
+
+def _refuse(message: str):
+    """Unpickling target of :class:`_Unloadable`."""
+    raise RuntimeError(message)
+
+
+class _Unloadable:
+    """Pickles anywhere; raises wherever it is unpickled."""
+
+    def __reduce__(self):
+        return _refuse, ("this payload refuses to unpickle",)
 
 
 class TestParamSyncFailures:
@@ -375,6 +410,25 @@ class TestFailurePaths:
             # the worker's sub-pool state is unreliable after an env error,
             # so the pool refuses further use
             assert pool.closed
+
+    @needs_fork
+    def test_command_that_fails_to_unpickle_is_answered(self):
+        """A command that pickles in the parent but raises as a worker
+        unpickles it gets the worker's traceback back, not a dead pipe:
+        the parent raises WorkerStepError naming the cause and closes the
+        pool, and every worker exits cleanly."""
+        replacement = make_world(num_cities=4, seed=99).make_all_city_envs()
+        replacement[3].payload = _Unloadable()
+        with ShardedVecEnvPool(
+            make_world(num_cities=4).make_all_city_envs(), num_workers=2,
+            start_method="fork",
+        ) as pool:
+            with pytest.raises(
+                WorkerStepError, match=r"(?s)worker 1 raised:\n.*refuses to unpickle"
+            ):
+                pool.load_envs(replacement)
+            assert pool.closed
+            assert [proc.exitcode for proc in pool._procs] == [0, 0]
 
     def test_close_stops_every_worker(self):
         world = make_world(num_cities=2)
