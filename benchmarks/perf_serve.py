@@ -130,8 +130,8 @@ def run_microbatched(streams, users: int, max_batch: int):
     scheduling jitter.
     """
     server = PolicyServer(make_policy(), ServeConfig(max_batch_size=max_batch))
-    sids = [
-        server.create_session(num_users=users, seed=seed)
+    handles = [
+        server.session(num_users=users, seed=seed)
         for seed in session_seeds(len(streams))
     ]
     steps = len(streams[0])
@@ -141,7 +141,7 @@ def run_microbatched(streams, users: int, max_batch: int):
     for t in range(steps):
         submitted = time.perf_counter()
         tickets = [
-            server.submit(sid, streams[i][t]) for i, sid in enumerate(sids)
+            handle.submit(streams[i][t]) for i, handle in enumerate(handles)
         ]
         server.flush()
         done = time.perf_counter()
@@ -353,9 +353,11 @@ def bench_soak(total_sessions: int, cap: int, acts_per_session: int) -> dict:
                 if index == warmup:
                     rss_plateau = rss_mb()
             elapsed = time.perf_counter() - start
-            stats = gateway.stats()
+            metrics = gateway.metrics
+            live = int(metrics.value("gateway_store_sessions"))
+            evicted_lru = int(metrics.value("gateway_store_evictions_total", "lru"))
+            evicted_ttl = int(metrics.value("gateway_store_evictions_total", "ttl"))
     rss_final = rss_mb()
-    store = stats["store"]
     tracked = rss_plateau is not None and rss_final is not None
     growth = round(rss_final - rss_plateau, 2) if tracked else None
     record = {
@@ -363,10 +365,10 @@ def bench_soak(total_sessions: int, cap: int, acts_per_session: int) -> dict:
         "sessions_opened": total_sessions,
         "acts_per_session": acts_per_session,
         "session_cap": cap,
-        "live_sessions_end": store["sessions"],
-        "evicted_lru": store["evicted_lru"],
-        "evicted_ttl": store["evicted_ttl"],
-        "evictions": store["evicted_lru"] + store["evicted_ttl"],
+        "live_sessions_end": live,
+        "evicted_lru": evicted_lru,
+        "evicted_ttl": evicted_ttl,
+        "evictions": evicted_lru + evicted_ttl,
         "elapsed_s": round(elapsed, 3),
         "sessions_per_s": round(total_sessions / elapsed, 1),
         "rss_plateau_mb": round(rss_plateau, 2) if tracked else None,
@@ -376,7 +378,7 @@ def bench_soak(total_sessions: int, cap: int, acts_per_session: int) -> dict:
     }
     print(
         f"[soak] {total_sessions} sessions through a {cap}-entry store: "
-        f"{record['evictions']} evictions, live={store['sessions']}, "
+        f"{record['evictions']} evictions, live={live}, "
         + (
             f"RSS {record['rss_plateau_mb']:.1f} -> {record['rss_end_mb']:.1f} MiB "
             f"(growth {growth:+.1f})"

@@ -102,10 +102,15 @@ def main():
 
         for session in sessions:
             session.end()
-        stats = client.stats()
+        # The wire `stats` op returns the gateway's metrics snapshot;
+        # accepted operations are counted per op.
+        snapshot = client.metrics()
         client.close()
+        requests = sum(
+            series["value"] for series in snapshot["gateway_requests_total"]["series"]
+        )
         print(
-            f"served {stats['requests']} requests over TCP, "
+            f"served {int(requests)} requests over TCP, "
             f"final versions {versions}"
         )
         for arm in sorted(returns):

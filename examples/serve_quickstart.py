@@ -77,11 +77,15 @@ def main():
             streams[i].append(result.actions)
             observations[i], reward, _, _ = envs[i].step(result.actions)
             rewards[i] += reward.mean()
-    stats = server.stats()
     server.close()
+    # Every serving counter is a series in the server's metrics registry,
+    # labelled with the replica name.
+    requests = int(server.metrics.value("serve_requests_total", server.name))
+    batches = int(server.metrics.value("serve_batches_total", server.name))
+    max_rows = int(server.metrics.value("serve_batch_rows_max", server.name))
     print(
-        f"served {stats['requests']} requests in {stats['batches']} microbatches "
-        f"(max window {stats['max_batch_rows']} rows), "
+        f"served {requests} requests in {batches} microbatches "
+        f"(max window {max_rows} rows), "
         f"mean return {rewards.mean():.2f}"
     )
 

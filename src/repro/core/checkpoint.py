@@ -58,21 +58,6 @@ def unpickle_array(array: np.ndarray) -> Any:
     return pickle.loads(np.asarray(array, dtype=np.uint8).tobytes())
 
 
-def _policy_state(policy) -> Dict[str, np.ndarray]:
-    if hasattr(policy, "replica_state"):
-        return policy.replica_state()
-    return {f"param.{key}": value for key, value in policy.state_dict().items()}
-
-
-def _load_policy_state(policy, state: Dict[str, np.ndarray]) -> None:
-    if hasattr(policy, "load_replica_state"):
-        policy.load_replica_state(state)
-    else:
-        policy.load_state_dict(
-            {k[len("param."):]: v for k, v in state.items() if k.startswith("param.")}
-        )
-
-
 def save_checkpoint(path: PathLike, trainer) -> None:
     """Snapshot ``trainer`` (policy, optimiser, RNGs, aux state) to ``path``.
 
@@ -85,7 +70,7 @@ def save_checkpoint(path: PathLike, trainer) -> None:
         "meta.iteration": np.array([trainer.iteration], dtype=np.int64),
         "rng.trainer": pickle_to_array(trainer.rng),
     }
-    for key, value in _policy_state(trainer.policy).items():
+    for key, value in trainer.policy.replica_state().items():
         state[f"policy.{key}"] = np.asarray(value)
     for key, value in trainer.ppo.optimizer.state_dict().items():
         state[f"optimizer.{key}"] = np.asarray(value)
@@ -137,7 +122,7 @@ def load_checkpoint(path: PathLike, trainer) -> int:
             if key.startswith(prefix)
         }
 
-    _load_policy_state(trainer.policy, prefixed("policy."))
+    trainer.policy.load_replica_state(prefixed("policy."))
     trainer.ppo.optimizer.load_state_dict(prefixed("optimizer."))
     schedule = getattr(trainer.ppo, "_schedule", None)
     schedule_state = prefixed("schedule.")

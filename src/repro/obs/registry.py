@@ -421,8 +421,9 @@ class MetricsRegistry:
     def value(self, name: str, *label_values, default: float = 0.0) -> float:
         """Read one series' current value (0 for a never-touched series).
 
-        Convenience for rebuilding legacy ``stats()`` dicts and tests;
-        counters/gauges only.
+        How in-process code and tests read a single counter or gauge
+        (``value("serve_requests_total", "default")``); counters/gauges
+        only.
         """
         family = self.get(name)
         if family is None:

@@ -14,8 +14,9 @@ feeds that kernel whatever it is given::
     evaluate(policy, sharded_pool)       # the same kernel, inside the workers
     evaluate(act_fn, env)                # any act_fn(states, t) callable
 
-- A bare env or a sequence of envs is wrapped in a pool, which applies
-  ``max_steps``; a given ``max_steps`` also overrides a pool's own.
+- A bare env or a sequence of envs is wrapped in a pool. A given
+  ``max_steps`` bounds this call's episodes; a pool's own ``max_steps``
+  is left as it was and applies when it is omitted.
 - An :class:`~repro.rl.policies.ActorCriticBase` acts through
   ``policy.as_act_fn(BlockRNG(streams, pool.slices), deterministic)``,
   with one noise stream per member env, so an env's return does not
@@ -52,7 +53,9 @@ def _check_episodes(episodes: int) -> None:
         raise ValueError(f"episodes must be >= 1, got {episodes!r}")
 
 
-def _evaluate_pool(pool: VecEnvPool, act_fn, episodes: int, gamma: float) -> np.ndarray:
+def _evaluate_pool(
+    pool: VecEnvPool, act_fn, episodes: int, gamma: float, max_steps: Optional[int]
+) -> np.ndarray:
     """The evaluation kernel: per-env mean (discounted) per-user return.
 
     Each episode resets ``act_fn`` (when it has a ``reset``), declares
@@ -70,7 +73,7 @@ def _evaluate_pool(pool: VecEnvPool, act_fn, episodes: int, gamma: float) -> np.
                     act_fn.reset(pool.num_users)
                 if hasattr(act_fn, "set_rollout_groups"):
                     act_fn.set_rollout_groups(pool.slices)
-                states = pool.reset()
+                states = pool.reset(max_steps)
                 returns = np.zeros(pool.num_users)
                 discount = 1.0
                 step = 0
@@ -116,8 +119,8 @@ def evaluate(
       advanced in place). Defaults to ``default_rng(0)``.
     - ``episodes`` — episodes averaged per env; below 1 raises
       ``ValueError`` before any env steps or any worker is contacted.
-    - ``max_steps`` — a per-episode step budget; when given it also
-      overrides a pool's ``max_steps``.
+    - ``max_steps`` — a per-episode step budget for this call; when
+      omitted, a pool's own ``max_steps`` applies.
 
     Returns a ``float`` for a single bare env, else an array of one mean
     (discounted) per-user return per member env.
@@ -147,14 +150,12 @@ def evaluate(
     single = isinstance(envs, MultiUserEnv) and not isinstance(envs, VecEnvPool)
     if isinstance(envs, VecEnvPool):
         pool = envs
-        if max_steps is not None:
-            pool.max_steps = max_steps
     else:
-        pool = VecEnvPool([envs] if single else list(envs), max_steps=max_steps)
+        pool = VecEnvPool([envs] if single else list(envs))
     if is_policy:
         streams = BlockRNG(env_streams(rng, pool.num_envs), pool.slices)
         act_fn = policy.as_act_fn(streams, deterministic=deterministic)
     else:
         act_fn = policy
-    totals = _evaluate_pool(pool, act_fn, episodes, gamma)
+    totals = _evaluate_pool(pool, act_fn, episodes, gamma, max_steps)
     return float(totals[0]) if single else totals

@@ -165,7 +165,8 @@ class VecEnvPool(MultiUserEnv):
     :func:`repro.rl.evaluate` need: ``slices`` (one user-axis slice per
     member, in member order), ``group_id``, ``num_envs``,
     ``active_mask``, ``env_steps``, ``all_done`` and ``max_steps`` (a
-    settable per-episode step budget, applied at the next ``reset``).
+    settable per-episode step budget, applied at the next ``reset``;
+    ``reset(max_steps)`` sets the budget for that one episode instead).
 
     Finished members (all users done, or the member's step budget spent)
     are masked out: their state block freezes, their rewards read zero
@@ -219,7 +220,7 @@ class VecEnvPool(MultiUserEnv):
         return not self._active.any()
 
     # ------------------------------------------------------------------
-    def reset(self) -> np.ndarray:
+    def reset(self, max_steps: Optional[int] = None) -> np.ndarray:
         if self._batch_stepper is not None:
             fresh = self._batch_stepper.reset()
             self._states[:] = fresh
@@ -230,7 +231,7 @@ class VecEnvPool(MultiUserEnv):
         self._active[:] = True
         self._steps[:] = 0
         for index, env in enumerate(self.envs):
-            self._limits[index] = self.max_steps or env.horizon
+            self._limits[index] = max_steps or self.max_steps or env.horizon
         return fresh
 
     def step(
@@ -307,9 +308,9 @@ def collect_segments_vec(
 
     ``rng`` may be a single generator (per-env streams are spawned from
     it), an explicit sequence of per-env generators, or a prebuilt
-    :class:`BlockRNG`. ``max_steps``, when given, overrides a prebuilt
-    pool's configured ``max_steps``; when omitted the pool's own setting
-    stands.
+    :class:`BlockRNG`. ``max_steps``, when given, bounds this call's
+    episode; a prebuilt pool's own ``max_steps`` is left as it was and
+    applies when it is omitted.
 
     A :class:`repro.rl.workers.ShardedVecEnvPool` does not step from the
     parent: passing one raises ``TypeError`` — the sharded pool only
@@ -325,13 +326,11 @@ def collect_segments_vec(
             "an env list"
         )
     if not isinstance(pool, VecEnvPool):
-        pool = VecEnvPool(pool, max_steps=max_steps)
-    elif max_steps is not None:
-        pool.max_steps = max_steps
+        pool = VecEnvPool(pool)
     block_rng = BlockRNG(env_streams(rng, pool.num_envs), pool.slices)
     try:
         with no_grad():
-            return _collect_impl(pool, policy, block_rng, extras_from_info)
+            return _collect_impl(pool, policy, block_rng, max_steps, extras_from_info)
     finally:
         # Set by _collect_impl; cleared here so a raising env step or act
         # cannot leak the block structure into the policy's next caller.
@@ -343,9 +342,10 @@ def _collect_impl(
     pool: VecEnvPool,
     policy: ActorCriticBase,
     block_rng: BlockRNG,
+    max_steps: Optional[int],
     extras_from_info: tuple[str, ...],
 ) -> List[RolloutSegment]:
-    states = pool.reset()
+    states = pool.reset(max_steps)
     total = pool.num_users
     policy.start_rollout(total)
     if hasattr(policy, "set_rollout_groups"):

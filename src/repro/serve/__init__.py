@@ -13,9 +13,13 @@ self-contained demo that serves live environment sessions — in-process
 or through a real socket (``--gateway``) — and verifies the parity
 contract.
 
-Every layer publishes into one shared :class:`repro.obs.MetricsRegistry`
-(per-replica latency histograms, queue-depth gauges, typed failure
-counters) and stamps requests with trace ids; see
+Requests go through one surface, the :class:`Session` handle (or its
+remote mirror, :class:`RemoteSession`), and counters come from one
+source: every layer publishes into one shared
+:class:`repro.obs.MetricsRegistry` (per-replica latency histograms,
+queue-depth gauges, typed failure counters) and stamps requests with
+trace ids. Read it with ``metrics.value(name, *labels)``,
+``metrics.snapshot()`` or ``GatewayClient.metrics()``; see
 ``docs/observability.md`` for the catalog, the wire ``stats`` op's
 snapshot, and the ``GatewayConfig.metrics_port`` Prometheus endpoint.
 """
@@ -28,7 +32,7 @@ from .client import (
     RemoteSession,
 )
 from .gateway import Gateway, GatewayConfig
-from .protocol import FrameError, FrameReader
+from .protocol import FrameError
 from .replica_set import ReplicaSet
 from .server import (
     ActionResult,
@@ -45,7 +49,6 @@ __all__ = [
     "ActionResult",
     "DeadlineExceeded",
     "FrameError",
-    "FrameReader",
     "Gateway",
     "GatewayBusy",
     "GatewayClient",

@@ -231,7 +231,6 @@ def main(argv=None) -> int:
                 gateway.address, envs, session_seeds, args.steps,
                 args.deterministic,
             )
-            stats = server.stats()
             if args.metrics_port is not None:
                 metrics_check = scrape_metrics(gateway.metrics_address)
     else:
@@ -240,7 +239,6 @@ def main(argv=None) -> int:
         served, latencies = serve_episode(
             server, envs, session_seeds, args.steps, args.deterministic
         )
-        stats = server.stats()
         if args.background:
             server.stop()
         server.close()
@@ -259,6 +257,9 @@ def main(argv=None) -> int:
             np.array_equal(a, b) for a, b in zip(served[i], solo)
         )
 
+    def count(name):
+        return int(server.metrics.value(name, server.name))
+
     latencies_ms = np.array(latencies) * 1000.0
     summary = {
         "policy": args.policy,
@@ -267,9 +268,9 @@ def main(argv=None) -> int:
         "steps": args.steps,
         "background": args.background,
         "gateway": args.gateway,
-        "requests": stats["requests"],
-        "batches": stats["batches"],
-        "max_batch_rows": stats["max_batch_rows"],
+        "requests": count("serve_requests_total"),
+        "batches": count("serve_batches_total"),
+        "max_batch_rows": count("serve_batch_rows_max"),
         "mean_request_ms": round(float(latencies_ms.mean()), 4),
         "parity_vs_solo": parity,
     }

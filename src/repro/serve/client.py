@@ -150,7 +150,7 @@ class RemoteSession:
 
 
 class GatewayClient:
-    """One connection to a gateway; open sessions, act, read stats."""
+    """One connection to a gateway; open sessions, act, read metrics."""
 
     #: Slack added on top of a per-request deadline when it is used to
     #: raise the socket timeout: the gateway needs time to encode and
@@ -195,16 +195,13 @@ class GatewayClient:
     def ping(self) -> bool:
         return bool(self._roundtrip({"op": "ping"})["ok"])
 
-    def stats(self) -> Dict[str, Any]:
-        return self._roundtrip({"op": "stats"})["stats"]
-
     def metrics(self) -> Dict[str, Any]:
         """Full metrics-registry snapshot from the gateway's ``stats`` op.
 
-        The same point-in-time capture the legacy ``stats()`` dict is
-        derived from: every family (gateway, store, per-replica serve
-        metrics incl. latency histograms) in the registry's snapshot
-        format.
+        One point-in-time capture of every family (gateway, store,
+        per-replica serve metrics incl. latency histograms) in the
+        registry's snapshot format; see ``docs/observability.md`` for
+        the catalog.
         """
         return self._roundtrip({"op": "stats"})["metrics"]
 

@@ -17,7 +17,7 @@ Operations (request ``{"op": ...}`` → response ``{"ok": ...}``):
             log_probs / values / version / step, bit-identical to
             in-process serving (the codec ships raw float64 bytes)
 ``end``     close a session
-``stats``   gateway + replica counters
+``stats``   the metrics-registry snapshot (gateway, store, replicas)
 ``ping``    liveness probe
 ==========  ===========================================================
 
@@ -40,8 +40,9 @@ connection alive wherever the client can act on the error:
   id is dead to the client either way.
 - ``SESSION`` — protocol misuse (unknown id, double submit, shape
   mismatch): the server-side :class:`SessionError` message, verbatim.
-- ``BAD_REQUEST`` — unparseable operation, missing fields or
-  out-of-range values (a non-finite ``num_users``, say).
+- ``BAD_REQUEST`` — unparseable operation, missing fields, or fields
+  of the wrong type or range (a non-finite ``num_users``, say, or a
+  ``deterministic`` that is not a JSON boolean).
 
 Slow or vanished clients cannot pin resources: reads idle out after
 ``idle_timeout_s`` and close the connection, and closing a connection
@@ -131,17 +132,9 @@ class GatewayConfig:
                 )
 
 
-def _sum_series(snapshot: Dict[str, dict], name: str, **labels: str) -> float:
-    """Sum a family's series values, filtered by label equality."""
-    family = snapshot.get(name)
-    if not family:
-        return 0.0
-    total = 0.0
-    for series in family.get("series", []):
-        series_labels = series.get("labels", {})
-        if all(series_labels.get(k) == v for k, v in labels.items()):
-            total += series.get("value", 0.0)
-    return total
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -249,7 +242,7 @@ class Gateway:
         )
         m.gauge(
             "gateway_store_sessions", "sessions in the LRU/TTL store"
-        ).set_function(lambda: float(self._sessions.stats()["sessions"]))
+        ).set_function(lambda: float(len(self._sessions)))
         self._m_evictions = m.counter(
             "gateway_store_evictions_total", "store evictions by reason", ("reason",)
         )
@@ -326,53 +319,6 @@ class Gateway:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def stats(self, snapshot: Optional[Dict[str, dict]] = None) -> Dict[str, Any]:
-        """Legacy counter dict, derived from one registry snapshot.
-
-        Every layer — gateway counters, the session store, each
-        replica's server — publishes into the same registry, so a single
-        ``metrics.snapshot()`` captures all of them at one point in time
-        (the nested ``store``/``replicas`` sub-dicts used to be rebuilt
-        outside any common lock). Pass ``snapshot`` to derive from an
-        already-taken capture.
-        """
-        self._reap()  # deferred cleanup is observable through stats
-        if snapshot is None:
-            snapshot = self.metrics.snapshot()
-        result = {
-            "requests": int(_sum_series(snapshot, "gateway_requests_total")),
-            "busy_rejections": int(
-                _sum_series(snapshot, "gateway_failures_total", code="BUSY")
-            ),
-            "deadline_timeouts": int(
-                _sum_series(snapshot, "gateway_failures_total", code="TIMEOUT")
-            ),
-            "session_errors": int(
-                _sum_series(snapshot, "gateway_failures_total", code="SESSION")
-            ),
-            "bad_requests": int(
-                _sum_series(snapshot, "gateway_failures_total", code="BAD_REQUEST")
-            ),
-            "connections_cleaned": int(
-                _sum_series(snapshot, "gateway_connections_cleaned_total")
-            ),
-            "pending": int(_sum_series(snapshot, "gateway_pending_requests")),
-            "quarantined": int(
-                _sum_series(snapshot, "gateway_quarantined_sessions")
-            ),
-        }
-        result["store"] = {
-            "sessions": int(_sum_series(snapshot, "gateway_store_sessions")),
-            "evicted_lru": int(
-                _sum_series(snapshot, "gateway_store_evictions_total", reason="lru")
-            ),
-            "evicted_ttl": int(
-                _sum_series(snapshot, "gateway_store_evictions_total", reason="ttl")
-            ),
-        }
-        result["replicas"] = self.replicas.stats(snapshot)
-        return result
-
     # ------------------------------------------------------------------
     # request dispatch (called from connection threads)
     # ------------------------------------------------------------------
@@ -387,14 +333,7 @@ class Gateway:
             if op == "ping":
                 return {"ok": True, "op": "ping"}
             if op == "stats":
-                # One registry snapshot backs both views: the legacy
-                # counter dict and the full metrics export.
-                snapshot = self.metrics.snapshot()
-                return {
-                    "ok": True,
-                    "stats": self.stats(snapshot),
-                    "metrics": snapshot,
-                }
+                return {"ok": True, "metrics": self.metrics.snapshot()}
             if op == "open":
                 return self._op_open(message, opened)
             if op == "act":
@@ -406,18 +345,31 @@ class Gateway:
             self._m_failures.labels("SESSION").inc()
             return {"ok": False, "error": "SESSION", "message": str(error)}
         except (TypeError, ValueError, OverflowError) as error:
-            # OverflowError: JSON admits Infinity and 1e400, which no
-            # int() accepts.
+            # OverflowError: JSON admits integers too large for float().
             return self._bad_request(str(error))
 
     def _op_open(self, message: Dict[str, Any], opened: List[str]) -> Dict[str, Any]:
-        num_users = int(message.get("num_users", 1))
+        # Fields are taken as sent, never coerced: bool("false") is True
+        # and int(2.7) is 2. A null seed or key means absent, as in the
+        # Python API.
+        num_users = message.get("num_users", 1)
         seed = message.get("seed")
+        deterministic = message.get("deterministic", False)
+        key = message.get("key")
+        if not _is_int(num_users) or num_users < 1:
+            return self._bad_request(
+                f"num_users must be an integer >= 1, got {num_users!r}"
+            )
+        if seed is not None and not _is_int(seed):
+            return self._bad_request(f"seed must be an integer, got {seed!r}")
+        if not isinstance(deterministic, bool):
+            return self._bad_request(
+                f"deterministic must be a boolean, got {deterministic!r}"
+            )
+        if key is not None and not isinstance(key, str):
+            return self._bad_request(f"key must be a string, got {key!r}")
         handle, replica = self.replicas.open_session(
-            num_users=num_users,
-            seed=None if seed is None else int(seed),
-            deterministic=bool(message.get("deterministic", False)),
-            key=message.get("key"),
+            num_users=num_users, seed=seed, deterministic=deterministic, key=key
         )
         self._sessions.put(handle.id, handle)
         opened.append(handle.id)
@@ -560,7 +512,6 @@ class Gateway:
                 "message": f"unknown session {session_id!r}",
             }
         handle.end()
-        self.replicas.forget_session(session_id)
         if session_id in opened:
             opened.remove(session_id)
         self._m_requests.labels("end").inc()
@@ -632,4 +583,3 @@ class Gateway:
                         time.sleep(0.002)
         except Exception:
             pass
-        self.replicas.forget_session(session_id)

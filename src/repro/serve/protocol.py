@@ -12,10 +12,9 @@ tagged base64 of their raw bytes::
 NaN payloads), which is what makes gateway-served actions bit-identical
 to in-process serving — the transport never touches the numbers.
 
-Reading side: :class:`FrameReader` is an incremental decoder for
-non-blocking/fragmented streams (feed it whatever chunk arrived, get
-back every completed message), and :func:`recv_frame` is the blocking
-socket convenience the thread-per-connection gateway and client use.
+Reading side: :func:`recv_frame` reads one whole frame off a blocking
+socket, however the bytes arrive in chunks; the thread-per-connection
+gateway and the client both read with it.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ import base64
 import json
 import socket
 import struct
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 __all__ = [
     "FrameError",
-    "FrameReader",
     "MAX_FRAME_BYTES",
     "decode_payload",
     "encode_payload",
@@ -115,43 +113,6 @@ def unpack_frame(body: bytes) -> Any:
         # A small frame of deeply nested arrays exhausts the stack of
         # the parser or of decode_payload.
         raise FrameError("frame nests too deeply to decode") from error
-
-
-class FrameReader:
-    """Incremental frame decoder for fragmented byte streams.
-
-    ``feed`` never blocks and tolerates any fragmentation — one byte at a
-    time, several frames per chunk, a frame split across chunks — and
-    returns every message completed by the newest chunk, in order.
-    """
-
-    __slots__ = ("_buffer",)
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes) -> List[Any]:
-        self._buffer.extend(chunk)
-        messages: List[Any] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return messages
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise FrameError(
-                    f"frame length {length} exceeds {MAX_FRAME_BYTES}"
-                )
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                return messages
-            body = bytes(self._buffer[_HEADER.size:end])
-            del self._buffer[:end]
-            messages.append(unpack_frame(body))
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards an incomplete frame."""
-        return len(self._buffer)
 
 
 # ----------------------------------------------------------------------

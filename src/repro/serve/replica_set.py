@@ -45,9 +45,8 @@ class ReplicaSet:
     ``add(name, policy, weight=...)`` registers a replica (its own
     :class:`PolicyServer`); ``open_session`` routes a new session to a
     replica and returns its :class:`~repro.serve.server.Session` handle
-    plus the replica's name. Session ids are set-generated and globally
-    unique across replicas (``g000000, g000001, ...``) unless the caller
-    provides one.
+    plus the replica's name. Session ids are always set-generated and
+    globally unique across replicas (``g000000, g000001, ...``).
     """
 
     def __init__(
@@ -70,8 +69,6 @@ class ReplicaSet:
         self._weights: Dict[str, float] = {}
         self._order: List[str] = []  # routing order = registration order
         self._session_counter = 0
-        self._session_replica: Dict[str, str] = {}
-        self._retired: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -147,7 +144,6 @@ class ReplicaSet:
 
     def open_session(
         self,
-        session_id: Optional[str] = None,
         num_users: int = 1,
         seed: Optional[int] = None,
         deterministic: bool = False,
@@ -160,11 +156,8 @@ class ReplicaSet:
         split while ids stay unique.
         """
         with self._lock:
-            if session_id is None:
-                session_id = f"g{self._session_counter:06d}"
-                self._session_counter += 1
-            elif session_id in self._session_replica:
-                raise SessionError(f"session {session_id!r} already exists")
+            session_id = f"g{self._session_counter:06d}"
+            self._session_counter += 1
             name = self.route(key if key is not None else session_id)
             handle = self._servers[name].session(
                 session_id,
@@ -172,32 +165,13 @@ class ReplicaSet:
                 seed=seed,
                 deterministic=deterministic,
             )
-            self._session_replica[session_id] = name
             return handle, name
-
-    def get_session(self, session_id: str) -> Tuple[Session, str]:
-        """Attach to an open session wherever it lives."""
-        with self._lock:
-            name = self._session_replica.get(session_id)
-            if name is None:
-                raise SessionError(f"unknown session {session_id!r}")
-            return self._servers[name].get_session(session_id), name
-
-    def end_session(self, session_id: str) -> None:
-        with self._lock:
-            handle, _ = self.get_session(session_id)
-            handle.end()
-            del self._session_replica[session_id]
-
-    def forget_session(self, session_id: str) -> None:
-        """Drop routing bookkeeping for an id (session already closed)."""
-        with self._lock:
-            self._session_replica.pop(session_id, None)
 
     @property
     def num_sessions(self) -> int:
+        """Open sessions summed over the replicas' servers."""
         with self._lock:
-            return len(self._session_replica)
+            return sum(server.num_sessions for server in self._servers.values())
 
     # ------------------------------------------------------------------
     # per-replica lifecycle
@@ -212,7 +186,7 @@ class ReplicaSet:
         return self.swap(name, snapshot_policy(policy), version=version)
 
     def retire(self, name: str, drain: bool = True) -> int:
-        """Remove a replica; returns how many of its sessions were closed.
+        """Remove a replica; returns how many sessions its server held.
 
         Order matters: the replica leaves the routing table first (new
         sessions can no longer land on it), in-flight batches drain
@@ -225,17 +199,10 @@ class ReplicaSet:
             del self._weights[name]
         server.stop(drain=drain)
         with self._lock:
-            orphans = [
-                sid
-                for sid, replica in self._session_replica.items()
-                if replica == name
-            ]
-            for sid in orphans:
-                self._session_replica.pop(sid, None)
             del self._servers[name]
-            self._retired[name] = server.version
+        closed = server.num_sessions
         server.close()
-        return len(orphans)
+        return closed
 
     # ------------------------------------------------------------------
     # whole-set lifecycle
@@ -254,30 +221,12 @@ class ReplicaSet:
             servers = list(self._servers.values())
         return sum(server.flush() for server in servers)
 
-    def stats(self, snapshot: Optional[Dict[str, dict]] = None) -> Dict[str, object]:
-        """Per-replica counters plus routing state.
-
-        With a precomputed ``metrics.snapshot()``, every replica's
-        sub-dict is derived from that one capture (see
-        ``PolicyServer.stats``) instead of locking each server in turn.
-        """
-        with self._lock:
-            return {
-                "replicas": {
-                    name: self._servers[name].stats(snapshot) for name in self._order
-                },
-                "weights": dict(self._weights),
-                "sessions": len(self._session_replica),
-                "retired": dict(self._retired),
-            }
-
     def close(self) -> None:
         with self._lock:
             servers = list(self._servers.values())
             self._servers.clear()
             self._weights.clear()
             self._order.clear()
-            self._session_replica.clear()
         for server in servers:
             server.close()
 

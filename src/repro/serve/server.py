@@ -232,16 +232,14 @@ class _Session:
 
 
 class Session:
-    """Handle for one open serving session — the primary request surface.
+    """Handle for one open serving session — the request surface.
 
     Obtained from :meth:`PolicyServer.session` (create) or
     :meth:`PolicyServer.get_session` (attach to an existing id). The
     handle owns no state of its own: every call goes straight to the
     server, so any number of handles to the same id behave identically,
     and a handle whose session was ended (by anyone) raises
-    :class:`SessionError` on use. The stringly-typed server methods
-    (``submit(session_id, obs)`` etc.) survive as thin wrappers that
-    resolve the id and delegate here.
+    :class:`SessionError` on use.
     """
 
     __slots__ = ("_server", "_state")
@@ -284,7 +282,16 @@ class Session:
         return self._server._is_registered(self._state)
 
     def submit(self, obs: np.ndarray, trace: Optional[str] = None) -> Ticket:
-        """Queue one ``act`` request; see :meth:`PolicyServer.submit`.
+        """Queue one ``act`` request; returns a :class:`Ticket`.
+
+        ``obs`` is the session's stacked observation block
+        ``[num_users, state_dim]`` (a 1-D vector is accepted for
+        single-user sessions). One request per session may be in flight —
+        a session's next observation depends on its previous action, so a
+        second submit before the first is served can only be a protocol
+        bug. A non-finite observation is refused before it is queued: one
+        NaN would turn the whole group's SADAE context, and every later
+        step's extractor state, into NaN.
 
         ``trace`` attaches a trace id: the batch that serves this request
         records its queue-wait and compute spans under that id on the
@@ -298,7 +305,12 @@ class Session:
         timeout: Optional[float] = None,
         trace: Optional[str] = None,
     ) -> ActionResult:
-        """Submit and wait for the served result (single-call convenience)."""
+        """Submit and wait for the served result (single-call convenience).
+
+        Without the background dispatcher the request is flushed
+        immediately (a one-request batch); with it, the call blocks until
+        the dispatcher's window closes.
+        """
         ticket = self.submit(obs, trace=trace)
         if not self._server._running:
             self._server.flush()
@@ -359,35 +371,15 @@ def _stack_states(policy: ActorCriticBase, sessions: Sequence[_Session]):
     return np.concatenate(states)
 
 
-def _series_for_replica(snapshot: Dict[str, dict], replica: str) -> Dict[Any, float]:
-    """Flatten one replica's scalar series out of a registry snapshot.
-
-    Keys are metric names, except multi-label families (e.g.
-    ``serve_swaps_total``) which key by ``(name, <other label value>)``.
-    """
-    out: Dict[Any, float] = {}
-    for name, family in snapshot.items():
-        for series in family.get("series", []):
-            labels = series.get("labels", {})
-            if labels.get("replica") != replica:
-                continue
-            value = series.get("value")
-            if value is None:
-                continue  # histogram series; scalars come from their gauges
-            others = tuple(v for k, v in labels.items() if k != "replica")
-            out[(name, *others) if others else name] = value
-    return out
-
-
 class PolicyServer:
     """Concurrent-session policy inference with microbatching and hot swap.
 
     Two drive modes share one request queue:
 
-    - **synchronous** — :meth:`submit` then :meth:`flush` (or the
-      :meth:`act` convenience): the caller decides when the window closes,
-      which makes batch composition fully deterministic (tests, benches,
-      single-threaded drivers);
+    - **synchronous** — :meth:`Session.submit` then :meth:`flush` (or
+      the :meth:`Session.act` convenience): the caller decides when the
+      window closes, which makes batch composition fully deterministic
+      (tests, benches, single-threaded drivers);
     - **background** — :meth:`start` runs a dispatcher thread that closes
       the window when ``max_batch_size`` requests are pending, when every
       open session has a request pending, or when the oldest has waited
@@ -533,30 +525,6 @@ class PolicyServer:
                 raise SessionError(f"unknown session {session_id!r}")
             return Session(self, state)
 
-    def create_session(
-        self,
-        session_id: Optional[str] = None,
-        num_users: int = 1,
-        seed: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-        deterministic: bool = False,
-    ) -> str:
-        """Open a session; returns its id (legacy stringly-typed surface).
-
-        Thin wrapper over :meth:`session` — prefer the handle it returns.
-        """
-        return self.session(
-            session_id,
-            num_users=num_users,
-            seed=seed,
-            rng=rng,
-            deterministic=deterministic,
-        ).id
-
-    def end_session(self, session_id: str) -> None:
-        """Close a session by id (legacy wrapper over ``Session.end``)."""
-        self.get_session(session_id).end()
-
     def _is_registered(self, state: _Session) -> bool:
         with self._lock:
             return self._sessions.get(state.id) is state
@@ -591,72 +559,13 @@ class PolicyServer:
         with self._lock:
             return self._version
 
-    def stats(self, snapshot: Optional[Dict[str, dict]] = None) -> Dict[str, Any]:
-        """Legacy counter dict, now read off the metrics registry.
-
-        Pass a precomputed ``registry.snapshot()`` to derive the dict
-        from one coherent point-in-time capture (how ``Gateway.stats()``
-        snapshots every layer at once); without one the live registry is
-        read directly.
-        """
-        if snapshot is not None:
-            series = _series_for_replica(snapshot, self.name)
-            return {
-                "requests": int(series.get("serve_requests_total", 0)),
-                "batches": int(series.get("serve_batches_total", 0)),
-                "max_batch_rows": int(series.get("serve_batch_rows_max", 0)),
-                "swaps_applied": int(series.get(("serve_swaps_total", "applied"), 0)),
-                "swaps_skipped": int(series.get(("serve_swaps_total", "skipped"), 0)),
-                "sessions": int(series.get("serve_sessions", 0)),
-                "pending": int(series.get("serve_queue_depth", 0)),
-                "version": int(series.get("serve_policy_version", 0)),
-            }
-        with self._lock:
-            sessions = len(self._sessions)
-            pending = len(self._queue)
-            version = self._version
-        return {
-            "requests": int(self._m_requests.value),
-            "batches": int(self._m_batches.value),
-            "max_batch_rows": int(self._m_batch_rows_max.value),
-            "swaps_applied": int(self._m_swaps_applied.value),
-            "swaps_skipped": int(self._m_swaps_skipped.value),
-            "sessions": sessions,
-            "pending": pending,
-            "version": version,
-        }
-
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
-    def submit(
-        self, session_id: str, obs: np.ndarray, trace: Optional[str] = None
-    ) -> Ticket:
-        """Queue one ``act`` request by id (legacy wrapper over
-        ``Session.submit``); returns a :class:`Ticket`."""
-        return self._submit(self._require(session_id), obs, trace=trace)
-
-    def _require(self, session_id: str) -> _Session:
-        with self._lock:
-            session = self._sessions.get(session_id)
-            if session is None:
-                raise SessionError(f"unknown session {session_id!r}")
-            return session
-
     def _submit(
         self, session: _Session, obs: np.ndarray, trace: Optional[str] = None
     ) -> Ticket:
-        """Queue one ``act`` request; returns a :class:`Ticket`.
-
-        ``obs`` is the session's stacked observation block
-        ``[num_users, state_dim]`` (a 1-D vector is accepted for
-        single-user sessions). One request per session may be in flight —
-        a session's next observation depends on its previous action, so a
-        second submit before the first is served can only be a protocol
-        bug. A non-finite observation is refused before it is queued: one
-        NaN would turn the whole group's SADAE context, and every later
-        step's extractor state, into NaN.
-        """
+        """The submit funnel behind :meth:`Session.submit`."""
         obs = np.asarray(obs, dtype=np.float64)
         if obs.ndim == 1:
             obs = obs.reshape(1, -1)
@@ -707,17 +616,6 @@ class PolicyServer:
         self._m_windows[reason].inc()
         self._process_batch(batch)
         return len(batch)
-
-    def act(
-        self, session_id: str, obs: np.ndarray, timeout: Optional[float] = None
-    ) -> ActionResult:
-        """Submit and wait by id (legacy wrapper over ``Session.act``).
-
-        Without the background dispatcher the request is flushed
-        immediately (a one-request batch); with it, the call blocks until
-        the dispatcher's window closes.
-        """
-        return self.get_session(session_id).act(obs, timeout)
 
     # ------------------------------------------------------------------
     # microbatch kernel

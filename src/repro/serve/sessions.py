@@ -14,8 +14,10 @@ entries in recency order and evicts
 Eviction calls ``on_evict(key, value, reason)`` *outside* the store lock
 — the gateway uses it to end the underlying server session, which takes
 the server lock; holding both would order locks store→server here and
-server→store on the request path. Counters (``evicted_lru`` /
-``evicted_ttl``) feed the soak bench's flat-memory assertions.
+server→store on the request path. The callback is also where
+evictions are counted: the gateway's adds each to its
+``gateway_store_evictions_total{reason}`` series, which the soak bench
+reads.
 
 The store is a bookkeeping layer only: it never touches what it holds
 beyond the callback, so it is reusable for any keyed per-client state.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["SessionStore"]
 
@@ -68,7 +70,6 @@ class SessionStore:
         self._clock = clock
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._counters = {"evicted_lru": 0, "evicted_ttl": 0}
 
     # ------------------------------------------------------------------
     def put(self, key: str, value: Any) -> None:
@@ -87,7 +88,6 @@ class SessionStore:
             if self.max_sessions is not None:
                 while len(self._entries) > self.max_sessions:
                     old_key, old_entry = self._entries.popitem(last=False)
-                    self._counters["evicted_lru"] += 1
                     evicted.append((old_key, old_entry.value, "lru"))
         self._fire(evicted)
 
@@ -137,10 +137,6 @@ class SessionStore:
         with self._lock:
             return list(self._entries.keys())
 
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"sessions": len(self._entries), **self._counters}
-
     # ------------------------------------------------------------------
     def _expire_locked(self, now: float) -> List[Tuple[str, Any, str]]:
         if self.ttl_s is None:
@@ -153,7 +149,6 @@ class SessionStore:
             if now - entry.last_used <= self.ttl_s:
                 break
             del self._entries[key]
-            self._counters["evicted_ttl"] += 1
             expired.append((key, entry.value, "ttl"))
         return expired
 

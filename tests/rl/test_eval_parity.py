@@ -42,6 +42,8 @@ from repro.rl import (
     MLPActorCritic,
     RecurrentActorCritic,
     ShardedVecEnvPool,
+    VecEnvPool,
+    collect_segments_vec,
     evaluate,
     sharding_available,
 )
@@ -418,6 +420,28 @@ class TestFrontDoor:
             policy.as_act_fn(np.random.default_rng(13)), make_lts_envs(), **kwargs
         )
         assert not np.array_equal(truncated, full)
+
+    def test_max_steps_does_not_stick_to_a_pool(self):
+        """A budget bounds its own call: the next default call on the same
+        pool runs every env's full horizon, and the pool's setting stands."""
+        policy = make_policy("mlp", 2, 1)
+        pool = VecEnvPool(make_lts_envs()[:2])
+        evaluate(policy, pool, max_steps=2)
+        assert pool.env_steps.tolist() == [2, 2]
+        evaluate(policy, pool)
+        assert pool.env_steps.tolist() == [5, 5]
+        assert pool.max_steps is None
+
+    def test_collect_max_steps_does_not_stick_to_a_pool(self):
+        """The same for collection: a budgeted collect, then full-horizon
+        segments from the same pool."""
+        policy = make_policy("mlp", 2, 1)
+        pool = VecEnvPool(make_lts_envs()[:2])
+        short = collect_segments_vec(pool, policy, np.random.default_rng(0), max_steps=2)
+        assert [len(segment.rewards) for segment in short] == [2, 2]
+        full = collect_segments_vec(pool, policy, np.random.default_rng(0))
+        assert [len(segment.rewards) for segment in full] == [5, 5]
+        assert pool.max_steps is None
 
     def test_empty_env_sequence_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

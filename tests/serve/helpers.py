@@ -83,6 +83,12 @@ def assert_result_matches(result, expected, label=""):
     assert np.array_equal(result.values, values), f"{label}: values diverge"
 
 
+def serve_value(server, name, *labels):
+    """Current value of one of ``server``'s registry series (every serve
+    series is labelled with the server's replica name first)."""
+    return server.metrics.value(name, server.name, *labels)
+
+
 def window_counts(server):
     """Windows ``server`` has closed so far, keyed by the rule that closed
     them (its ``serve_windows_total`` series)."""

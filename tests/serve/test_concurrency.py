@@ -38,11 +38,11 @@ from .helpers import (
 )
 
 
-def drive_session(server, sid, obs_stream, out, errors):
+def drive_session(session, obs_stream, out, errors):
     """Client thread body: one blocking ``act`` per step of the stream."""
     try:
         for obs in obs_stream:
-            out.append(server.act(sid, obs, timeout=30.0))
+            out.append(session.act(obs, timeout=30.0))
     except BaseException as error:  # surfaced by the main thread
         errors.append(error)
 
@@ -60,8 +60,8 @@ def run_threaded(kind, user_counts, obs_streams, session_seeds, server=None,
             make_policy(kind),
             ServeConfig(max_batch_size=len(user_counts), max_wait_ms=0.5),
         )
-    sids = [
-        server.create_session(num_users=n, seed=session_seeds[i])
+    sessions = [
+        server.session(num_users=n, seed=session_seeds[i])
         for i, n in enumerate(user_counts)
     ]
     server.start()
@@ -69,9 +69,9 @@ def run_threaded(kind, user_counts, obs_streams, session_seeds, server=None,
     errors = []
     threads = [
         threading.Thread(
-            target=drive_session, args=(server, sid, obs_streams[i], results[i], errors)
+            target=drive_session, args=(session, obs_streams[i], results[i], errors)
         )
-        for i, sid in enumerate(sids)
+        for i, session in enumerate(sessions)
     ]
     for thread in threads:
         thread.start()
@@ -195,10 +195,10 @@ def test_inflight_batch_completes_on_old_version():
         STATE_DIM, ACTION_DIM, np.random.default_rng(1), hidden_sizes=(16,)
     )
     server = PolicyServer(policy, ServeConfig(max_batch_size=4))
-    sid = server.create_session(num_users=2, seed=4000)
+    session = server.session(num_users=2, seed=4000)
     obs = make_obs_streams([2], 2, seed=67)[0]
 
-    ticket = server.submit(sid, obs[0])
+    ticket = session.submit(obs[0])
     flusher = threading.Thread(target=server.flush)
     flusher.start()
     assert policy.entered.wait(timeout=30.0), "batch never reached the policy"
@@ -230,6 +230,6 @@ def test_inflight_batch_completes_on_old_version():
     first = ticket.result(timeout=5.0)
     assert first.version == 1
     # The very next request is served by the swapped weights.
-    second = server.act(sid, obs[1], timeout=30.0)
+    second = session.act(obs[1], timeout=30.0)
     assert second.version == 2 and server.version == 2
     server.close()

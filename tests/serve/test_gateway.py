@@ -2,9 +2,10 @@
 
 Three layers:
 
-- **framing** — pure codec tests: fragmentation-proof incremental
-  decoding, bit-exact ndarray transport (including NaN payloads),
-  oversized-frame rejection;
+- **framing** — ``recv_frame``, the decoder the gateway and the client
+  read with, over a socket stand-in: fragmentation-proof decoding,
+  bit-exact ndarray transport (including NaN payloads), oversized-frame
+  rejection;
 - **protocol** — one live loopback gateway per test: typed ``TIMEOUT``
   on deadline expiry (with deferred session cleanup), ``BUSY`` under
   admission overflow, disconnect/idle cleanup, LRU/TTL session bounds,
@@ -28,7 +29,6 @@ from hypothesis import strategies as st
 from repro.serve import (
     DeadlineExceeded,
     FrameError,
-    FrameReader,
     Gateway,
     GatewayBusy,
     GatewayClient,
@@ -38,9 +38,9 @@ from repro.serve import (
     ServeConfig,
     SessionError,
 )
-from repro.serve.protocol import pack_frame, unpack_frame
+from repro.serve.protocol import pack_frame, recv_frame, unpack_frame
 
-from .helpers import STATE_DIM, make_obs_streams, make_policy, solo_serve
+from .helpers import STATE_DIM, make_obs_streams, make_policy, serve_value, solo_serve
 
 
 def wait_until(predicate, timeout=5.0, interval=0.01):
@@ -66,17 +66,34 @@ def make_gateway(kind="mlp", serve_overrides=None, **gateway_overrides):
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+class ChunkedSocket:
+    """Socket stand-in: ``recv`` hands out ``data`` at most ``chunk``
+    bytes at a time, then reads EOF."""
+
+    def __init__(self, data, chunk=65536):
+        self._data = data
+        self._chunk = chunk
+
+    def recv(self, count):
+        piece = self._data[: min(count, self._chunk)]
+        self._data = self._data[len(piece):]
+        return piece
+
+
+def frame_of(body):
+    return struct.pack(">I", len(body)) + body
+
+
 class TestFraming:
     def test_roundtrip_preserves_structure(self):
         message = {"op": "act", "nested": [1, 2.5, None, "x", {"y": True}]}
-        reader = FrameReader()
-        (decoded,) = reader.feed(pack_frame(message))
-        assert decoded == message
-        assert reader.pending_bytes == 0
+        sock = ChunkedSocket(pack_frame(message))
+        assert recv_frame(sock) == message
+        assert recv_frame(sock) is None  # clean EOF at the frame boundary
 
     def test_ndarray_transport_is_bit_exact(self):
         array = np.array([[0.1 + 0.2, -0.0, np.nan, np.inf, 1e-308]])
-        (decoded,) = FrameReader().feed(pack_frame({"obs": array}))
+        decoded = recv_frame(ChunkedSocket(pack_frame({"obs": array})))
         out = decoded["obs"]
         assert out.dtype == array.dtype
         assert out.tobytes() == array.tobytes()  # bitwise, NaN included
@@ -84,27 +101,21 @@ class TestFraming:
 
     def test_one_byte_at_a_time_fragmentation(self):
         frame = pack_frame({"op": "ping", "obs": np.arange(6.0).reshape(2, 3)})
-        reader = FrameReader()
-        messages = []
-        for index in range(len(frame)):
-            messages.extend(reader.feed(frame[index:index + 1]))
-        assert len(messages) == 1
-        assert np.array_equal(messages[0]["obs"], np.arange(6.0).reshape(2, 3))
+        sock = ChunkedSocket(frame, chunk=1)
+        message = recv_frame(sock)
+        assert np.array_equal(message["obs"], np.arange(6.0).reshape(2, 3))
+        assert recv_frame(sock) is None
 
     def test_many_frames_in_one_chunk_and_a_tail(self):
         frames = pack_frame({"i": 0}) + pack_frame({"i": 1}) + pack_frame({"i": 2})
-        split = len(frames) - 3  # last frame arrives incomplete
-        reader = FrameReader()
-        first = reader.feed(frames[:split])
-        assert [m["i"] for m in first] == [0, 1]
-        assert reader.pending_bytes > 0
-        second = reader.feed(frames[split:])
-        assert [m["i"] for m in second] == [2]
+        sock = ChunkedSocket(frames[:-3], chunk=len(frames))  # last frame cut off
+        assert [recv_frame(sock)["i"] for _ in range(2)] == [0, 1]
+        with pytest.raises(FrameError, match="closed mid-frame"):
+            recv_frame(sock)
 
     def test_oversized_length_prefix_rejected(self):
-        reader = FrameReader()
         with pytest.raises(FrameError, match="exceeds"):
-            reader.feed((2**31).to_bytes(4, "big") + b"x")
+            recv_frame(ChunkedSocket((2**31).to_bytes(4, "big") + b"x"))
 
     def test_bad_ndarray_tag_rejected(self):
         from repro.serve.protocol import decode_payload
@@ -113,6 +124,9 @@ class TestFraming:
             decode_payload({"__ndarray__": [2], "dtype": "not-a-dtype", "b64": "AA=="})
         with pytest.raises(FrameError, match="ndarray"):
             decode_payload({"__ndarray__": [4], "dtype": "<f8", "b64": "AA=="})
+        body = b'{"obs": {"__ndarray__": [4], "dtype": "<f8", "b64": "AA=="}}'
+        with pytest.raises(FrameError, match="ndarray"):
+            recv_frame(ChunkedSocket(frame_of(body)))
 
     def test_deeply_nested_frame_rejected(self):
         # ~1.8 KB of nested arrays used to exhaust the decoder's stack
@@ -121,7 +135,7 @@ class TestFraming:
         with pytest.raises(FrameError, match="nests too deeply"):
             unpack_frame(body)
         with pytest.raises(FrameError, match="nests too deeply"):
-            FrameReader().feed(struct.pack(">I", len(body)) + body)
+            recv_frame(ChunkedSocket(frame_of(body)))
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +154,17 @@ class TestProtocol:
             assert session.steps == 1
             session.end()
             assert server.num_sessions == 0
+
+    def test_stats_op_answers_with_the_registry_snapshot(self):
+        gateway, _ = make_gateway()
+        with gateway, GatewayClient(gateway.address) as client:
+            client.open_session(num_users=1).act(np.zeros((1, STATE_DIM)))
+            reply = client._roundtrip({"op": "stats"})
+            assert set(reply) == {"ok", "metrics"}
+            assert set(reply["metrics"]) == set(gateway.metrics.snapshot())
+            assert reply["metrics"]["serve_requests_total"]["series"] == [
+                {"labels": {"replica": "default"}, "value": 1.0}
+            ]
 
     def test_act_on_unknown_session_is_typed_session_error(self):
         gateway, _ = make_gateway()
@@ -173,7 +198,7 @@ class TestProtocol:
             with pytest.raises(SessionError, match="finite"):
                 session.act(poisoned)
             assert client.ping()
-            assert server.stats()["pending"] == 0
+            assert serve_value(server, "serve_queue_depth") == 0
             for obs in stream[1:]:
                 got, want = session.act(obs), twin.act(obs)
                 assert np.array_equal(got.actions, want.actions)
@@ -182,22 +207,18 @@ class TestProtocol:
             assert session.steps == 3
             session.end()
             twin.end()
-            assert gateway.stats()["session_errors"] == 1
+            assert gateway.metrics.value("gateway_failures_total", "SESSION") == 1
 
     def test_bad_requests_keep_the_connection_alive(self):
         gateway, _ = make_gateway()
         with gateway:
             with socket.create_connection(gateway.address, timeout=5.0) as sock:
-                reader = FrameReader()
 
                 def roundtrip(message):
                     sock.sendall(pack_frame(message))
-                    while True:
-                        chunk = sock.recv(65536)
-                        assert chunk, "gateway closed the connection"
-                        messages = reader.feed(chunk)
-                        if messages:
-                            return messages[0]
+                    reply = recv_frame(sock)
+                    assert reply is not None, "gateway closed the connection"
+                    return reply
 
                 for bad in (
                     {"op": "warp"},
@@ -218,16 +239,12 @@ class TestProtocol:
         gateway, server = make_gateway()
         with gateway:
             with socket.create_connection(gateway.address, timeout=5.0) as sock:
-                reader = FrameReader()
 
                 def roundtrip(body):
-                    sock.sendall(struct.pack(">I", len(body)) + body)
-                    while True:
-                        chunk = sock.recv(65536)
-                        assert chunk, "gateway closed the connection"
-                        messages = reader.feed(chunk)
-                        if messages:
-                            return messages[0]
+                    sock.sendall(frame_of(body))
+                    reply = recv_frame(sock)
+                    assert reply is not None, "gateway closed the connection"
+                    return reply
 
                 for body in (
                     b'{"op": "open", "num_users": Infinity}',
@@ -241,7 +258,7 @@ class TestProtocol:
                     assert reply["error"] == "BAD_REQUEST", reply
                 assert roundtrip(b'{"op": "ping"}')["ok"] is True
             assert server.num_sessions == 0
-            assert gateway.stats()["bad_requests"] == 4
+            assert gateway.metrics.value("gateway_failures_total", "BAD_REQUEST") == 4
 
     def test_deadline_expiry_returns_typed_timeout(self):
         # A wide-open batching window (huge max_wait, huge batch) with an
@@ -257,15 +274,13 @@ class TestProtocol:
             with pytest.raises(DeadlineExceeded, match="deadline"):
                 session.act(np.zeros((1, STATE_DIM)), deadline_ms=50)
             assert time.monotonic() - begin < 5.0
-            assert gateway.stats()["deadline_timeouts"] == 1
+            assert gateway.metrics.value("gateway_failures_total", "TIMEOUT") == 1
             # The session is quarantined: dead to the client, ended
             # server-side once its in-flight batch resolves (the reaper
-            # runs on any later request or stats call).
+            # runs on any later request).
             server.flush()
             idle.end()
-            assert wait_until(
-                lambda: gateway.stats() is not None and server.num_sessions == 0
-            )
+            assert wait_until(lambda: client.ping() and server.num_sessions == 0)
 
     def test_busy_under_admission_overflow(self):
         gateway, server = make_gateway(
@@ -287,12 +302,14 @@ class TestProtocol:
             thread = threading.Thread(target=occupant)
             thread.start()
             try:
-                assert wait_until(lambda: gateway.stats()["pending"] == 1)
+                assert wait_until(
+                    lambda: gateway.metrics.value("gateway_pending_requests") == 1
+                )
                 with GatewayClient(gateway.address) as client:
                     session = client.open_session(num_users=1)
                     with pytest.raises(GatewayBusy, match="retry"):
                         session.act(np.zeros((1, STATE_DIM)))
-                assert gateway.stats()["busy_rejections"] == 1
+                assert gateway.metrics.value("gateway_failures_total", "BUSY") == 1
             finally:
                 # Serve the occupant's window now instead of letting its
                 # 2 s deadline run out: the idle session holds it open.
@@ -308,7 +325,7 @@ class TestProtocol:
             assert server.num_sessions == 1
             client.close()  # vanish without an `end`
             assert wait_until(lambda: server.num_sessions == 0)
-            assert gateway.stats()["connections_cleaned"] >= 1
+            assert gateway.metrics.value("gateway_connections_cleaned_total") >= 1
 
     def test_disconnect_with_request_in_flight_cleans_up(self):
         """Closing the socket while a batch is pending must not leak."""
@@ -326,9 +343,9 @@ class TestProtocol:
             worker.start()
             worker.join()
             client.close()
-            assert wait_until(
-                lambda: gateway.stats() is not None and server.num_sessions == 0
-            )
+            # A request from another connection runs the reaper.
+            with GatewayClient(gateway.address) as probe:
+                assert wait_until(lambda: probe.ping() and server.num_sessions == 0)
 
     @staticmethod
     def _swallow(fn):
@@ -342,9 +359,8 @@ class TestProtocol:
         with gateway, GatewayClient(gateway.address) as client:
             for _ in range(10):
                 client.open_session(num_users=1)
-            stats = gateway.stats()
-            assert stats["store"]["sessions"] <= 4
-            assert stats["store"]["evicted_lru"] >= 6
+            assert gateway.metrics.value("gateway_store_sessions") <= 4
+            assert gateway.metrics.value("gateway_store_evictions_total", "lru") >= 6
             assert wait_until(lambda: server.num_sessions <= 4)
 
     def test_ttl_evicts_idle_sessions(self):
@@ -353,8 +369,7 @@ class TestProtocol:
             idle = client.open_session(num_users=1)
             time.sleep(0.25)
             client.open_session(num_users=1)  # mutation sweeps expired entries
-            stats = gateway.stats()
-            assert stats["store"]["evicted_ttl"] >= 1
+            assert gateway.metrics.value("gateway_store_evictions_total", "ttl") >= 1
             with pytest.raises(SessionError, match="unknown session"):
                 idle._ended = False
                 idle.act(np.zeros((1, STATE_DIM)))
@@ -407,11 +422,50 @@ class TestClose:
                 session = client.open_session(num_users=1)
                 with pytest.raises(DeadlineExceeded):
                     session.act(np.zeros((1, STATE_DIM)), deadline_ms=50)
-        assert gateway.stats()["quarantined"] == 2
+        assert gateway.metrics.value("gateway_quarantined_sessions") == 2
         begin = time.monotonic()
         gateway.close()
         assert time.monotonic() - begin < 1.0
-        assert gateway.stats()["quarantined"] == 0
+        assert gateway.metrics.value("gateway_quarantined_sessions") == 0
+
+
+class TestOpenValidation:
+    """The wire ``open`` op takes its fields as sent: one of the wrong
+    type is a ``BAD_REQUEST`` and opens nothing (``bool("false")`` is
+    true, and ``int(2.7)`` is 2)."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"deterministic": "false"},
+            {"deterministic": 1},
+            {"num_users": 2.7},
+            {"num_users": "2"},
+            {"num_users": True},
+            {"seed": 3.9},
+            {"seed": True},
+            {"key": {"user": 1}},
+        ],
+        ids=[
+            "deterministic-string",
+            "deterministic-int",
+            "num_users-float",
+            "num_users-string",
+            "num_users-bool",
+            "seed-float",
+            "seed-bool",
+            "key-object",
+        ],
+    )
+    def test_malformed_field_opens_nothing(self, fields):
+        server = PolicyServer(make_policy("mlp"), ServeConfig(seed=0))
+        with Gateway(server) as gateway:
+            opened = []
+            reply = gateway._dispatch({"op": "open", **fields}, opened, gateway._clock())
+            assert reply["ok"] is False
+            assert reply["error"] == "BAD_REQUEST", reply
+            assert opened == []
+            assert server.num_sessions == 0
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +530,7 @@ class TestDispatchFuzz:
             def reopen_ended_sessions():
                 for session_id in self.SESSION_IDS:
                     if gateway._sessions.get(session_id) is None:
-                        handle, _ = gateway.replicas.open_session(session_id)
+                        handle = gateway.replicas.replica("default").session(session_id)
                         gateway._sessions.put(session_id, handle)
 
             @settings(max_examples=100, deadline=None)

@@ -46,10 +46,8 @@ def serve_interleaved(kind, user_counts, obs_streams, session_seeds,
     server = PolicyServer(
         make_policy(kind), ServeConfig(max_batch_size=max_batch_size)
     )
-    sids = [
-        server.create_session(
-            num_users=n, seed=session_seeds[i], deterministic=deterministic
-        )
+    sessions = [
+        server.session(num_users=n, seed=session_seeds[i], deterministic=deterministic)
         for i, n in enumerate(user_counts)
     ]
     cursors = [0] * len(user_counts)
@@ -59,7 +57,7 @@ def serve_interleaved(kind, user_counts, obs_streams, session_seeds,
         for index in participants:
             obs = obs_streams[index][cursors[index]]
             cursors[index] += 1
-            tickets.append((index, server.submit(sids[index], obs)))
+            tickets.append((index, sessions[index].submit(obs)))
         server.flush()
         for index, ticket in tickets:
             results[index].append(ticket.result(timeout=5.0))
@@ -144,14 +142,14 @@ def test_mixed_determinism_window():
     obs_streams = make_obs_streams(user_counts, steps, seed=23)
     seeds = [500, 501, 502]
     server = PolicyServer(make_policy("lstm"), ServeConfig(max_batch_size=16))
-    sids = [
-        server.create_session(num_users=n, seed=seeds[i], deterministic=flags[i])
+    sessions = [
+        server.session(num_users=n, seed=seeds[i], deterministic=flags[i])
         for i, n in enumerate(user_counts)
     ]
     served = [[] for _ in user_counts]
     for t in range(steps):
         tickets = [
-            server.submit(sids[i], obs_streams[i][t]) for i in range(len(sids))
+            session.submit(obs_streams[i][t]) for i, session in enumerate(sessions)
         ]
         server.flush()
         for i, ticket in enumerate(tickets):
@@ -228,17 +226,17 @@ class TestHotSwapMidStream:
         payload = snapshot_policy(donor)
 
         server = PolicyServer(make_policy(kind), ServeConfig(max_batch_size=8))
-        sids = [
-            server.create_session(num_users=n, seed=seeds[i])
+        sessions = [
+            server.session(num_users=n, seed=seeds[i])
             for i, n in enumerate([num_users, 1])
         ]
-        served = [[] for _ in sids]
+        served = [[] for _ in sessions]
         versions = []
         for t in range(steps):
             if t == k:
                 assert server.swap_policy(payload) == 2
             tickets = [
-                server.submit(sids[i], obs_streams[i][t]) for i in range(len(sids))
+                session.submit(obs_streams[i][t]) for i, session in enumerate(sessions)
             ]
             server.flush()
             for i, ticket in enumerate(tickets):
@@ -272,14 +270,16 @@ class TestHotSwapMidStream:
         """The swapped weights are really served (guards a no-op load)."""
         obs = make_obs_streams([2], 1, seed=47)[0][0]
         server = PolicyServer(make_policy(kind), ServeConfig())
-        sid = server.create_session(num_users=2, seed=900, deterministic=True)
-        before = server.act(sid, obs, timeout=5.0)
+        before = server.session(num_users=2, seed=900, deterministic=True).act(
+            obs, timeout=5.0
+        )
         donor = make_policy(kind)
         for param in donor.parameters():
             param.data = param.data + 0.05
         server.swap_policy(snapshot_policy(donor))
-        sid2 = server.create_session(num_users=2, seed=900, deterministic=True)
-        after = server.act(sid2, obs, timeout=5.0)
+        after = server.session(num_users=2, seed=900, deterministic=True).act(
+            obs, timeout=5.0
+        )
         server.close()
         assert not np.array_equal(before.actions, after.actions)
         assert before.version == 1 and after.version == 2

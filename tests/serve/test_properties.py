@@ -72,10 +72,8 @@ def run_plan(kind, plan, seed):
     server = PolicyServer(
         make_policy(kind), ServeConfig(max_batch_size=max_batch_size)
     )
-    sids = [
-        server.create_session(
-            num_users=users, seed=session_seeds[i], deterministic=flags[i]
-        )
+    sessions = [
+        server.session(num_users=users, seed=session_seeds[i], deterministic=flags[i])
         for i, users in enumerate(user_counts)
     ]
     cursors = [0] * len(user_counts)
@@ -85,7 +83,7 @@ def run_plan(kind, plan, seed):
         for index in participants:
             obs = obs_streams[index][cursors[index]]
             cursors[index] += 1
-            tickets.append((index, server.submit(sids[index], obs)))
+            tickets.append((index, sessions[index].submit(obs)))
         server.flush()
         for index, ticket in tickets:
             served[index].append(ticket.result(timeout=5.0))
@@ -93,7 +91,7 @@ def run_plan(kind, plan, seed):
         # server entirely; later windows must not miss its rows.
         for index in participants:
             if cursors[index] == lengths[index]:
-                server.end_session(sids[index])
+                sessions[index].end()
     server.close()
     for i, users in enumerate(user_counts):
         assert len(served[i]) == lengths[i]

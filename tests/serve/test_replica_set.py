@@ -46,7 +46,9 @@ class TestMembership:
         with pytest.raises(ValueError, match="weight"):
             replica_set.set_weight("r0", -1.0)
         replica_set.set_weight("r0", 3.0)
-        assert replica_set.stats()["weights"]["r0"] == 3.0
+        keys = [f"user{i}" for i in range(64)]
+        reweighted = make_set(weights=(3.0, 1.0))
+        assert [replica_set.route(k) for k in keys] == [reweighted.route(k) for k in keys]
 
     def test_unknown_replica_rejected(self):
         replica_set = make_set()
@@ -96,12 +98,6 @@ class TestSessions:
         assert len({handle.id for handle in handles}) == 20
         assert replica_set.num_sessions == 20
 
-    def test_duplicate_explicit_id_rejected_set_wide(self):
-        replica_set = make_set()
-        replica_set.open_session(session_id="alice")
-        with pytest.raises(SessionError, match="already exists"):
-            replica_set.open_session(session_id="alice")
-
     def test_key_pins_routing(self):
         replica_set = make_set()
         expected = replica_set.route("sticky-user")
@@ -109,16 +105,15 @@ class TestSessions:
             _, name = replica_set.open_session(key="sticky-user")
             assert name == expected
 
-    def test_get_and_end_session(self):
-        replica_set = make_set()
-        handle, name = replica_set.open_session(num_users=2, seed=5)
-        fetched, fetched_name = replica_set.get_session(handle.id)
-        assert fetched_name == name
-        assert fetched.num_users == 2
-        replica_set.end_session(handle.id)
-        assert replica_set.num_sessions == 0
-        with pytest.raises(SessionError, match="unknown session"):
-            replica_set.get_session(handle.id)
+    def test_session_ended_through_its_handle_is_not_counted(self):
+        """The set's session count is its servers' count: a session
+        ended through its own handle leaves it at once."""
+        replica_set = make_set(kinds=("mlp",))
+        ended, name = replica_set.open_session(num_users=2, seed=5)
+        replica_set.open_session(num_users=1, seed=6)
+        ended.end()
+        assert replica_set.num_sessions == 1
+        assert replica_set.retire(name) == 1
 
     def test_replica_session_matches_direct_server(self):
         """A routed session serves bit-identically to a direct PolicyServer."""
@@ -168,7 +163,6 @@ class TestSwapAndRetire:
         assert all(replica_set.route(f"k{i}") == "r1" for i in range(16))
         with pytest.raises(KeyError, match="unknown replica"):
             replica_set.replica("r0")
-        assert replica_set.stats()["retired"] == {"r0": 1}
 
     def test_retire_drains_queued_requests(self):
         """stop(drain=True): queued tickets resolve before the replica dies."""

@@ -28,6 +28,7 @@ from .helpers import (
     assert_result_matches,
     make_obs_streams,
     make_policy,
+    serve_value,
     solo_serve,
     window_counts,
 )
@@ -83,74 +84,79 @@ class TestConfig:
 class TestSessionLifecycle:
     def test_auto_ids_are_unique(self):
         server = make_server()
-        ids = {server.create_session() for _ in range(5)}
+        ids = {server.session().id for _ in range(5)}
         assert len(ids) == 5
         assert server.num_sessions == 5
 
     def test_duplicate_explicit_id_rejected(self):
         server = make_server()
-        server.create_session(session_id="alice")
+        server.session(session_id="alice")
         with pytest.raises(SessionError, match="already exists"):
-            server.create_session(session_id="alice")
+            server.session(session_id="alice")
 
     def test_num_users_must_be_positive(self):
         with pytest.raises(ValueError):
-            make_server().create_session(num_users=0)
+            make_server().session(num_users=0)
 
     def test_unknown_session_rejected(self):
         server = make_server()
         with pytest.raises(SessionError, match="unknown session"):
-            server.submit("ghost", np.zeros((1, STATE_DIM)))
+            server.get_session("ghost")
+        ended = server.session(num_users=1)
+        ended.end()
         with pytest.raises(SessionError, match="unknown session"):
-            server.end_session("ghost")
+            ended.submit(np.zeros((1, STATE_DIM)))
+        with pytest.raises(SessionError, match="unknown session"):
+            ended.end()
 
     def test_double_submit_rejected(self):
         server = make_server()
-        sid = server.create_session(num_users=1)
-        server.submit(sid, np.zeros((1, STATE_DIM)))
+        session = server.session(num_users=1)
+        session.submit(np.zeros((1, STATE_DIM)))
         with pytest.raises(SessionError, match="in flight"):
-            server.submit(sid, np.zeros((1, STATE_DIM)))
+            session.submit(np.zeros((1, STATE_DIM)))
 
     def test_observation_shape_checked(self):
         server = make_server()
-        sid = server.create_session(num_users=2)
+        session = server.session(num_users=2)
         with pytest.raises(SessionError, match="shape"):
-            server.submit(sid, np.zeros((3, STATE_DIM)))
+            session.submit(np.zeros((3, STATE_DIM)))
         with pytest.raises(SessionError, match="shape"):
-            server.submit(sid, np.zeros((2, STATE_DIM + 1)))
+            session.submit(np.zeros((2, STATE_DIM + 1)))
 
     def test_one_dim_obs_accepted_for_single_user(self):
         server = make_server()
-        sid = server.create_session(num_users=1)
-        result = server.act(sid, np.zeros(STATE_DIM), timeout=5.0)
+        session = server.session(num_users=1)
+        result = session.act(np.zeros(STATE_DIM), timeout=5.0)
         assert result.actions.shape == (1, 1)
         assert result.step == 1
 
     def test_end_with_pending_request_rejected(self):
         server = make_server()
-        sid = server.create_session(num_users=1)
-        server.submit(sid, np.zeros((1, STATE_DIM)))
+        session = server.session(num_users=1)
+        session.submit(np.zeros((1, STATE_DIM)))
         with pytest.raises(SessionError, match="unserved"):
-            server.end_session(sid)
+            session.end()
         server.flush()
-        server.end_session(sid)
+        session.end()
         assert server.num_sessions == 0
 
     def test_reused_id_after_end_is_fresh(self):
         """Ending a session frees its id; a new session starts from scratch."""
         obs = make_obs_streams([1], 2, seed=3)[0]
         server = make_server(kind="lstm")
-        sid = server.create_session(session_id="s", num_users=1, seed=5)
-        first = server.act(sid, obs[0], timeout=5.0)
-        server.end_session(sid)
-        sid2 = server.create_session(session_id="s", num_users=1, seed=5)
-        again = server.act(sid2, obs[0], timeout=5.0)
+        session = server.session(session_id="s", num_users=1, seed=5)
+        first = session.act(obs[0], timeout=5.0)
+        session.end()
+        again = server.session(session_id="s", num_users=1, seed=5).act(
+            obs[0], timeout=5.0
+        )
         assert again.step == 1
         assert np.array_equal(first.actions, again.actions)
 
 
 class TestSessionHandle:
-    """The `Session` handle surface and its parity with the legacy id API."""
+    """The `Session` handle surface."""
 
     def test_session_returns_live_handle(self):
         server = make_server()
@@ -159,18 +165,6 @@ class TestSessionHandle:
         assert handle.num_users == 2
         assert handle.steps == 0
         assert handle.version == server.version
-
-    def test_handle_act_matches_legacy_act(self):
-        obs = make_obs_streams([1], 3, seed=9)[0]
-        server_a = make_server(kind="lstm")
-        server_b = make_server(kind="lstm")
-        handle = server_a.session(num_users=1, seed=5)
-        sid = server_b.create_session(num_users=1, seed=5)
-        for t in range(3):
-            via_handle = handle.act(obs[t], timeout=5.0)
-            via_id = server_b.act(sid, obs[t], timeout=5.0)
-            assert np.array_equal(via_handle.actions, via_id.actions)
-            assert via_handle.step == via_id.step == t + 1
 
     def test_get_session_attaches_to_same_state(self):
         server = make_server()
@@ -247,10 +241,8 @@ class TestNonFiniteObservations:
         poisoned[1, 0] = bad
         with pytest.raises(SessionError, match="finite"):
             session.submit(poisoned)
-        with pytest.raises(SessionError, match="finite"):
-            server.submit(session.id, poisoned)  # the legacy surface too
-        assert server.stats()["pending"] == 0
-        assert server.stats()["requests"] == 2
+        assert serve_value(server, "serve_queue_depth") == 0
+        assert serve_value(server, "serve_requests_total") == 2
         for obs in stream[1:]:
             got, want = session.act(obs), twin.act(obs)
             assert_result_matches(got, (want.actions, want.log_probs, want.values))
@@ -301,7 +293,7 @@ class TestMixedWindowFailure:
         assert_result_matches(
             tickets[not failing].result(timeout=0.5), references[not failing][0]
         )
-        assert server.stats()["pending"] == 0
+        assert serve_value(server, "serve_queue_depth") == 0
         monkeypatch.undo()
         for step in (1, 2):
             for flag, session in sessions.items():
@@ -349,33 +341,30 @@ class TestTicket:
 class TestWindows:
     def test_flush_reports_served_count_and_chunks(self):
         server = make_server(max_batch_size=2)
-        sids = [server.create_session(num_users=1) for _ in range(5)]
-        tickets = [server.submit(sid, np.zeros((1, STATE_DIM))) for sid in sids]
+        sessions = [server.session(num_users=1) for _ in range(5)]
+        tickets = [session.submit(np.zeros((1, STATE_DIM))) for session in sessions]
         assert server.flush() == 5
         assert all(ticket.done() for ticket in tickets)
-        stats = server.stats()
-        assert stats["batches"] == 3  # 2 + 2 + 1
-        assert stats["requests"] == 5
-        assert stats["pending"] == 0
+        assert serve_value(server, "serve_batches_total") == 3  # 2 + 2 + 1
+        assert serve_value(server, "serve_requests_total") == 5
+        assert serve_value(server, "serve_queue_depth") == 0
 
     def test_flush_on_empty_queue_is_noop(self):
         server = make_server()
         assert server.flush() == 0
-        assert server.stats()["batches"] == 0
+        assert serve_value(server, "serve_batches_total") == 0
 
     def test_max_batch_rows_tracks_user_axis(self):
         server = make_server()
-        for users in (3, 2):
-            server.create_session(session_id=f"u{users}", num_users=users)
-        for users in (3, 2):
-            server.submit(f"u{users}", np.zeros((users, STATE_DIM)))
+        sessions = [server.session(num_users=users) for users in (3, 2)]
+        for session in sessions:
+            session.submit(np.zeros((session.num_users, STATE_DIM)))
         server.flush()
-        assert server.stats()["max_batch_rows"] == 5
+        assert serve_value(server, "serve_batch_rows_max") == 5
 
     def test_ticket_timeout(self):
         server = make_server()
-        sid = server.create_session(num_users=1)
-        ticket = server.submit(sid, np.zeros((1, STATE_DIM)))
+        ticket = server.session(num_users=1).submit(np.zeros((1, STATE_DIM)))
         with pytest.raises(TimeoutError):
             ticket.result(timeout=0.01)
         server.flush()
@@ -405,7 +394,7 @@ class TestWindowCloseRules:
             assert window_counts(server) == {
                 "full": 0, "all_pending": 1, "max_wait": 0, "flush": 0
             }
-            assert server.stats()["max_batch_rows"] == 3  # one shared window
+            assert serve_value(server, "serve_batch_rows_max") == 3  # one shared window
         finally:
             server.close()
 
@@ -464,16 +453,16 @@ class TestHotSwapProtocol:
         assert server.version == 1
         assert server.swap_policy(snapshot_policy(donor)) == 2
         assert server.version == 2
-        sid = server.create_session(num_users=1)
-        assert server.act(sid, np.zeros(STATE_DIM), timeout=5.0).version == 2
-        assert server.stats()["swaps_applied"] == 1
+        session = server.session(num_users=1)
+        assert session.act(np.zeros(STATE_DIM), timeout=5.0).version == 2
+        assert serve_value(server, "serve_swaps_total", "applied") == 1
 
     def test_byte_equal_archive_skipped(self):
         server = make_server(kind="lstm")
         payload = snapshot_policy(make_policy("lstm"))  # same bytes as serving
         assert server.swap_policy(payload) == 1
-        stats = server.stats()
-        assert stats["swaps_skipped"] == 1 and stats["swaps_applied"] == 0
+        assert serve_value(server, "serve_swaps_total", "skipped") == 1
+        assert serve_value(server, "serve_swaps_total", "applied") == 0
 
     def test_explicit_version_stamps(self):
         server = make_server(kind="lstm")
@@ -498,11 +487,13 @@ class TestHotSwapProtocol:
         assert server.version == 1
         # the serving weights still answer like the original policy
         obs = make_obs_streams([1], 1, seed=9)[0][0]
-        sid = server.create_session(num_users=1, seed=4, deterministic=True)
-        got = server.act(sid, obs, timeout=5.0)
+        got = server.session(num_users=1, seed=4, deterministic=True).act(
+            obs, timeout=5.0
+        )
         reference = PolicyServer(make_policy("lstm"), ServeConfig())
-        rid = reference.create_session(num_users=1, seed=4, deterministic=True)
-        expected = reference.act(rid, obs, timeout=5.0)
+        expected = reference.session(num_users=1, seed=4, deterministic=True).act(
+            obs, timeout=5.0
+        )
         assert np.array_equal(got.actions, expected.actions)
 
     def test_structure_mismatch_rejected(self):
@@ -523,22 +514,20 @@ class TestHotSwapProtocol:
 class TestShutdown:
     def test_close_fails_pending_tickets(self):
         server = make_server()
-        sid = server.create_session(num_users=1)
-        ticket = server.submit(sid, np.zeros((1, STATE_DIM)))
+        ticket = server.session(num_users=1).submit(np.zeros((1, STATE_DIM)))
         server.close()
         with pytest.raises(SessionError, match="closed"):
             ticket.result(timeout=1.0)
         with pytest.raises(SessionError, match="closed"):
-            server.create_session()
+            server.session()
         with pytest.raises(SessionError, match="closed"):
             server.swap_policy(snapshot_policy(make_policy("mlp")))
 
     def test_context_manager_closes(self):
         with make_server() as server:
-            sid = server.create_session(num_users=1)
-            server.act(sid, np.zeros(STATE_DIM), timeout=5.0)
+            server.session(num_users=1).act(np.zeros(STATE_DIM), timeout=5.0)
         with pytest.raises(SessionError):
-            server.create_session()
+            server.session()
 
     def test_close_is_idempotent(self):
         server = make_server()

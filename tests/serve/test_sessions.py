@@ -1,4 +1,4 @@
-"""SessionStore semantics: LRU capacity, TTL idling, counters, callbacks.
+"""SessionStore semantics: LRU capacity, TTL idling, eviction callbacks.
 
 The store is pure bookkeeping (the gateway wires ``on_evict`` to real
 session teardown), so everything here runs with an injected fake clock —
@@ -78,13 +78,16 @@ class TestLRU:
         store.put("c", 3)
         assert evicted == [("b", "lru")]
         assert store.keys() == ["a", "c"]
-        assert store.stats()["evicted_lru"] == 1
 
     def test_pop_does_not_count_as_eviction(self):
-        store = SessionStore(max_sessions=2)
+        evicted = []
+        store = SessionStore(max_sessions=2, on_evict=lambda *args: evicted.append(args))
         store.put("a", 1)
         store.pop("a")
-        assert store.stats() == {"sessions": 0, "evicted_lru": 0, "evicted_ttl": 0}
+        assert len(store) == 0
+        store.put("b", 2)
+        store.put("c", 3)  # the popped entry freed its slot
+        assert evicted == []
 
     def test_refresh_at_exact_capacity_does_not_evict(self):
         """Re-putting an existing key while the store is full is a
@@ -97,19 +100,21 @@ class TestLRU:
         store.put("b", 2)  # exactly at capacity
         store.put("a", 10)  # refresh, not insert
         assert evicted == []
-        assert store.stats() == {"sessions": 2, "evicted_lru": 0, "evicted_ttl": 0}
+        assert len(store) == 2
         # The refresh also touched "a": "b" is now the LRU entry.
         assert store.keys() == ["b", "a"]
         assert store.get("a") == 10
 
     def test_eviction_cascade_bounded(self):
         """Thousands of inserts through a small store stay at capacity."""
-        store = SessionStore(max_sessions=16)
+        reasons = []
+        store = SessionStore(
+            max_sessions=16, on_evict=lambda key, value, why: reasons.append(why)
+        )
         for index in range(5000):
             store.put(f"s{index}", index)
-        stats = store.stats()
-        assert stats["sessions"] == 16
-        assert stats["evicted_lru"] == 5000 - 16
+        assert len(store) == 16
+        assert reasons == ["lru"] * (5000 - 16)
         # survivors are exactly the 16 most recent inserts
         assert store.keys() == [f"s{index}" for index in range(5000 - 16, 5000)]
 
@@ -126,7 +131,6 @@ class TestTTL:
         clock.advance(11.0)
         assert store.evict_expired() == 1
         assert evicted == [("a", "ttl")]
-        assert store.stats()["evicted_ttl"] == 1
 
     def test_touch_resets_the_clock(self, clock):
         store = SessionStore(ttl_s=10.0, clock=clock)
@@ -140,11 +144,16 @@ class TestTTL:
 
     def test_expiry_is_lazy_on_access(self, clock):
         """get/put sweep expired entries without an explicit evict call."""
-        store = SessionStore(ttl_s=5.0, clock=clock)
+        evicted = []
+        store = SessionStore(
+            ttl_s=5.0,
+            on_evict=lambda key, value, why: evicted.append((key, why)),
+            clock=clock,
+        )
         store.put("old", 1)
         clock.advance(6.0)
         assert store.get("old") is None
-        assert store.stats()["evicted_ttl"] == 1
+        assert evicted == [("old", "ttl")]
         store.put("older", 2)
         clock.advance(6.0)
         store.put("fresh", 3)
@@ -166,7 +175,7 @@ class TestTTL:
         assert evicted == [("a", "ttl")]
         assert store.get("a") is None  # still gone, no second callback
         assert evicted == [("a", "ttl")]
-        assert store.stats() == {"sessions": 0, "evicted_lru": 0, "evicted_ttl": 1}
+        assert len(store) == 0
 
     def test_only_idle_entries_expire(self, clock):
         store = SessionStore(ttl_s=10.0, clock=clock)
