@@ -13,8 +13,11 @@ baseline:
 
 Every timed path is first proven **bit-identical** to the sequential
 baseline through the same parity harness the test suite runs
-(:mod:`repro.rl.parity` — the bench re-implements nothing); results go
-to ``BENCH_rollout.json`` so speedups are tracked across PRs (and gated
+(:mod:`repro.rl.parity` — the bench re-implements nothing). Each path's
+time is the median over ``--repeats`` alternated pairs (one run of each
+path, the pair's first path alternating), so host drift hits both
+alike; ``speedup`` is the ratio of the two medians. Results go to
+``BENCH_rollout.json`` so speedups are tracked across PRs (and gated
 in CI by ``.github/check_bench_regression.py``). Run with
 ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=MKL_NUM_THREADS=1``, as CI does —
 the JSON records all three variables (``blas_threads``) and
@@ -22,7 +25,7 @@ the JSON records all three variables (``blas_threads``) and
 
 Not a pytest module — run directly::
 
-    python benchmarks/perf_rollout.py [--smoke] [--output PATH]
+    python benchmarks/perf_rollout.py [--smoke] [--repeats N] [--output PATH]
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import argparse
 import json
 import os
 import platform
-import time
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,11 @@ except ImportError:  # running from a checkout: fall back to the src/ layout
     import sys
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+try:
+    from benchmarks.pair_timing import median_pair_times
+except ImportError:  # run as a script: benchmarks/ itself is on sys.path
+    from pair_timing import median_pair_times
 
 from repro.envs import DPRConfig, DPRWorld
 from repro.rl import (
@@ -91,24 +98,20 @@ def bench_scenario(name: str, config: DPRConfig, repeats: int) -> dict:
     assert_segments_identical(seq_ref, vec_ref, label=f"{name}/vectorized")
     collect_segments_vec(pool, policy, rngs)  # warmup
 
-    seq_times, vec_times = [], []
-    for _ in range(repeats):
-        start = time.perf_counter()
+    def sequential_path() -> None:
         for env, rng in zip(envs_seq, rngs):
             collect_segment(env, policy, rng)
-        seq_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        collect_segments_vec(pool, policy, rngs)
-        vec_times.append(time.perf_counter() - start)
 
-    sequential = min(seq_times)
-    vectorized = min(vec_times)
+    sequential, vectorized = median_pair_times(
+        sequential_path, lambda: collect_segments_vec(pool, policy, rngs), repeats
+    )
     result = {
         "name": name,
         "num_cities": config.num_cities,
         "drivers_per_city": config.drivers_per_city,
         "horizon": config.horizon,
         "total_users": config.num_cities * config.drivers_per_city,
+        "pairs": repeats,
         "sequential_s": round(sequential, 6),
         "vectorized_s": round(vectorized, 6),
         "speedup": round(sequential / vectorized, 3),
@@ -168,7 +171,8 @@ def bench_scenario_sweep(cases, repeats: int) -> list:
 
     Each case builds its training population twice from the same spec
     (fresh envs per path), proves the vectorized collection bit-identical
-    to the sequential loop through the parity harness, then times both.
+    to the sequential loop through the parity harness, then times both
+    over alternated pairs (half as many for cases of 100 envs or more).
     Throughput is stacked user-steps per second.
     """
     records = []
@@ -191,17 +195,14 @@ def bench_scenario_sweep(cases, repeats: int) -> list:
         streams = rngs(1000)
         collect_segments_vec(pool, policy, streams)  # warmup
         case_repeats = max(1, repeats if count < 100 else repeats // 2)
-        seq_times, vec_times = [], []
-        for _ in range(case_repeats):
-            start = time.perf_counter()
+
+        def sequential_path() -> None:
             for env, rng in zip(envs_seq, streams):
                 collect_segment(env, policy, rng)
-            seq_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            collect_segments_vec(pool, policy, streams)
-            vec_times.append(time.perf_counter() - start)
 
-        sequential, vectorized = min(seq_times), min(vec_times)
+        sequential, vectorized = median_pair_times(
+            sequential_path, lambda: collect_segments_vec(pool, policy, streams), case_repeats
+        )
         total_users = pool.num_users
         horizon = pool.horizon
         record = {
@@ -210,6 +211,7 @@ def bench_scenario_sweep(cases, repeats: int) -> list:
             "num_envs": count,
             "total_users": total_users,
             "horizon": horizon,
+            "pairs": case_repeats,
             "sequential_s": round(sequential, 6),
             "vectorized_s": round(vectorized, 6),
             "speedup": round(sequential / vectorized, 3),
@@ -228,7 +230,9 @@ def bench_scenario_sweep(cases, repeats: int) -> list:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="tiny CI-sized run")
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument(
+        "--repeats", type=int, default=5, help="alternated timing pairs per record"
+    )
     parser.add_argument(
         "--output",
         type=Path,
@@ -241,7 +245,7 @@ def main() -> None:
         scenarios = [
             ("smoke_cross_city", DPRConfig(num_cities=8, drivers_per_city=8, horizon=8, seed=0)),
         ]
-        repeats = min(args.repeats, 2)
+        repeats = min(args.repeats, 3)
     else:
         scenarios = [
             # The ensemble-training regime Sim2Rec targets: many groups,

@@ -1,20 +1,36 @@
-"""Training-backbone microbenchmark: sequential vs batched learner updates.
+"""Training-backbone microbenchmark: per-item references vs the stacked learner forms.
 
-The learning-side companion of ``perf_rollout.py``: times the PPO update
-loop with per-segment, per-step LSTM unrolls (``batch_segments=False``)
-against the stacked-segment BPTT path (``batch_segments=True``, one
-time-major ``[T, sum-of-users, d]`` pass per minibatch round with a fused
-extractor unroll), and one SADAE epoch with per-set ELBO forwards against
-the set-batched ``elbo_batch`` path. The ``ppo_update`` records cover a
-context-free ``RecurrentActorCritic`` and the Sim2Rec policy, whose
-stacked path also embeds each segment's T per-step SADAE sets at once.
-Verifies the batched evaluation is bit-identical to the sequential one
-before trusting the clock, and writes the results to ``BENCH_train.json``
-so the speedup is tracked across PRs.
+The learning-side companion of ``perf_rollout.py``. Both learners take
+every step through a stacked form, and each keeps a per-item reference
+that tests check it against; this bench times the two, forward and
+backward, on the same steps:
+
+- ``ppo_update`` records run the minibatch rounds ``PPO.update`` takes
+  over one iteration's many-city buffer (two epochs). The reference side
+  evaluates each round segment by segment with ``evaluate_segment``
+  (per-step LSTM unrolls); the stacked side evaluates it with one
+  ``evaluate_segments_batched`` call (one time-major
+  ``[T, sum-of-users, d]`` pass with a fused extractor unroll). They
+  cover a context-free ``RecurrentActorCritic`` and the Sim2Rec policy,
+  whose stacked pass also embeds each segment's T per-step SADAE sets at
+  once.
+- ``sadae_epoch`` records run two epochs of ``train_sadae``-sized steps
+  (8 sets each) with one ``SADAE.elbo`` per set against one
+  ``SADAE.elbo_batch`` per step.
+
+Neither side takes an optimizer step, so every repeat times the same
+parameters. Before the clock starts, the stacked forms are checked bit
+for bit against the references: the PPO evaluation over the whole
+buffer and every per-set ELBO. Each path's time is the median over
+``--repeats`` alternated pairs (one run of each path, the pair's first
+path alternating), so host drift hits both alike; ``speedup`` is the
+ratio of the two medians. Results go to ``BENCH_train.json`` so the
+ratios are tracked across PRs (and gated in CI by
+``.github/check_bench_regression.py``).
 
 Not a pytest module — run directly::
 
-    python benchmarks/perf_train.py [--smoke] [--output PATH]
+    python benchmarks/perf_train.py [--smoke] [--repeats N] [--output PATH]
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ import argparse
 import json
 import os
 import platform
-import time
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +51,12 @@ except ImportError:  # running from a checkout: fall back to the src/ layout
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import SADAE, SADAEConfig, Sim2RecConfig, build_sim2rec_policy, train_sadae
+try:
+    from benchmarks.pair_timing import median_pair_times
+except ImportError:  # run as a script: benchmarks/ itself is on sys.path
+    from pair_timing import median_pair_times
+
+from repro.core import SADAE, SADAEConfig, Sim2RecConfig, build_sim2rec_policy
 from repro.envs import DPRConfig, DPRWorld
 from repro.rl import (
     PPO,
@@ -49,14 +70,31 @@ from repro.rl import (
 #: BLAS thread-pool variables recorded in the payload (``None`` = unset).
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+#: Sets per SADAE step, ``train_sadae``'s default.
+SETS_PER_STEP = 8
 
-def snapshot_parameters(module):
-    return [param.data.copy() for param in module.parameters()]
+
+class RoundRecorder(PPO):
+    """``PPO.update``'s minibatch schedule without the learning: every
+    round's ``(segment, user_idx)`` members are recorded, nothing runs."""
+
+    def _update_stacked(self, members):
+        self.rounds.append(list(members))
+        return defaultdict(float)
 
 
-def restore_parameters(module, snapshot):
-    for param, data in zip(module.parameters(), snapshot):
-        param.data = data.copy()
+def minibatch_rounds(policy, buffer, epochs: int):
+    """The members of every stacked round ``PPO.update`` runs on ``buffer``."""
+    recorder = RoundRecorder(policy, PPOConfig(update_epochs=epochs))
+    recorder.rounds = []
+    recorder.update(buffer)
+    return recorder.rounds
+
+
+def backward(outputs) -> None:
+    """Backpropagate the sum of the log-probs, values and entropies."""
+    log_probs, values, entropy = outputs
+    (log_probs.sum() + values.sum() + entropy.sum()).backward()
 
 
 def verify_eval_equivalence(policy, buffer) -> None:
@@ -92,7 +130,7 @@ def verify_eval_equivalence(policy, buffer) -> None:
 def bench_ppo_update(
     name: str, config: DPRConfig, horizon: int, repeats: int, policy_kind: str = "recurrent"
 ) -> dict:
-    """Time PPO.update over one iteration's many-city buffer, both paths.
+    """Time ``PPO.update``'s minibatch rounds through both evaluations.
 
     ``policy_kind`` is ``"recurrent"`` (no context) or ``"sim2rec"``
     (SADAE context with the Table II default sizes).
@@ -111,22 +149,25 @@ def bench_ppo_update(
         buffer.add(segment)
     buffer.finalize(0.99, 0.95)
     verify_eval_equivalence(policy, buffer)
-    initial = snapshot_parameters(policy)
+    rounds = minibatch_rounds(policy, buffer, epochs=2)
 
-    def timed_update(batch_segments: bool) -> float:
-        best = np.inf
-        for _ in range(repeats):
-            restore_parameters(policy, initial)
-            ppo = PPO(policy, PPOConfig(update_epochs=2, batch_segments=batch_segments))
-            start = time.perf_counter()
-            ppo.update(buffer)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def sequential() -> None:
+        for members in rounds:
+            policy.zero_grad()
+            for segment, idx in members:
+                backward(policy.evaluate_segment(segment, idx))
 
-    timed_update(True)  # warmup (scratch buffers, BLAS threads)
-    sequential = timed_update(False)
-    batched = timed_update(True)
-    restore_parameters(policy, initial)
+    def batched() -> None:
+        for members in rounds:
+            policy.zero_grad()
+            backward(
+                policy.evaluate_segments_batched(
+                    [segment for segment, _ in members], [idx for _, idx in members]
+                )
+            )
+
+    batched()  # warmup (scratch buffers, BLAS threads)
+    sequential_s, batched_s = median_pair_times(sequential, batched, repeats)
     result = {
         "name": name,
         "kind": "ppo_update",
@@ -135,21 +176,33 @@ def bench_ppo_update(
         "drivers_per_city": config.drivers_per_city,
         "horizon": horizon,
         "total_users": config.num_cities * config.drivers_per_city,
-        "sequential_s": round(sequential, 6),
-        "batched_s": round(batched, 6),
-        "speedup": round(sequential / batched, 3),
+        "rounds": len(rounds),
+        "pairs": repeats,
+        "sequential_s": round(sequential_s, 6),
+        "batched_s": round(batched_s, 6),
+        "speedup": round(sequential_s / batched_s, 3),
         "equivalent": True,
     }
     print(
         f"[{name}] {config.num_cities} cities x {config.drivers_per_city} drivers, "
-        f"T={horizon}: seq={sequential:.3f}s batched={batched:.3f}s "
-        f"-> {result['speedup']:.2f}x"
+        f"T={horizon}, {len(rounds)} rounds: seq={sequential_s:.3f}s "
+        f"batched={batched_s:.3f}s -> {result['speedup']:.2f}x (median of {repeats} pairs)"
     )
     return result
 
 
+def verify_elbo_equivalence(sadae, steps) -> None:
+    """Every per-set ``elbo_batch`` ELBO must equal the per-set ``elbo`` bit for bit."""
+    sequential_rng, batched_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for step in steps:
+        sequential = [sadae.elbo(s, a, sequential_rng).item() for s, a in step]
+        batched = [value.item() for value in sadae.elbo_batch(step, batched_rng)]
+        if sequential != batched:
+            raise AssertionError("per-set/batched SADAE ELBOs differ")
+
+
 def bench_sadae_epoch(name: str, num_sets: int, set_size: int, repeats: int) -> dict:
-    """Time SADAE epochs with per-set vs set-batched ELBO forwards."""
+    """Time two epochs of SADAE steps: per-set vs set-batched ELBO forwards."""
     rng = np.random.default_rng(0)
     sets = []
     for _ in range(num_sets):
@@ -162,43 +215,50 @@ def bench_sadae_epoch(name: str, num_sets: int, set_size: int, repeats: int) -> 
         1,
         SADAEConfig(latent_dim=8, encoder_hidden=(64, 64), decoder_hidden=(64, 64), seed=0),
     )
-    initial = snapshot_parameters(sadae)
+    sadae.fit_normalizer(sets)
+    order_rng = np.random.default_rng(7)
+    steps = [
+        [sets[i] for i in order[start : start + SETS_PER_STEP]]
+        for order in (order_rng.permutation(num_sets) for _ in range(2))
+        for start in range(0, num_sets, SETS_PER_STEP)
+    ]
+    verify_elbo_equivalence(sadae, steps)
+    noise = np.random.default_rng(7)
 
-    losses = {}
+    def negative_sum(elbos) -> None:
+        total = elbos[0]
+        for value in elbos[1:]:
+            total = total + value
+        (-total).backward()
 
-    def timed_epochs(batched: bool) -> float:
-        best = np.inf
-        for _ in range(repeats):
-            restore_parameters(sadae, initial)
-            start = time.perf_counter()
-            losses[batched] = train_sadae(
-                sadae, sets, epochs=2, rng=np.random.default_rng(7), batched=batched
-            )
-            best = min(best, time.perf_counter() - start)
-        return best
+    def sequential() -> None:
+        for step in steps:
+            sadae.zero_grad()
+            negative_sum([sadae.elbo(s, a, noise) for s, a in step])
 
-    timed_epochs(True)  # warmup
-    sequential = timed_epochs(False)
-    batched = timed_epochs(True)
-    # Per-step forwards are bit-identical given identical parameters
-    # (enforced by tests/core/test_sadae_batched.py); across optimizer
-    # steps the backward pass's summation order lets parameters drift at
-    # the last ulp, so epoch means agree to ≤1e-10 rather than exactly.
-    if not np.allclose(losses[False], losses[True], rtol=1e-10, atol=1e-10):
-        raise AssertionError("sequential/batched SADAE losses diverged beyond 1e-10")
+    def batched() -> None:
+        for step in steps:
+            sadae.zero_grad()
+            negative_sum(sadae.elbo_batch(step, noise))
+
+    batched()  # warmup
+    sequential_s, batched_s = median_pair_times(sequential, batched, repeats)
     result = {
         "name": name,
         "kind": "sadae_epoch",
         "num_sets": num_sets,
         "set_size": set_size,
-        "sequential_s": round(sequential, 6),
-        "batched_s": round(batched, 6),
-        "speedup": round(sequential / batched, 3),
+        "steps": len(steps),
+        "pairs": repeats,
+        "sequential_s": round(sequential_s, 6),
+        "batched_s": round(batched_s, 6),
+        "speedup": round(sequential_s / batched_s, 3),
         "equivalent": True,
     }
     print(
-        f"[{name}] {num_sets} sets x {set_size} users: "
-        f"seq={sequential:.3f}s batched={batched:.3f}s -> {result['speedup']:.2f}x"
+        f"[{name}] {num_sets} sets x {set_size} users, {len(steps)} steps: "
+        f"seq={sequential_s:.3f}s batched={batched_s:.3f}s -> {result['speedup']:.2f}x "
+        f"(median of {repeats} pairs)"
     )
     return result
 
@@ -206,7 +266,9 @@ def bench_sadae_epoch(name: str, num_sets: int, set_size: int, repeats: int) -> 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="tiny CI-sized run")
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--repeats", type=int, default=5, help="alternated timing pairs per record"
+    )
     parser.add_argument(
         "--output",
         type=Path,
@@ -216,7 +278,7 @@ def main() -> None:
     repeats = max(args.repeats, 1)
 
     if args.smoke:
-        repeats = min(repeats, 2)
+        repeats = min(repeats, 3)
         results = [
             bench_ppo_update(
                 "smoke_ppo", DPRConfig(num_cities=6, drivers_per_city=6, horizon=8, seed=0),

@@ -16,6 +16,7 @@ paper's harder DPR setting needs SADAE).
 
 import numpy as np
 
+from repro import nn
 from repro.core import lts_small_config
 from repro.envs import make_lts_task
 from repro.rl import evaluate
@@ -43,17 +44,22 @@ class StatsContextPolicy(RecurrentActorCritic):
     def _rollout_context(self, states, prev_actions):
         # One context per env block: a pooled rollout stacks several
         # simulators' users, and each group's statistics come from its own
-        # users only, as `_segment_context` recomputes them.
+        # users only, as `_segments_context` recomputes them.
         context = np.empty((states.shape[0], self.context_dim))
         for block in self._rollout_groups or (slice(0, states.shape[0]),):
             context[block] = self._stats(states[block])
         return context
 
-    def _segment_context(self, segment):
-        from repro import nn
-
-        rows = [self._stats(segment.states[t]) for t in range(segment.horizon)]
-        return nn.Tensor(np.stack(rows))
+    def _segments_context(self, segments):
+        # [K, T, 2·state_dim]: segment k's statistics at every step.
+        return nn.Tensor(
+            np.stack(
+                [
+                    [self._stats(segment.states[t]) for t in range(segment.horizon)]
+                    for segment in segments
+                ]
+            )
+        )
 
 
 def evaluate_on_target(task, policy) -> float:

@@ -49,7 +49,7 @@ CHECKPOINT_VERSION = 1
 
 
 def pickle_to_array(obj: Any) -> np.ndarray:
-    """Pickle an object into a uint8 array (npz-storable opaque blob)."""
+    """Pickle an object into a uint8 array (an archive-storable opaque blob)."""
     return np.frombuffer(pickle.dumps(obj), dtype=np.uint8)
 
 
@@ -95,10 +95,9 @@ def load_checkpoint(path: PathLike, trainer) -> int:
     aux state in place, after which ``train_iteration`` continues the
     unbroken run's trajectory bit for bit. Raises
     :class:`~repro.nn.StateChecksumError` on a corrupt archive,
-    ``ValueError`` on a version or shape mismatch or on an archive that
-    holds a prefetched collection (``prefetch.*`` keys), and
-    ``KeyError`` on missing entries. The version and prefetch checks
-    run before any trainer state is overwritten.
+    ``ValueError`` on a version or shape mismatch and ``KeyError`` on
+    missing entries. The version check runs before any trainer state is
+    overwritten; keys under any other prefix are ignored.
     """
     state = load_state(path)
     version = int(np.asarray(state["meta.version"]).ravel()[0])
@@ -106,12 +105,6 @@ def load_checkpoint(path: PathLike, trainer) -> int:
         raise ValueError(
             f"checkpoint {path} has format version {version}, this build "
             f"reads version {CHECKPOINT_VERSION}"
-        )
-    if any(key.startswith("prefetch.") for key in state):
-        raise ValueError(
-            f"checkpoint {path} holds a prefetched collection from the "
-            "removed pipelined training mode; only checkpoints of the "
-            "synchronous collect schedule can resume"
         )
     iteration = int(np.asarray(state["meta.iteration"]).ravel()[0])
 

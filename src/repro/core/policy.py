@@ -112,15 +112,6 @@ class Sim2RecPolicy(RecurrentActorCritic):
             context[rows] = np.repeat(self.context_mlp.infer(upsilon), size, axis=0)
         return context
 
-    def _segment_context(self, segment: RolloutSegment) -> nn.Tensor:
-        """υ context per step over the full group, with gradients to κ.
-
-        The one-segment case of :meth:`_segments_context`: ``[T, context_dim]``.
-        """
-        return self._segments_context([segment]).reshape(
-            segment.horizon, self.context_dim
-        )
-
     def _segments_context(self, segments: Sequence[RolloutSegment]) -> nn.Tensor:
         """υ context of same-length segments, ``[K, T, context_dim]``, with gradients to κ.
 
@@ -130,7 +121,7 @@ class Sim2RecPolicy(RecurrentActorCritic):
         rows. Every row is bit-identical to embedding the segments, and
         their steps, one by one: encoder and f rows do not depend on the
         batch length, and each run's ``(S·T, latent)`` υ draw consumes
-        ``_eval_rng`` exactly as S per-segment draws do. Only
+        ``_eval_rng`` exactly as S one-segment calls do. Only
         *consecutive* segments stack, so the draws stay in segment order
         (see :meth:`SADAE.embed_tensor`).
         """

@@ -16,6 +16,10 @@ tractable ELBO of Theorem 4.1:
     E_q [ Σ_i log p_θ(s_i | υ) + log p_θ(a_i | υ, s_i) ] − KL(q(υ|X) ‖ p(υ))
 
 with p(υ) = N(0, I), Gaussian decoders, and the reparameterisation trick.
+:func:`train_sadae` takes every step through :meth:`SADAE.elbo_batch`,
+one stacked forward per group of equal-cardinality sets (a group of one
+set included); :meth:`SADAE.elbo` evaluates one set and is the parity
+reference the stacked form is tested and timed against.
 
 In the LTS experiments the group information lives in the states only, so
 ``state_only=True`` drops the action factor (the paper reconstructs the
@@ -199,7 +203,10 @@ class SADAE(nn.Module):
         actions: Optional[np.ndarray],
         rng: np.random.Generator,
     ) -> nn.Tensor:
-        """Per-sample-normalised ELBO of one state-action set X."""
+        """Per-sample-normalised ELBO of one state-action set X.
+
+        The one-set reference for :meth:`elbo_batch`, which training uses.
+        """
         n = states.shape[0]
         posterior = self.posterior(states, actions)
         upsilon = posterior.rsample(rng)
@@ -353,28 +360,24 @@ def _batch_elbos(
     batch_ids: Sequence[int],
     rng: np.random.Generator,
 ) -> Dict[int, nn.Tensor]:
-    """Per-set ELBOs for one optimisation step, set-batched where possible.
+    """Per-set ELBOs for one optimisation step, one stacked forward per cardinality.
 
     Sets are grouped by cardinality (in first-appearance order) and each
-    equal-cardinality group runs through :meth:`SADAE.elbo_batch`;
-    singleton groups take the sequential :meth:`SADAE.elbo`. When all
-    sets in the batch share one cardinality the υ-noise draws happen in
-    exactly the sequential order, so the step is bit-identical to the
-    unbatched loop; ragged batches reorder the draws group by group
-    (a different but equally valid sample of the same objective).
+    group, a group of one set included, runs through
+    :meth:`SADAE.elbo_batch`. When all sets in the batch share one
+    cardinality the υ-noise draws happen in exactly the per-set order, so
+    every ELBO is bit-identical to calling :meth:`SADAE.elbo` set by set;
+    ragged batches reorder the draws group by group (a different but
+    equally valid sample of the same objective).
     """
     by_cardinality: Dict[int, List[int]] = {}
     for set_id in batch_ids:
         by_cardinality.setdefault(sets[set_id][0].shape[0], []).append(set_id)
     elbos: Dict[int, nn.Tensor] = {}
     for group_ids in by_cardinality.values():
-        if len(group_ids) == 1:
-            states, actions = sets[group_ids[0]]
-            elbos[group_ids[0]] = sadae.elbo(states, actions, rng)
-        else:
-            group_values = sadae.elbo_batch([sets[i] for i in group_ids], rng)
-            for set_id, value in zip(group_ids, group_values):
-                elbos[set_id] = value
+        group_values = sadae.elbo_batch([sets[i] for i in group_ids], rng)
+        for set_id, value in zip(group_ids, group_values):
+            elbos[set_id] = value
     return elbos
 
 
@@ -386,7 +389,6 @@ def train_sadae(
     sets_per_step: int = 8,
     fit_normalizer: bool = True,
     callback=None,
-    batched: bool = True,
 ) -> List[float]:
     """Optimise the Theorem 4.1 ELBO over a collection of X sets.
 
@@ -394,16 +396,15 @@ def train_sadae(
     (if given) runs after every epoch — the benches use it to snapshot
     KLD / PCA trajectories during training.
 
-    With ``batched`` (the default) each step's equal-cardinality sets are
-    evaluated through one stacked :meth:`SADAE.elbo_batch` forward
-    instead of one :meth:`SADAE.elbo` call per set — see
-    :func:`_batch_elbos` for the exact-equivalence conditions. The loss
-    of every step is accumulated in the sampled set order either way, so
-    given identical parameters an equal-cardinality step's loss is
-    bit-identical; across optimizer steps the batched backward sums
+    Each step's equal-cardinality sets are evaluated through one stacked
+    :meth:`SADAE.elbo_batch` forward — see :func:`_batch_elbos` for when
+    that is bit-identical to one :meth:`SADAE.elbo` call per set. The
+    step loss is accumulated in the sampled set order, so given identical
+    parameters an equal-cardinality step's loss matches the per-set
+    reference exactly; across optimizer steps the stacked backward sums
     gradients in a different order, letting parameters drift at the last
     ulp (per-epoch losses agree to ≤1e-10, enforced by
-    ``tests/core/test_sadae_batched.py`` and ``benchmarks/perf_train.py``).
+    ``tests/core/test_sadae_batched.py``).
 
     A non-finite step loss raises :class:`~repro.rl.TrainingDiverged`
     before that step's update, leaving the parameters finite.
@@ -425,16 +426,10 @@ def train_sadae(
             batch_ids = order[start : start + sets_per_step]
             optimizer.zero_grad()
             total = None
-            if batched:
-                elbos = _batch_elbos(sadae, sets, [int(i) for i in batch_ids], rng)
-                for set_id in batch_ids:
-                    value = -elbos[int(set_id)]
-                    total = value if total is None else total + value
-            else:
-                for set_id in batch_ids:
-                    states, actions = sets[set_id]
-                    value = -sadae.elbo(states, actions, rng)
-                    total = value if total is None else total + value
+            elbos = _batch_elbos(sadae, sets, [int(i) for i in batch_ids], rng)
+            for set_id in batch_ids:
+                value = -elbos[int(set_id)]
+                total = value if total is None else total + value
             loss = total * (1.0 / len(batch_ids))
             if not np.isfinite(loss.item()):
                 raise TrainingDiverged(f"SADAE loss is {loss.item()} in epoch {epoch}")

@@ -310,7 +310,7 @@ class PolicyTrainer:
         """Inverse of :meth:`checkpoint_extra_state` (no-op by default)."""
 
     def save_checkpoint(self, path) -> None:
-        """Atomically snapshot this trainer to ``path`` (npz + CRC32)."""
+        """Atomically snapshot this trainer to ``path`` (a CRC32-checked state archive)."""
         from .checkpoint import save_checkpoint
 
         save_checkpoint(path, self)

@@ -25,23 +25,15 @@ faithful measure of the parameter volume, and a round trip reproduces
 every array's dtype, shape and bytes exactly. Object and structured
 arrays, whose dtype string does not describe them, are refused at save.
 
-:func:`state_from_bytes` checks the CRC32 before it parses the header,
-then validates every header entry (a known non-object dtype,
-non-negative integer dims, unique names, and byte totals that match the
-data block exactly) before it allocates anything from them. Torn,
-truncated or bit-flipped payloads therefore fail loudly with
-:class:`StateChecksumError` instead of loading garbage weights or
-allocating from a corrupt size. Each loaded array is a fresh, aligned,
-writeable copy owned by nobody else.
-
-Legacy archives
----------------
-Archives written before this layout are npz files: one zip member per
-array plus, from the checksum's introduction on, a CRC32 of the
-contents under the reserved key ``__crc32__``. A payload that does not
-start with :data:`MAGIC` goes to that npz reader, which verifies the
-``__crc32__`` entry when present, so old checkpoints still load and
-resume.
+:func:`state_from_bytes` checks the magic and the CRC32 before it
+parses the header, then validates every header entry (a known
+non-object dtype, non-negative integer dims, unique names, and byte
+totals that match the data block exactly) before it allocates anything
+from them. Torn, truncated or bit-flipped payloads, and payloads in any
+other layout, therefore fail loudly with :class:`StateChecksumError`
+instead of loading garbage weights or allocating from a corrupt size.
+Each loaded array is a fresh, aligned, writeable copy owned by nobody
+else.
 
 :func:`save_state` puts an archive on disk **atomically** (write to a
 temp file in the target directory, fsync, then ``os.replace``), so a
@@ -54,7 +46,6 @@ weights go through the same archive:
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
@@ -65,10 +56,6 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 PathLike = Union[str, os.PathLike]
-
-#: Reserved key of the legacy npz layout holding the CRC32 of every
-#: other entry; refused as a state name so the two layouts never clash.
-CHECKSUM_KEY = "__crc32__"
 
 #: First bytes of every archive in the one-block layout.
 MAGIC = b"\x93R2RSTA\x01"
@@ -82,29 +69,13 @@ class StateChecksumError(ValueError):
     """A state archive is truncated, malformed or fails its CRC32."""
 
 
-def _state_crc32(state: Dict[str, np.ndarray]) -> int:
-    """CRC32 over every entry's name, dtype, shape and raw bytes (sorted).
-
-    The checksum of the legacy npz layout (its ``__crc32__`` entry).
-    """
-    crc = 0
-    for key in sorted(state):
-        value = np.ascontiguousarray(state[key])
-        header = f"{key}|{value.dtype.str}|{value.shape}".encode("utf8")
-        crc = zlib.crc32(header, crc)
-        crc = zlib.crc32(value.tobytes(), crc)
-    return crc & 0xFFFFFFFF
-
-
 def state_to_bytes(state: Dict[str, np.ndarray]) -> bytes:
     """Serialise a name → array mapping to one archive (see module docstring).
 
     Values round-trip losslessly through :func:`state_from_bytes`, and
-    equal states give equal bytes. Raises ``ValueError`` on the reserved
-    :data:`CHECKSUM_KEY` name and on object or structured arrays.
+    equal states give equal bytes. Raises ``ValueError`` on object or
+    structured arrays.
     """
-    if CHECKSUM_KEY in state:
-        raise ValueError(f"state key {CHECKSUM_KEY!r} is reserved for the checksum")
     entries: List[list] = []
     blocks: List[bytes] = []
     for key, value in state.items():
@@ -169,9 +140,17 @@ def _parse_header(header: bytes) -> List[Tuple[str, np.dtype, Tuple[int, ...], i
     return entries
 
 
-def _from_block(payload: bytes) -> Dict[str, np.ndarray]:
-    """Decode a payload in the one-block layout (it starts with :data:`MAGIC`)."""
+def state_from_bytes(payload: bytes) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`state_to_bytes`; verifies the archive's CRC32.
+
+    Raises :class:`StateChecksumError` when the payload does not start
+    with :data:`MAGIC`, is truncated or malformed, or does not hash to
+    its stored checksum — a torn write, truncated pipe payload or
+    flipped bit must never load as plausible weights.
+    """
     size = len(payload)
+    if bytes(payload[: len(MAGIC)]) != MAGIC:
+        raise _corrupt("payload does not start with the archive magic")
     if size < _PREFIX + _CRC.size:
         raise _corrupt(f"{size} bytes is shorter than the fixed framing")
     body = memoryview(payload)[: size - _CRC.size]
@@ -205,47 +184,6 @@ def _from_block(payload: bytes) -> Dict[str, np.ndarray]:
         state[name] = view.reshape(shape).copy()
         offset += nbytes
     return state
-
-
-def _from_npz(payload: bytes) -> Dict[str, np.ndarray]:
-    """Decode a legacy npz archive, verifying its ``__crc32__`` when present."""
-    try:
-        with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
-            state = {key: archive[key] for key in archive.files}
-    except Exception as error:
-        # Corruption can land anywhere in the zip structure, so the
-        # parse failures are legion (BadZipFile, zlib.error, KeyError,
-        # NotImplementedError on mangled flag bits, ...) — normalise
-        # them all to the one corruption signal callers handle.
-        raise StateChecksumError(
-            f"state archive is unreadable ({error!r}) — truncated or corrupt"
-        ) from None
-    stored = state.pop(CHECKSUM_KEY, None)
-    if stored is not None:
-        expected = int(np.asarray(stored).ravel()[0])
-        actual = _state_crc32(state)
-        if actual != expected:
-            raise StateChecksumError(
-                f"state archive checksum mismatch: stored crc32={expected:#010x} "
-                f"but contents hash to {actual:#010x} — the archive is corrupt "
-                "(torn write or bit flip); refusing to load garbage weights"
-            )
-    return state
-
-
-def state_from_bytes(payload: bytes) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`state_to_bytes`; verifies the archive's CRC32.
-
-    Raises :class:`StateChecksumError` when the payload is truncated,
-    malformed or does not hash to its stored checksum — a torn write,
-    truncated pipe payload or flipped bit must never load as plausible
-    weights. A payload without :data:`MAGIC` is read as a legacy npz
-    archive (verified when it carries ``__crc32__``); one that is not
-    even a zip raises :class:`StateChecksumError` too.
-    """
-    if bytes(payload[: len(MAGIC)]) == MAGIC:
-        return _from_block(payload)
-    return _from_npz(payload)
 
 
 def save_state(path: PathLike, state: Dict[str, np.ndarray]) -> None:

@@ -20,8 +20,13 @@ Both expose the same rollout/update interface consumed by
 - ``actions(states, prev_actions, rng)`` — the same rollout step and
   noise draw, returning only the actions (what evaluation reads: the
   critic and the log-prob never run);
-- ``evaluate_segment(segment, user_idx)`` — recompute log-probs / values /
-  entropy with gradients (full BPTT for recurrent policies).
+- ``evaluate_segments_batched(segments, user_idxs)`` — recompute
+  log-probs / values / entropy with gradients for one or more
+  same-length segments in one stacked pass (full BPTT for recurrent
+  policies); this is what :class:`~repro.rl.ppo.PPO` learns through;
+- ``evaluate_segment(segment, user_idx)`` — the same recomputation one
+  segment at a time, kept as the parity reference the stacked pass is
+  tested and timed against.
 
 The rollout step (``act`` / ``actions``) is array-native end to end: it
 never builds a ``Tensor``. The layers run their graph-free ``infer``
@@ -29,8 +34,8 @@ forwards (:meth:`repro.nn.MLP.infer`, the recurrent cells' ``infer``),
 and the Gaussian head samples and scores with
 :func:`repro.nn.diag_gaussian_sample` / :func:`repro.nn.diag_gaussian_log_prob`.
 Each of these is the graph path's arithmetic op for op, so the actions,
-log-probs and values a rollout records are bit-identical to what
-``evaluate_segment`` recomputes at the same parameters.
+log-probs and values a rollout records are bit-identical to what either
+evaluation recomputes at the same parameters.
 """
 
 from __future__ import annotations
@@ -238,6 +243,11 @@ class ActorCriticBase(nn.Module):
     def evaluate_segment(
         self, segment: RolloutSegment, user_idx: np.ndarray
     ) -> Tuple[nn.Tensor, nn.Tensor, nn.Tensor]:  # pragma: no cover - abstract
+        """One segment's ``[T, len(user_idx)]`` log-probs, values and entropies.
+
+        The per-segment parity reference for
+        :meth:`evaluate_segments_batched`; the learner never calls it.
+        """
         raise NotImplementedError
 
     @staticmethod
@@ -254,34 +264,23 @@ class ActorCriticBase(nn.Module):
         self,
         segments: Sequence[RolloutSegment],
         user_idxs: Sequence[np.ndarray],
-    ) -> Tuple[nn.Tensor, nn.Tensor, nn.Tensor]:
-        """Evaluate several same-length segments in one stacked forward pass.
+    ) -> Tuple[nn.Tensor, nn.Tensor, nn.Tensor]:  # pragma: no cover - abstract
+        """Evaluate one or more same-length segments in one stacked forward pass.
 
-        The batched counterpart of :meth:`evaluate_segment`: segment ``k``'s
-        selected users occupy rows ``sum(len(user_idxs[:k])) ..`` of the
-        user axis, giving time-major ``[T, sum-of-users]`` log-probs,
-        values and entropies. The contract mirrors the rollout engine's
-        (:mod:`repro.rl.vec`): every number is **bit-identical** to calling
+        The learner's evaluation: segment ``k``'s selected users occupy
+        rows ``sum(len(user_idxs[:k])) ..`` of the user axis, giving
+        time-major ``[T, sum-of-users]`` log-probs, values and entropies.
+        The contract mirrors the rollout engine's (:mod:`repro.rl.vec`):
+        every number is **bit-identical** to calling the reference
         ``evaluate_segment(segments[k], user_idxs[k])`` one segment at a
         time, because each row's arithmetic never mixes users across
         segments (group-level context is computed per group, one segment
         per group) and all matmuls are batch-length independent row-wise.
 
         All segments must share one horizon — :class:`repro.rl.ppo.PPO`
-        buckets ragged segments by length before calling this. The base
-        implementation loops :meth:`evaluate_segment` and concatenates
-        (correct for any subclass); :class:`MLPActorCritic` and
-        :class:`RecurrentActorCritic` override it with genuinely stacked
-        forwards.
+        buckets ragged segments by length before calling this.
         """
-        self._check_equal_horizons(segments)
-        outs = [
-            self.evaluate_segment(segment, idx)
-            for segment, idx in zip(segments, user_idxs)
-        ]
-        return tuple(
-            nn.concat([out[field] for out in outs], axis=1) for field in range(3)
-        )
+        raise NotImplementedError
 
     def as_act_fn(self, rng, deterministic: bool = True):
         """Adapt to the ``act_fn(states, t)`` protocol of :func:`repro.rl.evaluate`.
@@ -342,9 +341,10 @@ class MLPActorCritic(ActorCriticBase):
         """Stacked evaluation: one actor/critic forward for all segments.
 
         Feed-forward policies have no cross-user state at all, so batching
-        is a pure concatenation on the user axis; see
-        :meth:`ActorCriticBase.evaluate_segments_batched` for the
-        bit-equivalence contract.
+        is a pure concatenation on the user axis, and one segment through
+        it is bit-identical to :meth:`evaluate_segment` in gradients too;
+        see :meth:`ActorCriticBase.evaluate_segments_batched` for the
+        forward contract.
         """
         t = self._check_equal_horizons(segments)
         total = sum(len(idx) for idx in user_idxs)
@@ -361,10 +361,9 @@ class RecurrentActorCritic(ActorCriticBase):
 
     Subclasses provide a per-step group context by overriding
     :meth:`_rollout_context` (arrays in, array out) and
-    :meth:`_segment_context` (Tensor sequence, with grad), and may
-    override :meth:`_segments_context` to compute several segments'
-    context in fewer passes; the base class uses an empty context, which
-    recovers the DR-OSI architecture.
+    :meth:`_segments_context` (several segments' Tensor sequences, with
+    grad); the base class uses an empty context, which recovers the
+    DR-OSI architecture.
     """
 
     recurrent = True
@@ -407,31 +406,17 @@ class RecurrentActorCritic(ActorCriticBase):
         """Per-step context for rollouts, shape ``[N, context_dim]`` or None."""
         return None
 
-    def _segment_context(self, segment: RolloutSegment) -> Optional[nn.Tensor]:
-        """Full-sequence context with gradients, shape ``[T, context_dim]``.
+    def _segments_context(self, segments: Sequence[RolloutSegment]) -> Optional[nn.Tensor]:
+        """Context of same-length segments with gradients, ``[K, T, context_dim]``.
 
-        The context is *group-level*: one vector per timestep shared by all
-        users (it is computed from the whole group's state-action set), so
-        it broadcasts over the user axis during evaluation.
+        The context is *group-level*: row ``[k, t]`` is one vector shared
+        by all users of ``segments[k]`` at step t (it is computed from the
+        whole group's state-action set), so it broadcasts over the user
+        axis during evaluation. Any embedding noise must be drawn in
+        segment order, so that a one-segment call per segment consumes it
+        exactly as one call over all of them. None means no context.
         """
         return None
-
-    def _segments_context(self, segments: Sequence[RolloutSegment]) -> Optional[nn.Tensor]:
-        """Context of several same-length segments, ``[K, T, context_dim]`` or None.
-
-        Row k is :meth:`_segment_context` of ``segments[k]``; the base
-        computes them one segment at a time, in order, so any
-        embedding-noise stream advances exactly as sequential evaluation
-        would. :class:`~repro.core.policy.Sim2RecPolicy` overrides it
-        with one SADAE pass per run of equal-cardinality segments.
-        """
-        contexts = [self._segment_context(segment) for segment in segments]
-        have_context = [c is not None for c in contexts]
-        if not any(have_context):
-            return None
-        if not all(have_context):
-            raise RuntimeError("segments disagree on context availability")
-        return nn.stack(contexts, axis=0)
 
     # ------------------------------------------------------------------
     def start_rollout(self, num_users: int) -> None:
@@ -511,7 +496,9 @@ class RecurrentActorCritic(ActorCriticBase):
     def evaluate_segment(self, segment, user_idx):
         t = segment.horizon
         b = len(user_idx)
-        context_seq = self._segment_context(segment)
+        context_seq = self._segments_context([segment])
+        if context_seq is not None:
+            context_seq = context_seq.reshape(t, self.context_dim)
         state = self.extractor.initial_state(b)
         log_probs, values, entropies = [], [], []
         for step in range(t):
@@ -545,16 +532,17 @@ class RecurrentActorCritic(ActorCriticBase):
         same block-diagonal trick :func:`repro.rl.vec.collect_segments_vec`
         applies to rollouts, now with the autodiff graph attached.
 
-        The forward is bit-identical to per-segment
+        The forward is bit-identical to the per-segment reference
         :meth:`evaluate_segment` because (a) the recurrent state of row i
         only ever reads row i, (b) group-level context comes from
         :meth:`_segments_context`, which draws any embedding noise in
-        segment order exactly as the sequential loop would (the Sim2Rec
+        segment order exactly as one call per segment would (the Sim2Rec
         policy computes it per run of equal-cardinality segments), (c)
         context tiling uses :func:`repro.nn.tile_rows`, whose forward is
         value-identical to the per-user concat tiling, and (d) every
         matmul is batch-length independent row-wise. Gradients sum the
-        same terms in another order and agree to ≤1e-10 relative
+        same terms in another order (the fused unroll's backward), one
+        segment included, and agree to ≤1e-10 relative
         (``tests/rl/test_batched_eval.py``).
         """
         t = self._check_equal_horizons(segments)

@@ -2,26 +2,28 @@
 
 The paper optimises Eq. (4) with PPO [46]; gradients flow through the
 context-aware heads, the LSTM extractor φ and — for Sim2Rec — the SADAE
-encoder q_κ, because ``evaluate_segment`` recomputes the whole pipeline
-with the autodiff graph attached (full backpropagation through time).
+encoder q_κ and the layers f, because the learner recomputes the whole
+pipeline with the autodiff graph attached (full backpropagation through
+time). ``policy.parameters()`` holds every one of them, so one optimiser
+over it updates κ too.
 
 Minibatches are drawn over *users* (whole sequences), never over time
 steps, so recurrent state is always consistent.
 
 Stacked-segment updates
 -----------------------
-With ``PPOConfig.batch_segments`` (the default) each epoch buckets the
-buffer's segments by horizon and evaluates every same-length segment's
-minibatch in one time-major ``[T, sum-of-users, d]`` BPTT pass
+Each epoch buckets the buffer's segments by horizon and evaluates the
+r-th minibatch of every same-length segment in one time-major
+``[T, sum-of-users, d]`` BPTT pass
 (:meth:`~repro.rl.policies.ActorCriticBase.evaluate_segments_batched`),
-taking one optimizer step per minibatch *round* instead of one per
-(segment, minibatch) pair. The forward numbers are bit-identical to
-per-segment evaluation; the optimisation granularity changes — K
-same-length segments mean K× fewer, K×-larger steps per epoch, the
-standard trade of vectorized PPO implementations. Buckets holding a
-single segment take the legacy per-segment path, so single-segment
-buffers (and all ragged leftovers) update exactly as with
-``batch_segments=False``.
+taking one optimizer step per minibatch *round*. A bucket of one
+segment, every ragged leftover length included, goes through the same
+pass with one segment in it. The forward numbers are bit-identical to
+the per-segment reference :meth:`~repro.rl.policies.ActorCriticBase.evaluate_segment`;
+the gradients sum the same terms in another order (≤1e-10 relative).
+K same-length segments mean K× fewer, K×-larger steps per epoch than
+one step per (segment, minibatch) pair, the standard trade of
+vectorized PPO implementations.
 """
 
 from __future__ import annotations
@@ -53,9 +55,6 @@ class PPOConfig:
     max_grad_norm: float = 0.5
     bootstrap_truncated: bool = False  # bootstrap V at segment end (T_c truncation)
     normalize_advantages: bool = True
-    # Stack same-length segments into one BPTT pass per minibatch round
-    # (see the module docstring); single-segment buckets are unaffected.
-    batch_segments: bool = True
 
 
 class TrainingDiverged(RuntimeError):
@@ -69,25 +68,12 @@ class TrainingDiverged(RuntimeError):
 
 
 class PPO:
-    """One PPO learner bound to a policy (and optionally extra modules).
+    """One PPO learner bound to a policy's parameters."""
 
-    ``extra_parameters`` lets the Sim2Rec trainer register the SADAE
-    encoder's parameters so the Eq. (4) gradient also updates κ.
-    """
-
-    def __init__(
-        self,
-        policy: ActorCriticBase,
-        config: PPOConfig,
-        extra_parameters: Optional[List[nn.Parameter]] = None,
-    ):
+    def __init__(self, policy: ActorCriticBase, config: PPOConfig):
         self.policy = policy
         self.config = config
-        params = policy.parameters()
-        if extra_parameters:
-            params = params + list(extra_parameters)
-        self._all_params = params
-        self.optimizer = nn.Adam(params, lr=config.learning_rate)
+        self.optimizer = nn.Adam(policy.parameters(), lr=config.learning_rate)
         self._schedule = None
         if config.final_learning_rate is not None:
             self._schedule = nn.LinearLRSchedule(
@@ -118,15 +104,7 @@ class PPO:
             if segment.advantages is None:
                 raise RuntimeError("buffer not finalized before PPO.update")
         for epoch in range(config.update_epochs):
-            if config.batch_segments:
-                epoch_metrics = self._update_epoch_batched(buffer, epoch)
-            else:
-                epoch_metrics = [
-                    self._update_minibatch(segment, user_idx)
-                    for index, segment in enumerate(buffer)
-                    for user_idx in self._user_minibatches(segment, epoch, index)
-                ]
-            for metrics in epoch_metrics:
+            for metrics in self._update_epoch(buffer, epoch):
                 for key in stats:
                     stats[key] += metrics[key]
                 updates += 1
@@ -153,26 +131,19 @@ class PPO:
         order = np.random.default_rng(hash((epoch, index)) % (2**32)).permutation(n)
         return np.array_split(order, count)
 
-    def _update_epoch_batched(
-        self, buffer: RolloutBuffer, epoch: int
-    ) -> List[Dict[str, float]]:
+    def _update_epoch(self, buffer: RolloutBuffer, epoch: int) -> List[Dict[str, float]]:
         """One epoch of stacked-segment updates (length-bucketed).
 
         Segments are bucketed by horizon in buffer order; within a bucket
-        the r-th minibatches of every segment form one stacked update step.
-        A bucket of one (including every ragged leftover length) runs the
-        legacy per-segment path, bit-identical to ``batch_segments=False``.
+        the r-th minibatches of every segment form one stacked update
+        step, so a bucket of one takes one step per minibatch of its
+        segment.
         """
         buckets: Dict[int, List[Tuple[int, RolloutSegment]]] = {}
         for index, segment in enumerate(buffer):
             buckets.setdefault(segment.horizon, []).append((index, segment))
         metrics: List[Dict[str, float]] = []
         for bucket in buckets.values():
-            if len(bucket) == 1:
-                index, segment = bucket[0]
-                for user_idx in self._user_minibatches(segment, epoch, index):
-                    metrics.append(self._update_minibatch(segment, user_idx))
-                continue
             splits = [
                 list(self._user_minibatches(s, epoch, i)) for i, s in bucket
             ]
@@ -201,19 +172,14 @@ class PPO:
             segment.valid_mask[:, user_idx],
         )
 
-    def _update_minibatch(self, segment: RolloutSegment, user_idx: np.ndarray) -> Dict[str, float]:
-        adv, returns, old_log_probs, mask = self._minibatch_targets(segment, user_idx)
-        log_probs, values, entropy = self.policy.evaluate_segment(segment, user_idx)
-        return self._loss_step(log_probs, values, entropy, adv, returns, old_log_probs, mask)
-
     def _update_stacked(
         self, members: Sequence[Tuple[RolloutSegment, np.ndarray]]
     ) -> Dict[str, float]:
-        """One optimizer step over several segments' stacked minibatches.
+        """One optimizer step over one or more segments' stacked minibatches.
 
         Advantage normalisation stays per segment (each segment's own
-        valid-step statistics, as in the sequential path); only the
-        forward/backward pass and the optimizer step are shared.
+        valid-step statistics); only the forward/backward pass and the
+        optimizer step are shared.
         """
         targets = [self._minibatch_targets(s, idx) for s, idx in members]
         adv, returns, old_log_probs, mask = (
@@ -266,7 +232,7 @@ class PPO:
             raise TrainingDiverged(f"PPO loss is {loss.item()}")
         self.optimizer.zero_grad()
         loss.backward()
-        grad_norm = nn.clip_grad_norm(self._all_params, config.max_grad_norm)
+        grad_norm = nn.clip_grad_norm(self.optimizer.parameters, config.max_grad_norm)
         if not np.isfinite(grad_norm):
             raise TrainingDiverged(f"PPO gradient norm is {grad_norm}")
         self.optimizer.step()

@@ -59,7 +59,7 @@ layout and worker count:
 - replica forwards equal parent forwards row for row: the nn engine's
   row-stable matmul contract makes a forward over a shard's rows
   bit-identical to the same rows of the full stacked forward, and the
-  replica's weights are byte-equal to the parent's (npz round-trip).
+  replica's weights are byte-equal to the parent's (state-archive round trip).
 
 Hence ``evaluate(policy, ShardedVecEnvPool(envs, W))`` is bit-identical
 to ``evaluate(policy, envs)`` in its per-env returns and its owner-RNG

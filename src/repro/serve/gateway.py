@@ -100,41 +100,43 @@ class GatewayConfig:
     metrics_port: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.max_pending, bool) or not isinstance(
-            self.max_pending, (int, np.integer)
-        ):
-            raise ValueError(f"max_pending must be an int, got {self.max_pending!r}")
-        if self.max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
-        if not np.isfinite(self.default_deadline_ms) or self.default_deadline_ms <= 0:
-            raise ValueError(
-                f"default_deadline_ms must be finite and > 0, "
-                f"got {self.default_deadline_ms}"
-            )
-        if not np.isfinite(self.idle_timeout_s) or self.idle_timeout_s <= 0:
-            raise ValueError(
-                f"idle_timeout_s must be finite and > 0, got {self.idle_timeout_s}"
-            )
-        if self.max_sessions is not None and self.max_sessions < 1:
-            raise ValueError(f"max_sessions must be >= 1, got {self.max_sessions}")
-        if self.session_ttl_s is not None and not self.session_ttl_s > 0:
-            raise ValueError(f"session_ttl_s must be > 0, got {self.session_ttl_s}")
+        _check_int("max_pending", self.max_pending, minimum=1)
+        _check_positive("default_deadline_ms", self.default_deadline_ms)
+        _check_positive("idle_timeout_s", self.idle_timeout_s)
+        if self.max_sessions is not None:
+            _check_int("max_sessions", self.max_sessions, minimum=1)
+        if self.session_ttl_s is not None:
+            _check_positive("session_ttl_s", self.session_ttl_s)
         if self.metrics_port is not None:
-            if isinstance(self.metrics_port, bool) or not isinstance(
-                self.metrics_port, (int, np.integer)
-            ):
-                raise ValueError(
-                    f"metrics_port must be an int, got {self.metrics_port!r}"
-                )
-            if self.metrics_port < 0:
-                raise ValueError(
-                    f"metrics_port must be >= 0, got {self.metrics_port}"
-                )
+            _check_int("metrics_port", self.metrics_port, minimum=0)
+
+
+def _check_int(name: str, value: Any, minimum: int) -> None:
+    """Config validation: an int (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_positive(name: str, value: Any) -> None:
+    """Config validation: a finite number (not a bool) above 0."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not np.isfinite(value) or value <= 0:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _is_int(value: Any) -> bool:
     """A JSON integer: ``bool`` is an ``int`` subclass but not one."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number (or a numpy scalar one), never a ``bool``."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, bool
+    )
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -391,9 +393,14 @@ class Gateway:
         obs = message.get("obs")
         if obs is None:
             return self._bad_request("act needs an 'obs' array")
-        deadline_ms = float(
-            message.get("deadline_ms", self.config.default_deadline_ms)
-        )
+        # Taken as sent, like the open op's fields: float("50") is 50.0
+        # and float(True) is 1.0. Absent means the configured default.
+        deadline_ms = message.get("deadline_ms", self.config.default_deadline_ms)
+        if not _is_number(deadline_ms):
+            return self._bad_request(
+                f"deadline_ms must be a number, got {deadline_ms!r}"
+            )
+        deadline_ms = float(deadline_ms)  # an int too large overflows: BAD_REQUEST
         if not np.isfinite(deadline_ms) or deadline_ms <= 0:
             return self._bad_request(f"deadline_ms must be > 0, got {deadline_ms}")
         # The trace id rides the wire: a client-sent id is kept, anything

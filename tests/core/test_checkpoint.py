@@ -73,11 +73,11 @@ class TestResumeTrajectory:
         for key in expected:
             np.testing.assert_array_equal(resumed[key], expected[key], err_msg=key)
 
-    def test_legacy_npz_checkpoint_resumes_on_the_unbroken_trajectory(self, tmp_path):
-        """A checkpoint in the earlier npz layout (one member per array
-        plus ``__crc32__``) still loads, verifies and resumes exactly."""
-        from repro.nn import load_state
-        from repro.nn.serialization import CHECKSUM_KEY, _state_crc32
+    def test_keys_under_unknown_prefixes_are_ignored(self, tmp_path):
+        """Keys outside the documented sections, such as the
+        ``prefetch.*`` entries of the removed pipelined collection mode,
+        are skipped: the checkpoint resumes on the unbroken trajectory."""
+        from repro.nn import load_state, save_state
 
         path = tmp_path / "run.npz"
         with scenario_trainer() as trainer:
@@ -89,10 +89,9 @@ class TestResumeTrajectory:
             head = run_iterations(trainer, 2)
             trainer.save_checkpoint(path)
         state = load_state(path)
-        checksum = np.array([_state_crc32(state)], dtype=np.uint32)
-        with open(path, "wb") as handle:
-            np.savez(handle, **state, **{CHECKSUM_KEY: checksum})
-        assert path.read_bytes()[:2] == b"PK"  # a zip, not the one-block layout
+        state["prefetch.envs"] = pickle_to_array([])
+        state["prefetch.segments"] = pickle_to_array([])
+        save_state(path, state)
         with scenario_trainer() as trainer:
             assert trainer.load_checkpoint(path) == 2
             tail = run_iterations(trainer, 2)
@@ -198,6 +197,28 @@ class TestCorruptionSafety:
         truncate_file(path, keep_fraction=0.3)
         assert checkpoint_iteration(path) is None
 
+    def test_npz_checkpoint_is_refused(self, tmp_path):
+        """A checkpoint rewritten in the earlier npz layout (a zip with one
+        member per array) is refused by the archive reader, before any
+        trainer state is overwritten."""
+        from repro.nn import load_state
+
+        path = self.make_checkpoint(tmp_path)
+        state = load_state(path)
+        with open(path, "wb") as handle:
+            np.savez(handle, **state)
+        assert path.read_bytes()[:2] == b"PK"
+        assert checkpoint_iteration(path) is None
+        with scenario_trainer() as trainer:
+            before = final_params(trainer)
+            with pytest.raises(StateChecksumError, match="magic"):
+                trainer.load_checkpoint(path)
+            after = final_params(trainer)
+            assert trainer.iteration == 0
+        assert after.keys() == before.keys()
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value)
+
     def test_version_mismatch_is_rejected(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         from repro.nn import load_state, save_state
@@ -209,48 +230,10 @@ class TestCorruptionSafety:
             with pytest.raises(ValueError, match="version"):
                 trainer.load_checkpoint(path)
 
-    def test_pipelined_checkpoint_is_rejected(self, tmp_path):
-        """A checkpoint holding a prefetched collection fails by name
-        before any trainer state is overwritten."""
-        path = self.make_checkpoint(tmp_path)
-        from repro.nn import load_state, save_state
-
-        state = load_state(path)
-        state["prefetch.segments"] = pickle_to_array([])
-        save_state(path, state)
-        with scenario_trainer() as trainer:
-            before = final_params(trainer)
-            with pytest.raises(ValueError, match="pipelined"):
-                trainer.load_checkpoint(path)
-            after = final_params(trainer)
-            assert trainer.iteration == 0
-        assert after.keys() == before.keys()
-        for key, value in before.items():
-            np.testing.assert_array_equal(after[key], value)
-
-    @pytest.mark.parametrize(
-        "keys",
-        [("prefetch.envs",), ("prefetch.envs", "prefetch.segments")],
-        ids=["envs_only", "envs_and_segments"],
-    )
-    def test_any_prefetch_key_is_rejected(self, tmp_path, keys):
-        """Every ``prefetch.*`` key is refused, not only the segments."""
-        path = self.make_checkpoint(tmp_path)
-        from repro.nn import load_state, save_state
-
-        state = load_state(path)
-        for key in keys:
-            state[key] = pickle_to_array([])
-        save_state(path, state)
-        with scenario_trainer() as trainer:
-            with pytest.raises(ValueError, match="pipelined"):
-                trainer.load_checkpoint(path)
-            assert trainer.iteration == 0
-
     def test_rejected_load_leaves_the_trainer_untouched(self, tmp_path):
-        """The refusal comes before the env population, generators,
-        optimizer or replay window are restored: the trainer then runs
-        exactly like one that never tried to load."""
+        """The version refusal comes before the env population,
+        generators, optimizer or replay window are restored: the trainer
+        then runs exactly like one that never tried to load."""
         from repro.nn import load_state, save_state
 
         path = tmp_path / "lts.npz"
@@ -259,12 +242,12 @@ class TestCorruptionSafety:
         run_iterations(trainer, 2)
         trainer.save_checkpoint(path)
         state = load_state(path)
-        state["prefetch.segments"] = pickle_to_array([])
+        state["meta.version"] = np.array([CHECKPOINT_VERSION + 1], dtype=np.int64)
         save_state(path, state)
         fresh, refused = lts_trainer(), lts_trainer()
         for each in (fresh, refused):
             each.pretrain_sadae(epochs=1)
-        with pytest.raises(ValueError, match="pipelined"):
+        with pytest.raises(ValueError, match="version"):
             refused.load_checkpoint(path)
         assert run_iterations(refused, 2) == run_iterations(fresh, 2)
 
@@ -284,10 +267,9 @@ class TestCorruptionSafety:
         path = self.make_checkpoint(tmp_path)
         before = path.read_bytes()
         from repro.nn import save_state
-        from repro.nn.serialization import CHECKSUM_KEY
 
-        with pytest.raises(ValueError):
-            save_state(path, {CHECKSUM_KEY: np.zeros(1)})  # reserved key
+        with pytest.raises(ValueError, match="object"):
+            save_state(path, {"x": np.array([None], dtype=object)})
         assert path.read_bytes() == before
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 

@@ -1,4 +1,4 @@
-"""Set-batched SADAE training: equivalence with the sequential ELBO loop.
+"""Set-batched SADAE training: equivalence with the per-set ELBO reference.
 
 The contract under test (see :meth:`repro.core.sadae.SADAE.elbo_batch`):
 stacking K equal-cardinality state-action sets into one encoder/decoder
@@ -6,11 +6,14 @@ forward yields per-set ELBOs — and hence ``train_sadae`` losses —
 *bit-identical* to evaluating :meth:`~repro.core.sadae.SADAE.elbo` set by
 set with the same generator, because the υ-noise is drawn per set in set
 order and every row's arithmetic is batch-length independent.
+``train_sadae`` steps only through ``elbo_batch``; :func:`reference_train_sadae`
+below is the same loop with one ``elbo`` call per set.
 """
 
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import SADAE, SADAEConfig, train_sadae
 
 
@@ -39,6 +42,37 @@ def make_sadae(state_only=False, seed=0):
             seed=seed,
         ),
     )
+
+
+def reference_train_sadae(sadae, sets, epochs, rng, sets_per_step=8):
+    """:func:`train_sadae` with one :meth:`SADAE.elbo` call per set."""
+    sadae.fit_normalizer(sets)
+    optimizer = nn.Adam(
+        sadae.parameters(),
+        lr=sadae.config.learning_rate,
+        weight_decay=sadae.config.weight_decay,
+    )
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(sets))
+        epoch_loss = 0.0
+        batches = 0
+        for start in range(0, len(order), sets_per_step):
+            batch_ids = order[start : start + sets_per_step]
+            optimizer.zero_grad()
+            total = None
+            for set_id in batch_ids:
+                states, actions = sets[set_id]
+                value = -sadae.elbo(states, actions, rng)
+                total = value if total is None else total + value
+            loss = total * (1.0 / len(batch_ids))
+            loss.backward()
+            nn.clip_grad_norm(sadae.parameters(), 10.0)
+            optimizer.step()
+            epoch_loss += loss.item()
+            batches += 1
+        losses.append(epoch_loss / max(batches, 1))
+    return losses
 
 
 class TestElboBatchEquivalence:
@@ -88,60 +122,62 @@ class TestElboBatchEquivalence:
 
 class TestTrainSadaeBatched:
     def test_equal_cardinality_losses_match(self):
-        """The acceptance case: batched epochs reproduce sequential epochs
-        on an equal-cardinality corpus to ≤1e-10. Each step's loss is
-        bit-identical given identical parameters (see
+        """The acceptance case: stacked epochs reproduce the per-set
+        reference on an equal-cardinality corpus to ≤1e-10. Each step's
+        loss is bit-identical given identical parameters (see
         ``test_per_set_elbos_bit_identical``); across optimizer steps the
         backward pass sums gradients in a different order, so parameters —
         and hence later losses — drift at the last ulp."""
         sets = gaussian_sets(num_sets=16)
-        seq_losses = train_sadae(
-            make_sadae(), sets, epochs=4, rng=np.random.default_rng(5), batched=False
+        ref_losses = reference_train_sadae(
+            make_sadae(), sets, epochs=4, rng=np.random.default_rng(5)
         )
-        bat_losses = train_sadae(
-            make_sadae(), sets, epochs=4, rng=np.random.default_rng(5), batched=True
-        )
-        np.testing.assert_allclose(seq_losses, bat_losses, rtol=1e-10, atol=1e-10)
+        bat_losses = train_sadae(make_sadae(), sets, epochs=4, rng=np.random.default_rng(5))
+        np.testing.assert_allclose(ref_losses, bat_losses, rtol=1e-10, atol=1e-10)
 
-    def test_all_distinct_cardinalities_bit_identical(self):
-        """Singleton groups fall back to the sequential elbo, so a fully
-        ragged corpus also reproduces the sequential losses exactly."""
+    def test_all_distinct_cardinalities_bit_identical(self, monkeypatch):
+        """Every group holds one set and still goes through ``elbo_batch``
+        (``SADAE.elbo`` is never called); a fully ragged corpus reproduces
+        the per-set losses exactly."""
         rng = np.random.default_rng(1)
         sets = [
             (rng.normal(0, 1, (n, 2)), rng.normal(0, 1, (n, 1)))
             for n in (10, 20, 30, 40)
         ]
-        seq_losses = train_sadae(
-            make_sadae(), sets, epochs=3, rng=np.random.default_rng(6),
-            sets_per_step=4, batched=False,
+        ref_losses = reference_train_sadae(
+            make_sadae(), sets, epochs=3, rng=np.random.default_rng(6), sets_per_step=4
         )
-        bat_losses = train_sadae(
-            make_sadae(), sets, epochs=3, rng=np.random.default_rng(6),
-            sets_per_step=4, batched=True,
-        )
-        assert seq_losses == bat_losses
+
+        def forbidden(*args):
+            raise AssertionError("train_sadae evaluated through the per-set reference")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SADAE, "elbo", forbidden)
+            bat_losses = train_sadae(
+                make_sadae(), sets, epochs=3, rng=np.random.default_rng(6), sets_per_step=4
+            )
+        assert ref_losses == bat_losses
 
     def test_mixed_cardinalities_train(self):
-        """Ragged corpora group by set size; training still converges."""
+        """Ragged corpora group by set size; training still converges.
+
+        No reference comparison: a ragged step draws υ group by group,
+        not in the per-set order."""
         rng = np.random.default_rng(2)
         sets = []
         for n in (25, 25, 25, 40, 40, 40, 40):
             mean = rng.uniform(-2, 2, 2)
             sets.append((rng.normal(mean, 1.0, (n, 2)), rng.normal(0, 1, (n, 1))))
-        losses = train_sadae(
-            make_sadae(), sets, epochs=15, rng=np.random.default_rng(7), batched=True
-        )
+        losses = train_sadae(make_sadae(), sets, epochs=15, rng=np.random.default_rng(7))
         assert all(np.isfinite(losses))
         assert losses[-1] < losses[0]
 
     def test_state_only_batched(self):
         sets = [(s, None) for s, _ in gaussian_sets(num_sets=8)]
-        seq_losses = train_sadae(
-            make_sadae(state_only=True), sets, epochs=3,
-            rng=np.random.default_rng(8), batched=False,
+        ref_losses = reference_train_sadae(
+            make_sadae(state_only=True), sets, epochs=3, rng=np.random.default_rng(8)
         )
         bat_losses = train_sadae(
-            make_sadae(state_only=True), sets, epochs=3,
-            rng=np.random.default_rng(8), batched=True,
+            make_sadae(state_only=True), sets, epochs=3, rng=np.random.default_rng(8)
         )
-        np.testing.assert_allclose(seq_losses, bat_losses, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(ref_losses, bat_losses, rtol=1e-10, atol=1e-10)

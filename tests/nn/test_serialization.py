@@ -17,7 +17,7 @@ from repro.nn import (
     state_from_bytes,
     state_to_bytes,
 )
-from repro.nn.serialization import CHECKSUM_KEY, MAGIC, _state_crc32
+from repro.nn.serialization import MAGIC
 
 
 def sample_state():
@@ -51,30 +51,6 @@ class TestChecksum:
         payload = state_to_bytes(sample_state())
         with pytest.raises(StateChecksumError):
             state_from_bytes(payload[: len(payload) // 2])
-
-    def test_reserved_key_is_rejected(self):
-        with pytest.raises(ValueError, match="reserved"):
-            state_to_bytes({CHECKSUM_KEY: np.zeros(1)})
-
-    def test_legacy_archive_without_checksum_loads(self):
-        state = sample_state()
-        buffer = io.BytesIO()
-        np.savez(buffer, **state)  # pre-checksum format
-        loaded = state_from_bytes(buffer.getvalue())
-        for key in state:
-            np.testing.assert_array_equal(loaded[key], state[key])
-
-    def test_checksum_covers_names_and_shapes(self):
-        """Renaming an entry (same bytes) must change the checksum."""
-        from repro.nn.serialization import _state_crc32
-
-        state = sample_state()
-        renamed = dict(state)
-        renamed["weight2"] = renamed.pop("weight")
-        assert _state_crc32(state) != _state_crc32(renamed)
-        reshaped = {key: value.copy() for key, value in state.items()}
-        reshaped["weight"] = reshaped["weight"].reshape(3, 4)
-        assert _state_crc32(state) != _state_crc32(reshaped)
 
 
 def frame(header, data=b""):
@@ -246,34 +222,19 @@ class TestMalformedBlockPayloads:
         with pytest.raises(StateChecksumError):
             state_from_bytes(payload)
 
-
-class TestLegacyNpzLayout:
-    """Archives written before the one-block layout still load."""
-
-    def legacy_payload(self, state):
+    def test_well_formed_npz_archive_is_refused(self, tmp_path):
+        """The one-block layout is the only one read: a valid ``np.savez``
+        zip of the same state is refused, in memory and on disk."""
         buffer = io.BytesIO()
-        checksum = np.array([_state_crc32(state)], dtype=np.uint32)
-        np.savez(buffer, **state, **{CHECKSUM_KEY: checksum})
-        return buffer.getvalue()
-
-    def test_checksummed_npz_loads_and_verifies(self):
-        state = sample_state()
-        loaded = state_from_bytes(self.legacy_payload(state))
-        assert set(loaded) == set(state)
-        for key in state:
-            assert loaded[key].tobytes() == state[key].tobytes()
-
-    def test_checksummed_npz_with_a_wrong_crc_is_rejected(self):
-        state = sample_state()
-        buffer = io.BytesIO()
-        np.savez(buffer, **state, **{CHECKSUM_KEY: np.array([1], dtype=np.uint32)})
-        with pytest.raises(StateChecksumError, match="checksum"):
-            state_from_bytes(buffer.getvalue())
-
-    def test_legacy_file_loads_from_disk(self, tmp_path):
-        path = tmp_path / "old.npz"
-        path.write_bytes(self.legacy_payload(sample_state()))
-        np.testing.assert_array_equal(load_state(path)["weight"], sample_state()["weight"])
+        np.savez(buffer, **sample_state())
+        payload = buffer.getvalue()
+        assert payload[:2] == b"PK"
+        with pytest.raises(StateChecksumError, match="magic"):
+            state_from_bytes(payload)
+        path = tmp_path / "state.npz"
+        path.write_bytes(payload)
+        with pytest.raises(StateChecksumError, match="magic"):
+            load_state(path)
 
 
 class TestAtomicSaveState:
@@ -296,8 +257,8 @@ class TestAtomicSaveState:
         path = tmp_path / "state.npz"
         save_state(path, {"x": np.arange(4.0)})
         before = path.read_bytes()
-        with pytest.raises(ValueError):
-            save_state(path, {CHECKSUM_KEY: np.zeros(1)})
+        with pytest.raises(ValueError, match="object"):
+            save_state(path, {"x": np.array([None], dtype=object)})
         assert path.read_bytes() == before
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 

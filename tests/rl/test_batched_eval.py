@@ -1,12 +1,13 @@
-"""Stacked-segment PPO evaluation: equivalence with the sequential path.
+"""Stacked-segment PPO evaluation: equivalence with the per-segment reference.
 
 The contract under test (see :mod:`repro.rl.policies`):
 ``evaluate_segments_batched`` over same-length segments returns log-probs
-/ values / entropies *bit-identical* to calling ``evaluate_segment``
-segment by segment — the learning-side mirror of the rollout engine's
-determinism contract in :mod:`repro.rl.vec` — and the PPO length-bucketed
-update (``PPOConfig.batch_segments``) degrades gracefully on ragged
-buffers (lengths 1, T and anything between land in separate buckets).
+/ values / entropies *bit-identical* to calling the reference
+``evaluate_segment`` segment by segment — the learning-side mirror of the
+rollout engine's determinism contract in :mod:`repro.rl.vec` — and the
+PPO length-bucketed update, the learner's only path, handles ragged
+buffers (lengths 1, T and anything between land in separate buckets)
+and one-segment buckets.
 """
 
 import numpy as np
@@ -111,8 +112,10 @@ class TestBatchedEvaluationEquivalence:
         idxs = [np.arange(s.num_users) for s in segments]
         assert_batched_eval_identical(policy, segments, idxs)
 
-    def test_base_class_fallback_matches(self):
-        """A policy without an override gets the correct looped fallback."""
+    def test_base_class_has_no_fallback(self):
+        """The stacked evaluation is abstract on the base class: a policy
+        without an override fails loudly in the learner instead of
+        evaluating segment by segment."""
         from repro.rl.policies import ActorCriticBase
 
         class PlainPolicy(MLPActorCritic):
@@ -122,7 +125,14 @@ class TestBatchedEvaluationEquivalence:
         policy = PlainPolicy(13, 2, np.random.default_rng(5), hidden_sizes=(8,))
         segments = collect_world_segments(world, policy)
         idxs = [np.arange(s.num_users) for s in segments]
-        assert_batched_eval_identical(policy, segments, idxs)
+        with pytest.raises(NotImplementedError):
+            policy.evaluate_segments_batched(segments, idxs)
+        buffer = RolloutBuffer()
+        for segment in segments:
+            buffer.add(segment)
+        buffer.finalize(0.99, 0.95)
+        with pytest.raises(NotImplementedError):
+            PPO(policy, PPOConfig(update_epochs=1)).update(buffer)
 
     def test_mixed_horizons_rejected(self):
         world = make_world()
@@ -277,16 +287,43 @@ class TestBatchedGradients:
         assert policy._eval_rng.bit_generator.state == per_segment_end
 
 
-def fresh_policy_and_segments(batch_segments, num_segments=3, horizon=5, seed=9):
-    policy = MLPActorCritic(2, 1, np.random.default_rng(seed), hidden_sizes=(8,))
+def fresh_policy_and_segments(num_segments=3, horizon=5, seed=9, policy=None):
+    if policy is None:
+        policy = MLPActorCritic(2, 1, np.random.default_rng(seed), hidden_sizes=(8,))
     rng = np.random.default_rng(seed + 1)
     buffer = RolloutBuffer()
     for i in range(num_segments):
         env = TargetActionEnv(num_users=6, horizon=horizon, seed=100 + i)
         buffer.add(collect_segment(env, policy, rng))
     buffer.finalize(0.99, 0.95)
-    ppo = PPO(policy, PPOConfig(update_epochs=2, batch_segments=batch_segments))
+    ppo = PPO(policy, PPOConfig(update_epochs=2))
     return policy, ppo, buffer
+
+
+#: The policies a one-segment bucket must update alike through both
+#: evaluations, on the 2-state, 1-action target task.
+UPDATE_POLICIES = {
+    "mlp": lambda rng: MLPActorCritic(2, 1, rng, hidden_sizes=(8,)),
+    "lstm": lambda rng: RecurrentActorCritic(2, 1, rng, lstm_hidden=8, head_hidden=(16,)),
+    "gru": lambda rng: RecurrentActorCritic(
+        2, 1, rng, lstm_hidden=8, head_hidden=(16,), cell="gru"
+    ),
+    "sim2rec": lambda rng: build_sim2rec_policy(2, 1, dpr_small_config(seed=0)),
+}
+
+
+def reference_update(ppo, buffer):
+    """``PPO.update``'s minibatch rounds, each evaluated by ``evaluate_segment``.
+
+    Same minibatch splits, targets and loss step as the learner; only the
+    forward is the per-segment reference instead of the stacked pass.
+    """
+    for epoch in range(ppo.config.update_epochs):
+        for index, segment in enumerate(buffer):
+            for user_idx in ppo._user_minibatches(segment, epoch, index):
+                targets = ppo._minibatch_targets(segment, user_idx)
+                outputs = ppo.policy.evaluate_segment(segment, user_idx)
+                ppo._loss_step(*outputs, *targets)
 
 
 class TestBatchedPPOUpdate:
@@ -299,32 +336,49 @@ class TestBatchedPPOUpdate:
             env = TargetActionEnv(num_users=5, horizon=horizon, seed=horizon)
             buffer.add(collect_segment(env, policy, rng))
         buffer.finalize(0.99, 0.95)
-        ppo = PPO(policy, PPOConfig(update_epochs=1, batch_segments=True))
+        ppo = PPO(policy, PPOConfig(update_epochs=1))
         stats = ppo.update(buffer)
         assert np.isfinite(stats["policy_loss"])
 
-    def test_single_segment_buffer_identical_to_sequential(self):
-        """A one-segment buffer must update bit-identically either way.
+    @pytest.mark.parametrize("kind", sorted(UPDATE_POLICIES))
+    def test_single_segment_buffer_matches_the_reference_update(self, kind, monkeypatch):
+        """A one-segment bucket goes through the stacked pass and updates
+        like the per-segment reference: bit-identically for the MLP, and
+        to 1e-10 relative for recurrent policies, whose fused unroll sums
+        the BPTT gradient in another order.
 
-        The minibatch split is seeded by the segment object, so both runs
-        share one buffer and the policy parameters are restored between
-        them.
+        Both runs share one buffer and one policy instance; the parameters
+        and the υ-noise stream are restored between them.
         """
-        policy, _, buffer = fresh_policy_and_segments(False, num_segments=1)
+        def forbidden(*args):
+            raise AssertionError("PPO.update evaluated through the reference")
+
+        policy = UPDATE_POLICIES[kind](np.random.default_rng(9))
+        policy, _, buffer = fresh_policy_and_segments(num_segments=1, policy=policy)
         initial = [p.data.copy() for p in policy.parameters()]
         results = {}
-        for flag in (False, True):
+        for name in ("reference", "update"):
             for param, data in zip(policy.parameters(), initial):
                 param.data = data.copy()
-            ppo = PPO(policy, PPOConfig(update_epochs=2, batch_segments=flag))
-            ppo.update(buffer)
-            results[flag] = [p.data.copy() for p in policy.parameters()]
-        for a, b in zip(results[False], results[True]):
-            np.testing.assert_array_equal(a, b)
+            policy._eval_rng = np.random.default_rng(7)
+            ppo = PPO(policy, PPOConfig(update_epochs=4))
+            if name == "reference":
+                reference_update(ppo, buffer)
+            else:
+                with monkeypatch.context() as patch:
+                    patch.setattr(policy, "evaluate_segment", forbidden)
+                    ppo.update(buffer)
+            results[name] = [p.data.copy() for p in policy.parameters()]
+        assert any(not np.array_equal(a, b) for a, b in zip(initial, results["update"]))
+        for reference, updated in zip(results["reference"], results["update"]):
+            if kind == "mlp":
+                np.testing.assert_array_equal(updated, reference)
+            else:
+                np.testing.assert_allclose(updated, reference, rtol=1e-10, atol=0)
 
     def test_multi_segment_buffer_takes_fewer_bigger_steps(self):
         """Same-length segments share one optimizer step per round."""
-        policy, ppo, buffer = fresh_policy_and_segments(True, num_segments=3)
+        policy, ppo, buffer = fresh_policy_and_segments(num_segments=3)
         steps = []
         original = ppo.optimizer.step
 
@@ -348,6 +402,6 @@ class TestBatchedPPOUpdate:
             buffer.add(collect_segment(env, policy, rng))
         buffer.finalize(0.99, 0.95)
         before = policy.actor.layers[0].weight.data.copy()
-        ppo = PPO(policy, PPOConfig(update_epochs=1, batch_segments=True))
+        ppo = PPO(policy, PPOConfig(update_epochs=1))
         ppo.update(buffer)
         assert not np.allclose(before, policy.actor.layers[0].weight.data)

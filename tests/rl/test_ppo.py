@@ -115,15 +115,6 @@ class TestPPOMechanics:
             stats = ppo.update(buffer)
         np.testing.assert_allclose(stats["learning_rate"], 1e-5)
 
-    def test_extra_parameters_receive_updates(self):
-        from repro import nn
-
-        rng = np.random.default_rng(0)
-        policy = MLPActorCritic(2, 1, rng, hidden_sizes=(8,))
-        extra = nn.Parameter(np.zeros(3))
-        ppo = PPO(policy, PPOConfig(update_epochs=1), extra_parameters=[extra])
-        assert extra in ppo._all_params
-
     def test_segments_of_different_sizes(self):
         rng = np.random.default_rng(0)
         policy = MLPActorCritic(2, 1, rng, hidden_sizes=(8,))
@@ -218,6 +209,25 @@ class TestLearnerHealth:
         assert len(norms) == 4  # 2 epochs x 2 stacked minibatch rounds
         assert stats["grad_norm"] == pytest.approx(np.mean(norms), rel=1e-12)
         assert stats["grad_norm"] > 0.0
+
+    def test_clip_covers_exactly_the_policy_parameters(self, monkeypatch):
+        """Every step clips, through ``repro.nn``, the optimiser's parameter
+        list, which is the policy's ``parameters()`` — nothing more."""
+        policy, buffer = recurrent_buffer()
+        ppo = PPO(policy, PPOConfig(update_epochs=2))
+        clipped = []
+        original = nn.clip_grad_norm
+
+        def recording(params, max_norm):
+            clipped.append([id(param) for param in params])
+            return original(params, max_norm)
+
+        monkeypatch.setattr(nn, "clip_grad_norm", recording)
+        ppo.update(buffer)
+        expected = [id(param) for param in policy.parameters()]
+        assert [id(param) for param in ppo.optimizer.parameters] == expected
+        assert len(clipped) == 4  # 2 epochs x 2 stacked minibatch rounds
+        assert all(ids == expected for ids in clipped)
 
     def test_health_series_are_deterministic(self):
         def run():

@@ -393,6 +393,12 @@ class TestProtocol:
             {"idle_timeout_s": -1.0},
             {"max_sessions": 0},
             {"session_ttl_s": 0.0},
+            {"default_deadline_ms": True},
+            {"default_deadline_ms": "5000"},
+            {"idle_timeout_s": True},
+            {"max_sessions": True},
+            {"max_sessions": 2.5},
+            {"session_ttl_s": True},
         ):
             with pytest.raises(ValueError):
                 GatewayConfig(**knobs)
@@ -466,6 +472,38 @@ class TestOpenValidation:
             assert reply["error"] == "BAD_REQUEST", reply
             assert opened == []
             assert server.num_sessions == 0
+
+
+class TestActValidation:
+    """The wire ``act`` op takes ``deadline_ms`` as sent, like ``open``'s
+    fields: only a JSON number (not a bool) that is finite and > 0 is a
+    deadline (``float("50")`` is 50 and ``float(True)`` a 1 ms one)."""
+
+    @pytest.mark.parametrize(
+        "deadline_ms", ["50", "1e3", True], ids=["string", "exponent-string", "bool"]
+    )
+    def test_malformed_deadline_queues_nothing(self, deadline_ms):
+        server = PolicyServer(make_policy("mlp"), ServeConfig(seed=0))
+        with Gateway(server) as gateway:
+            opened = []
+            reply = gateway._dispatch(
+                {"op": "open", "num_users": 2, "seed": 1}, opened, gateway._clock()
+            )
+            session = reply["session"]
+            obs = np.zeros((2, STATE_DIM)).tolist()
+            reply = gateway._dispatch(
+                {"op": "act", "session": session, "obs": obs, "deadline_ms": deadline_ms},
+                opened,
+                gateway._clock(),
+            )
+            assert reply["ok"] is False
+            assert reply["error"] == "BAD_REQUEST", reply
+            assert gateway.metrics.value("gateway_requests_total", "act") == 0
+            reply = gateway._dispatch(
+                {"op": "act", "session": session, "obs": obs}, opened, gateway._clock()
+            )
+            assert reply["ok"] is True, reply
+            assert reply["step"] == 1
 
 
 # ----------------------------------------------------------------------

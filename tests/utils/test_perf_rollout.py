@@ -23,15 +23,16 @@ def bench():
 
 
 def test_scenario_record_is_parity_checked(bench):
-    """One record per DPR layout: both timings, their ratio, and the
-    equivalence flag the CI gate enforces."""
-    record = bench.bench_scenario("tiny", TINY, repeats=1)
+    """One record per DPR layout: both median timings, their ratio, the
+    pair count and the equivalence flag the CI gate enforces."""
+    record = bench.bench_scenario("tiny", TINY, repeats=2)
     assert set(record) == {
         "name",
         "num_cities",
         "drivers_per_city",
         "horizon",
         "total_users",
+        "pairs",
         "sequential_s",
         "vectorized_s",
         "speedup",
@@ -39,6 +40,7 @@ def test_scenario_record_is_parity_checked(bench):
     }
     assert record["equivalent"] is True
     assert record["total_users"] == 12
+    assert record["pairs"] == 2
     assert record["speedup"] == pytest.approx(
         record["sequential_s"] / record["vectorized_s"], rel=1e-2
     )
