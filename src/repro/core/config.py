@@ -72,7 +72,6 @@ class Sim2RecConfig:
     # --- simulator-error countermeasures (Sec. IV-C) --------------------
     truncate_horizon: Optional[int] = None   # T_c; None = full episodes
     uncertainty_alpha: float = 0.01          # α, coefficient of the U penalty
-    uncertainty_estimator: str = "mean_deviation"  # see repro.sim.uncertainty
     use_uncertainty_penalty: bool = True     # off → the Sim2Rec-PE ablation
     use_trend_filter: bool = True            # off (with exec) → Sim2Rec-EE
     use_exec_filter: bool = True

@@ -1,22 +1,23 @@
 """Post-processing guards against simulator errors (Sec. IV-C).
 
 Three mechanisms keep the policy away from regions where the learned
-simulators are wrong:
+simulators are wrong, one implementation each:
 
 - **Uncertainty penalty** (prediction errors, Alg. 1 line 8):
-  ``r ← r − α · U(s, a)`` with U the ensemble disagreement, plus the
+  ``r ← r − α · U(s, a)`` with U the members' mean deviation
+  :meth:`repro.sim.SimulatorEnsemble.uncertainty` (Sec. V-C2), plus the
   T_c-truncated rollouts from random logged initial states handled by
   :class:`repro.sim.env_wrapper.SimulatedDPREnv`.
 - **F_trend** (extrapolation errors): an intervention test perturbs the
   bonus action by ΔB and checks each user's predicted order response
   against the prior knowledge that bonus elasticity is positive; users
-  whose simulators respond with a non-positive slope are removed from
+  whose slope is non-positive under every simulator are removed from
   training (they would otherwise teach the policy to cut bonuses for free
   engagement — the Fig. 10 pathology).
 - **F_exec** (extrapolation errors): the executable action subspace. If
   the policy emits an action outside the user's historical
-  ``(a_min, a_max)`` range, the state becomes terminal with reward
-  ``R_min / (1 − γ)``.
+  ``(a_min, a_max)`` range (``SimulatedDPREnv.exec_low/exec_high``), the
+  state becomes terminal with reward ``R_min / (1 − γ)``.
 """
 
 from __future__ import annotations
@@ -32,23 +33,17 @@ from ..sim.ensemble import SimulatorEnsemble
 
 
 def apply_uncertainty_penalty(
-    segment: RolloutSegment,
-    ensemble: SimulatorEnsemble,
-    alpha: float,
-    estimator: str = "mean_deviation",
+    segment: RolloutSegment, ensemble: SimulatorEnsemble, alpha: float
 ) -> np.ndarray:
-    """r ← r − α · U(s, a) in place; returns the applied penalties [T, N].
+    """r ← r − α · U(s, a) in place; returns U at every step, ``[T, N]``.
 
-    ``estimator`` selects the disagreement measure from
-    :mod:`repro.sim.uncertainty` (the paper uses ``"mean_deviation"``).
+    U is :meth:`SimulatorEnsemble.uncertainty`, scored in one pass over
+    the segment's T·N (s_t, a_t) rows.
     """
-    from ..sim.uncertainty import get_uncertainty_estimator
-
-    uncertainty_fn = get_uncertainty_estimator(estimator)
     steps, n = segment.rewards.shape
-    penalties = np.zeros((steps, n))
-    for t in range(steps):
-        penalties[t] = uncertainty_fn(ensemble, segment.states[t], segment.actions[t])
+    penalties = ensemble.uncertainty(
+        segment.states.reshape(steps * n, -1), segment.actions.reshape(steps * n, -1)
+    ).reshape(steps, n)
     segment.rewards = segment.rewards - alpha * penalties
     return penalties
 
@@ -134,18 +129,13 @@ def compute_trend_filter(
     group_log: GroupTrajectories,
     deltas: Optional[np.ndarray] = None,
     action_index: int = 1,
-    mode: str = "consensus",
 ) -> TrendFilterResult:
     """Run the intervention test and flag users violating the bonus prior.
 
     The paper removes drivers "which the slope of reaction is negative or
-    zero among all simulators" — i.e. drivers whose predicted response is
-    consistently non-physical across the whole ensemble. Modes:
-
-    - ``'consensus'`` (default, paper reading): remove a user only when
-      *every* simulator predicts a non-positive slope;
-    - ``'mean'``: remove when the ensemble-average slope is non-positive;
-    - ``'strict'``: remove unless every simulator predicts a positive slope.
+    zero among all simulators": a user is kept when at least one simulator
+    predicts a positive slope, and removed only when *every* simulator
+    predicts a non-positive one.
     """
     if deltas is None:
         deltas = np.linspace(-0.4, 0.4, 5)
@@ -156,14 +146,7 @@ def compute_trend_filter(
     slopes = ((responses - responses.mean(axis=2, keepdims=True)) * centered_d).sum(
         axis=2
     ) / denom
-    if mode == "consensus":
-        keep = np.any(slopes > 0.0, axis=0)
-    elif mode == "mean":
-        keep = slopes.mean(axis=0) > 0.0
-    elif mode == "strict":
-        keep = np.all(slopes > 0.0, axis=0)
-    else:
-        raise ValueError(f"unknown trend-filter mode {mode!r}")
+    keep = np.any(slopes > 0.0, axis=0)
     return TrendFilterResult(keep_mask=keep, slopes=slopes, response_curves=responses)
 
 

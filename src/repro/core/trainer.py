@@ -390,7 +390,6 @@ class Sim2RecDPRTrainer(PolicyTrainer):
                 member,
                 self._filtered_logs[gid],
                 truncate_horizon=config.truncate_horizon or 5,
-                ensemble=ensemble if config.use_uncertainty_penalty else None,
                 seed=config.seed + 40_000 + self._env_seed_counter,
             )
 
@@ -425,12 +424,7 @@ class Sim2RecDPRTrainer(PolicyTrainer):
     def post_process_segment(self, segment: RolloutSegment, env: MultiUserEnv) -> None:
         config = self.config
         if config.use_uncertainty_penalty:
-            apply_uncertainty_penalty(
-                segment,
-                self.ensemble,
-                config.uncertainty_alpha,
-                estimator=config.uncertainty_estimator,
-            )
+            apply_uncertainty_penalty(segment, self.ensemble, config.uncertainty_alpha)
         if config.use_exec_filter and isinstance(env, SimulatedDPREnv):
             apply_exec_filter(
                 segment,

@@ -159,11 +159,6 @@ class LTSEnv(MultiUserEnv):
         return states, rewards, dones, info
 
     # ------------------------------------------------------------------
-    def expected_engagement(self, a: np.ndarray, sat: np.ndarray) -> np.ndarray:
-        """E[engagement | a, SAT] — exposed for oracle computations in tests."""
-        a = np.clip(np.asarray(a, dtype=np.float64), 0.0, 1.0)
-        return (a * self.mu_c + (1.0 - a) * self.mu_k_users) * sat
-
     @classmethod
     def make_batch_stepper(cls, envs: List["LTSEnv"], slices: List[slice]):
         """Block-diagonal stepper for a VecEnvPool of homogeneous LTS envs.

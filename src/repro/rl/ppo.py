@@ -54,7 +54,6 @@ class PPOConfig:
     minibatches_per_segment: int = 2
     max_grad_norm: float = 0.5
     bootstrap_truncated: bool = False  # bootstrap V at segment end (T_c truncation)
-    normalize_advantages: bool = True
 
 
 class TrainingDiverged(RuntimeError):
@@ -160,13 +159,8 @@ class PPO:
         self, segment: RolloutSegment, user_idx: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(advantages, returns, old log-probs, mask) for one minibatch."""
-        advantages = (
-            segment.normalized_advantages()
-            if self.config.normalize_advantages
-            else segment.advantages
-        )
         return (
-            advantages[:, user_idx],
+            segment.normalized_advantages()[:, user_idx],
             segment.returns[:, user_idx],
             segment.log_probs[:, user_idx],
             segment.valid_mask[:, user_idx],

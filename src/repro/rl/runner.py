@@ -27,7 +27,7 @@ def collect_segment(
     """Roll ``policy`` in ``env`` for one (possibly truncated) episode.
 
     ``extras_from_info`` names per-user arrays from the env's info dict
-    (e.g. ``"orders"``, ``"cost"``, ``"uncertainty"``) to stack into
+    (e.g. ``"orders"``, ``"cost"``) to stack into
     ``segment.extras`` for later post-processing or metrics.
     """
     with no_grad():

@@ -393,6 +393,11 @@ class Gateway:
         obs = message.get("obs")
         if obs is None:
             return self._bad_request("act needs an 'obs' array")
+        # Converted before admission: an obs that is not numeric (a
+        # string, an object, ragged rows) raises here and _dispatch
+        # answers BAD_REQUEST. The session checks its shape and finiteness
+        # at submit (SESSION); either way the act is never counted.
+        obs = np.asarray(obs, dtype=np.float64)
         # Taken as sent, like the open op's fields: float("50") is 50.0
         # and float(True) is 1.0. Absent means the configured default.
         deadline_ms = message.get("deadline_ms", self.config.default_deadline_ms)
@@ -438,7 +443,6 @@ class Gateway:
                 ),
                 "trace": trace,
             }
-        self._m_requests.labels("act").inc()
         try:
             # The deadline clock started at frame arrival: whatever
             # decode, dispatch and admission already spent comes out of
@@ -462,9 +466,8 @@ class Gateway:
                     ),
                     "trace": trace,
                 }
-            ticket = handle.submit(
-                np.asarray(obs, dtype=np.float64), trace=trace
-            )
+            ticket = handle.submit(obs, trace=trace)
+            self._m_requests.labels("act").inc()
             if not handle.server.running:
                 handle.server.flush()
             try:

@@ -1,4 +1,8 @@
-"""Data-driven user-simulator stack: datasets, learners, ensembles, wrappers."""
+"""Data-driven user-simulator stack: datasets, learners, ensembles, wrappers.
+
+The ensemble's :meth:`SimulatorEnsemble.uncertainty` is the one U(s, a)
+of the Sec. IV-C penalty (the mean deviation of Sec. V-C2).
+"""
 
 from .dataset import GroupTrajectories, TrajectoryDataset
 from .ensemble import SimulatorEnsemble, build_simulator_set
@@ -9,21 +13,9 @@ from .learner import (
     heldout_log_likelihood,
     train_user_simulator,
 )
-from .uncertainty import (
-    UNCERTAINTY_ESTIMATORS,
-    get_uncertainty_estimator,
-    max_deviation,
-    mean_deviation,
-    pairwise_disagreement,
-)
 
 __all__ = [
     "GroupTrajectories",
-    "UNCERTAINTY_ESTIMATORS",
-    "get_uncertainty_estimator",
-    "max_deviation",
-    "mean_deviation",
-    "pairwise_disagreement",
     "SimulatedDPREnv",
     "SimulatorEnsemble",
     "SimulatorLearnerConfig",

@@ -6,14 +6,14 @@ trajectories τʳ collected under a behaviour policy πₑ. It is consumed by
 - the user-simulator learner H(D', λ) — as flat (s, a) → y pairs,
 - SADAE — as per-(group, timestep) state-action sets X_t^g,
 - the simulated transition process P_{M,τʳ} — as a source of exogenous
-  state features,
-- the F_exec filter — per-user historical action bounds.
+  state features and, through ``SimulatedDPREnv.exec_low/exec_high``, of
+  the per-user historical action bounds the F_exec filter checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,18 +185,3 @@ class TrajectoryDataset:
 
     def select_groups(self, group_ids: Sequence[int]) -> "TrajectoryDataset":
         return TrajectoryDataset([self.group(gid) for gid in group_ids])
-
-    # ------------------------------------------------------------------
-    # F_exec support
-    # ------------------------------------------------------------------
-    def action_bounds(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Per-group arrays of each user's historical (min, max) action values.
-
-        Returns ``{group_id: (min [N, da], max [N, da])}`` — the executable
-        action subspace boundaries used by F_exec.
-        """
-        bounds = {}
-        for g in self.groups:
-            flat = g.actions.reshape(-1, g.num_users, g.action_dim)
-            bounds[g.group_id] = (flat.min(axis=0), flat.max(axis=0))
-        return bounds

@@ -13,7 +13,14 @@ real trajectories τʳ into a trainable environment:
 
 Following the compounding-error countermeasures of Sec. IV-C, ``reset``
 draws a random initial state from the logged dataset and rollouts are
-truncated at T_c steps.
+truncated at T_c steps. ``exec_low`` / ``exec_high``, each user's logged
+action extremes, are the bounds F_exec checks actions against; the U
+penalty is scored after collection
+(:func:`repro.core.filters.apply_uncertainty_penalty`), not per step.
+
+Envs that share one simulator step through one stacked
+``_SimulatedDPRBatchStepper`` pass per timestep in a
+:class:`~repro.rl.vec.VecEnvPool`, bit-identical to stepping each env.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from ..envs.dpr import COST_RATE, DPRFeaturizer, FEEDBACK_DIM, HISTORY_DAYS
 from ..envs.spaces import Box
 from ..utils.seeding import make_rng
 from .dataset import GroupTrajectories
-from .ensemble import SimulatorEnsemble
 from .learner import UserSimulator
 
 
@@ -41,7 +47,6 @@ class SimulatedDPREnv(MultiUserEnv):
         group_log: GroupTrajectories,
         truncate_horizon: int = 5,
         alpha1: float = 1.0,
-        ensemble: Optional[SimulatorEnsemble] = None,
         seed: Optional[int] = None,
     ):
         if simulator.state_dim != group_log.state_dim:
@@ -51,7 +56,6 @@ class SimulatedDPREnv(MultiUserEnv):
         self.featurizer = DPRFeaturizer()
         self.truncate_horizon = truncate_horizon
         self.alpha1 = alpha1
-        self.ensemble = ensemble
         self.num_users = group_log.num_users
         self.horizon = truncate_horizon
         self.group_id = group_log.group_id
@@ -139,8 +143,6 @@ class SimulatedDPREnv(MultiUserEnv):
             "completed": feedback[:, 2],
             "t": self._steps,
         }
-        if self.ensemble is not None:
-            info["uncertainty"] = self.ensemble.uncertainty(self._states, actions)
         return self._states.copy(), rewards, dones, info
 
     @classmethod
@@ -148,9 +150,9 @@ class SimulatedDPREnv(MultiUserEnv):
         """Block-diagonal stepper for pools sharing one simulator M_ω.
 
         Batching across cities requires every member to query the *same*
-        simulator (and the same uncertainty ensemble), so the network
-        forward runs once per timestep for the whole stacked batch.
-        Returns None otherwise; the pool falls back to per-env stepping.
+        simulator, so the network forward runs once per timestep for the
+        whole stacked batch. Returns None otherwise; the pool falls back
+        to per-env stepping.
         """
         if len(envs) < 2:
             return None
@@ -158,8 +160,6 @@ class SimulatedDPREnv(MultiUserEnv):
             return None
         first = envs[0]
         if any(env.simulator is not first.simulator for env in envs):
-            return None
-        if any(env.ensemble is not first.ensemble for env in envs):
             return None
         if len({env.truncate_horizon for env in envs}) != 1:
             return None
@@ -169,11 +169,11 @@ class SimulatedDPREnv(MultiUserEnv):
 class _SimulatedDPRBatchStepper:
     """Vectorized reset/step over a stacked batch of :class:`SimulatedDPREnv`.
 
-    The learned-simulator forward (and the ensemble uncertainty pass)
-    runs once over all cities; feedback noise is drawn per city from that
-    city's own generator, and episode starts are drawn per city exactly
-    as in ``SimulatedDPREnv.reset`` — the results are numerically
-    identical to stepping the member envs one by one.
+    The learned-simulator forward runs once over all cities; feedback
+    noise is drawn per city from that city's own generator, and episode
+    starts are drawn per city exactly as in ``SimulatedDPREnv.reset`` —
+    the results are numerically identical to stepping the member envs
+    one by one.
     """
 
     def __init__(self, envs: Sequence["SimulatedDPREnv"], slices: Sequence[slice]):
@@ -182,7 +182,6 @@ class _SimulatedDPRBatchStepper:
         self.total = self.slices[-1].stop
         first = self.envs[0]
         self.simulator = first.simulator
-        self.ensemble = first.ensemble
         self.featurizer = first.featurizer
         self.truncate_horizon = first.truncate_horizon
         self.alpha1 = np.empty(self.total)
@@ -254,31 +253,23 @@ class _SimulatedDPRBatchStepper:
         self._time_index += 1
         self._steps += 1
 
-        per_env_states = []
         for index, block in enumerate(self.slices):
-            per_env_states.append(
-                self.featurizer.build_states(
-                    self._user_static[block],
-                    self._group_static[block],
-                    int(self._time_index[index]),
-                    self._order_history[block],
-                    self._last_feedback[block],
-                    out=self._states[block],
-                )
+            self.featurizer.build_states(
+                self._user_static[block],
+                self._group_static[block],
+                int(self._time_index[index]),
+                self._order_history[block],
+                self._last_feedback[block],
+                out=self._states[block],
             )
         dones = np.full(self.total, self._steps >= self.truncate_horizon)
-        uncertainty = None
-        if self.ensemble is not None:
-            uncertainty = self.ensemble.uncertainty(self._states, actions)
-        infos = []
-        for block in self.slices:
-            info = {
+        infos = [
+            {
                 "orders": orders[block].copy(),
                 "cost": cost[block].copy(),
                 "completed": feedback[block, 2].copy(),
                 "t": self._steps,
             }
-            if uncertainty is not None:
-                info["uncertainty"] = np.asarray(uncertainty)[block].copy()
-            infos.append(info)
+            for block in self.slices
+        ]
         return self._states.copy(), rewards, dones, infos

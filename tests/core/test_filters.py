@@ -45,6 +45,20 @@ def dpr_setup():
     return world, dataset, SimulatorEnsemble(members)
 
 
+@pytest.fixture(scope="module")
+def wide_ensemble(dpr_setup):
+    """The three fixture members plus nine small ones: a 12-member set,
+    the size of the DPR benches' training ensemble."""
+    _, dataset, ensemble = dpr_setup
+    extra = [
+        train_user_simulator(
+            dataset, SimulatorLearnerConfig(hidden_sizes=(8,), epochs=1, seed=10 + i)
+        )
+        for i in range(9)
+    ]
+    return SimulatorEnsemble(ensemble.members + extra)
+
+
 class TestExecFilter:
     def test_no_violation_no_change(self):
         segment = make_segment()
@@ -132,6 +146,31 @@ class TestUncertaintyPenalty:
         r_large = penalised(1.0)
         assert r_large.mean() < r_small.mean()
 
+    @pytest.mark.parametrize(
+        "steps,n,members",
+        [(5, 20, 3), (5, 1, 3), (10, 16, 3), (1, 7, 3), (1, 1, 12), (5, 20, 12), (10, 16, 12)],
+    )
+    def test_penalties_equal_per_step_uncertainty(
+        self, dpr_setup, wide_ensemble, steps, n, members
+    ):
+        """One pass over the T·N rows scores each step exactly as
+        ``ensemble.uncertainty`` on that step's N rows alone.
+
+        The one exception is left out: a single user over several steps on
+        8 or more members. numpy's ``mean(axis=0)`` sums a lone row's member
+        deviations pairwise, so there the per-step form differs from the
+        one pass in the last bit."""
+        ensemble = dpr_setup[2] if members == 3 else wide_ensemble
+        assert len(ensemble) == members
+        segment = make_segment(steps=steps, n=n, ds=13, seed=steps + n)
+        before = segment.rewards.copy()
+        penalties = apply_uncertainty_penalty(segment, ensemble, alpha=0.3)
+        assert penalties.shape == (steps, n)
+        for t in range(steps):
+            u = ensemble.uncertainty(segment.states[t], segment.actions[t])
+            np.testing.assert_array_equal(penalties[t], u)
+            np.testing.assert_array_equal(segment.rewards[t], before[t] - 0.3 * u)
+
 
 class TestTrendFilter:
     def test_intervention_response_shape(self, dpr_setup):
@@ -143,23 +182,14 @@ class TestTrendFilter:
     def test_keeps_most_users_with_decent_simulators(self, dpr_setup):
         _, dataset, ensemble = dpr_setup
         result = compute_trend_filter(ensemble, dataset.groups[0])
-        assert result.keep_mask.sum() >= 6  # consensus mode is forgiving
+        assert result.keep_mask.sum() >= 6  # the consensus rule is forgiving
 
-    def test_modes_ordered_by_strictness(self, dpr_setup):
+    def test_drops_a_user_only_when_every_slope_is_non_positive(self, dpr_setup):
+        """The paper's rule: drop a user only when the slope is non-positive
+        "among all simulators"."""
         _, dataset, ensemble = dpr_setup
-        group = dataset.groups[0]
-        consensus = compute_trend_filter(ensemble, group, mode="consensus").keep_mask
-        mean_mode = compute_trend_filter(ensemble, group, mode="mean").keep_mask
-        strict = compute_trend_filter(ensemble, group, mode="strict").keep_mask
-        assert strict.sum() <= mean_mode.sum() <= consensus.sum()
-        # strict ⊆ mean ⊆ consensus
-        assert np.all(consensus[strict])
-        assert np.all(consensus[mean_mode])
-
-    def test_unknown_mode_raises(self, dpr_setup):
-        _, dataset, ensemble = dpr_setup
-        with pytest.raises(ValueError):
-            compute_trend_filter(ensemble, dataset.groups[0], mode="bogus")
+        result = compute_trend_filter(ensemble, dataset.groups[0])
+        np.testing.assert_array_equal(result.keep_mask, np.any(result.slopes > 0.0, axis=0))
 
     def test_slopes_recorded(self, dpr_setup):
         _, dataset, ensemble = dpr_setup

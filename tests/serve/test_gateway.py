@@ -208,6 +208,8 @@ class TestProtocol:
             session.end()
             twin.end()
             assert gateway.metrics.value("gateway_failures_total", "SESSION") == 1
+            # Six acts were served; the refused one was never counted.
+            assert gateway.metrics.value("gateway_requests_total", "act") == 6
 
     def test_bad_requests_keep_the_connection_alive(self):
         gateway, _ = make_gateway()
@@ -504,6 +506,42 @@ class TestActValidation:
             )
             assert reply["ok"] is True, reply
             assert reply["step"] == 1
+
+    @pytest.mark.parametrize(
+        "obs,error",
+        [
+            ("abc", "BAD_REQUEST"),
+            ({"x": 1.0}, "BAD_REQUEST"),
+            ([[0.0, 0.0], [0.0]], "BAD_REQUEST"),
+            ([[1.0]], "SESSION"),
+        ],
+        ids=["string", "object", "ragged", "wrong-shape"],
+    )
+    def test_malformed_obs_counts_nothing(self, obs, error):
+        """An obs that does not convert to a float64 array is refused
+        before admission; one the session refuses (wrong shape) is typed
+        SESSION. Neither counts as an accepted act, and the session goes on."""
+        server = PolicyServer(make_policy("mlp"), ServeConfig(seed=0))
+        with Gateway(server) as gateway:
+            opened = []
+            reply = gateway._dispatch(
+                {"op": "open", "num_users": 2, "seed": 1}, opened, gateway._clock()
+            )
+            session = reply["session"]
+            reply = gateway._dispatch(
+                {"op": "act", "session": session, "obs": obs}, opened, gateway._clock()
+            )
+            assert reply["ok"] is False
+            assert reply["error"] == error, reply
+            assert gateway.metrics.value("gateway_requests_total", "act") == 0
+            reply = gateway._dispatch(
+                {"op": "act", "session": session, "obs": np.zeros((2, STATE_DIM)).tolist()},
+                opened,
+                gateway._clock(),
+            )
+            assert reply["ok"] is True, reply
+            assert reply["step"] == 1
+            assert gateway.metrics.value("gateway_requests_total", "act") == 1
 
 
 # ----------------------------------------------------------------------

@@ -144,20 +144,6 @@ class TestTrajectoryDataset:
         subset = dataset.select_groups([0, 2])
         assert subset.group_ids == [0, 2]
 
-    def test_action_bounds_shape_and_order(self):
-        dataset = self.make_dataset()
-        bounds = dataset.action_bounds()
-        low, high = bounds[0]
-        assert low.shape == (6, 2)
-        assert np.all(low <= high)
-
-    def test_action_bounds_actual_extremes(self):
-        group = make_group(episodes=1, horizon=3, users=2)
-        dataset = TrajectoryDataset([group])
-        low, high = dataset.action_bounds()[0]
-        np.testing.assert_allclose(low, group.actions[0].min(axis=0))
-        np.testing.assert_allclose(high, group.actions[0].max(axis=0))
-
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=2, max_value=10))
     @settings(max_examples=15, deadline=None)
     def test_split_preserves_total_users(self, groups, users):

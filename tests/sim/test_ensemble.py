@@ -67,6 +67,12 @@ class TestUncertainty:
         s, a, _ = dpr_data.transition_pairs()
         np.testing.assert_allclose(ensemble.uncertainty(s[:10], a[:10]), 0.0, atol=1e-10)
 
+    def test_zero_for_single_member(self, ensemble, dpr_data):
+        """A lone member is its own mean, so U(s, a) is exactly 0."""
+        single = SimulatorEnsemble([ensemble[0]])
+        s, a, _ = dpr_data.transition_pairs()
+        np.testing.assert_array_equal(single.uncertainty(s[:20], a[:20]), np.zeros(20))
+
     def test_higher_off_data(self, ensemble, dpr_data):
         """Disagreement on counterfactual actions far outside the behaviour
         policy's range must exceed on-data disagreement (the premise of the
@@ -76,6 +82,14 @@ class TestUncertainty:
         extreme = np.column_stack([np.ones(200), np.zeros(200)])  # far from πₑ
         off_data = ensemble.uncertainty(s[:200], extreme).mean()
         assert off_data > on_data
+
+    def test_is_mean_member_deviation(self, ensemble, dpr_data):
+        """U(s, a) = E_j ‖μ_j(s, a) − μ̄(s, a)‖₂ over the continuous dims
+        (Sec. V-C2)."""
+        s, a, _ = dpr_data.transition_pairs()
+        means = ensemble.predict_means(s[:30], a[:30])[:, :, ensemble[0].continuous_idx]
+        expected = np.linalg.norm(means - means.mean(axis=0), axis=-1).mean(axis=0)
+        np.testing.assert_allclose(ensemble.uncertainty(s[:30], a[:30]), expected, rtol=1e-12)
 
     def test_predict_means_shape(self, ensemble, dpr_data):
         s, a, _ = dpr_data.transition_pairs()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.envs import COST_RATE, DPRConfig, DPRFeaturizer, DPRWorld, collect_dpr_dataset
+from repro.rl import MLPActorCritic, VecEnvPool, collect_segment, collect_segments_vec
+from repro.rl.parity import assert_segments_identical
 from repro.sim import (
     SimulatedDPREnv,
-    SimulatorEnsemble,
     SimulatorLearnerConfig,
     train_user_simulator,
 )
@@ -14,7 +15,7 @@ from repro.sim import (
 
 @pytest.fixture(scope="module")
 def setup():
-    world = DPRWorld(DPRConfig(num_cities=2, drivers_per_city=10, horizon=12, seed=21))
+    world = DPRWorld(DPRConfig(num_cities=3, drivers_per_city=10, horizon=12, seed=21))
     dataset = collect_dpr_dataset(world, episodes=2)
     config = SimulatorLearnerConfig(hidden_sizes=(32, 32), epochs=25, seed=0)
     simulator = train_user_simulator(dataset, config)
@@ -128,16 +129,23 @@ class TestStep:
             _, _, _, info = env.step(rng.random((10, 2)))
             assert np.all(info["orders"] >= 0)
 
-    def test_uncertainty_in_info_with_ensemble(self, setup):
-        _, dataset, simulator = setup
-        cfg = SimulatorLearnerConfig(hidden_sizes=(16,), epochs=5)
-        other = train_user_simulator(dataset, cfg)
-        ensemble = SimulatorEnsemble([simulator, other])
-        env = make_env(setup, ensemble=ensemble)
+    def test_info_holds_the_step_extras(self, setup):
+        """Each step reports orders, cost, completion and the step count;
+        no per-step uncertainty is computed."""
+        env = make_env(setup)
         env.reset()
         _, _, _, info = env.step(np.full((10, 2), 0.4))
-        assert "uncertainty" in info
-        assert info["uncertainty"].shape == (10,)
+        assert set(info) == {"orders", "cost", "completed", "t"}
+        assert info["t"] == 1
+        for key in ("orders", "cost", "completed"):
+            assert info[key].shape == (10,)
+
+    def test_exec_bounds_shape_and_order(self, setup):
+        """F_exec bounds are per user and per action dim, low ≤ high."""
+        env = make_env(setup)
+        assert env.exec_low.shape == (10, 2)
+        assert env.exec_high.shape == (10, 2)
+        assert np.all(env.exec_low <= env.exec_high)
 
     def test_exec_bounds_from_log(self, setup):
         _, dataset, _ = setup
@@ -154,3 +162,63 @@ class TestStep:
         np.testing.assert_array_equal(s1, s2)
         a = np.full((10, 2), 0.5)
         np.testing.assert_array_equal(env1.step(a)[1], env2.step(a)[1])
+
+
+class TestBatchStepper:
+    """Envs on one simulator, as DIRECT's single-simulator sampler draws
+    them, step as one stacked ``_SimulatedDPRBatchStepper`` pass per
+    timestep, bit-identical to stepping each env on its own."""
+
+    EXTRAS = ("orders", "cost", "completed")
+
+    def make_envs(self, setup, simulators=None):
+        _, dataset, simulator = setup
+        simulators = simulators or [simulator] * 3
+        return [
+            SimulatedDPREnv(sim, dataset.groups[index], truncate_horizon=4, seed=50 + index)
+            for index, sim in enumerate(simulators)
+        ]
+
+    def test_pool_collects_bit_identically_to_each_env(self, setup):
+        policy = MLPActorCritic(13, 2, np.random.default_rng(3), hidden_sizes=(16,))
+        envs_seq = self.make_envs(setup)
+        pool = VecEnvPool(self.make_envs(setup))
+        assert pool._batch_stepper is not None
+        rngs_seq = [np.random.default_rng(70 + i) for i in range(3)]
+        rngs_vec = [np.random.default_rng(70 + i) for i in range(3)]
+        for _ in range(2):  # back-to-back episodes keep every stream aligned
+            seq = [
+                collect_segment(env, policy, rng, extras_from_info=self.EXTRAS)
+                for env, rng in zip(envs_seq, rngs_seq)
+            ]
+            vec = collect_segments_vec(pool, policy, rngs_vec, extras_from_info=self.EXTRAS)
+            assert [s.horizon for s in vec] == [4, 4, 4]
+            assert_segments_identical(seq, vec)
+
+    def test_step_infos_match_each_env(self, setup):
+        """Stepping the stacked batch returns each env's own info dict,
+        keys and values alike, at every step of an episode."""
+        envs = self.make_envs(setup)
+        pool = VecEnvPool(self.make_envs(setup))
+        assert pool._batch_stepper is not None
+        np.testing.assert_array_equal(
+            pool.reset(), np.concatenate([env.reset() for env in envs])
+        )
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            actions = rng.random((pool.num_users, 2))
+            _, _, _, info = pool.step(actions)
+            for env, block, batched in zip(envs, pool.slices, info["per_env"]):
+                _, _, _, own = env.step(actions[block])
+                assert set(batched) == set(own)
+                assert batched["t"] == own["t"]
+                for key in self.EXTRAS:
+                    np.testing.assert_array_equal(batched[key], own[key])
+
+    def test_envs_on_different_simulators_step_one_by_one(self, setup):
+        _, dataset, simulator = setup
+        other = train_user_simulator(
+            dataset, SimulatorLearnerConfig(hidden_sizes=(16,), epochs=2, seed=1)
+        )
+        envs = self.make_envs(setup, [simulator, other, simulator])
+        assert VecEnvPool(envs)._batch_stepper is None
