@@ -79,7 +79,7 @@ class RoundRecorder(PPO):
     round's ``(segment, user_idx)`` members are recorded, nothing runs."""
 
     def _update_stacked(self, members):
-        self.rounds.append(list(members))
+        self.rounds.append([(segment, idx) for segment, _, idx in members])
         return defaultdict(float)
 
 

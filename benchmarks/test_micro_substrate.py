@@ -32,13 +32,13 @@ def test_mlp_forward_backward(benchmark):
 
 
 def test_lstm_bptt_30_steps(benchmark):
-    lstm = nn.LSTM(16, 32, np.random.default_rng(0))
+    """The learner's BPTT: one fused ``LSTMCell.unroll`` over 30 steps."""
+    cell = nn.LSTMCell(16, 32, np.random.default_rng(0))
     seq = RNG.standard_normal((30, 32, 16))
 
     def step():
-        lstm.zero_grad()
-        outputs, _ = lstm(nn.Tensor(seq))
-        outputs.sum().backward()
+        cell.zero_grad()
+        cell.unroll(nn.Tensor(seq)).sum().backward()
 
     benchmark(step)
 

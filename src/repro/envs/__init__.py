@@ -27,7 +27,7 @@ from .dpr_logging import (
 from .lts import LTSConfig, LTSEnv, MU_C_REAL, MU_K_REAL, oracle_constant_policy_return
 from .lts_tasks import LTSTask, admissible_omega_g, make_lts_task
 from .slate import MU_CLICK_REAL, MU_KALE_REAL, SlateConfig, SlateRecEnv
-from .spaces import Box, Discrete
+from .spaces import Box
 
 __all__ = [
     "BehaviorPolicy",
@@ -39,7 +39,6 @@ __all__ = [
     "DPRConfig",
     "DPRFeaturizer",
     "DPRWorld",
-    "Discrete",
     "DriverPersona",
     "FEEDBACK_DIM",
     "GroundTruthResponse",

@@ -1,4 +1,4 @@
-"""Observation / action space descriptions."""
+"""Observation / action space descriptions: the bounded continuous :class:`Box`."""
 
 from __future__ import annotations
 
@@ -42,27 +42,3 @@ class Box:
 
     def __repr__(self) -> str:
         return f"Box(low={self.low!r}, high={self.high!r})"
-
-
-class Discrete:
-    """A finite space {0, 1, ..., n-1}."""
-
-    def __init__(self, n: int):
-        if n <= 0:
-            raise ValueError("n must be positive")
-        self.n = n
-        self.shape: Tuple[int, ...] = ()
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def contains(self, value) -> bool:
-        value = np.asarray(value)
-        return bool(value.shape == () and 0 <= int(value) < self.n)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(0, self.n))
-
-    def __repr__(self) -> str:
-        return f"Discrete({self.n})"

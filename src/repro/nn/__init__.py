@@ -1,30 +1,25 @@
 """A minimal, fully-tested neural-network library on numpy.
 
-The Sim2Rec stack (PPO policy, LSTM extractor, SADAE) and every baseline
-are built on this package. Gradients come from the reverse-mode autodiff
-engine in :mod:`repro.nn.tensor`, verified against finite differences.
+The Sim2Rec stack (PPO policy, LSTM extractor, SADAE), the user
+simulators and every baseline are built on this package, and it holds
+only what they use: ``Linear``/``MLP`` layers, the ``LSTMCell``, the
+Gaussian and Bernoulli distributions, the Adam optimiser and the state
+archives. Gradients come from the reverse-mode autodiff engine in
+:mod:`repro.nn.tensor`, verified against finite differences.
 """
 
 from .distributions import (
     Bernoulli,
-    Categorical,
     DiagGaussian,
     diag_gaussian_log_prob,
     diag_gaussian_sample,
     product_of_gaussians,
 )
-from .functional import (
-    LOG_2PI,
-    gaussian_log_prob,
-    log_softmax,
-    logsumexp,
-    mse_loss,
-    softmax,
-)
-from .layers import ACTIVATIONS, Embedding, LayerNorm, Linear, MLP, get_activation
+from .functional import LOG_2PI, gaussian_log_prob, mse_loss
+from .layers import ACTIVATIONS, Linear, MLP
 from .module import Module, Parameter
-from .optim import Adam, LinearLRSchedule, Optimizer, SGD, clip_grad_norm
-from .recurrent import GRUCell, LSTM, LSTMCell
+from .optim import Adam, LinearLRSchedule, clip_grad_norm
+from .recurrent import LSTMCell
 from .serialization import (
     StateChecksumError,
     load_state,
@@ -49,21 +44,14 @@ __all__ = [
     "ACTIVATIONS",
     "Adam",
     "Bernoulli",
-    "Categorical",
     "DiagGaussian",
-    "Embedding",
-    "GRUCell",
     "LOG_2PI",
-    "LSTM",
     "LSTMCell",
-    "LayerNorm",
     "Linear",
     "LinearLRSchedule",
     "MLP",
     "Module",
-    "Optimizer",
     "Parameter",
-    "SGD",
     "StateChecksumError",
     "Tensor",
     "affine",
@@ -73,17 +61,13 @@ __all__ = [
     "diag_gaussian_log_prob",
     "diag_gaussian_sample",
     "gaussian_log_prob",
-    "get_activation",
     "is_grad_enabled",
     "load_state",
-    "log_softmax",
-    "logsumexp",
     "mse_loss",
     "no_grad",
     "product_of_gaussians",
     "save_state",
     "sigmoid_data",
-    "softmax",
     "stack",
     "state_from_bytes",
     "state_to_bytes",

@@ -1,15 +1,15 @@
 """Differentiable probability distributions.
 
 Used by the Gaussian policy head (PPO), the SADAE encoder/decoders
-(reparameterised sampling, Theorem 4.1 likelihoods) and the categorical
-decoders for discrete state features in DPR.
+(reparameterised sampling, Theorem 4.1 likelihoods) and the Bernoulli
+heads of the user simulators' binary feedback dims.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .functional import LOG_2PI, gaussian_log_prob, log_softmax, softmax
+from .functional import LOG_2PI, gaussian_log_prob
 from .tensor import Tensor, as_tensor
 
 
@@ -101,46 +101,6 @@ def diag_gaussian_log_prob(
     per_dim -= log_std
     per_dim -= 0.5 * LOG_2PI
     return per_dim.sum(axis=-1)
-
-
-class Categorical:
-    """Categorical distribution parameterised by logits (last axis)."""
-
-    def __init__(self, logits: Tensor):
-        self.logits = as_tensor(logits)
-
-    def probs(self) -> Tensor:
-        return softmax(self.logits, axis=-1)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        probs = self.probs().data
-        flat = probs.reshape(-1, probs.shape[-1])
-        cumulative = np.cumsum(flat, axis=-1)
-        draws = rng.random((flat.shape[0], 1))
-        indices = (draws > cumulative).sum(axis=-1)
-        return indices.reshape(probs.shape[:-1])
-
-    def log_prob(self, value) -> Tensor:
-        log_probs = log_softmax(self.logits, axis=-1)
-        indices = np.asarray(value, dtype=np.int64)
-        if log_probs.ndim == 1:
-            return log_probs[int(indices)]
-        flat = log_probs.reshape(-1, log_probs.shape[-1])
-        rows = np.arange(flat.shape[0])
-        picked = flat[rows, indices.reshape(-1)]
-        return picked.reshape(indices.shape)
-
-    def entropy(self) -> Tensor:
-        log_probs = log_softmax(self.logits, axis=-1)
-        return -(log_probs.exp() * log_probs).sum(axis=-1)
-
-    def kl(self, other: "Categorical") -> Tensor:
-        log_p = log_softmax(self.logits, axis=-1)
-        log_q = log_softmax(other.logits, axis=-1)
-        return (log_p.exp() * (log_p - log_q)).sum(axis=-1)
-
-    def mode(self) -> np.ndarray:
-        return np.argmax(self.logits.data, axis=-1)
 
 
 class Bernoulli:

@@ -52,9 +52,6 @@ class Module:
         for param in self.parameters():
             param.grad = None
 
-    def num_parameters(self) -> int:
-        return int(sum(param.size for param in self.parameters()))
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
@@ -69,7 +66,3 @@ class Module:
             if value.shape != param.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {value.shape} vs {param.data.shape}")
             param.data = value.copy()
-
-    def copy_from(self, other: "Module") -> None:
-        """Copy all parameters from a module with identical structure."""
-        self.load_state_dict(other.state_dict())

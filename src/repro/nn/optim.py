@@ -1,6 +1,6 @@
-"""Optimisers (Adam, SGD) and gradient utilities.
+"""The Adam optimiser, its learning-rate schedule and gradient clipping.
 
-Optimisers expose ``state_dict`` / ``load_state_dict`` as flat
+:class:`Adam` exposes ``state_dict`` / ``load_state_dict`` as flat
 name → ndarray mappings (the same shape contract as module state dicts)
 so run checkpoints (:mod:`repro.core.checkpoint`) can snapshot and
 restore momentum/variance accumulators bit-exactly — a resumed run
@@ -51,61 +51,12 @@ def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     return norm
 
 
-class Optimizer:
-    """Base optimiser: holds the parameter list and supports zero_grad."""
-
-    def __init__(self, parameters: Iterable[Parameter]):
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.grad = None
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float, momentum: float = 0.0):
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum > 0.0:
-                velocity *= self.momentum
-                velocity += param.grad
-                update = velocity
-            else:
-                update = param.grad
-            param.data = param.data - self.lr * update
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        state: Dict[str, np.ndarray] = {
-            "lr": np.array([self.lr], dtype=np.float64),
-        }
-        for index, velocity in enumerate(self._velocity):
-            state[f"velocity.{index}"] = velocity.copy()
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        self.lr = float(np.asarray(state["lr"]).ravel()[0])
-        _load_slots(self._velocity, state, "velocity")
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimiser (Kingma & Ba) with optional decoupled weight decay.
 
     The paper trains both phases with Adam (Table II); ``weight_decay``
-    implements the L2 regularisation used for SADAE learning.
+    implements the L2 regularisation used for SADAE learning. Parameters
+    without a gradient are skipped by :meth:`step`.
     """
 
     def __init__(
@@ -116,7 +67,9 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters)
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -124,6 +77,10 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.grad = None
 
     def step(self) -> None:
         self._step_count += 1
@@ -166,7 +123,7 @@ class LinearLRSchedule:
     Table II decays the policy/extractor learning rate from 1e-4 to 1e-6.
     """
 
-    def __init__(self, optimizer: Optimizer, start: float, end: float, total: int):
+    def __init__(self, optimizer: Adam, start: float, end: float, total: int):
         if total <= 0:
             raise ValueError("total steps must be positive")
         self.optimizer = optimizer

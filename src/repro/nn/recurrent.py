@@ -1,7 +1,7 @@
-"""Recurrent layers: LSTM and GRU cells plus a sequence-level LSTM.
+"""The LSTM cell: the environment-parameter extractor φ.
 
 The environment-parameter extractor φ in Sim2Rec is a single-layer LSTM
-(Table II); the DR-OSI baseline uses the same cell. Calling a cell
+(Table II); the DR-OSI baseline uses the same cell. Calling the cell
 advances it one step and builds the autodiff graph op by op (full
 backpropagation through time); ``unroll`` runs a whole time-major
 sequence as two graph nodes instead (see below).
@@ -9,22 +9,21 @@ sequence as two graph nodes instead (see below).
 Inference fast path
 -------------------
 Rollouts advance the cell once per environment step with gradients
-disabled, so both cells implement a graph-free ``infer`` on plain
+disabled, so the cell implements a graph-free ``infer`` on plain
 arrays — what the policies' rollout step calls directly, and what
 ``__call__`` takes whenever ``no_grad()`` is active. Gate
 pre-activations are computed with raw BLAS calls into a preallocated
 per-batch scratch buffer (reused across timesteps), and the sigmoid
 gates are activated in one contiguous in-place
 :func:`~repro.nn.tensor.sigmoid_data` pass; the returned state arrays
-are fresh on every step and never written afterwards. The LSTM takes
+are fresh on every step and never written afterwards. The cell takes
 tanh of its g block into its own array first and then runs the sigmoid
 over the whole ``[B, 4H]`` buffer (the g block's sigmoid is never
 read): five passes over one contiguous buffer cost about half of three
-passes over strided ``[B, H]`` column slices. The GRU activates its
-adjacent r and z columns as one contiguous ``[B, 2H]`` block. Every
-gate is the same elementwise function of the same pre-activation as in
-the autodiff path, so the produced hidden states are bit-identical to
-the graph path.
+passes over strided ``[B, H]`` column slices. Every gate is the same
+elementwise function of the same pre-activation as in the autodiff
+path, so the produced hidden states are bit-identical to the graph
+path.
 
 Fused sequence path
 -------------------
@@ -35,7 +34,7 @@ node: its forward repeats ``infer`` op for op, single gate
 pass included (so the hidden states are bit-identical to T autodiff
 cell calls), and caches the gate activations; its backward is a numpy
 BPTT loop that sums the weight gradients in one gemm over all T·B rows.
-The LSTM backward first computes, for all T steps in a few vectorised
+The backward first computes, for all T steps in a few vectorised
 passes, every gate factor that does not depend on the recurrence (the
 gate slopes times the cell terms they multiply); the time loop keeps
 only the dh/dc recurrence, two gate-block products and the ``dh_next``
@@ -46,7 +45,7 @@ from the per-step graph, so gradients agree to ≤1e-10 relative
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -61,27 +60,7 @@ from .tensor import (
     as_tensor,
     is_grad_enabled,
     sigmoid_data,
-    stack,
 )
-
-
-def _project_sequence(x_seq, weight: Tensor, bias: Optional[Tensor]) -> Tuple[Tensor, int, int]:
-    """``x @ W (+ b)`` for every step of ``[T, B, input]`` in one affine."""
-    x_seq = as_tensor(x_seq)
-    steps, batch = x_seq.shape[0], x_seq.shape[1]
-    flat = x_seq.reshape(steps * batch, x_seq.shape[2])
-    return affine(flat, weight, bias), steps, batch
-
-
-def _sequence_node(
-    hidden: np.ndarray, parents: Tuple[Tensor, ...], backward: Callable[[np.ndarray], None]
-) -> Tensor:
-    """Wrap an unrolled ``[T, B, H]`` hidden sequence as one graph node."""
-    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
-        return _graphless(hidden)
-    out = Tensor(hidden, requires_grad=True, _prev=parents)
-    out._backward = backward
-    return out
 
 
 class LSTMCell(Module):
@@ -171,7 +150,9 @@ class LSTMCell(Module):
         :meth:`initial_state`; see the module docstring for the fused
         graph this builds.
         """
-        projected, steps, batch = _project_sequence(x_seq, self.weight_ih, None)
+        x_seq = as_tensor(x_seq)
+        steps, batch = x_seq.shape[0], x_seq.shape[1]
+        projected = affine(x_seq.reshape(steps * batch, x_seq.shape[2]), self.weight_ih, None)
         hs = self.hidden_size
         xw = projected.data.reshape(steps, batch, 4 * hs)
         w_hh, bias = self.weight_hh.data, self.bias.data
@@ -229,160 +210,9 @@ class LSTMCell(Module):
             if projected.requires_grad:
                 projected._accumulate(flat)
 
-        return _sequence_node(
-            hidden[1:], (projected, self.weight_hh, self.bias), backward
-        )
-
-
-class GRUCell(Module):
-    """A GRU cell (provided for the RNN [19] variant used in related work)."""
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.weight_ih = Parameter(
-            initializers.xavier_uniform(rng, input_size, 3 * hidden_size), name="weight_ih"
-        )
-        self.weight_hh = Parameter(
-            initializers.orthogonal(rng, hidden_size, 3 * hidden_size), name="weight_hh"
-        )
-        self.bias = Parameter(np.zeros(3 * hidden_size), name="bias")
-        self._scratch: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def initial_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden_size)))
-
-    def _gates_scratch(self, batch: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        bufs = self._scratch.get(batch)
-        if bufs is None:
-            self._scratch.clear()
-            bufs = (
-                np.empty((batch, 3 * self.hidden_size)),
-                np.empty((batch, 3 * self.hidden_size)),
-                np.empty((batch, 2 * self.hidden_size)),
-            )
-            self._scratch[batch] = bufs
-        return bufs
-
-    def infer(self, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
-        """One graph-free step on arrays: the next hidden state."""
-        hs = self.hidden_size
-        gates_x, gates_h, rz = self._gates_scratch(x.shape[0])
-        if x.shape[0] == 1:
-            # See LSTMCell.infer: keep single-row batches on the
-            # row-stable gemm path.
-            gates_x[:] = _row_stable_matmul(x, self.weight_ih.data)
-            gates_h[:] = _row_stable_matmul(h_prev, self.weight_hh.data)
-        else:
-            np.matmul(x, self.weight_ih.data, out=gates_x)
-            np.matmul(h_prev, self.weight_hh.data, out=gates_h)
-        gates_x += self.bias.data
-        sigmoid_data(np.add(gates_x[:, : 2 * hs], gates_h[:, : 2 * hs], out=rz), out=rz)
-        r_gate, z_gate = rz[:, :hs], rz[:, hs:]
-        n_pre = gates_x[:, 2 * hs :]
-        n_pre += r_gate * gates_h[:, 2 * hs :]
-        n_gate = np.tanh(n_pre)
-        h_new = (1.0 - z_gate) * n_gate
-        h_new += z_gate * h_prev
-        return h_new
-
-    def __call__(self, x: Tensor, h_prev: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return _graphless(self.infer(_as_array(x), _as_array(h_prev)))
-        x = as_tensor(x)
-        hs = self.hidden_size
-        gates_x = x @ self.weight_ih + self.bias
-        gates_h = h_prev @ self.weight_hh
-        r_gate = (gates_x[:, :hs] + gates_h[:, :hs]).sigmoid()
-        z_gate = (gates_x[:, hs : 2 * hs] + gates_h[:, hs : 2 * hs]).sigmoid()
-        n_gate = (gates_x[:, 2 * hs :] + r_gate * gates_h[:, 2 * hs :]).tanh()
-        return (1.0 - z_gate) * n_gate + z_gate * h_prev
-
-    def unroll(self, x_seq) -> Tensor:
-        """Hidden states ``[T, B, hidden]`` of a zero-state ``[T, B, input]`` run.
-
-        Bit-identical to calling the cell T times from
-        :meth:`initial_state`; see the module docstring for the fused
-        graph this builds.
-        """
-        projected, steps, batch = _project_sequence(x_seq, self.weight_ih, self.bias)
-        hs = self.hidden_size
-        gx = projected.data.reshape(steps, batch, 3 * hs)
-        w_hh = self.weight_hh.data
-        # Per step: h @ W_hh, the activated [r, z] gates and n; index 0
-        # of ``hidden`` is the zero initial state.
-        gh = np.empty((steps, batch, 3 * hs))
-        rz = np.empty((steps, batch, 2 * hs))
-        n_gates = np.empty((steps, batch, hs))
-        hidden = np.zeros((steps + 1, batch, hs))
-        for t in range(steps):
-            gh[t] = _row_stable_matmul(hidden[t], w_hh)
-            sigmoid_data(np.add(gx[t, :, : 2 * hs], gh[t, :, : 2 * hs], out=rz[t]), out=rz[t])
-            r_gate, z_gate = rz[t, :, :hs], rz[t, :, hs:]
-            n_pre = gx[t, :, 2 * hs :] + r_gate * gh[t, :, 2 * hs :]
-            n_gate = np.tanh(n_pre, out=n_gates[t])
-            h_new = np.multiply(1.0 - z_gate, n_gate, out=hidden[t + 1])
-            h_new += z_gate * hidden[t]
-
-        def backward(grad: np.ndarray) -> None:
-            d_gx = np.empty((steps, batch, 3 * hs))
-            d_gh = np.empty((steps, batch, 3 * hs))
-            dh_next = 0.0
-            for t in reversed(range(steps)):
-                r_gate, z_gate, n_gate = rz[t, :, :hs], rz[t, :, hs:], n_gates[t]
-                dh = grad[t] + dh_next
-                dn_pre = dh * (1.0 - z_gate) * (1.0 - n_gate * n_gate)
-                d_gx[t, :, :hs] = dn_pre * gh[t, :, 2 * hs :] * r_gate * (1.0 - r_gate)
-                d_gx[t, :, hs : 2 * hs] = dh * (hidden[t] - n_gate) * z_gate * (1.0 - z_gate)
-                d_gx[t, :, 2 * hs :] = dn_pre
-                d_gh[t, :, : 2 * hs] = d_gx[t, :, : 2 * hs]
-                d_gh[t, :, 2 * hs :] = dn_pre * r_gate
-                dh_next = dh * z_gate
-                if t:
-                    dh_next = dh_next + d_gh[t] @ w_hh.T
-            if self.weight_hh.requires_grad:
-                self.weight_hh._accumulate(
-                    hidden[:-1].reshape(steps * batch, hs).T
-                    @ d_gh.reshape(steps * batch, 3 * hs)
-                )
-            if projected.requires_grad:
-                projected._accumulate(d_gx.reshape(steps * batch, 3 * hs))
-
-        return _sequence_node(hidden[1:], (projected, self.weight_hh), backward)
-
-
-class LSTM(Module):
-    """Run an :class:`LSTMCell` over a time-major sequence.
-
-    Input shape ``[T, batch, input_size]``; returns the stacked hidden states
-    ``[T, batch, hidden_size]`` and the final (h, c) state.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
-        self.cell = LSTMCell(input_size, hidden_size, rng)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.cell.hidden_size
-
-    def initial_state(self, batch: int) -> Tuple[Tensor, Tensor]:
-        return self.cell.initial_state(batch)
-
-    def __call__(
-        self,
-        sequence: Tensor,
-        state: Optional[Tuple[Tensor, Tensor]] = None,
-        reset_mask: Optional[np.ndarray] = None,
-    ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        sequence = as_tensor(sequence)
-        steps, batch = sequence.shape[0], sequence.shape[1]
-        if state is None:
-            state = self.initial_state(batch)
-        outputs: List[Tensor] = []
-        for t in range(steps):
-            if reset_mask is not None:
-                keep = Tensor(1.0 - reset_mask[t][:, None])
-                state = (state[0] * keep, state[1] * keep)
-            h, state = self.cell(sequence[t], state)
-            outputs.append(h)
-        return stack(outputs, axis=0), state
+        parents = (projected, self.weight_hh, self.bias)
+        if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
+            return _graphless(hidden[1:])
+        out = Tensor(hidden[1:], requires_grad=True, _prev=parents)
+        out._backward = backward
+        return out

@@ -20,7 +20,7 @@ closure or the parent tuple.
 
 The rollout step itself goes one level lower and never builds a
 ``Tensor``: ``policy.act`` / ``policy.actions``, ``SADAE.embed`` and the
-layers under them (``MLP.infer``, the recurrent cells' ``infer``) run on
+layers under them (``MLP.infer``, ``LSTMCell.infer``) run on
 plain arrays. The array forms are the forwards' single definitions:
 :func:`affine_data`, with its narrow-head and single-row rules, is what
 :func:`affine` computes, and :func:`sigmoid_data` is what
@@ -404,14 +404,19 @@ class Tensor:
             if self.requires_grad:
                 if b.ndim == 1:
                     ga = np.outer(grad, b) if a.ndim == 2 else grad[..., None] * b
+                elif a.ndim == 1 and b.ndim > 2:
+                    # (K,) @ (..., K, M): each batch's grad row meets its own matrix.
+                    ga = (grad[..., None, :] @ np.swapaxes(b, -1, -2))[..., 0, :]
                 else:
                     ga = grad @ np.swapaxes(b, -1, -2)
                 if a.ndim == 1 and ga.ndim > 1:
                     ga = ga.sum(axis=tuple(range(ga.ndim - 1)))
                 self._accumulate(_unbroadcast(ga, a.shape))
             if other.requires_grad:
-                if a.ndim == 1:
-                    gb = np.outer(a, grad) if b.ndim == 2 else a[..., None] * grad
+                if a.ndim == 1 and b.ndim == 1:
+                    gb = a * grad
+                elif a.ndim == 1:
+                    gb = np.outer(a, grad) if b.ndim == 2 else a[:, None] * grad[..., None, :]
                 elif b.ndim == 1:
                     gb = (a.reshape(-1, a.shape[-1]) * grad.reshape(-1, 1)).sum(axis=0)
                 else:
@@ -659,14 +664,19 @@ def affine(x: ArrayLike, weight: Tensor, bias: Optional[Tensor] = None) -> Tenso
         if x.requires_grad:
             if b.ndim == 1:
                 ga = np.outer(grad, b) if a.ndim == 2 else grad[..., None] * b
+            elif a.ndim == 1 and b.ndim > 2:
+                # (K,) @ (..., K, M): each batch's grad row meets its own matrix.
+                ga = (grad[..., None, :] @ np.swapaxes(b, -1, -2))[..., 0, :]
             else:
                 ga = grad @ np.swapaxes(b, -1, -2)
             if a.ndim == 1 and ga.ndim > 1:
                 ga = ga.sum(axis=tuple(range(ga.ndim - 1)))
             x._accumulate(_unbroadcast(ga, a.shape))
         if weight.requires_grad:
-            if a.ndim == 1:
-                gb = np.outer(a, grad) if b.ndim == 2 else a[..., None] * grad
+            if a.ndim == 1 and b.ndim == 1:
+                gb = a * grad
+            elif a.ndim == 1:
+                gb = np.outer(a, grad) if b.ndim == 2 else a[:, None] * grad[..., None, :]
             elif b.ndim == 1:
                 gb = (a.reshape(-1, a.shape[-1]) * grad.reshape(-1, 1)).sum(axis=0)
             else:

@@ -19,11 +19,7 @@ from .workers import (
     WorkerStepError,
     sharding_available,
 )
-from .parity import (
-    ROLLOUT_MODES,
-    assert_segments_identical,
-    collect_rollout_mode,
-)
+from .parity import assert_segments_identical
 
 __all__ = [
     "ActorCriticBase",
@@ -31,7 +27,6 @@ __all__ = [
     "MLPActorCritic",
     "PPO",
     "PPOConfig",
-    "ROLLOUT_MODES",
     "RecurrentActorCritic",
     "RolloutBuffer",
     "RolloutSegment",
@@ -42,7 +37,6 @@ __all__ = [
     "WorkerCrashed",
     "WorkerStepError",
     "assert_segments_identical",
-    "collect_rollout_mode",
     "collect_segment",
     "collect_segments_sequential",
     "collect_segments_vec",

@@ -108,10 +108,6 @@ class RolloutBuffer:
     def __iter__(self):
         return iter(self.segments)
 
-    @property
-    def total_steps(self) -> int:
-        return sum(s.rewards.size for s in self.segments)
-
     def finalize(self, gamma: float, lam: float, bootstrap_last: bool = False) -> None:
         for segment in self.segments:
             segment.finalize(gamma, lam, bootstrap_last=bootstrap_last)

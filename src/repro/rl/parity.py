@@ -1,17 +1,15 @@
-"""Cross-mode rollout parity harness.
+"""Rollout parity check: the vectorized collector against the sequential one.
 
-The repo's rollout engine has two collection modes that are
-contractually **bit-identical** for matched per-env policy-noise streams:
-
-- ``sequential`` — :func:`repro.rl.runner.collect_segments_sequential`,
-  one env at a time. The reference semantics.
-- ``vectorized`` — :func:`repro.rl.vec.collect_segments_vec` over an
-  in-process :class:`~repro.rl.vec.VecEnvPool` (one ``policy.act`` per
-  timestep for all envs).
+The repo's rollout engine has one collector,
+:func:`repro.rl.vec.collect_segments_vec` over a
+:class:`~repro.rl.vec.VecEnvPool` (one ``policy.act`` per timestep for
+all envs), and it is contractually **bit-identical** to its reference
+semantics, :func:`repro.rl.runner.collect_segments_sequential` (one env
+at a time), for matched per-env policy-noise streams.
 
 This module is the *single* place that equivalence is spelled out:
-``tests/rl/test_rollout_parity.py`` drives :func:`collect_rollout_mode`
-and :func:`assert_segments_identical` across mode × env-layout × policy
+``tests/rl/test_rollout_parity.py`` calls both collectors and compares
+them with :func:`assert_segments_identical` across env-layout × policy
 grids, and ``benchmarks/perf_rollout.py`` calls the same comparison as
 its pre-timing equivalence gate — a bench never times a path this
 harness has not just proven bit-identical.
@@ -24,18 +22,12 @@ stacked forward, and per-env policy noise comes from
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..envs.base import MultiUserEnv
 from .buffer import RolloutSegment
-from .policies import ActorCriticBase
-from .runner import collect_segments_sequential
-from .vec import TRAJECTORY_FIELDS, VecEnvPool, collect_segments_vec
-
-#: Every rollout collection mode, reference first.
-ROLLOUT_MODES: Tuple[str, ...] = ("sequential", "vectorized")
+from .vec import TRAJECTORY_FIELDS
 
 #: Array fields of a RolloutSegment compared for bitwise equality: the
 #: per-step trajectory arrays plus the bootstrap values.
@@ -76,34 +68,3 @@ def assert_segments_identical(
             np.testing.assert_array_equal(
                 got.extras[key], ref.extras[key], err_msg=f"{where}.extras[{key}]"
             )
-
-
-def collect_rollout_mode(
-    mode: str,
-    envs: Sequence[MultiUserEnv],
-    policy: ActorCriticBase,
-    rngs: Sequence[np.random.Generator],
-    max_steps: Optional[int] = None,
-    extras_from_info: Tuple[str, ...] = (),
-    pool: Optional[VecEnvPool] = None,
-) -> List[RolloutSegment]:
-    """Collect one round of segments through the named rollout mode.
-
-    ``envs`` advance in place — pass fresh envs per call when comparing
-    modes. A prebuilt :class:`~repro.rl.vec.VecEnvPool` ``pool``
-    overrides ``envs`` for ``vectorized``; reuse one across calls to
-    test multi-episode stream continuity.
-    """
-    if mode == "sequential":
-        return collect_segments_sequential(
-            envs, policy, rngs, max_steps=max_steps, extras_from_info=extras_from_info
-        )
-    if mode == "vectorized":
-        return collect_segments_vec(
-            pool if pool is not None else envs,
-            policy,
-            rngs,
-            max_steps=max_steps,
-            extras_from_info=extras_from_info,
-        )
-    raise ValueError(f"unknown rollout mode {mode!r}; expected one of {ROLLOUT_MODES}")

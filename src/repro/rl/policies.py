@@ -30,7 +30,7 @@ Both expose the same rollout/update interface consumed by
 
 The rollout step (``act`` / ``actions``) is array-native end to end: it
 never builds a ``Tensor``. The layers run their graph-free ``infer``
-forwards (:meth:`repro.nn.MLP.infer`, the recurrent cells' ``infer``),
+forwards (:meth:`repro.nn.MLP.infer`, :meth:`repro.nn.LSTMCell.infer`),
 and the Gaussian head samples and scores with
 :func:`repro.nn.diag_gaussian_sample` / :func:`repro.nn.diag_gaussian_log_prob`.
 Each of these is the graph path's arithmetic op for op, so the actions,
@@ -79,10 +79,8 @@ def _gaussian_head(
 
 
 def _copy_state(state):
-    """An independent copy of a recurrent state: an array or a tuple of arrays."""
-    if isinstance(state, tuple):
-        return tuple(np.array(part, dtype=np.float64) for part in state)
-    return np.array(state, dtype=np.float64)
+    """An independent copy of an LSTM ``(h, c)`` state."""
+    return tuple(np.array(part, dtype=np.float64) for part in state)
 
 
 class _PolicyActFn:
@@ -175,8 +173,9 @@ class ActorCriticBase(nn.Module):
         """Numpy snapshot of the per-rollout recurrent state, or None.
 
         Feed-forward policies carry no state between ``act`` calls, so the
-        base returns None. :class:`RecurrentActorCritic` returns plain
-        arrays (copies) that :meth:`set_recurrent_state` can restore later.
+        base returns None. :class:`RecurrentActorCritic` returns copies of
+        the LSTM's ``(h, c)`` arrays that :meth:`set_recurrent_state` can
+        restore later.
         """
         return None
 
@@ -377,26 +376,18 @@ class RecurrentActorCritic(ActorCriticBase):
         head_hidden: Tuple[int, ...] = (128, 64),
         context_dim: int = 0,
         init_log_std: float = -0.5,
-        cell: str = "lstm",
     ):
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.context_dim = context_dim
-        input_dim = state_dim + action_dim + context_dim
-        if cell == "lstm":
-            self.extractor = nn.LSTMCell(input_dim, lstm_hidden, rng)
-        elif cell == "gru":
-            self.extractor = nn.GRUCell(input_dim, lstm_hidden, rng)
-        else:
-            raise ValueError(f"unknown recurrent cell {cell!r}; expected 'lstm' or 'gru'")
-        self.cell_type = cell
+        self.extractor = nn.LSTMCell(state_dim + action_dim + context_dim, lstm_hidden, rng)
         head_in = state_dim + lstm_hidden
         self.actor = nn.MLP(
             [head_in, *head_hidden, action_dim], rng, activation="tanh", out_gain=0.01
         )
         self.critic = nn.MLP([head_in, *head_hidden, 1], rng, activation="tanh")
         self.log_std = nn.Parameter(np.full(action_dim, init_log_std), name="log_std")
-        # The live extractor state: (h, c) arrays for an LSTM, h for a GRU.
+        # The live extractor state: the LSTM's (h, c) arrays.
         self._state = None
 
     # ------------------------------------------------------------------
@@ -423,25 +414,11 @@ class RecurrentActorCritic(ActorCriticBase):
         super().start_rollout(num_users)
         self._state = self.initial_recurrent_state(num_users)
 
-    def _advance(self, x: nn.Tensor, state):
-        """One extractor step; returns (z, new_state) for either cell type."""
-        if self.cell_type == "lstm":
-            z, state = self.extractor(x, state)
-            return z, state
-        h = self.extractor(x, state)
-        return h, h
-
     def _state_batch_size(self) -> int:
-        if self._state is None:
-            return -1
-        h = self._state[0] if isinstance(self._state, tuple) else self._state
-        return h.shape[0]
+        return -1 if self._state is None else self._state[0].shape[0]
 
     def initial_recurrent_state(self, num_users: int):
-        state = self.extractor.initial_state(num_users)
-        if isinstance(state, tuple):
-            return tuple(part.data for part in state)
-        return state.data
+        return tuple(part.data for part in self.extractor.initial_state(num_users))
 
     def recurrent_state(self):
         return None if self._state is None else _copy_state(self._state)
@@ -476,11 +453,7 @@ class RecurrentActorCritic(ActorCriticBase):
         context = self._rollout_context(states, prev_actions)
         if context is not None:
             parts.append(context)
-        x = np.concatenate(parts, axis=-1)
-        if self.cell_type == "lstm":
-            z, self._state = self.extractor.infer(x, self._state)
-        else:
-            z = self._state = self.extractor.infer(x, self._state)
+        z, self._state = self.extractor.infer(np.concatenate(parts, axis=-1), self._state)
         features = np.concatenate([states, z], axis=-1)
         actions, mean = _gaussian_head(self.actor, self.log_std, features, rng, deterministic)
         return actions, mean, features
@@ -511,7 +484,7 @@ class RecurrentActorCritic(ActorCriticBase):
                 tiled = nn.concat([step_context] * b, axis=0)
                 parts.append(tiled)
             x = nn.concat(parts, axis=-1)
-            z, state = self._advance(x, state)
+            z, state = self.extractor(x, state)
             dist, value = self._heads(states_t, z)
             log_probs.append(dist.log_prob(segment.actions[step, user_idx]))
             values.append(value[:, 0])

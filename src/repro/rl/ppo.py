@@ -102,8 +102,11 @@ class PPO:
         for segment in buffer:
             if segment.advantages is None:
                 raise RuntimeError("buffer not finalized before PPO.update")
+        # Each segment's advantages are standardised once per update; every
+        # minibatch of every epoch slices the same array.
+        advantages = [segment.normalized_advantages() for segment in buffer]
         for epoch in range(config.update_epochs):
-            for metrics in self._update_epoch(buffer, epoch):
+            for metrics in self._update_epoch(buffer, advantages, epoch):
                 for key in stats:
                     stats[key] += metrics[key]
                 updates += 1
@@ -130,13 +133,15 @@ class PPO:
         order = np.random.default_rng(hash((epoch, index)) % (2**32)).permutation(n)
         return np.array_split(order, count)
 
-    def _update_epoch(self, buffer: RolloutBuffer, epoch: int) -> List[Dict[str, float]]:
+    def _update_epoch(
+        self, buffer: RolloutBuffer, advantages: Sequence[np.ndarray], epoch: int
+    ) -> List[Dict[str, float]]:
         """One epoch of stacked-segment updates (length-bucketed).
 
         Segments are bucketed by horizon in buffer order; within a bucket
         the r-th minibatches of every segment form one stacked update
         step, so a bucket of one takes one step per minibatch of its
-        segment.
+        segment. ``advantages[i]`` is segment i's normalised advantages.
         """
         buckets: Dict[int, List[Tuple[int, RolloutSegment]]] = {}
         for index, segment in enumerate(buffer):
@@ -148,39 +153,43 @@ class PPO:
             ]
             for round_idx in range(max(len(split) for split in splits)):
                 members = [
-                    (segment, split[round_idx])
-                    for (_, segment), split in zip(bucket, splits)
+                    (segment, advantages[index], split[round_idx])
+                    for (index, segment), split in zip(bucket, splits)
                     if round_idx < len(split)
                 ]
                 metrics.append(self._update_stacked(members))
         return metrics
 
     def _minibatch_targets(
-        self, segment: RolloutSegment, user_idx: np.ndarray
+        self, segment: RolloutSegment, advantages: np.ndarray, user_idx: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(advantages, returns, old log-probs, mask) for one minibatch."""
+        """(advantages, returns, old log-probs, mask) for one minibatch.
+
+        ``advantages`` is the segment's :meth:`~repro.rl.buffer.RolloutSegment.normalized_advantages`.
+        """
         return (
-            segment.normalized_advantages()[:, user_idx],
+            advantages[:, user_idx],
             segment.returns[:, user_idx],
             segment.log_probs[:, user_idx],
             segment.valid_mask[:, user_idx],
         )
 
     def _update_stacked(
-        self, members: Sequence[Tuple[RolloutSegment, np.ndarray]]
+        self, members: Sequence[Tuple[RolloutSegment, np.ndarray, np.ndarray]]
     ) -> Dict[str, float]:
         """One optimizer step over one or more segments' stacked minibatches.
 
-        Advantage normalisation stays per segment (each segment's own
-        valid-step statistics); only the forward/backward pass and the
-        optimizer step are shared.
+        ``members`` holds (segment, its normalised advantages, user
+        indices) triples. Advantage normalisation stays per segment (each
+        segment's own valid-step statistics); only the forward/backward
+        pass and the optimizer step are shared.
         """
-        targets = [self._minibatch_targets(s, idx) for s, idx in members]
+        targets = [self._minibatch_targets(s, adv, idx) for s, adv, idx in members]
         adv, returns, old_log_probs, mask = (
             np.concatenate([t[field] for t in targets], axis=1) for field in range(4)
         )
         log_probs, values, entropy = self.policy.evaluate_segments_batched(
-            [s for s, _ in members], [idx for _, idx in members]
+            [s for s, _, _ in members], [idx for _, _, idx in members]
         )
         return self._loss_step(log_probs, values, entropy, adv, returns, old_log_probs, mask)
 

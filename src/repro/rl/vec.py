@@ -55,9 +55,9 @@ def split_rng(rng: np.random.Generator, count: int) -> List[np.random.Generator]
 
 
 class BlockRNG:
-    """Drop-in ``np.random.Generator`` facade over block-stacked batches.
+    """A ``np.random.Generator`` stand-in over block-stacked batches.
 
-    Draws whose leading axis equals the stacked user count are split so
+    A draw whose leading axis equals the stacked user count is split so
     each environment's rows come from that environment's own stream —
     the property that makes vectorized rollouts bit-reproduce sequential
     per-city rollouts.
@@ -70,60 +70,23 @@ class BlockRNG:
         self.slices = list(slices)
         self.total = slices[-1].stop if slices else 0
 
-    def _split_shape(self, size) -> Optional[Tuple[int, ...]]:
-        if size is None:
-            return None
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        if shape and shape[0] == self.total:
-            return shape
-        return None
-
     def standard_normal(self, size=None) -> np.ndarray:
-        shape = self._split_shape(size)
-        if shape is None:
+        """Standard normals of shape ``size``, each block's rows from its own stream.
+
+        The one draw the policies make (:func:`repro.nn.diag_gaussian_sample`);
+        ``size``'s leading axis must be the stacked user count.
+        """
+        if size is None:
+            shape = ()
+        else:
+            shape = (size,) if isinstance(size, int) else tuple(size)
+        if not shape or shape[0] != self.total:
             raise ValueError(
                 f"BlockRNG draws must have leading axis {self.total}, got size={size!r}"
             )
         out = np.empty(shape)
         for rng, block in zip(self.rngs, self.slices):
             out[block] = rng.standard_normal((block.stop - block.start,) + shape[1:])
-        return out
-
-    def random(self, size=None) -> np.ndarray:
-        shape = self._split_shape(size)
-        if shape is None:
-            raise ValueError(
-                f"BlockRNG draws must have leading axis {self.total}, got size={size!r}"
-            )
-        out = np.empty(shape)
-        for rng, block in zip(self.rngs, self.slices):
-            out[block] = rng.random((block.stop - block.start,) + shape[1:])
-        return out
-
-    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        shape = self._split_shape(size)
-        if shape is None:
-            raise ValueError(
-                f"BlockRNG draws must have leading axis {self.total}, got size={size!r}"
-            )
-        loc = np.broadcast_to(np.asarray(loc, dtype=np.float64), shape)
-        scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), shape)
-        out = np.empty(shape)
-        for rng, block in zip(self.rngs, self.slices):
-            count = block.stop - block.start
-            out[block] = rng.normal(loc[block], scale[block], size=(count,) + shape[1:])
-        return out
-
-    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        shape = self._split_shape(size)
-        if shape is None:
-            raise ValueError(
-                f"BlockRNG draws must have leading axis {self.total}, got size={size!r}"
-            )
-        out = np.empty(shape)
-        for rng, block in zip(self.rngs, self.slices):
-            count = block.stop - block.start
-            out[block] = rng.uniform(low, high, size=(count,) + shape[1:])
         return out
 
 

@@ -14,7 +14,7 @@ Examples::
 
     python -m repro.serve --policy lstm --sessions 8 --steps 20
     python -m repro.serve --policy sim2rec --sessions 4 --users 5
-    python -m repro.serve --policy gru --background --max-wait-ms 1
+    python -m repro.serve --policy lstm --background --max-wait-ms 1
     python -m repro.serve --policy lstm --gateway
 """
 
@@ -42,10 +42,10 @@ def make_policy(kind: str, state_dim: int, action_dim: int):
         return MLPActorCritic(
             state_dim, action_dim, np.random.default_rng(1), hidden_sizes=(32,)
         )
-    if kind in ("lstm", "gru"):
+    if kind == "lstm":
         return RecurrentActorCritic(
             state_dim, action_dim, np.random.default_rng(0),
-            lstm_hidden=16, head_hidden=(32,), cell=kind,
+            lstm_hidden=16, head_hidden=(32,),
         )
     if kind == "sim2rec":
         return build_sim2rec_policy(state_dim, action_dim, dpr_small_config(seed=0))
@@ -178,7 +178,7 @@ def scrape_metrics(address) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--policy", choices=("mlp", "lstm", "gru", "sim2rec"), default="lstm"
+        "--policy", choices=("mlp", "lstm", "sim2rec"), default="lstm"
     )
     parser.add_argument("--sessions", type=int, default=6)
     parser.add_argument("--users", type=int, default=3, help="users per session")

@@ -139,6 +139,18 @@ def _is_number(value: Any) -> bool:
     )
 
 
+def _is_number_tree(value: list) -> bool:
+    """Nested lists whose leaves are all JSON numbers (walked without recursion)."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif not _is_number(item):
+            return False
+    return True
+
+
 class _Handler(socketserver.BaseRequestHandler):
     """One thread per connection: framed request/response loop."""
 
@@ -390,13 +402,18 @@ class Gateway:
         session_id = message.get("session")
         if not isinstance(session_id, str):
             return self._bad_request("act needs a 'session' id")
+        # Taken as sent and checked before admission: a float or integer
+        # ndarray, or nested lists of JSON numbers. Strings and bools
+        # would convert (float("1e1") is 10.0, float(True) is 1.0), so
+        # they answer BAD_REQUEST, as does anything ragged. The session
+        # checks the shape and finiteness at submit (SESSION); either way
+        # the act is never counted.
         obs = message.get("obs")
-        if obs is None:
-            return self._bad_request("act needs an 'obs' array")
-        # Converted before admission: an obs that is not numeric (a
-        # string, an object, ragged rows) raises here and _dispatch
-        # answers BAD_REQUEST. The session checks its shape and finiteness
-        # at submit (SESSION); either way the act is never counted.
+        if isinstance(obs, np.ndarray):
+            if obs.dtype.kind not in "fiu":
+                return self._bad_request(f"obs must be a numeric array, got dtype {obs.dtype}")
+        elif not (isinstance(obs, list) and _is_number_tree(obs)):
+            return self._bad_request("act needs an 'obs' array of numbers")
         obs = np.asarray(obs, dtype=np.float64)
         # Taken as sent, like the open op's fields: float("50") is 50.0
         # and float(True) is 1.0. Absent means the configured default.

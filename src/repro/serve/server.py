@@ -23,9 +23,9 @@ sequential ones:
 - **per-session context groups** — ``policy.set_rollout_groups`` scopes
   group-level context (the Sim2Rec SADAE υ-embedding) to each session's
   block, so υ never mixes users across sessions;
-- **per-session recurrent state** — before the batch, each state part
-  is gathered once, stacking every session's saved extractor rows in
-  window order, and handed to the policy uncopied
+- **per-session recurrent state** — before the batch, the LSTM's h and
+  c are each gathered once, stacking every session's saved extractor
+  rows in window order, and handed to the policy uncopied
   (``exchange_recurrent_state``); after it, each session takes back one
   slice copy of its rows, so an interleaved session's hidden state
   evolves exactly as it would serving alone.
@@ -53,7 +53,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -225,7 +225,7 @@ class _Session:
         self.rng = rng
         self.deterministic = deterministic
         self.prev_actions: Optional[np.ndarray] = None  # zeros until first act
-        self.recurrent_state: Optional[Any] = None  # fresh = initial state
+        self.recurrent_state: Optional[Tuple[np.ndarray, np.ndarray]] = None  # fresh = initial (h, c)
         self.steps = 0
         self.pending = False
         self.version = version  # policy version that last served this session
@@ -352,7 +352,7 @@ def _fail(requests: Sequence[_Request], error: BaseException) -> None:
 
 
 def _stack_states(policy: ActorCriticBase, sessions: Sequence[_Session]):
-    """The window's extractor state: one stack per state part, or None.
+    """The window's LSTM state: the stacked ``(h, c)`` pair, or None.
 
     Rows follow the window's session order; a session that has not
     acted yet contributes the policy's initial rows. Feed-forward
@@ -366,9 +366,7 @@ def _stack_states(policy: ActorCriticBase, sessions: Sequence[_Session]):
     ]
     if states[0] is None:
         return None
-    if isinstance(states[0], tuple):
-        return tuple(np.concatenate(parts) for parts in zip(*states))
-    return np.concatenate(states)
+    return tuple(np.concatenate(parts) for parts in zip(*states))
 
 
 class PolicyServer:
@@ -708,10 +706,8 @@ class PolicyServer:
                     batch_rows=total,
                 )
         for request, session, block in zip(batch, sessions, slices):
-            if isinstance(new_state, tuple):
+            if new_state is not None:
                 session.recurrent_state = tuple(part[block].copy() for part in new_state)
-            elif new_state is not None:
-                session.recurrent_state = new_state[block].copy()
             session.prev_actions = np.array(actions[block])
             session.steps += 1
             session.pending = False

@@ -23,6 +23,20 @@ from .dataset import TrajectoryDataset
 from .learner import SimulatorLearnerConfig, UserSimulator, train_user_simulator
 
 
+def _member_mean(values: np.ndarray) -> np.ndarray:
+    """``values.mean(axis=0)`` with the member axis summed in member order.
+
+    numpy sums a reduction axis pairwise when it is the contiguous one,
+    which for a single-row batch it is, from 8 members on; summing in
+    order keeps every row's bits independent of the batch length. For
+    two or more rows this is the sum numpy itself computes.
+    """
+    total = values[0].copy()
+    for member in values[1:]:
+        total += member
+    return total / len(values)
+
+
 class SimulatorEnsemble:
     """A set of user simulators sharing input/output conventions."""
 
@@ -49,14 +63,18 @@ class SimulatorEnsemble:
         return np.stack([m.predict_mean(states, actions) for m in self.members])
 
     def uncertainty(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """U(s, a) = E_j ‖μ_j(s, a) − μ̄(s, a)‖₂ over continuous feedback dims."""
+        """U(s, a) = E_j ‖μ_j(s, a) − μ̄(s, a)‖₂ over continuous feedback dims.
+
+        Row-stable: a row's U does not depend on the other rows scored
+        with it (see :func:`_member_mean`).
+        """
         predictions = self.predict_means(states, actions)
         cont = self.members[0].continuous_idx
         if len(cont) > 0:
             predictions = predictions[:, :, cont]
-        consensus = predictions.mean(axis=0, keepdims=True)
+        consensus = _member_mean(predictions)
         deviations = np.linalg.norm(predictions - consensus, axis=-1)
-        return deviations.mean(axis=0)
+        return _member_mean(deviations)
 
     def split(self, holdout: Sequence[int]) -> Tuple["SimulatorEnsemble", "SimulatorEnsemble"]:
         """Partition into (train, holdout) sub-ensembles by member index."""

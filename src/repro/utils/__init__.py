@@ -1,12 +1,9 @@
-"""Shared utilities: seeding, normalisation, logging."""
+"""Shared utilities: seeding and metric logging."""
 
 from .logging import MetricLogger
-from .normalization import RunningMeanStd
-from .seeding import make_rng, spawn_rngs
+from .seeding import make_rng
 
 __all__ = [
     "MetricLogger",
-    "RunningMeanStd",
     "make_rng",
-    "spawn_rngs",
 ]

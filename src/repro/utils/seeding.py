@@ -1,9 +1,8 @@
 """Deterministic random-number management.
 
 Every stochastic component in the library takes an explicit
-``numpy.random.Generator``; this module provides helpers to derive
-independent child generators from a root seed so experiments are exactly
-reproducible and components do not share RNG state accidentally.
+``numpy.random.Generator``; :func:`make_rng` builds one from whatever
+seed a caller holds, so experiments are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -22,12 +21,3 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``."""
-    if isinstance(seed, np.random.Generator):
-        return [make_rng(int(seed.integers(0, 2**31 - 1))) for _ in range(count)]
-    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
-

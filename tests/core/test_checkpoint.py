@@ -8,6 +8,7 @@ flipped bit) is rejected loudly instead of resuming from garbage.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,40 @@ class TestCorruptionSafety:
             save_state(path, {"x": np.array([None], dtype=object)})
         assert path.read_bytes() == before
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
+def decaying(config):
+    """The Table II learning-rate decay (``final_learning_rate`` set)."""
+    config.ppo = replace(config.ppo, final_learning_rate=1e-5, total_iterations=6)
+
+
+class TestLearningRateSchedule:
+    def test_resume_continues_the_decay(self, tmp_path):
+        path = tmp_path / "run.npz"
+        with scenario_trainer(tweak=decaying) as trainer:
+            unbroken = run_iterations(trainer, 4)
+            expected = final_params(trainer)
+        with scenario_trainer(tweak=decaying) as trainer:
+            head = run_iterations(trainer, 2)
+            trainer.save_checkpoint(path)
+        with scenario_trainer(tweak=decaying) as trainer:
+            assert trainer.load_checkpoint(path) == 2
+            tail = run_iterations(trainer, 2)
+            resumed = final_params(trainer)
+        assert head + tail == unbroken
+        rates = [metrics["learning_rate"] for metrics in unbroken]
+        assert rates == sorted(rates, reverse=True) and rates[0] > rates[-1]
+        for key in expected:
+            np.testing.assert_array_equal(resumed[key], expected[key], err_msg=key)
+
+    def test_checkpoint_without_a_schedule_is_refused(self, tmp_path):
+        path = tmp_path / "run.npz"
+        with scenario_trainer() as trainer:
+            run_iterations(trainer, 1)
+            trainer.save_checkpoint(path)
+        with scenario_trainer(tweak=decaying) as trainer:
+            with pytest.raises(KeyError, match="no schedule state"):
+                trainer.load_checkpoint(path)
 
 
 class TestPickleArrays:

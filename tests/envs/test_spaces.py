@@ -1,11 +1,11 @@
-"""Tests for Box / Discrete spaces."""
+"""Tests for the Box space."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.envs import Box, Discrete
+from repro.envs import Box
 
 
 class TestBox:
@@ -43,22 +43,3 @@ class TestBox:
     def test_dim_matches_shape(self, n):
         box = Box(low=0.0, high=1.0, shape=(n,))
         assert box.dim == n
-
-
-class TestDiscrete:
-    def test_contains(self):
-        space = Discrete(4)
-        assert space.contains(0)
-        assert space.contains(3)
-        assert not space.contains(4)
-        assert not space.contains(-1)
-
-    def test_sample_range(self):
-        space = Discrete(3)
-        rng = np.random.default_rng(0)
-        samples = {space.sample(rng) for _ in range(100)}
-        assert samples == {0, 1, 2}
-
-    def test_invalid_n_raises(self):
-        with pytest.raises(ValueError):
-            Discrete(0)

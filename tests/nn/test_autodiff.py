@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, concat, no_grad, stack, where
+from repro.nn.tensor import affine
 
 from ..helpers import check_gradients
 
@@ -122,6 +123,57 @@ class TestMatmul:
 
     def test_matmul_broadcast_batch(self):
         check_gradients(lambda t: (t[0] @ t[1]).sum(), [rand(2, 3, 4), rand(4, 2)])
+
+    def test_matmul_vector_vector(self):
+        check_gradients(lambda t: t[0] @ t[1], [rand(4), rand(4)])
+
+    def test_matmul_vector_batched(self):
+        check_gradients(lambda t: (t[0] @ t[1]).sum(), [rand(4), rand(2, 4, 3)])
+
+
+#: (x shape, weight shape, bias) for the fused affine node, including the
+#: vector operands whose backward takes the outer-product branches.
+AFFINE_CASES = {
+    "matrix-matrix": ((3, 4), (4, 2), False),
+    "matrix-matrix-bias": ((3, 4), (4, 5), True),
+    "batched-matrix-bias": ((2, 3, 4), (4, 2), True),
+    "vector-matrix": ((4,), (4, 2), False),
+    "vector-matrix-bias": ((4,), (4, 6), True),
+    "matrix-vector": ((3, 4), (4,), False),
+    "batched-vector": ((2, 3, 4), (4,), False),
+    "vector-batched": ((4,), (2, 4, 3), False),
+    "vector-vector": ((4,), (4,), False),
+}
+
+
+class TestAffineGradients:
+    """``affine`` is one node for ``x @ W (+ b)``: its gradients are the
+    unfused pair's, bit for bit, and match finite differences."""
+
+    @pytest.mark.parametrize("case", sorted(AFFINE_CASES))
+    def test_matches_unfused_matmul_add(self, case):
+        x_shape, w_shape, with_bias = AFFINE_CASES[case]
+        rng = np.random.default_rng(len(case))
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape)]
+        if with_bias:
+            arrays.append(rng.standard_normal(w_shape[-1]))
+        weights = rng.standard_normal(np.broadcast_shapes(
+            (arrays[0] @ arrays[1]).shape
+        ))
+
+        def grads(build):
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            (build(tensors) * weights).sum().backward()
+            return [t.grad for t in tensors]
+
+        def unfused(t):
+            out = t[0] @ t[1]
+            return out + t[2] if with_bias else out
+
+        fused = grads(lambda t: affine(*t))
+        for got, want in zip(fused, grads(unfused)):
+            np.testing.assert_array_equal(got, want)
+        check_gradients(lambda t: (affine(*t) * weights).sum(), arrays)
 
 
 class TestReductions:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from repro.nn import Bernoulli, Categorical, DiagGaussian, Tensor, product_of_gaussians
+from repro.nn import Bernoulli, DiagGaussian, Tensor, product_of_gaussians
 
 from ..helpers import check_gradients
 
@@ -74,53 +74,6 @@ class TestDiagGaussian:
         check_gradients(
             lambda t: DiagGaussian(t[0], t[1]).log_prob(x).sum(),
             [RNG.standard_normal(3), RNG.standard_normal(3) * 0.1],
-        )
-
-
-class TestCategorical:
-    def test_log_prob_matches_manual(self):
-        logits = RNG.standard_normal((4, 3))
-        dist = Categorical(Tensor(logits))
-        values = np.array([0, 2, 1, 0])
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        manual = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        expected = manual[np.arange(4), values]
-        np.testing.assert_allclose(dist.log_prob(values).data, expected, atol=1e-12)
-
-    def test_sample_frequencies(self):
-        logits = np.log(np.array([0.7, 0.2, 0.1]))
-        dist = Categorical(Tensor(np.tile(logits, (20000, 1))))
-        samples = dist.sample(RNG)
-        freqs = np.bincount(samples.astype(int), minlength=3) / 20000
-        np.testing.assert_allclose(freqs, [0.7, 0.2, 0.1], atol=0.02)
-
-    def test_entropy_uniform_is_log_n(self):
-        dist = Categorical(Tensor(np.zeros(5)))
-        np.testing.assert_allclose(dist.entropy().item(), np.log(5), atol=1e-10)
-
-    def test_kl_self_zero(self):
-        logits = RNG.standard_normal((2, 4))
-        dist = Categorical(Tensor(logits))
-        np.testing.assert_allclose(dist.kl(dist).data, np.zeros(2), atol=1e-12)
-
-    def test_kl_matches_scipy(self):
-        p_logits = RNG.standard_normal(4)
-        q_logits = RNG.standard_normal(4)
-        p = np.exp(p_logits) / np.exp(p_logits).sum()
-        q = np.exp(q_logits) / np.exp(q_logits).sum()
-        expected = stats.entropy(p, q)
-        ours = Categorical(Tensor(p_logits)).kl(Categorical(Tensor(q_logits))).item()
-        np.testing.assert_allclose(ours, expected, atol=1e-10)
-
-    def test_mode(self):
-        logits = np.array([[0.1, 5.0, 0.2], [3.0, 0.0, 0.1]])
-        np.testing.assert_array_equal(Categorical(Tensor(logits)).mode(), [1, 0])
-
-    def test_log_prob_gradient(self):
-        values = np.array([1, 0])
-        check_gradients(
-            lambda t: Categorical(t[0]).log_prob(values).sum(),
-            [RNG.standard_normal((2, 3))],
         )
 
 

@@ -1,72 +1,13 @@
-"""Tests for composite differentiable functions (softmax, losses)."""
+"""Tests for composite differentiable functions (Gaussian log-density, losses)."""
 
 import numpy as np
-from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import norm
 
-from repro.nn import (
-    Tensor,
-    gaussian_log_prob,
-    log_softmax,
-    logsumexp,
-    mse_loss,
-    softmax,
-)
+from repro.nn import Tensor, gaussian_log_prob, mse_loss
 
 from ..helpers import check_gradients
 
 RNG = np.random.default_rng(1)
-
-
-class TestSoftmax:
-    def test_sums_to_one(self):
-        logits = RNG.standard_normal((4, 5))
-        probs = softmax(Tensor(logits)).data
-        np.testing.assert_allclose(probs.sum(axis=-1), np.ones(4), atol=1e-12)
-
-    def test_matches_scipy(self):
-        logits = RNG.standard_normal((3, 6))
-        expected = np.exp(logits - scipy_logsumexp(logits, axis=-1, keepdims=True))
-        np.testing.assert_allclose(softmax(Tensor(logits)).data, expected, atol=1e-12)
-
-    def test_stable_for_large_logits(self):
-        logits = np.array([[1000.0, 1001.0, 999.0]])
-        probs = softmax(Tensor(logits)).data
-        assert np.all(np.isfinite(probs))
-        np.testing.assert_allclose(probs.sum(), 1.0)
-
-    def test_gradient(self):
-        logits = RNG.standard_normal((2, 4))
-        weights = RNG.standard_normal((2, 4))
-        check_gradients(lambda t: (softmax(t[0]) * weights).sum(), [logits])
-
-
-class TestLogsumexp:
-    def test_matches_scipy(self):
-        logits = RNG.standard_normal((3, 5))
-        ours = logsumexp(Tensor(logits), axis=-1).data
-        np.testing.assert_allclose(ours, scipy_logsumexp(logits, axis=-1), atol=1e-12)
-
-    def test_keepdims(self):
-        logits = RNG.standard_normal((3, 5))
-        out = logsumexp(Tensor(logits), axis=-1, keepdims=True)
-        assert out.shape == (3, 1)
-
-    def test_gradient(self):
-        logits = RNG.standard_normal((2, 3))
-        check_gradients(lambda t: logsumexp(t[0], axis=-1).sum(), [logits])
-
-
-class TestLogSoftmax:
-    def test_exp_sums_to_one(self):
-        logits = RNG.standard_normal((4, 5))
-        out = log_softmax(Tensor(logits)).data
-        np.testing.assert_allclose(np.exp(out).sum(axis=-1), np.ones(4), atol=1e-12)
-
-    def test_gradient(self):
-        logits = RNG.standard_normal((2, 4))
-        weights = RNG.standard_normal((2, 4))
-        check_gradients(lambda t: (log_softmax(t[0]) * weights).sum(), [logits])
 
 
 class TestGaussianLogProb:

@@ -1,9 +1,9 @@
-"""Tests for Linear / MLP / LayerNorm / Embedding and the Module system."""
+"""Tests for Linear / MLP and the Module system."""
 
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Embedding, LayerNorm, Linear, Module, Parameter, Tensor
+from repro.nn import ACTIVATIONS, MLP, Linear, Module, Parameter, Tensor
 
 from ..helpers import check_gradients
 
@@ -64,10 +64,28 @@ class TestMLP:
         with pytest.raises(ValueError):
             MLP([4], RNG)
 
-    def test_out_activation(self):
-        mlp = MLP([3, 4, 2], RNG, out_activation="sigmoid")
-        out = mlp(Tensor(RNG.standard_normal((5, 3)))).data
-        assert np.all((out > 0) & (out < 1))
+    def test_hidden_activations_are_tanh_and_relu(self):
+        assert sorted(ACTIVATIONS) == ["relu", "tanh"]
+        with pytest.raises(KeyError):
+            MLP([3, 4, 2], RNG, activation="sigmoid")
+
+    @pytest.mark.parametrize(
+        "activation,hidden_gain", [("tanh", 1.0), ("relu", np.sqrt(2.0))], ids=["tanh", "relu"]
+    )
+    @pytest.mark.parametrize("sizes", [[3, 8, 8, 2], [16, 4, 6]], ids=["widening", "narrowing"])
+    def test_every_layer_is_orthogonal(self, sizes, activation, hidden_gain):
+        """Each weight is a C-ordered (semi-)orthogonal matrix scaled by
+        its gain (the activation's for hidden layers, ``out_gain`` for the
+        last one), and every bias starts at zero."""
+        mlp = MLP(sizes, np.random.default_rng(3), activation=activation, out_gain=0.01)
+        gains = [hidden_gain] * (len(sizes) - 2) + [0.01]
+        for layer, gain in zip(mlp.layers, gains):
+            weight = layer.weight.data
+            assert weight.flags["C_CONTIGUOUS"]
+            fan_in, fan_out = weight.shape
+            gram = weight.T @ weight if fan_in >= fan_out else weight @ weight.T
+            np.testing.assert_allclose(gram, gain**2 * np.eye(min(fan_in, fan_out)), atol=1e-12)
+            np.testing.assert_array_equal(layer.bias.data, np.zeros(fan_out))
 
     def test_relu_activation(self):
         mlp = MLP([3, 4, 2], RNG, activation="relu")
@@ -82,7 +100,7 @@ class TestMLP:
 
     def test_parameter_count(self):
         mlp = MLP([3, 4, 2], RNG)
-        assert mlp.num_parameters() == (3 * 4 + 4) + (4 * 2 + 2)
+        assert sum(param.size for param in mlp.parameters()) == (3 * 4 + 4) + (4 * 2 + 2)
 
     def test_training_reduces_loss(self):
         from repro.nn import Adam, mse_loss
@@ -100,41 +118,6 @@ class TestMLP:
             if first_loss is None:
                 first_loss = loss.item()
         assert loss.item() < first_loss * 0.2
-
-
-class TestLayerNorm:
-    def test_normalises(self):
-        ln = LayerNorm(8)
-        out = ln(Tensor(RNG.standard_normal((4, 8)) * 5 + 3)).data
-        np.testing.assert_allclose(out.mean(axis=-1), np.zeros(4), atol=1e-6)
-        np.testing.assert_allclose(out.std(axis=-1), np.ones(4), atol=1e-2)
-
-    def test_gradients(self):
-        ln = LayerNorm(4)
-        ln(Tensor(RNG.standard_normal((3, 4)))).sum().backward()
-        assert ln.gamma.grad is not None
-        assert ln.beta.grad is not None
-
-
-class TestEmbedding:
-    def test_lookup_shape(self):
-        emb = Embedding(10, 4, RNG)
-        out = emb(np.array([1, 5, 9]))
-        assert out.shape == (3, 4)
-
-    def test_out_of_range_raises(self):
-        emb = Embedding(10, 4, RNG)
-        with pytest.raises(IndexError):
-            emb(np.array([10]))
-        with pytest.raises(IndexError):
-            emb(np.array([-1]))
-
-    def test_gradient_accumulates_for_repeated_ids(self):
-        emb = Embedding(5, 2, RNG)
-        emb(np.array([2, 2, 3])).sum().backward()
-        np.testing.assert_allclose(emb.weight.grad[2], [2.0, 2.0])
-        np.testing.assert_allclose(emb.weight.grad[3], [1.0, 1.0])
-        np.testing.assert_allclose(emb.weight.grad[0], [0.0, 0.0])
 
 
 class TestModuleSystem:

@@ -6,11 +6,11 @@ Three guarantees:
    recorded, even when parameters are involved (the ops return through
    the graphless constructor);
 2. the fast path changes no numbers: forward results are bit-identical
-   to the graph-building path for Linear/MLP and both recurrent cells,
-   and the array-level step the policies run (``MLP.infer``, the array
+   to the graph-building path for Linear/MLP and the LSTM cell, and the
+   array-level step the policies run (``MLP.infer``, the array
    Gaussian head) equals the graph path for every batch shape, head
    width and activation;
-3. train-mode gradients (fused ``affine``, GRU/LSTM cells) still match
+3. train-mode gradients (fused ``affine``, the LSTM cell) still match
    finite differences.
 """
 
@@ -69,14 +69,12 @@ class TestNoClosuresUnderNoGrad:
     def test_modules_under_no_grad(self):
         mlp = nn.MLP([5, 8, 3], RNG)
         lstm = nn.LSTMCell(5, 7, RNG)
-        gru = nn.GRUCell(5, 7, RNG)
         x = nn.Tensor(RNG.standard_normal((6, 5)))
         with nn.no_grad():
             assert_graphless(mlp(x))
             h, (h2, c2) = lstm(x, lstm.initial_state(6))
             assert_graphless(h)
             assert_graphless(c2)
-            assert_graphless(gru(x, gru.initial_state(6)))
 
     def test_graph_still_built_when_grad_enabled(self):
         layer = nn.Linear(4, 2, RNG)
@@ -107,27 +105,15 @@ class TestFastPathMatchesGraphPath:
             np.testing.assert_array_equal(h_fast.data, h_slow.data)
             np.testing.assert_array_equal(fast_state[1].data, slow_state[1].data)
 
-    def test_gru_cell_multi_step_bitwise(self):
-        cell = nn.GRUCell(10, 16, RNG)
-        xs = RNG.standard_normal((5, 8, 10))
-        h_fast = cell.initial_state(8)
-        h_slow = cell.initial_state(8)
-        for t in range(5):
-            with nn.no_grad():
-                h_fast = cell(nn.Tensor(xs[t]), h_fast)
-            h_slow = cell(nn.Tensor(xs[t]), h_slow)
-            np.testing.assert_array_equal(h_fast.data, h_slow.data)
-
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("batch", [1, 2, 7, 1200])
-    @pytest.mark.parametrize("kind", ["lstm", "gru"])
-    def test_cell_bitwise_on_saturating_and_non_finite_inputs(self, kind, batch):
+    @pytest.mark.parametrize("batch", [1, 2, 7, 1200], ids=lambda batch: f"lstm-{batch}")
+    def test_cell_bitwise_on_saturating_and_non_finite_inputs(self, batch):
         """The one contiguous gate pass against the graph path: inputs
         scaled so pre-activations cross ±60 (where the sigmoid clamp
         acts), plus a row holding ±inf and a row holding NaN. The fused
         ``unroll`` forward must match the same per-step graph."""
         rng = np.random.default_rng(batch)
-        cell = (nn.LSTMCell if kind == "lstm" else nn.GRUCell)(6, 16, rng)
+        cell = nn.LSTMCell(6, 16, rng)
         xs = rng.standard_normal((4, batch, 6)) * 60.0
         pre = xs[0] @ cell.weight_ih.data
         assert pre.max() > 60.0 and pre.min() < -60.0
@@ -135,20 +121,15 @@ class TestFastPathMatchesGraphPath:
             xs[:, 0, 0], xs[:, 0, 1] = np.inf, -np.inf
             xs[:, -1, 2] = np.nan
 
-        def run(state, x):
-            out = cell(nn.Tensor(x), state)
-            return out if kind == "lstm" else (out, out)
-
         fast_state = slow_state = cell.initial_state(batch)
         slow_hidden = []
         for x in xs:
             with nn.no_grad():
-                h_fast, fast_state = run(fast_state, x)
-            h_slow, slow_state = run(slow_state, x)
+                h_fast, fast_state = cell(nn.Tensor(x), fast_state)
+            h_slow, slow_state = cell(nn.Tensor(x), slow_state)
             slow_hidden.append(h_slow.data)
             assert np.array_equal(h_fast.data, h_slow.data, equal_nan=True)
-            if kind == "lstm":
-                assert np.array_equal(fast_state[1].data, slow_state[1].data, equal_nan=True)
+            assert np.array_equal(fast_state[1].data, slow_state[1].data, equal_nan=True)
         assert np.array_equal(
             cell.unroll(nn.Tensor(xs)).data, np.stack(slow_hidden), equal_nan=True
         )
@@ -157,13 +138,14 @@ class TestFastPathMatchesGraphPath:
 
     def test_scratch_reuse_across_batch_sizes(self):
         """Changing batch size mid-stream must not corrupt the scratch."""
-        cell = nn.GRUCell(4, 6, RNG)
+        cell = nn.LSTMCell(4, 6, RNG)
         for batch in (3, 9, 3):
             x = RNG.standard_normal((batch, 4))
             with nn.no_grad():
-                fast = cell(nn.Tensor(x), cell.initial_state(batch)).data
-            slow = cell(nn.Tensor(x), cell.initial_state(batch)).data
-            np.testing.assert_array_equal(fast, slow)
+                fast, (_, fast_c) = cell(nn.Tensor(x), cell.initial_state(batch))
+            slow, (_, slow_c) = cell(nn.Tensor(x), cell.initial_state(batch))
+            np.testing.assert_array_equal(fast.data, slow.data)
+            np.testing.assert_array_equal(fast_c.data, slow_c.data)
 
     def test_value_head_row_stability(self):
         """Single-output affine must give identical rows regardless of how
@@ -187,7 +169,7 @@ class TestArrayForwardMatchesGraphPath:
         """1-row and odd-row batches, narrow heads of 1-3 columns (the
         per-row reduction rule), a gemm-wide head and 3-D inputs."""
         rng = np.random.default_rng(out_dim)
-        mlp = nn.MLP([6, 9, 11, out_dim], rng, activation=activation, out_activation=activation)
+        mlp = nn.MLP([6, 9, 11, out_dim], rng, activation=activation)
         x = rng.standard_normal(batch + (6,)) * 3.0
         graph = mlp(nn.Tensor(x, requires_grad=True))
         assert graph.requires_grad  # the reference really is the graph path
@@ -252,15 +234,6 @@ class TestTrainGradientsUnchanged:
             func,
             [RNG.standard_normal((4, 3)), RNG.standard_normal((3, 2)), RNG.standard_normal(2)],
         )
-
-    def test_gru_cell_gradcheck(self):
-        cell = nn.GRUCell(3, 4, np.random.default_rng(1))
-
-        def func(tensors):
-            x, h = tensors
-            return cell(x, h).sum()
-
-        check_gradients(func, [RNG.standard_normal((2, 3)), RNG.standard_normal((2, 4))])
 
     def test_lstm_cell_gradcheck(self):
         cell = nn.LSTMCell(3, 4, np.random.default_rng(2))

@@ -1,55 +1,15 @@
-"""Tests for optimisers, LR schedules and gradient clipping."""
+"""Tests for the Adam optimiser, its LR schedule and gradient clipping."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Adam, LinearLRSchedule, Parameter, SGD, Tensor, clip_grad_norm
+from repro.nn import Adam, LinearLRSchedule, Parameter, Tensor, clip_grad_norm
 
 RNG = np.random.default_rng(4)
 
 
 def quadratic_loss(param: Parameter) -> Tensor:
     return ((param - 3.0) ** 2.0).sum()
-
-
-class TestSGD:
-    def test_single_step(self):
-        param = Parameter(np.array([0.0]))
-        optimizer = SGD([param], lr=0.1)
-        quadratic_loss(param).backward()
-        optimizer.step()
-        np.testing.assert_allclose(param.data, [0.6])  # grad = -6, step = 0.1*(-6)
-
-    def test_momentum_accumulates(self):
-        param = Parameter(np.array([0.0]))
-        optimizer = SGD([param], lr=0.1, momentum=0.9)
-        for _ in range(2):
-            optimizer.zero_grad()
-            quadratic_loss(param).backward()
-            optimizer.step()
-        # step1: v=-6, x=0.6; step2: v=0.9*(-6)+(-4.8)=-10.2, x=0.6+1.02
-        np.testing.assert_allclose(param.data, [1.62])
-
-    def test_converges_on_quadratic(self):
-        param = Parameter(np.array([0.0]))
-        optimizer = SGD([param], lr=0.1)
-        for _ in range(100):
-            optimizer.zero_grad()
-            quadratic_loss(param).backward()
-            optimizer.step()
-        np.testing.assert_allclose(param.data, [3.0], atol=1e-6)
-
-    def test_skips_params_without_grad(self):
-        p1 = Parameter(np.array([1.0]))
-        p2 = Parameter(np.array([2.0]))
-        optimizer = SGD([p1, p2], lr=0.1)
-        (p1 * 2.0).sum().backward()
-        optimizer.step()
-        np.testing.assert_allclose(p2.data, [2.0])
-
-    def test_empty_params_raises(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
 
 
 class TestAdam:
@@ -86,6 +46,20 @@ class TestAdam:
         quadratic_loss(param).backward()
         optimizer.zero_grad()
         assert param.grad is None
+
+    def test_skips_params_without_grad(self):
+        p1 = Parameter(np.array([1.0]))
+        p2 = Parameter(np.array([2.0]))
+        optimizer = Adam([p1, p2], lr=0.1, weight_decay=1.0)
+        (p1 * 2.0).sum().backward()
+        optimizer.step()
+        np.testing.assert_array_equal(p2.data, [2.0])
+        np.testing.assert_array_equal(optimizer.state_dict()["m.1"], [0.0])
+        assert p1.data[0] != 1.0
+
+    def test_empty_params_raises(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
 
 
 class TestClipGradNorm:
@@ -156,23 +130,19 @@ class TestOptimizerStateDicts:
             quadratic_loss(param).backward()
             optimizer.step()
 
-    @pytest.mark.parametrize("factory", [
-        lambda p: SGD([p], lr=0.05, momentum=0.9),
-        lambda p: Adam([p], lr=0.05),
-    ])
-    def test_restored_optimizer_continues_identically(self, factory):
+    def test_restored_optimizer_continues_identically(self):
         unbroken = Parameter(np.array([0.0, 1.0]))
-        opt_a = factory(unbroken)
+        opt_a = Adam([unbroken], lr=0.05)
         self.run_steps(opt_a, unbroken, 6)
 
         resumed = Parameter(np.array([0.0, 1.0]))
-        opt_b = factory(resumed)
+        opt_b = Adam([resumed], lr=0.05)
         self.run_steps(opt_b, resumed, 3)
         snapshot = opt_b.state_dict()
         params_at_snap = resumed.data.copy()
 
         fresh = Parameter(params_at_snap)
-        opt_c = factory(fresh)
+        opt_c = Adam([fresh], lr=0.05)
         opt_c.load_state_dict(snapshot)
         self.run_steps(opt_c, fresh, 3)
         np.testing.assert_array_equal(fresh.data, unbroken.data)
@@ -188,10 +158,10 @@ class TestOptimizerStateDicts:
         assert clone._step_count == 4
 
     def test_missing_slot_raises(self):
-        optimizer = SGD([Parameter(np.zeros(2))], lr=0.1, momentum=0.5)
+        optimizer = Adam([Parameter(np.zeros(2))], lr=0.1)
         state = optimizer.state_dict()
-        del state["velocity.0"]
-        with pytest.raises(KeyError, match="velocity.0"):
+        del state["v.0"]
+        with pytest.raises(KeyError, match="v.0"):
             optimizer.load_state_dict(state)
 
     def test_shape_mismatch_raises(self):

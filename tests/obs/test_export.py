@@ -79,6 +79,37 @@ class TestPrometheusText:
         with pytest.raises(ValueError, match="malformed"):
             parse_prometheus_text('name{k=unquoted} 1\n')
 
+    def test_multi_label_samples_roundtrip(self):
+        """Label values may hold commas, quotes, backslashes and newlines:
+        the parser splits labels on commas outside quotes only."""
+        registry = MetricsRegistry()
+        counter = registry.counter("calls_total", "calls", ("op", "replica"))
+        counter.labels("act,end", 'a"b\\c').inc(2)
+        counter.labels("open", "line\nbreak").inc(5)
+        histogram = registry.histogram("wait_seconds", "wait", ("replica",), buckets=(1.0,))
+        histogram.labels("x,y").observe(0.5)
+        parsed = parse_prometheus_text(to_prometheus_text(registry.snapshot()))
+        assert sorted(parsed["calls_total"], key=lambda item: item[1]) == [
+            ({"op": "act,end", "replica": 'a"b\\c'}, 2.0),
+            ({"op": "open", "replica": "line\nbreak"}, 5.0),
+        ]
+        assert parsed["wait_seconds_bucket"] == [
+            ({"replica": "x,y", "le": "1"}, 1.0),
+            ({"replica": "x,y", "le": "+Inf"}, 1.0),
+        ]
+
+    @pytest.mark.parametrize("value,text", [(math.inf, "+Inf"), (-math.inf, "-Inf")], ids=["plus", "minus"])
+    def test_infinite_values_render_signed(self, value, text):
+        registry = MetricsRegistry()
+        registry.gauge("g").set(value)
+        exposition = to_prometheus_text(registry.snapshot())
+        assert f"g {text}" in exposition
+        assert parse_prometheus_text(exposition)["g"] == [({}, value)]
+
+    def test_parse_rejects_a_sample_without_a_name(self):
+        with pytest.raises(ValueError, match="malformed metric name"):
+            parse_prometheus_text('{k="v"} 1\n')
+
 
 class TestHTTPExporter:
     def _get(self, address, path):
@@ -125,6 +156,14 @@ class TestHTTPExporter:
         exporter.start()
         exporter.close()
         exporter.close()
+
+    def test_start_twice_serves_one_endpoint(self):
+        with MetricsHTTPExporter(sample_registry()) as exporter:
+            address = exporter.address
+            assert exporter.start() is exporter
+            assert exporter.address == address
+            body, _ = self._get(address, "/healthz")
+            assert body == "ok\n"
 
 
 class TestJSONLSink:

@@ -181,6 +181,23 @@ class TestQuantiles:
     def test_overflow_bucket_reports_last_finite_edge(self):
         assert quantile_from_buckets((1.0, 2.0), [0, 0, 5], 5, 0.99) == 2.0
 
+    @pytest.mark.parametrize(
+        "counts,q,expected",
+        [
+            ([2, 3, 5, 0], 0.25, 1.0 + 0.5 / 3.0),
+            ([2, 3, 5, 0], 0.5, 2.0),
+            ([2, 3, 5, 0], 0.9, 3.6),
+            ([2, 0, 8, 0], 0.6, 3.0),
+        ],
+        ids=["second-bucket", "second-bucket-top", "third-bucket", "past-an-empty-bucket"],
+    )
+    def test_interpolates_inside_a_later_bucket(self, counts, q, expected):
+        """The rank walks past the earlier buckets' counts (and any empty
+        bucket) before interpolating: edges 1, 2, 4."""
+        assert quantile_from_buckets((1.0, 2.0, 4.0), counts, sum(counts), q) == pytest.approx(
+            expected
+        )
+
     def test_out_of_range_quantile_raises(self):
         with pytest.raises(MetricError, match="quantile"):
             quantile_from_buckets((1.0,), [1, 0], 1, 1.5)

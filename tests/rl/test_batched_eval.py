@@ -92,15 +92,6 @@ class TestBatchedEvaluationEquivalence:
         ]
         assert_batched_eval_identical(policy, segments, idxs)
 
-    def test_gru_policy(self):
-        world = make_world(num_cities=3, drivers_per_city=5, horizon=4, seed=11)
-        policy = RecurrentActorCritic(
-            13, 2, np.random.default_rng(2), lstm_hidden=16, head_hidden=(32,), cell="gru"
-        )
-        segments = collect_world_segments(world, policy)
-        idxs = [np.arange(s.num_users)[::2] for s in segments]
-        assert_batched_eval_identical(policy, segments, idxs)
-
     def test_horizon_one_segments(self):
         """Length-1 segments: the shortest possible bucket still batches."""
         world = make_world()
@@ -146,19 +137,6 @@ class TestBatchedEvaluationEquivalence:
             )
 
 
-def sim2rec_policy(cell):
-    """The DPR Sim2Rec policy, with its LSTM extractor swapped for a GRU
-    of the same size when ``cell == "gru"``."""
-    policy = build_sim2rec_policy(13, 2, dpr_small_config(seed=0))
-    if cell == "gru":
-        lstm = policy.extractor
-        policy.extractor = nn.GRUCell(
-            lstm.input_size, lstm.hidden_size, np.random.default_rng(5)
-        )
-        policy.cell_type = "gru"
-    return policy
-
-
 #: Minibatch layouts over a 4-city, 7-driver world: every segment whole,
 #: one user per segment, and the uneven split PPO's minibatching produces.
 LAYOUTS = {
@@ -189,10 +167,9 @@ class TestBatchedGradients:
     ≤1e-10 relative. Each path is evaluated once per rng reset — a second
     ``evaluate_segment`` call would draw fresh υ noise."""
 
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    @pytest.mark.parametrize("cell", ["lstm", "gru"])
-    def test_sim2rec_gradients_match_per_segment(self, cell, layout):
-        policy = sim2rec_policy(cell)
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS), ids=lambda layout: f"lstm-{layout}")
+    def test_sim2rec_gradients_match_per_segment(self, layout):
+        policy = build_sim2rec_policy(13, 2, dpr_small_config(seed=0))
         segments = collect_world_segments(make_world(), policy)
         idxs = LAYOUTS[layout](segments[0].num_users)
         assert_batched_eval_identical(policy, segments, idxs)
@@ -222,7 +199,7 @@ class TestBatchedGradients:
     def test_sim2rec_gradients_match_per_segment_on_ragged_runs(self):
         """Group sizes 7, 7, 5, 5, 7: three stacked SADAE runs, same
         gradients as one segment at a time."""
-        policy = sim2rec_policy("lstm")
+        policy = build_sim2rec_policy(13, 2, dpr_small_config(seed=0))
         seven = collect_world_segments(make_world(), policy)
         five = collect_world_segments(make_world(drivers_per_city=5, seed=4), policy)
         segments = [seven[0], seven[1], five[0], five[1], seven[2]]
@@ -264,7 +241,7 @@ class TestBatchedGradients:
             return original(self, states, actions, rng)
 
         monkeypatch.setattr(SADAE, "embed_tensor", counting)
-        policy = sim2rec_policy("lstm")
+        policy = build_sim2rec_policy(13, 2, dpr_small_config(seed=0))
         seven = collect_world_segments(make_world(), policy)
         if layout == "equal":
             segments = seven
@@ -305,9 +282,6 @@ def fresh_policy_and_segments(num_segments=3, horizon=5, seed=9, policy=None):
 UPDATE_POLICIES = {
     "mlp": lambda rng: MLPActorCritic(2, 1, rng, hidden_sizes=(8,)),
     "lstm": lambda rng: RecurrentActorCritic(2, 1, rng, lstm_hidden=8, head_hidden=(16,)),
-    "gru": lambda rng: RecurrentActorCritic(
-        2, 1, rng, lstm_hidden=8, head_hidden=(16,), cell="gru"
-    ),
     "sim2rec": lambda rng: build_sim2rec_policy(2, 1, dpr_small_config(seed=0)),
 }
 
@@ -321,7 +295,9 @@ def reference_update(ppo, buffer):
     for epoch in range(ppo.config.update_epochs):
         for index, segment in enumerate(buffer):
             for user_idx in ppo._user_minibatches(segment, epoch, index):
-                targets = ppo._minibatch_targets(segment, user_idx)
+                targets = ppo._minibatch_targets(
+                    segment, segment.normalized_advantages(), user_idx
+                )
                 outputs = ppo.policy.evaluate_segment(segment, user_idx)
                 ppo._loss_step(*outputs, *targets)
 

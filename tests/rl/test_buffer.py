@@ -47,6 +47,34 @@ class TestRolloutSegment:
                 last_values=rng.standard_normal(3),
             )
 
+    @pytest.mark.parametrize(
+        "name,shape,message",
+        [
+            ("states", (4, 3, 4), "states shape"),
+            ("actions", (5, 2, 2), "actions shape"),
+            ("prev_actions", (5, 3, 1), "prev_actions must match"),
+            ("dones", (5, 2), "dones must have shape"),
+            ("values", (5,), "values must have shape"),
+            ("log_probs", (5, 3, 1), "log_probs must have shape"),
+            ("last_values", (5, 3), "last_values must have shape"),
+        ],
+        ids=["states", "actions", "prev_actions", "dones", "values", "log_probs", "last_values"],
+    )
+    def test_each_field_shape_is_checked(self, name, shape, message):
+        """Every array is checked against the rewards' [T, N], one field
+        at a time, and the error names the field that is off."""
+        segment = make_segment()
+        fields = {
+            key: getattr(segment, key)
+            for key in (
+                "states", "prev_actions", "actions", "rewards", "dones",
+                "values", "log_probs", "last_values",
+            )
+        }
+        fields[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=message):
+            RolloutSegment(**fields)
+
     def test_finalize_populates_fields(self):
         segment = make_segment()
         segment.finalize(gamma=0.9, lam=0.9)
@@ -93,7 +121,7 @@ class TestRolloutBuffer:
         buffer.add(make_segment(seed=0))
         buffer.add(make_segment(seed=1))
         assert len(buffer) == 2
-        assert buffer.total_steps == 2 * 5 * 3
+        assert [segment.rewards.shape for segment in buffer] == [(5, 3), (5, 3)]
 
     def test_finalize_all(self):
         buffer = RolloutBuffer()

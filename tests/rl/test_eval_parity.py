@@ -13,7 +13,7 @@ across
 - one in-process pool over all envs,
 - sharded pools with {1, 2, 4} workers (replica acting in the workers),
 
-for MLP / LSTM / GRU / Sim2Rec policies, deterministic and stochastic
+for MLP / LSTM / Sim2Rec policies, deterministic and stochastic
 action modes, multi-episode sweeps with discounting, ragged LTS / DPR /
 SlateRec layouts and heterogeneous horizons (the pool masks finished
 members' rewards to zero, so totals are layout-invariant). Sim2Rec
@@ -119,11 +119,6 @@ def make_policy(kind, state_dim, action_dim):
             state_dim, action_dim, np.random.default_rng(0),
             lstm_hidden=8, head_hidden=(16,),
         )
-    if kind == "gru":
-        return RecurrentActorCritic(
-            state_dim, action_dim, np.random.default_rng(2),
-            lstm_hidden=8, head_hidden=(16,), cell="gru",
-        )
     if kind == "sim2rec":
         return build_sim2rec_policy(state_dim, action_dim, dpr_small_config(seed=0))
     raise ValueError(kind)
@@ -198,7 +193,7 @@ def pooled_eval(env_factory, policy, deterministic, workers=0, episodes=EPISODES
 LAYOUT_NAMES = ["native", *sorted(LAYOUTS)]
 
 
-@pytest.mark.parametrize("kind", ["mlp", "recurrent", "gru", "sim2rec"])
+@pytest.mark.parametrize("kind", ["mlp", "recurrent", "sim2rec"])
 class TestEvalParity:
     def test_in_process_pool_matches_solo_deterministic(self, kind):
         env_factory, policy, _ = setup_case("native", kind)

@@ -165,6 +165,14 @@ class TestRecurrentActorCritic:
         policy = self.make_policy()
         assert policy.context_dim == 0
 
+    def test_extractor_is_an_lstm_cell(self):
+        """φ is the paper's LSTM, and its state is the (h, c) pair."""
+        policy = self.make_policy()
+        assert isinstance(policy.extractor, nn.LSTMCell)
+        policy.start_rollout(2)
+        h, c = policy.recurrent_state()
+        assert h.shape == c.shape == (2, 8)
+
     def test_as_act_fn_protocol(self):
         policy = self.make_policy()
         act_fn = policy.as_act_fn(np.random.default_rng(0))
@@ -196,18 +204,13 @@ POLICIES = {
     "lstm": lambda ds, da, rng: RecurrentActorCritic(
         ds, da, rng, lstm_hidden=8, head_hidden=(16,)
     ),
-    "gru": lambda ds, da, rng: RecurrentActorCritic(
-        ds, da, rng, lstm_hidden=8, head_hidden=(16,), cell="gru"
-    ),
     "sim2rec": make_sim2rec,
 }
 
 
 def state_arrays(policy):
     state = policy.recurrent_state()
-    if state is None:
-        return []
-    return list(state) if isinstance(state, tuple) else [state]
+    return [] if state is None else list(state)
 
 
 class TestActionsOnly:
@@ -259,7 +262,7 @@ class TestActionsOnly:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-@pytest.mark.parametrize("kind", ["lstm", "gru", "sim2rec"])
+@pytest.mark.parametrize("kind", ["lstm", "sim2rec"])
 def test_snapshots_are_copies_and_exchange_hands_over(kind):
     """``recurrent_state`` / ``set_recurrent_state`` copy; the serving
     kernel's ``exchange_recurrent_state`` adopts and returns uncopied."""
@@ -268,20 +271,19 @@ def test_snapshots_are_copies_and_exchange_hands_over(kind):
     policy.act(RNG.standard_normal((3, 13)), np.zeros((3, 2)), np.random.default_rng(0))
     live = [part.copy() for part in state_arrays(policy)]
     snapshot = policy.recurrent_state()
-    parts = snapshot if isinstance(snapshot, tuple) else (snapshot,)
-    for part in parts:
+    for part in snapshot:
         part[...] = 7.0  # writing a snapshot leaves the policy alone
     assert all(np.array_equal(a, b) for a, b in zip(state_arrays(policy), live))
     policy.set_recurrent_state(snapshot)
-    for part in parts:
+    for part in snapshot:
         part[...] = 8.0  # and so does writing what was restored
     assert all((part == 7.0).all() for part in state_arrays(policy))
 
     fresh = policy.initial_recurrent_state(3)
-    fresh_parts = fresh if isinstance(fresh, tuple) else (fresh,)
-    assert all(part.shape == (3, 8) and not part.any() for part in fresh_parts)
+    assert len(fresh) == 2
+    assert all(part.shape == (3, 8) and not part.any() for part in fresh)
     handed = policy.exchange_recurrent_state(fresh)
-    assert all((part == 7.0).all() for part in (handed if isinstance(handed, tuple) else (handed,)))
+    assert all((part == 7.0).all() for part in handed)
     assert policy.exchange_recurrent_state(None) is fresh
     assert policy.recurrent_state() is None
 

@@ -1,83 +1,12 @@
-"""Tests for the GRU extractor option and full-policy checkpointing."""
+"""Tests for full-policy checkpointing (SADAE, extractor, heads, normalisers)."""
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core import SADAE, SADAEConfig, Sim2RecPolicy
-from repro.envs import LTSConfig, LTSEnv
-from repro.rl import (
-    PPO,
-    PPOConfig,
-    RecurrentActorCritic,
-    RolloutBuffer,
-    collect_segment,
-)
 
 RNG = np.random.default_rng(13)
-
-
-class TestGRUExtractor:
-    def make_policy(self, cell, seed=0):
-        return RecurrentActorCritic(
-            2, 1, np.random.default_rng(seed), lstm_hidden=8, head_hidden=(16,), cell=cell
-        )
-
-    def test_unknown_cell_raises(self):
-        with pytest.raises(ValueError):
-            self.make_policy("rnn")
-
-    def test_gru_act_shapes(self):
-        policy = self.make_policy("gru")
-        policy.start_rollout(4)
-        actions, log_probs, values = policy.act(
-            RNG.standard_normal((4, 2)), np.zeros((4, 1)), RNG
-        )
-        assert actions.shape == (4, 1)
-        assert values.shape == (4,)
-
-    def test_gru_state_is_single_tensor(self):
-        policy = self.make_policy("gru")
-        policy.start_rollout(3)
-        policy.act(RNG.standard_normal((3, 2)), np.zeros((3, 1)), RNG)
-        assert isinstance(policy.recurrent_state(), np.ndarray)
-
-    def test_gru_history_affects_actions(self):
-        policy = self.make_policy("gru")
-        state = np.ones((1, 2))
-        policy.start_rollout(1)
-        fresh, _, _ = policy.act(state, np.zeros((1, 1)), RNG, deterministic=True)
-        policy.start_rollout(1)
-        for _ in range(5):
-            policy.act(RNG.standard_normal((1, 2)) * 3, np.ones((1, 1)), RNG)
-        with_history, _, _ = policy.act(state, np.zeros((1, 1)), RNG, deterministic=True)
-        assert not np.allclose(fresh, with_history)
-
-    def test_gru_ppo_update_runs(self):
-        env = LTSEnv(LTSConfig(num_users=6, horizon=5, seed=0))
-        policy = self.make_policy("gru")
-        ppo = PPO(policy, PPOConfig(update_epochs=1, minibatches_per_segment=1))
-        rng = np.random.default_rng(0)
-        buffer = RolloutBuffer()
-        buffer.add(collect_segment(env, policy, rng))
-        buffer.finalize(0.99, 0.95)
-        before = policy.actor.layers[0].weight.data.copy()
-        ppo.update(buffer)
-        assert not np.allclose(before, policy.actor.layers[0].weight.data)
-
-    def test_gru_evaluate_matches_column_independence(self):
-        policy = self.make_policy("gru")
-        env = LTSEnv(LTSConfig(num_users=5, horizon=4, seed=0))
-        segment = collect_segment(env, policy, np.random.default_rng(0))
-        segment.finalize(0.99, 0.95)
-        lp_all, _, _ = policy.evaluate_segment(segment, np.arange(5))
-        lp_sub, _, _ = policy.evaluate_segment(segment, np.array([1, 3]))
-        np.testing.assert_allclose(lp_sub.data, lp_all.data[:, [1, 3]], atol=1e-12)
-
-    def test_lstm_default_unchanged(self):
-        policy = self.make_policy("lstm")
-        assert policy.cell_type == "lstm"
-        assert isinstance(policy.extractor, nn.LSTMCell)
 
 
 class TestFullPolicyCheckpoint:

@@ -125,6 +125,32 @@ class TestPPOMechanics:
         buffer.finalize(0.99, 0.95)
         ppo.update(buffer)  # must not raise
 
+    @pytest.mark.parametrize(
+        "epochs,minibatches", [(1, 1), (2, 3), (4, 4)], ids=["1x1", "2x3", "4x4"]
+    )
+    def test_advantages_normalised_once_per_segment(self, monkeypatch, epochs, minibatches):
+        """Each segment's whole-segment mean/std pass runs once per update,
+        however many epochs and minibatches then slice it."""
+        from repro.rl.buffer import RolloutSegment
+
+        rng = np.random.default_rng(0)
+        policy = MLPActorCritic(2, 1, rng, hidden_sizes=(8,))
+        ppo = PPO(policy, PPOConfig(update_epochs=epochs, minibatches_per_segment=minibatches))
+        buffer = RolloutBuffer()
+        for users in (4, 6, 5):
+            buffer.add(collect_segment(TargetActionEnv(num_users=users), policy, rng))
+        buffer.finalize(0.99, 0.95)
+        calls = []
+        original = RolloutSegment.normalized_advantages
+
+        def counting(segment):
+            calls.append(id(segment))
+            return original(segment)
+
+        monkeypatch.setattr(RolloutSegment, "normalized_advantages", counting)
+        ppo.update(buffer)
+        assert sorted(calls) == sorted(id(segment) for segment in buffer)
+
 
 def recurrent_buffer(nan_reward=False):
     """A RecurrentActorCritic and a finalized 2-segment buffer; optionally

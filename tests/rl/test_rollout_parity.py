@@ -1,12 +1,13 @@
-"""Cross-mode rollout parity: one harness, every collection path.
+"""Rollout parity: the vectorized collector against the sequential reference.
 
-The single source of truth for rollout equivalence: the ``vectorized``
-mode (one in-process pool) must produce **bitwise-identical** segments
-to the sequential per-env ``collect_segment`` loop, across ragged env
-sizes, heterogeneous horizons, truncation, extras, and MLP / Recurrent
-/ Sim2Rec policies. The harness itself lives in :mod:`repro.rl.parity`
-so ``benchmarks/perf_rollout.py`` runs the exact same check before
-timing anything.
+The single source of truth for rollout equivalence:
+``collect_segments_vec`` (one in-process pool) must produce
+**bitwise-identical** segments to the sequential per-env
+``collect_segment`` loop, across ragged env sizes, heterogeneous
+horizons, truncation, extras, and MLP / Recurrent / Sim2Rec policies.
+The comparison itself lives in :mod:`repro.rl.parity` so
+``benchmarks/perf_rollout.py`` runs the exact same check before timing
+anything.
 """
 
 import numpy as np
@@ -22,13 +23,12 @@ from repro.envs import (
     SlateRecEnv,
 )
 from repro.rl import (
-    ROLLOUT_MODES,
     MLPActorCritic,
     RecurrentActorCritic,
     VecEnvPool,
     assert_segments_identical,
-    collect_rollout_mode,
     collect_segments_sequential,
+    collect_segments_vec,
 )
 
 
@@ -96,11 +96,6 @@ def make_policy(kind: str, state_dim: int, action_dim: int):
             state_dim, action_dim, np.random.default_rng(0),
             lstm_hidden=16, head_hidden=(32,),
         )
-    if kind == "gru":
-        return RecurrentActorCritic(
-            state_dim, action_dim, np.random.default_rng(2),
-            lstm_hidden=16, head_hidden=(32,), cell="gru",
-        )
     if kind == "sim2rec":
         return build_sim2rec_policy(state_dim, action_dim, dpr_small_config(seed=0))
     raise ValueError(kind)
@@ -116,55 +111,47 @@ def collect_reference(make_envs, policy, seed, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# The acceptance grid: mode x env layout x policy family. Sim2Rec runs
-# its stacked context pass over every layout's user groups (distinct
-# sizes, finished members, slate choice models).
+# The acceptance grid: env layout x policy family. Sim2Rec runs its
+# stacked context pass over every layout's user groups (distinct sizes,
+# finished members, slate choice models).
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy_kind", ["mlp", "recurrent", "sim2rec"])
 @pytest.mark.parametrize("env_set", sorted(ENV_SETS))
-@pytest.mark.parametrize("mode", ROLLOUT_MODES[1:])
-class TestModeParity:
-    def test_bitwise_matches_sequential(self, mode, env_set, policy_kind):
+class TestCollectorParity:
+    def test_bitwise_matches_sequential(self, env_set, policy_kind):
         make_envs, state_dim, action_dim = ENV_SETS[env_set]
         policy = make_policy(policy_kind, state_dim, action_dim)
         reference = collect_reference(make_envs, policy, seed=100)
         envs = make_envs()
-        collected = collect_rollout_mode(mode, envs, policy, rngs_for(len(envs), 100))
-        assert_segments_identical(
-            reference, collected, label=f"{env_set}/{policy_kind}/{mode}"
-        )
+        collected = collect_segments_vec(envs, policy, rngs_for(len(envs), 100))
+        assert_segments_identical(reference, collected, label=f"{env_set}/{policy_kind}")
 
 
-@pytest.mark.parametrize("mode", ROLLOUT_MODES[1:])
 class TestFeatureParity:
-    def test_truncation_and_extras(self, mode):
-        """max_steps truncation + info-dict extras survive every mode."""
+    def test_truncation_and_extras(self):
+        """max_steps truncation + info-dict extras survive the pool."""
         policy = make_policy("mlp", 13, 2)
         kwargs = dict(max_steps=4, extras_from_info=("orders", "cost"))
         reference = collect_reference(make_dpr_envs, policy, seed=70, **kwargs)
         envs = make_dpr_envs()
-        collected = collect_rollout_mode(
-            mode, envs, policy, rngs_for(len(envs), 70), **kwargs
-        )
-        assert_segments_identical(reference, collected, label=f"extras/{mode}")
+        collected = collect_segments_vec(envs, policy, rngs_for(len(envs), 70), **kwargs)
+        assert_segments_identical(reference, collected, label="extras")
         assert collected[0].horizon == 4
         assert set(collected[0].extras) == {"orders", "cost"}
 
-    def test_slate_truncation_and_extras(self, mode):
+    def test_slate_truncation_and_extras(self):
         """The slate family's info-dict extras (sat/active: the churn
-        signal) and max_steps truncation survive every mode."""
+        signal) and max_steps truncation survive the pool."""
         policy = make_policy("mlp", 4, 3)
         kwargs = dict(max_steps=4, extras_from_info=("sat", "active"))
         reference = collect_reference(make_ragged_slate_envs, policy, seed=75, **kwargs)
         envs = make_ragged_slate_envs()
-        collected = collect_rollout_mode(
-            mode, envs, policy, rngs_for(len(envs), 75), **kwargs
-        )
-        assert_segments_identical(reference, collected, label=f"slate-extras/{mode}")
+        collected = collect_segments_vec(envs, policy, rngs_for(len(envs), 75), **kwargs)
+        assert_segments_identical(reference, collected, label="slate-extras")
         assert collected[0].horizon == 4
         assert set(collected[0].extras) == {"sat", "active"}
 
-    def test_sim2rec_policy_with_fitted_normalizer(self, mode):
+    def test_sim2rec_policy_with_fitted_normalizer(self):
         """SADAE context policies: υ per block + normaliser buffers in sync.
 
         The normaliser statistics are plain arrays outside state_dict;
@@ -177,15 +164,12 @@ class TestFeatureParity:
         policy.sadae.fit_normalizer(sets)
         reference = collect_reference(make_dpr_envs, policy, seed=200, max_steps=4)
         envs = make_dpr_envs()
-        collected = collect_rollout_mode(
-            mode, envs, policy, rngs_for(len(envs), 200), max_steps=4
-        )
-        assert_segments_identical(reference, collected, label=f"sim2rec/{mode}")
+        collected = collect_segments_vec(envs, policy, rngs_for(len(envs), 200), max_steps=4)
+        assert_segments_identical(reference, collected, label="sim2rec")
 
 
 class TestContinuityParity:
-    @pytest.mark.parametrize("mode", ROLLOUT_MODES[1:])
-    def test_multi_episode_rng_continuity(self, mode):
+    def test_multi_episode_rng_continuity(self):
         """Back-to-back episodes on one persistent pool keep every env
         stream and every env's internal RNG aligned with the sequential
         loop."""
@@ -196,31 +180,5 @@ class TestContinuityParity:
         pool = VecEnvPool(make_dpr_envs())
         for episode in range(2):
             reference = collect_segments_sequential(envs_seq, policy, rngs_seq)
-            collected = collect_rollout_mode(mode, [], policy, rngs_par, pool=pool)
-            assert_segments_identical(
-                reference, collected, label=f"continuity/{mode}/ep{episode}"
-            )
-
-    def test_gru_policy_odd_block_sizes(self):
-        """7 drivers/city blocks that do not align with BLAS kernel
-        chunking — the regression case for the value-head gemv fix, now
-        swept across every mode at once."""
-        policy = make_policy("gru", 13, 2)
-        reference = collect_reference(make_dpr_envs, policy, seed=300)
-        for mode in ROLLOUT_MODES[1:]:
-            envs = make_dpr_envs()
-            collected = collect_rollout_mode(mode, envs, policy, rngs_for(len(envs), 300))
-            assert_segments_identical(reference, collected, label=f"gru/{mode}")
-
-
-class TestModeDispatch:
-    """Names outside the two modes fail loudly."""
-
-    def test_step_server_mode_is_rejected(self):
-        """``sharded`` (workers step, the parent acts) is not a mode."""
-        assert ROLLOUT_MODES == ("sequential", "vectorized")
-        envs = make_dpr_envs()
-        with pytest.raises(ValueError, match="unknown rollout mode 'sharded'"):
-            collect_rollout_mode(
-                "sharded", envs, make_policy("mlp", 13, 2), rngs_for(len(envs), 0)
-            )
+            collected = collect_segments_vec(pool, policy, rngs_par)
+            assert_segments_identical(reference, collected, label=f"continuity/ep{episode}")

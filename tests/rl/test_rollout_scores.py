@@ -1,7 +1,7 @@
 """What a rollout records is what the learner recomputes, bit for bit.
 
-``act`` runs the graph-free array step (``MLP.infer``, the recurrent
-cells' ``infer``, the array Gaussian head and ``SADAE.embed``), while
+``act`` runs the graph-free array step (``MLP.infer``, the LSTM
+cell's ``infer``, the array Gaussian head and ``SADAE.embed``), while
 ``evaluate_segment`` and ``evaluate_segments_batched`` recompute the
 same quantities through the autodiff graph. At unchanged parameters the
 log-probs and values a collected segment stores must equal the
@@ -47,9 +47,6 @@ POLICIES = {
     "mlp": lambda ds, da, rng: MLPActorCritic(ds, da, rng, hidden_sizes=(8, 8)),
     "lstm": lambda ds, da, rng: RecurrentActorCritic(
         ds, da, rng, lstm_hidden=8, head_hidden=(16,)
-    ),
-    "gru": lambda ds, da, rng: RecurrentActorCritic(
-        ds, da, rng, lstm_hidden=8, head_hidden=(16,), cell="gru"
     ),
     "sim2rec": make_sim2rec,
     # The context ablation's mean/std group statistics.

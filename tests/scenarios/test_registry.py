@@ -247,6 +247,30 @@ class TestNormalization:
         )
         assert spec.params["sensitivity_range"] == [0.1, 0.2]
 
+    def test_numpy_values_become_json_values(self):
+        spec = ScenarioSpec(
+            family="slate",
+            params={"nested": {"gap": np.float32(0.5), "on": np.bool_(True)}, "ids": np.arange(2)},
+        )
+        data = spec.to_dict()
+        assert data == {"family": "slate", "seed": 0, "ids": [0, 1],
+                        "nested": {"gap": 0.5, "on": True}}
+        assert type(data["nested"]["gap"]) is float and type(data["ids"][0]) is int
+        assert type(data["nested"]["on"]) is bool
+
+    @pytest.mark.parametrize("data", [{}, {"family": ""}, {"family": None, "seed": 1}],
+                             ids=["missing", "empty", "none"])
+    def test_spec_dict_needs_a_family(self, data):
+        with pytest.raises(ValueError, match="needs a 'family' key"):
+            ScenarioSpec.from_dict(data)
+        with pytest.raises(ValueError, match="needs a 'family' key"):
+            normalize_spec(data)
+
+    @pytest.mark.parametrize("spec", [3, ["slate"], None], ids=["int", "list", "none"])
+    def test_other_spec_types_rejected(self, spec):
+        with pytest.raises(TypeError, match="expected a family name"):
+            normalize_spec(spec)
+
     def test_spec_object_accepted(self):
         spec = ScenarioSpec(family="slate", params={"num_envs": 3}, seed=5)
         scenario = make_scenario(spec)

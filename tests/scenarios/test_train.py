@@ -160,3 +160,44 @@ class TestCLI:
         assert main(config_args) == 0
         out = capsys.readouterr().out
         assert "target-env return" in out
+
+    def test_resume_continues_from_the_checkpoint(self, capsys, tmp_path):
+        import json
+
+        from repro.scenarios.__main__ import main
+
+        path = str(tmp_path / "run.ckpt")
+        base = ["train", "--scenario", json.dumps(TINY["slate"]), "--pretrain-epochs", "1",
+                "--checkpoint", path]
+        assert main([*base, "--iterations", "1"]) == 0
+        capsys.readouterr()
+        assert main([*base, "--iterations", "2", "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert f"resumed {path} at iteration 1" in out
+        assert "SADAE pretraining" not in out
+        assert "iter   1" in out and "iter   0" not in out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--resume"], "--resume needs --checkpoint"),
+            (["--scenario", "{not json"], "error:"),
+            (["--scenario", "no_such_family"], "no_such_family"),
+        ],
+        ids=["resume-without-checkpoint", "bad-json", "unknown-family"],
+    )
+    def test_bad_train_requests_exit_two(self, capsys, argv, message):
+        from repro.scenarios.__main__ import main
+
+        if "--scenario" not in argv:
+            argv = ["--scenario", "slate", *argv]
+        assert main(["train", *argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "target-env return" not in captured.out
+
+    def test_scenario_argument_is_a_name_or_a_json_dict(self):
+        from repro.scenarios.__main__ import _parse_scenario
+
+        assert _parse_scenario("  slate \n") == "slate"
+        assert _parse_scenario(' {"family": "lts", "horizon": 3}') == {"family": "lts", "horizon": 3}

@@ -23,8 +23,8 @@ STATE_DIM = 2
 ACTION_DIM = 1
 
 #: Every policy family the serving layer must batch bit-identically.
-POLICY_KINDS = ("mlp", "lstm", "gru", "sim2rec")
-RECURRENT_KINDS = ("lstm", "gru", "sim2rec")
+POLICY_KINDS = ("mlp", "lstm", "sim2rec")
+RECURRENT_KINDS = ("lstm", "sim2rec")
 
 
 def make_policy(kind: str):
@@ -33,10 +33,10 @@ def make_policy(kind: str):
         return MLPActorCritic(
             STATE_DIM, ACTION_DIM, np.random.default_rng(1), hidden_sizes=(16,)
         )
-    if kind in ("lstm", "gru"):
+    if kind == "lstm":
         return RecurrentActorCritic(
             STATE_DIM, ACTION_DIM, np.random.default_rng(0),
-            lstm_hidden=8, head_hidden=(16,), cell=kind,
+            lstm_hidden=8, head_hidden=(16,),
         )
     if kind == "sim2rec":
         return build_sim2rec_policy(STATE_DIM, ACTION_DIM, dpr_small_config(seed=0))

@@ -514,13 +514,39 @@ class TestActValidation:
             ({"x": 1.0}, "BAD_REQUEST"),
             ([[0.0, 0.0], [0.0]], "BAD_REQUEST"),
             ([[1.0]], "SESSION"),
+            ([["1", "2"], ["0.5", "1e1"]], "BAD_REQUEST"),
+            ([[True, False], [1, 0]], "BAD_REQUEST"),
+            (np.array([[True, False], [False, True]]), "BAD_REQUEST"),
+            (np.array([["1", "2"], ["3", "4"]]), "BAD_REQUEST"),
+            (None, "BAD_REQUEST"),
+            (1.0, "BAD_REQUEST"),
+            ([[0.0, None], [0.0, 0.0]], "BAD_REQUEST"),
+            (np.zeros((2, 2), dtype=object), "BAD_REQUEST"),
+            (np.zeros((2, 2), dtype=np.complex128), "BAD_REQUEST"),
+            ([], "SESSION"),
         ],
-        ids=["string", "object", "ragged", "wrong-shape"],
+        ids=[
+            "string",
+            "object",
+            "ragged",
+            "wrong-shape",
+            "numeric-strings",
+            "bools",
+            "bool-array",
+            "string-array",
+            "missing",
+            "scalar",
+            "null-leaf",
+            "object-array",
+            "complex-array",
+            "empty-list",
+        ],
     )
     def test_malformed_obs_counts_nothing(self, obs, error):
-        """An obs that does not convert to a float64 array is refused
-        before admission; one the session refuses (wrong shape) is typed
-        SESSION. Neither counts as an accepted act, and the session goes on."""
+        """An obs that is not a numeric array or nested lists of JSON
+        numbers is refused before admission, with no coercion of strings
+        or bools; one the session refuses (wrong shape) is typed SESSION.
+        Neither counts as an accepted act, and the session goes on."""
         server = PolicyServer(make_policy("mlp"), ServeConfig(seed=0))
         with Gateway(server) as gateway:
             opened = []
@@ -542,6 +568,97 @@ class TestActValidation:
             assert reply["ok"] is True, reply
             assert reply["step"] == 1
             assert gateway.metrics.value("gateway_requests_total", "act") == 1
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda obs: obs.astype(np.float32),
+            lambda obs: obs.astype(np.int64),
+            lambda obs: obs.astype(np.uint8),
+            lambda obs: obs.astype(np.int64).tolist(),
+            lambda obs: obs.tolist(),
+            lambda obs: [[int(row[0]), *row[1:]] for row in obs.tolist()],
+        ],
+        ids=["float32-array", "int64-array", "uint8-array", "int-lists", "float-lists", "mixed-lists"],
+    )
+    def test_numeric_obs_forms_are_served_as_float64(self, form):
+        """Every accepted form is served exactly as its float64 array is."""
+        obs = np.array([[1.0, 2.0, 0.0, 3.0], [4.0, 0.0, 5.0, 1.0]])[:, :STATE_DIM]
+        replies = []
+        for sent in (obs, form(obs)):
+            server = PolicyServer(make_policy("mlp"), ServeConfig(seed=0))
+            with Gateway(server) as gateway:
+                opened = []
+                reply = gateway._dispatch(
+                    {"op": "open", "num_users": 2, "seed": 1}, opened, gateway._clock()
+                )
+                reply = gateway._dispatch(
+                    {"op": "act", "session": reply["session"], "obs": sent},
+                    opened,
+                    gateway._clock(),
+                )
+                assert reply["ok"] is True, reply
+                assert gateway.metrics.value("gateway_requests_total", "act") == 1
+                replies.append(reply)
+        for key in ("actions", "log_probs", "values"):
+            np.testing.assert_array_equal(replies[1][key], replies[0][key])
+
+
+class TestEndOp:
+    def test_unknown_session_is_typed_session_error(self):
+        server = PolicyServer(make_policy("mlp"), ServeConfig(seed=0))
+        with Gateway(server) as gateway:
+            reply = gateway._dispatch({"op": "end", "session": "s999"}, [], gateway._clock())
+            assert reply["ok"] is False
+            assert reply["error"] == "SESSION", reply
+            assert gateway.metrics.value("gateway_failures_total", "SESSION") == 1
+            assert gateway.metrics.value("gateway_requests_total", "end") == 0
+
+    @pytest.mark.parametrize(
+        "fields", [{}, {"session": 3}, {"session": ["s000000"]}], ids=["missing", "number", "list"]
+    )
+    def test_a_non_string_session_id_ends_nothing(self, fields):
+        server = PolicyServer(make_policy("mlp"), ServeConfig(seed=0))
+        with Gateway(server) as gateway:
+            opened = []
+            gateway._dispatch({"op": "open", "num_users": 1}, opened, gateway._clock())
+            reply = gateway._dispatch({"op": "end", **fields}, opened, gateway._clock())
+            assert reply["error"] == "BAD_REQUEST", reply
+            assert server.num_sessions == 1 and len(opened) == 1
+
+    def test_end_forgets_the_session_for_this_connection(self):
+        server = PolicyServer(make_policy("mlp"), ServeConfig(seed=0))
+        with Gateway(server) as gateway:
+            opened = []
+            session = gateway._dispatch({"op": "open", "num_users": 1}, opened, gateway._clock())[
+                "session"
+            ]
+            reply = gateway._dispatch({"op": "end", "session": session}, opened, gateway._clock())
+            assert reply == {"ok": True, "session": session}
+            assert opened == [] and server.num_sessions == 0
+            again = gateway._dispatch({"op": "end", "session": session}, opened, gateway._clock())
+            assert again["error"] == "SESSION"
+
+
+class TestMetricsEndpointConfig:
+    @pytest.mark.parametrize("port", [-1, 1.5, True, "9090"], ids=repr)
+    def test_bad_metrics_port_rejected(self, port):
+        with pytest.raises(ValueError, match="metrics_port"):
+            GatewayConfig(metrics_port=port)
+
+    def test_no_metrics_port_serves_no_endpoint(self):
+        gateway, _ = make_gateway()
+        with gateway:
+            assert gateway.metrics_address is None
+
+    def test_ephemeral_metrics_port_is_bound_on_start(self):
+        gateway, _ = make_gateway(metrics_port=0)
+        with gateway:
+            host, port = gateway.metrics_address
+            assert port > 0
+            gateway.start()  # a second start keeps the same endpoint
+            assert gateway.metrics_address == (host, port)
+        assert gateway.metrics_address is None
 
 
 # ----------------------------------------------------------------------

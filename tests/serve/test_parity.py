@@ -5,7 +5,7 @@ action the :class:`repro.serve.PolicyServer` returns from a stacked
 microbatch must be **bitwise identical** to what the same session would
 have received served alone (one ``policy.act`` per request), across
 
-- every policy family (MLP / LSTM / GRU / Sim2Rec),
+- every policy family (MLP / LSTM / Sim2Rec),
 - ragged session sizes sharing one window,
 - arbitrary arrival interleavings (staggered joins, early ends,
   per-step participation patterns, arrival-order permutations),

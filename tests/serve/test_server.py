@@ -302,6 +302,74 @@ class TestMixedWindowFailure:
         for session in sessions.values():
             session.end()
 
+    def test_an_interrupt_fails_the_other_class_unserved(self, monkeypatch):
+        """A ``KeyboardInterrupt`` in the stochastic call stops serving:
+        the deterministic requests behind it fail with the same
+        interrupt instead of being computed, and no session moves."""
+        policy = make_policy("lstm")
+        server = PolicyServer(policy, ServeConfig(max_batch_size=8, seed=0))
+        sampled = server.session(num_users=2, seed=4)
+        greedy = server.session(num_users=3, deterministic=True)
+        calls = []
+
+        def act(states, prev_actions, rng, deterministic=False):
+            calls.append(deterministic)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(policy, "act", act)
+        tickets = [sampled.submit(np.zeros((2, STATE_DIM))), greedy.submit(np.zeros((3, STATE_DIM)))]
+        with pytest.raises(KeyboardInterrupt):
+            server.flush()
+        assert calls == [False]
+        for ticket in tickets:
+            with pytest.raises(KeyboardInterrupt):
+                ticket.result(timeout=0.5)
+        assert (sampled.steps, greedy.steps) == (0, 0)
+        assert serve_value(server, "serve_batches_total") == 0
+
+
+class TestDispatcher:
+    def test_a_failing_batch_does_not_stop_the_dispatcher(self, monkeypatch):
+        policy = make_policy("mlp")
+        server = PolicyServer(policy, ServeConfig(max_batch_size=8, seed=0)).start()
+        try:
+            session = server.session(num_users=1, seed=3)
+            original = policy.act
+            failures = [RuntimeError("boom")]
+
+            def act(*args, **kwargs):
+                if failures:
+                    raise failures.pop()
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(policy, "act", act)
+            with pytest.raises(RuntimeError, match="boom"):
+                session.submit(np.zeros((1, STATE_DIM))).result(timeout=10)
+            assert server.running
+            result = session.submit(np.ones((1, STATE_DIM))).result(timeout=10)
+            assert result.step == 1
+        finally:
+            server.close()
+
+    def test_start_twice_keeps_one_dispatcher(self):
+        server = make_server()
+        try:
+            server.start()
+            thread = server._thread
+            assert server.start() is server
+            assert server._thread is thread and thread.is_alive()
+            session = server.session(num_users=2)
+            assert session.submit(np.zeros((2, STATE_DIM))).result(timeout=10).step == 1
+        finally:
+            server.close()
+        assert not server.running
+
+    def test_start_after_close_is_refused(self):
+        server = make_server()
+        server.close()
+        with pytest.raises(SessionError, match="closed"):
+            server.start()
+
 
 class TestTicket:
     def test_every_waiter_wakes_with_the_result(self):
@@ -503,8 +571,8 @@ class TestHotSwapProtocol:
         assert server.version == 1
 
     def test_publish_convenience(self):
-        server = make_server(kind="gru")
-        donor = make_policy("gru")
+        server = make_server(kind="lstm")
+        donor = make_policy("lstm")
         for param in donor.parameters():
             param.data = param.data + 0.01
         assert server.publish(donor) == 2

@@ -40,6 +40,29 @@ class TestGroupTrajectories:
                 rewards=rng.standard_normal((1, 5, 4)),
             )
 
+    @pytest.mark.parametrize(
+        "name,shape",
+        [
+            ("actions", (1, 5, 3, 2)),
+            ("feedback", (1, 4, 4, 1)),
+            ("rewards", (1, 5, 4, 1)),
+        ],
+        ids=["actions", "feedback", "rewards"],
+    )
+    def test_each_field_is_checked_against_states(self, name, shape):
+        """Each per-transition array must be [E, T, N, ...] for states of
+        shape [E, T + 1, N, ds]; the error names the field that is off."""
+        rng = np.random.default_rng(0)
+        fields = dict(
+            states=rng.standard_normal((1, 6, 4, 3)),
+            actions=rng.standard_normal((1, 5, 4, 2)),
+            feedback=rng.standard_normal((1, 5, 4, 1)),
+            rewards=rng.standard_normal((1, 5, 4)),
+        )
+        fields[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=f"{name} shape inconsistent"):
+            GroupTrajectories(group_id=0, **fields)
+
     def test_select_users(self):
         group = make_group()
         subset = group.select_users(np.array([0, 2]))
@@ -132,6 +155,19 @@ class TestTrajectoryDataset:
         dataset = self.make_dataset(users=10)
         subset = dataset.subsample_users(0.5, seed=1)
         assert all(g.num_users == 5 for g in subset.groups)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5], ids=str)
+    def test_subsample_invalid_fraction(self, fraction):
+        dataset = self.make_dataset()
+        with pytest.raises(ValueError, match="fraction must be in"):
+            dataset.subsample_users(fraction, seed=0)
+
+    def test_subsample_whole_dataset_keeps_every_user(self):
+        dataset = self.make_dataset(users=6)
+        subset = dataset.subsample_users(1.0, seed=0)
+        for full, sub in zip(dataset.groups, subset.groups):
+            assert sub.num_users == full.num_users
+            assert {tuple(r) for r in sub.states[0, 0]} == {tuple(r) for r in full.states[0, 0]}
 
     def test_subsample_differs_by_seed(self):
         dataset = self.make_dataset(users=10)

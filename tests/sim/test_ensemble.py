@@ -1,5 +1,7 @@
 """Tests for the simulator set Ω' and uncertainty U(s, a)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ def dpr_data():
 def ensemble(dpr_data):
     config = SimulatorLearnerConfig(hidden_sizes=(32, 32), epochs=30)
     return build_simulator_set(dpr_data, num_members=5, base_config=config, seed=0)
+
+
+@pytest.fixture(scope="module")
+def twelve_members(dpr_data):
+    cfg = SimulatorLearnerConfig(hidden_sizes=(8,), epochs=1)
+    return [train_user_simulator(dpr_data, replace(cfg, seed=100 + seed)) for seed in range(12)]
 
 
 class TestConstruction:
@@ -90,6 +98,40 @@ class TestUncertainty:
         means = ensemble.predict_means(s[:30], a[:30])[:, :, ensemble[0].continuous_idx]
         expected = np.linalg.norm(means - means.mean(axis=0), axis=-1).mean(axis=0)
         np.testing.assert_allclose(ensemble.uncertainty(s[:30], a[:30]), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("num_members", [2, 7, 8, 9, 12])
+    def test_rows_do_not_depend_on_the_batch(self, dpr_data, num_members):
+        """A row scored alone gets the bits it gets inside a batch: the
+        penalty's U(s, a) must not depend on how many users share a
+        segment step (numpy would sum a lone row's member axis pairwise)."""
+        cfg = SimulatorLearnerConfig(hidden_sizes=(8,), epochs=1)
+        members = [
+            train_user_simulator(dpr_data, replace(cfg, seed=seed))
+            for seed in range(num_members)
+        ]
+        ensemble = SimulatorEnsemble(members)
+        s, a, _ = dpr_data.transition_pairs()
+        batch = ensemble.uncertainty(s[:40], a[:40])
+        alone = np.concatenate(
+            [ensemble.uncertainty(s[i : i + 1], a[i : i + 1]) for i in range(40)]
+        )
+        np.testing.assert_array_equal(alone, batch)
+
+    @pytest.mark.parametrize("num_members", [2, 7, 8, 9, 12])
+    def test_batches_keep_numpys_reduction(self, twelve_members, dpr_data, num_members):
+        """For two or more rows U is exactly numpy's two means: the penalty
+        every DPR trainer applies to a segment step does not move."""
+        ensemble = SimulatorEnsemble(twelve_members[:num_members])
+        s, a, _ = dpr_data.transition_pairs()
+        for rows in (2, 3, 40):
+            predictions = ensemble.predict_means(s[:rows], a[:rows])
+            cont = ensemble.members[0].continuous_idx
+            if len(cont) > 0:
+                predictions = predictions[:, :, cont]
+            expected = np.linalg.norm(
+                predictions - predictions.mean(axis=0, keepdims=True), axis=-1
+            ).mean(axis=0)
+            np.testing.assert_array_equal(ensemble.uncertainty(s[:rows], a[:rows]), expected)
 
     def test_predict_means_shape(self, ensemble, dpr_data):
         s, a, _ = dpr_data.transition_pairs()
